@@ -74,11 +74,11 @@ fn main() -> ExitCode {
         total_wall_ms,
         workers.min(specs.len().max(1))
     );
-    // Wall-clock notes (E17's events/sec and speedups) live outside the
+    // Wall-clock notes (E17's events/sec per shard count) live outside the
     // deterministic report; CI lifts this section into the job summary.
     if results.iter().any(|r| !r.table.notes.is_empty()) {
         println!();
-        println!("## shard speedup (wall clock; not part of the report)");
+        println!("## engine throughput (wall clock; not part of the report)");
         for result in &results {
             for note in &result.table.notes {
                 println!("  {:<4} {note}", result.id);

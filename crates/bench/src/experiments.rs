@@ -1502,130 +1502,163 @@ pub fn e16_failover(opts: RunOpts) -> Table {
 }
 
 // ---------------------------------------------------------------------------
-// E17 — sharded event core scale sweep
+// E17 — event engine scale sweep
 // ---------------------------------------------------------------------------
 
-/// One E17 scale point: a ring-of-cliques gossip workload at a fixed size,
-/// run on the legacy global-heap engine and on the sharded calendar-queue
-/// engine at each shard count in `shard_counts`.
-struct E17Point {
-    cliques: u32,
-    rounds: u32,
-    shard_counts: &'static [u32],
+/// What one E17 run leaves behind.  Every field is a function of the simulated
+/// event set alone, so none may move with the shard count.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct E17Outcome {
+    events: u64,
+    delivered: u64,
+    hops: u64,
+    bytes: u64,
+    digest: u64,
+    end: SimTime,
 }
 
-/// E17: the sharded event-core scale sweep — the same gossip workload on the
-/// legacy global `BinaryHeap` engine and the sharded calendar-queue engine at
-/// 1/4(/8) shards.  Every deterministic column (events, delivered, bytes,
-/// digest, end time) must be identical across engines and shard counts; the
+/// One FNV-1a step over a whole word: order-sensitive, which is what a
+/// per-site digest of "what arrived here, in which order" needs.
+fn e17_fold(state: u64, word: u64) -> u64 {
+    (state ^ word).wrapping_mul(0x0000_0100_0000_01b3)
+}
+
+/// Gossip on `ring_of_cliques(cliques, 8)` through the engine every other
+/// experiment runs on: each site arms all its rounds up front (a standing
+/// agenda of sites × rounds timers), and each round sends two 512-byte
+/// messages carrying a random tag, one in a hundred to another clique.
+fn e17_gossip(cliques: u32, rounds: u32, shards: u32) -> E17Outcome {
+    use tacoma_net::{Duration, Event, SendOptions, SimNet};
+    const CLIQUE: u32 = 8;
+    const INTERVAL_US: u64 = 2_000;
+
+    let topology = Topology::ring_of_cliques(cliques, CLIQUE, LinkSpec::lan(), LinkSpec::wan());
+    let mut net = SimNet::new(topology);
+    net.set_shards(shards);
+    let master = DetRng::new(7);
+    let mut sites: Vec<(DetRng, u64)> = (0..u64::from(cliques * CLIQUE))
+        .map(|s| (master.derive(s), s))
+        .collect();
+    for (s, (rng, _)) in sites.iter_mut().enumerate() {
+        for round in 0..u64::from(rounds) {
+            let at = INTERVAL_US * round + rng.next_below(INTERVAL_US);
+            net.schedule_timer(USiteId(s as u32), Duration::from_micros(at), round);
+        }
+    }
+    let mut events = 0;
+    while let Some(event) = net.step() {
+        events += 1;
+        match event {
+            Event::Timer { site, key } => {
+                let (rng, digest) = &mut sites[site.index()];
+                *digest = e17_fold(*digest, key);
+                let own = site.0 / CLIQUE;
+                for _ in 0..2 {
+                    let cross = cliques > 1 && rng.next_below(1000) < 10;
+                    let clique = if cross {
+                        (own + 1 + rng.next_below(u64::from(cliques) - 1) as u32) % cliques
+                    } else {
+                        own
+                    };
+                    let mut member = rng.next_below(u64::from(CLIQUE)) as u32;
+                    if clique * CLIQUE + member == site.0 {
+                        member = (member + 1) % CLIQUE;
+                    }
+                    let tag = rng.next_u64();
+                    *digest = e17_fold(*digest, tag);
+                    let mut payload = vec![0; 512];
+                    payload[..8].copy_from_slice(&tag.to_le_bytes());
+                    net.send(SendOptions {
+                        from: site,
+                        to: USiteId(clique * CLIQUE + member),
+                        payload,
+                        kind: 17,
+                        transport: TransportKind::Tcp,
+                        custody: false,
+                    })
+                    .expect("no site ever goes down in E17");
+                }
+            }
+            Event::Message(msg) => {
+                let tag = u64::from_le_bytes(msg.payload[..8].try_into().expect("8-byte tag"));
+                let digest = &mut sites[msg.to.index()].1;
+                *digest = e17_fold(e17_fold(*digest, tag), msg.payload.len() as u64);
+            }
+            other => unreachable!("E17 arms only timers and sends: {other:?}"),
+        }
+    }
+    let metrics = net.metrics();
+    E17Outcome {
+        events,
+        delivered: metrics.delivered_messages(),
+        hops: metrics.total_hops(),
+        bytes: metrics.total_bytes().get(),
+        digest: sites.iter().fold(7, |acc, (_, d)| e17_fold(acc, *d)),
+        end: net.now(),
+    }
+}
+
+/// E17: the scale sweep of the one event engine — the same gossip agenda on
+/// `SimNet` at 1/4(/8) event-queue shards.  Sharding is a storage layout, so
+/// every deterministic column must be identical across shard counts; the
 /// driver asserts it and the table is the CI witness.  Wall-clock throughput
-/// and speedup go into the table's notes, outside the gated report.
+/// goes into the table's notes, outside the gated report.
 ///
 /// This experiment sweeps shard counts internally, so it deliberately ignores
 /// `opts.shards` — the CI shard matrix still diffs its rows byte-for-byte.
 pub fn e17_shard_sweep(opts: RunOpts) -> Table {
-    use std::time::Instant;
-    use tacoma_net::parallel::{run_gossip, run_gossip_reference, GossipConfig};
-
     let mut table = Table::new(
-        "E17 — sharded event core scale sweep (calendar vs heap)",
-        "scaling TACOMA's simulated WAN past 4096 sites: per-clique event shards with conservative lookahead beat one global heap without changing a single event",
+        "E17 — event engine scale sweep (queue shards)",
+        "scaling TACOMA's simulated WAN past 4096 sites: splitting the event queue into per-clique shards changes how fast the one loop runs, never a single event",
         &[
             "sites",
-            "engine",
             "shards",
             "events",
             "delivered",
             "hops",
             "bytes",
-            "timers",
             "digest",
             "end ms",
         ],
     );
-    let points: &[E17Point] = if opts.quick {
-        &[E17Point {
-            cliques: 64,
-            rounds: 64,
-            shard_counts: &[1, 4],
-        }]
+    // (cliques, rounds, shard counts).  Rounds shrink as sites grow so the
+    // full sweep stays a half-minute job; the site counts are the point.
+    let points: &[(u32, u32, &[u32])] = if opts.quick {
+        &[(64, 64, &[1, 4])]
     } else {
         &[
-            E17Point {
-                cliques: 64,
-                rounds: 64,
-                shard_counts: &[1, 4],
-            },
-            E17Point {
-                // ~4.2M standing timers: deep enough that the global heap
-                // falls out of cache while per-shard calendars stay resident
-                // — the regime the tentpole targets (>= 2x at 4 shards).
-                cliques: 512,
-                rounds: 1_024,
-                shard_counts: &[1, 4],
-            },
-            E17Point {
-                cliques: 2_048,
-                rounds: 128,
-                shard_counts: &[1, 4, 8],
-            },
+            (64, 64, &[1, 4]),
+            (512, 256, &[1, 4]),
+            (2_048, 32, &[1, 4, 8]),
         ]
     };
-    for point in points {
-        let cfg = GossipConfig {
-            cliques: point.cliques,
-            clique_size: 8,
-            rounds: point.rounds,
-            fanout: 2,
-            cross_permille: 10,
-            payload: 512,
-            interval_us: 2_000,
-            seed: 7,
-        };
-        let sites = cfg.cliques * cfg.clique_size;
-        let emit = |table: &mut Table,
-                    engine: &str,
-                    shards: u32,
-                    outcome: &tacoma_net::parallel::Outcome| {
+    for &(cliques, rounds, shard_counts) in points {
+        let sites = cliques * 8;
+        let mut first: Option<E17Outcome> = None;
+        for &shards in shard_counts {
+            let start = std::time::Instant::now();
+            let outcome = e17_gossip(cliques, rounds, shards);
+            let wall = start.elapsed().as_secs_f64();
             table.row(vec![
                 sites.to_string(),
-                engine.to_string(),
                 shards.to_string(),
                 outcome.events.to_string(),
                 outcome.delivered.to_string(),
                 outcome.hops.to_string(),
                 outcome.bytes.to_string(),
-                outcome.timers.to_string(),
                 format!("{:016x}", outcome.digest),
                 format!("{:.1}", outcome.end.as_millis_f64()),
             ]);
-        };
-        let heap_start = Instant::now();
-        let heap = run_gossip_reference(cfg);
-        let heap_wall = heap_start.elapsed();
-        emit(&mut table, "heap", 1, &heap);
-        let heap_rate = heap.events as f64 / heap_wall.as_secs_f64().max(1e-9);
-        table.note(format!(
-            "{sites} sites: heap engine {:.0} events/s ({:.2}s wall)",
-            heap_rate,
-            heap_wall.as_secs_f64()
-        ));
-        for &shards in point.shard_counts {
-            let start = Instant::now();
-            let outcome = run_gossip(cfg, shards);
-            let wall = start.elapsed();
-            assert_eq!(
-                outcome, heap,
-                "{sites} sites / {shards} shards diverged from the heap engine"
-            );
-            emit(&mut table, "calendar", shards, &outcome);
-            let rate = outcome.events as f64 / wall.as_secs_f64().max(1e-9);
             table.note(format!(
-                "{sites} sites, {shards} shard(s): {:.0} events/s, {:.2}x vs heap ({:.2}s wall)",
-                rate,
-                rate / heap_rate.max(1e-9),
-                wall.as_secs_f64()
+                "{sites} sites, {shards} shard(s): {:.0} events/s ({wall:.2}s wall)",
+                outcome.events as f64 / wall.max(1e-9)
             ));
+            assert_eq!(
+                outcome,
+                *first.get_or_insert(outcome),
+                "{sites} sites: {shards} shards diverged from {} shard(s)",
+                shard_counts[0]
+            );
         }
     }
     table

@@ -4,11 +4,12 @@
 //! DESIGN.md defines experiments E1–E20, one per measurable claim in the
 //! text (plus the E11/E12 scale experiments the ROADMAP's north star asks
 //! for, the E13/E14 custody experiments, the E15/E16 broker-federation
-//! experiments, the E17 sharded event-core sweep, and the E20 cost-aware
+//! experiments, the E17 event-engine scale sweep, and the E20 cost-aware
 //! placement comparison).  Each `eN_*` function here runs one experiment and returns a
 //! [`Table`]; the `harness` binary prints them all (this is the artifact that
-//! stands in for "regenerating the paper's tables"), and the Criterion
-//! benches in `benches/` time the same code paths.
+//! stands in for "regenerating the paper's tables") with each driver's
+//! wall-clock in its run summary; `benches/micro.rs` times the hot
+//! primitives underneath.
 //!
 //! Around the drivers sits the measurement backbone added for CI:
 //!

@@ -173,7 +173,7 @@ pub fn registry() -> Vec<JobSpec> {
         },
         JobSpec {
             id: "E17",
-            summary: "sharded event core scale sweep (calendar vs heap)",
+            summary: "event engine scale sweep (queue shards)",
             seed: 7,
             run: crate::e17_shard_sweep,
         },

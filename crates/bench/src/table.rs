@@ -14,7 +14,7 @@ pub struct Table {
     pub headers: Vec<String>,
     /// Rows of cells (same arity as `headers`).
     pub rows: Vec<Vec<String>>,
-    /// Wall-clock commentary (events/sec, speedups).  Deliberately outside
+    /// Wall-clock commentary (events/sec).  Deliberately outside
     /// the deterministic surface: excluded from [`Table::metrics`] and
     /// [`Table::render`], so reports and rendered tables stay byte-identical
     /// across machines and worker counts.  The harness prints notes in a

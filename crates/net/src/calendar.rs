@@ -22,10 +22,9 @@
 //! Pop order is the total order on `(time, key)`.  Callers hand every event a
 //! unique, monotonically assigned key, which makes ties at equal timestamps
 //! pop in FIFO order — the determinism contract the simulator's reports are
-//! built on.  The key type is generic so the serial simulator can use its
-//! global sequence number while the sharded engine
-//! ([`crate::parallel`]) uses shard-invariant `(origin site, origin seq)`
-//! pairs.
+//! built on.  The key type is generic; the simulator keys events by its
+//! global sequence number, which is what makes the pop order independent of
+//! how the queue is sharded.
 //!
 //! [Brown 1988]: "Calendar Queues: A Fast O(1) Priority Queue Implementation
 //! for the Simulation Event Set Problem", CACM 31(10).

@@ -13,9 +13,10 @@
 //! * [`topology::Topology`] — sites and links with latency and bandwidth,
 //!   plus builders for the standard shapes used by the experiments (ring,
 //!   star, grid, full mesh, random connected graphs).
-//! * [`sim::SimNet`] — the event queue: message delivery with per-hop latency
-//!   and bandwidth charging, timers, scheduled site crashes/recoveries and
-//!   network partitions.
+//! * [`sim::SimNet`] — the one event loop: message delivery with per-hop
+//!   latency and bandwidth charging, timers, scheduled site crashes/recoveries
+//!   and network partitions.  Every experiment and benchmark workload runs on
+//!   [`sim::SimNet::step`]; the crate ships no second engine.
 //! * [`transport`] — the three transport personalities of the prototype
 //!   (`rsh`-like per-message setup, persistent TCP-like streams, Horus-like
 //!   group multicast), which differ only in how connection setup overhead is
@@ -32,12 +33,9 @@
 //! * [`calendar::CalendarQueue`] — the hierarchical calendar queue behind
 //!   every event queue: amortised `O(1)` push/pop over `(time, key)` with
 //!   FIFO order at equal timestamps via monotone keys.
-//! * [`shard::ShardPlan`] — clique-aligned assignment of sites to event
-//!   shards, plus the conservative lookahead (the minimum cross-shard link
-//!   latency) that bounds how far shards may run ahead of each other.
-//! * [`parallel`] — the sharded discrete-event engine (experiment E17): one
-//!   calendar queue per clique shard, windowed conservative synchronization,
-//!   and byte-identical outcomes at any shard count.
+//! * [`shard::ShardPlan`] — clique-aligned assignment of sites to event-queue
+//!   shards: a storage layout for [`sim::SimNet`]'s pending events that can
+//!   never change a result (experiment E17 sweeps it).
 //! * [`workload`] — open-arrival workload generation (experiments E18/E19):
 //!   deterministic per-site arrival streams with heavy-tailed bounded-Pareto
 //!   sizes, diurnal rate curves and regional flash crowds; users are modeled
@@ -50,7 +48,6 @@ pub mod custody;
 pub mod failure;
 pub mod group;
 pub mod metrics;
-pub mod parallel;
 pub mod routing;
 pub mod shard;
 pub mod sim;

@@ -1,39 +1,26 @@
-//! Shard planning: carving a topology into per-shard event domains.
+//! Shard planning: carving a topology's sites into per-shard event queues.
 //!
-//! The sharded simulator cores (the serial argmin merge inside
-//! [`crate::sim::SimNet`] and the conservatively-synchronized parallel engine
-//! in [`crate::parallel`]) both need the same two pieces of information:
-//!
-//! * **which shard owns which site** — every event fires *at* a site
-//!   (a delivery at its destination, a timer/failure/custody alarm at its
-//!   site), so a site→shard map partitions the event queue;
-//! * **the lookahead** — the minimum latency of any link that crosses a
-//!   shard boundary.  A cross-shard send made at time `t` cannot arrive
-//!   before `t + lookahead`, so every shard may safely execute all events in
-//!   the window `[w, w + lookahead)` without hearing from its peers.
+//! [`crate::sim::SimNet`] runs one event loop.  Sharding is only the
+//! *storage layout* of its pending events: every event fires *at* a site (a
+//! delivery at its destination, a timer/failure/custody alarm at its site),
+//! so a site→shard map splits the one big queue into several smaller ones,
+//! and the loop pops the argmin of `(time, seq)` across their fronts.
+//! Because sequence numbers are global, **any** site→shard map pops the same
+//! events in the same order; the plan can only change how deep each queue
+//! is, never a simulation result.
 //!
 //! On the ring-of-cliques shape the plan aligns shard boundaries with clique
-//! boundaries (cliques are contiguous site ranges), so the only cross-shard
-//! links are the WAN gateway links and the lookahead is the WAN latency —
-//! tens of milliseconds of safe parallel slack.  Any other shape falls back
-//! to contiguous site blocks, which stays correct (the lookahead shrinks to
-//! the cheapest severed link) but parallelizes less.
+//! boundaries (cliques are contiguous site ranges), so clique-local traffic
+//! stays in one queue.  Any other shape gets contiguous site blocks.
 
-use crate::time::Duration;
 use crate::topology::Topology;
 use tacoma_util::SiteId;
 
-/// Lookahead to report when no link crosses a shard boundary (one shard, or
-/// disconnected shards): any positive window works, so use a generous one.
-const UNCOUPLED_LOOKAHEAD: Duration = Duration(1_000_000);
-
-/// A partition of a topology's sites into shards, plus the conservative
-/// synchronization window that partition supports.
+/// A partition of a topology's sites into shards.
 #[derive(Debug, Clone)]
 pub struct ShardPlan {
     shard_of: Vec<u16>,
     shards: u32,
-    lookahead: Duration,
 }
 
 impl ShardPlan {
@@ -59,17 +46,7 @@ impl ShardPlan {
                 .collect(),
         };
         let shards = shard_of.last().map_or(1, |&last| last as u32 + 1);
-        let lookahead = topology
-            .links()
-            .filter(|&(a, b, _)| shard_of[a.index()] != shard_of[b.index()])
-            .map(|(_, _, spec)| spec.latency)
-            .min()
-            .unwrap_or(UNCOUPLED_LOOKAHEAD);
-        ShardPlan {
-            shard_of,
-            shards,
-            lookahead,
-        }
+        ShardPlan { shard_of, shards }
     }
 
     /// Number of shards actually planned (≤ the requested count).
@@ -82,25 +59,6 @@ impl ShardPlan {
     pub fn shard_of(&self, site: SiteId) -> u16 {
         self.shard_of.get(site.index()).copied().unwrap_or(0)
     }
-
-    /// The conservative window: no event executed in one shard can schedule
-    /// an event in another shard sooner than this far in the future.
-    pub fn lookahead(&self) -> Duration {
-        self.lookahead
-    }
-
-    /// The sites of shard `shard`, in ascending id order.  Both planners
-    /// assign contiguous, monotone ranges, so concatenating shard 0..n
-    /// enumerates all sites in global order — the property the parallel
-    /// engine's digest fold relies on.
-    pub fn sites_of(&self, shard: u16) -> Vec<SiteId> {
-        self.shard_of
-            .iter()
-            .enumerate()
-            .filter(|&(_, &s)| s == shard)
-            .map(|(i, _)| SiteId(i as u32))
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -109,7 +67,7 @@ mod tests {
     use crate::topology::LinkSpec;
 
     #[test]
-    fn clique_aligned_plan_has_wan_lookahead() {
+    fn clique_aligned_plan_keeps_cliques_whole() {
         let t = Topology::ring_of_cliques(8, 4, LinkSpec::lan(), LinkSpec::wan());
         let plan = ShardPlan::new(&t, 4);
         assert_eq!(plan.shards(), 4);
@@ -117,8 +75,6 @@ mod tests {
         for s in 0..32u32 {
             assert_eq!(plan.shard_of(SiteId(s)), (s / 8) as u16, "site {s}");
         }
-        // The only severed links are WAN gateway links.
-        assert_eq!(plan.lookahead(), LinkSpec::wan().latency);
     }
 
     #[test]
@@ -137,30 +93,24 @@ mod tests {
         assert_eq!(plan.shards(), 2);
         assert_eq!(plan.shard_of(SiteId(4)), 0);
         assert_eq!(plan.shard_of(SiteId(5)), 1);
-        // The ring's links all share one spec, so severed links carry it.
-        assert_eq!(plan.lookahead(), LinkSpec::default().latency);
-        assert_eq!(plan.sites_of(1).len(), 5);
     }
 
     #[test]
-    fn single_shard_plan_is_total_and_uncoupled() {
+    fn single_shard_plan_is_total() {
         let t = Topology::full_mesh(5, LinkSpec::lan());
         let plan = ShardPlan::new(&t, 1);
         assert_eq!(plan.shards(), 1);
         assert_eq!(plan.shard_of(SiteId(3)), 0);
         assert_eq!(plan.shard_of(SiteId(999)), 0, "total over any id");
-        assert!(plan.lookahead() > LinkSpec::wan().latency);
-        assert_eq!(plan.sites_of(0).len(), 5);
     }
 
     #[test]
-    fn shard_ranges_concatenate_to_global_site_order() {
+    fn shards_are_contiguous_site_ranges_and_none_is_empty() {
         let t = Topology::ring_of_cliques(6, 3, LinkSpec::lan(), LinkSpec::wan());
         let plan = ShardPlan::new(&t, 4);
-        let mut all = Vec::new();
-        for shard in 0..plan.shards() as u16 {
-            all.extend(plan.sites_of(shard));
-        }
-        assert_eq!(all, (0..18).map(SiteId).collect::<Vec<_>>());
+        let ids: Vec<u16> = (0..18).map(|s| plan.shard_of(SiteId(s))).collect();
+        assert!(ids.windows(2).all(|w| w[1] == w[0] || w[1] == w[0] + 1));
+        assert_eq!(ids[0], 0);
+        assert_eq!(ids[17] as u32 + 1, plan.shards());
     }
 }

@@ -244,7 +244,7 @@ pub struct SimNet {
     /// change a simulation result, which is what lets CI gate `--shards N`
     /// against `--shards 1` byte-for-byte.
     queues: Vec<CalendarQueue<u64, Pending>>,
-    /// Site → shard map plus the cross-shard lookahead.
+    /// Site → shard map.
     plan: ShardPlan,
     seq: u64,
     next_msg_id: u64,
@@ -314,12 +314,6 @@ impl SimNet {
     /// Number of event-queue shards (1 unless [`SimNet::set_shards`] raised it).
     pub fn shard_count(&self) -> u32 {
         self.plan.shards()
-    }
-
-    /// The conservative lookahead of the current shard plan: the minimum
-    /// latency of any link crossing a shard boundary.
-    pub fn shard_lookahead(&self) -> Duration {
-        self.plan.lookahead()
     }
 
     /// Installs a custody store: sends whose [`SendOptions::custody`] flag is
@@ -408,9 +402,6 @@ impl SimNet {
     pub fn edit_topology(&mut self, edit: impl FnOnce(&mut Topology)) {
         self.router.edit_topology(edit);
         self.epoch += 1;
-        // Link changes can change which links cross shard boundaries;
-        // re-plan at the same shard count so the lookahead stays honest.
-        self.set_shards(self.plan.shards());
         self.flush_custody();
     }
 

@@ -85,9 +85,8 @@ pub struct Topology {
     links: BTreeMap<(SiteId, SiteId), LinkSpec>,
     /// For [`TopologyKind::RingOfCliques`]: the number of sites per clique.
     /// The shard planner ([`crate::shard::ShardPlan`]) uses this to align
-    /// shard boundaries with clique boundaries, so the only cross-shard links
-    /// are the high-latency gateway links that give the scheduler its
-    /// lookahead.
+    /// shard boundaries with clique boundaries, so clique-local traffic stays
+    /// in one shard's queue.
     clique_size: Option<u32>,
 }
 

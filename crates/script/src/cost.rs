@@ -647,16 +647,16 @@ impl Analyzer {
             None => Some(1i64),
             Some(w) => eval_const_word(w, env),
         };
-        match (env.get(&target).copied(), amount) {
-            (Some(cur), Some(by)) => {
-                env.insert(target, cur.wrapping_add(by));
-            }
-            _ => {
-                // `incr` on an unset var defaults it to 0 then adds: if the
-                // var was unknown we stay unknown.
-                env.remove(&target);
-            }
-        }
+        // Unknown operands stay unknown, and so does an overflowing sum: the
+        // interpreter raises an error there, so no constant survives it.
+        let sum = env
+            .get(&target)
+            .zip(amount)
+            .and_then(|(cur, by)| cur.checked_add(by));
+        match sum {
+            Some(sum) => env.insert(target, sum),
+            None => env.remove(&target),
+        };
     }
 
     fn if_cost(&mut self, cmd: &Command, env: &mut Env, adepth: u32) -> Cost {
@@ -1885,6 +1885,23 @@ mod tests {
         assert_eq!(b.steps, CostInterval::exact(22));
         assert_eq!(b.depth, CostInterval::exact(1));
         assert_eq!(run_steps(src), 22);
+    }
+
+    #[test]
+    fn incr_overflow_is_a_script_error_and_leaves_no_constant() {
+        let mut host = NullHost;
+        let mut interp = Interp::new(&mut host);
+        let err = interp.run("set x 9223372036854775807; incr x");
+        assert!(
+            matches!(err, Err(crate::ScriptError::Runtime(_))),
+            "{err:?}"
+        );
+        // The failed `incr` leaves x at i64::MAX, so the loop never runs; a
+        // wrapped constant would "prove" 808 iterations as the minimum.
+        let src = "set x 9223372036854775807\ncatch {incr x}\n\
+                   while {$x < -9223372036854775000} { incr x }";
+        let (steps, proven) = (run_steps(src), bound(src).steps);
+        assert!(proven.lo <= steps, "{proven:?} vs {steps} actual steps");
     }
 
     #[test]

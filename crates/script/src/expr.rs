@@ -151,12 +151,29 @@ fn tokenize(src: &str) -> Result<Vec<Tok>, ExprError> {
     Ok(toks)
 }
 
+/// Nesting (parentheses, stacked unary operators) allowed in one expression:
+/// the depth the interpreter's `max_depth` and taco-cost also stop at.  The
+/// parser recurses on the host stack, and `CODE` folders are untrusted.
+const MAX_NESTING: u32 = 64;
+
 struct Parser {
     toks: Vec<Tok>,
     pos: usize,
+    depth: u32,
 }
 
 impl Parser {
+    /// Runs `inner` one nesting level down, refusing to pass [`MAX_NESTING`].
+    fn nested(&mut self, inner: fn(&mut Self) -> Result<Val, ExprError>) -> Result<Val, ExprError> {
+        if self.depth == MAX_NESTING {
+            return Err(ExprError("expression nested too deeply".into()));
+        }
+        self.depth += 1;
+        let val = inner(self);
+        self.depth -= 1;
+        val
+    }
+
     fn peek(&self) -> Option<&Tok> {
         self.toks.get(self.pos)
     }
@@ -277,7 +294,7 @@ impl Parser {
     fn unary(&mut self) -> Result<Val, ExprError> {
         if let Some(op) = self.peek_op(&["-", "!"]) {
             self.bump();
-            let v = self.unary()?;
+            let v = self.nested(Self::unary)?;
             return Ok(match op.as_str() {
                 "-" => Val::Num(-v.as_num()?),
                 "!" => Val::Num(if v.truthy()? { 0.0 } else { 1.0 }),
@@ -292,7 +309,7 @@ impl Parser {
             Some(Tok::Num(n)) => Ok(Val::Num(n)),
             Some(Tok::Str(s)) => Ok(Val::Str(s)),
             Some(Tok::LParen) => {
-                let v = self.expr()?;
+                let v = self.nested(Self::expr)?;
                 match self.bump() {
                     Some(Tok::RParen) => Ok(v),
                     _ => Err(ExprError("expected ')'".into())),
@@ -309,7 +326,11 @@ pub fn eval_expr(src: &str) -> Result<String, ExprError> {
     if toks.is_empty() {
         return Err(ExprError("empty expression".into()));
     }
-    let mut parser = Parser { toks, pos: 0 };
+    let mut parser = Parser {
+        toks,
+        pos: 0,
+        depth: 0,
+    };
     let val = parser.expr()?;
     if parser.pos != parser.toks.len() {
         return Err(ExprError("trailing tokens in expression".into()));
@@ -367,6 +388,19 @@ mod tests {
         assert!(eval_expr("1 2").is_err());
         assert!(eval_expr("@").is_err());
         assert!(eval_expr("\"open").is_err());
+    }
+
+    #[test]
+    fn hostile_nesting_is_an_error_not_a_stack_overflow() {
+        let deep = |open: &str, close: &str, n: usize| {
+            eval_expr(&format!("{}1{}", open.repeat(n), close.repeat(n)))
+        };
+        assert_eq!(deep("(", ")", 64).unwrap(), "1");
+        assert_eq!(deep("-", "", 64).unwrap(), "1");
+        for (open, close) in [("(", ")"), ("-", ""), ("!(", ")")] {
+            let err = deep(open, close, 5_000).unwrap_err();
+            assert_eq!(err.0, "expression nested too deeply");
+        }
     }
 
     #[test]

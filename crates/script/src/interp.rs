@@ -274,7 +274,12 @@ impl<'h> Interp<'h> {
                     _ => return Err(Self::arity_err("incr", "name ?amount?", line)),
                 };
                 let current = self.get_var(var).and_then(as_int).unwrap_or(0);
-                let next = (current + by).to_string();
+                let next = current
+                    .checked_add(by)
+                    .ok_or_else(|| {
+                        ScriptError::Runtime(format!("line {line}: incr of '{var}' overflows"))
+                    })?
+                    .to_string();
                 self.set_in_scope(var, next.clone());
                 Ok(Flow::Normal(next))
             }
@@ -353,9 +358,8 @@ impl<'h> Interp<'h> {
                     let elems = parse_list(l);
                     let i = as_int(idx)
                         .ok_or_else(|| ScriptError::Runtime(format!("bad index '{idx}'")))?;
-                    Ok(Flow::Normal(
-                        elems.get(i.max(0) as usize).cloned().unwrap_or_default(),
-                    ))
+                    let elem = usize::try_from(i).ok().and_then(|i| elems.get(i));
+                    Ok(Flow::Normal(elem.cloned().unwrap_or_default()))
                 }
                 _ => Err(Self::arity_err("lindex", "list index", line)),
             },
@@ -372,17 +376,19 @@ impl<'h> Interp<'h> {
             "lrange" => match args {
                 [l, from, to] => {
                     let elems = parse_list(l);
-                    let from = as_int(from).unwrap_or(0).max(0) as usize;
+                    let last = elems.len() as i64 - 1;
+                    let from = as_int(from).unwrap_or(0).max(0);
                     let to = if to == "end" {
-                        elems.len().saturating_sub(1)
+                        last
                     } else {
-                        as_int(to).unwrap_or(-1).max(-1) as usize
+                        as_int(to).unwrap_or(-1).min(last)
                     };
-                    if from >= elems.len() || to < from {
+                    if to < from {
                         return Ok(Flow::Normal(String::new()));
                     }
-                    let to = to.min(elems.len() - 1);
-                    Ok(Flow::Normal(format_list(&elems[from..=to])))
+                    Ok(Flow::Normal(format_list(
+                        &elems[from as usize..=to as usize],
+                    )))
                 }
                 _ => Err(Self::arity_err("lrange", "list first last", line)),
             },
@@ -947,12 +953,16 @@ mod tests {
         assert_eq!(run("llength {a b {c d}}"), "3");
         assert_eq!(run("lindex {a b c} 1"), "b");
         assert_eq!(run("lindex {a b c} 9"), "");
+        assert_eq!(run("lindex {a b c} -1"), "");
         assert_eq!(
             run("set l {}; lappend l x; lappend l {y z}; set l"),
             "x {y z}"
         );
         assert_eq!(run("lrange {a b c d e} 1 3"), "b c d");
         assert_eq!(run("lrange {a b c} 1 end"), "b c");
+        assert_eq!(run("lrange {a b c} 0 -1"), "");
+        assert_eq!(run("lrange {a b c} -2 1"), "a b");
+        assert_eq!(run("lrange {} 0 end"), "");
         assert_eq!(run("join {a b c} -"), "a-b-c");
         assert_eq!(run("split a,b,c ,"), "a b c");
         assert_eq!(run("list a {b c}"), "a {b c}");
