@@ -21,9 +21,6 @@
 //!   (`rsh`-like per-message setup, persistent TCP-like streams, Horus-like
 //!   group multicast), which differ only in how connection setup overhead is
 //!   charged.
-//! * [`group::ProcessGroup`] — a small Horus-flavoured process-group layer
-//!   (membership views and ordered multicast) used by the fault-tolerance
-//!   experiments.
 //! * [`metrics::NetMetrics`] — byte and message accounting, the raw material
 //!   of the bandwidth-conservation experiment (E1).
 //! * [`custody`] — DTN-style store-and-forward custody queues: sends that opt
@@ -46,7 +43,6 @@
 pub mod calendar;
 pub mod custody;
 pub mod failure;
-pub mod group;
 pub mod metrics;
 pub mod routing;
 pub mod shard;
@@ -59,7 +55,6 @@ pub mod workload;
 pub use calendar::CalendarQueue;
 pub use custody::CustodyConfig;
 pub use failure::FailurePlan;
-pub use group::{GroupEvent, GroupId, ProcessGroup, ViewId};
 pub use metrics::NetMetrics;
 pub use routing::Router;
 pub use shard::ShardPlan;

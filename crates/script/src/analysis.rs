@@ -3,8 +3,8 @@
 //! The paper stores an agent as "a Tcl procedure; the text of the procedure is
 //! stored in the agent's CODE folder" — which means a typo'd builtin or a
 //! use-before-set variable only surfaces after the agent has migrated halfway
-//! across the system.  This pass consumes [`parse_script`] output and reports
-//! spanned [`Diagnostic`]s *before* the agent is launched:
+//! across the system.  This pass walks the script's parsed tree (`tree.rs`)
+//! and reports spanned [`Diagnostic`]s *before* the agent is launched:
 //!
 //! * **unknown-command** (error): a command that is neither a builtin nor a
 //!   `proc` defined anywhere in the script;
@@ -35,14 +35,10 @@
 
 use crate::diag::Diagnostic;
 use crate::expr::eval_expr;
-use crate::parser::{parse_script, Command, Span, Word, WordKind, WordPart};
+use crate::parser::{Span, Word, WordKind, WordPart};
+use crate::tree::{Arm, Body, Cmd, Cond, CondPart, IfFault, Shape, State, Tree};
 use crate::value::{is_truthy, parse_list};
 use std::collections::{BTreeMap, BTreeSet};
-
-/// Nesting depth cap for the analyzer's recursive descent (mirrors the
-/// interpreter's `max_depth`); beyond it we stop descending rather than risk
-/// unbounded recursion on adversarial input.
-const MAX_DEPTH: u32 = 64;
 
 /// Configuration for [`analyze_with`].
 #[derive(Debug, Clone, Default)]
@@ -118,8 +114,12 @@ pub fn analyze(src: &str) -> Vec<Diagnostic> {
 
 /// Analyzes a script with an explicit [`AnalysisConfig`].
 pub fn analyze_with(src: &str, config: &AnalysisConfig) -> Vec<Diagnostic> {
+    let tree = match Tree::parse(src) {
+        Ok(tree) => tree,
+        Err(e) => return vec![Diagnostic::error("parse", e.span(), e.message)],
+    };
     let mut info = Collected::default();
-    collect_script(src, 0, &mut info);
+    collect_tree(&tree, &mut info);
     let mut analyzer = Analyzer {
         config,
         info,
@@ -129,8 +129,9 @@ pub fn analyze_with(src: &str, config: &AnalysisConfig) -> Vec<Diagnostic> {
     for var in &config.predefined {
         env.assign(var);
     }
-    analyzer.check_script(src, Span::START, &mut env, Ctx::default());
-    let usage = scan_usage(src);
+    analyzer.check_tree(&tree, &mut env, Ctx::default());
+    let mut usage = Usage::default();
+    scan_usage_tree(&tree, false, &mut usage);
     if !usage.opaque {
         for (name, span) in &usage.writes {
             if !usage.reads.contains(name) && !config.predefined.contains(name) {
@@ -181,87 +182,36 @@ struct Collected {
     assigned: BTreeSet<String>,
 }
 
-fn collect_script(src: &str, depth: u32, out: &mut Collected) {
-    if depth > MAX_DEPTH {
-        return;
+fn collect(body: &Body, out: &mut Collected) {
+    if let State::Parsed(tree) = body.braced() {
+        collect_tree(tree, out);
     }
-    let Ok(cmds) = parse_script(src) else { return };
-    for cmd in &cmds {
-        for word in &cmd.words {
-            if let WordKind::Parts(parts) = &word.kind {
-                for part in parts {
-                    if let WordPart::Command(inner) = part {
-                        collect_script(inner, depth + 1, out);
-                    }
-                }
-            }
+}
+
+fn collect_tree(tree: &Tree, out: &mut Collected) {
+    for cmd in &tree.cmds {
+        for script in cmd.scripts() {
+            collect(script, out);
         }
-        let Some(name) = cmd.words[0].static_text() else {
-            continue;
-        };
-        let args = &cmd.words[1..];
-        let static_arg = |i: usize| args.get(i).and_then(Word::static_text);
-        let braced_arg = |i: usize| {
-            args.get(i).and_then(|w| match &w.kind {
-                WordKind::Braced(t) => Some(t.as_str()),
-                WordKind::Parts(_) => None,
-            })
-        };
-        match name {
-            "set" if args.len() >= 2 => {
-                if let Some(v) = static_arg(0) {
-                    out.assigned.insert(v.to_string());
-                }
-            }
-            "incr" | "append" | "lappend" => {
-                if let Some(v) = static_arg(0) {
-                    out.assigned.insert(v.to_string());
-                }
-            }
-            "foreach" => {
-                if let Some(v) = static_arg(0) {
-                    out.assigned.insert(v.to_string());
-                }
-                if let Some(body) = braced_arg(2) {
-                    collect_script(body, depth + 1, out);
-                }
-            }
-            "while" | "if" => {
-                // Conditions and bodies both arrive braced; collecting a
-                // condition as if it were a script is harmless (nothing in it
-                // matches an assignment shape unless it really is one).
-                for (i, _) in args.iter().enumerate() {
-                    if let Some(text) = braced_arg(i) {
-                        collect_script(text, depth + 1, out);
-                    }
-                }
-            }
-            "catch" => {
-                if let Some(body) = braced_arg(0) {
-                    collect_script(body, depth + 1, out);
-                }
-                if let Some(v) = static_arg(1) {
-                    out.assigned.insert(v.to_string());
-                }
-            }
-            "eval" => {
-                if let Some(body) = braced_arg(0) {
-                    collect_script(body, depth + 1, out);
-                }
-            }
-            "proc" => {
-                if let (Some(pname), Some(params)) = (static_arg(0), static_arg(1)) {
+        let assigned = match cmd.name() {
+            Some("set") if cmd.words.len() >= 3 => cmd.arg_text(0),
+            Some("incr" | "append" | "lappend" | "foreach") => cmd.arg_text(0),
+            Some("catch") => cmd.arg_text(1),
+            Some("proc") => {
+                if let (Some(pname), Some(params)) = (cmd.arg_text(0), cmd.arg_text(1)) {
                     let params = parse_list(params);
                     out.procs.insert(pname.to_string(), params.len());
-                    for p in params {
-                        out.assigned.insert(p);
-                    }
+                    out.assigned.extend(params);
                 }
-                if let Some(body) = braced_arg(2) {
-                    collect_script(body, depth + 1, out);
-                }
+                None
             }
-            _ => {}
+            _ => None,
+        };
+        out.assigned.extend(assigned.map(str::to_string));
+        // After the command itself: a proc redefined in its own body keeps
+        // the inner signature.
+        for script in cmd.shape.scripts() {
+            collect(script, out);
         }
     }
 }
@@ -280,68 +230,52 @@ struct Usage {
     /// First plain `set name value` site per name, outside `catch` bodies.
     writes: BTreeMap<String, Span>,
     /// Something dynamic defeated the scan (a computed command or variable
-    /// name, a non-braced `eval`): suppress every unused-variable warning.
+    /// name, a script built at runtime, nesting past the depth cap):
+    /// suppress every unused-variable warning.
     opaque: bool,
 }
 
-fn scan_usage(src: &str) -> Usage {
-    let mut usage = Usage::default();
-    scan_usage_script(src, Span::START, 0, false, &mut usage);
-    usage
+fn scan_usage(body: &Body, in_catch: bool, out: &mut Usage) {
+    match body.braced() {
+        State::Parsed(tree) => scan_usage_tree(tree, in_catch, out),
+        State::Computed | State::TooDeep => out.opaque = true,
+        State::Bad(_) => {} // reported by the main pass
+    }
 }
 
-fn scan_usage_script(src: &str, base: Span, depth: u32, in_catch: bool, out: &mut Usage) {
-    if depth > MAX_DEPTH {
-        out.opaque = true;
-        return;
-    }
-    let Ok(cmds) = parse_script(src) else { return };
-    for cmd in &cmds {
+fn scan_usage_tree(tree: &Tree, in_catch: bool, out: &mut Usage) {
+    for cmd in &tree.cmds {
         for word in &cmd.words {
             match &word.kind {
                 WordKind::Parts(parts) => {
                     for part in parts {
-                        match part {
-                            WordPart::Literal(_) => {}
-                            WordPart::Variable(name) => {
-                                out.reads.insert(name.clone());
-                            }
-                            WordPart::Command(script) => scan_usage_script(
-                                script,
-                                map_span(base, word.span),
-                                depth + 1,
-                                in_catch,
-                                out,
-                            ),
+                        if let WordPart::Variable(name) = part {
+                            out.reads.insert(name.clone());
                         }
                     }
                 }
                 // Braced text may later be evaluated as a condition or expr:
-                // harvest its `$name`s and scan its `[...]` scripts.  Braced
-                // *bodies* are additionally walked as scripts below.
-                WordKind::Braced(text) => scan_braced_reads(
-                    text,
-                    map_span(base, content_base(word)),
-                    depth,
-                    in_catch,
-                    out,
-                ),
+                // harvest its `$name`s.
+                WordKind::Braced(text) => out.reads.extend(cond_var_names(text)),
             }
         }
-        let Some(name) = cmd.words[0].static_text() else {
+        for script in cmd.scripts() {
+            scan_usage(script, in_catch, out);
+        }
+        let Some(name) = cmd.name() else {
             out.opaque = true;
             continue;
         };
-        let args = &cmd.words[1..];
-        let static_arg = |i: usize| args.get(i).and_then(Word::static_text);
+        let argc = cmd.words.len() - 1;
+        // The names a command consumes: read-modify-write targets, `unset`
+        // targets, and variables something other than `set` binds (an unused
+        // `foreach _ [...]` variable, `catch` result or `proc` parameter is
+        // idiomatic, so those are exempt).
         match name {
-            "set" => match (static_arg(0), args.len()) {
+            "set" => match (cmd.arg_text(0), argc) {
                 (Some(v), 2) if !in_catch => {
-                    out.writes
-                        .entry(v.to_string())
-                        .or_insert_with(|| map_span(base, cmd.span));
+                    out.writes.entry(v.to_string()).or_insert(cmd.span);
                 }
-                (Some(_), 2) => {}
                 (Some(v), 1) => {
                     out.reads.insert(v.to_string());
                 }
@@ -349,8 +283,8 @@ fn scan_usage_script(src: &str, base: Span, depth: u32, in_catch: bool, out: &mu
                 _ => {}
             },
             "unset" => {
-                for (i, _) in args.iter().enumerate() {
-                    match static_arg(i) {
+                for i in 0..argc {
+                    match cmd.arg_text(i) {
                         Some(v) => {
                             out.reads.insert(v.to_string());
                         }
@@ -358,160 +292,25 @@ fn scan_usage_script(src: &str, base: Span, depth: u32, in_catch: bool, out: &mu
                     }
                 }
             }
-            // Read-modify-write: the variable's value is consumed.
-            "incr" | "append" | "lappend" => match static_arg(0) {
+            "incr" | "append" | "lappend" | "foreach" => match cmd.arg_text(0) {
                 Some(v) => {
                     out.reads.insert(v.to_string());
                 }
                 None => out.opaque = true,
             },
-            "foreach" => {
-                // The loop variable is bound by the loop itself; an unused
-                // one is idiomatic (`foreach _ [...] { ... }`), so exempt it.
-                match static_arg(0) {
-                    Some(v) => {
-                        out.reads.insert(v.to_string());
-                    }
-                    None => out.opaque = true,
-                }
-                if let Some((text, b)) = usage_body(args, base, 2, out) {
-                    scan_usage_script(text, b, depth + 1, in_catch, out);
-                }
-            }
-            "while" => {
-                if let Some((text, b)) = usage_body(args, base, 1, out) {
-                    scan_usage_script(text, b, depth + 1, in_catch, out);
-                }
-            }
-            "if" => {
-                let mut i = 0;
-                while i < args.len() {
-                    if i == 0 || args[i].static_text() == Some("elseif") {
-                        let off = usize::from(i != 0);
-                        if args.get(i + off + 1).is_some() {
-                            if let Some((text, b)) = usage_body(args, base, i + off + 1, out) {
-                                scan_usage_script(text, b, depth + 1, in_catch, out);
-                            }
-                        }
-                        i += off + 2;
-                    } else if args[i].static_text() == Some("else") {
-                        if args.get(i + 1).is_some() {
-                            if let Some((text, b)) = usage_body(args, base, i + 1, out) {
-                                scan_usage_script(text, b, depth + 1, in_catch, out);
-                            }
-                        }
-                        break;
-                    } else {
-                        break; // malformed: wrong-arity reported by the main pass
-                    }
-                }
-            }
-            "catch" => {
-                if let Some((text, b)) = usage_body(args, base, 0, out) {
-                    scan_usage_script(text, b, depth + 1, true, out);
-                }
-                // The result variable is host-observable state; exempt it.
-                if let Some(v) = static_arg(1) {
-                    out.reads.insert(v.to_string());
-                }
-            }
-            "proc" => {
-                // Parameters are bound by the caller; exempt them.
-                if let Some(params) = static_arg(1) {
-                    for p in parse_list(params) {
-                        out.reads.insert(p);
-                    }
-                }
-                if let Some((text, b)) = usage_body(args, base, 2, out) {
-                    scan_usage_script(text, b, depth + 1, in_catch, out);
-                }
-            }
-            "eval" => {
-                if args.len() == 1 {
-                    if let Some((text, b)) = usage_body(args, base, 0, out) {
-                        scan_usage_script(text, b, depth + 1, in_catch, out);
-                    }
-                } else {
-                    out.opaque = true; // script assembled from pieces
-                }
-            }
+            "catch" => out.reads.extend(cmd.arg_text(1).map(str::to_string)),
+            "proc" => out
+                .reads
+                .extend(cmd.arg_text(1).into_iter().flat_map(parse_list)),
             _ => {}
         }
-    }
-}
-
-/// Fetches a braced body argument for the usage scan; a body position that
-/// exists but is not braced is a script built at runtime, which defeats the
-/// scan entirely.
-fn usage_body<'a>(
-    args: &'a [Word],
-    base: Span,
-    i: usize,
-    out: &mut Usage,
-) -> Option<(&'a str, Span)> {
-    let word = args.get(i)?;
-    match &word.kind {
-        WordKind::Braced(t) => Some((t.as_str(), map_span(base, content_base(word)))),
-        WordKind::Parts(_) => {
-            out.opaque = true;
-            None
-        }
-    }
-}
-
-/// Scans brace-quoted text the way `substitute` would: `$name`/`${name}` are
-/// reads, `[...]` is an embedded script.
-fn scan_braced_reads(text: &str, base: Span, depth: u32, in_catch: bool, out: &mut Usage) {
-    if depth > MAX_DEPTH {
-        out.opaque = true;
-        return;
-    }
-    for name in cond_var_names(text) {
-        out.reads.insert(name);
-    }
-    let chars: Vec<char> = text.chars().collect();
-    let mut i = 0;
-    let mut line = 1u32;
-    let mut col = 1u32;
-    while i < chars.len() {
-        let c = chars[i];
-        if c == '[' {
-            i += 1;
-            col += 1;
-            let sspan = map_span(base, Span::new(line, col));
-            let mut nesting = 1;
-            let mut inner = String::new();
-            while i < chars.len() && nesting > 0 {
-                match chars[i] {
-                    '[' => {
-                        nesting += 1;
-                        inner.push('[');
-                    }
-                    ']' => {
-                        nesting -= 1;
-                        if nesting > 0 {
-                            inner.push(']');
-                        }
-                    }
-                    ch => inner.push(ch),
+        match &cmd.shape {
+            Shape::Catch { body } => scan_usage(body, true, out),
+            shape => {
+                for script in shape.scripts() {
+                    scan_usage(script, in_catch, out);
                 }
-                if chars[i] == '\n' {
-                    line += 1;
-                    col = 1;
-                } else {
-                    col += 1;
-                }
-                i += 1;
             }
-            scan_usage_script(&inner, sspan, depth + 1, in_catch, out);
-        } else {
-            if c == '\n' {
-                line += 1;
-                col = 1;
-            } else {
-                col += 1;
-            }
-            i += 1;
         }
     }
 }
@@ -553,16 +352,6 @@ struct Ctx {
     in_proc: bool,
     /// Inside a `catch` body: all diagnostics are suppressed.
     in_catch: bool,
-    depth: u32,
-}
-
-impl Ctx {
-    fn deeper(self) -> Ctx {
-        Ctx {
-            depth: self.depth + 1,
-            ..self
-        }
-    }
 }
 
 /// How a block of commands can end.
@@ -596,21 +385,6 @@ impl CmdEffect {
     }
 }
 
-/// Maps a span relative to an embedded script (braced body, condition text,
-/// bracketed substitution) to an absolute span in the original source.
-fn map_span(base: Span, rel: Span) -> Span {
-    if rel.line == 1 {
-        Span::new(base.line, base.col + rel.col - 1)
-    } else {
-        Span::new(base.line + rel.line - 1, rel.col)
-    }
-}
-
-/// The position where a braced word's *content* starts (one past the `{`).
-fn content_base(word: &Word) -> Span {
-    Span::new(word.span.line, word.span.col + 1)
-}
-
 struct Analyzer<'c> {
     config: &'c AnalysisConfig,
     info: Collected,
@@ -624,35 +398,34 @@ impl Analyzer<'_> {
         }
     }
 
-    /// Checks one script (the whole source, or an embedded body) and reports
-    /// how it can end.  `base` anchors relative spans in the original source.
-    fn check_script(&mut self, src: &str, base: Span, env: &mut Env, ctx: Ctx) -> Exit {
-        if ctx.depth > MAX_DEPTH {
-            return Exit::Falls;
-        }
-        let cmds = match parse_script(src) {
-            Ok(c) => c,
-            Err(e) => {
-                self.push(
-                    ctx,
-                    Diagnostic::error("parse", map_span(base, e.span()), e.message),
-                );
-                return Exit::Falls;
+    /// Checks a nested script and reports how it can end.  Only brace-quoted
+    /// text is followed; anything else is assumed to be fine.
+    fn check_body(&mut self, body: &Body, env: &mut Env, ctx: Ctx) -> Exit {
+        match body.braced() {
+            State::Parsed(tree) => self.check_tree(tree, env, ctx),
+            State::Bad(e) => {
+                self.push(ctx, Diagnostic::error("parse", e.span(), e.message.clone()));
+                Exit::Falls
             }
-        };
+            State::Computed | State::TooDeep => Exit::Falls,
+        }
+    }
+
+    /// Checks one script (the whole source, or an embedded body) and reports
+    /// how it can end.
+    fn check_tree(&mut self, tree: &Tree, env: &mut Env, ctx: Ctx) -> Exit {
         let mut terminated: Option<&'static str> = None;
         let mut warned_unreachable = false;
         let mut moved = false;
         let mut warned_after_move = false;
-        for cmd in &cmds {
-            let span = map_span(base, cmd.span);
+        for cmd in &tree.cmds {
             if let Some(cause) = terminated {
                 if !warned_unreachable {
                     self.push(
                         ctx,
                         Diagnostic::warning(
                             "unreachable",
-                            span,
+                            cmd.span,
                             format!("unreachable code after '{cause}'"),
                         ),
                     );
@@ -660,22 +433,19 @@ impl Analyzer<'_> {
                 }
                 continue;
             }
-            if moved && !warned_after_move {
-                let name = cmd.words[0].static_text();
-                if name != Some("return") && name != Some("halt") {
-                    self.push(
-                        ctx,
-                        Diagnostic::warning(
-                            "after-move-to",
-                            span,
-                            "code after 'move_to' still runs at the departing site before \
-                             migration; conventionally only 'return' or 'halt' follow it",
-                        ),
-                    );
-                    warned_after_move = true;
-                }
+            if moved && !warned_after_move && !matches!(cmd.name(), Some("return" | "halt")) {
+                self.push(
+                    ctx,
+                    Diagnostic::warning(
+                        "after-move-to",
+                        cmd.span,
+                        "code after 'move_to' still runs at the departing site before \
+                         migration; conventionally only 'return' or 'halt' follow it",
+                    ),
+                );
+                warned_after_move = true;
             }
-            let effect = self.check_command(cmd, base, env, ctx);
+            let effect = self.check_command(cmd, env, ctx);
             if let Some(cause) = effect.terminal {
                 terminated = Some(cause);
             }
@@ -690,28 +460,28 @@ impl Analyzer<'_> {
         }
     }
 
-    fn check_command(&mut self, cmd: &Command, base: Span, env: &mut Env, ctx: Ctx) -> CmdEffect {
+    fn check_command(&mut self, cmd: &Cmd, env: &mut Env, ctx: Ctx) -> CmdEffect {
         // Generic pass first: every substitution in every word is evaluated
         // left-to-right before the command runs, exactly like the interpreter.
-        for word in &cmd.words {
-            self.check_word(word, base, env, ctx);
+        for (word, subs) in cmd.words.iter().zip(&cmd.subs) {
+            self.check_word(word, subs, env, ctx);
         }
-        let Some(name) = cmd.words[0].static_text().map(str::to_string) else {
+        let Some(name) = cmd.name() else {
             return CmdEffect::NONE; // computed command name: opaque
         };
-        let span = map_span(base, cmd.span);
+        let span = cmd.span;
         let args = &cmd.words[1..];
         let argc = args.len();
 
-        if let Some((min, max)) = builtin_arity(&name) {
+        if let Some((min, max)) = builtin_arity(name) {
             if argc < min || max.is_some_and(|m| argc > m) {
                 self.push(
                     ctx,
-                    Diagnostic::error("wrong-arity", span, arity_msg(&name, min, max, argc)),
+                    Diagnostic::error("wrong-arity", span, arity_msg(name, min, max, argc)),
                 );
                 return CmdEffect::NONE;
             }
-        } else if let Some(&params) = self.info.procs.get(name.as_str()) {
+        } else if let Some(&params) = self.info.procs.get(name) {
             if argc != params {
                 self.push(
                     ctx,
@@ -725,7 +495,7 @@ impl Analyzer<'_> {
             return CmdEffect::NONE;
         } else {
             let hint = self
-                .suggest(&name)
+                .suggest(name)
                 .map(|s| format!("; did you mean '{s}'?"))
                 .unwrap_or_default();
             self.push(
@@ -739,12 +509,39 @@ impl Analyzer<'_> {
             return CmdEffect::NONE;
         }
 
-        match name.as_str() {
+        match &cmd.shape {
+            Shape::Expr { cond } => self.check_cond(cond, env, ctx),
+            Shape::If { arms, fault } => {
+                return self.check_if(arms, fault.as_ref(), span, env, ctx)
+            }
+            Shape::While { cond, body } => self.check_while(cond, body, span, env, ctx),
+            Shape::Foreach { body } => self.check_foreach(args[0].static_text(), body, env, ctx),
+            Shape::Proc { body } => self.check_proc(args[1].static_text(), body, ctx),
+            Shape::Catch { body } => {
+                let mut benv = env.clone();
+                let cctx = Ctx {
+                    in_catch: true,
+                    ..ctx
+                };
+                self.check_body(body, &mut benv, cctx);
+                env.merge_maybe(&benv); // the body may have failed part-way
+                if let Some(var) = cmd.arg_text(1) {
+                    env.assign(var); // the result variable is set on success and error
+                }
+            }
+            Shape::Eval { body } => {
+                if self.check_body(body, env, ctx) == Exit::Terminates {
+                    return CmdEffect::terminal("eval");
+                }
+            }
+            Shape::Plain | Shape::Malformed => {}
+        }
+        match name {
             "set" => {
                 if let Some(var) = args[0].static_text() {
                     if argc == 1 {
                         // `set x` with one argument *reads* x.
-                        self.check_var(var, map_span(base, args[0].span), env, ctx);
+                        self.check_var(var, args[0].span, env, ctx);
                     } else {
                         env.assign(var);
                     }
@@ -762,29 +559,6 @@ impl Analyzer<'_> {
             "incr" | "append" | "lappend" => {
                 if let Some(var) = args[0].static_text() {
                     env.assign(var);
-                }
-            }
-            "expr" if argc == 1 => {
-                if let WordKind::Braced(text) = &args[0].kind {
-                    self.scan_condition(text, map_span(base, content_base(&args[0])), env, ctx);
-                }
-            }
-            "if" => return self.check_if(args, base, span, env, ctx),
-            "while" => self.check_while(args, base, span, env, ctx),
-            "foreach" => self.check_foreach(args, base, env, ctx),
-            "proc" => self.check_proc(args, base, ctx),
-            "catch" => self.check_catch(args, base, env, ctx),
-            "eval" if argc == 1 => {
-                if let WordKind::Braced(text) = &args[0].kind {
-                    let exit = self.check_script(
-                        text,
-                        map_span(base, content_base(&args[0])),
-                        env,
-                        ctx.deeper(),
-                    );
-                    if exit == Exit::Terminates {
-                        return CmdEffect::terminal("eval");
-                    }
                 }
             }
             "return" => return CmdEffect::terminal("return"),
@@ -825,20 +599,21 @@ impl Analyzer<'_> {
 
     /// Generic word check: variables and command substitutions in non-braced
     /// words.  Braced words are literal — nothing to check.
-    fn check_word(&mut self, word: &Word, base: Span, env: &mut Env, ctx: Ctx) {
+    fn check_word(&mut self, word: &Word, subs: &[Body], env: &mut Env, ctx: Ctx) {
         let WordKind::Parts(parts) = &word.kind else {
             return;
         };
-        let span = map_span(base, word.span);
+        let mut subs = subs.iter();
         for part in parts {
             match part {
                 WordPart::Literal(_) => {}
-                WordPart::Variable(name) => self.check_var(name, span, env, ctx),
+                WordPart::Variable(name) => self.check_var(name, word.span, env, ctx),
                 // A substitution's script runs unconditionally as part of word
                 // evaluation, so its assignments are definite; its `return`
                 // does not propagate (the interpreter takes its value).
-                WordPart::Command(script) => {
-                    self.check_script(script, span, env, ctx.deeper());
+                WordPart::Command(_) => {
+                    let script = subs.next().expect("one parsed script per [..] part");
+                    self.check_body(script, env, ctx);
                 }
             }
         }
@@ -881,85 +656,63 @@ impl Analyzer<'_> {
         );
     }
 
+    /// Checks brace-quoted condition text the way the interpreter's
+    /// `substitute` evaluates it: `$name` / `${name}` are variable reads,
+    /// `[...]` is an embedded script evaluated in the same scope.
+    fn check_cond(&mut self, cond: &Cond, env: &mut Env, ctx: Ctx) {
+        if !cond.braced {
+            return;
+        }
+        for part in &cond.parts {
+            match part {
+                CondPart::Var(name, span) => self.check_var(name, *span, env, ctx),
+                CondPart::Script(script) => {
+                    self.check_body(script, env, ctx);
+                }
+            }
+        }
+    }
+
     fn check_if(
         &mut self,
-        args: &[Word],
-        base: Span,
+        arms: &[Arm],
+        fault: Option<&IfFault>,
         span: Span,
         env: &mut Env,
         ctx: Ctx,
     ) -> CmdEffect {
-        let mut i = 0;
         let mut branches: Vec<(Env, Exit)> = Vec::new();
         let mut has_else = false;
         let mut structure_ok = true;
-        while i < args.len() {
-            if i == 0 || args[i].static_text() == Some("elseif") {
-                let off = usize::from(i != 0);
-                let (Some(cond), Some(body)) = (args.get(i + off), args.get(i + off + 1)) else {
-                    self.push(
-                        ctx,
-                        Diagnostic::error(
-                            "wrong-arity",
-                            span,
-                            "'if' expects {cond} {body} with optional elseif/else clauses",
-                        ),
-                    );
-                    structure_ok = false;
-                    break;
-                };
-                if let WordKind::Braced(text) = &cond.kind {
-                    self.scan_condition(text, map_span(base, content_base(cond)), env, ctx);
-                }
-                if let WordKind::Braced(text) = &body.kind {
-                    let mut benv = env.clone();
-                    let exit = self.check_script(
-                        text,
-                        map_span(base, content_base(body)),
-                        &mut benv,
-                        ctx.deeper(),
-                    );
-                    branches.push((benv, exit));
-                } else {
-                    structure_ok = false;
-                }
-                i += off + 2;
-            } else if args[i].static_text() == Some("else") {
-                has_else = true;
-                let Some(body) = args.get(i + 1) else {
-                    self.push(
-                        ctx,
-                        Diagnostic::error("wrong-arity", span, "'if': 'else' needs a {body}"),
-                    );
-                    structure_ok = false;
-                    break;
-                };
-                if let WordKind::Braced(text) = &body.kind {
-                    let mut benv = env.clone();
-                    let exit = self.check_script(
-                        text,
-                        map_span(base, content_base(body)),
-                        &mut benv,
-                        ctx.deeper(),
-                    );
-                    branches.push((benv, exit));
-                } else {
-                    structure_ok = false;
-                }
-                break;
-            } else {
-                if let Some(word) = args[i].static_text() {
-                    self.push(
-                        ctx,
-                        Diagnostic::error(
-                            "wrong-arity",
-                            span,
-                            format!("'if': expected 'elseif' or 'else', got '{word}'"),
-                        ),
-                    );
-                }
+        for arm in arms {
+            match &arm.cond {
+                Some(cond) => self.check_cond(cond, env, ctx),
+                None => has_else = true,
+            }
+            if let State::Computed = arm.body.braced() {
                 structure_ok = false;
-                break;
+            } else {
+                let mut benv = env.clone();
+                let exit = self.check_body(&arm.body, &mut benv, ctx);
+                branches.push((benv, exit));
+            }
+        }
+        // The interpreter never looks past an `else` body, so trailing words
+        // there are not a defect.
+        if let Some(fault) = fault.filter(|f| !matches!(f, IfFault::Trailing)) {
+            structure_ok = false;
+            let message = match fault {
+                IfFault::Truncated => {
+                    Some("'if' expects {cond} {body} with optional elseif/else clauses".to_string())
+                }
+                IfFault::ElseWithoutBody => Some("'if': 'else' needs a {body}".to_string()),
+                IfFault::Unexpected(word) => word
+                    .as_ref()
+                    .map(|word| format!("'if': expected 'elseif' or 'else', got '{word}'")),
+                IfFault::Trailing => None,
+            };
+            if let Some(message) = message {
+                self.push(ctx, Diagnostic::error("wrong-arity", span, message));
             }
         }
         // Join: assignments on terminated branches never reach the code after
@@ -985,24 +738,17 @@ impl Analyzer<'_> {
         CmdEffect::NONE
     }
 
-    fn check_while(&mut self, args: &[Word], base: Span, span: Span, env: &mut Env, ctx: Ctx) {
-        let (cond, body) = (&args[0], &args[1]);
-        if let WordKind::Braced(text) = &cond.kind {
-            self.scan_condition(text, map_span(base, content_base(cond)), env, ctx);
+    fn check_while(&mut self, cond: &Cond, body: &Body, span: Span, env: &mut Env, ctx: Ctx) {
+        self.check_cond(cond, env, ctx);
+        if let State::Computed = body.braced() {
+            return;
         }
-        if let WordKind::Braced(body_text) = &body.kind {
-            // The body may run zero times: its assignments are only maybes.
-            let mut benv = env.clone();
-            self.check_script(
-                body_text,
-                map_span(base, content_base(body)),
-                &mut benv,
-                ctx.deeper(),
-            );
-            env.merge_maybe(&benv);
-            if let Some(cond_text) = cond.static_text() {
-                self.check_loop_exit(cond_text, body_text, span, ctx);
-            }
+        // The body may run zero times: its assignments are only maybes.
+        let mut benv = env.clone();
+        self.check_body(body, &mut benv, ctx);
+        env.merge_maybe(&benv);
+        if let Some(cond_text) = &cond.text {
+            self.check_loop_exit(cond_text, body, span, ctx);
         }
     }
 
@@ -1010,7 +756,7 @@ impl Analyzer<'_> {
     /// is static (no `[...]`) and whose body neither updates any condition
     /// variable nor can escape (`break`/`return`/`halt`/`error`) will spin
     /// until the step budget kills it.
-    fn check_loop_exit(&mut self, cond: &str, body: &str, span: Span, ctx: Ctx) {
+    fn check_loop_exit(&mut self, cond: &str, body: &Body, span: Span, ctx: Ctx) {
         if cond.contains('[') {
             return; // condition consults a command: dynamic, assume fine
         }
@@ -1023,7 +769,7 @@ impl Analyzer<'_> {
                 _ => return,
             }
         }
-        if !body_can_exit(body, &vars, 0, true, true) {
+        if !body_can_exit(body, &vars, true, true) {
             let why = if vars.is_empty() {
                 "the condition is constant-true and the body cannot break out".to_string()
             } else {
@@ -1043,30 +789,19 @@ impl Analyzer<'_> {
         }
     }
 
-    fn check_foreach(&mut self, args: &[Word], base: Span, env: &mut Env, ctx: Ctx) {
-        let var = args[0].static_text();
-        if let WordKind::Braced(body_text) = &args[2].kind {
-            let mut benv = env.clone();
-            if let Some(var) = var {
-                benv.assign(var); // bound on every body iteration
-            }
-            self.check_script(
-                body_text,
-                map_span(base, content_base(&args[2])),
-                &mut benv,
-                ctx.deeper(),
-            );
-            env.merge_maybe(&benv); // zero-trip possible: maybes only
-        } else if let Some(var) = var {
-            // Opaque body; the loop variable still may have been bound.
-            let mut benv = env.clone();
-            benv.assign(var);
-            env.merge_maybe(&benv);
+    fn check_foreach(&mut self, var: Option<&str>, body: &Body, env: &mut Env, ctx: Ctx) {
+        let mut benv = env.clone();
+        if let Some(var) = var {
+            benv.assign(var); // bound on every body iteration
         }
+        // An opaque body is skipped; the loop variable still may have been
+        // bound.
+        self.check_body(body, &mut benv, ctx);
+        env.merge_maybe(&benv); // zero-trip possible: maybes only
     }
 
-    fn check_proc(&mut self, args: &[Word], base: Span, ctx: Ctx) {
-        let (Some(params), WordKind::Braced(body)) = (args[1].static_text(), &args[2].kind) else {
+    fn check_proc(&mut self, params: Option<&str>, body: &Body, ctx: Ctx) {
+        let Some(params) = params else {
             return;
         };
         let mut penv = Env::default();
@@ -1075,30 +810,9 @@ impl Analyzer<'_> {
         }
         let pctx = Ctx {
             in_proc: true,
-            ..ctx.deeper()
+            ..ctx
         };
-        let mut env = penv;
-        self.check_script(body, map_span(base, content_base(&args[2])), &mut env, pctx);
-    }
-
-    fn check_catch(&mut self, args: &[Word], base: Span, env: &mut Env, ctx: Ctx) {
-        if let WordKind::Braced(body) = &args[0].kind {
-            let mut benv = env.clone();
-            let cctx = Ctx {
-                in_catch: true,
-                ..ctx.deeper()
-            };
-            self.check_script(
-                body,
-                map_span(base, content_base(&args[0])),
-                &mut benv,
-                cctx,
-            );
-            env.merge_maybe(&benv); // the body may have failed part-way
-        }
-        if let Some(var) = args.get(1).and_then(Word::static_text) {
-            env.assign(var); // the result variable is set on success and error
-        }
+        self.check_body(body, &mut penv, pctx);
     }
 
     fn check_string(&mut self, args: &[Word], span: Span, ctx: Ctx) {
@@ -1134,85 +848,6 @@ impl Analyzer<'_> {
                     ),
                 ),
             );
-        }
-    }
-
-    /// Scans brace-quoted condition text the way the interpreter's
-    /// `substitute` does: `$name` / `${name}` are variable reads, `[...]` is
-    /// an embedded script evaluated in the same scope.
-    fn scan_condition(&mut self, text: &str, base: Span, env: &mut Env, ctx: Ctx) {
-        let chars: Vec<char> = text.chars().collect();
-        let mut i = 0;
-        let mut line = 1u32;
-        let mut col = 1u32;
-        let step = |c: char, line: &mut u32, col: &mut u32| {
-            if c == '\n' {
-                *line += 1;
-                *col = 1;
-            } else {
-                *col += 1;
-            }
-        };
-        while i < chars.len() {
-            match chars[i] {
-                '$' => {
-                    let vspan = map_span(base, Span::new(line, col));
-                    step(chars[i], &mut line, &mut col);
-                    i += 1;
-                    let mut name = String::new();
-                    if i < chars.len() && chars[i] == '{' {
-                        step(chars[i], &mut line, &mut col);
-                        i += 1;
-                        while i < chars.len() && chars[i] != '}' {
-                            name.push(chars[i]);
-                            step(chars[i], &mut line, &mut col);
-                            i += 1;
-                        }
-                        if i < chars.len() {
-                            step(chars[i], &mut line, &mut col);
-                            i += 1;
-                        }
-                    } else {
-                        while i < chars.len() && (chars[i].is_alphanumeric() || chars[i] == '_') {
-                            name.push(chars[i]);
-                            step(chars[i], &mut line, &mut col);
-                            i += 1;
-                        }
-                    }
-                    if !name.is_empty() {
-                        self.check_var(&name, vspan, env, ctx);
-                    }
-                }
-                '[' => {
-                    step(chars[i], &mut line, &mut col);
-                    i += 1;
-                    let sspan = map_span(base, Span::new(line, col));
-                    let mut depth = 1;
-                    let mut inner = String::new();
-                    while i < chars.len() && depth > 0 {
-                        match chars[i] {
-                            '[' => {
-                                depth += 1;
-                                inner.push('[');
-                            }
-                            ']' => {
-                                depth -= 1;
-                                if depth > 0 {
-                                    inner.push(']');
-                                }
-                            }
-                            c => inner.push(c),
-                        }
-                        step(chars[i], &mut line, &mut col);
-                        i += 1;
-                    }
-                    self.check_script(&inner, sspan, env, ctx.deeper());
-                }
-                c => {
-                    step(c, &mut line, &mut col);
-                    i += 1;
-                }
-            }
         }
     }
 
@@ -1280,104 +915,66 @@ pub(crate) fn cond_var_names(text: &str) -> BTreeSet<String> {
 /// the condition's variables, or by escaping.  `break_ok` is false inside
 /// nested loops (their `break` stays inside); `raise_ok` is false inside
 /// `catch` and substitutions (`return`/`error` are absorbed there; only
-/// `halt` always escapes).  Anything opaque returns `true` (conservative).
+/// `halt` always escapes).  Anything opaque returns `true` (conservative),
+/// except a body built at runtime, which is skipped.
 pub(crate) fn body_can_exit(
-    src: &str,
+    body: &Body,
     vars: &BTreeSet<String>,
-    depth: u32,
     break_ok: bool,
     raise_ok: bool,
 ) -> bool {
-    if depth > MAX_DEPTH {
-        return true;
-    }
-    let Ok(cmds) = parse_script(src) else {
-        return true; // parse error is reported elsewhere; don't double up
+    let tree = match body.braced() {
+        State::Parsed(tree) => tree,
+        State::Computed => return false,
+        // A parse error is reported elsewhere; don't double up.
+        State::Bad(_) | State::TooDeep => return true,
     };
-    for cmd in &cmds {
+    tree.cmds.iter().any(|cmd| {
         // Substitutions anywhere in the command can assign condition vars.
-        for word in &cmd.words {
-            if let WordKind::Parts(parts) = &word.kind {
-                for part in parts {
-                    if let WordPart::Command(inner) = part {
-                        if body_can_exit(inner, vars, depth + 1, false, false) {
-                            return true;
-                        }
-                    }
-                }
-            }
+        if cmd
+            .scripts()
+            .any(|script| body_can_exit(script, vars, false, false))
+        {
+            return true;
         }
-        let Some(name) = cmd.words[0].static_text() else {
+        let Some(name) = cmd.name() else {
             return true; // computed command: could be anything
         };
-        let args = &cmd.words[1..];
-        let static_arg = |i: usize| args.get(i).and_then(Word::static_text);
-        let braced_arg = |i: usize| {
-            args.get(i).and_then(|w| match &w.kind {
-                WordKind::Braced(t) => Some(t.as_str()),
-                WordKind::Parts(_) => None,
-            })
+        let writes = |target: Option<&str>| target.is_some_and(|v| vars.contains(v));
+        let escapes = match name {
+            "halt" => true,
+            "break" => break_ok,
+            "return" | "error" => raise_ok,
+            "eval" => true, // built scripts are opaque
+            // A computed variable name could be a condition variable.
+            "set" | "incr" | "append" | "lappend" | "unset" => {
+                cmd.arg_text(0).is_none_or(|v| vars.contains(v))
+            }
+            "foreach" => writes(cmd.arg_text(0)),
+            "catch" => writes(cmd.arg_text(1)),
+            _ => false,
         };
-        match name {
-            "halt" => return true,
-            "break" if break_ok => return true,
-            "return" | "error" if raise_ok => return true,
-            "eval" => return true, // built scripts are opaque
-            "set" | "incr" | "append" | "lappend" | "unset" => match static_arg(0) {
-                Some(var) => {
-                    if vars.contains(var) {
-                        return true;
-                    }
+        escapes
+            || match &cmd.shape {
+                Shape::If { arms, .. } => arms.iter().any(|arm| {
+                    arm.cond
+                        .iter()
+                        .flat_map(Cond::scripts)
+                        .any(|script| body_can_exit(script, vars, false, false))
+                        || body_can_exit(&arm.body, vars, break_ok, raise_ok)
+                }),
+                Shape::While { cond, body } => {
+                    cond.scripts()
+                        .any(|script| body_can_exit(script, vars, false, false))
+                        || body_can_exit(body, vars, false, raise_ok)
                 }
-                None => return true, // computed variable name
-            },
-            "foreach" => {
-                if static_arg(0).is_some_and(|v| vars.contains(v)) {
-                    return true;
-                }
-                if let Some(body) = braced_arg(2) {
-                    if body_can_exit(body, vars, depth + 1, false, raise_ok) {
-                        return true;
-                    }
-                }
+                Shape::Foreach { body } => body_can_exit(body, vars, false, raise_ok),
+                // Inside catch only `halt` escapes and assignments count.
+                Shape::Catch { body } => body_can_exit(body, vars, false, false),
+                // Defining a proc does nothing by itself.
+                _ => false,
             }
-            "while" => {
-                if let Some(cond) = braced_arg(0) {
-                    if cond.contains('[') && body_can_exit(cond, vars, depth + 1, false, false) {
-                        return true;
-                    }
-                }
-                if let Some(body) = braced_arg(1) {
-                    if body_can_exit(body, vars, depth + 1, false, raise_ok) {
-                        return true;
-                    }
-                }
-            }
-            "if" => {
-                for (i, _) in args.iter().enumerate() {
-                    if let Some(text) = braced_arg(i) {
-                        if body_can_exit(text, vars, depth + 1, break_ok, raise_ok) {
-                            return true;
-                        }
-                    }
-                }
-            }
-            "catch" => {
-                if static_arg(1).is_some_and(|v| vars.contains(v)) {
-                    return true;
-                }
-                if let Some(body) = braced_arg(0) {
-                    // Inside catch only `halt` escapes and assignments count.
-                    if body_can_exit(body, vars, depth + 1, false, false) {
-                        return true;
-                    }
-                }
-            }
-            "proc" => {} // defining a proc does nothing by itself
-            _ => {}
-        }
-    }
-    false
+    })
 }
 
 fn levenshtein(a: &str, b: &str) -> usize {

@@ -45,15 +45,13 @@
 
 use crate::diag::Diagnostic;
 use crate::expr::eval_expr;
-use crate::parser::{parse_script, ParseError, Span, Word, WordKind, WordPart};
+use crate::parser::{ParseError, Span};
+use crate::tree::{Body, Cond, Shape, State, Tree};
 use crate::value::{as_int, is_truthy};
 use std::collections::{BTreeMap, BTreeSet};
 
 use crate::analysis::{body_can_exit, cond_var_names};
 use crate::graph::Digraph;
-
-/// Nesting depth cap, mirroring the analyzer's.
-const MAX_DEPTH: u32 = 64;
 
 /// Folders the TACOMA kernel itself writes into briefcases (timer meets,
 /// error reports, courier provenance): always considered produced.
@@ -156,24 +154,20 @@ pub struct EffectSummary {
 /// the script does not parse at all (nested bodies that fail to parse make
 /// the summary opaque instead).
 pub fn summarize(src: &str) -> Result<EffectSummary, ParseError> {
-    parse_script(src)?;
+    let tree = Tree::parse(src)?;
     let mut out = EffectSummary::default();
     let ctx = WalkCtx {
-        base: Span::START,
-        depth: 0,
         conditional: false,
         in_catch: false,
         in_proc: false,
         in_unbounded_loop: false,
     };
-    walk(src, ctx, &mut out);
+    walk_tree(&tree, ctx, &mut out);
     Ok(out)
 }
 
 #[derive(Debug, Clone, Copy)]
 struct WalkCtx {
-    base: Span,
-    depth: u32,
     /// Inside any branch, loop body, catch or proc: effects still count, but
     /// meets are conditional.
     conditional: bool,
@@ -188,28 +182,12 @@ struct WalkCtx {
 }
 
 impl WalkCtx {
-    fn nested(self, base: Span) -> Self {
+    fn nested(self) -> Self {
         WalkCtx {
-            base,
-            depth: self.depth + 1,
             conditional: true,
             ..self
         }
     }
-}
-
-/// Maps a span relative to an embedded script to an absolute span (same
-/// convention as the analyzer's).
-fn map_span(base: Span, rel: Span) -> Span {
-    if rel.line == 1 {
-        Span::new(base.line, base.col + rel.col - 1)
-    } else {
-        Span::new(base.line + rel.line - 1, rel.col)
-    }
-}
-
-fn content_base(word: &Word) -> Span {
-    Span::new(word.span.line, word.span.col + 1)
 }
 
 impl EffectSummary {
@@ -245,93 +223,137 @@ fn infallible(name: &str) -> bool {
     )
 }
 
-#[allow(clippy::too_many_lines)]
-fn walk(src: &str, ctx: WalkCtx, out: &mut EffectSummary) {
-    if ctx.depth > MAX_DEPTH {
-        out.dynamic(ctx);
-        return;
+/// Walks a nested script.  One that is built at runtime, does not parse or
+/// nests past the depth cap hides arbitrary effects.
+fn walk(body: &Body, ctx: WalkCtx, out: &mut EffectSummary) {
+    match body.braced() {
+        State::Parsed(tree) => walk_tree(tree, ctx, out),
+        State::Computed | State::Bad(_) | State::TooDeep => out.dynamic(ctx),
     }
-    let Ok(cmds) = parse_script(src) else {
-        // A nested body that does not parse hides arbitrary effects.
-        out.dynamic(ctx);
-        return;
-    };
+}
+
+/// Walks the `[...]` scripts embedded in brace-quoted condition/expr text —
+/// `while {[bc_size Q] > 0}` reads folder `Q`.
+fn walk_cond(cond: &Cond, ctx: WalkCtx, out: &mut EffectSummary) {
+    if cond.braced {
+        for script in cond.scripts() {
+            walk(script, ctx, out);
+        }
+    }
+}
+
+#[allow(clippy::too_many_lines)]
+fn walk_tree(tree: &Tree, ctx: WalkCtx, out: &mut EffectSummary) {
     // True until a command that can branch, raise, or terminate is passed:
     // a meet reached while this holds runs on every execution of the script.
     let mut path_certain = !ctx.conditional;
-    for cmd in &cmds {
-        let span = map_span(ctx.base, cmd.span);
+    for cmd in &tree.cmds {
+        let span = cmd.span;
         // Substitutions run as part of word evaluation, in this context.
-        for word in &cmd.words {
-            if let WordKind::Parts(parts) = &word.kind {
-                for part in parts {
-                    if let WordPart::Command(script) = part {
-                        let mut wctx = ctx;
-                        wctx.base = map_span(ctx.base, word.span);
-                        wctx.depth += 1;
-                        wctx.conditional = ctx.conditional || !path_certain;
-                        walk(script, wctx, out);
-                    }
-                }
-            }
+        let wctx = WalkCtx {
+            conditional: ctx.conditional || !path_certain,
+            ..ctx
+        };
+        for script in cmd.scripts() {
+            walk(script, wctx, out);
         }
-        let Some(name) = cmd.words[0].static_text() else {
+        let Some(name) = cmd.name() else {
             out.dynamic(ctx);
             path_certain = false;
             continue;
         };
-        let args = &cmd.words[1..];
-        let static_arg = |i: usize| args.get(i).and_then(Word::static_text);
-        let braced_arg = |i: usize| {
-            args.get(i).and_then(|w| match &w.kind {
-                WordKind::Braced(t) => Some((t.as_str(), map_span(ctx.base, content_base(w)))),
-                WordKind::Parts(_) => None,
-            })
-        };
-        match name {
-            "bc_put" | "bc_push" => {
-                match static_arg(0) {
-                    Some(folder) => {
-                        out.write(folder, span, ctx);
-                        if name == "bc_push" && ctx.in_unbounded_loop && !ctx.in_catch {
-                            out.growth.push(GrowthSite {
-                                target: folder.to_string(),
-                                span,
-                                command: "bc_push",
-                            });
-                        }
+        let all_static = cmd.words.iter().all(|w| w.static_text().is_some());
+        // Everything but a straight-line infallible command (the arms that
+        // `continue`) ends path certainty.
+        match &cmd.shape {
+            Shape::While { cond, body } => {
+                // A runtime-built condition or body hides the loop's effects.
+                if cond.braced && !matches!(body.braced(), State::Computed) {
+                    walk_cond(cond, ctx, out);
+                    let unbounded = loop_exit_invisible(cond, body);
+                    let mut bctx = ctx.nested();
+                    bctx.in_unbounded_loop = ctx.in_unbounded_loop || unbounded;
+                    walk(body, bctx, out);
+                } else {
+                    out.dynamic(ctx);
+                }
+            }
+            // Bounded by its list: never an unbounded-growth site.
+            Shape::Foreach { body } => walk(body, ctx.nested(), out),
+            Shape::If { arms, .. } => {
+                // A malformed tail is taco-vet's to report (wrong-arity).
+                for arm in arms {
+                    if let Some(cond) = &arm.cond {
+                        walk_cond(cond, ctx, out);
                     }
-                    None => out.dynamic(ctx),
+                    walk(&arm.body, ctx.nested(), out);
                 }
-                path_certain = path_certain && all_words_static(cmd.words.as_slice());
             }
-            "bc_pop" | "bc_dequeue" | "bc_peek" | "bc_list" | "bc_size" | "bc_del" => {
-                match static_arg(0) {
-                    Some(folder) => out.read(folder, span, ctx),
-                    None => out.dynamic(ctx),
-                }
-                path_certain =
-                    path_certain && name == "bc_del" && all_words_static(cmd.words.as_slice());
+            Shape::Catch { body } => {
+                let mut cctx = ctx.nested();
+                cctx.in_catch = true;
+                walk(body, cctx, out); // the body may have halted
             }
-            "cab_append" | "cab_contains" | "cab_list" | "cab_pop" => {
-                match static_arg(0) {
-                    Some(cabinet) => {
-                        out.cabinets.insert(cabinet.to_string());
-                        if name == "cab_append" && ctx.in_unbounded_loop && !ctx.in_catch {
-                            out.growth.push(GrowthSite {
-                                target: cabinet.to_string(),
-                                span,
-                                command: "cab_append",
-                            });
+            Shape::Proc { body } => {
+                let mut pctx = ctx.nested();
+                pctx.in_proc = true;
+                walk(body, pctx, out);
+                continue; // defining a proc is pure
+            }
+            // Even a braced eval is a script chosen at runtime to be code;
+            // the summary abstraction deliberately refuses to follow it.
+            // Nor does it look into a control command with the wrong number
+            // of arguments.
+            Shape::Eval { .. } | Shape::Malformed => out.dynamic(ctx),
+            Shape::Expr { cond } => walk_cond(cond, ctx, out),
+            Shape::Plain => match name {
+                "bc_put" | "bc_push" => {
+                    match cmd.arg_text(0) {
+                        Some(folder) => {
+                            out.write(folder, span, ctx);
+                            if name == "bc_push" && ctx.in_unbounded_loop && !ctx.in_catch {
+                                out.growth.push(GrowthSite {
+                                    target: folder.to_string(),
+                                    span,
+                                    command: "bc_push",
+                                });
+                            }
                         }
+                        None => out.dynamic(ctx),
                     }
-                    None => out.dynamic(ctx),
+                    if all_static {
+                        continue;
+                    }
                 }
-                path_certain =
-                    path_certain && name == "cab_append" && all_words_static(cmd.words.as_slice());
-            }
-            "meet" => {
-                match static_arg(0) {
+                "bc_pop" | "bc_dequeue" | "bc_peek" | "bc_list" | "bc_size" | "bc_del" => {
+                    match cmd.arg_text(0) {
+                        Some(folder) => out.read(folder, span, ctx),
+                        None => out.dynamic(ctx),
+                    }
+                    if name == "bc_del" && all_static {
+                        continue;
+                    }
+                }
+                "cab_append" | "cab_contains" | "cab_list" | "cab_pop" => {
+                    match cmd.arg_text(0) {
+                        Some(cabinet) => {
+                            out.cabinets.insert(cabinet.to_string());
+                            if name == "cab_append" && ctx.in_unbounded_loop && !ctx.in_catch {
+                                out.growth.push(GrowthSite {
+                                    target: cabinet.to_string(),
+                                    span,
+                                    command: "cab_append",
+                                });
+                            }
+                        }
+                        None => out.dynamic(ctx),
+                    }
+                    if name == "cab_append" && all_static {
+                        continue;
+                    }
+                }
+                "meet" => match cmd.arg_text(0) {
+                    // A refused meet raises, so later ones are conditional.
                     Some(target) => {
                         let unconditional =
                             !ctx.conditional && !ctx.in_catch && !ctx.in_proc && path_certain;
@@ -342,216 +364,62 @@ fn walk(src: &str, ctx: WalkCtx, out: &mut EffectSummary) {
                         edge.unconditional |= unconditional;
                     }
                     None => out.dynamic(ctx),
-                }
-                path_certain = false; // a refused meet raises
-            }
-            "move_to" => {
-                if let Some(site) = static_arg(0).and_then(as_int) {
-                    out.move_sites.push(SiteRef {
-                        site,
-                        span,
-                        command: "move_to",
-                    });
-                }
-                path_certain = false;
-            }
-            "send_remote" => {
-                if let Some(site) = static_arg(0).and_then(as_int) {
-                    out.move_sites.push(SiteRef {
-                        site,
-                        span,
-                        command: "send_remote",
-                    });
-                }
-                // Shipped folders are read out of the briefcase.
-                for (i, _) in args.iter().enumerate().skip(2) {
-                    match static_arg(i) {
-                        Some(folder) => out.read(folder, span, ctx),
-                        None => out.dynamic(ctx),
-                    }
-                }
-                path_certain = false;
-            }
-            "halt" => {
-                out.halts = true;
-                path_certain = false;
-            }
-            "return" | "error" | "break" | "continue" => path_certain = false,
-            "while" => {
-                match (braced_arg(0), braced_arg(1)) {
-                    (Some((cond_text, cond_base)), Some((body_text, body_base))) => {
-                        scan_brackets(cond_text, cond_base, ctx, out);
-                        let unbounded = loop_exit_invisible(cond_text, body_text);
-                        let mut bctx = ctx.nested(body_base);
-                        bctx.in_unbounded_loop = ctx.in_unbounded_loop || unbounded;
-                        walk(body_text, bctx, out);
-                    }
-                    _ => out.dynamic(ctx), // runtime-built condition or body
-                }
-                path_certain = false;
-            }
-            "foreach" => {
-                // Bounded by its list: never an unbounded-growth site.
-                match braced_arg(2) {
-                    Some((body_text, body_base)) => walk(body_text, ctx.nested(body_base), out),
-                    None if args.len() >= 3 => out.dynamic(ctx),
-                    None => {}
-                }
-                path_certain = false;
-            }
-            "if" => {
-                let mut i = 0;
-                while i < args.len() {
-                    if i == 0 || args[i].static_text() == Some("elseif") {
-                        let off = usize::from(i != 0);
-                        if let Some((cond_text, cond_base)) = braced_arg(i + off) {
-                            scan_brackets(cond_text, cond_base, ctx, out);
-                        }
-                        match braced_arg(i + off + 1) {
-                            Some((body_text, body_base)) => {
-                                walk(body_text, ctx.nested(body_base), out);
-                            }
-                            None if args.get(i + off + 1).is_some() => out.dynamic(ctx),
-                            None => {}
-                        }
-                        i += off + 2;
-                    } else if args[i].static_text() == Some("else") {
-                        match braced_arg(i + 1) {
-                            Some((body_text, body_base)) => {
-                                walk(body_text, ctx.nested(body_base), out);
-                            }
-                            None if args.get(i + 1).is_some() => out.dynamic(ctx),
-                            None => {}
-                        }
-                        break;
+                },
+                "move_to" | "send_remote" => {
+                    let command = if name == "move_to" {
+                        "move_to"
                     } else {
-                        break; // malformed: taco-vet reports wrong-arity
+                        "send_remote"
+                    };
+                    if let Some(site) = cmd.arg_text(0).and_then(as_int) {
+                        out.move_sites.push(SiteRef {
+                            site,
+                            span,
+                            command,
+                        });
                     }
-                }
-                path_certain = false;
-            }
-            "catch" => {
-                if let Some((body_text, body_base)) = braced_arg(0) {
-                    let mut cctx = ctx.nested(body_base);
-                    cctx.in_catch = true;
-                    walk(body_text, cctx, out);
-                }
-                path_certain = false; // the body may have halted
-            }
-            "proc" => {
-                match braced_arg(2) {
-                    Some((body_text, body_base)) => {
-                        let mut pctx = ctx.nested(body_base);
-                        pctx.in_proc = true;
-                        walk(body_text, pctx, out);
-                    }
-                    None if args.len() >= 3 => out.dynamic(ctx),
-                    None => {}
-                }
-                // Defining a proc is pure: path_certain unchanged.
-            }
-            "eval" => {
-                // Even a braced eval is a script chosen at runtime to be code;
-                // the summary abstraction deliberately refuses to follow it.
-                out.dynamic(ctx);
-                path_certain = false;
-            }
-            "expr" => {
-                if args.len() == 1 {
-                    if let Some((text, base)) = braced_arg(0) {
-                        scan_brackets(text, base, ctx, out);
-                    }
-                }
-                path_certain = false;
-            }
-            other => {
-                path_certain =
-                    path_certain && infallible(other) && all_words_static(cmd.words.as_slice());
-            }
-        }
-    }
-}
-
-fn all_words_static(words: &[Word]) -> bool {
-    words.iter().all(|w| w.static_text().is_some())
-}
-
-/// Walks the `[...]` scripts embedded in brace-quoted condition/expr text —
-/// `while {[bc_size Q] > 0}` reads folder `Q`.
-fn scan_brackets(text: &str, base: Span, ctx: WalkCtx, out: &mut EffectSummary) {
-    if ctx.depth > MAX_DEPTH {
-        out.dynamic(ctx);
-        return;
-    }
-    let chars: Vec<char> = text.chars().collect();
-    let mut i = 0;
-    let mut line = 1u32;
-    let mut col = 1u32;
-    while i < chars.len() {
-        let c = chars[i];
-        if c == '[' {
-            i += 1;
-            col += 1;
-            let sspan = map_span(base, Span::new(line, col));
-            let mut nesting = 1;
-            let mut inner = String::new();
-            while i < chars.len() && nesting > 0 {
-                match chars[i] {
-                    '[' => {
-                        nesting += 1;
-                        inner.push('[');
-                    }
-                    ']' => {
-                        nesting -= 1;
-                        if nesting > 0 {
-                            inner.push(']');
+                    // Shipped folders are read out of the briefcase.
+                    if name == "send_remote" {
+                        for i in 2..cmd.words.len() - 1 {
+                            match cmd.arg_text(i) {
+                                Some(folder) => out.read(folder, span, ctx),
+                                None => out.dynamic(ctx),
+                            }
                         }
                     }
-                    ch => inner.push(ch),
                 }
-                if chars[i] == '\n' {
-                    line += 1;
-                    col = 1;
-                } else {
-                    col += 1;
+                "halt" => out.halts = true,
+                other => {
+                    if infallible(other) && all_static {
+                        continue;
+                    }
                 }
-                i += 1;
-            }
-            let mut sctx = ctx;
-            sctx.base = sspan;
-            sctx.depth += 1;
-            walk(&inner, sctx, out);
-        } else {
-            if c == '\n' {
-                line += 1;
-                col = 1;
-            } else {
-                col += 1;
-            }
-            i += 1;
+            },
         }
+        path_certain = false;
     }
 }
 
 /// Whether a `while` loop's exit is invisible to the dataflow: the condition
 /// consults runtime state (`[...]`) with no visible escape in the body, or is
 /// static but never influenced by the body.
-fn loop_exit_invisible(cond: &str, body: &str) -> bool {
-    if cond.contains('[') {
+fn loop_exit_invisible(cond: &Cond, body: &Body) -> bool {
+    let text = cond.text.as_deref().unwrap_or_default();
+    if text.contains('[') {
         // Exit depends on state the analysis cannot track; only an explicit
         // escape (halt/break/return/error) in the body bounds the loop.
-        return !body_can_exit(body, &BTreeSet::new(), 0, true, true);
+        return !body_can_exit(body, &BTreeSet::new(), true, true);
     }
-    let vars = cond_var_names(cond);
+    let vars = cond_var_names(text);
     if vars.is_empty() {
         // Constant condition: falsy or non-evaluating conditions terminate
         // (loudly, in the latter case).
-        match eval_expr(cond) {
-            Ok(v) if is_truthy(&v) => !body_can_exit(body, &vars, 0, true, true),
+        match eval_expr(text) {
+            Ok(v) if is_truthy(&v) => !body_can_exit(body, &vars, true, true),
             _ => false,
         }
     } else {
-        !body_can_exit(body, &vars, 0, true, true)
+        !body_can_exit(body, &vars, true, true)
     }
 }
 

@@ -19,12 +19,9 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use crate::parser::{parse_script, Command, ParseError, Word, WordKind, WordPart};
+use crate::parser::{ParseError, Word, WordKind, WordPart};
+use crate::tree::{Arm, Body, Cmd, Cond, Shape, State, Tree, MAX_DEPTH};
 use crate::value::parse_list;
-
-/// Maximum analyzer recursion depth before the analysis gives up and
-/// poisons the result. Mirrors the interpreter's default `max_depth`.
-const ANALYSIS_DEPTH_LIMIT: u32 = 64;
 
 /// A closed-below, optionally-open-above interval of `u64` cost.
 ///
@@ -242,10 +239,10 @@ impl CostGate {
 /// Fails only on parse errors; semantically opaque constructs degrade to
 /// an unbounded interval instead of failing.
 pub fn cost_bound(src: &str) -> Result<CostBound, ParseError> {
-    let commands = parse_script(src)?;
+    let tree = Tree::parse(src)?;
     let mut analyzer = Analyzer::new();
-    analyzer.collect_procs(&commands, 0);
-    let cost = analyzer.script_cost(&commands, &mut Env::new(), 0);
+    analyzer.collect_procs(&tree);
+    let cost = analyzer.script_cost(&tree, &mut Env::new(), 0);
     Ok(CostBound {
         steps: cost.steps,
         depth: cost.depth,
@@ -361,15 +358,15 @@ impl Cost {
 type Env = BTreeMap<String, i64>;
 
 #[derive(Debug, Clone)]
-enum ProcInfo {
+enum ProcInfo<'t> {
     /// All known bodies for this proc name (re-definition joins them).
-    Bodies(Vec<String>),
+    Bodies(Vec<&'t Body>),
     /// A definition with a computed body: calling it is unanalyzable.
     Opaque,
 }
 
-struct Analyzer {
-    procs: BTreeMap<String, ProcInfo>,
+struct Analyzer<'t> {
+    procs: BTreeMap<String, ProcInfo<'t>>,
     /// Set when any `proc` definition has a computed *name*: then the set
     /// of callable procs is unknown and unknown commands must poison.
     opaque_procs: bool,
@@ -379,7 +376,7 @@ struct Analyzer {
     in_progress: Vec<String>,
 }
 
-impl Analyzer {
+impl<'t> Analyzer<'t> {
     fn new() -> Self {
         Analyzer {
             procs: BTreeMap::new(),
@@ -392,61 +389,33 @@ impl Analyzer {
     /// Pre-pass: structurally collect every `proc` definition reachable in
     /// the script, including ones nested in control-flow bodies and `[..]`
     /// parts.
-    fn collect_procs(&mut self, commands: &[Command], adepth: u32) {
-        if adepth > ANALYSIS_DEPTH_LIMIT {
-            return;
-        }
-        for cmd in commands {
-            for word in &cmd.words {
-                if let WordKind::Parts(parts) = &word.kind {
-                    for part in parts {
-                        if let WordPart::Command(inner) = part {
-                            if let Ok(inner_cmds) = parse_script(inner) {
-                                self.collect_procs(&inner_cmds, adepth + 1);
-                            }
+    fn collect_procs(&mut self, tree: &'t Tree) {
+        for cmd in &tree.cmds {
+            let mut nested = cmd.shape.scripts();
+            if let Shape::Proc { body } = &cmd.shape {
+                match (cmd.arg_text(0), body.literal()) {
+                    (Some(pname), State::Computed) => {
+                        self.procs.insert(pname.to_string(), ProcInfo::Opaque);
+                    }
+                    (Some(pname), _) => {
+                        let entry = self
+                            .procs
+                            .entry(pname.to_string())
+                            .or_insert_with(|| ProcInfo::Bodies(Vec::new()));
+                        if let ProcInfo::Bodies(bodies) = entry {
+                            bodies.push(body);
                         }
+                    }
+                    (None, _) => {
+                        self.opaque_procs = true;
+                        nested.clear(); // nothing can call it by name
                     }
                 }
             }
-            let name = match cmd.words.first().and_then(|w| w.static_text()) {
-                Some(n) => n,
-                None => continue,
-            };
-            match name {
-                "proc" if cmd.words.len() == 4 => match cmd.words[1].static_text() {
-                    Some(pname) => {
-                        let pname = pname.to_string();
-                        match cmd.words[3].static_text() {
-                            Some(body) => {
-                                let entry = self
-                                    .procs
-                                    .entry(pname)
-                                    .or_insert_with(|| ProcInfo::Bodies(Vec::new()));
-                                if let ProcInfo::Bodies(bodies) = entry {
-                                    bodies.push(body.to_string());
-                                }
-                                if let Ok(body_cmds) = parse_script(body) {
-                                    self.collect_procs(&body_cmds, adepth + 1);
-                                }
-                            }
-                            None => {
-                                self.procs.insert(pname, ProcInfo::Opaque);
-                            }
-                        }
-                    }
-                    None => self.opaque_procs = true,
-                },
-                "if" | "while" | "foreach" | "catch" | "eval" => {
-                    // Recurse into any statically visible body text.
-                    for word in cmd.words.iter().skip(1) {
-                        if let Some(text) = word.static_text() {
-                            if let Ok(inner) = parse_script(text) {
-                                self.collect_procs(&inner, adepth + 1);
-                            }
-                        }
-                    }
+            for script in cmd.scripts().chain(nested) {
+                if let State::Parsed(inner) = script.literal() {
+                    self.collect_procs(inner);
                 }
-                _ => {}
             }
         }
     }
@@ -469,22 +438,13 @@ impl Analyzer {
             ProcInfo::Opaque => Cost::poison(),
             ProcInfo::Bodies(bodies) => {
                 self.in_progress.push(name.to_string());
-                let mut joined: Option<Cost> = None;
-                for body in &bodies {
-                    let body_cost = match parse_script(body) {
-                        Ok(cmds) => {
-                            // Proc bodies start with a fresh scope: no
-                            // caller constants are visible.
-                            self.script_cost(&cmds, &mut Env::new(), adepth + 1)
-                        }
-                        Err(_) => Cost::poison(),
-                    };
-                    joined = Some(match joined {
-                        Some(j) => j.join(body_cost),
-                        None => body_cost,
-                    });
-                }
-                let mut cost = joined.unwrap_or_else(Cost::poison);
+                // Proc bodies start with a fresh scope: no caller constants
+                // are visible.
+                let mut cost = bodies
+                    .iter()
+                    .map(|body| self.body_cost(body, &mut Env::new(), adepth + 1))
+                    .reduce(Cost::join)
+                    .unwrap_or_else(Cost::poison);
                 // `return`/flow control inside the body does not terminate
                 // the *caller's* script.
                 cost.terminates = false;
@@ -496,14 +456,45 @@ impl Analyzer {
         cost
     }
 
+    /// Cost of a nested script run at nesting level `adepth`; anything but
+    /// statically known, parsing text could cost anything.
+    fn body_cost(&mut self, body: &Body, env: &mut Env, adepth: u32) -> Cost {
+        match body.literal() {
+            State::Parsed(tree) => self.script_cost(tree, env, adepth),
+            State::Computed | State::Bad(_) | State::TooDeep => Cost::poison(),
+        }
+    }
+
+    /// Cost of the `[..]` scripts evaluated as part of a word or a condition:
+    /// each runs one level deeper, in (a copy of) the current scope, and its
+    /// flow control does not propagate.
+    fn scripts_cost<'a>(
+        &mut self,
+        scripts: impl Iterator<Item = &'a Body>,
+        env: &Env,
+        adepth: u32,
+    ) -> Cost {
+        let mut cost = Cost::zero();
+        for script in scripts {
+            let mut deep = self
+                .body_cost(script, &mut env.clone(), adepth + 1)
+                .deepen();
+            deep.terminates = false;
+            cost = cost.seq(deep);
+        }
+        cost
+    }
+
     /// Cost of a command sequence (one `eval_script` body) at the current
-    /// nesting level.
-    fn script_cost(&mut self, commands: &[Command], env: &mut Env, adepth: u32) -> Cost {
-        if adepth > ANALYSIS_DEPTH_LIMIT {
+    /// nesting level.  `adepth` counts proc calls as well as nesting, like
+    /// the interpreter's depth, so a long call chain poisons instead of
+    /// recursing without bound.
+    fn script_cost(&mut self, tree: &Tree, env: &mut Env, adepth: u32) -> Cost {
+        if adepth > MAX_DEPTH {
             return Cost::poison();
         }
         let mut total = Cost::zero();
-        for cmd in commands {
+        for cmd in &tree.cmds {
             let c = self.command_cost(cmd, env, adepth);
             if total.terminates {
                 // A flow-terminator already ran on every successful path:
@@ -519,48 +510,47 @@ impl Analyzer {
     }
 
     /// Cost of one command: 1 step + word evaluation + dispatch.
-    fn command_cost(&mut self, cmd: &Command, env: &mut Env, adepth: u32) -> Cost {
+    fn command_cost(&mut self, cmd: &Cmd, env: &mut Env, adepth: u32) -> Cost {
         let mut cost = Cost::zero().add_steps(CostInterval::exact(1));
 
         // Word evaluation: every word is evaluated before dispatch.
-        // `[..]` parts run the inner script one level deeper.
-        for word in &cmd.words {
-            cost = cost.seq(self.word_cost(word, env, adepth));
+        // `[..]` parts run the inner script one level deeper, and can write
+        // variables in the *current* scope.
+        for script in cmd.scripts() {
+            cost = cost.seq(self.scripts_cost([script].into_iter(), env, adepth));
+            forget(env, &writes_of([script]));
         }
 
-        let name = match cmd.words.first().and_then(|w| w.static_text()) {
-            Some(n) => n.to_string(),
-            None => {
-                // Computed command name: anything may run.
-                env.clear();
-                return cost.seq(Cost::poison());
-            }
+        let Some(name) = cmd.name() else {
+            // Computed command name: anything may run.
+            env.clear();
+            return cost.seq(Cost::poison());
         };
 
-        match name.as_str() {
-            "set" => self.apply_set(cmd, env),
-            "incr" => self.apply_incr(cmd, env),
-            "append" | "lappend" => {
-                invalidate_target(cmd.words.get(1), env);
+        match &cmd.shape {
+            Shape::If { arms, fault: None } => return cost.seq(self.if_cost(arms, env, adepth)),
+            Shape::While { cond, body } => {
+                return cost.seq(self.while_cost(cond, body, env, adepth))
             }
-            "unset" => {
-                invalidate_target(cmd.words.get(1), env);
-            }
-            "if" => return cost.seq(self.if_cost(cmd, env, adepth)),
-            "while" => return cost.seq(self.while_cost(cmd, env, adepth)),
-            "foreach" => return cost.seq(self.foreach_cost(cmd, env, adepth)),
-            "catch" => return cost.seq(self.catch_cost(cmd, env, adepth)),
-            "eval" => {
+            Shape::Foreach { body } => return cost.seq(self.foreach_cost(cmd, body, env, adepth)),
+            Shape::Catch { body } => return cost.seq(self.catch_cost(cmd, body, env, adepth)),
+            Shape::If { .. } | Shape::Eval { .. } | Shape::Malformed => {
                 env.clear();
                 return cost.seq(Cost::poison());
             }
-            "proc" => {
-                // Definition only: 1 step + word costs, no body execution.
-            }
-            "error" => {
-                cost.terminates = true;
-            }
-            "return" | "halt" | "break" | "continue" => {
+            // Definition only: 1 step + word costs, no body execution.
+            Shape::Proc { .. } | Shape::Expr { .. } | Shape::Plain => {}
+        }
+        match name {
+            "set" => apply_set(cmd, env),
+            "incr" => apply_incr(cmd, env),
+            "append" | "lappend" | "unset" => match cmd.arg_text(0) {
+                Some(target) => {
+                    env.remove(target);
+                }
+                None => env.clear(),
+            },
+            "error" | "return" | "halt" | "break" | "continue" => {
                 cost.terminates = true;
             }
             "bc_push" => {
@@ -570,9 +560,9 @@ impl Analyzer {
                 cost = cost.add_growth(payload_size(cmd.words.get(3)));
             }
             _ => {
-                if crate::builtins::builtin(&name).is_none() {
-                    if self.procs.contains_key(&name) {
-                        let summary = self.proc_summary(&name, adepth).deepen();
+                if crate::builtins::builtin(name).is_none() {
+                    if self.procs.contains_key(name) {
+                        let summary = self.proc_summary(name, adepth).deepen();
                         cost = cost.seq(summary);
                     } else if self.opaque_procs {
                         // A computed proc name exists somewhere: this could
@@ -588,260 +578,64 @@ impl Analyzer {
         cost
     }
 
-    fn word_cost(&mut self, word: &Word, env: &mut Env, adepth: u32) -> Cost {
-        match &word.kind {
-            WordKind::Braced(_) => Cost::zero(),
-            WordKind::Parts(parts) => {
-                let mut cost = Cost::zero();
-                for part in parts {
-                    if let WordPart::Command(inner) = part {
-                        let inner_cost = match parse_script(inner) {
-                            Ok(cmds) => {
-                                // The inner script can write variables in
-                                // the *current* scope.
-                                let mut inner_env = env.clone();
-                                let c = self.script_cost(&cmds, &mut inner_env, adepth + 1);
-                                apply_script_writes(inner, env);
-                                c
-                            }
-                            Err(_) => Cost::poison(),
-                        };
-                        let mut deep = inner_cost.deepen();
-                        deep.terminates = false;
-                        cost = cost.seq(deep);
-                    }
-                }
-                cost
-            }
-        }
-    }
-
-    fn apply_set(&mut self, cmd: &Command, env: &mut Env) {
-        let target = match cmd.words.get(1).and_then(|w| w.static_text()) {
-            Some(t) => t.to_string(),
-            None => {
-                env.clear();
-                return;
-            }
-        };
-        let value = cmd.words.get(2).and_then(|w| eval_const_word(w, env));
-        match value {
-            Some(v) => {
-                env.insert(target, v);
-            }
-            None => {
-                env.remove(&target);
-            }
-        }
-    }
-
-    fn apply_incr(&mut self, cmd: &Command, env: &mut Env) {
-        let target = match cmd.words.get(1).and_then(|w| w.static_text()) {
-            Some(t) => t.to_string(),
-            None => {
-                env.clear();
-                return;
-            }
-        };
-        let amount = match cmd.words.get(2) {
-            None => Some(1i64),
-            Some(w) => eval_const_word(w, env),
-        };
-        // Unknown operands stay unknown, and so does an overflowing sum: the
-        // interpreter raises an error there, so no constant survives it.
-        let sum = env
-            .get(&target)
-            .zip(amount)
-            .and_then(|(cur, by)| cur.checked_add(by));
-        match sum {
-            Some(sum) => env.insert(target, sum),
-            None => env.remove(&target),
-        };
-    }
-
-    fn if_cost(&mut self, cmd: &Command, env: &mut Env, adepth: u32) -> Cost {
-        let chain = match if_chain(&cmd.words[1..]) {
-            Some(chain) => chain,
-            None => {
-                env.clear();
-                return Cost::poison();
-            }
-        };
-        // Condition evaluation costs: embedded `[..]` scripts inside braced
+    fn if_cost(&mut self, arms: &[Arm], env: &mut Env, adepth: u32) -> Cost {
+        // Condition evaluation costs: embedded `[..]` scripts inside
         // conditions run per evaluation; only the first condition is
         // guaranteed to be evaluated.
         let mut cond_cost = Cost::zero();
-        let mut first = true;
-        let mut has_else = false;
         let mut branches: Vec<Cost> = Vec::new();
-        for (cond, body) in &chain {
-            match cond {
-                Some(cond_word) => {
-                    let c = self.condition_cost(cond_word, env, adepth);
-                    cond_cost = if first {
-                        cond_cost.seq(c)
-                    } else {
-                        cond_cost.seq(c.guard())
-                    };
-                    first = false;
-                }
-                None => has_else = true,
+        for (i, arm) in arms.iter().enumerate() {
+            if let Some(cond) = &arm.cond {
+                let c = self.scripts_cost(cond.scripts(), env, adepth);
+                cond_cost = cond_cost.seq(if i == 0 { c } else { c.guard() });
             }
-            let body_cost = match body.static_text() {
-                Some(text) => match parse_script(text) {
-                    Ok(cmds) => {
-                        let mut branch_env = env.clone();
-                        let mut c = self
-                            .script_cost(&cmds, &mut branch_env, adepth + 1)
-                            .deepen();
-                        // `return`/`break` inside a chosen branch does
-                        // terminate the enclosing script.
-                        if !c.terminates {
-                            c.terminates = false;
-                        }
-                        c
-                    }
-                    Err(_) => Cost::poison(),
-                },
-                None => Cost::poison(),
-            };
-            branches.push(body_cost);
+            // `return`/`break` inside a chosen branch does terminate the
+            // enclosing script.
+            let body_cost = self.body_cost(&arm.body, &mut env.clone(), adepth + 1);
+            branches.push(match arm.body.literal() {
+                State::Parsed(_) => body_cost.deepen(),
+                _ => body_cost,
+            });
         }
-        if !has_else {
-            branches.push(Cost::zero());
+        if arms.last().is_none_or(|arm| arm.cond.is_some()) {
+            branches.push(Cost::zero()); // no `else`: every condition may fail
         }
-        let mut joined = branches[0];
-        for b in &branches[1..] {
-            joined = joined.join(*b);
-        }
+        let joined = branches
+            .into_iter()
+            .reduce(Cost::join)
+            .unwrap_or_else(Cost::zero);
         // Invalidate everything any branch or condition may have written.
-        let mut written = BTreeSet::new();
-        let mut unknown_writes = false;
-        for (cond, body) in &chain {
-            if let Some(cond_word) = cond {
-                collect_cond_writes(cond_word, &mut written, &mut unknown_writes);
-            }
-            match body.static_text() {
-                Some(text) => collect_script_writes(text, &mut written, &mut unknown_writes),
-                None => unknown_writes = true,
-            }
-        }
-        if unknown_writes {
-            env.clear();
-        } else {
-            for var in &written {
-                env.remove(var);
-            }
-        }
+        let nested = arms
+            .iter()
+            .flat_map(|arm| arm.cond.iter().flat_map(Cond::scripts).chain([&arm.body]));
+        forget(env, &writes_of(nested));
         cond_cost.seq(joined)
     }
 
-    /// Cost of evaluating an `if`/`while` condition word once.
-    fn condition_cost(&mut self, cond: &Word, env: &mut Env, adepth: u32) -> Cost {
-        match &cond.kind {
-            WordKind::Braced(text) => {
-                let mut cost = Cost::zero();
-                for script in embedded_scripts(text) {
-                    let inner = match parse_script(&script) {
-                        Ok(cmds) => {
-                            let mut inner_env = env.clone();
-                            self.script_cost(&cmds, &mut inner_env, adepth + 1)
-                        }
-                        Err(_) => Cost::poison(),
-                    };
-                    let mut deep = inner.deepen();
-                    deep.terminates = false;
-                    cost = cost.seq(deep);
-                }
-                cost
-            }
-            // Parts conditions were already substituted during word
-            // evaluation; re-evaluation of the resulting *string* by
-            // `substitute` finds no `[` / `$` syntax that wasn't literal
-            // text, but we cannot prove that, so treat embedded scripts in
-            // literal parts conservatively: none statically visible ⇒ zero.
-            WordKind::Parts(_) => Cost::zero(),
-        }
-    }
-
-    fn while_cost(&mut self, cmd: &Command, env: &mut Env, adepth: u32) -> Cost {
-        if cmd.words.len() != 3 {
+    fn while_cost(&mut self, cond: &Cond, body: &Body, env: &mut Env, adepth: u32) -> Cost {
+        let (Some(cond_text), State::Parsed(body_tree)) = (&cond.text, body.literal()) else {
             env.clear();
             return Cost::poison();
-        }
-        let cond_text = match cmd.words[1].static_text() {
-            Some(t) => t.to_string(),
-            None => {
-                env.clear();
-                return Cost::poison();
-            }
-        };
-        let body_text = match cmd.words[2].static_text() {
-            Some(t) => t.to_string(),
-            None => {
-                env.clear();
-                return Cost::poison();
-            }
-        };
-        let body_cmds = match parse_script(&body_text) {
-            Ok(cmds) => cmds,
-            Err(_) => {
-                env.clear();
-                return Cost::poison();
-            }
         };
 
         // Analyze cond/body against an env scrubbed of everything the loop
         // may write (values change across iterations).
-        let mut written = BTreeSet::new();
-        let mut unknown_writes = false;
-        collect_script_writes(&body_text, &mut written, &mut unknown_writes);
-        for script in embedded_scripts(&cond_text) {
-            collect_script_writes(&script, &mut written, &mut unknown_writes);
-        }
-        let mut loop_env: Env = if unknown_writes {
-            Env::new()
-        } else {
-            let mut e = env.clone();
-            for var in &written {
-                e.remove(var);
-            }
-            e
-        };
+        let written = writes_of(cond.scripts().chain([body]));
+        let mut loop_env = env.clone();
+        forget(&mut loop_env, &written);
 
-        let inference = counted_loop(&cond_text, &body_cmds, env);
+        let inference = counted_loop(cond_text, cond, body, body_tree, env);
 
-        let cond_cost = {
-            let mut c = Cost::zero();
-            for script in embedded_scripts(&cond_text) {
-                let inner = match parse_script(&script) {
-                    Ok(cmds) => {
-                        let mut inner_env = loop_env.clone();
-                        self.script_cost(&cmds, &mut inner_env, adepth + 1)
-                    }
-                    Err(_) => Cost::poison(),
-                };
-                let mut deep = inner.deepen();
-                deep.terminates = false;
-                c = c.seq(deep);
-            }
-            c
-        };
+        let cond_cost = self.scripts_cost(cond.scripts(), &loop_env, adepth);
         let mut body_cost = self
-            .script_cost(&body_cmds, &mut loop_env, adepth + 1)
+            .script_cost(body_tree, &mut loop_env, adepth + 1)
             .deepen();
         body_cost.terminates = false;
 
-        // Invalidate loop writes in the outer env.
-        if unknown_writes {
-            env.clear();
-        } else {
-            for var in &written {
-                env.remove(var);
-            }
-            // The counter itself has a known final value only in simple
-            // cases; stay conservative and leave it invalidated.
-        }
+        // Invalidate loop writes in the outer env.  The counter itself has a
+        // known final value only in simple cases; stay conservative and leave
+        // it invalidated.
+        forget(env, &written);
 
         match inference {
             Some((n, m)) => {
@@ -900,68 +694,33 @@ impl Analyzer {
         }
     }
 
-    fn foreach_cost(&mut self, cmd: &Command, env: &mut Env, adepth: u32) -> Cost {
-        if cmd.words.len() != 4 {
+    fn foreach_cost(&mut self, cmd: &Cmd, body: &Body, env: &mut Env, adepth: u32) -> Cost {
+        let State::Parsed(body_tree) = body.literal() else {
             env.clear();
             return Cost::poison();
-        }
-        let var = cmd.words[1].static_text().map(|s| s.to_string());
-        let body_text = match cmd.words[3].static_text() {
-            Some(t) => t.to_string(),
-            None => {
-                env.clear();
-                return Cost::poison();
-            }
-        };
-        let body_cmds = match parse_script(&body_text) {
-            Ok(cmds) => cmds,
-            Err(_) => {
-                env.clear();
-                return Cost::poison();
-            }
         };
 
-        let mut written = BTreeSet::new();
-        let mut unknown_writes = false;
-        collect_script_writes(&body_text, &mut written, &mut unknown_writes);
-        match &var {
-            Some(v) => {
-                written.insert(v.clone());
-            }
-            None => unknown_writes = true,
-        }
-        let mut loop_env: Env = if unknown_writes {
-            Env::new()
-        } else {
-            let mut e = env.clone();
-            for v in &written {
-                e.remove(v);
-            }
-            e
-        };
+        // A computed loop variable could be any variable.
+        let written = cmd.arg_text(0).and_then(|var| {
+            let mut written = writes_of([body])?;
+            written.insert(var.to_string());
+            Some(written)
+        });
+        let mut loop_env = env.clone();
+        forget(&mut loop_env, &written);
 
         let mut body_cost = self
-            .script_cost(&body_cmds, &mut loop_env, adepth + 1)
+            .script_cost(body_tree, &mut loop_env, adepth + 1)
             .deepen();
         body_cost.terminates = false;
 
-        if unknown_writes {
-            env.clear();
-        } else {
-            for v in &written {
-                env.remove(v);
-            }
-        }
+        forget(env, &written);
 
         // Literal list ⇒ exact element count; runtime list ⇒ input-bounded.
-        let iters = match cmd.words[2].static_text() {
+        let iters = match cmd.arg_text(1) {
             Some(list_text) => {
                 let count = parse_list(list_text).len() as u64;
-                let lo = if body_may_exit_early(&body_cmds) {
-                    0
-                } else {
-                    count
-                };
+                let lo = if body_may_exit_early(body) { 0 } else { count };
                 CostInterval {
                     lo,
                     hi: Some(count),
@@ -989,21 +748,8 @@ impl Analyzer {
         }
     }
 
-    fn catch_cost(&mut self, cmd: &Command, env: &mut Env, adepth: u32) -> Cost {
-        if cmd.words.len() < 2 || cmd.words.len() > 3 {
-            env.clear();
-            return Cost::poison();
-        }
-        let body_cost = match cmd.words[1].static_text() {
-            Some(text) => match parse_script(text) {
-                Ok(cmds) => {
-                    let mut inner_env = env.clone();
-                    self.script_cost(&cmds, &mut inner_env, adepth + 1)
-                }
-                Err(_) => Cost::poison(),
-            },
-            None => Cost::poison(),
-        };
+    fn catch_cost(&mut self, cmd: &Cmd, body: &Body, env: &mut Env, adepth: u32) -> Cost {
+        let body_cost = self.body_cost(body, &mut env.clone(), adepth + 1);
         // The body may abort at any point (catch absorbs the error), so
         // only upper bounds survive. Flow control caught by `catch` does
         // not terminate the enclosing script.
@@ -1011,142 +757,105 @@ impl Analyzer {
         cost.terminates = false;
 
         // Invalidate: the result var and anything the body wrote.
-        let mut written = BTreeSet::new();
-        let mut unknown_writes = false;
-        match cmd.words[1].static_text() {
-            Some(text) => collect_script_writes(text, &mut written, &mut unknown_writes),
-            None => unknown_writes = true,
-        }
+        let mut written = writes_of([body]);
         if let Some(result_word) = cmd.words.get(2) {
-            match result_word.static_text() {
-                Some(v) => {
-                    written.insert(v.to_string());
-                }
-                None => unknown_writes = true,
-            }
+            written = written
+                .zip(result_word.static_text())
+                .map(|(mut written, var)| {
+                    written.insert(var.to_string());
+                    written
+                });
         }
-        if unknown_writes {
-            env.clear();
-        } else {
-            for v in &written {
-                env.remove(v);
-            }
-        }
+        forget(env, &written);
         cost
     }
 }
 
-/// Parse the `if` argument list into `(condition, body)` pairs, mirroring
-/// the interpreter's `cmd_if` walk. `None` condition = `else` branch.
-fn if_chain(words: &[Word]) -> Option<Vec<(Option<&Word>, &Word)>> {
-    let mut chain = Vec::new();
-    let mut i = 0;
-    if words.is_empty() {
-        return None;
-    }
-    // First: cond body
-    if words.len() < 2 {
-        return None;
-    }
-    chain.push((Some(&words[0]), &words[1]));
-    i += 2;
-    while i < words.len() {
-        match words[i].static_text() {
-            Some("elseif") => {
-                if i + 2 >= words.len() {
-                    return None;
-                }
-                chain.push((Some(&words[i + 1]), &words[i + 2]));
-                i += 3;
-            }
-            Some("else") => {
-                if i + 1 >= words.len() || i + 2 != words.len() {
-                    return None;
-                }
-                chain.push((None, &words[i + 1]));
-                i += 2;
-            }
-            _ => return None,
-        }
-    }
-    Some(chain)
+fn apply_set(cmd: &Cmd, env: &mut Env) {
+    let Some(target) = cmd.arg_text(0) else {
+        env.clear();
+        return;
+    };
+    let value = cmd
+        .words
+        .get(2)
+        .and_then(|w| eval_const_word(w, &cmd.subs[2], env));
+    match value {
+        Some(v) => env.insert(target.to_string(), v),
+        None => env.remove(target),
+    };
 }
 
-/// Extract `[...]` embedded scripts from raw condition text, using the same
-/// bracket scan as the interpreter's `substitute` (not quote-aware).
-fn embedded_scripts(text: &str) -> Vec<String> {
-    let bytes = text.as_bytes();
-    let mut scripts = Vec::new();
-    let mut i = 0;
-    while i < bytes.len() {
-        if bytes[i] == b'[' {
-            let mut depth = 1usize;
-            let start = i + 1;
-            let mut j = start;
-            while j < bytes.len() && depth > 0 {
-                match bytes[j] {
-                    b'[' => depth += 1,
-                    b']' => depth -= 1,
-                    _ => {}
-                }
-                j += 1;
-            }
-            if depth == 0 {
-                scripts.push(text[start..j - 1].to_string());
-                i = j;
-            } else {
-                // Unterminated bracket: the interpreter errors at runtime.
-                break;
-            }
-        } else {
-            i += 1;
-        }
-    }
-    scripts
+fn apply_incr(cmd: &Cmd, env: &mut Env) {
+    let Some(target) = cmd.arg_text(0) else {
+        env.clear();
+        return;
+    };
+    let amount = match cmd.words.get(2) {
+        None => Some(1i64),
+        Some(w) => eval_const_word(w, &cmd.subs[2], env),
+    };
+    // Unknown operands stay unknown, and so does an overflowing sum: the
+    // interpreter raises an error there, so no constant survives it.
+    let sum = env
+        .get(target)
+        .zip(amount)
+        .and_then(|(cur, by)| cur.checked_add(by));
+    match sum {
+        Some(sum) => env.insert(target.to_string(), sum),
+        None => env.remove(target),
+    };
 }
 
-/// Statically evaluate a word to an exact integer, if possible.
-fn eval_const_word(word: &Word, env: &Env) -> Option<i64> {
+/// Statically evaluate a word (with its parsed `[..]` parts) to an exact
+/// integer, if possible.
+fn eval_const_word(word: &Word, subs: &[Body], env: &Env) -> Option<i64> {
     match &word.kind {
         WordKind::Braced(text) => text.trim().parse::<i64>().ok(),
-        WordKind::Parts(parts) => {
-            if parts.len() == 1 {
-                match &parts[0] {
-                    WordPart::Literal(text) => text.trim().parse::<i64>().ok(),
-                    WordPart::Variable(name) => env.get(name).copied(),
-                    WordPart::Command(inner) => eval_const_expr(inner, env),
-                }
-            } else {
-                None
-            }
-        }
+        WordKind::Parts(parts) => match parts.as_slice() {
+            [WordPart::Literal(text)] => text.trim().parse::<i64>().ok(),
+            [WordPart::Variable(name)] => env.get(name).copied(),
+            [WordPart::Command(_)] => eval_const_expr(&subs[0], env),
+            _ => None,
+        },
+    }
+}
+
+/// The integers `f64` represents exactly lie within ±2^53.
+fn f64_exact(v: i64) -> bool {
+    (-(1i64 << 53)..=1i64 << 53).contains(&v)
+}
+
+/// The single `expr` command a `[..]` part consists of, if it is one.
+fn sole_expr(script: &Body) -> Option<&Cmd> {
+    match script.literal() {
+        State::Parsed(Tree { cmds }) => match cmds.as_slice() {
+            [cmd] if cmd.name() == Some("expr") => Some(cmd),
+            _ => None,
+        },
+        _ => None,
     }
 }
 
 /// Constant-fold `[expr ...]` bodies of the simple forms the interpreter
-/// supports: `expr <a>`, `expr <a> <op> <b>` with `+ - *`.
-fn eval_const_expr(inner: &str, env: &Env) -> Option<i64> {
-    let cmds = parse_script(inner).ok()?;
-    if cmds.len() != 1 {
-        return None;
-    }
-    let cmd = &cmds[0];
-    if cmd.words.first().and_then(|w| w.static_text()) != Some("expr") {
-        return None;
-    }
-    let operand = |w: &Word| -> Option<i64> { eval_const_word(w, env) };
+/// supports: `expr <a>`, `expr <a> <op> <b>` with `+ - *`.  The interpreter
+/// computes `expr` in `f64`, so a fold is only a fact about the value the
+/// script will hold while every number involved is one `f64` holds exactly.
+fn eval_const_expr(script: &Body, env: &Env) -> Option<i64> {
+    let cmd = sole_expr(script)?;
+    let operand =
+        |i: usize| eval_const_word(&cmd.words[i], &cmd.subs[i], env).filter(|&v| f64_exact(v));
     match cmd.words.len() {
-        2 => operand(&cmd.words[1]),
+        2 => operand(1),
         4 => {
-            let a = operand(&cmd.words[1])?;
-            let op = cmd.words[2].static_text()?;
-            let b = operand(&cmd.words[3])?;
-            match op {
-                "+" => Some(a.wrapping_add(b)),
-                "-" => Some(a.wrapping_sub(b)),
-                "*" => Some(a.wrapping_mul(b)),
+            let (a, b) = (operand(1)?, operand(3)?);
+            match cmd.arg_text(1)? {
+                "+" => a.checked_add(b),
+                "-" => a.checked_sub(b),
+                "*" => a.checked_mul(b),
                 _ => None,
             }
+            .filter(|&v| f64_exact(v))
         }
         _ => None,
     }
@@ -1163,265 +872,116 @@ fn payload_size(word: Option<&Word>) -> CostInterval {
     }
 }
 
-/// Remove a (possibly computed) assignment target from the env.
-fn invalidate_target(word: Option<&Word>, env: &mut Env) {
-    match word.and_then(|w| w.static_text()) {
-        Some(target) => {
-            env.remove(target);
+/// Visits every command that runs in the scope of `script` — its own
+/// commands, their `[..]` parts, condition scripts and control-flow bodies,
+/// but not `proc` bodies, which run only when called — and reports whether
+/// `hit` fires for one of them or anything on the way is opaque: a computed
+/// command name, `eval`, a malformed control command, or a nested script that
+/// is computed, does not parse or nests too deep.  `hit` is told whether the
+/// command sits directly in `script`.
+fn any_cmd(script: &Body, hit: &mut dyn FnMut(&Cmd, bool) -> bool) -> bool {
+    fn visit(script: &Body, top: bool, hit: &mut dyn FnMut(&Cmd, bool) -> bool) -> bool {
+        let State::Parsed(tree) = script.literal() else {
+            return true;
+        };
+        tree.cmds.iter().any(|cmd| {
+            let nested = match &cmd.shape {
+                Shape::Eval { .. } | Shape::Malformed | Shape::If { fault: Some(_), .. } => {
+                    return true
+                }
+                Shape::Proc { .. } | Shape::Expr { .. } => Vec::new(),
+                shape => shape.scripts(),
+            };
+            cmd.name().is_none()
+                || cmd.scripts().chain(nested).any(|s| visit(s, false, hit))
+                || hit(cmd, top)
+        })
+    }
+    visit(script, true, hit)
+}
+
+/// The variables `scripts` may write in the current scope, or `None` when
+/// the writes cannot be enumerated (computed targets, anything opaque).
+/// Builtins other than the ones below don't write caller variables, and
+/// proc calls get a fresh scope (`set_in_scope` writes innermost only), so
+/// they can't clobber ours.
+fn writes_of<'a>(scripts: impl IntoIterator<Item = &'a Body>) -> Option<BTreeSet<String>> {
+    let mut written = BTreeSet::new();
+    let mut record = |cmd: &Cmd, _top: bool| {
+        let target = match cmd.name() {
+            Some("set" | "incr" | "append" | "lappend" | "unset" | "foreach") => cmd.arg_text(0),
+            Some("catch") if cmd.words.len() > 2 => cmd.arg_text(1),
+            _ => return false,
+        };
+        match target {
+            Some(var) => {
+                written.insert(var.to_string());
+                false
+            }
+            None => true, // computed target
         }
+    };
+    let unknown = scripts.into_iter().any(|s| any_cmd(s, &mut record));
+    (!unknown).then_some(written)
+}
+
+/// Drops what a nested script may have written from the env.
+fn forget(env: &mut Env, written: &Option<BTreeSet<String>>) {
+    match written {
+        Some(written) => env.retain(|var, _| !written.contains(var)),
         None => env.clear(),
     }
 }
 
-/// Collect variables a script text may write. Sets `unknown` when writes
-/// cannot be enumerated (computed targets, `eval`, computed commands).
-fn collect_script_writes(text: &str, written: &mut BTreeSet<String>, unknown: &mut bool) {
-    let cmds = match parse_script(text) {
-        Ok(cmds) => cmds,
-        Err(_) => {
-            *unknown = true;
-            return;
-        }
-    };
-    collect_command_writes(&cmds, written, unknown, 0);
-}
-
-fn collect_cond_writes(cond: &Word, written: &mut BTreeSet<String>, unknown: &mut bool) {
-    match &cond.kind {
-        WordKind::Braced(text) => {
-            for script in embedded_scripts(text) {
-                collect_script_writes(&script, written, unknown);
-            }
-        }
-        WordKind::Parts(parts) => {
-            for part in parts {
-                if let WordPart::Command(inner) = part {
-                    collect_script_writes(inner, written, unknown);
-                }
-            }
-        }
-    }
-}
-
-fn collect_command_writes(
-    cmds: &[Command],
-    written: &mut BTreeSet<String>,
-    unknown: &mut bool,
-    adepth: u32,
-) {
-    if adepth > ANALYSIS_DEPTH_LIMIT {
-        *unknown = true;
-        return;
-    }
-    for cmd in cmds {
-        // `[..]` parts inside any word execute in the current scope.
-        for word in &cmd.words {
-            if let WordKind::Parts(parts) = &word.kind {
-                for part in parts {
-                    if let WordPart::Command(inner) = part {
-                        collect_script_writes(inner, written, unknown);
-                    }
-                }
-            }
-        }
-        let name = match cmd.words.first().and_then(|w| w.static_text()) {
-            Some(n) => n,
-            None => {
-                *unknown = true;
-                continue;
-            }
-        };
-        match name {
-            "set" | "incr" | "append" | "lappend" | "unset" => {
-                match cmd.words.get(1).and_then(|w| w.static_text()) {
-                    Some(target) => {
-                        written.insert(target.to_string());
-                    }
-                    None => *unknown = true,
-                }
-            }
-            "foreach" => {
-                match cmd.words.get(1).and_then(|w| w.static_text()) {
-                    Some(var) => {
-                        written.insert(var.to_string());
-                    }
-                    None => *unknown = true,
-                }
-                if let Some(body) = cmd.words.get(3).and_then(|w| w.static_text()) {
-                    collect_script_writes(body, written, unknown);
-                } else {
-                    *unknown = true;
-                }
-            }
-            "while" => {
-                if let Some(cond) = cmd.words.get(1) {
-                    collect_cond_writes(cond, written, unknown);
-                }
-                if let Some(body) = cmd.words.get(2).and_then(|w| w.static_text()) {
-                    collect_script_writes(body, written, unknown);
-                } else {
-                    *unknown = true;
-                }
-            }
-            "if" => {
-                if let Some(chain) = if_chain(&cmd.words[1..]) {
-                    for (cond, body) in chain {
-                        if let Some(cond_word) = cond {
-                            collect_cond_writes(cond_word, written, unknown);
-                        }
-                        match body.static_text() {
-                            Some(text) => collect_script_writes(text, written, unknown),
-                            None => *unknown = true,
-                        }
-                    }
-                } else {
-                    *unknown = true;
-                }
-            }
-            "catch" => {
-                match cmd.words.get(1).and_then(|w| w.static_text()) {
-                    Some(body) => collect_script_writes(body, written, unknown),
-                    None => *unknown = true,
-                }
-                if let Some(result_word) = cmd.words.get(2) {
-                    match result_word.static_text() {
-                        Some(v) => {
-                            written.insert(v.to_string());
-                        }
-                        None => *unknown = true,
-                    }
-                }
-            }
-            "eval" => *unknown = true,
-            "proc" => {
-                // Body runs only when called; calls are separate commands
-                // that either resolve to builtins (no var writes in caller
-                // scope — set_in_scope writes the callee's scope) or are
-                // handled at their own call sites.
-            }
-            _ => {
-                // Builtins other than the above don't write caller
-                // variables; proc calls get a fresh scope (`set_in_scope`
-                // writes innermost only), so they can't clobber ours.
-            }
-        }
-    }
-}
-
-/// Script texts executed by a control command (`if`/`while`/`foreach`/
-/// `catch`): bodies plus `[..]` scripts embedded in braced conditions.
-/// Returns `None` when a body is computed (non-static) or the shape is
-/// malformed. Condition *text* is deliberately not parsed as a script —
-/// `$i < 2` is an expression, not a command.
-fn control_subscripts(cmd: &Command) -> Option<Vec<String>> {
-    let name = cmd.words.first().and_then(|w| w.static_text())?;
-    let mut scripts = Vec::new();
-    match name {
-        "if" => {
-            let chain = if_chain(&cmd.words[1..])?;
-            for (cond, body) in chain {
-                if let Some(cond_word) = cond {
-                    if let WordKind::Braced(text) = &cond_word.kind {
-                        scripts.extend(embedded_scripts(text));
-                    }
-                    // Parts conditions: their `[..]` parts are scanned by
-                    // the callers' generic word-part loop.
-                }
-                scripts.push(body.static_text()?.to_string());
-            }
-        }
-        "while" => {
-            if cmd.words.len() != 3 {
-                return None;
-            }
-            if let Some(text) = cmd.words[1].static_text() {
-                scripts.extend(embedded_scripts(text));
-            }
-            scripts.push(cmd.words[2].static_text()?.to_string());
-        }
-        "foreach" => {
-            if cmd.words.len() != 4 {
-                return None;
-            }
-            scripts.push(cmd.words[3].static_text()?.to_string());
-        }
-        "catch" => {
-            if cmd.words.len() < 2 || cmd.words.len() > 3 {
-                return None;
-            }
-            scripts.push(cmd.words[1].static_text()?.to_string());
-        }
-        _ => {}
-    }
-    Some(scripts)
-}
-
 /// True if the body contains any `break`/`continue`/`return`/`halt`/`error`
 /// that could cut iterations short (used to decide whether `foreach` over a
-/// literal list is guaranteed to run all elements).
-fn body_may_exit_early(cmds: &[Command]) -> bool {
-    for cmd in cmds {
-        for word in &cmd.words {
-            if let WordKind::Parts(parts) = &word.kind {
-                for part in parts {
-                    if let WordPart::Command(inner) = part {
-                        if let Ok(inner_cmds) = parse_script(inner) {
-                            if body_may_exit_early(&inner_cmds) {
-                                return true;
-                            }
-                        } else {
-                            return true;
-                        }
-                    }
-                }
-            }
-        }
-        let name = match cmd.words.first().and_then(|w| w.static_text()) {
-            Some(n) => n,
-            None => return true,
-        };
-        match name {
-            "break" | "continue" | "return" | "halt" | "error" | "eval" => return true,
-            "if" | "while" | "foreach" | "catch" => match control_subscripts(cmd) {
-                Some(scripts) => {
-                    for script in scripts {
-                        match parse_script(&script) {
-                            Ok(inner) => {
-                                if body_may_exit_early(&inner) {
-                                    return true;
-                                }
-                            }
-                            Err(_) => return true,
-                        }
-                    }
-                }
-                None => return true,
-            },
-            _ => {
-                if crate::builtins::builtin(name).is_none() {
-                    // Unknown command or proc call: could error or (if a
-                    // proc) contain flow control that escapes as an error.
-                    return true;
-                }
-            }
-        }
-    }
-    false
+/// literal list is guaranteed to run all elements).  An unknown command or
+/// proc call could error, or (if a proc) contain flow control that escapes
+/// as an error.
+fn body_may_exit_early(body: &Body) -> bool {
+    any_cmd(body, &mut |cmd, _| {
+        cmd.name().is_none_or(|name| {
+            matches!(name, "break" | "continue" | "return" | "halt" | "error")
+                || crate::builtins::builtin(name).is_none()
+        })
+    })
 }
 
-/// Apply the variable-invalidation effect of an embedded `[..]` script to
-/// the enclosing env (the inner script runs in the same scope).
-fn apply_script_writes(inner: &str, env: &mut Env) {
-    let mut written = BTreeSet::new();
-    let mut unknown = false;
-    collect_script_writes(inner, &mut written, &mut unknown);
-    if unknown {
-        env.clear();
-    } else {
-        for var in &written {
-            env.remove(var);
-        }
-    }
+/// True if the body contains `break`/`return`/`halt` anywhere (could cut
+/// the successful-run iteration count short). `error` is excluded: an
+/// erroring run is not a successful run.  Flow control escaping a proc is a
+/// runtime error (not early exit), and an unknown command errors the run —
+/// which doesn't count against the successful minimum either — but a proc
+/// body could `halt`.
+fn body_has_early_exit(body: &Body) -> bool {
+    any_cmd(body, &mut |cmd, _| {
+        cmd.name().is_none_or(|name| {
+            matches!(name, "break" | "return" | "halt") || crate::builtins::builtin(name).is_none()
+        })
+    })
+}
+
+/// True if anything in the body (recursively) writes `var` outside the one
+/// allowed self-step, uses `eval`, has computed names, or uses `continue`
+/// (which could skip the self-step on an iteration).  Builtins don't write
+/// the counter otherwise, and proc calls get a fresh scope.
+fn body_touches_counter_unsafely(body: &Body, var: &str) -> bool {
+    any_cmd(body, &mut |cmd, top| match cmd.name() {
+        Some("continue") => true,
+        // The single allowed self-step is top-level and matched by
+        // `self_step`; any *other* write — including nested ones —
+        // disqualifies.
+        Some("set" | "incr" | "append" | "lappend" | "unset") => match cmd.arg_text(0) {
+            Some(target) => target == var && !(top && self_step(cmd, var).is_some()),
+            None => true,
+        },
+        Some("foreach") => cmd.arg_text(0).is_none_or(|v| v == var),
+        Some("catch") => cmd
+            .words
+            .get(2)
+            .is_some_and(|w| w.static_text().is_none_or(|v| v == var)),
+        _ => false,
+    })
 }
 
 /// Try to infer the trip count of a counted `while` loop.
@@ -1438,8 +998,16 @@ fn apply_script_writes(inner: &str, env: &mut Env) {
 ///   to `var` anywhere in the body or condition scripts, no `eval` or
 ///   computed names near `var`, and no `continue` (which could skip the
 ///   step);
-/// - `k`'s sign moves `var` toward the bound.
-fn counted_loop(cond_text: &str, body_cmds: &[Command], env: &Env) -> Option<(u64, u64)> {
+/// - `k`'s sign moves `var` toward the bound;
+/// - start, bound and step are integers `f64` holds exactly, because the
+///   condition (and an `expr` step) is evaluated in `f64`.
+fn counted_loop(
+    cond_text: &str,
+    cond: &Cond,
+    body: &Body,
+    body_tree: &Tree,
+    env: &Env,
+) -> Option<(u64, u64)> {
     let conjuncts = split_conjuncts(cond_text)?;
     let (var, op, bound_ref) = parse_guard(conjuncts.first()?)?;
     let bound = match bound_ref {
@@ -1450,7 +1018,7 @@ fn counted_loop(cond_text: &str, body_cmds: &[Command], env: &Env) -> Option<(u6
 
     // Exactly one self-step of the counter at the top level.
     let mut step: Option<i64> = None;
-    for cmd in body_cmds {
+    for cmd in &body_tree.cmds {
         if let Some(k) = self_step(cmd, &var) {
             if step.is_some() {
                 return None; // two steps ⇒ give up
@@ -1459,21 +1027,16 @@ fn counted_loop(cond_text: &str, body_cmds: &[Command], env: &Env) -> Option<(u6
         }
     }
     let k = step?;
-    if k == 0 {
+    if k == 0 || ![start, bound, k].into_iter().all(f64_exact) {
         return None;
     }
 
     // No other writes to the counter, no eval/opacity, no `continue`.
-    if body_touches_counter_unsafely(body_cmds, &var) {
+    if body_touches_counter_unsafely(body, &var) {
         return None;
     }
-    for script in embedded_scripts(cond_text) {
-        let mut written = BTreeSet::new();
-        let mut unknown = false;
-        collect_script_writes(&script, &mut written, &mut unknown);
-        if unknown || written.contains(&var) {
-            return None;
-        }
+    if writes_of(cond.scripts()).is_none_or(|written| written.contains(&var)) {
+        return None;
     }
 
     let a = start as i128;
@@ -1532,7 +1095,7 @@ fn counted_loop(cond_text: &str, body_cmds: &[Command], env: &Env) -> Option<(u6
     // whole condition and nothing exits the body early. (`error` makes the
     // run unsuccessful, so it does not reduce the successful-run minimum —
     // but `break`/`return`/`halt` do.)
-    let m = if conjuncts.len() == 1 && !body_has_early_exit(body_cmds) {
+    let m = if conjuncts.len() == 1 && !body_has_early_exit(body) {
         n
     } else {
         0
@@ -1615,239 +1178,38 @@ fn parse_guard(conjunct: &str) -> Option<(String, GuardOp, BoundRef)> {
 /// Match a top-level command that steps `var` by a constant:
 /// `incr var`, `incr var <k>`, `set var [expr $var ± k]`,
 /// `set var [expr k + $var]`.
-fn self_step(cmd: &Command, var: &str) -> Option<i64> {
-    let name = cmd.words.first().and_then(|w| w.static_text())?;
-    match name {
-        "incr" => {
-            if cmd.words.get(1).and_then(|w| w.static_text()) != Some(var) {
-                return None;
-            }
-            match cmd.words.get(2) {
-                None => Some(1),
-                Some(w) => w.static_text().and_then(|t| t.trim().parse::<i64>().ok()),
-            }
-        }
+fn self_step(cmd: &Cmd, var: &str) -> Option<i64> {
+    if cmd.arg_text(0) != Some(var) {
+        return None;
+    }
+    let lit = |w: &Word| w.static_text().and_then(|t| t.trim().parse::<i64>().ok());
+    match cmd.name()? {
+        "incr" => match cmd.words.get(2) {
+            None => Some(1),
+            Some(w) => lit(w),
+        },
         "set" => {
-            if cmd.words.get(1).and_then(|w| w.static_text()) != Some(var) {
-                return None;
-            }
             // Value must be a single `[expr ...]` command part.
-            let value = cmd.words.get(2)?;
-            let inner = match &value.kind {
-                WordKind::Parts(parts) if parts.len() == 1 => match &parts[0] {
-                    WordPart::Command(inner) => inner,
-                    _ => return None,
-                },
+            let expr = match (&cmd.words.get(2)?.kind, cmd.subs[2].as_slice()) {
+                (WordKind::Parts(parts), [script]) if parts.len() == 1 => sole_expr(script)?,
                 _ => return None,
             };
-            let cmds = parse_script(inner).ok()?;
-            if cmds.len() != 1 {
+            let [_, lhs, op, rhs] = expr.words.as_slice() else {
                 return None;
-            }
-            let expr = &cmds[0];
-            if expr.words.first().and_then(|w| w.static_text()) != Some("expr") {
-                return None;
-            }
-            if expr.words.len() != 4 {
-                return None;
-            }
-            let is_var = |w: &Word| -> bool {
-                matches!(
-                    &w.kind,
-                    WordKind::Parts(parts)
-                        if parts.len() == 1
-                            && matches!(&parts[0], WordPart::Variable(v) if v == var)
-                )
             };
-            let lit = |w: &Word| -> Option<i64> {
-                w.static_text().and_then(|t| t.trim().parse::<i64>().ok())
+            let is_var = |w: &Word| {
+                matches!(&w.kind, WordKind::Parts(parts)
+                    if matches!(parts.as_slice(), [WordPart::Variable(v)] if v == var))
             };
-            let op = expr.words[2].static_text()?;
-            match op {
-                "+" => {
-                    if is_var(&expr.words[1]) {
-                        lit(&expr.words[3])
-                    } else if is_var(&expr.words[3]) {
-                        lit(&expr.words[1])
-                    } else {
-                        None
-                    }
-                }
-                "-" => {
-                    if is_var(&expr.words[1]) {
-                        lit(&expr.words[3]).map(|k| -k)
-                    } else {
-                        None
-                    }
-                }
+            match op.static_text()? {
+                "+" if is_var(lhs) => lit(rhs),
+                "+" if is_var(rhs) => lit(lhs),
+                "-" if is_var(lhs) => lit(rhs).and_then(i64::checked_neg),
                 _ => None,
             }
         }
         _ => None,
     }
-}
-
-/// True if anything in the body (recursively) writes `var` outside the one
-/// allowed self-step, uses `eval`, has computed names, or uses `continue`
-/// (which could skip the self-step on an iteration).
-fn body_touches_counter_unsafely(cmds: &[Command], var: &str) -> bool {
-    touches_unsafely(cmds, var, true, 0)
-}
-
-fn touches_unsafely(cmds: &[Command], var: &str, top_level: bool, adepth: u32) -> bool {
-    if adepth > ANALYSIS_DEPTH_LIMIT {
-        return true;
-    }
-    for cmd in cmds {
-        for word in &cmd.words {
-            if let WordKind::Parts(parts) = &word.kind {
-                for part in parts {
-                    if let WordPart::Command(inner) = part {
-                        match parse_script(inner) {
-                            Ok(inner_cmds) => {
-                                if touches_unsafely(&inner_cmds, var, false, adepth + 1) {
-                                    return true;
-                                }
-                            }
-                            Err(_) => return true,
-                        }
-                    }
-                }
-            }
-        }
-        let name = match cmd.words.first().and_then(|w| w.static_text()) {
-            Some(n) => n,
-            None => return true,
-        };
-        match name {
-            "eval" => return true,
-            "continue" => return true,
-            "set" | "incr" | "append" | "lappend" | "unset" => {
-                match cmd.words.get(1).and_then(|w| w.static_text()) {
-                    Some(target) => {
-                        if target == var {
-                            // The single allowed self-step is top-level and
-                            // matched by `self_step`; any *other* write —
-                            // including nested ones — disqualifies. At top
-                            // level we only allow the exact self-step form.
-                            if !(top_level && self_step(cmd, var).is_some()) {
-                                return true;
-                            }
-                        }
-                    }
-                    None => return true,
-                }
-            }
-            "if" | "while" | "foreach" | "catch" => {
-                if name == "foreach" {
-                    match cmd.words.get(1).and_then(|w| w.static_text()) {
-                        Some(v) => {
-                            if v == var {
-                                return true;
-                            }
-                        }
-                        None => return true,
-                    }
-                }
-                if name == "catch" {
-                    if let Some(result) = cmd.words.get(2) {
-                        match result.static_text() {
-                            Some(v) => {
-                                if v == var {
-                                    return true;
-                                }
-                            }
-                            None => return true,
-                        }
-                    }
-                }
-                match control_subscripts(cmd) {
-                    Some(scripts) => {
-                        for script in scripts {
-                            match parse_script(&script) {
-                                Ok(inner) => {
-                                    if touches_unsafely(&inner, var, false, adepth + 1) {
-                                        return true;
-                                    }
-                                }
-                                Err(_) => return true,
-                            }
-                        }
-                    }
-                    None => return true,
-                }
-            }
-            _ => {
-                // Builtins don't write our counter (guard targets handled
-                // above); proc calls get a fresh scope and cannot write the
-                // caller's counter (`set_in_scope` writes innermost only).
-            }
-        }
-    }
-    false
-}
-
-/// True if the body contains `break`/`return`/`halt` anywhere (could cut
-/// the successful-run iteration count short). `error` is excluded: an
-/// erroring run is not a successful run.
-fn body_has_early_exit(cmds: &[Command]) -> bool {
-    has_early_exit(cmds, 0)
-}
-
-fn has_early_exit(cmds: &[Command], adepth: u32) -> bool {
-    if adepth > ANALYSIS_DEPTH_LIMIT {
-        return true;
-    }
-    for cmd in cmds {
-        for word in &cmd.words {
-            if let WordKind::Parts(parts) = &word.kind {
-                for part in parts {
-                    if let WordPart::Command(inner) = part {
-                        match parse_script(inner) {
-                            Ok(inner_cmds) => {
-                                if has_early_exit(&inner_cmds, adepth + 1) {
-                                    return true;
-                                }
-                            }
-                            Err(_) => return true,
-                        }
-                    }
-                }
-            }
-        }
-        let name = match cmd.words.first().and_then(|w| w.static_text()) {
-            Some(n) => n,
-            None => return true,
-        };
-        match name {
-            "break" | "return" | "halt" | "eval" => return true,
-            "if" | "while" | "foreach" | "catch" => match control_subscripts(cmd) {
-                Some(scripts) => {
-                    for script in scripts {
-                        match parse_script(&script) {
-                            Ok(inner) => {
-                                if has_early_exit(&inner, adepth + 1) {
-                                    return true;
-                                }
-                            }
-                            Err(_) => return true,
-                        }
-                    }
-                }
-                None => return true,
-            },
-            _ => {
-                if crate::builtins::builtin(name).is_none() {
-                    // Proc call: flow control escaping a proc is a runtime
-                    // error (not early exit), but an unknown command errors
-                    // the run — which doesn't count against the successful
-                    // minimum either. Still, a proc body could `halt`.
-                    return true;
-                }
-            }
-        }
-    }
-    false
 }
 
 #[cfg(test)]
@@ -1902,6 +1264,60 @@ mod tests {
                    while {$x < -9223372036854775000} { incr x }";
         let (steps, proven) = (run_steps(src), bound(src).steps);
         assert!(proven.lo <= steps, "{proven:?} vs {steps} actual steps");
+    }
+
+    /// `expr` computes in `f64`: a fold is a fact about the script's value
+    /// only while every number involved is one `f64` holds exactly.
+    #[test]
+    fn expr_folds_only_what_f64_holds_exactly() {
+        // i64 wrapping once "proved" i = i64::MIN and 2^64 - 1 steps; the
+        // interpreter holds 9223372036854775808 and never enters the loop.
+        let src = "set i [expr 9223372036854775807 + 1]; while {$i < 0} {incr i}; set done 1";
+        let b = bound(src);
+        assert_eq!(run_steps(src), 4);
+        assert!(b.steps.lo <= 4, "{}", b.summary());
+        assert!(CostGate::lenient(100_000, 64).check(&b).is_ok());
+        // 2^53 + 1 is not an f64: the script holds 2^53 and takes 10 steps
+        // where exact arithmetic proved 8.
+        let src =
+            "set i [expr 9007199254740992 + 1]; while {$i < 9007199254740995} {incr i}; set done 1";
+        let b = bound(src);
+        assert_eq!(run_steps(src), 10);
+        assert!(b.steps.hi.is_none_or(|hi| hi >= 10), "{}", b.summary());
+        // Inside ±2^53 the fold stands.
+        assert_eq!(
+            bound("set i [expr 4503599627370496 * 2]; while {$i < 9007199254740992} {incr i}")
+                .steps,
+            CostInterval::exact(3)
+        );
+    }
+
+    /// The loop guard is an `expr` too, and so may the step be.
+    #[test]
+    fn counted_loops_need_operands_f64_holds_exactly() {
+        // 9007199254740993 reads as 2^53, so the guard is false at once.
+        let src = "set i 9007199254740992; while {$i < 9007199254740993} {incr i}; set done 1";
+        let b = bound(src);
+        assert_eq!(run_steps(src), 3);
+        assert!(b.steps.lo <= 3, "{}", b.summary());
+        // 2^53 + 1 rounds back to 2^53: the counter never moves.
+        let src = "set i 9007199254740992; set n 0\n\
+                   while {$i < 9007199254740994} {set i [expr $i + 1]; incr n; if {$n > 20} break}";
+        let (steps, b) = (run_steps(src), bound(src));
+        assert!(b.steps.hi.is_none_or(|hi| hi >= steps), "{}", b.summary());
+        // A step of i64::MIN cannot be negated; it is no step at all.
+        let b = bound("set i 0; while {$i < 3} {set i [expr $i - -9223372036854775808]}");
+        assert_eq!(b.verdict(), "unbounded");
+    }
+
+    /// `substitute` evaluates a `[` that never closes as a script running to
+    /// the end of the condition, so it costs steps on every evaluation.
+    #[test]
+    fn unterminated_bracket_in_a_condition_still_runs() {
+        let src = "set i 0; while {$i < 3 && [expr 1} {incr i}";
+        let b = bound(src);
+        assert_eq!(run_steps(src), 12);
+        assert_eq!(b.steps.hi, Some(12));
     }
 
     #[test]

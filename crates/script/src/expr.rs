@@ -280,10 +280,14 @@ impl Parser {
                     Val::Num(l / r)
                 }
                 "%" => {
-                    if r == 0.0 {
+                    // Integer remainder: a divisor inside (-1, 1) truncates
+                    // to zero, and `i64::MIN % -1` overflows unless wrapped
+                    // (the remainder is 0, as in Tcl).
+                    let (l, r) = (l as i64, r as i64);
+                    if r == 0 {
                         return Err(ExprError("modulo by zero".into()));
                     }
-                    Val::Num((l as i64 % r as i64) as f64)
+                    Val::Num(l.wrapping_rem(r) as f64)
                 }
                 _ => unreachable!(),
             };
@@ -388,6 +392,14 @@ mod tests {
         assert!(eval_expr("1 2").is_err());
         assert!(eval_expr("@").is_err());
         assert!(eval_expr("\"open").is_err());
+    }
+
+    #[test]
+    fn remainder_never_panics() {
+        assert_eq!(ev("-9223372036854775808 % -1"), "0");
+        assert_eq!(ev("(-9223372036854775807 - 1) % -1"), "0");
+        assert_eq!(ev("7 % -2"), "1");
+        assert!(eval_expr("5 % 0.5").is_err());
     }
 
     #[test]

@@ -37,6 +37,7 @@ pub mod graph;
 pub mod host;
 pub mod interp;
 pub mod parser;
+mod tree;
 pub mod value;
 
 pub use analysis::{analyze, analyze_with, vet, AnalysisConfig};

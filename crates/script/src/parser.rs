@@ -147,7 +147,9 @@ impl fmt::Display for ParseError {
 
 impl std::error::Error for ParseError {}
 
-struct Cursor<'a> {
+/// A character cursor that tracks the 1-based line and column it stands on;
+/// `tree.rs` scans brace-quoted condition text with it.
+pub(crate) struct Cursor<'a> {
     chars: Vec<char>,
     pos: usize,
     line: u32,
@@ -156,7 +158,7 @@ struct Cursor<'a> {
 }
 
 impl<'a> Cursor<'a> {
-    fn new(src: &'a str) -> Self {
+    pub(crate) fn new(src: &'a str) -> Self {
         Cursor {
             chars: src.chars().collect(),
             pos: 0,
@@ -166,11 +168,11 @@ impl<'a> Cursor<'a> {
         }
     }
 
-    fn peek(&self) -> Option<char> {
+    pub(crate) fn peek(&self) -> Option<char> {
         self.chars.get(self.pos).copied()
     }
 
-    fn bump(&mut self) -> Option<char> {
+    pub(crate) fn bump(&mut self) -> Option<char> {
         let c = self.peek()?;
         self.pos += 1;
         if c == '\n' {
@@ -182,7 +184,7 @@ impl<'a> Cursor<'a> {
         Some(c)
     }
 
-    fn span(&self) -> Span {
+    pub(crate) fn span(&self) -> Span {
         Span::new(self.line, self.col)
     }
 
@@ -258,16 +260,10 @@ fn parse_command(cursor: &mut Cursor<'_>) -> Result<Vec<Word>, ParseError> {
                 }
                 break;
             }
-            Some('\\') => {
-                // Line continuation: backslash-newline acts as a space.
-                let save = cursor.pos;
+            // Line continuation: backslash-newline acts as a space.
+            Some('\\') if cursor.chars.get(cursor.pos + 1) == Some(&'\n') => {
                 cursor.bump();
-                if cursor.peek() == Some('\n') {
-                    cursor.bump();
-                    continue;
-                }
-                cursor.pos = save;
-                words.push(parse_word(cursor)?);
+                cursor.bump();
             }
             Some(_) => {
                 words.push(parse_word(cursor)?);
@@ -551,6 +547,11 @@ mod tests {
         let cmds = parse_script("set x \\\n 42").unwrap();
         assert_eq!(cmds.len(), 1);
         assert_eq!(cmds[0].words.len(), 3);
+        // A backslash that continues nothing starts an ordinary word, at
+        // the column it stands on.
+        let cmds = parse_script("set x \\a").unwrap();
+        assert_eq!(cmds[0].words[2].kind, Word::literal("a").kind);
+        assert_eq!(cmds[0].words[2].span, Span::new(1, 7));
     }
 
     #[test]

@@ -1,0 +1,553 @@
+//! The parsed tree the three static analyses walk.
+//!
+//! [`parse_script`] is one level deep: control-flow bodies, conditions and
+//! `[..]` substitutions come back as strings.  [`Tree::parse`] finishes the
+//! job once per script so that taco-vet, taco-audit and taco-cost never see
+//! source text they have to parse: it calls `parse_script` exactly once per
+//! nested script text, rewrites every span to an absolute position in the
+//! original source as it builds, and decodes each command's [`Shape`] once.
+//!
+//! Parsed eagerly: brace-quoted (or otherwise literal) words at control
+//! positions — `if`/`elseif`/`else` bodies, `while`, `foreach`, `proc`,
+//! `catch`, one-argument `eval` — the `[..]` parts of any word, and the
+//! `[..]` scripts inside literal condition text.  Everything else stays a
+//! word.  A nested script is in one of four [`State`]s, and nothing nests
+//! deeper than [`MAX_DEPTH`]: hostile nesting costs at most
+//! `MAX_DEPTH × source` parsing, however deep the source goes.
+//!
+//! The interpreter is not a client yet; it still takes text (ROADMAP item 2).
+
+use crate::parser::{parse_script, Cursor, ParseError, Span, Word, WordKind, WordPart};
+
+/// The nesting cap shared by every analysis (it mirrors the interpreter's
+/// default `max_depth`): a script nested deeper is a [`State::TooDeep`] leaf.
+pub(crate) const MAX_DEPTH: u32 = 64;
+
+/// One parsed script: the whole source, a body, or a `[..]` substitution.
+#[derive(Debug)]
+pub(crate) struct Tree {
+    pub cmds: Vec<Cmd>,
+}
+
+/// One command, with absolute spans and everything nested in it parsed.
+#[derive(Debug)]
+pub(crate) struct Cmd {
+    /// Where the command starts in the original source.
+    pub span: Span,
+    /// The command's words (never empty); their spans are absolute too.
+    pub words: Vec<Word>,
+    /// Per word, its `[..]` parts in order.  Commands inside them are
+    /// anchored at the containing word, not at their exact position.
+    pub subs: Vec<Vec<Body>>,
+    pub shape: Shape,
+}
+
+impl Cmd {
+    /// The command name, when it is not computed at run time.
+    pub fn name(&self) -> Option<&str> {
+        self.words[0].static_text()
+    }
+
+    /// Argument `i`'s text (0-based, after the name), when static.
+    pub fn arg_text(&self, i: usize) -> Option<&str> {
+        self.words.get(i + 1).and_then(Word::static_text)
+    }
+
+    /// Every `[..]` part of every word, in evaluation order.
+    pub fn scripts(&self) -> impl Iterator<Item = &Body> {
+        self.subs.iter().flatten()
+    }
+}
+
+/// What a command is, decoded the way the interpreter's `cmd_*` functions
+/// walk their arguments.
+#[derive(Debug)]
+pub(crate) enum Shape {
+    /// Anything that is not one of the shapes below: a computed command
+    /// name, or a `proc` with the wrong number of arguments (it defines
+    /// nothing, and only the arity error is left to report).
+    Plain,
+    /// The arms decoded before the chain ended or went wrong.
+    If {
+        arms: Vec<Arm>,
+        fault: Option<IfFault>,
+    },
+    While {
+        cond: Cond,
+        body: Body,
+    },
+    /// `foreach var list body`; `var` and `list` stay words.
+    Foreach {
+        body: Body,
+    },
+    /// `proc name params body`; `name` and `params` stay words.
+    Proc {
+        body: Body,
+    },
+    /// `catch body ?resultVar?`.
+    Catch {
+        body: Body,
+    },
+    /// `eval`: with several arguments the script is assembled at run time.
+    Eval {
+        body: Body,
+    },
+    /// One-argument `expr`, which vet and audit read as condition text.
+    Expr {
+        cond: Cond,
+    },
+    /// `while`/`foreach`/`catch` with the wrong number of arguments: a
+    /// runtime arity error, no body runs and nothing in it is parsed.
+    Malformed,
+}
+
+impl Shape {
+    /// Every script nested in this shape, in source order: the `[..]`
+    /// scripts of its conditions and its bodies.
+    pub fn scripts(&self) -> Vec<&Body> {
+        match self {
+            Shape::Plain | Shape::Malformed => Vec::new(),
+            Shape::If { arms, .. } => arms
+                .iter()
+                .flat_map(|arm| {
+                    let cond = arm.cond.iter().flat_map(Cond::scripts);
+                    cond.chain([&arm.body])
+                })
+                .collect(),
+            Shape::While { cond, body } => cond.scripts().chain([body]).collect(),
+            Shape::Expr { cond } => cond.scripts().collect(),
+            Shape::Foreach { body }
+            | Shape::Proc { body }
+            | Shape::Catch { body }
+            | Shape::Eval { body } => vec![body],
+        }
+    }
+}
+
+/// One `cond body` pair of an `if` chain; `cond` is `None` for `else`.
+#[derive(Debug)]
+pub(crate) struct Arm {
+    pub cond: Option<Cond>,
+    pub body: Body,
+}
+
+/// Why an `if` chain stopped decoding.
+#[derive(Debug)]
+pub(crate) enum IfFault {
+    /// A condition or body is missing.
+    Truncated,
+    /// `else` is the last word.
+    ElseWithoutBody,
+    /// Something other than `elseif`/`else` follows a body (`None` when it
+    /// is computed at run time).
+    Unexpected(Option<String>),
+    /// Words follow the `else` body.  The interpreter never looks at them.
+    Trailing,
+}
+
+/// A condition word: the text the interpreter's `substitute` will scan.
+#[derive(Debug)]
+pub(crate) struct Cond {
+    /// The condition text, or `None` when it is computed at run time.
+    pub text: Option<String>,
+    /// Brace-quoted, so spans inside it are exact (see [`Body::braced`]).
+    pub braced: bool,
+    /// The `$name` reads and `[..]` scripts of `text`, in evaluation order.
+    pub parts: Vec<CondPart>,
+}
+
+impl Cond {
+    /// The `[..]` scripts evaluated each time the condition is.
+    pub fn scripts(&self) -> impl Iterator<Item = &Body> {
+        self.parts.iter().filter_map(|part| match part {
+            CondPart::Script(body) => Some(body),
+            CondPart::Var(..) => None,
+        })
+    }
+}
+
+#[derive(Debug)]
+pub(crate) enum CondPart {
+    /// `$name` or `${name}`, with the position of the `$`.
+    Var(String, Span),
+    Script(Body),
+}
+
+/// A nested script: a control-flow body or a `[..]` substitution.
+#[derive(Debug)]
+pub(crate) struct Body {
+    state: State,
+    braced: bool,
+}
+
+#[derive(Debug)]
+pub(crate) enum State {
+    Parsed(Tree),
+    /// The text is computed at run time.
+    Computed,
+    /// The text does not parse; the error's position is absolute.
+    Bad(ParseError),
+    /// Nested deeper than [`MAX_DEPTH`]; not parsed.
+    TooDeep,
+}
+
+impl Body {
+    /// A script assembled at run time: nothing to parse.
+    fn computed() -> Body {
+        Body {
+            state: State::Computed,
+            braced: false,
+        }
+    }
+
+    /// The body as taco-cost sees it: any statically known text, brace-quoted
+    /// or a bare literal (`if {$x} break`).
+    pub fn literal(&self) -> &State {
+        &self.state
+    }
+
+    /// The body as taco-vet and taco-audit see it: only brace-quoted text
+    /// (and `[..]` parts) is followed, a bare literal counts as computed.
+    pub fn braced(&self) -> &State {
+        if self.braced {
+            &self.state
+        } else {
+            &State::Computed
+        }
+    }
+}
+
+impl Tree {
+    /// Parses `src` and everything nested in it.  Fails only when the source
+    /// itself does not parse; nested failures become [`State::Bad`].
+    pub fn parse(src: &str) -> Result<Tree, ParseError> {
+        build(src, Span::START, 0)
+    }
+}
+
+/// Maps a span relative to an embedded script (braced body, condition text,
+/// bracketed substitution) to an absolute span in the original source.
+fn map_span(base: Span, rel: Span) -> Span {
+    if rel.line == 1 {
+        Span::new(base.line, base.col + rel.col - 1)
+    } else {
+        Span::new(base.line + rel.line - 1, rel.col)
+    }
+}
+
+/// Where a word's *content* starts: one past the `{` of a braced word.
+fn content_base(word: &Word) -> Span {
+    match word.kind {
+        WordKind::Braced(_) => Span::new(word.span.line, word.span.col + 1),
+        WordKind::Parts(_) => word.span,
+    }
+}
+
+fn build(src: &str, base: Span, depth: u32) -> Result<Tree, ParseError> {
+    let cmds = parse_script(src).map_err(|e| {
+        let at = map_span(base, e.span());
+        ParseError {
+            line: at.line,
+            col: at.col,
+            ..e
+        }
+    })?;
+    let cmds = cmds.into_iter().map(|cmd| {
+        let mut words = cmd.words;
+        for word in &mut words {
+            word.span = map_span(base, word.span);
+        }
+        let subs = words.iter().map(|word| match &word.kind {
+            WordKind::Braced(_) => Vec::new(),
+            WordKind::Parts(parts) => parts
+                .iter()
+                .filter_map(|part| match part {
+                    WordPart::Command(script) => Some(nested(script, word.span, depth, true)),
+                    _ => None,
+                })
+                .collect(),
+        });
+        Cmd {
+            span: map_span(base, cmd.span),
+            subs: subs.collect(),
+            shape: decode(&words, depth),
+            words,
+        }
+    });
+    Ok(Tree {
+        cmds: cmds.collect(),
+    })
+}
+
+/// Parses a script nested in one at `depth`.
+fn nested(text: &str, base: Span, depth: u32, braced: bool) -> Body {
+    let state = if depth >= MAX_DEPTH {
+        State::TooDeep
+    } else {
+        match build(text, base, depth + 1) {
+            Ok(tree) => State::Parsed(tree),
+            Err(e) => State::Bad(e),
+        }
+    };
+    Body { state, braced }
+}
+
+fn body_of(word: &Word, depth: u32) -> Body {
+    match word.static_text() {
+        Some(text) => {
+            let braced = matches!(word.kind, WordKind::Braced(_));
+            nested(text, content_base(word), depth, braced)
+        }
+        None => Body::computed(),
+    }
+}
+
+fn cond_of(word: &Word, depth: u32) -> Cond {
+    let text = word.static_text();
+    Cond {
+        text: text.map(str::to_string),
+        braced: matches!(word.kind, WordKind::Braced(_)),
+        parts: text.map_or_else(Vec::new, |t| scan_cond(t, content_base(word), depth)),
+    }
+}
+
+/// Scans condition text exactly as the interpreter's `substitute` does:
+/// `$name`/`${name}` are reads, `[...]` (closed or not) is a script.
+fn scan_cond(text: &str, base: Span, depth: u32) -> Vec<CondPart> {
+    let mut parts = Vec::new();
+    let mut cur = Cursor::new(text);
+    while let Some(c) = cur.peek() {
+        let at = map_span(base, cur.span());
+        cur.bump();
+        match c {
+            '$' => {
+                let mut name = String::new();
+                if cur.peek() == Some('{') {
+                    cur.bump();
+                    while let Some(c) = cur.bump().filter(|&c| c != '}') {
+                        name.push(c);
+                    }
+                } else {
+                    while let Some(c) = cur.peek().filter(|&c| c.is_alphanumeric() || c == '_') {
+                        name.push(c);
+                        cur.bump();
+                    }
+                }
+                if !name.is_empty() {
+                    parts.push(CondPart::Var(name, at));
+                }
+            }
+            '[' => {
+                let inner_base = map_span(base, cur.span());
+                let mut inner = String::new();
+                let mut nesting = 1;
+                while let Some(c) = cur.bump() {
+                    match c {
+                        '[' => nesting += 1,
+                        ']' => nesting -= 1,
+                        _ => {}
+                    }
+                    if nesting == 0 {
+                        break;
+                    }
+                    inner.push(c);
+                }
+                parts.push(CondPart::Script(nested(&inner, inner_base, depth, true)));
+            }
+            _ => {}
+        }
+    }
+    parts
+}
+
+fn decode(words: &[Word], depth: u32) -> Shape {
+    let args = &words[1..];
+    let body = |i: usize| body_of(&args[i], depth);
+    let cond = |i: usize| cond_of(&args[i], depth);
+    match (words[0].static_text(), args.len()) {
+        (Some("if"), _) => decode_if(args, depth),
+        (Some("while"), 2) => Shape::While {
+            cond: cond(0),
+            body: body(1),
+        },
+        (Some("foreach"), 3) => Shape::Foreach { body: body(2) },
+        (Some("proc"), 3) => Shape::Proc { body: body(2) },
+        (Some("catch"), 1 | 2) => Shape::Catch { body: body(0) },
+        (Some("while" | "foreach" | "catch"), _) => Shape::Malformed,
+        (Some("eval"), 1) => Shape::Eval { body: body(0) },
+        (Some("eval"), _) => Shape::Eval {
+            body: Body::computed(),
+        },
+        (Some("expr"), 1) => Shape::Expr { cond: cond(0) },
+        _ => Shape::Plain,
+    }
+}
+
+/// Decodes `cond body ?elseif cond body?* ?else body?`, mirroring the
+/// interpreter's `cmd_if` walk.
+fn decode_if(args: &[Word], depth: u32) -> Shape {
+    let mut arms = Vec::new();
+    let mut fault = None;
+    let mut i = 0;
+    while i < args.len() {
+        let keyword = args[i].static_text();
+        if i == 0 || keyword == Some("elseif") {
+            let at = i + usize::from(i != 0);
+            let (Some(cond), Some(body)) = (args.get(at), args.get(at + 1)) else {
+                fault = Some(IfFault::Truncated);
+                break;
+            };
+            arms.push(Arm {
+                cond: Some(cond_of(cond, depth)),
+                body: body_of(body, depth),
+            });
+            i = at + 2;
+        } else if keyword == Some("else") {
+            match args.get(i + 1) {
+                Some(body) => {
+                    arms.push(Arm {
+                        cond: None,
+                        body: body_of(body, depth),
+                    });
+                    if i + 2 != args.len() {
+                        fault = Some(IfFault::Trailing);
+                    }
+                }
+                None => fault = Some(IfFault::ElseWithoutBody),
+            }
+            break;
+        } else {
+            fault = Some(IfFault::Unexpected(keyword.map(str::to_string)));
+            break;
+        }
+    }
+    if args.is_empty() {
+        fault = Some(IfFault::Truncated);
+    }
+    Shape::If { arms, fault }
+}
+
+/// The bounded-script grammar `tests/cost_props.rs` drives the interpreter
+/// with; the property test below builds trees from the same scripts.
+#[cfg(test)]
+#[path = "../tests/common/grammar.rs"]
+mod grammar;
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use proptest::prelude::*;
+
+    /// The deepest parsed script under `tree` (the root is at depth 0).
+    fn depth(tree: &Tree) -> u32 {
+        let nested = tree
+            .cmds
+            .iter()
+            .flat_map(|cmd| cmd.scripts().chain(cmd.shape.scripts()));
+        nested
+            .filter_map(|body| match body.literal() {
+                State::Parsed(inner) => Some(1 + depth(inner)),
+                _ => None,
+            })
+            .max()
+            .unwrap_or(0)
+    }
+
+    /// Every command reached through brace-quoted text only — bodies, and
+    /// the `[..]` scripts of brace-quoted conditions — carries a span that
+    /// lands on the first byte of its first word in the original source.
+    fn assert_spans_are_absolute(tree: &Tree, src: &str) {
+        for cmd in &tree.cmds {
+            assert_eq!(cmd.span, cmd.words[0].span);
+            let line = src.split('\n').nth(cmd.span.line as usize - 1);
+            let first = line
+                .and_then(|line| line.chars().nth(cmd.span.col as usize - 1))
+                .unwrap_or_else(|| panic!("{} is outside the source:\n{src}", cmd.span));
+            let ok = match (&cmd.words[0].kind, first) {
+                (WordKind::Braced(_), c) => c == '{',
+                // Quotes and escapes rewrite the text; only the position of
+                // the word is checked.
+                (WordKind::Parts(_), '"' | '\\') => true,
+                (WordKind::Parts(parts), c) => match &parts[0] {
+                    WordPart::Literal(text) => text.starts_with(c),
+                    WordPart::Variable(_) => c == '$',
+                    WordPart::Command(_) => c == '[',
+                },
+            };
+            assert!(
+                ok,
+                "{} points at {first:?}, not at {cmd:?}:\n{src}",
+                cmd.span
+            );
+
+            let exact = |body: &&Body| body.braced;
+            let bodies: Vec<&Body> = match &cmd.shape {
+                Shape::If { arms, .. } => arms
+                    .iter()
+                    .flat_map(|arm| {
+                        let cond = arm.cond.iter().filter(|cond| cond.braced);
+                        cond.flat_map(Cond::scripts).chain([&arm.body])
+                    })
+                    .collect(),
+                Shape::While { cond, body } if !cond.braced => vec![body],
+                Shape::Expr { cond } if !cond.braced => Vec::new(),
+                shape => shape.scripts(),
+            };
+            for body in bodies.into_iter().filter(exact) {
+                if let State::Parsed(inner) = body.literal() {
+                    assert_spans_are_absolute(inner, src);
+                }
+            }
+        }
+    }
+
+    fn check(src: &str) {
+        if let Ok(tree) = Tree::parse(src) {
+            assert!(depth(&tree) <= MAX_DEPTH, "{src}");
+            assert_spans_are_absolute(&tree, src);
+        }
+    }
+
+    #[test]
+    fn nesting_stops_at_the_cap() {
+        for (open, close) in [("if {1} {", "}"), ("catch {", "}"), ("set x [expr ", "]")] {
+            for levels in [3, 64, 65, 200] {
+                let src = format!("{}{}", open.repeat(levels), close.repeat(levels));
+                let tree = Tree::parse(&src).expect("balanced");
+                assert_eq!(depth(&tree), levels.min(MAX_DEPTH as usize) as u32, "{src}");
+                assert_spans_are_absolute(&tree, &src);
+            }
+        }
+    }
+
+    #[test]
+    fn nested_parse_errors_keep_their_absolute_position() {
+        let tree = Tree::parse("set a 1\nif {$a} {\n  puts \"open\n}").expect("top level parses");
+        let Shape::If { arms, .. } = &tree.cmds[1].shape else {
+            panic!("not an if: {:?}", tree.cmds[1]);
+        };
+        let State::Bad(e) = arms[0].body.literal() else {
+            panic!("the body parsed: {:?}", arms[0].body);
+        };
+        assert_eq!(e.span(), Span::new(4, 1));
+    }
+
+    proptest! {
+        #[test]
+        fn bounded_grammar_builds_with_absolute_spans(seed in any::<u64>()) {
+            let src = grammar::build_script(seed);
+            prop_assert!(Tree::parse(&src).is_ok(), "{src}");
+            check(&src);
+        }
+
+        #[test]
+        fn ascii_soup_never_panics(src in "[ -~\n\t]{0,200}") {
+            check(&src);
+        }
+
+        #[test]
+        fn tcl_soup_never_panics(src in "[{}$\\[\\]\"; \nsetwhileafobcx0-9]{0,160}") {
+            check(&src);
+        }
+    }
+}

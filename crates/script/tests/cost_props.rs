@@ -15,138 +15,11 @@
 //! soup but must never panic or hang on it.
 
 use proptest::prelude::*;
-use tacoma_script::{cost_bound, Interp, InterpConfig, NullHost, ScriptError};
+use tacoma_script::{cost_bound, CostBound, Interp, InterpConfig, NullHost, ScriptError};
 
-/// Deterministic splitmix64 stream driving the script builder, so each
-/// proptest case (one `u64` of entropy) expands to one reproducible script.
-struct Gen(u64);
-
-impl Gen {
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
-    }
-
-    fn below(&mut self, bound: u64) -> u64 {
-        self.next() % bound
-    }
-}
-
-/// Appends one random statement to `out`.  Every construct the builder can
-/// emit is statically bounded and runtime-clean: fresh counter variables per
-/// loop, only previously-`set` variables are read, and all commands exist.
-fn push_statement(
-    g: &mut Gen,
-    depth: u32,
-    fresh: &mut u32,
-    vars: &mut Vec<String>,
-    out: &mut String,
-) {
-    let choice = if depth >= 2 { g.below(4) } else { g.below(7) };
-    match choice {
-        // Plain assignment: introduces a readable variable.
-        0 => {
-            let v = format!("v{}", *fresh);
-            *fresh += 1;
-            out.push_str(&format!("set {v} {}\n", g.below(100)));
-            vars.push(v);
-        }
-        // Arithmetic on a literal expr.
-        1 => {
-            let v = format!("v{}", *fresh);
-            *fresh += 1;
-            out.push_str(&format!(
-                "set {v} [expr {} + {}]\n",
-                g.below(50),
-                g.below(50)
-            ));
-            vars.push(v);
-        }
-        // Briefcase growth (NullHost absorbs it; the analysis must bound it).
-        2 => {
-            out.push_str(&format!("bc_push OUT payload{}\n", g.below(10)));
-        }
-        // incr on an existing variable, or a fresh set when none exists.
-        3 => match vars.last() {
-            Some(v) => out.push_str(&format!("incr {v} {}\n", 1 + g.below(3))),
-            None => {
-                let v = format!("v{}", *fresh);
-                *fresh += 1;
-                out.push_str(&format!("set {v} 0\n"));
-                vars.push(v);
-            }
-        },
-        // Counted while loop over a fresh counter.
-        4 => {
-            let i = format!("i{}", *fresh);
-            *fresh += 1;
-            let bound = g.below(6);
-            let mut body = String::new();
-            let mut inner = vars.clone();
-            for _ in 0..=g.below(2) {
-                push_statement(g, depth + 1, fresh, &mut inner, &mut body);
-            }
-            body.push_str(&format!("incr {i}"));
-            out.push_str(&format!(
-                "set {i} 0\nwhile {{${i} < {bound}}} {{\n{body}\n}}\n"
-            ));
-        }
-        // foreach over a literal list.
-        5 => {
-            // Numeric items so body statements may `incr`/compare the
-            // iteration variable without tripping a runtime type error.
-            let n = 1 + g.below(4);
-            let items: Vec<String> = (0..n).map(|k| k.to_string()).collect();
-            let x = format!("x{}", *fresh);
-            *fresh += 1;
-            let mut body = String::new();
-            let mut inner = vars.clone();
-            inner.push(x.clone());
-            for _ in 0..=g.below(2) {
-                push_statement(g, depth + 1, fresh, &mut inner, &mut body);
-            }
-            if body.is_empty() {
-                body.push_str(&format!("set copy ${x}"));
-            }
-            out.push_str(&format!(
-                "foreach {x} {{{}}} {{\n{body}\n}}\n",
-                items.join(" ")
-            ));
-        }
-        // Two-way branch on a literal or a known variable.
-        _ => {
-            let cond = match vars.last() {
-                Some(v) if g.below(2) == 0 => format!("${v} < 50"),
-                _ => format!("{}", g.below(2)),
-            };
-            let mut then_b = String::new();
-            let mut else_b = String::new();
-            let mut inner = vars.clone();
-            push_statement(g, depth + 1, fresh, &mut inner, &mut then_b);
-            let mut inner = vars.clone();
-            push_statement(g, depth + 1, fresh, &mut inner, &mut else_b);
-            out.push_str(&format!(
-                "if {{{cond}}} {{\n{then_b}\n}} else {{\n{else_b}\n}}\n"
-            ));
-        }
-    }
-}
-
-/// Builds one random bounded script from a 64-bit seed.
-fn build_script(seed: u64) -> String {
-    let mut g = Gen(seed);
-    let mut out = String::new();
-    let mut fresh = 0u32;
-    let mut vars = Vec::new();
-    let statements = 1 + g.below(6);
-    for _ in 0..statements {
-        push_statement(&mut g, 0, &mut fresh, &mut vars, &mut out);
-    }
-    out
-}
+#[path = "common/grammar.rs"]
+mod grammar;
+use grammar::build_script;
 
 fn run_with_budget(src: &str, max_steps: u64) -> Result<u64, ScriptError> {
     let mut host = NullHost;
@@ -160,48 +33,85 @@ fn run_with_budget(src: &str, max_steps: u64) -> Result<u64, ScriptError> {
     interp.run(src).map(|outcome| outcome.steps)
 }
 
+/// Upper-bound soundness for one script: when the analysis claims a finite
+/// step bound, running the script with exactly that budget never exhausts
+/// it, and the actual step count lands inside the proven interval.
+fn assert_upper_bound_is_a_sound_budget(src: &str, bound: &CostBound) {
+    let Some(hi) = bound.steps.hi else { return };
+    match run_with_budget(src, hi) {
+        Ok(steps) => {
+            assert!(steps <= hi, "ran {steps} steps over bound {hi}:\n{src}");
+            assert!(
+                steps >= bound.steps.lo,
+                "ran {steps} steps under proven minimum {}:\n{src}",
+                bound.steps.lo
+            );
+        }
+        Err(ScriptError::BudgetExceeded) => {
+            panic!("static bound {hi} was not sound for:\n{src}");
+        }
+        Err(e) => panic!("script failed at runtime ({e}):\n{src}"),
+    }
+}
+
+/// One step less than the proven *lower* bound must always trip the budget:
+/// the gate's certain-death rejection (lo > budget) relies on the lower
+/// bound being a true minimum.
+fn assert_lower_bound_is_a_true_minimum(src: &str, bound: &CostBound) {
+    if bound.steps.lo > 0 {
+        assert!(
+            matches!(
+                run_with_budget(src, bound.steps.lo - 1),
+                Err(ScriptError::BudgetExceeded)
+            ),
+            "budget below the proven minimum {} did not trip for:\n{src}",
+            bound.steps.lo
+        );
+    }
+}
+
+/// Scripts the analysis once "proved" things about by doing exact `i64`
+/// arithmetic where the interpreter's `expr` computes in `f64`: a fold that
+/// overflows `i64` (certain death claimed for a script that finishes in 4
+/// steps), a fold past 2^53 (8 steps proven, 10 taken), a counted loop whose
+/// guard compares past 2^53, and a `[` left open in a condition, which the
+/// interpreter still evaluates.
+#[test]
+fn pinned_scripts_stay_inside_their_bounds() {
+    for src in [
+        "set i [expr 9223372036854775807 + 1]; while {$i < 0} {incr i}; set done 1",
+        "set i [expr 9007199254740992 + 1]; while {$i < 9007199254740995} {incr i}; set done 1",
+        "set i 9007199254740992; while {$i < 9007199254740993} {incr i}; set done 1",
+        "set i 0; while {$i < 3 && [expr 1} {incr i}",
+    ] {
+        let bound = cost_bound(src).expect("parses");
+        assert_upper_bound_is_a_sound_budget(src, &bound);
+        assert_lower_bound_is_a_true_minimum(src, &bound);
+    }
+}
+
 proptest! {
-    /// Soundness: when the analysis claims a finite step bound, running the
-    /// script with exactly that budget never exhausts it, and the actual
-    /// step count lands inside the proven interval.
+    /// Soundness of the upper bound on generated scripts, all of which the
+    /// analysis must bound finitely.
     #[test]
     fn finite_static_bound_is_a_sound_budget(seed in any::<u64>()) {
         let src = build_script(seed);
         let bound = cost_bound(&src).expect("generated scripts parse");
         prop_assert!(!bound.divergent, "builder emits only bounded constructs:\n{src}");
-        let hi = bound.steps.hi.unwrap_or_else(|| panic!(
+        prop_assert!(
+            bound.steps.hi.is_some(),
             "builder emits only statically countable loops, got {}:\n{src}",
             bound.summary()
-        ));
-        match run_with_budget(&src, hi) {
-            Ok(steps) => {
-                prop_assert!(steps <= hi, "ran {steps} steps over bound {hi}:\n{src}");
-                prop_assert!(
-                    steps >= bound.steps.lo,
-                    "ran {steps} steps under proven minimum {}:\n{src}",
-                    bound.steps.lo
-                );
-            }
-            Err(ScriptError::BudgetExceeded) => {
-                panic!("static bound {hi} was not sound for:\n{src}");
-            }
-            Err(e) => panic!("generated script failed at runtime ({e}):\n{src}"),
-        }
+        );
+        assert_upper_bound_is_a_sound_budget(&src, &bound);
     }
 
-    /// One step less than the proven *lower* bound must always trip the
-    /// budget: the gate's certain-death rejection (lo > budget) relies on
-    /// the lower bound being a true minimum.
+    /// Soundness of the lower bound on the same scripts.
     #[test]
     fn lower_bound_is_a_true_minimum(seed in any::<u64>()) {
         let src = build_script(seed);
         let bound = cost_bound(&src).expect("generated scripts parse");
-        if bound.steps.lo > 0 {
-            prop_assert!(matches!(
-                run_with_budget(&src, bound.steps.lo - 1),
-                Err(ScriptError::BudgetExceeded)
-            ), "budget below the proven minimum did not trip for:\n{src}");
-        }
+        assert_lower_bound_is_a_true_minimum(&src, &bound);
     }
 
     /// Totality: the analyzer never panics on printable byte soup (it may

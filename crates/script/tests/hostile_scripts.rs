@@ -1,0 +1,40 @@
+//! Bounded gate time on hostile nesting.
+//!
+//! A `CODE` folder arrives from anyone, and all three install gates run on it
+//! before the first command executes.  Every nested script past depth 64 is a
+//! `TooDeep` leaf of the parsed tree, so no gate may do more than
+//! O(64 × source) parsing however deep the source nests — where the string
+//! walkers this replaced re-parsed each level under every analysed level and
+//! needed 7–13 s per `cost_bound` call (release) on these inputs.
+
+use std::time::{Duration, Instant};
+use tacoma_script::{cost_bound, summarize, vet, AnalysisConfig};
+
+const DEPTH: usize = 3000;
+
+fn nest(open: &str, close: &str) -> String {
+    format!("{}{}", open.repeat(DEPTH), close.repeat(DEPTH))
+}
+
+#[test]
+fn gates_stay_fast_and_conservative_on_deep_nesting() {
+    let shapes = [
+        nest("if {1} {", "}"),
+        nest("while {0} {", "}"),
+        nest("while {1} {", "}"),
+        nest("catch {", "}"),
+        format!("set x {}", nest("[expr ", "]")),
+    ];
+    let start = Instant::now();
+    for src in &shapes {
+        assert!((21_000..=36_100).contains(&src.len()), "{}", src.len());
+        // Each gate returns (no panic, no stack overflow); what vet says
+        // about code it refuses to look at is not pinned.
+        let _ = vet(src, &AnalysisConfig::new());
+        summarize(src).expect("the source itself parses");
+        let bound = cost_bound(src).expect("the source itself parses");
+        assert_eq!(bound.verdict(), "unbounded", "{}", &src[..12]);
+    }
+    let spent = start.elapsed();
+    assert!(spent < Duration::from_secs(10), "gates took {spent:?}");
+}
