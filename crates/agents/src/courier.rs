@@ -94,7 +94,7 @@ mod tests {
         fn meet(&mut self, ctx: &mut MeetCtx<'_>, bc: Briefcase) -> MeetOutcome {
             for (name, folder) in bc.iter() {
                 for elem in folder.iter() {
-                    ctx.cabinet("mailbox").append(name, elem.clone());
+                    ctx.cabinet("mailbox").append(name, elem);
                 }
             }
             Ok(Briefcase::new())

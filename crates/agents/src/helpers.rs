@@ -17,8 +17,7 @@ pub fn parse_site(folder: &Folder) -> Option<SiteId> {
             return Some(SiteId(n));
         }
     }
-    if elem.len() == 8 {
-        let arr: [u8; 8] = elem.as_slice().try_into().ok()?;
+    if let Ok(arr) = <[u8; 8]>::try_from(elem) {
         let v = u64::from_le_bytes(arr);
         if v <= u32::MAX as u64 {
             return Some(SiteId(v as u32));

@@ -50,7 +50,7 @@ impl Agent for SinkAgent {
     fn meet(&mut self, ctx: &mut MeetCtx<'_>, bc: Briefcase) -> MeetOutcome {
         for (name, folder) in bc.iter() {
             for elem in folder.iter() {
-                ctx.cabinet(Self::CABINET).append(name, elem.clone());
+                ctx.cabinet(Self::CABINET).append(name, elem);
             }
         }
         Ok(Briefcase::new())

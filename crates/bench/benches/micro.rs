@@ -64,7 +64,7 @@ fn bench_e4_folders(c: &mut Criterion) {
             b.iter(|| std::hint::black_box(cab.contains_elem(needle.as_bytes())))
         });
         group.bench_with_input(BenchmarkId::new("briefcase_encode", n), &n, |b, _| {
-            b.iter(|| std::hint::black_box(codec::encode_briefcase(&bc).len()))
+            b.iter(|| std::hint::black_box(codec::encode_briefcase(&bc)))
         });
         let encoded = codec::encode_briefcase(&bc);
         group.bench_with_input(BenchmarkId::new("briefcase_decode", n), &n, |b, _| {

@@ -9,7 +9,7 @@ use tacoma_agents::{
 use tacoma_apps::{run_mail_experiment, run_stormcast, MailConfig, StormcastConfig, StormcastPlan};
 use tacoma_cash::{AuditCourt, ExchangeConfig, ExchangeProtocol, Mint, PartyBehavior};
 use tacoma_core::prelude::*;
-use tacoma_core::{codec, Folder, TacomaSystem};
+use tacoma_core::{Folder, TacomaSystem};
 use tacoma_ft::{run_itinerary_experiment, BrokerGuardAgent, FtConfig};
 use tacoma_net::{CustodyConfig, FailurePlan, LinkSpec, SimTime, Topology};
 use tacoma_sched::federation::{
@@ -384,11 +384,11 @@ pub fn e4_folders(opts: RunOpts) -> Table {
         }
         let mut bc = Briefcase::new();
         bc.put("DATA", folder.clone());
-        let wire = codec::encode_briefcase(&bc).len();
+        let wire = bc.wire_size();
 
         let mut cab = tacoma_core::FileCabinet::new();
         for elem in folder.iter() {
-            cab.append("DATA", elem.clone());
+            cab.append("DATA", elem);
         }
         let move_cost = cab.move_cost_bytes();
         let needle = format!("element-{:08}", n - 1);

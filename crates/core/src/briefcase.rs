@@ -116,7 +116,7 @@ impl Briefcase {
     /// The number of bytes this briefcase occupies on the wire when encoded
     /// with the TACOMA codec (see [`crate::codec`]).
     pub fn wire_size(&self) -> usize {
-        crate::codec::encode_briefcase(self).len()
+        crate::codec::briefcase_encoded_len(self)
     }
 }
 

@@ -16,14 +16,16 @@
 
 use crate::folder::{Folder, FolderElem};
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
 /// A site-local grouping of named folders with an access index.
 #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct FileCabinet {
     folders: BTreeMap<String, Folder>,
-    /// Inverted index: element bytes → names of folders containing them.
-    index: BTreeMap<FolderElem, BTreeSet<String>>,
+    /// Inverted index: element bytes → names of the folders containing
+    /// them, each with how many copies it holds (so removing one copy never
+    /// has to rescan the folder to learn whether it was the last).
+    index: BTreeMap<FolderElem, BTreeMap<String, usize>>,
     /// Access statistics (reads + writes), used by the E4 experiment.
     accesses: u64,
 }
@@ -66,11 +68,14 @@ impl FileCabinet {
     pub fn append(&mut self, name: &str, elem: impl Into<FolderElem>) {
         self.accesses += 1;
         let elem = elem.into();
-        self.index
-            .entry(elem.clone())
-            .or_default()
-            .insert(name.to_string());
-        self.folders.entry(name.to_string()).or_default().push(elem);
+        match self.folders.get_mut(name) {
+            Some(folder) => folder.push_bytes(&elem),
+            None => {
+                self.folders
+                    .insert(name.to_string(), Folder::single(elem.as_slice()));
+            }
+        }
+        index_add(&mut self.index, name, elem);
     }
 
     /// Appends a string element to a named folder.
@@ -84,10 +89,7 @@ impl FileCabinet {
         let name = name.into();
         self.remove_from_index(&name);
         for elem in folder.iter() {
-            self.index
-                .entry(elem.clone())
-                .or_default()
-                .insert(name.clone());
+            index_add(&mut self.index, &name, elem.to_vec());
         }
         self.folders.insert(name, folder);
     }
@@ -102,35 +104,35 @@ impl FileCabinet {
     /// Pops the last element of a named folder (stack discipline).
     pub fn pop(&mut self, name: &str) -> Option<FolderElem> {
         self.accesses += 1;
-        let folder = self.folders.get_mut(name)?;
-        let elem = folder.pop()?;
-        // An identical element may appear in the folder more than once; only
-        // drop the index entry when the last copy is gone.
-        if !folder.contains_elem(&elem) {
-            if let Some(set) = self.index.get_mut(&elem) {
-                set.remove(name);
-                if set.is_empty() {
-                    self.index.remove(&elem);
-                }
-            }
-        }
+        let elem = self.folders.get_mut(name)?.pop()?;
+        self.index_remove_copy(name, &elem);
         Some(elem)
     }
 
     /// Dequeues the first element of a named folder (queue discipline).
     pub fn dequeue(&mut self, name: &str) -> Option<FolderElem> {
         self.accesses += 1;
-        let folder = self.folders.get_mut(name)?;
-        let elem = folder.dequeue()?;
-        if !folder.contains_elem(&elem) {
-            if let Some(set) = self.index.get_mut(&elem) {
-                set.remove(name);
-                if set.is_empty() {
-                    self.index.remove(&elem);
-                }
+        let elem = self.folders.get_mut(name)?.dequeue()?;
+        self.index_remove_copy(name, &elem);
+        Some(elem)
+    }
+
+    /// Records that folder `name` lost one copy of `elem`.  An identical
+    /// element may appear in the folder more than once; the index entry goes
+    /// only with the last copy.
+    fn index_remove_copy(&mut self, name: &str, elem: &[u8]) {
+        let Some(names) = self.index.get_mut(elem) else {
+            return;
+        };
+        if let Some(copies) = names.get_mut(name) {
+            *copies -= 1;
+            if *copies == 0 {
+                names.remove(name);
             }
         }
-        Some(elem)
+        if names.is_empty() {
+            self.index.remove(elem);
+        }
     }
 
     /// Whether any folder of the cabinet contains the given element — an
@@ -146,8 +148,7 @@ impl FileCabinet {
         self.accesses += 1;
         self.index
             .get(elem)
-            .map(|set| set.contains(name))
-            .unwrap_or(false)
+            .is_some_and(|names| names.contains_key(name))
     }
 
     /// Names of all folders, in order.
@@ -198,7 +199,7 @@ impl FileCabinet {
         let index_bytes: usize = self
             .index
             .iter()
-            .map(|(elem, names)| elem.len() + names.iter().map(|n| n.len() + 8).sum::<usize>())
+            .map(|(elem, names)| elem.len() + names.keys().map(|n| n.len() + 8).sum::<usize>())
             .sum();
         self.snapshot().len() + index_bytes
     }
@@ -206,13 +207,32 @@ impl FileCabinet {
     fn remove_from_index(&mut self, name: &str) {
         if let Some(folder) = self.folders.get(name) {
             for elem in folder.iter() {
-                if let Some(set) = self.index.get_mut(elem) {
-                    set.remove(name);
-                    if set.is_empty() {
+                if let Some(names) = self.index.get_mut(elem) {
+                    names.remove(name);
+                    if names.is_empty() {
                         self.index.remove(elem);
                     }
                 }
             }
+        }
+    }
+}
+
+/// Records one more copy of `elem` in folder `name`, allocating only for an
+/// element or a name the index has not seen.
+fn index_add(
+    index: &mut BTreeMap<FolderElem, BTreeMap<String, usize>>,
+    name: &str,
+    elem: FolderElem,
+) {
+    let names = match index.get_mut(elem.as_slice()) {
+        Some(names) => names,
+        None => index.entry(elem).or_default(),
+    };
+    match names.get_mut(name) {
+        Some(copies) => *copies += 1,
+        None => {
+            names.insert(name.to_string(), 1);
         }
     }
 }
@@ -324,6 +344,49 @@ mod tests {
         assert!(cab.contains_elem(b"dup"), "one copy remains");
         cab.pop("F");
         assert!(!cab.contains_elem(b"dup"));
+    }
+
+    /// The index a cabinet holding exactly these folders must have.
+    fn rebuilt_index(cab: &FileCabinet) -> BTreeMap<FolderElem, BTreeMap<String, usize>> {
+        let mut fresh = FileCabinet::new();
+        for (name, folder) in &cab.folders {
+            fresh.put(name.clone(), folder.clone());
+        }
+        fresh.index
+    }
+
+    #[test]
+    fn draining_a_large_folder_keeps_the_index_exact() {
+        // 50 000 removals, each O(log n): the rescan this replaced made the
+        // drain quadratic.  Every value appears four times, so entries must
+        // outlive their first three removals.
+        const N: usize = 50_000;
+        let mut cab = FileCabinet::new();
+        for i in 0..N {
+            cab.append_str("Q", format!("v{}", i % (N / 4)));
+            cab.append_str("OTHER", format!("v{}", i % 7));
+        }
+        assert_eq!(cab.index, rebuilt_index(&cab));
+        for step in 0..N {
+            let gone = if step % 3 == 0 {
+                cab.pop("Q")
+            } else {
+                cab.dequeue("Q")
+            }
+            .expect("still draining");
+            if step % 1_000 == 0 {
+                let left = cab.folder_ref("Q").unwrap().contains_elem(&gone);
+                assert_eq!(cab.folder_contains("Q", &gone), left, "step {step}");
+                assert_eq!(cab.index, rebuilt_index(&cab), "step {step}");
+            }
+        }
+        assert!(cab.pop("Q").is_none());
+        assert_eq!(cab.index, rebuilt_index(&cab));
+        assert!(
+            cab.folder_contains("OTHER", b"v3"),
+            "other folders untouched"
+        );
+        assert!(!cab.folder_contains("Q", b"v3"));
     }
 
     #[test]

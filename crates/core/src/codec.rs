@@ -13,8 +13,15 @@
 //!              u32 origin_site, briefcase
 //! ```
 //!
-//! All integers are little-endian.  Decoding is strict: trailing bytes or
-//! truncated input produce an error rather than a partial value.
+//! All integers are little-endian.  Decoding is strict: trailing bytes,
+//! truncated input, or folder names that are not in strictly ascending order
+//! (the only order the encoder emits) produce an error rather than a partial
+//! value, so `encode(decode(bytes)) == bytes` whenever `decode` succeeds.
+//!
+//! The `*_encoded_len` functions are the one source of wire sizes: they fold
+//! over the framing without building the bytes, the encoders allocate exactly
+//! that much, and anything that only needs a size (admission service time,
+//! [`Briefcase::wire_size`]) asks them instead of encoding.
 
 use crate::briefcase::Briefcase;
 use crate::error::TacomaError;
@@ -51,6 +58,7 @@ fn put_bytes(out: &mut Vec<u8>, b: &[u8]) {
 }
 
 /// A cursor over an input buffer with strict bounds checking.
+#[derive(Clone, Copy)]
 struct Reader<'a> {
     buf: &'a [u8],
     pos: usize,
@@ -61,12 +69,16 @@ impl<'a> Reader<'a> {
         Reader { buf, pos: 0 }
     }
 
+    fn remaining(&self) -> usize {
+        self.buf.len() - self.pos
+    }
+
     fn take(&mut self, n: usize) -> Result<&'a [u8], TacomaError> {
-        if self.pos + n > self.buf.len() {
+        if n > self.remaining() {
             return Err(TacomaError::Codec(format!(
                 "truncated input: wanted {n} bytes at offset {}, have {}",
                 self.pos,
-                self.buf.len() - self.pos
+                self.remaining()
             )));
         }
         let slice = &self.buf[self.pos..self.pos + n];
@@ -90,16 +102,21 @@ impl<'a> Reader<'a> {
         ]))
     }
 
-    fn bytes(&mut self) -> Result<Vec<u8>, TacomaError> {
+    fn bytes(&mut self) -> Result<&'a [u8], TacomaError> {
         let len = self.u32()? as usize;
-        Ok(self.take(len)?.to_vec())
+        self.take(len)
+    }
+
+    fn str(&mut self, what: &str) -> Result<&'a str, TacomaError> {
+        std::str::from_utf8(self.bytes()?)
+            .map_err(|_| TacomaError::Codec(format!("{what} name is not UTF-8")))
     }
 
     fn finish(&self) -> Result<(), TacomaError> {
-        if self.pos != self.buf.len() {
+        if self.remaining() != 0 {
             Err(TacomaError::Codec(format!(
                 "{} trailing bytes after decode",
-                self.buf.len() - self.pos
+                self.remaining()
             )))
         } else {
             Ok(())
@@ -107,9 +124,27 @@ impl<'a> Reader<'a> {
     }
 }
 
+/// Exact length of [`encode_folder`]'s output.
+pub fn folder_encoded_len(folder: &Folder) -> usize {
+    4 + 4 * folder.len() + folder.payload_bytes()
+}
+
+/// Exact length of [`encode_briefcase`]'s output.
+pub fn briefcase_encoded_len(bc: &Briefcase) -> usize {
+    4 + bc
+        .iter()
+        .map(|(name, folder)| 4 + name.len() + folder_encoded_len(folder))
+        .sum::<usize>()
+}
+
+/// Exact length of [`encode_meet_request`]'s output.
+pub fn meet_request_encoded_len(req: &MeetRequest) -> usize {
+    1 + 4 + req.contact.as_str().len() + 8 + 4 + briefcase_encoded_len(&req.briefcase)
+}
+
 /// Encodes a folder.
 pub fn encode_folder(folder: &Folder) -> Vec<u8> {
-    let mut out = Vec::new();
+    let mut out = Vec::with_capacity(folder_encoded_len(folder));
     encode_folder_into(folder, &mut out);
     out
 }
@@ -123,9 +158,29 @@ fn encode_folder_into(folder: &Folder, out: &mut Vec<u8>) {
 
 fn decode_folder_from(r: &mut Reader<'_>) -> Result<Folder, TacomaError> {
     let count = r.u32()? as usize;
-    let mut folder = Folder::new();
+    // Every element costs at least its length prefix, so a count the input
+    // cannot hold is refused before anything is reserved for it.
+    if count > r.remaining() / 4 {
+        return Err(TacomaError::Codec(format!(
+            "truncated input: {count} elements claimed at offset {}, have {} bytes",
+            r.pos,
+            r.remaining()
+        )));
+    }
+    // First pass: check the framing and size the arena exactly.
+    let mut scan = *r;
+    let mut payload = 0usize;
     for _ in 0..count {
-        folder.push(r.bytes()?);
+        payload += scan.bytes()?.len();
+    }
+    if u32::try_from(payload).is_err() {
+        return Err(TacomaError::Codec(format!(
+            "folder of {payload} bytes exceeds the u32 limit"
+        )));
+    }
+    let mut folder = Folder::with_capacity(count, payload);
+    for _ in 0..count {
+        folder.push_bytes(r.bytes()?);
     }
     Ok(folder)
 }
@@ -140,7 +195,7 @@ pub fn decode_folder(buf: &[u8]) -> Result<Folder, TacomaError> {
 
 /// Encodes a briefcase.
 pub fn encode_briefcase(bc: &Briefcase) -> Vec<u8> {
-    let mut out = Vec::new();
+    let mut out = Vec::with_capacity(briefcase_encoded_len(bc));
     encode_briefcase_into(bc, &mut out);
     out
 }
@@ -156,12 +211,19 @@ fn encode_briefcase_into(bc: &Briefcase, out: &mut Vec<u8>) {
 fn decode_briefcase_from(r: &mut Reader<'_>) -> Result<Briefcase, TacomaError> {
     let count = r.u32()? as usize;
     let mut bc = Briefcase::new();
+    let mut prev: Option<&str> = None;
     for _ in 0..count {
-        let name_bytes = r.bytes()?;
-        let name = String::from_utf8(name_bytes)
-            .map_err(|_| TacomaError::Codec("folder name is not UTF-8".into()))?;
-        let folder = decode_folder_from(r)?;
-        bc.put(name, folder);
+        let name = r.str("folder")?;
+        // The encoder walks a `BTreeMap`, so names arrive strictly ascending;
+        // anything else (a repeat would silently replace the earlier folder)
+        // is not something `encode_briefcase` can have produced.
+        if prev.is_some_and(|p| p >= name) {
+            return Err(TacomaError::Codec(format!(
+                "folder name {name:?} repeats or is out of order"
+            )));
+        }
+        prev = Some(name);
+        bc.put(name, decode_folder_from(r)?);
     }
     Ok(bc)
 }
@@ -176,7 +238,7 @@ pub fn decode_briefcase(buf: &[u8]) -> Result<Briefcase, TacomaError> {
 
 /// Encodes a remote meet request.
 pub fn encode_meet_request(req: &MeetRequest) -> Vec<u8> {
-    let mut out = Vec::new();
+    let mut out = Vec::with_capacity(meet_request_encoded_len(req));
     out.push(MEET_VERSION);
     put_bytes(&mut out, req.contact.as_str().as_bytes());
     put_u64(&mut out, req.sender.0);
@@ -194,9 +256,7 @@ pub fn decode_meet_request(buf: &[u8]) -> Result<MeetRequest, TacomaError> {
             "unknown meet request version {version}"
         )));
     }
-    let contact_bytes = r.bytes()?;
-    let contact = String::from_utf8(contact_bytes)
-        .map_err(|_| TacomaError::Codec("contact name is not UTF-8".into()))?;
+    let contact = r.str("contact")?;
     let sender = AgentId(r.u64()?);
     let origin = SiteId(r.u32()?);
     let briefcase = decode_briefcase_from(&mut r)?;
@@ -306,11 +366,72 @@ mod tests {
         assert!(decode_briefcase(&out).is_err());
     }
 
+    /// Hand-builds a briefcase encoding from `(name, folder)` pairs in the
+    /// order given, which the encoder itself would sort.
+    fn raw_briefcase(folders: &[(&str, &Folder)]) -> Vec<u8> {
+        let mut out = Vec::new();
+        put_u32(&mut out, folders.len() as u32);
+        for (name, folder) in folders {
+            put_bytes(&mut out, name.as_bytes());
+            encode_folder_into(folder, &mut out);
+        }
+        out
+    }
+
+    #[test]
+    fn repeated_or_unordered_folder_names_are_rejected() {
+        let (x, y) = (Folder::of_str("x"), Folder::of_str("y"));
+        let canonical = raw_briefcase(&[("A", &x), ("B", &y)]);
+        assert_eq!(
+            encode_briefcase(&decode_briefcase(&canonical).unwrap()),
+            canonical
+        );
+        // A repeat used to replace the earlier folder silently, so that
+        // re-encoding the decoded value was shorter than the input.
+        let repeated = decode_briefcase(&raw_briefcase(&[("A", &x), ("A", &y)]));
+        assert!(matches!(repeated, Err(TacomaError::Codec(_))));
+        let unordered = decode_briefcase(&raw_briefcase(&[("B", &y), ("A", &x)]));
+        assert!(matches!(unordered, Err(TacomaError::Codec(_))));
+    }
+
+    #[test]
+    fn an_element_count_the_input_cannot_hold_is_rejected() {
+        let mut buf = u32::MAX.to_le_bytes().to_vec();
+        buf.extend_from_slice(&[0; 8]);
+        assert!(matches!(decode_folder(&buf), Err(TacomaError::Codec(_))));
+        // Same claim one level down, as the only folder of a briefcase.
+        let mut bc = Vec::new();
+        put_u32(&mut bc, 1);
+        put_bytes(&mut bc, b"F");
+        bc.extend_from_slice(&buf);
+        assert!(decode_briefcase(&bc).is_err());
+    }
+
+    #[test]
+    fn encoded_len_is_exact() {
+        let req = MeetRequest {
+            contact: AgentName::new("rexec"),
+            sender: AgentId(77),
+            origin: SiteId(3),
+            briefcase: sample_briefcase(),
+        };
+        let bytes = encode_meet_request(&req);
+        assert_eq!(meet_request_encoded_len(&req), bytes.len());
+        assert_eq!(bytes.capacity(), bytes.len(), "allocated once, exactly");
+        let bc = &req.briefcase;
+        assert_eq!(briefcase_encoded_len(bc), encode_briefcase(bc).len());
+        assert_eq!(bc.wire_size(), briefcase_encoded_len(bc));
+        for (_, folder) in bc.iter() {
+            assert_eq!(folder_encoded_len(folder), encode_folder(folder).len());
+        }
+        assert_eq!(folder_encoded_len(&Folder::new()), 4);
+    }
+
     #[test]
     fn wire_size_scales_with_payload() {
         let mut bc = Briefcase::new();
         bc.folder_mut("D").push(vec![0u8; 10_000]);
-        let size = encode_briefcase(&bc).len();
+        let size = briefcase_encoded_len(&bc);
         assert!(
             (10_000..10_100).contains(&size),
             "size {size} should be payload plus small framing"

@@ -10,9 +10,9 @@
 //! stored on the wire.
 
 use serde::{Deserialize, Serialize};
-use std::collections::VecDeque;
 
-/// One element of a folder: an uninterpreted sequence of bytes.
+/// One element of a folder as an owned value: an uninterpreted sequence of
+/// bytes.  Borrowed accessors hand out `&[u8]` slices of the folder's arena.
 pub type FolderElem = Vec<u8>;
 
 /// A list of uninterpreted byte sequences, usable as a stack or a queue.
@@ -21,9 +21,22 @@ pub type FolderElem = Vec<u8>;
 /// the list; queue operations ([`Folder::enqueue`]/[`Folder::dequeue`]) add at
 /// the back and remove from the front.  This matches the paper's description
 /// of a folder being usable either way.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+///
+/// All elements live back to back in one byte arena, delimited by their end
+/// offsets — two heap blocks per folder however many elements it holds, so
+/// copying, shipping and dropping a folder costs O(bytes), not O(elements).
+/// Dequeued elements stay in the arena as a dead prefix until it makes up
+/// half of the folder's storage, then the live part is moved down once
+/// (amortised O(1) per dequeue).  Equality is over the logical contents; the
+/// dead prefix never shows.
+#[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct Folder {
-    elements: VecDeque<FolderElem>,
+    /// Element bytes back to back, dead prefix included.
+    data: Vec<u8>,
+    /// End offset in `data` of every element, dead prefix included.
+    ends: Vec<u32>,
+    /// How many leading entries of `ends` have been dequeued.
+    head: usize,
 }
 
 impl Folder {
@@ -32,105 +45,185 @@ impl Folder {
         Self::default()
     }
 
+    /// Creates an empty folder with room for `elems` elements totalling
+    /// `bytes` bytes.
+    pub fn with_capacity(elems: usize, bytes: usize) -> Self {
+        Folder {
+            data: Vec::with_capacity(bytes),
+            ends: Vec::with_capacity(elems),
+            head: 0,
+        }
+    }
+
     /// Creates a folder holding a single byte-string element.
     pub fn single(elem: impl Into<FolderElem>) -> Self {
         let mut f = Folder::new();
-        f.push(elem.into());
+        f.push(elem);
         f
     }
 
     /// Creates a folder holding a single UTF-8 string element.
     pub fn of_str(s: impl AsRef<str>) -> Self {
-        Folder::single(s.as_ref().as_bytes().to_vec())
+        let mut f = Folder::new();
+        f.push_str(s);
+        f
     }
 
     /// Creates a folder from an iterator of elements.
     pub fn from_elems(elems: impl IntoIterator<Item = FolderElem>) -> Self {
-        Folder {
-            elements: elems.into_iter().collect(),
+        let mut f = Folder::new();
+        for elem in elems {
+            f.push_bytes(&elem);
         }
+        f
     }
 
     /// Number of elements in the folder.
     pub fn len(&self) -> usize {
-        self.elements.len()
+        self.ends.len() - self.head
     }
 
     /// Whether the folder has no elements.
     pub fn is_empty(&self) -> bool {
-        self.elements.is_empty()
+        self.len() == 0
+    }
+
+    /// Start offset in `data` of the element at physical position `k`.
+    fn start(&self, k: usize) -> usize {
+        match k {
+            0 => 0,
+            _ => self.ends[k - 1] as usize,
+        }
     }
 
     /// Pushes an element on the back (stack push).
     pub fn push(&mut self, elem: impl Into<FolderElem>) {
-        self.elements.push_back(elem.into());
+        self.push_bytes(&elem.into());
+    }
+
+    /// Pushes a copy of `elem` on the back.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the folder's storage would exceed `u32::MAX` bytes (the
+    /// wire format's own length limit).
+    pub fn push_bytes(&mut self, elem: &[u8]) {
+        let end = u32::try_from(self.data.len() + elem.len())
+            .expect("a folder holds at most u32::MAX bytes");
+        self.data.extend_from_slice(elem);
+        self.ends.push(end);
     }
 
     /// Pops the element from the back (stack pop).
     pub fn pop(&mut self) -> Option<FolderElem> {
-        self.elements.pop_back()
+        let elem = self.peek_back()?.to_vec();
+        self.drop_back();
+        Some(elem)
+    }
+
+    /// Removes the back element, which must exist.
+    fn drop_back(&mut self) {
+        self.ends.pop();
+        self.data.truncate(self.start(self.ends.len()));
+        self.reclaim();
     }
 
     /// Adds an element at the back (queue enqueue, same end as `push`).
     pub fn enqueue(&mut self, elem: impl Into<FolderElem>) {
-        self.elements.push_back(elem.into());
+        self.push(elem);
     }
 
     /// Removes the element at the front (queue dequeue).
     pub fn dequeue(&mut self) -> Option<FolderElem> {
-        self.elements.pop_front()
+        let elem = self.peek_front()?.to_vec();
+        self.head += 1;
+        self.reclaim();
+        Some(elem)
+    }
+
+    /// Drops the dead prefix once it is at least half of the folder's
+    /// storage, counting four bytes per offset so that runs of empty
+    /// elements are reclaimed too.  The live part it moves is no larger
+    /// than the dead part it frees, which the dequeues that made the prefix
+    /// have already paid for.
+    fn reclaim(&mut self) {
+        let dead = self.start(self.head);
+        if self.head == 0 || 2 * (dead + 4 * self.head) < self.data.len() + 4 * self.ends.len() {
+            return;
+        }
+        self.data.drain(..dead);
+        self.ends.drain(..self.head);
+        for end in &mut self.ends {
+            *end -= dead as u32;
+        }
+        self.head = 0;
     }
 
     /// The element at the back (what `pop` would return), without removing it.
-    pub fn peek_back(&self) -> Option<&FolderElem> {
-        self.elements.back()
+    pub fn peek_back(&self) -> Option<&[u8]> {
+        self.get(self.len().checked_sub(1)?)
     }
 
     /// The element at the front (what `dequeue` would return), without removing it.
-    pub fn peek_front(&self) -> Option<&FolderElem> {
-        self.elements.front()
+    pub fn peek_front(&self) -> Option<&[u8]> {
+        self.get(0)
     }
 
     /// The element at position `idx` from the front.
-    pub fn get(&self, idx: usize) -> Option<&FolderElem> {
-        self.elements.get(idx)
+    pub fn get(&self, idx: usize) -> Option<&[u8]> {
+        let k = self.head.checked_add(idx)?;
+        let end = *self.ends.get(k)? as usize;
+        Some(&self.data[self.start(k)..end])
     }
 
     /// Iterates over elements from front to back.
-    pub fn iter(&self) -> impl Iterator<Item = &FolderElem> {
-        self.elements.iter()
+    pub fn iter(&self) -> Iter<'_> {
+        Iter {
+            data: &self.data,
+            ends: &self.ends[self.head..],
+            start: self.start(self.head),
+        }
     }
 
     /// Removes every element.
     pub fn clear(&mut self) {
-        self.elements.clear();
+        self.data.clear();
+        self.ends.clear();
+        self.head = 0;
     }
 
     /// Appends all elements of `other`, leaving `other` empty.
     pub fn append(&mut self, other: &mut Folder) {
-        self.elements.append(&mut other.elements);
+        self.ends.reserve(other.len());
+        self.data.reserve(other.payload_bytes());
+        for elem in other.iter() {
+            self.push_bytes(elem);
+        }
+        other.clear();
     }
 
     /// Total payload bytes across all elements (excluding framing).
     pub fn payload_bytes(&self) -> usize {
-        self.elements.iter().map(|e| e.len()).sum()
+        self.data.len() - self.start(self.head)
     }
 
     /// Whether any element equals the given bytes.
     pub fn contains_elem(&self, elem: &[u8]) -> bool {
-        self.elements.iter().any(|e| e == elem)
+        self.iter().any(|e| e == elem)
     }
 
     // ----- typed conveniences ------------------------------------------------
 
     /// Pushes a UTF-8 string element.
     pub fn push_str(&mut self, s: impl AsRef<str>) {
-        self.push(s.as_ref().as_bytes().to_vec());
+        self.push_bytes(s.as_ref().as_bytes());
     }
 
     /// Pops an element and decodes it as UTF-8 (lossily).
     pub fn pop_str(&mut self) -> Option<String> {
-        self.pop().map(|b| String::from_utf8_lossy(&b).into_owned())
+        let s = self.peek_str()?;
+        self.drop_back();
+        Some(s)
     }
 
     /// Dequeues an element and decodes it as UTF-8 (lossily).
@@ -147,35 +240,38 @@ impl Folder {
 
     /// Pushes a `u64` in little-endian encoding.
     pub fn push_u64(&mut self, v: u64) {
-        self.push(v.to_le_bytes().to_vec());
+        self.push_bytes(&v.to_le_bytes());
     }
 
     /// Pops an element and decodes it as a little-endian `u64`.
     ///
     /// Returns `None` if the folder is empty or the element is not 8 bytes.
     pub fn pop_u64(&mut self) -> Option<u64> {
-        let e = self.pop()?;
-        let arr: [u8; 8] = e.try_into().ok()?;
-        Some(u64::from_le_bytes(arr))
+        self.pop_8().map(u64::from_le_bytes)
     }
 
     /// Reads the back element as a `u64` without removing it.
     pub fn peek_u64(&self) -> Option<u64> {
-        let e = self.peek_back()?;
-        let arr: [u8; 8] = e.as_slice().try_into().ok()?;
+        let arr: [u8; 8] = self.peek_back()?.try_into().ok()?;
         Some(u64::from_le_bytes(arr))
     }
 
     /// Pushes an `f64` in little-endian encoding.
     pub fn push_f64(&mut self, v: f64) {
-        self.push(v.to_le_bytes().to_vec());
+        self.push_bytes(&v.to_le_bytes());
     }
 
     /// Pops an element and decodes it as a little-endian `f64`.
     pub fn pop_f64(&mut self) -> Option<f64> {
-        let e = self.pop()?;
-        let arr: [u8; 8] = e.try_into().ok()?;
-        Some(f64::from_le_bytes(arr))
+        self.pop_8().map(f64::from_le_bytes)
+    }
+
+    /// Pops an element, returning it if it is exactly 8 bytes (a
+    /// wrong-width element is still consumed).
+    fn pop_8(&mut self) -> Option<[u8; 8]> {
+        let arr = self.peek_back()?.try_into().ok();
+        self.drop_back();
+        arr
     }
 
     /// Collects every element decoded as UTF-8, front to back.
@@ -186,17 +282,51 @@ impl Folder {
     }
 }
 
+impl PartialEq for Folder {
+    fn eq(&self, other: &Self) -> bool {
+        self.len() == other.len() && self.iter().eq(other.iter())
+    }
+}
+
+impl Eq for Folder {}
+
 impl FromIterator<FolderElem> for Folder {
     fn from_iter<T: IntoIterator<Item = FolderElem>>(iter: T) -> Self {
         Folder::from_elems(iter)
     }
 }
 
+/// Front-to-back iterator over a folder's elements (see [`Folder::iter`]).
+#[derive(Debug, Clone)]
+pub struct Iter<'a> {
+    data: &'a [u8],
+    ends: &'a [u32],
+    start: usize,
+}
+
+impl<'a> Iterator for Iter<'a> {
+    type Item = &'a [u8];
+
+    fn next(&mut self) -> Option<&'a [u8]> {
+        let (&end, rest) = self.ends.split_first()?;
+        let elem = &self.data[self.start..end as usize];
+        self.start = end as usize;
+        self.ends = rest;
+        Some(elem)
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        (self.ends.len(), Some(self.ends.len()))
+    }
+}
+
+impl ExactSizeIterator for Iter<'_> {}
+
 impl<'a> IntoIterator for &'a Folder {
-    type Item = &'a FolderElem;
-    type IntoIter = std::collections::vec_deque::Iter<'a, FolderElem>;
-    fn into_iter(self) -> Self::IntoIter {
-        self.elements.iter()
+    type Item = &'a [u8];
+    type IntoIter = Iter<'a>;
+    fn into_iter(self) -> Iter<'a> {
+        self.iter()
     }
 }
 
@@ -305,8 +435,74 @@ mod tests {
     #[test]
     fn iteration_is_front_to_back() {
         let f = Folder::from_elems([b"x".to_vec(), b"y".to_vec()]);
-        let collected: Vec<&FolderElem> = (&f).into_iter().collect();
+        let collected: Vec<&[u8]> = (&f).into_iter().collect();
         assert_eq!(collected.len(), 2);
         assert_eq!(f.strings(), vec!["x", "y"]);
+    }
+
+    /// The invariant `reclaim` maintains: a dead prefix, if any, is less
+    /// than half of the storage.
+    fn assert_mostly_live(f: &Folder) {
+        let dead = f.start(f.head) + 4 * f.head;
+        let total = f.data.len() + 4 * f.ends.len();
+        assert!(f.head == 0 || 2 * dead < total, "{dead} dead of {total}");
+    }
+
+    #[test]
+    fn dequeues_leave_a_dead_prefix_that_is_reclaimed_at_half() {
+        let mut f = Folder::new();
+        for i in 0..100u64 {
+            f.push_u64(i);
+        }
+        for i in 0..49u64 {
+            assert_eq!(f.dequeue(), Some(i.to_le_bytes().to_vec()));
+            assert_eq!(f.head as u64, i + 1, "no compaction yet");
+        }
+        f.dequeue();
+        assert_eq!((f.head, f.ends.len(), f.data.len()), (0, 50, 400));
+        assert_eq!(f.peek_front(), Some(&50u64.to_le_bytes()[..]));
+        assert_eq!(f.peek_u64(), Some(99));
+        // A queue in steady state never holds more than twice its contents.
+        for i in 100..10_000u64 {
+            f.push_u64(i);
+            f.dequeue();
+            assert_mostly_live(&f);
+            assert!(f.data.len() <= 2 * f.payload_bytes());
+        }
+        assert_eq!(f.len(), 50);
+    }
+
+    #[test]
+    fn draining_empty_elements_is_reclaimed_too() {
+        let mut f = Folder::new();
+        for _ in 0..200_000 {
+            f.push_bytes(b"");
+        }
+        f.push_str("tail");
+        for _ in 0..200_000 {
+            assert_eq!(f.dequeue().as_deref(), Some(&b""[..]));
+            assert_mostly_live(&f);
+        }
+        assert_eq!(f.strings(), vec!["tail"]);
+        // Popping the live tail off a dead prefix empties the storage.
+        let mut g = Folder::from_elems([b"a".to_vec(), b"bbbb".to_vec(), b"cc".to_vec()]);
+        g.dequeue();
+        g.pop();
+        assert_eq!((g.strings(), g.head), (vec!["bbbb".to_string()], 1));
+        g.pop();
+        assert_eq!((g.head, g.ends.len(), g.data.len()), (0, 0, 0));
+    }
+
+    #[test]
+    fn equality_ignores_the_arena_layout() {
+        let mut a = Folder::from_elems([b"gone".to_vec(), b"x".to_vec(), b"yz".to_vec()]);
+        a.dequeue();
+        let b = Folder::from_elems([b"x".to_vec(), b"yz".to_vec()]);
+        assert_ne!(a.head, b.head);
+        assert_eq!(a, b);
+        assert_eq!(a.clone(), b);
+        // Same bytes, different element boundaries.
+        assert_ne!(b, Folder::from_elems([b"xy".to_vec(), b"z".to_vec()]));
+        assert_ne!(b, Folder::from_elems([b"x".to_vec()]));
     }
 }

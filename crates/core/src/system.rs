@@ -437,8 +437,9 @@ pub struct TacomaSystem {
     stats: SystemStats,
     rng: DetRng,
     trace: Vec<String>,
-    /// Reachability masks keyed by site, valid for the stored routing epoch
-    /// (see [`TacomaSystem::dispatch_inputs`]).
+    /// Reachability masks keyed by site, each valid while
+    /// [`SimNet::route_epoch`] still equals the stored epoch (see
+    /// [`TacomaSystem::refresh_reachable`]).  Empty unless custody is on.
     reachable_cache: BTreeMap<SiteId, (u64, Vec<bool>)>,
 }
 
@@ -638,31 +639,46 @@ impl TacomaSystem {
         self.run_until(deadline)
     }
 
-    /// Builds the per-meet environment inputs: liveness of every site, the
-    /// reachability mask from `site` (custody mode only), and the custody
-    /// flag.  Reachability masks are cached per routing epoch, so custody
-    /// runs pay one BFS per site per liveness change — not per meet.
-    fn dispatch_inputs(&mut self, site: SiteId) -> (Vec<bool>, Vec<bool>, bool) {
-        let alive: Vec<bool> = (0..self.net.site_count())
-            .map(|s| self.net.is_up(SiteId(s)))
-            .collect();
-        let custody = self.net.custody_enabled();
-        let reachable = if custody {
-            // Reachability (liveness + partitions) from the meet site, so
-            // agents can tell custody-pending from dead (rear guards).
-            let epoch = self.net.route_epoch();
-            match self.reachable_cache.get(&site) {
-                Some((cached_epoch, mask)) if *cached_epoch == epoch => mask.clone(),
-                _ => {
-                    let mask = self.net.reachable_mask(site);
-                    self.reachable_cache.insert(site, (epoch, mask.clone()));
-                    mask
-                }
-            }
-        } else {
-            Vec::new()
-        };
-        (alive, reachable, custody)
+    /// Brings the cached reachability mask for `site` (liveness + partitions,
+    /// so agents can tell custody-pending from dead) up to the current
+    /// routing epoch.  Custody runs pay one BFS per site per liveness change
+    /// — not per meet; without custody nothing is tracked and the cache
+    /// stays empty.
+    fn refresh_reachable(&mut self, site: SiteId) {
+        if !self.net.custody_enabled() {
+            return;
+        }
+        let epoch = self.net.route_epoch();
+        if !matches!(self.reachable_cache.get(&site), Some((cached, _)) if *cached == epoch) {
+            let mask = self.net.reachable_mask(site);
+            self.reachable_cache.insert(site, (epoch, mask));
+        }
+    }
+
+    /// The environment of one dispatch at `site`, borrowed from what the
+    /// system already holds — the simulator's liveness slice and the cached
+    /// reachability mask ([`TacomaSystem::refresh_reachable`] first) — so a
+    /// meet does no work proportional to the number of sites.  Takes fields
+    /// rather than `&self` so the place can be borrowed mutably beside it.
+    fn dispatch_env<'a>(
+        net: &'a SimNet,
+        neighbors: &'a [Vec<SiteId>],
+        reachable_cache: &'a BTreeMap<SiteId, (u64, Vec<bool>)>,
+        site: SiteId,
+        origin: SiteId,
+        sender: AgentId,
+    ) -> DispatchEnv<'a> {
+        DispatchEnv {
+            now: net.now(),
+            origin,
+            sender,
+            neighbors: &neighbors[site.index()],
+            alive: net.liveness(),
+            reachable: reachable_cache
+                .get(&site)
+                .map_or(&[], |(_, mask)| mask.as_slice()),
+            custody: net.custody_enabled(),
+        }
     }
 
     fn handle_event(&mut self, event: Event) {
@@ -840,7 +856,7 @@ impl TacomaSystem {
         let now = self.net.now();
         let wait_ms = now.since(enqueued_at).as_millis_f64();
         let depth = self.admission_queues[site.index()].len() as u64 + 1;
-        let bytes = codec::encode_meet_request(&req).len() as u64;
+        let bytes = codec::meet_request_encoded_len(&req) as u64;
         self.net.metrics_mut().record_admission(wait_ms, depth);
         let steps = req.briefcase.peek_u64(wellknown::COST).unwrap_or(0);
         let service = config.service_time_with_steps(bytes, steps);
@@ -920,17 +936,16 @@ impl TacomaSystem {
     }
 
     fn execute_meet(&mut self, site: SiteId, req: MeetRequest) {
-        let (alive, reachable, custody) = self.dispatch_inputs(site);
+        self.refresh_reachable(site);
         let mut outbox: Vec<Action> = Vec::new();
-        let env = DispatchEnv {
-            now: self.net.now(),
-            origin: req.origin,
-            sender: req.sender,
-            neighbors: &self.neighbors[site.index()],
-            alive: &alive,
-            reachable: &reachable,
-            custody,
-        };
+        let env = Self::dispatch_env(
+            &self.net,
+            &self.neighbors,
+            &self.reachable_cache,
+            site,
+            req.origin,
+            req.sender,
+        );
         let outcome =
             self.places[site.index()].dispatch(&req.contact, req.briefcase, env, &mut outbox);
         match outcome {
@@ -1075,16 +1090,15 @@ impl TacomaSystem {
     /// Runs one agent's `on_install` hook and carries out any actions it
     /// queued (installed agents may schedule timers or send reports).
     fn run_install_hook_for(&mut self, site: SiteId, name: &AgentName) {
-        let (alive, reachable, custody) = self.dispatch_inputs(site);
-        let env = DispatchEnv {
-            now: self.net.now(),
-            origin: site,
-            sender: AgentId::SYSTEM,
-            neighbors: &self.neighbors[site.index()],
-            alive: &alive,
-            reachable: &reachable,
-            custody,
-        };
+        self.refresh_reachable(site);
+        let env = Self::dispatch_env(
+            &self.net,
+            &self.neighbors,
+            &self.reachable_cache,
+            site,
+            site,
+            AgentId::SYSTEM,
+        );
         let mut outbox = Vec::new();
         self.places[site.index()].run_install_hook(name, env, &mut outbox);
         self.process_actions(site, outbox);
@@ -1199,17 +1213,16 @@ impl TacomaSystem {
                 "script rejected by cost gate: {reason}"
             )));
         }
-        let (alive, reachable, custody) = self.dispatch_inputs(site);
+        self.refresh_reachable(site);
         let mut outbox = Vec::new();
-        let env = DispatchEnv {
-            now: self.net.now(),
-            origin: site,
-            sender: AgentId::SYSTEM,
-            neighbors: &self.neighbors[site.index()],
-            alive: &alive,
-            reachable: &reachable,
-            custody,
-        };
+        let env = Self::dispatch_env(
+            &self.net,
+            &self.neighbors,
+            &self.reachable_cache,
+            site,
+            site,
+            AgentId::SYSTEM,
+        );
         self.stats.meets_requested += 1;
         let outcome = self.places[site.index()].dispatch(contact, briefcase, env, &mut outbox);
         match &outcome {

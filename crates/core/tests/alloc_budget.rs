@@ -1,0 +1,172 @@
+//! Allocation budgets for the wire path and the meet dispatch.
+//!
+//! Wall-clock is too noisy to gate in CI, but a deterministic program does a
+//! deterministic amount of work: these tests count heap allocations made by
+//! the calling thread through a counting global allocator and pin the
+//! properties the arena-backed [`Folder`] and the borrowed dispatch
+//! environment exist for — one allocation per encode, O(folders) rather than
+//! O(elements) per decode, and no per-meet work proportional to the number
+//! of sites.  This file is the workspace's one use of `unsafe` outside the
+//! benchmark, which the allocator trait requires.
+#![allow(unsafe_code)]
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+use tacoma_core::codec::{self, MeetRequest};
+use tacoma_core::prelude::*;
+use tacoma_net::{LinkSpec, Topology};
+
+thread_local! {
+    /// `(allocations, bytes)` requested by this thread.  Per thread, so the
+    /// test harness's other threads cannot disturb a count.
+    static COUNTS: Cell<(u64, u64)> = const { Cell::new((0, 0)) };
+}
+
+struct Counting;
+
+impl Counting {
+    fn record(bytes: usize) {
+        // `try_with`: the allocator also runs while a thread is torn down.
+        let _ = COUNTS.try_with(|c| {
+            let (n, b) = c.get();
+            c.set((n + 1, b + bytes as u64));
+        });
+    }
+}
+
+// SAFETY: every method forwards its arguments unchanged to `System`, which
+// upholds the `GlobalAlloc` contract; the counting touches only a
+// const-initialised thread-local `Cell` and never allocates.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        Self::record(layout.size());
+        // SAFETY: the caller's obligations are passed through as they are.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        Self::record(layout.size());
+        // SAFETY: as above.
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        Self::record(new_size);
+        // SAFETY: as above.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: as above.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: Counting = Counting;
+
+/// Runs `f` and returns its result with the `(allocations, bytes)` it made.
+fn counted<T>(f: impl FnOnce() -> T) -> (T, u64, u64) {
+    let (n0, b0) = COUNTS.with(Cell::get);
+    let out = f();
+    let (n1, b1) = COUNTS.with(Cell::get);
+    (out, n1 - n0, b1 - b0)
+}
+
+/// A mail-shaped request: one addressing folder and a BODY of 64-byte lines.
+fn mail(lines: usize) -> MeetRequest {
+    let mut bc = Briefcase::new();
+    bc.put_string("TO", "u17");
+    let body = bc.folder_mut("BODY");
+    for i in 0..lines {
+        body.push_bytes(&[i as u8; 64]);
+    }
+    MeetRequest {
+        contact: AgentName::new("mailroom"),
+        sender: AgentId(9),
+        origin: SiteId(2),
+        briefcase: bc,
+    }
+}
+
+#[test]
+fn encode_allocates_once() {
+    for lines in [0, 1, 1_000] {
+        let req = mail(lines);
+        let (bytes, allocs, alloc_bytes) = counted(|| codec::encode_meet_request(&req));
+        assert_eq!(allocs, 1, "{lines} lines");
+        assert_eq!(alloc_bytes, bytes.len() as u64, "{lines} lines");
+    }
+}
+
+#[test]
+fn encoded_len_and_wire_size_allocate_nothing() {
+    let req = mail(1_000);
+    let (len, allocs, _) = counted(|| codec::meet_request_encoded_len(&req));
+    assert_eq!((len, allocs), (codec::encode_meet_request(&req).len(), 0));
+    let (_, allocs, _) = counted(|| req.briefcase.wire_size());
+    assert_eq!(allocs, 0);
+}
+
+#[test]
+fn decode_allocations_do_not_grow_with_elements() {
+    let small = codec::encode_meet_request(&mail(10));
+    let large = codec::encode_meet_request(&mail(1_000));
+    let (req, small_allocs, _) = counted(|| codec::decode_meet_request(&small));
+    assert_eq!(req.unwrap(), mail(10));
+    let (req, large_allocs, large_bytes) = counted(|| codec::decode_meet_request(&large));
+    assert_eq!(req.unwrap(), mail(1_000));
+    // Contact, and per folder its name, arena and offsets, plus map nodes.
+    assert!(large_allocs <= 12, "{large_allocs} allocations");
+    assert_eq!(large_allocs, small_allocs);
+    // Exact reservations: payload plus four bytes of offset per line, and
+    // small change for the names and one map node — not the doubling growth
+    // of a thousand pushes.
+    assert!(
+        large_bytes <= 1_000 * (64 + 4) + 2_048,
+        "{large_bytes} bytes for a 64 000-byte body"
+    );
+}
+
+#[test]
+fn hostile_element_count_reserves_nothing() {
+    let mut buf = u32::MAX.to_le_bytes().to_vec();
+    buf.extend_from_slice(&[0; 8]);
+    let (out, _, bytes) = counted(|| codec::decode_folder(&buf));
+    assert!(out.is_err());
+    assert!(bytes < 1_024, "{bytes} bytes for a 12-byte input");
+}
+
+/// Completes every meet with the briefcase it was handed.
+struct Echo;
+
+impl Agent for Echo {
+    fn name(&self) -> AgentName {
+        AgentName::new("echo")
+    }
+
+    fn meet(&mut self, _ctx: &mut MeetCtx<'_>, bc: Briefcase) -> MeetOutcome {
+        Ok(bc)
+    }
+}
+
+/// Bytes allocated by one local meet (inject, deliver, decode, dispatch) on
+/// a ring of `sites`, after an identical meet has warmed the system up.
+fn local_meet_bytes(sites: u32) -> u64 {
+    let mut sys = TacomaSystem::new(Topology::ring(sites, LinkSpec::default()), 7);
+    sys.register_agent(SiteId(0), Box::new(Echo));
+    let one_meet = |sys: &mut TacomaSystem| {
+        sys.inject_meet(SiteId(0), AgentName::new("echo"), mail(4).briefcase);
+        sys.run_until_quiescent(100)
+    };
+    assert_eq!(one_meet(&mut sys), 1);
+    let (events, _, bytes) = counted(|| one_meet(&mut sys));
+    assert_eq!(events, 1);
+    assert_eq!(sys.stats().meets_completed, 2);
+    bytes
+}
+
+#[test]
+fn a_meet_does_no_work_proportional_to_the_site_count() {
+    assert_eq!(local_meet_bytes(16), local_meet_bytes(1_024));
+}

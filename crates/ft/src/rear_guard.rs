@@ -133,7 +133,7 @@ impl Agent for TravellerAgent {
                     itin.enqueue(next_site.0.to_string().into_bytes());
                     if let Some(rest) = bc.folder(wellknown::ITINERARY) {
                         for elem in rest.iter() {
-                            itin.enqueue(elem.clone());
+                            itin.enqueue(elem);
                         }
                     }
                     relaunch.put(wellknown::ITINERARY, itin);

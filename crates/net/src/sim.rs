@@ -372,6 +372,16 @@ impl SimNet {
         self.up.get(site.index()).copied().unwrap_or(false)
     }
 
+    /// Liveness of every site (index = site id), borrowed from the
+    /// simulator's own state.  The slice is as long as the topology has
+    /// sites and changes only inside [`SimNet::step`] (a scheduled crash or
+    /// recovery) and [`SimNet::crash_now`]/[`SimNet::recover_now`], each
+    /// of which bumps [`SimNet::route_epoch`] — so anything derived from it
+    /// stays valid exactly as long as the epoch it was derived at.
+    pub fn liveness(&self) -> &[bool] {
+        &self.up
+    }
+
     /// The routing oracle (topology + shortest paths + route cache).
     pub fn router(&self) -> &Router {
         &self.router

@@ -132,6 +132,46 @@ proptest! {
         prop_assert!(codec::decode_meet_request(&encoded[..cut]).is_err());
     }
 
+    /// `decode_meet_request` is total on hostile bytes — raw soup, and a
+    /// valid request with a few bytes overwritten (which lands in counts,
+    /// lengths, names and payload alike) — and whatever it accepts is
+    /// canonical: re-encoding gives the input back, at the predicted length.
+    #[test]
+    fn meet_request_decode_is_total_and_canonical(
+        soup in proptest::collection::vec(any::<u8>(), 0..96),
+        folders in proptest::collection::btree_map(
+            "[A-D]{1,2}",
+            proptest::collection::vec(proptest::collection::vec(any::<u8>(), 0..6), 0..4),
+            0..5,
+        ),
+        hits in proptest::collection::vec((any::<u16>(), any::<u8>()), 0..4),
+    ) {
+        let mut bc = Briefcase::new();
+        for (name, elems) in &folders {
+            bc.put(name.clone(), Folder::from_elems(elems.clone()));
+        }
+        let mut mutated = codec::encode_meet_request(&codec::MeetRequest {
+            contact: tacoma::util::AgentName::new("ag"),
+            sender: tacoma::util::AgentId(7),
+            origin: tacoma::util::SiteId(1),
+            briefcase: bc,
+        });
+        for (at, byte) in hits {
+            let at = at as usize % mutated.len();
+            mutated[at] = byte;
+        }
+        let mut versioned = soup.clone();
+        if let Some(first) = versioned.first_mut() {
+            *first = 1;
+        }
+        for input in [&soup, &versioned, &mutated] {
+            if let Ok(req) = codec::decode_meet_request(input) {
+                prop_assert_eq!(&codec::encode_meet_request(&req), input);
+                prop_assert_eq!(codec::meet_request_encoded_len(&req), input.len());
+            }
+        }
+    }
+
     /// Cabinet snapshot/restore preserves contents and rebuilds the index.
     #[test]
     fn cabinet_snapshot_round_trip(
