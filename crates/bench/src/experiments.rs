@@ -849,7 +849,7 @@ struct ScaleOutcome {
     epoch: u64,
 }
 
-fn scale_system(cfg: &ScaleConfig, cached: bool) -> (TacomaSystem, Vec<Vec<u32>>) {
+fn scale_system(cfg: &ScaleConfig) -> (TacomaSystem, Vec<Vec<u32>>) {
     let topology = Topology::ring_of_cliques(
         cfg.cliques,
         cfg.clique_size,
@@ -868,7 +868,6 @@ fn scale_system(cfg: &ScaleConfig, cached: bool) -> (TacomaSystem, Vec<Vec<u32>>
             ]
         })
         .build();
-    sys.net_mut().set_route_cache(cached);
     // Fixed itineraries, drawn once: the same commute repeats every round,
     // which is exactly the locality a route cache exists to exploit.
     let sites = sys.site_count();
@@ -925,8 +924,8 @@ fn scale_outcome(sys: &TacomaSystem) -> ScaleOutcome {
     }
 }
 
-fn e11_run(cfg: &ScaleConfig, cached: bool) -> ScaleOutcome {
-    let (mut sys, itineraries) = scale_system(cfg, cached);
+fn e11_run(cfg: &ScaleConfig) -> ScaleOutcome {
+    let (mut sys, itineraries) = scale_system(cfg);
     for _ in 0..cfg.rounds {
         scale_round(&mut sys, cfg, &itineraries);
     }
@@ -934,9 +933,10 @@ fn e11_run(cfg: &ScaleConfig, cached: bool) -> ScaleOutcome {
 }
 
 /// E11: the scale sweep — ring-of-cliques topologies under the mixed agent
-/// workload, with and without the route cache.  Everything except the
-/// routing work must be identical between the two runs (the invalidation
-/// tests enforce it); the `bfs saving` column is the cache's payoff.
+/// workload.  Without the route cache every query would run its own BFS, so
+/// the `bfs (uncached)` column is the query count and `bfs saving` is the
+/// cache's payoff (`net/tests/route_cache.rs` checks the cached answers
+/// against a from-scratch BFS).
 pub fn e11_scale(opts: RunOpts) -> Table {
     let quick = opts.quick;
     let mut table = Table::new(
@@ -970,10 +970,7 @@ pub fn e11_scale(opts: RunOpts) -> Table {
             sim_shards: opts.shards,
             seed: 1111,
         };
-        let fast = e11_run(&cfg, true);
-        let reference = e11_run(&cfg, false);
-        debug_assert_eq!(fast.bytes, reference.bytes);
-        debug_assert_eq!(fast.meets, reference.meets);
+        let fast = e11_run(&cfg);
         table.row(vec![
             (cliques * clique_size).to_string(),
             cliques.to_string(),
@@ -982,8 +979,8 @@ pub fn e11_scale(opts: RunOpts) -> Table {
             fast.bytes.to_string(),
             fast.route_queries.to_string(),
             fast.bfs_runs.to_string(),
-            reference.bfs_runs.to_string(),
-            tacoma_util::factor(reference.bfs_runs as f64, fast.bfs_runs as f64),
+            fast.route_queries.to_string(),
+            tacoma_util::factor(fast.route_queries as f64, fast.bfs_runs as f64),
         ]);
     }
     table
@@ -1018,13 +1015,7 @@ fn e12_round(sys: &mut TacomaSystem, sites: u32, clique_size: u32, half: u32) {
     }
 }
 
-fn e12_run(
-    cliques: u32,
-    clique_size: u32,
-    cycles: u32,
-    cached: bool,
-    sim_shards: u32,
-) -> ScaleOutcome {
+fn e12_run(cliques: u32, clique_size: u32, cycles: u32, sim_shards: u32) -> ScaleOutcome {
     let cfg = ScaleConfig {
         cliques,
         clique_size,
@@ -1034,7 +1025,7 @@ fn e12_run(
         sim_shards,
         seed: 1212,
     };
-    let (mut sys, _) = scale_system(&cfg, cached);
+    let (mut sys, _) = scale_system(&cfg);
     let sites = cliques * clique_size;
     for cycle in 0..cycles {
         // Healthy burst.
@@ -1055,8 +1046,8 @@ fn e12_run(
 }
 
 /// E12: repeated partition/heal/crash/recover cycles under load.  The cache
-/// must deliver byte-identical traffic to the uncached reference while
-/// re-validating routes across every epoch bump.
+/// re-validates routes across every epoch bump; as in E11, `bfs (uncached)`
+/// is the query count.
 pub fn e12_churn(opts: RunOpts) -> Table {
     let quick = opts.quick;
     let mut table = Table::new(
@@ -1083,10 +1074,7 @@ pub fn e12_churn(opts: RunOpts) -> Table {
         &[(4, 4, 6), (8, 8, 8)]
     };
     for &(cliques, clique_size, cycles) in sweeps {
-        let fast = e12_run(cliques, clique_size, cycles, true, opts.shards);
-        let reference = e12_run(cliques, clique_size, cycles, false, opts.shards);
-        debug_assert_eq!(fast.bytes, reference.bytes);
-        debug_assert_eq!(fast.send_failures, reference.send_failures);
+        let fast = e12_run(cliques, clique_size, cycles, opts.shards);
         table.row(vec![
             (cliques * clique_size).to_string(),
             cycles.to_string(),
@@ -1097,8 +1085,8 @@ pub fn e12_churn(opts: RunOpts) -> Table {
             fast.epoch.to_string(),
             fast.route_queries.to_string(),
             fast.bfs_runs.to_string(),
-            reference.bfs_runs.to_string(),
-            tacoma_util::factor(reference.bfs_runs as f64, fast.bfs_runs as f64),
+            fast.route_queries.to_string(),
+            tacoma_util::factor(fast.route_queries as f64, fast.bfs_runs as f64),
         ]);
     }
     table
@@ -1257,6 +1245,7 @@ pub fn e14_custody_churn(opts: RunOpts) -> Table {
             seed: 1414,
             ..Default::default()
         });
+        // Not `SystemStats::conserved`: a fail-fast run loses meets in flight.
         let terminal = result.meets_completed
             + result.meets_failed
             + result.send_failures
@@ -1763,12 +1752,7 @@ fn e18_run(multiplier: f64, bounded: bool, opts: RunOpts) -> E18Outcome {
         shed_rate: m.shed_rate(),
         p99_ms: m.admission_waits().percentile(99.0),
         p999_ms: m.admission_waits().percentile(99.9),
-        conserved: s.meets_requested
-            == s.meets_completed
-                + s.meets_failed
-                + s.send_failures
-                + s.meets_expired
-                + s.meets_shed,
+        conserved: s.conserved(0),
     }
 }
 
@@ -2261,12 +2245,7 @@ fn e20_run(aware: bool, opts: RunOpts) -> E20Outcome {
         p95_ms: w.percentile(95.0),
         p99_ms: w.percentile(99.0),
         max_ms: w.max(),
-        conserved: s.meets_requested
-            == s.meets_completed
-                + s.meets_failed
-                + s.send_failures
-                + s.meets_expired
-                + s.meets_shed,
+        conserved: s.conserved(0),
     }
 }
 
@@ -2502,34 +2481,18 @@ mod tests {
             sim_shards: 1,
             seed: 1111,
         };
-        let fast = e11_run(&cfg, true);
-        let reference = e11_run(&cfg, false);
-        // The cache may change routing *work* only — traffic is identical.
-        assert_eq!(fast.bytes, reference.bytes);
-        assert_eq!(fast.meets, reference.meets);
-        assert_eq!(fast.route_queries, reference.route_queries);
-        assert_eq!(fast.dropped, reference.dropped);
-        assert_eq!(
-            reference.bfs_runs, reference.route_queries,
-            "uncached mode recomputes every query"
-        );
+        let fast = e11_run(&cfg);
         assert!(
-            reference.bfs_runs >= 10 * fast.bfs_runs,
-            "expected >= 10x BFS saving, got {} vs {}",
-            reference.bfs_runs,
+            fast.route_queries >= 10 * fast.bfs_runs,
+            "expected >= 10x BFS saving, got {} queries vs {} BFS runs",
+            fast.route_queries,
             fast.bfs_runs
         );
     }
 
     #[test]
-    fn e12_churn_is_identical_with_and_without_the_cache() {
-        let fast = e12_run(4, 4, 3, true, 1);
-        let reference = e12_run(4, 4, 3, false, 1);
-        assert_eq!(fast.bytes, reference.bytes);
-        assert_eq!(fast.meets, reference.meets);
-        assert_eq!(fast.send_failures, reference.send_failures);
-        assert_eq!(fast.dropped, reference.dropped);
-        assert_eq!(fast.epoch, reference.epoch);
+    fn e12_churn_fails_cross_ring_traffic_and_still_reuses_routes() {
+        let fast = e12_run(4, 4, 3, 1);
         // 4 epoch bumps per cycle: partition, heal, crash, recover.
         assert_eq!(fast.epoch, 12);
         assert!(
@@ -2537,7 +2500,7 @@ mod tests {
             "cross-ring traffic must fail while partitioned"
         );
         assert!(
-            fast.bfs_runs < reference.bfs_runs,
+            fast.bfs_runs < fast.route_queries,
             "within-epoch reuse must save some work even under churn"
         );
     }

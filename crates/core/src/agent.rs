@@ -17,6 +17,7 @@
 use crate::briefcase::Briefcase;
 use crate::cabinet::{CabinetStore, FileCabinet};
 use crate::error::TacomaError;
+use crate::place::DispatchEnv;
 use std::collections::BTreeMap;
 use tacoma_net::{Duration, SimTime, TransportKind};
 use tacoma_util::{AgentId, AgentName, DetRng, SiteId};
@@ -235,24 +236,17 @@ impl AgentRegistry {
 pub struct MeetCtx<'a> {
     /// Site where the meet executes.
     pub(crate) site: SiteId,
-    /// Current simulated time.
-    pub(crate) now: SimTime,
     /// Instance id of the executing agent.
     pub(crate) agent_id: AgentId,
-    /// Site the meet request originated from (equals `site` for local meets).
-    pub(crate) origin: SiteId,
-    /// Instance id of the requesting agent ([`AgentId::SYSTEM`] for injected meets).
-    pub(crate) sender: AgentId,
     /// Nested meet depth.
     pub(crate) depth: u32,
+    /// What the kernel knew about the world when it dispatched the meet:
+    /// the clock, who asked, and the membership view.
+    pub(crate) env: DispatchEnv<'a>,
     pub(crate) cabinets: &'a mut CabinetStore,
     pub(crate) registry: &'a mut AgentRegistry,
     pub(crate) outbox: &'a mut Vec<Action>,
     pub(crate) rng: &'a mut DetRng,
-    pub(crate) neighbors: &'a [SiteId],
-    pub(crate) alive: &'a [bool],
-    pub(crate) reachable: &'a [bool],
-    pub(crate) custody: bool,
     pub(crate) trace: &'a mut Vec<String>,
 }
 
@@ -264,7 +258,7 @@ impl<'a> MeetCtx<'a> {
 
     /// Current simulated time.
     pub fn now(&self) -> SimTime {
-        self.now
+        self.env.now
     }
 
     /// Instance id of the executing agent.
@@ -272,24 +266,26 @@ impl<'a> MeetCtx<'a> {
         self.agent_id
     }
 
-    /// Site the meet request originated from.
+    /// Site the meet request originated from (equals the executing site for
+    /// local meets).
     pub fn origin(&self) -> SiteId {
-        self.origin
+        self.env.origin
     }
 
-    /// Instance id of the agent that requested the meet.
+    /// Instance id of the agent that requested the meet
+    /// ([`AgentId::SYSTEM`] for injected meets).
     pub fn sender(&self) -> AgentId {
-        self.sender
+        self.env.sender
     }
 
     /// Total number of sites in the system.
     pub fn site_count(&self) -> u32 {
-        self.alive.len() as u32
+        self.env.alive.len() as u32
     }
 
     /// Neighbouring sites of this site in the network topology.
     pub fn neighbors(&self) -> &[SiteId] {
-        self.neighbors
+        self.env.neighbors
     }
 
     /// Whether a site is currently believed to be up.
@@ -297,7 +293,7 @@ impl<'a> MeetCtx<'a> {
     /// This models the membership information a Horus-style group layer
     /// provides; the fault-tolerance crate documents the assumption.
     pub fn site_is_up(&self, site: SiteId) -> bool {
-        self.alive.get(site.index()).copied().unwrap_or(false)
+        self.env.alive.get(site.index()).copied().unwrap_or(false)
     }
 
     /// Whether a site is currently *reachable* from this one over live,
@@ -307,17 +303,20 @@ impl<'a> MeetCtx<'a> {
     /// track reachability (custody disabled) this falls back to
     /// [`MeetCtx::site_is_up`].
     pub fn site_is_reachable(&self, site: SiteId) -> bool {
-        if self.reachable.is_empty() {
-            return self.site_is_up(site);
-        }
-        self.reachable.get(site.index()).copied().unwrap_or(false)
+        let env = &self.env;
+        let view = if env.reachable.is_empty() {
+            env.alive
+        } else {
+            env.reachable
+        };
+        view.get(site.index()).copied().unwrap_or(false)
     }
 
     /// Whether store-and-forward custody is enabled: remote meets to
     /// unreachable sites are parked and delivered after the partition heals
     /// (or expire after their TTL) instead of failing fast.
     pub fn custody_enabled(&self) -> bool {
-        self.custody
+        self.env.custody
     }
 
     /// Deterministic per-site random number generator.
@@ -360,19 +359,17 @@ impl<'a> MeetCtx<'a> {
         let mut registered = self.registry.take(contact, self.site)?;
         let mut child = MeetCtx {
             site: self.site,
-            now: self.now,
             agent_id: registered.id,
-            origin: self.site,
-            sender: self.agent_id,
             depth: self.depth + 1,
+            env: DispatchEnv {
+                origin: self.site,
+                sender: self.agent_id,
+                ..self.env
+            },
             cabinets: &mut *self.cabinets,
             registry: &mut *self.registry,
             outbox: &mut *self.outbox,
             rng: &mut *self.rng,
-            neighbors: self.neighbors,
-            alive: self.alive,
-            reachable: self.reachable,
-            custody: self.custody,
             trace: &mut *self.trace,
         };
         let outcome = registered.agent.meet(&mut child, briefcase);
@@ -437,7 +434,7 @@ impl<'a> MeetCtx<'a> {
 
     /// Appends a line to the system trace (visible via `TacomaSystem::trace`).
     pub fn log(&mut self, message: impl Into<String>) {
-        let line = format!("[{} {}] {}", self.now, self.site, message.into());
+        let line = format!("[{} {}] {}", self.env.now, self.site, message.into());
         self.trace.push(line);
     }
 }
@@ -493,19 +490,16 @@ mod tests {
         let mut registered = registry.take(&name, SiteId(0)).expect("agent exists");
         let mut ctx = MeetCtx {
             site: SiteId(0),
-            now: SimTime::ZERO,
             agent_id: registered.id,
-            origin: SiteId(0),
-            sender: AgentId::SYSTEM,
             depth: 0,
+            env: DispatchEnv {
+                neighbors: &neighbors,
+                ..DispatchEnv::for_tests(&alive)
+            },
             cabinets,
             registry,
             outbox: &mut outbox,
             rng: &mut rng,
-            neighbors: &neighbors,
-            alive: &alive,
-            reachable: &[],
-            custody: false,
             trace: &mut trace,
         };
         let outcome = registered.agent.meet(&mut ctx, bc);

@@ -144,6 +144,33 @@ impl Place {
         &self.trace
     }
 
+    /// Takes `name` out of the registry, runs `work` on it with the kernel
+    /// services of this place, and puts it back — the one way an agent gets
+    /// to execute here, for a meet and for an install hook alike.
+    fn run<R>(
+        &mut self,
+        name: &AgentName,
+        env: DispatchEnv<'_>,
+        outbox: &mut Vec<Action>,
+        work: impl FnOnce(&mut dyn Agent, &mut MeetCtx<'_>) -> R,
+    ) -> Result<R, TacomaError> {
+        let mut registered = self.registry.take(name, self.site)?;
+        let mut ctx = MeetCtx {
+            site: self.site,
+            agent_id: registered.id,
+            depth: 0,
+            env,
+            cabinets: &mut self.cabinets,
+            registry: &mut self.registry,
+            outbox,
+            rng: &mut self.rng,
+            trace: &mut self.trace,
+        };
+        let result = work(registered.agent.as_mut(), &mut ctx);
+        self.registry.put_back(registered);
+        Ok(result)
+    }
+
     /// Executes a meet with `contact`, collecting deferred actions in `outbox`.
     ///
     /// Returns the callee's outcome.  If the place is down, returns
@@ -158,32 +185,11 @@ impl Place {
         if !self.up {
             return Err(TacomaError::SiteDown(self.site));
         }
-        let mut registered = match self.registry.take(contact, self.site) {
-            Ok(r) => r,
-            Err(e) => {
-                self.stats.meets_failed += 1;
-                return Err(e);
-            }
-        };
-        let mut ctx = MeetCtx {
-            site: self.site,
-            now: env.now,
-            agent_id: registered.id,
-            origin: env.origin,
-            sender: env.sender,
-            depth: 0,
-            cabinets: &mut self.cabinets,
-            registry: &mut self.registry,
-            outbox,
-            rng: &mut self.rng,
-            neighbors: env.neighbors,
-            alive: env.alive,
-            reachable: env.reachable,
-            custody: env.custody,
-            trace: &mut self.trace,
-        };
-        let outcome = registered.agent.meet(&mut ctx, briefcase);
-        self.registry.put_back(registered);
+        let outcome = self
+            .run(contact, env, outbox, |agent, ctx| {
+                agent.meet(ctx, briefcase)
+            })
+            .and_then(|outcome| outcome);
         match &outcome {
             Ok(_) => self.stats.meets_ok += 1,
             Err(_) => self.stats.meets_failed += 1,
@@ -193,34 +199,14 @@ impl Place {
 
     /// Runs an agent's `on_install` hook, collecting any actions it queues
     /// (scheduling timers, sending an initial report, ...) into `outbox`.
+    /// A name nobody is registered under is a no-op.
     pub fn run_install_hook(
         &mut self,
         name: &AgentName,
         env: DispatchEnv<'_>,
         outbox: &mut Vec<Action>,
     ) {
-        let Ok(mut registered) = self.registry.take(name, self.site) else {
-            return;
-        };
-        let mut ctx = MeetCtx {
-            site: self.site,
-            now: env.now,
-            agent_id: registered.id,
-            origin: env.origin,
-            sender: env.sender,
-            depth: 0,
-            cabinets: &mut self.cabinets,
-            registry: &mut self.registry,
-            outbox,
-            rng: &mut self.rng,
-            neighbors: env.neighbors,
-            alive: env.alive,
-            reachable: env.reachable,
-            custody: env.custody,
-            trace: &mut self.trace,
-        };
-        registered.agent.on_install(&mut ctx);
-        self.registry.put_back(registered);
+        let _ = self.run(name, env, outbox, |agent, ctx| agent.on_install(ctx));
     }
 
     /// Crashes the place: every resident agent and every (unflushed) cabinet

@@ -20,13 +20,12 @@
 //! entries are never consulted.  Negative results (unreachable pairs) are
 //! cached too; they are exactly as expensive to recompute as positive ones.
 //!
-//! The BFS itself runs over a precomputed adjacency list with reusable
-//! scratch buffers, so even a cache miss allocates nothing beyond the path
-//! it returns.  [`Router::route_queries`] and [`Router::bfs_runs`] count the
-//! routing work performed; the scale experiments (E11/E12) report both to
-//! show the cache's effect, and the cache can be disabled entirely with
-//! [`Router::set_cache_enabled`] to provide the uncached reference path the
-//! invalidation tests compare against.
+//! There is one traversal (`search`); [`Router::route`] runs it over
+//! reusable scratch buffers, so even a cache miss allocates nothing beyond
+//! the path it returns.  [`Router::route_queries`] and [`Router::bfs_runs`]
+//! count the routing work performed; the scale experiments (E11/E12) report
+//! both — without the cache every query would be a BFS, so the saving is
+//! `route_queries / bfs_runs`.
 
 use crate::topology::Topology;
 use std::collections::{HashMap, VecDeque};
@@ -53,34 +52,26 @@ pub struct Router {
     adj: Vec<Vec<SiteId>>,
     /// `(from, to)` → cached path, validated against the caller's epoch.
     cache: HashMap<(SiteId, SiteId), CacheEntry>,
-    cache_enabled: bool,
     route_queries: u64,
     bfs_runs: u64,
     /// Scratch: predecessor per site (`UNVISITED` when not reached).
     prev: Vec<u32>,
     /// Scratch: BFS frontier.
     frontier: VecDeque<SiteId>,
-    /// Owner for the borrow `route` returns when the cache is disabled (the
-    /// BFS still allocates each returned path; only the scratch buffers are
-    /// reused).
-    uncached: Option<Vec<SiteId>>,
 }
 
 impl Router {
     /// Creates a router for the given topology.
     pub fn new(topology: Topology) -> Self {
         let adj = build_adjacency(&topology);
-        let sites = topology.site_count() as usize;
         Router {
             topology,
             adj,
             cache: HashMap::new(),
-            cache_enabled: true,
             route_queries: 0,
             bfs_runs: 0,
-            prev: vec![UNVISITED; sites],
+            prev: Vec::new(),
             frontier: VecDeque::new(),
-            uncached: None,
         }
     }
 
@@ -100,29 +91,14 @@ impl Router {
         self.cache.clear();
     }
 
-    /// Enables or disables the route cache.  Disabling it recomputes a BFS
-    /// on every [`Router::route`] call — the reference path the invalidation
-    /// tests compare the cached path against, byte for byte.
-    pub fn set_cache_enabled(&mut self, enabled: bool) {
-        if !enabled {
-            self.cache.clear();
-        }
-        self.cache_enabled = enabled;
-    }
-
-    /// Whether the route cache is in use.
-    pub fn cache_enabled(&self) -> bool {
-        self.cache_enabled
-    }
-
     /// Number of routing queries answered (cache hits and misses alike).
     pub fn route_queries(&self) -> u64 {
         self.route_queries
     }
 
-    /// Number of BFS computations actually performed.  With the cache on,
-    /// this is the routing *work*; `route_queries - bfs_runs` is the work
-    /// the cache saved.
+    /// Number of BFS computations [`Router::route`] actually performed: the
+    /// routing *work*; `route_queries - bfs_runs` is the work the cache
+    /// saved.
     pub fn bfs_runs(&self) -> u64 {
         self.bfs_runs
     }
@@ -150,153 +126,48 @@ impl Router {
         blocked: impl Fn(SiteId, SiteId) -> bool,
     ) -> Option<&[SiteId]> {
         self.route_queries += 1;
-        if self.cache_enabled {
-            let fresh = self
-                .cache
-                .get(&(from, to))
-                .is_some_and(|entry| entry.epoch == epoch);
-            if !fresh {
-                // Stale or absent: recompute, then fill the slot through one
-                // entry lookup.  (The freshness probe above must stay a
-                // separate `get` — holding its borrow across the `&mut self`
-                // BFS call is exactly what the borrow checker forbids.)
-                let path = self.bfs(from, to, &alive, &blocked);
-                let slot = self
-                    .cache
-                    .entry((from, to))
-                    .or_insert_with(|| CacheEntry { epoch, path: None });
-                slot.epoch = epoch;
-                slot.path = path;
-                return slot.path.as_deref();
-            }
-            self.cache[&(from, to)].path.as_deref()
-        } else {
-            self.uncached = self.bfs(from, to, &alive, &blocked);
-            self.uncached.as_deref()
+        let fresh = self
+            .cache
+            .get(&(from, to))
+            .is_some_and(|entry| entry.epoch == epoch);
+        if !fresh {
+            // Stale or absent: one BFS, cached under the caller's epoch.
+            self.bfs_runs += 1;
+            let path = path(
+                &self.adj,
+                &mut self.prev,
+                &mut self.frontier,
+                from,
+                to,
+                &alive,
+                &blocked,
+            );
+            self.cache.insert((from, to), CacheEntry { epoch, path });
         }
-    }
-
-    /// The BFS over live sites and unblocked edges, using the reusable
-    /// scratch buffers.  Increments `bfs_runs`.
-    fn bfs(
-        &mut self,
-        from: SiteId,
-        to: SiteId,
-        alive: &impl Fn(SiteId) -> bool,
-        blocked: &impl Fn(SiteId, SiteId) -> bool,
-    ) -> Option<Vec<SiteId>> {
-        self.bfs_runs += 1;
-        if !alive(from) || !alive(to) {
-            return None;
-        }
-        if from == to {
-            return Some(vec![from]);
-        }
-        self.prev.clear();
-        self.prev.resize(self.adj.len(), UNVISITED);
-        self.frontier.clear();
-        self.prev[from.index()] = from.0;
-        self.frontier.push_back(from);
-        while let Some(cur) = self.frontier.pop_front() {
-            for &n in &self.adj[cur.index()] {
-                if self.prev[n.index()] != UNVISITED || !alive(n) || blocked(cur, n) {
-                    continue;
-                }
-                self.prev[n.index()] = cur.0;
-                if n == to {
-                    let mut path = vec![to];
-                    let mut at = to;
-                    while at != from {
-                        at = SiteId(self.prev[at.index()]);
-                        path.push(at);
-                    }
-                    path.reverse();
-                    return Some(path);
-                }
-                self.frontier.push_back(n);
-            }
-        }
-        None
+        self.cache[&(from, to)].path.as_deref()
     }
 
     /// The shortest path from `src` to `dst` visiting only sites for which
     /// `alive` returns true (the endpoints must also be alive).  Returns the
     /// full path including both endpoints, or `None` if unreachable.
     ///
-    /// This is the uncached, allocation-per-call reference API; the
-    /// simulator's hot path goes through [`Router::route`] instead.
+    /// Uncached and allocating per call; the simulator's hot path goes
+    /// through [`Router::route`] instead.
     pub fn shortest_path(
         &self,
         src: SiteId,
         dst: SiteId,
         alive: impl Fn(SiteId) -> bool,
     ) -> Option<Vec<SiteId>> {
-        if !alive(src) || !alive(dst) {
-            return None;
-        }
-        if src == dst {
-            return Some(vec![src]);
-        }
-        let mut prev = vec![UNVISITED; self.adj.len()];
-        let mut queue = VecDeque::new();
-        prev[src.index()] = src.0;
-        queue.push_back(src);
-        while let Some(cur) = queue.pop_front() {
-            for &n in &self.adj[cur.index()] {
-                if prev[n.index()] != UNVISITED || !alive(n) {
-                    continue;
-                }
-                prev[n.index()] = cur.0;
-                if n == dst {
-                    let mut path = vec![dst];
-                    let mut at = dst;
-                    while at != src {
-                        at = SiteId(prev[at.index()]);
-                        path.push(at);
-                    }
-                    path.reverse();
-                    return Some(path);
-                }
-                queue.push_back(n);
-            }
-        }
-        None
-    }
-
-    /// Number of hops on the shortest live path, or `None` if unreachable.
-    pub fn hop_count(
-        &self,
-        src: SiteId,
-        dst: SiteId,
-        alive: impl Fn(SiteId) -> bool,
-    ) -> Option<usize> {
-        self.shortest_path(src, dst, alive)
-            .map(|p| p.len().saturating_sub(1))
-    }
-
-    /// All sites reachable from `src` over live sites (including `src`),
-    /// in ascending order.
-    pub fn reachable_from(&self, src: SiteId, alive: impl Fn(SiteId) -> bool) -> Vec<SiteId> {
-        if !alive(src) {
-            return Vec::new();
-        }
-        let mut seen = vec![false; self.adj.len()];
-        let mut queue = VecDeque::new();
-        seen[src.index()] = true;
-        queue.push_back(src);
-        while let Some(cur) = queue.pop_front() {
-            for &n in &self.adj[cur.index()] {
-                if alive(n) && !seen[n.index()] {
-                    seen[n.index()] = true;
-                    queue.push_back(n);
-                }
-            }
-        }
-        seen.iter()
-            .enumerate()
-            .filter(|(_, &s)| s)
-            .map(|(i, _)| SiteId(i as u32))
-            .collect()
+        path(
+            &self.adj,
+            &mut Vec::new(),
+            &mut VecDeque::new(),
+            src,
+            dst,
+            &alive,
+            &|_, _| false,
+        )
     }
 
     /// Reachability of every site from `src` over live sites and unblocked
@@ -309,23 +180,81 @@ impl Router {
         alive: impl Fn(SiteId) -> bool,
         blocked: impl Fn(SiteId, SiteId) -> bool,
     ) -> Vec<bool> {
-        let mut seen = vec![false; self.adj.len()];
-        if src.index() >= seen.len() || !alive(src) {
-            return seen;
-        }
-        let mut queue = VecDeque::new();
-        seen[src.index()] = true;
-        queue.push_back(src);
-        while let Some(cur) = queue.pop_front() {
-            for &n in &self.adj[cur.index()] {
-                if !seen[n.index()] && alive(n) && !blocked(cur, n) {
-                    seen[n.index()] = true;
-                    queue.push_back(n);
-                }
-            }
-        }
-        seen
+        let mut prev = Vec::new();
+        search(
+            &self.adj,
+            &mut prev,
+            &mut VecDeque::new(),
+            src,
+            None,
+            &alive,
+            &blocked,
+        );
+        prev.iter().map(|&p| p != UNVISITED).collect()
     }
+}
+
+/// The one traversal: a BFS from `from` over live sites and unblocked edges
+/// that records each reached site's predecessor in `prev` (every other slot
+/// reads `UNVISITED`) and stops as soon as `target`, when given, is reached.
+/// Returns whether it was.
+fn search(
+    adj: &[Vec<SiteId>],
+    prev: &mut Vec<u32>,
+    frontier: &mut VecDeque<SiteId>,
+    from: SiteId,
+    target: Option<SiteId>,
+    alive: &impl Fn(SiteId) -> bool,
+    blocked: &impl Fn(SiteId, SiteId) -> bool,
+) -> bool {
+    prev.clear();
+    prev.resize(adj.len(), UNVISITED);
+    frontier.clear();
+    if from.index() >= adj.len() || !alive(from) {
+        return false;
+    }
+    prev[from.index()] = from.0;
+    if target == Some(from) {
+        return true;
+    }
+    frontier.push_back(from);
+    while let Some(cur) = frontier.pop_front() {
+        for &n in &adj[cur.index()] {
+            if prev[n.index()] != UNVISITED || !alive(n) || blocked(cur, n) {
+                continue;
+            }
+            prev[n.index()] = cur.0;
+            if target == Some(n) {
+                return true;
+            }
+            frontier.push_back(n);
+        }
+    }
+    false
+}
+
+/// The shortest live path `from → to` (both endpoints included), read back
+/// from the predecessors [`search`] left in `prev`.
+fn path(
+    adj: &[Vec<SiteId>],
+    prev: &mut Vec<u32>,
+    frontier: &mut VecDeque<SiteId>,
+    from: SiteId,
+    to: SiteId,
+    alive: &impl Fn(SiteId) -> bool,
+    blocked: &impl Fn(SiteId, SiteId) -> bool,
+) -> Option<Vec<SiteId>> {
+    if !alive(to) || !search(adj, prev, frontier, from, Some(to), alive, blocked) {
+        return None;
+    }
+    let mut path = vec![to];
+    let mut at = to;
+    while at != from {
+        at = SiteId(prev[at.index()]);
+        path.push(at);
+    }
+    path.reverse();
+    Some(path)
 }
 
 fn build_adjacency(topology: &Topology) -> Vec<Vec<SiteId>> {
@@ -358,8 +287,10 @@ mod tests {
         let r = Router::new(Topology::ring(6, LinkSpec::default()));
         let p = r.shortest_path(SiteId(0), SiteId(2), all_alive).unwrap();
         assert_eq!(p, vec![SiteId(0), SiteId(1), SiteId(2)]);
-        assert_eq!(r.hop_count(SiteId(0), SiteId(3), all_alive), Some(3));
-        assert_eq!(r.hop_count(SiteId(0), SiteId(0), all_alive), Some(0));
+        let p = r.shortest_path(SiteId(0), SiteId(3), all_alive).unwrap();
+        assert_eq!(p.len(), 4, "three hops");
+        let p = r.shortest_path(SiteId(0), SiteId(0), all_alive).unwrap();
+        assert_eq!(p, vec![SiteId(0)]);
     }
 
     #[test]
@@ -382,8 +313,8 @@ mod tests {
         let r = Router::new(t);
         assert!(r.shortest_path(SiteId(0), SiteId(3), all_alive).is_none());
         assert_eq!(
-            r.reachable_from(SiteId(0), all_alive),
-            vec![SiteId(0), SiteId(1)]
+            r.reachable_mask(SiteId(0), all_alive, unblocked),
+            vec![true, true, false, false]
         );
     }
 
@@ -393,7 +324,10 @@ mod tests {
         let alive = |s: SiteId| s != SiteId(2);
         assert!(r.shortest_path(SiteId(0), SiteId(2), alive).is_none());
         assert!(r.shortest_path(SiteId(2), SiteId(0), alive).is_none());
-        assert!(r.reachable_from(SiteId(2), alive).is_empty());
+        assert_eq!(
+            r.reachable_mask(SiteId(2), alive, unblocked),
+            vec![false; 3]
+        );
     }
 
     #[test]
@@ -414,7 +348,8 @@ mod tests {
     fn full_mesh_is_single_hop() {
         let r = Router::new(Topology::full_mesh(5, LinkSpec::default()));
         for dst in 1..5 {
-            assert_eq!(r.hop_count(SiteId(0), SiteId(dst), all_alive), Some(1));
+            let p = r.shortest_path(SiteId(0), SiteId(dst), all_alive).unwrap();
+            assert_eq!(p, vec![SiteId(0), SiteId(dst)]);
         }
     }
 
@@ -500,12 +435,10 @@ mod tests {
     }
 
     #[test]
-    fn disabling_the_cache_recomputes_every_query() {
+    fn a_fresh_epoch_per_query_recomputes_every_query() {
         let mut r = Router::new(Topology::ring(6, LinkSpec::default()));
-        r.set_cache_enabled(false);
-        assert!(!r.cache_enabled());
-        for _ in 0..3 {
-            r.route(SiteId(0), SiteId(3), 0, all_alive, unblocked);
+        for epoch in 0..3 {
+            r.route(SiteId(0), SiteId(3), epoch, all_alive, unblocked);
         }
         assert_eq!(r.route_queries(), 3);
         assert_eq!(r.bfs_runs(), 3);

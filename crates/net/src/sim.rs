@@ -394,13 +394,6 @@ impl SimNet {
         self.epoch
     }
 
-    /// Enables or disables the route cache (on by default).  The disabled
-    /// mode recomputes a BFS per send — the reference path scale experiments
-    /// and invalidation tests compare the cached fast path against.
-    pub fn set_route_cache(&mut self, enabled: bool) {
-        self.router.set_cache_enabled(enabled);
-    }
-
     /// Routing work performed so far, as `(route_queries, bfs_runs)`.
     /// `route_queries - bfs_runs` is the work the cache saved.
     pub fn routing_work(&self) -> (u64, u64) {
@@ -1226,16 +1219,6 @@ mod tests {
         send_simple(&mut net, 0, 4, 16);
         send_simple(&mut net, 0, 4, 16);
         assert_eq!(net.routing_work(), (12, 2));
-    }
-
-    #[test]
-    fn uncached_mode_recomputes_every_send() {
-        let mut net = SimNet::new(Topology::ring(8, LinkSpec::default()));
-        net.set_route_cache(false);
-        for _ in 0..5 {
-            send_simple(&mut net, 0, 3, 16);
-        }
-        assert_eq!(net.routing_work(), (5, 5));
     }
 
     #[test]
