@@ -117,9 +117,6 @@ pub struct MailConfig {
     pub messages: u32,
     /// Fraction of users that have moved (and left a forwarding address).
     pub moved_fraction: f64,
-    /// Event-queue shards for the network simulator (`1` = single queue;
-    /// any value produces byte-identical results).
-    pub sim_shards: u32,
     /// Random seed.
     pub seed: u64,
 }
@@ -131,7 +128,6 @@ impl Default for MailConfig {
             users: 12,
             messages: 40,
             moved_fraction: 0.25,
-            sim_shards: 1,
             seed: 3,
         }
     }
@@ -158,7 +154,6 @@ pub fn run_mail_experiment(config: &MailConfig) -> MailResult {
     let mut sys = TacomaSystem::builder()
         .topology(Topology::full_mesh(config.sites, LinkSpec::default()))
         .seed(config.seed)
-        .shards(config.sim_shards)
         .with_agents(standard_agents)
         .build();
     let mut rng = DetRng::new(config.seed ^ 0xA11);

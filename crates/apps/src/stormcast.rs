@@ -157,9 +157,6 @@ pub struct StormcastConfig {
     pub storm_fraction: f64,
     /// Architecture to run.
     pub plan: StormcastPlan,
-    /// Event-queue shards for the network simulator (`1` = single queue;
-    /// any value produces byte-identical results).
-    pub sim_shards: u32,
     /// Random seed.
     pub seed: u64,
 }
@@ -171,7 +168,6 @@ impl Default for StormcastConfig {
             readings_per_sensor: 200,
             storm_fraction: 0.25,
             plan: StormcastPlan::Agent,
-            sim_shards: 1,
             seed: 1995,
         }
     }
@@ -389,7 +385,6 @@ pub fn run_stormcast(config: &StormcastConfig) -> StormcastResult {
     let mut sys = TacomaSystem::builder()
         .topology(Topology::star(sites, LinkSpec::wan()))
         .seed(config.seed)
-        .shards(config.sim_shards)
         .with_agents(standard_agents)
         .build();
     sys.register_agent(SiteId(0), Box::new(ExpertAgent));
@@ -451,7 +446,6 @@ mod tests {
             readings_per_sensor: 150,
             storm_fraction: 0.34,
             plan,
-            sim_shards: 1,
             seed: 77,
         }
     }

@@ -16,9 +16,6 @@ per experiment. All experiments are deterministic per seed.
 options:
   --quick              fast smoke configuration (default is the full sweep)
   --jobs <n>           worker threads for the parallel runner (default: 1)
-  --shards <n>         event-queue shards inside each simulation (default: 1);
-                       any value produces byte-identical reports — CI diffs
-                       --shards 1 against --shards 4 to enforce it
   --filter <ids>       comma-separated experiment ids to run, e.g. E1,E7,A3
   --json <path>        write a machine-readable report set to <path>
   --compare <path>     diff this run against a baseline report; exit 1 on
@@ -34,8 +31,6 @@ pub struct HarnessArgs {
     pub quick: bool,
     /// Worker threads (0 means "not given", treated as 1).
     pub jobs: usize,
-    /// Event-queue shards per simulation (0 means "not given", treated as 1).
-    pub shards: u32,
     /// Experiment ids to run; empty means all.
     pub filter: Vec<String>,
     /// Where to write the JSON report set, if anywhere.
@@ -94,13 +89,6 @@ impl HarnessArgs {
                             format!("--jobs expects a positive integer, got '{v}'")
                         })?;
                 }
-                "--shards" => {
-                    let v = take_value(&flag, &inline_value, &mut iter)?;
-                    args.shards =
-                        v.parse::<u32>().ok().filter(|&n| n >= 1).ok_or_else(|| {
-                            format!("--shards expects a positive integer, got '{v}'")
-                        })?;
-                }
                 "--filter" => {
                     let v = take_value(&flag, &inline_value, &mut iter)?;
                     args.filter.extend(
@@ -154,7 +142,6 @@ mod tests {
             "--quick",
             "--jobs",
             "8",
-            "--shards=4",
             "--filter=E1,E7",
             "--json",
             "out.json",
@@ -163,7 +150,6 @@ mod tests {
         .unwrap();
         assert!(args.quick);
         assert_eq!(args.jobs, 8);
-        assert_eq!(args.shards, 4);
         assert_eq!(args.filter, ["E1", "E7"]);
         assert_eq!(args.json.as_deref(), Some(std::path::Path::new("out.json")));
         assert_eq!(
@@ -191,12 +177,6 @@ mod tests {
             .unwrap_err()
             .contains("positive integer"));
         assert!(HarnessArgs::parse(["--jobs=0"])
-            .unwrap_err()
-            .contains("positive integer"));
-        assert!(HarnessArgs::parse(["--shards"])
-            .unwrap_err()
-            .contains("requires a value"));
-        assert!(HarnessArgs::parse(["--shards=0"])
             .unwrap_err()
             .contains("positive integer"));
         assert!(HarnessArgs::parse(["--filter="])

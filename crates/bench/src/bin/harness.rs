@@ -33,10 +33,6 @@ fn main() -> ExitCode {
         for spec in runner::registry() {
             println!("  {:<4} seed {:<6} {}", spec.id, spec.seed, spec.summary);
         }
-        println!(
-            "  reserved (not implemented): {}",
-            runner::RESERVED_IDS.join(", ")
-        );
         return ExitCode::SUCCESS;
     }
 
@@ -48,13 +44,12 @@ fn main() -> ExitCode {
         }
     };
     let workers = args.jobs.max(1);
-    let opts = runner::RunOpts::new(args.quick).with_shards(args.shards.max(1));
+    let opts = runner::RunOpts::new(args.quick);
     println!(
-        "# TACOMA reproduction — experiment harness ({} mode, {} job(s), {} worker(s), {} shard(s))",
+        "# TACOMA reproduction — experiment harness ({} mode, {} job(s), {} worker(s))",
         if args.quick { "quick" } else { "full" },
         specs.len(),
         workers.min(specs.len().max(1)),
-        opts.shards,
     );
     println!();
 
@@ -74,7 +69,7 @@ fn main() -> ExitCode {
         total_wall_ms,
         workers.min(specs.len().max(1))
     );
-    // Wall-clock notes (E17's events/sec per shard count) live outside the
+    // Wall-clock notes (E17's events/sec per site count) live outside the
     // deterministic report; CI lifts this section into the job summary.
     if results.iter().any(|r| !r.table.notes.is_empty()) {
         println!();

@@ -109,12 +109,10 @@ fn e1_run(
     selectivity: f64,
     agent_plan: bool,
     seed: u64,
-    shards: u32,
 ) -> (u64, f64) {
     let mut sys = TacomaSystem::builder()
         .topology(Topology::star(sites + 1, LinkSpec::wan()))
         .seed(seed)
-        .shards(shards)
         .build();
     sys.register_agent(USiteId(0), Box::new(SinkAgent::new()));
     let mut rng = DetRng::new(seed ^ 0xE1);
@@ -175,8 +173,8 @@ pub fn e1_bandwidth(opts: RunOpts) -> Table {
         ]
     };
     for &(sites, records, selectivity) in sweeps {
-        let (agent_bytes, _) = e1_run(sites, records, selectivity, true, 7, opts.shards);
-        let (cs_bytes, _) = e1_run(sites, records, selectivity, false, 7, opts.shards);
+        let (agent_bytes, _) = e1_run(sites, records, selectivity, true, 7);
+        let (cs_bytes, _) = e1_run(sites, records, selectivity, false, 7);
         table.row(vec![
             sites.to_string(),
             records.to_string(),
@@ -193,11 +191,10 @@ pub fn e1_bandwidth(opts: RunOpts) -> Table {
 // E2 — diffusion vs naive flooding
 // ---------------------------------------------------------------------------
 
-fn e2_run(topology: Topology, naive: bool, shards: u32) -> (u64, u64, usize) {
+fn e2_run(topology: Topology, naive: bool) -> (u64, u64, usize) {
     let mut sys = TacomaSystem::builder()
         .topology(topology)
         .seed(2)
-        .shards(shards)
         .with_agents(standard_agents)
         .build();
     let sites = sys.site_count();
@@ -258,7 +255,7 @@ pub fn e2_diffusion(opts: RunOpts) -> Table {
     for (name, topology) in topologies {
         let sites = topology.site_count();
         for naive in [false, true] {
-            let (meets, bytes, covered) = e2_run(topology.clone(), naive, opts.shards);
+            let (meets, bytes, covered) = e2_run(topology.clone(), naive);
             table.row(vec![
                 name.to_string(),
                 sites.to_string(),
@@ -582,7 +579,6 @@ pub fn e7_scheduling(opts: RunOpts) -> Table {
             mean_job_ms: 80.0,
             mean_interarrival_ms: 25.0,
             policy,
-            sim_shards: opts.shards,
             seed: 77,
             ..Default::default()
         });
@@ -705,7 +701,6 @@ pub fn e9_rear_guard(opts: RunOpts) -> Table {
                 crash_window_ms: 15,
                 downtime_ms: (500, 3_000),
                 guarded,
-                sim_shards: opts.shards,
                 seed: 909,
                 ..Default::default()
             });
@@ -743,7 +738,6 @@ pub fn e10_apps(opts: RunOpts) -> Table {
             readings_per_sensor: readings,
             storm_fraction: 0.25,
             plan,
-            sim_shards: opts.shards,
             seed: 1995,
         });
         table.row(vec![
@@ -758,7 +752,6 @@ pub fn e10_apps(opts: RunOpts) -> Table {
         users: 12,
         messages: if quick { 20 } else { 60 },
         moved_fraction: 0.25,
-        sim_shards: opts.shards,
         seed: 3,
     });
     table.row(vec![
@@ -834,7 +827,6 @@ struct ScaleConfig {
     rounds: u32,
     hoppers: u32,
     hop_len: u32,
-    sim_shards: u32,
     seed: u64,
 }
 
@@ -859,7 +851,6 @@ fn scale_system(cfg: &ScaleConfig) -> (TacomaSystem, Vec<Vec<u32>>) {
     let mut sys = TacomaSystem::builder()
         .topology(topology)
         .seed(cfg.seed)
-        .shards(cfg.sim_shards)
         .with_agents(|_| {
             vec![
                 Box::new(ReporterAgent) as Box<dyn Agent>,
@@ -967,7 +958,6 @@ pub fn e11_scale(opts: RunOpts) -> Table {
             rounds,
             hoppers,
             hop_len: 6,
-            sim_shards: opts.shards,
             seed: 1111,
         };
         let fast = e11_run(&cfg);
@@ -1015,14 +1005,13 @@ fn e12_round(sys: &mut TacomaSystem, sites: u32, clique_size: u32, half: u32) {
     }
 }
 
-fn e12_run(cliques: u32, clique_size: u32, cycles: u32, sim_shards: u32) -> ScaleOutcome {
+fn e12_run(cliques: u32, clique_size: u32, cycles: u32) -> ScaleOutcome {
     let cfg = ScaleConfig {
         cliques,
         clique_size,
         rounds: 0,
         hoppers: 0,
         hop_len: 0,
-        sim_shards,
         seed: 1212,
     };
     let (mut sys, _) = scale_system(&cfg);
@@ -1074,7 +1063,7 @@ pub fn e12_churn(opts: RunOpts) -> Table {
         &[(4, 4, 6), (8, 8, 8)]
     };
     for &(cliques, clique_size, cycles) in sweeps {
-        let fast = e12_run(cliques, clique_size, cycles, opts.shards);
+        let fast = e12_run(cliques, clique_size, cycles);
         table.row(vec![
             (cliques * clique_size).to_string(),
             cycles.to_string(),
@@ -1110,12 +1099,11 @@ struct E13Outcome {
 /// holds for two simulated seconds, then heals and the run drains.  With
 /// `custody` set to `(capacity, ttl_ms)` the cross-partition legs park in
 /// custody; with `None` they fail fast — the paper-motivating contrast.
-fn e13_run(custody: Option<(usize, u64)>, msgs_per_site: u32, sim_shards: u32) -> E13Outcome {
+fn e13_run(custody: Option<(usize, u64)>, msgs_per_site: u32) -> E13Outcome {
     let sites = 12u32;
     let mut builder = TacomaSystem::builder()
         .topology(Topology::full_mesh(sites, LinkSpec::wan()))
         .seed(1313)
-        .shards(sim_shards)
         .with_agents(|_| {
             vec![
                 Box::new(ReporterAgent) as Box<dyn Agent>,
@@ -1183,7 +1171,7 @@ pub fn e13_custody(opts: RunOpts) -> Table {
         configs.push(Some((4, 10_000)));
     }
     for config in configs {
-        let outcome = e13_run(config, msgs_per_site, opts.shards);
+        let outcome = e13_run(config, msgs_per_site);
         debug_assert_eq!(outcome.backlog, 0, "drained runs leave no backlog");
         let (variant, capacity, ttl) = match config {
             None => ("fail-fast".to_string(), "—".to_string(), "—".to_string()),
@@ -1241,7 +1229,6 @@ pub fn e14_custody_churn(opts: RunOpts) -> Table {
             downtime_ms: (500, 3_000),
             guarded: true,
             custody,
-            sim_shards: opts.shards,
             seed: 1414,
             ..Default::default()
         });
@@ -1301,8 +1288,8 @@ fn e15_config(
         capacities: vec![1.0, 2.0, 4.0, 8.0],
         admission_threshold: None,
         custody: None,
-        sim_shards: opts.shards,
         seed: 1515,
+        ..Default::default()
     }
 }
 
@@ -1400,8 +1387,8 @@ fn e16_run(shards: u32, custody: bool, guarded: bool, opts: RunOpts) -> Federati
             capacity: 256,
             ttl: Duration::from_secs(30),
         }),
-        sim_shards: opts.shards,
         seed: 1616,
+        ..Default::default()
     };
     let (mut sys, layout) = build_federation(&config);
     if guarded {
@@ -1494,9 +1481,7 @@ pub fn e16_failover(opts: RunOpts) -> Table {
 // E17 — event engine scale sweep
 // ---------------------------------------------------------------------------
 
-/// What one E17 run leaves behind.  Every field is a function of the simulated
-/// event set alone, so none may move with the shard count.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// What one E17 run leaves behind: functions of the simulated event set alone.
 struct E17Outcome {
     events: u64,
     delivered: u64,
@@ -1516,14 +1501,13 @@ fn e17_fold(state: u64, word: u64) -> u64 {
 /// experiment runs on: each site arms all its rounds up front (a standing
 /// agenda of sites × rounds timers), and each round sends two 512-byte
 /// messages carrying a random tag, one in a hundred to another clique.
-fn e17_gossip(cliques: u32, rounds: u32, shards: u32) -> E17Outcome {
+fn e17_gossip(cliques: u32, rounds: u32) -> E17Outcome {
     use tacoma_net::{Duration, Event, SendOptions, SimNet};
     const CLIQUE: u32 = 8;
     const INTERVAL_US: u64 = 2_000;
 
     let topology = Topology::ring_of_cliques(cliques, CLIQUE, LinkSpec::lan(), LinkSpec::wan());
     let mut net = SimNet::new(topology);
-    net.set_shards(shards);
     let master = DetRng::new(7);
     let mut sites: Vec<(DetRng, u64)> = (0..u64::from(cliques * CLIQUE))
         .map(|s| (master.derive(s), s))
@@ -1588,20 +1572,14 @@ fn e17_gossip(cliques: u32, rounds: u32, shards: u32) -> E17Outcome {
 }
 
 /// E17: the scale sweep of the one event engine — the same gossip agenda on
-/// `SimNet` at 1/4(/8) event-queue shards.  Sharding is a storage layout, so
-/// every deterministic column must be identical across shard counts; the
-/// driver asserts it and the table is the CI witness.  Wall-clock throughput
-/// goes into the table's notes, outside the gated report.
-///
-/// This experiment sweeps shard counts internally, so it deliberately ignores
-/// `opts.shards` — the CI shard matrix still diffs its rows byte-for-byte.
-pub fn e17_shard_sweep(opts: RunOpts) -> Table {
+/// `SimNet` at growing site counts, one row each.  Wall-clock throughput goes
+/// into the table's notes, outside the gated report.
+pub fn e17_scale_sweep(opts: RunOpts) -> Table {
     let mut table = Table::new(
-        "E17 — event engine scale sweep (queue shards)",
-        "scaling TACOMA's simulated WAN past 4096 sites: splitting the event queue into per-clique shards changes how fast the one loop runs, never a single event",
+        "E17 — event engine scale sweep",
+        "scaling TACOMA's simulated WAN past 4096 sites: one event loop over one calendar queue carries the gossip agenda from 512 to 16384 sites",
         &[
             "sites",
-            "shards",
             "events",
             "delivered",
             "hops",
@@ -1610,45 +1588,31 @@ pub fn e17_shard_sweep(opts: RunOpts) -> Table {
             "end ms",
         ],
     );
-    // (cliques, rounds, shard counts).  Rounds shrink as sites grow so the
-    // full sweep stays a half-minute job; the site counts are the point.
-    let points: &[(u32, u32, &[u32])] = if opts.quick {
-        &[(64, 64, &[1, 4])]
+    // (cliques, rounds).  Rounds shrink as sites grow so the full sweep stays
+    // a quarter-minute job; the site counts are the point.
+    let points: &[(u32, u32)] = if opts.quick {
+        &[(64, 64)]
     } else {
-        &[
-            (64, 64, &[1, 4]),
-            (512, 256, &[1, 4]),
-            (2_048, 32, &[1, 4, 8]),
-        ]
+        &[(64, 64), (512, 256), (2_048, 32)]
     };
-    for &(cliques, rounds, shard_counts) in points {
+    for &(cliques, rounds) in points {
         let sites = cliques * 8;
-        let mut first: Option<E17Outcome> = None;
-        for &shards in shard_counts {
-            let start = std::time::Instant::now();
-            let outcome = e17_gossip(cliques, rounds, shards);
-            let wall = start.elapsed().as_secs_f64();
-            table.row(vec![
-                sites.to_string(),
-                shards.to_string(),
-                outcome.events.to_string(),
-                outcome.delivered.to_string(),
-                outcome.hops.to_string(),
-                outcome.bytes.to_string(),
-                format!("{:016x}", outcome.digest),
-                format!("{:.1}", outcome.end.as_millis_f64()),
-            ]);
-            table.note(format!(
-                "{sites} sites, {shards} shard(s): {:.0} events/s ({wall:.2}s wall)",
-                outcome.events as f64 / wall.max(1e-9)
-            ));
-            assert_eq!(
-                outcome,
-                *first.get_or_insert(outcome),
-                "{sites} sites: {shards} shards diverged from {} shard(s)",
-                shard_counts[0]
-            );
-        }
+        let start = std::time::Instant::now();
+        let outcome = e17_gossip(cliques, rounds);
+        let wall = start.elapsed().as_secs_f64();
+        table.row(vec![
+            sites.to_string(),
+            outcome.events.to_string(),
+            outcome.delivered.to_string(),
+            outcome.hops.to_string(),
+            outcome.bytes.to_string(),
+            format!("{:016x}", outcome.digest),
+            format!("{:.1}", outcome.end.as_millis_f64()),
+        ]);
+        table.note(format!(
+            "{sites} sites: {:.0} events/s ({wall:.2}s wall)",
+            outcome.events as f64 / wall.max(1e-9)
+        ));
     }
     table
 }
@@ -1722,7 +1686,6 @@ fn e18_run(multiplier: f64, bounded: bool, opts: RunOpts) -> E18Outcome {
     let mut sys = TacomaSystem::builder()
         .topology(Topology::full_mesh(sites, LinkSpec::default()))
         .seed(1818)
-        .shards(opts.shards)
         .admission(admission)
         .with_agents(|_| vec![Box::new(MailroomAgent) as Box<dyn Agent>])
         .build();
@@ -1869,7 +1832,7 @@ struct E19Outcome {
     calm_p95_ms: f64,
 }
 
-fn e19_run(crowd: bool, admission_threshold: Option<f64>, opts: RunOpts) -> E19Outcome {
+fn e19_run(crowd: bool, admission_threshold: Option<f64>) -> E19Outcome {
     use tacoma_apps::SubscriberModel;
     use tacoma_net::{Duration as NetDuration, FlashCrowd, OpenWorkload, RateCurve, SizeDist};
     use tacoma_sched::agents::{DONE, JOB, JOBS_CABINET, JOB_SIZE, REQUEST};
@@ -1889,8 +1852,8 @@ fn e19_run(crowd: bool, admission_threshold: Option<f64>, opts: RunOpts) -> E19O
         capacities: vec![1.0, 2.0, 4.0, 8.0],
         admission_threshold,
         custody: None,
-        sim_shards: opts.shards,
         seed: 1919,
+        ..Default::default()
     };
     let (mut sys, layout) = build_federation(&config);
     let sites_per_shard = (config.cliques / config.shards) * config.clique_size;
@@ -2028,7 +1991,7 @@ fn e19_run(crowd: bool, admission_threshold: Option<f64>, opts: RunOpts) -> E19O
 /// forwards overflow only to peers whose digests still show headroom and
 /// sheds the rest, so the crowd shard's p95 stays bounded and the calm
 /// regions stay within tolerance of the no-crowd baseline.
-pub fn e19_flash_crowd(opts: RunOpts) -> Table {
+pub fn e19_flash_crowd(_opts: RunOpts) -> Table {
     let mut table = Table::new(
         "E19 — regional flash crowd vs federated admission control",
         "digest-driven shedding confines a regional flash crowd: the crowd shard sheds instead of collapsing and non-crowd regions stay within tolerance",
@@ -2050,7 +2013,7 @@ pub fn e19_flash_crowd(opts: RunOpts) -> Table {
     ];
     let mut outcomes = Vec::new();
     for (label, crowd, admission) in rows {
-        let o = e19_run(crowd, admission, opts);
+        let o = e19_run(crowd, admission);
         table.row(vec![
             label.to_string(),
             o.submitted.to_string(),
@@ -2165,7 +2128,6 @@ fn e20_run(aware: bool, opts: RunOpts) -> E20Outcome {
     let mut sys = TacomaSystem::builder()
         .topology(Topology::full_mesh(sites, LinkSpec::default()))
         .seed(2020)
-        .shards(opts.shards)
         .admission(admission)
         .cost_gate(CostGate::strict(E20_BUDGET, 64))
         .with_agents(|_| vec![Box::new(AgTacAgent::with_step_budget(E20_BUDGET)) as Box<dyn Agent>])
@@ -2348,7 +2310,7 @@ pub fn e20_cost_placement(opts: RunOpts) -> Table {
 // ---------------------------------------------------------------------------
 
 /// A3: rear-guard chain depth vs completion and overhead.
-pub fn ablation_guard_depth(opts: RunOpts) -> Table {
+pub fn ablation_guard_depth(_opts: RunOpts) -> Table {
     let mut table = Table::new(
         "A3 — rear-guard chain depth",
         "design choice: how many trailing guards to keep alive (DESIGN.md §3, ablations)",
@@ -2366,7 +2328,6 @@ pub fn ablation_guard_depth(opts: RunOpts) -> Table {
             crash_window_ms: 15,
             downtime_ms: (500, 3_000),
             guarded: true,
-            sim_shards: opts.shards,
             seed: 31_000 + depth as u64,
             ..Default::default()
         });
@@ -2382,7 +2343,7 @@ pub fn ablation_guard_depth(opts: RunOpts) -> Table {
 }
 
 /// A4: load-report dissemination period vs scheduling quality.
-pub fn ablation_report_period(opts: RunOpts) -> Table {
+pub fn ablation_report_period(_opts: RunOpts) -> Table {
     let mut table = Table::new(
         "A4 — load-report dissemination period",
         "design choice: how often monitors report to brokers (§4 likens this to routing-state dissemination)",
@@ -2397,7 +2358,6 @@ pub fn ablation_report_period(opts: RunOpts) -> Table {
             mean_interarrival_ms: 20.0,
             policy: PlacementPolicy::LoadBased,
             report_period: Duration::from_millis(period_ms),
-            sim_shards: opts.shards,
             seed: 404,
         });
         table.row(vec![
@@ -2478,7 +2438,6 @@ mod tests {
             rounds: 12,
             hoppers: 2,
             hop_len: 6,
-            sim_shards: 1,
             seed: 1111,
         };
         let fast = e11_run(&cfg);
@@ -2492,7 +2451,7 @@ mod tests {
 
     #[test]
     fn e12_churn_fails_cross_ring_traffic_and_still_reuses_routes() {
-        let fast = e12_run(4, 4, 3, 1);
+        let fast = e12_run(4, 4, 3);
         // 4 epoch bumps per cycle: partition, heal, crash, recover.
         assert_eq!(fast.epoch, 12);
         assert!(
@@ -2583,6 +2542,21 @@ mod tests {
         let adoptions: u64 = table.rows[2][5].parse().unwrap();
         assert!(adoptions >= 1, "the guard must have adopted the shard");
         assert_eq!(table.rows[2][7], "0", "failover leaves no failed sends");
+    }
+
+    #[test]
+    fn e17_quick_row_is_the_single_queue_row_it_always_was() {
+        let table = e17_scale_sweep(RunOpts::new(true));
+        let expected = [
+            "512",
+            "98304",
+            "65536",
+            "76510",
+            "44928064",
+            "1ea710a960ac30dd",
+            "1519.2",
+        ];
+        assert_eq!(table.rows, [expected.map(String::from)]);
     }
 
     #[test]

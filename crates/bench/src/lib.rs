@@ -8,8 +8,8 @@
 //! placement comparison).  Each `eN_*` function here runs one experiment and returns a
 //! [`Table`]; the `harness` binary prints them all (this is the artifact that
 //! stands in for "regenerating the paper's tables") with each driver's
-//! wall-clock in its run summary; `benches/micro.rs` times the hot
-//! primitives underneath.
+//! wall-clock in its run summary; the hot primitives underneath are timed by
+//! `benchmark/`'s per-layer metrics.
 //!
 //! Around the drivers sits the measurement backbone added for CI:
 //!

@@ -1,7 +1,7 @@
 //! The parallel experiment runner.
 //!
-//! Every experiment (E1–E19) and ablation (A3/A4; A1/A2 are reserved ids,
-//! see [`RESERVED_IDS`]) is registered here as an independent [`JobSpec`].
+//! Every experiment (E1–E20) and ablation (A3/A4) is registered here as an
+//! independent [`JobSpec`].
 //! Each job builds and drives its own seeded `SimNet`/`TacomaSystem`, so jobs
 //! share no mutable state and the worker count cannot perturb any measured
 //! number — only wall-clock time.  That is what lets `--jobs 8` produce a
@@ -19,29 +19,16 @@ use std::sync::Mutex;
 use std::time::Instant;
 
 /// Per-run knobs every experiment driver receives.
-///
-/// `shards` selects how many event-queue shards each driver's simulations
-/// partition their pending events into.  It is a layout knob, never a
-/// semantic one: every shard count must produce byte-identical tables and
-/// reports, which CI enforces by diffing `--shards 1` against `--shards 4`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RunOpts {
     /// Run the quick (smoke) configuration instead of the full sweep.
     pub quick: bool,
-    /// Event-queue shards per simulation (≥ 1).
-    pub shards: u32,
 }
 
 impl RunOpts {
-    /// Options for a quick or full run with the default single shard.
+    /// Options for a quick or full run.
     pub fn new(quick: bool) -> Self {
-        RunOpts { quick, shards: 1 }
-    }
-
-    /// Replaces the shard count.
-    pub fn with_shards(mut self, shards: u32) -> Self {
-        self.shards = shards.max(1);
-        self
+        RunOpts { quick }
     }
 }
 
@@ -63,10 +50,6 @@ pub struct JobSpec {
     /// The driver, parameterized by the run options.
     pub run: fn(RunOpts) -> Table,
 }
-
-/// Ablation ids reserved in DESIGN.md but not yet implemented; `--filter`
-/// recognises them and says so instead of reporting a typo.
-pub const RESERVED_IDS: &[&str] = &["A1", "A2"];
 
 fn e8_job(opts: RunOpts) -> Table {
     crate::e8_protected(if opts.quick { 20 } else { 100 })
@@ -173,9 +156,9 @@ pub fn registry() -> Vec<JobSpec> {
         },
         JobSpec {
             id: "E17",
-            summary: "event engine scale sweep (queue shards)",
+            summary: "event engine scale sweep",
             seed: 7,
-            run: crate::e17_shard_sweep,
+            run: crate::e17_scale_sweep,
         },
         JobSpec {
             id: "E18",
@@ -211,9 +194,7 @@ pub fn registry() -> Vec<JobSpec> {
 }
 
 /// Selects registry jobs by id (case-insensitive), preserving registry order.
-///
-/// Unknown ids are an error; reserved-but-unimplemented ablation ids get a
-/// dedicated message so a typo is distinguishable from a roadmap gap.
+/// Unknown ids are an error.
 pub fn select(ids: &[String]) -> Result<Vec<JobSpec>, String> {
     let all = registry();
     if ids.is_empty() {
@@ -222,17 +203,11 @@ pub fn select(ids: &[String]) -> Result<Vec<JobSpec>, String> {
     let mut wanted: Vec<String> = Vec::new();
     for id in ids {
         let canon = id.to_ascii_uppercase();
-        if RESERVED_IDS.contains(&canon.as_str()) {
-            return Err(format!(
-                "experiment {canon} is a reserved ablation slot and is not implemented yet"
-            ));
-        }
         if !all.iter().any(|s| s.id == canon) {
             let known: Vec<&str> = all.iter().map(|s| s.id).collect();
             return Err(format!(
-                "unknown experiment id '{id}' (known: {}; reserved: {})",
-                known.join(", "),
-                RESERVED_IDS.join(", ")
+                "unknown experiment id '{id}' (known: {})",
+                known.join(", ")
             ));
         }
         if !wanted.contains(&canon) {
@@ -336,7 +311,9 @@ mod tests {
         assert!(select(&["E99".into()])
             .unwrap_err()
             .contains("unknown experiment id"));
-        assert!(select(&["a1".into()]).unwrap_err().contains("reserved"));
+        assert!(select(&["a1".into()])
+            .unwrap_err()
+            .contains("unknown experiment id"));
         assert_eq!(select(&[]).unwrap().len(), 22);
     }
 
@@ -350,23 +327,6 @@ mod tests {
         assert_eq!(a.to_json_string(), b.to_json_string());
         // The printed tables agree too, not just the reports.
         for (s, p) in sequential.iter().zip(&parallel) {
-            assert_eq!(s.table.render(), p.table.render());
-        }
-    }
-
-    #[test]
-    fn sharded_and_single_queue_runs_serialize_byte_identically() {
-        // The shard-count determinism contract, at unit-test scale: the same
-        // experiments must produce byte-identical reports and tables with one
-        // event queue and with four shards (CI repeats this over the whole
-        // quick suite via `--shards 4`).
-        let specs = select(&cheap_ids()).unwrap();
-        let single = run_jobs(&specs, RunOpts::new(true), 2);
-        let sharded = run_jobs(&specs, RunOpts::new(true).with_shards(4), 2);
-        let a = ReportSet::new(true, single.iter().map(|r| r.report.clone()).collect());
-        let b = ReportSet::new(true, sharded.iter().map(|r| r.report.clone()).collect());
-        assert_eq!(a.to_json_string(), b.to_json_string());
-        for (s, p) in single.iter().zip(&sharded) {
             assert_eq!(s.table.render(), p.table.render());
         }
     }

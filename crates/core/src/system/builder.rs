@@ -23,7 +23,6 @@ pub struct SystemBuilder {
     factories: Vec<AgentFactory>,
     audit_fleet: Option<tacoma_script::AuditConfig>,
     cost_gate: Option<tacoma_script::CostGate>,
-    sim_shards: u32,
 }
 
 impl SystemBuilder {
@@ -37,7 +36,6 @@ impl SystemBuilder {
             factories: Vec::new(),
             audit_fleet: None,
             cost_gate: None,
-            sim_shards: 1,
         }
     }
 
@@ -71,15 +69,9 @@ impl SystemBuilder {
         self
     }
 
-    /// Sets the number of event-queue shards the network simulator partitions
-    /// its pending events into (clique-aligned on ring-of-cliques topologies).
-    ///
-    /// Sharding is a pure storage-layout choice: events are always executed
-    /// in global (time, sequence) order, so any shard count produces
-    /// byte-identical runs — CI diffs `--shards 1` against `--shards 4` to
-    /// enforce exactly that.  Values are clamped to the topology by the plan.
-    pub fn shards(mut self, shards: u32) -> Self {
-        self.sim_shards = shards.max(1);
+    /// Accepted and ignored: the simulator has one event queue.  Kept only
+    /// because `benchmark/` still calls it; goes with ROADMAP item 1(f).
+    pub fn shards(self, _shards: u32) -> Self {
         self
     }
 
@@ -159,9 +151,6 @@ impl SystemBuilder {
             })
             .collect();
         let mut net = SimNet::new(self.topology);
-        if self.sim_shards > 1 {
-            net.set_shards(self.sim_shards);
-        }
         if let Some(config) = self.custody {
             net.set_custody(config);
         }

@@ -472,7 +472,7 @@ impl TacomaSystem {
     /// zero-latency local message *now*, this arms a kernel timer: the meet
     /// counts toward `meets_requested` only when the timer fires, so an
     /// entire arrival trace can be pre-loaded up front and still replay
-    /// identically at any `--jobs`/`--shards` setting.  The briefcase gains a
+    /// identically at any `--jobs` setting.  The briefcase gains a
     /// `TIMER` folder carrying the timer key, like any scheduled meet.
     pub fn schedule_meet(
         &mut self,
@@ -482,8 +482,8 @@ impl TacomaSystem {
         delay: Duration,
     ) {
         // The cost gate runs at schedule time (not when the timer fires), so
-        // preloaded arrival traces replay identically at any `--jobs` /
-        // `--shards` setting; vet/audit intentionally do not run here — the
+        // preloaded arrival traces replay identically at any `--jobs`
+        // setting; vet/audit intentionally do not run here — the
         // timer path has never gated, and the cost gate is the one defense
         // that open-arrival workloads need.
         if let Err(rejection) = self.gates.gate_cost(&mut briefcase, &mut self.engine.stats) {

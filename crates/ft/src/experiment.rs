@@ -49,9 +49,6 @@ pub struct FtConfig {
     /// unreachable sites park and deliver on recovery instead of failing
     /// fast, and rear guards wait out custody-pending hops.
     pub custody: bool,
-    /// Event-queue shards for the network simulator (`1` = single queue;
-    /// any value produces byte-identical results).
-    pub sim_shards: u32,
     /// Random seed.
     pub seed: u64,
 }
@@ -68,7 +65,6 @@ impl Default for FtConfig {
             downtime_ms: (200, 1_500),
             guarded: true,
             custody: false,
-            sim_shards: 1,
             seed: 99,
         }
     }
@@ -112,7 +108,6 @@ pub fn run_itinerary_experiment(config: &FtConfig) -> FtResult {
     let mut builder = TacomaSystem::builder()
         .topology(Topology::full_mesh(config.sites, LinkSpec::default()))
         .seed(config.seed)
-        .shards(config.sim_shards)
         .with_agents(|_| vec![Box::new(TravellerAgent::new()) as Box<dyn Agent>]);
     if config.custody {
         builder = builder.custody(CustodyConfig::default());

@@ -94,11 +94,6 @@ impl CustodyStore {
         self.queues.iter().map(VecDeque::len).sum()
     }
 
-    /// Whether `site`'s queue is at capacity.
-    pub fn is_full(&self, site: SiteId) -> bool {
-        self.len(site) >= self.config.capacity
-    }
-
     /// Parks a message at `site`.  When the queue is full the message is
     /// handed back in `Err` — the caller owns the rejection.
     pub fn push(&mut self, site: SiteId, parked: Parked) -> Result<(), Parked> {
@@ -169,7 +164,6 @@ mod tests {
         );
         assert!(store.push(SiteId(0), parked(1)).is_ok());
         assert!(store.push(SiteId(0), parked(2)).is_ok());
-        assert!(store.is_full(SiteId(0)));
         assert!(store.push(SiteId(0), parked(3)).is_err(), "over capacity");
         assert_eq!(store.len(SiteId(0)), 2);
         assert_eq!(store.total_len(), 2);
@@ -195,6 +189,5 @@ mod tests {
         let mut store = CustodyStore::new(1, CustodyConfig::default());
         assert!(store.push(SiteId(5), parked(1)).is_err());
         assert_eq!(store.len(SiteId(5)), 0);
-        assert!(!store.is_full(SiteId(5)));
     }
 }

@@ -28,11 +28,8 @@
 //!   re-attempted on every routing-epoch bump, and expire terminally on TTL
 //!   (experiments E13/E14).
 //! * [`calendar::CalendarQueue`] — the hierarchical calendar queue behind
-//!   every event queue: amortised `O(1)` push/pop over `(time, key)` with
+//!   the event queue: amortised `O(1)` push/pop over `(time, key)` with
 //!   FIFO order at equal timestamps via monotone keys.
-//! * [`shard::ShardPlan`] — clique-aligned assignment of sites to event-queue
-//!   shards: a storage layout for [`sim::SimNet`]'s pending events that can
-//!   never change a result (experiment E17 sweeps it).
 //! * [`workload`] — open-arrival workload generation (experiments E18/E19):
 //!   deterministic per-site arrival streams with heavy-tailed bounded-Pareto
 //!   sizes, diurnal rate curves and regional flash crowds; users are modeled
@@ -45,7 +42,6 @@ pub mod custody;
 pub mod failure;
 pub mod metrics;
 pub mod routing;
-pub mod shard;
 pub mod sim;
 pub mod time;
 pub mod topology;
@@ -57,7 +53,6 @@ pub use custody::CustodyConfig;
 pub use failure::FailurePlan;
 pub use metrics::NetMetrics;
 pub use routing::Router;
-pub use shard::ShardPlan;
 pub use sim::{DeliveredMessage, Event, ExpiredMessage, MessageId, NetError, SendOptions, SimNet};
 pub use time::{Duration, SimTime};
 pub use topology::{LinkSpec, Topology, TopologyKind};

@@ -18,7 +18,6 @@ use crate::custody::{CustodyConfig, CustodyStore, Parked};
 use crate::failure::{FailureAction, FailurePlan};
 use crate::metrics::NetMetrics;
 use crate::routing::Router;
-use crate::shard::ShardPlan;
 use crate::time::{Duration, SimTime};
 use crate::topology::Topology;
 use crate::transport::{Transport, TransportKind};
@@ -217,35 +216,16 @@ enum Pending {
     },
 }
 
-impl Pending {
-    /// The site an event fires *at* — the key the sharded queue partitions
-    /// on.  Deliveries fire at their destination; timers, failures and
-    /// custody alarms at their own site.
-    fn site(&self) -> SiteId {
-        match self {
-            Pending::Deliver { msg, .. } => msg.to,
-            Pending::Timer { site, .. } => *site,
-            Pending::Failure { site, .. } => *site,
-            Pending::CustodyExpire { site, .. } => *site,
-        }
-    }
-}
-
 /// The deterministic discrete-event network simulator.
 #[derive(Debug)]
 pub struct SimNet {
     router: Router,
     up: Vec<bool>,
     clock: SimTime,
-    /// One calendar queue per shard of the shard plan (a single queue by
-    /// default).  Events are keyed by the global sequence number, so popping
-    /// the argmin `(time, seq)` across shards reproduces exactly the order a
-    /// single global queue would produce — sharding the queue can never
-    /// change a simulation result, which is what lets CI gate `--shards N`
-    /// against `--shards 1` byte-for-byte.
-    queues: Vec<CalendarQueue<u64, Pending>>,
-    /// Site → shard map.
-    plan: ShardPlan,
+    /// Every pending event, keyed by `(time, seq)`: `seq` is the push
+    /// counter, so events with equal times pop in the order they were
+    /// sent or scheduled.
+    queue: CalendarQueue<u64, Pending>,
     seq: u64,
     next_msg_id: u64,
     transport: Transport,
@@ -271,13 +251,11 @@ impl SimNet {
     /// Creates a simulator over `topology` with every site up.
     pub fn new(topology: Topology) -> Self {
         let sites = topology.site_count() as usize;
-        let plan = ShardPlan::new(&topology, 1);
         SimNet {
             router: Router::new(topology),
             up: vec![true; sites],
             clock: SimTime::ZERO,
-            queues: vec![CalendarQueue::new()],
-            plan,
+            queue: CalendarQueue::new(),
             seq: 0,
             next_msg_id: 1,
             transport: Transport::new(),
@@ -287,33 +265,6 @@ impl SimNet {
             route_buf: Vec::new(),
             custody: None,
         }
-    }
-
-    /// Re-partitions the event queue into `shards` per-shard calendar
-    /// queues, clique-aligned on ring-of-cliques topologies (see
-    /// [`ShardPlan`]).  Already-queued events are redistributed with their
-    /// original `(time, seq)` keys, so calling this at any point — even
-    /// mid-run — cannot change the order in which events pop.
-    pub fn set_shards(&mut self, shards: u32) {
-        self.plan = ShardPlan::new(self.router.topology(), shards);
-        let mut pending: Vec<(SimTime, u64, Pending)> = Vec::new();
-        for queue in &mut self.queues {
-            while let Some(entry) = queue.pop() {
-                pending.push(entry);
-            }
-        }
-        self.queues = (0..self.plan.shards())
-            .map(|_| CalendarQueue::new())
-            .collect();
-        for (at, seq, ev) in pending {
-            let shard = self.plan.shard_of(ev.site()) as usize;
-            self.queues[shard].push(at, seq, ev);
-        }
-    }
-
-    /// Number of event-queue shards (1 unless [`SimNet::set_shards`] raised it).
-    pub fn shard_count(&self) -> u32 {
-        self.plan.shards()
     }
 
     /// Installs a custody store: sends whose [`SendOptions::custody`] flag is
@@ -514,25 +465,31 @@ impl SimNet {
         if !self.is_up(from) {
             return Err(NetError::SourceDown(from));
         }
-        let custody_active = custody && self.custody.is_some();
-        if !self.is_up(to) && !custody_active {
+        // The TTL of the installed store when this send opted into custody:
+        // `Some` is "custody is active for this message".
+        let custody_ttl = self
+            .custody
+            .as_ref()
+            .filter(|_| custody)
+            .map(|store| store.config().ttl);
+        if !self.is_up(to) && custody_ttl.is_none() {
             return Err(NetError::DestinationDown(to));
         }
 
         let id = MessageId(self.next_msg_id);
         self.next_msg_id += 1;
+        let mut msg = DeliveredMessage {
+            id,
+            from,
+            to,
+            payload,
+            kind,
+            sent_at: self.clock,
+            hops: 0,
+        };
 
         if from == to && self.is_up(to) {
             // Local delivery: a small constant kernel cost, no network bytes.
-            let msg = DeliveredMessage {
-                id,
-                from,
-                to,
-                payload,
-                kind,
-                sent_at: self.clock,
-                hops: 0,
-            };
             self.metrics.record_send(from);
             let at = self.clock + Duration::from_micros(10);
             self.push(at, Pending::Deliver { msg, custody: None });
@@ -553,31 +510,23 @@ impl SimNet {
             None
         };
         let Some(path) = path else {
-            if custody_active {
-                return self.park_new(id, from, to, payload, kind, transport);
+            if let Some(ttl) = custody_ttl {
+                return self.park_new(msg, transport, ttl);
             }
             return Err(NetError::Unreachable { from, to });
         };
         self.route_buf.clear();
         self.route_buf.extend_from_slice(path);
 
-        let payload_len = payload.len() as u64;
+        let payload_len = msg.payload.len() as u64;
         let overhead = self.transport.overhead(transport, from, to);
         let wire_bytes = payload_len + overhead.extra_bytes;
         let delay = overhead.setup_latency + self.charge_route_hops(wire_bytes);
         self.metrics.record_send(from);
 
-        let msg = DeliveredMessage {
-            id,
-            from,
-            to,
-            payload,
-            kind,
-            sent_at: self.clock,
-            hops: (self.route_buf.len() - 1) as u32,
-        };
-        let tag = custody_active.then(|| CustodyTag {
-            expires_at: self.clock + self.custody.as_ref().expect("custody_active").config().ttl,
+        msg.hops = (self.route_buf.len() - 1) as u32;
+        let tag = custody_ttl.map(|ttl| CustodyTag {
+            expires_at: self.clock + ttl,
             transport,
             was_parked: false,
         });
@@ -612,14 +561,13 @@ impl SimNet {
     /// leg when the message is re-attempted.
     fn park_new(
         &mut self,
-        id: MessageId,
-        from: SiteId,
-        to: SiteId,
-        payload: Vec<u8>,
-        kind: u16,
+        mut msg: DeliveredMessage,
         transport: TransportKind,
+        ttl: Duration,
     ) -> Result<MessageId, NetError> {
+        let (id, from, to) = (msg.id, msg.from, msg.to);
         // Walk the static path while hops are live and unblocked.
+        let mut custodian = from;
         self.route_buf.clear();
         self.route_buf.push(from);
         if let Some(static_path) = self.router.shortest_path(from, to, |_| true) {
@@ -629,41 +577,32 @@ impl SimNet {
                     break;
                 }
                 self.route_buf.push(b);
+                custodian = b;
             }
         }
-        let custodian = *self.route_buf.last().expect("starts with sender");
-        let store = self.custody.as_ref().expect("checked by caller");
-        if store.is_full(custodian) {
-            self.metrics.record_custody_rejection();
-            return Err(NetError::CustodyFull { at: custodian });
-        }
-        let expires_at = self.clock + store.config().ttl;
-        let hops = (self.route_buf.len() - 1) as u32;
-        if hops > 0 {
-            let overhead = self.transport.overhead(transport, from, custodian);
-            let wire_bytes = payload.len() as u64 + overhead.extra_bytes;
-            self.charge_route_hops(wire_bytes);
-        }
-        self.metrics.record_send(from);
-        self.metrics.record_custody_park(payload.len() as u64);
+        let expires_at = self.clock + ttl;
+        msg.hops = (self.route_buf.len() - 1) as u32;
+        let (hops, payload_len) = (msg.hops, msg.payload.len() as u64);
         let parked = Parked {
-            msg: DeliveredMessage {
-                id,
-                from,
-                to,
-                payload,
-                kind,
-                sent_at: self.clock,
-                hops,
-            },
+            msg,
             transport,
             expires_at,
         };
-        self.custody
+        // The push is the capacity test: a full queue hands the message back.
+        let accepted = self
+            .custody
             .as_mut()
-            .expect("checked by caller")
-            .push(custodian, parked)
-            .expect("capacity checked above");
+            .is_some_and(|store| store.push(custodian, parked).is_ok());
+        if !accepted {
+            self.metrics.record_custody_rejection();
+            return Err(NetError::CustodyFull { at: custodian });
+        }
+        if hops > 0 {
+            let overhead = self.transport.overhead(transport, from, custodian);
+            self.charge_route_hops(payload_len + overhead.extra_bytes);
+        }
+        self.metrics.record_send(from);
+        self.metrics.record_custody_park(payload_len);
         self.push(
             expires_at,
             Pending::CustodyExpire {
@@ -686,28 +625,23 @@ impl SimNet {
             sent_at: msg.sent_at,
             expired_at: self.clock,
         };
-        if self.clock >= tag.expires_at {
-            self.metrics.record_custody_expiry();
-            return Some(Event::MessageExpired(expired));
-        }
         let custodian = msg.from;
-        let store = self.custody.as_mut().expect("checked by caller");
-        if store.is_full(custodian) {
-            self.metrics.record_custody_expiry();
-            return Some(Event::MessageExpired(expired));
-        }
         let bytes = msg.payload.len() as u64;
         let id = msg.id;
-        store
-            .push(
-                custodian,
-                Parked {
-                    msg,
-                    transport: tag.transport,
-                    expires_at: tag.expires_at,
-                },
-            )
-            .expect("capacity checked above");
+        let parked = Parked {
+            msg,
+            transport: tag.transport,
+            expires_at: tag.expires_at,
+        };
+        let reparked = self.clock < tag.expires_at
+            && self
+                .custody
+                .as_mut()
+                .is_some_and(|store| store.push(custodian, parked).is_ok());
+        if !reparked {
+            self.metrics.record_custody_expiry();
+            return Some(Event::MessageExpired(expired));
+        }
         self.metrics.record_custody_park(bytes);
         // The original TTL alarm may have been consumed as a no-op while the
         // message was in flight; arm a fresh one (duplicates are no-ops).
@@ -726,30 +660,23 @@ impl SimNet {
     /// rather than a per-tick scan.  Custodians that are currently down are
     /// skipped (their stable queues survive and flush on recovery).
     fn flush_custody(&mut self) {
-        if self.custody.is_none() {
+        // The store leaves `self` for the sweep (re-delivery never parks).
+        let Some(mut store) = self.custody.take() else {
             return;
-        }
+        };
         for site in 0..self.site_count() {
             let custodian = SiteId(site);
-            if !self.is_up(custodian) || self.custody_backlog_at(custodian) == 0 {
+            if !self.is_up(custodian) || store.len(custodian) == 0 {
                 continue;
             }
-            let mut queue = self
-                .custody
-                .as_mut()
-                .expect("checked above")
-                .take_queue(custodian);
-            let mut stuck = std::collections::VecDeque::new();
-            while let Some(parked) = queue.pop_front() {
-                if let Some(parked) = self.try_redeliver(custodian, parked) {
-                    stuck.push_back(parked);
-                }
-            }
-            self.custody
-                .as_mut()
-                .expect("checked above")
-                .restore_queue(custodian, stuck);
+            let stuck = store
+                .take_queue(custodian)
+                .into_iter()
+                .filter_map(|parked| self.try_redeliver(custodian, parked))
+                .collect();
+            store.restore_queue(custodian, stuck);
         }
+        self.custody = Some(store);
     }
 
     /// Attempts to route one parked message onward.  Returns the message when
@@ -799,7 +726,7 @@ impl SimNet {
     /// and do not surface.
     pub fn step(&mut self) -> Option<Event> {
         loop {
-            let (at, _, pending) = self.pop_next()?;
+            let (at, _, pending) = self.queue.pop()?;
             debug_assert!(at >= self.clock, "time must not go backwards");
             self.clock = self.clock.max(at);
             match pending {
@@ -864,37 +791,19 @@ impl SimNet {
         }
     }
 
-    /// Pops the globally next event: the argmin of `(time, seq)` across the
-    /// per-shard queues.  Sequence numbers are globally unique, so this is a
-    /// total order and the pop sequence is independent of the shard count.
-    fn pop_next(&mut self) -> Option<(SimTime, u64, Pending)> {
-        let shard = self
-            .queues
-            .iter()
-            .enumerate()
-            .filter_map(|(i, q)| q.peek().map(|front| (front, i)))
-            .min()?
-            .1;
-        self.queues[shard].pop()
-    }
-
     /// The time of the next pending event, if any.
     pub fn peek_time(&self) -> Option<SimTime> {
-        self.queues
-            .iter()
-            .filter_map(CalendarQueue::peek)
-            .min()
-            .map(|(at, _)| at)
+        self.queue.peek().map(|(at, _)| at)
     }
 
     /// Whether any events are pending.
     pub fn has_pending(&self) -> bool {
-        self.queues.iter().any(|q| !q.is_empty())
+        !self.queue.is_empty()
     }
 
     /// Number of pending events (messages in flight, timers, failures).
     pub fn pending_count(&self) -> usize {
-        self.queues.iter().map(CalendarQueue::len).sum()
+        self.queue.len()
     }
 
     fn apply_failure(&mut self, site: SiteId, action: FailureAction) -> bool {
@@ -930,8 +839,7 @@ impl SimNet {
     fn push(&mut self, at: SimTime, pending: Pending) {
         let seq = self.seq;
         self.seq += 1;
-        let shard = self.plan.shard_of(pending.site()) as usize;
-        self.queues[shard].push(at, seq, pending);
+        self.queue.push(at, seq, pending);
     }
 }
 

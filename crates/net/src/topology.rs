@@ -83,11 +83,6 @@ pub struct Topology {
     kind: TopologyKind,
     sites: u32,
     links: BTreeMap<(SiteId, SiteId), LinkSpec>,
-    /// For [`TopologyKind::RingOfCliques`]: the number of sites per clique.
-    /// The shard planner ([`crate::shard::ShardPlan`]) uses this to align
-    /// shard boundaries with clique boundaries, so clique-local traffic stays
-    /// in one shard's queue.
-    clique_size: Option<u32>,
 }
 
 impl Topology {
@@ -97,7 +92,6 @@ impl Topology {
             kind: TopologyKind::Custom,
             sites,
             links: BTreeMap::new(),
-            clique_size: None,
         }
     }
 
@@ -170,7 +164,6 @@ impl Topology {
     ) -> Self {
         let mut t = Topology::empty(cliques * clique_size);
         t.kind = TopologyKind::RingOfCliques;
-        t.clique_size = (clique_size > 0).then_some(clique_size);
         let gateway = |c: u32| SiteId(c * clique_size);
         for c in 0..cliques {
             let base = c * clique_size;
@@ -239,13 +232,6 @@ impl Topology {
     /// The shape this topology was built with.
     pub fn kind(&self) -> TopologyKind {
         self.kind
-    }
-
-    /// Sites per clique, when this is a [`TopologyKind::RingOfCliques`]
-    /// shape.  `None` for every other shape (shard planning then falls back
-    /// to contiguous site blocks).
-    pub fn clique_size(&self) -> Option<u32> {
-        self.clique_size
     }
 
     /// Number of (bidirectional) links.
@@ -393,9 +379,6 @@ mod tests {
         assert_eq!(t.link(SiteId(0), SiteId(1)), Some(&LinkSpec::lan()));
         // A non-gateway member only sees its own clique.
         assert_eq!(t.neighbors(SiteId(4)), vec![SiteId(3), SiteId(5)]);
-        // The clique geometry is recorded for the shard planner.
-        assert_eq!(t.clique_size(), Some(3));
-        assert_eq!(Topology::ring(4, LinkSpec::default()).clique_size(), None);
     }
 
     #[test]

@@ -17,7 +17,7 @@
 //! Generation is a *pure function* of the [`OpenWorkload`] spec: every site's
 //! stream comes from its own [`tacoma_util::DetRng::derive`]d sub-stream, so
 //! the merged trace is byte-identical regardless of how many harness workers
-//! (`--jobs`) or event shards (`--shards`) later consume it.  Arrivals of a
+//! (`--jobs`) later consume it.  Arrivals of a
 //! non-homogeneous Poisson process are produced by thinning a homogeneous
 //! process at the peak rate.
 

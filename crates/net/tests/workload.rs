@@ -27,7 +27,7 @@ fn workload(seed: u64, sites: u32, base_hz: f64, weights: Vec<f64>) -> OpenWorkl
 proptest! {
     /// Same seed, same configuration: the rendered event trace is
     /// byte-identical on every call.  This is the generator's half of the
-    /// `--jobs`/`--shards` determinism contract — the stream handed to the
+    /// `--jobs` determinism contract — the stream handed to the
     /// simulator never depends on who asks or how often.
     #[test]
     fn same_seed_renders_byte_identical_traces(

@@ -32,9 +32,6 @@ pub struct SchedulingConfig {
     pub policy: PlacementPolicy,
     /// Monitor reporting period.
     pub report_period: Duration,
-    /// Event-queue shards for the network simulator (`1` = single queue;
-    /// any value produces byte-identical results).
-    pub sim_shards: u32,
     /// Random seed.
     pub seed: u64,
 }
@@ -49,7 +46,6 @@ impl Default for SchedulingConfig {
             mean_interarrival_ms: 30.0,
             policy: PlacementPolicy::LoadBased,
             report_period: Duration::from_millis(50),
-            sim_shards: 1,
             seed: 42,
         }
     }
@@ -129,7 +125,6 @@ pub fn run_scheduling_experiment(config: &SchedulingConfig) -> SchedulingResult 
     let mut sys = TacomaSystem::builder()
         .topology(Topology::star(sites, LinkSpec::default()))
         .seed(config.seed)
-        .shards(config.sim_shards)
         .build();
 
     // Site 0: broker, ticket and the job source.  The broker trusts reports
@@ -247,7 +242,6 @@ mod tests {
             mean_interarrival_ms: 20.0,
             policy,
             report_period: Duration::from_millis(40),
-            sim_shards: 1,
             seed: 7,
         }
     }

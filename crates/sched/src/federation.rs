@@ -576,8 +576,8 @@ pub struct FederationConfig {
     /// Store-and-forward custody configuration, when enabled (E16's failover
     /// runs park in-flight submissions across the broker outage).
     pub custody: Option<CustodyConfig>,
-    /// Event-queue shards for the network simulator — unrelated to the broker
-    /// `shards` above (`1` = single queue; any value is byte-identical).
+    /// Unread: the simulator has one event queue.  Kept only because
+    /// `benchmark/` still sets it; goes with ROADMAP item 1(f).
     pub sim_shards: u32,
     /// Random seed.
     pub seed: u64,
@@ -658,7 +658,6 @@ pub fn build_federation(config: &FederationConfig) -> (TacomaSystem, FederationL
     let mut builder = TacomaSystem::builder()
         .topology(topology)
         .seed(config.seed)
-        .shards(config.sim_shards)
         .with_agents_at(broker_sites.clone(), move |site| {
             let shard = (site.0 / clique_size) / cliques_per_shard;
             vec![

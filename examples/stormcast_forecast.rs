@@ -24,7 +24,6 @@ fn main() {
             readings_per_sensor: 500,
             storm_fraction: 0.25,
             plan,
-            sim_shards: 1,
             seed: 1995,
         });
         println!(
