@@ -313,10 +313,9 @@ mod tests {
     #[test]
     fn net_metrics_export_flows_into_a_report() {
         use tacoma_net::NetMetrics;
-        use tacoma_util::SiteId;
         let mut net = NetMetrics::new();
-        net.record_send(SiteId(0));
-        net.record_hop(SiteId(0), SiteId(1), 512);
+        net.record_send();
+        net.record_hop(512);
         let mut set = sample_set();
         set.reports[0].append_metrics(net.export());
         let parsed = ReportSet::from_json_str(&set.to_json_string()).unwrap();

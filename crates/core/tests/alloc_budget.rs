@@ -5,16 +5,17 @@
 //! the calling thread through a counting global allocator and pin the
 //! properties the arena-backed [`Folder`] and the borrowed dispatch
 //! environment exist for — one allocation per encode, O(folders) rather than
-//! O(elements) per decode, and no per-meet work proportional to the number
-//! of sites.  This file is the workspace's one use of `unsafe` outside the
-//! benchmark, which the allocator trait requires.
+//! O(elements) per decode, no per-meet work proportional to the number of
+//! sites, and none at all inside a warm `SimNet::send` + `step`.  This file
+//! is the workspace's one use of `unsafe` outside the benchmark, which the
+//! allocator trait requires.
 #![allow(unsafe_code)]
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use tacoma_core::codec::{self, MeetRequest};
 use tacoma_core::prelude::*;
-use tacoma_net::{LinkSpec, Topology};
+use tacoma_net::{Event, LinkSpec, SendOptions, SimNet, Topology, TransportKind};
 
 thread_local! {
     /// `(allocations, bytes)` requested by this thread.  Per thread, so the
@@ -169,4 +170,40 @@ fn local_meet_bytes(sites: u32) -> u64 {
 #[test]
 fn a_meet_does_no_work_proportional_to_the_site_count() {
     assert_eq!(local_meet_bytes(16), local_meet_bytes(1_024));
+}
+
+#[test]
+fn a_warm_send_and_step_allocate_nothing() {
+    // 0 -> 3 on a six-ring is three hops.  Payloads are built before the
+    // count starts and dropped after it ends, so every allocation counted
+    // is the simulator's own: a route copied out of the cache per send or a
+    // box per message in flight would each show up here.
+    let mut net = SimNet::new(Topology::ring(6, LinkSpec::default()));
+    let mut messages = (0..1_100).map(|i| SendOptions {
+        from: SiteId(0),
+        to: SiteId(3),
+        payload: vec![i as u8; 256],
+        kind: 1,
+        transport: TransportKind::Tcp,
+        custody: false,
+    });
+    let mut send_and_step = |opts: SendOptions| {
+        net.send(opts).expect("the ring is up");
+        match net.step() {
+            Some(Event::Message(m)) => m,
+            other => panic!("expected the delivery, got {other:?}"),
+        }
+    };
+    for opts in messages.by_ref().take(100) {
+        assert_eq!(send_and_step(opts).hops, 3);
+    }
+    let measured: Vec<SendOptions> = messages.collect();
+    let mut delivered = Vec::with_capacity(measured.len());
+    let ((), allocs, _) = counted(|| {
+        for opts in measured {
+            delivered.push(send_and_step(opts));
+        }
+    });
+    assert_eq!(delivered.len(), 1_000);
+    assert_eq!(allocs, 0, "allocations across 1 000 warm send + step pairs");
 }

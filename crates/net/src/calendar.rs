@@ -1,49 +1,51 @@
 //! A hierarchical calendar queue: the event queue behind [`crate::sim::SimNet`].
 //!
 //! A discrete-event simulator spends most of its time in its priority queue.
-//! A single `BinaryHeap` costs `O(log n)` per operation over an array that at
+//! A single binary heap costs `O(log n)` per operation over an array that at
 //! 4096+ sites no longer fits in cache, and — worse for us — the heap's
 //! internal order is not stable, so FIFO tie-breaking at equal timestamps has
 //! to be bolted on with a sequence number anyway.  The calendar queue
-//! ([Brown 1988]'s structure, here in the two-level "near wheel + overflow"
-//! form) gets amortised `O(1)` inserts and pops by hashing events on their
-//! timestamp into an array of time buckets:
+//! ([Brown 1988]'s structure, here as a wheel that appends and heapifies)
+//! gets amortised `O(1)` inserts by hashing events on their timestamp into
+//! an array of time buckets, and sorts only the bucket it is draining:
 //!
-//! * a **near wheel** of `slots` buckets, each `bucket_width` microseconds
-//!   wide, covering the window `[base, base + slots × width)` of imminent
-//!   simulated time.  Each bucket is a tiny binary heap ordered by
-//!   `(time, key)`, so a bucket rarely holds more than a handful of events
-//!   and stays resident in L1;
-//! * an **overflow heap** for events scheduled beyond the wheel's horizon.
-//!   Whenever the wheel's base advances, overflow events whose time has come
-//!   into the window migrate into their bucket (each event migrates at most
-//!   once).
+//! * a **wheel** of `slots` buckets, each `bucket_width` microseconds wide,
+//!   covering one *revolution* `[r × slots, (r + 1) × slots)` of bucket
+//!   numbers.  A bucket ahead of the clock is an unsorted `Vec`: a push is
+//!   an append, no comparison made;
+//! * the **current bucket**, the one being drained, is the queue's only
+//!   heap, built in `O(n)` from its `Vec` when the bucket's turn comes (the
+//!   drained heap's buffer goes back to the slot).  Pushes at or before it —
+//!   late events included — go into the heap, so its top is the front;
+//! * an **overflow** map, revolution → unsorted `Vec`, for events beyond the
+//!   wheel's revolution, dealt onto the wheel when it turns over to theirs
+//!   (each event is dealt at most once).
 //!
 //! Pop order is the total order on `(time, key)`.  Callers hand every event a
 //! unique, monotonically assigned key, which makes ties at equal timestamps
 //! pop in FIFO order — the determinism contract the simulator's reports are
 //! built on.  The key type is generic; the simulator keys events by its
-//! global sequence number, which is what makes the pop order independent of
-//! how the queue is sharded.
+//! global sequence number.
 //!
 //! [Brown 1988]: "Calendar Queues: A Fast O(1) Priority Queue Implementation
 //! for the Simulation Event Set Problem", CACM 31(10).
 
 use crate::time::SimTime;
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::collections::{BTreeMap, BinaryHeap};
 
 /// Default bucket width: 512 µs spans the LAN-latency scale, so consecutive
 /// deliveries land in neighbouring buckets instead of piling into one.
 const DEFAULT_BUCKET_WIDTH_US: u64 = 512;
 
-/// Default wheel size: 128 buckets × 512 µs ≈ a 65 ms window, wide enough to
-/// keep WAN-latency deliveries (40 ms) on the wheel; only long timers and
-/// failure-plan events take the overflow detour.
+/// Default wheel size: 128 buckets × 512 µs ≈ a 65 ms revolution, wide
+/// enough that a WAN-latency delivery (40 ms) is at most one turn away;
+/// only long timers and failure-plan events wait many turns in overflow.
 const DEFAULT_SLOTS: usize = 128;
 
 /// One queued event.  Ordering ignores the value entirely: the total order is
-/// `(time, key)`, and keys are unique by contract.
+/// `(time, key)`, and keys are unique by contract.  It is *reversed* — the
+/// earliest entry is the greatest — so the standard max-heap keeps the next
+/// event on top.
 #[derive(Debug, Clone)]
 struct Entry<K, V> {
     at: SimTime,
@@ -64,30 +66,32 @@ impl<K: Ord, V> PartialOrd for Entry<K, V> {
 }
 impl<K: Ord, V> Ord for Entry<K, V> {
     fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.at, &self.key).cmp(&(other.at, &other.key))
+        (other.at, &other.key).cmp(&(self.at, &self.key))
     }
 }
 
-/// A two-level calendar queue ordered by `(time, key)`.
+/// A calendar queue ordered by `(time, key)`.
 ///
 /// Keys must be unique across live entries; the caller assigns them (the
 /// simulator uses a monotone sequence number, so equal-time events pop in
 /// insertion order).
 #[derive(Debug, Clone)]
 pub struct CalendarQueue<K, V> {
-    /// The near wheel: slot `b % slots.len()` holds exactly the events whose
-    /// bucket number `b = time / bucket_width` lies in
-    /// `[base_bucket, base_bucket + slots.len())`.
-    slots: Vec<BinaryHeap<Reverse<Entry<K, V>>>>,
-    /// Events beyond the wheel horizon (bucket number ≥ `base_bucket + slots`).
-    overflow: BinaryHeap<Reverse<Entry<K, V>>>,
-    /// Lowest bucket number the wheel currently represents.
-    base_bucket: u64,
+    /// The wheel: slot `b - rev_start` holds, unsorted, exactly the events
+    /// whose bucket number `b = time / bucket_width` lies after `cur_bucket`
+    /// and inside the revolution that starts at `rev_start`.
+    slots: Vec<Vec<Entry<K, V>>>,
+    /// Every event in a bucket at or before `cur_bucket`.  Never empty while
+    /// the queue is not, so its top is the front of the whole queue.
+    current: BinaryHeap<Entry<K, V>>,
+    /// Events in later revolutions, by revolution number (`bucket / slots`).
+    overflow: BTreeMap<u64, Vec<Entry<K, V>>>,
+    /// The bucket being drained.
+    cur_bucket: u64,
+    /// First bucket of the wheel's revolution (a multiple of `slots.len()`).
+    rev_start: u64,
     bucket_width: u64,
     len: usize,
-    /// `(time, key)` of the minimum entry, maintained on every mutation so
-    /// `peek` is `O(1)` and needs only `&self`.
-    front: Option<(SimTime, K)>,
 }
 
 impl<K: Ord + Copy, V> CalendarQueue<K, V> {
@@ -99,15 +103,14 @@ impl<K: Ord + Copy, V> CalendarQueue<K, V> {
     /// An empty queue with `slots` buckets of `bucket_width_us` microseconds.
     /// Exposed so tests can force tiny wheels and exercise wrap/migration.
     pub fn with_geometry(bucket_width_us: u64, slots: usize) -> Self {
-        let bucket_width = bucket_width_us.max(1);
-        let slots = slots.max(1);
         CalendarQueue {
-            slots: (0..slots).map(|_| BinaryHeap::new()).collect(),
-            overflow: BinaryHeap::new(),
-            base_bucket: 0,
-            bucket_width,
+            slots: (0..slots.max(1)).map(|_| Vec::new()).collect(),
+            current: BinaryHeap::new(),
+            overflow: BTreeMap::new(),
+            cur_bucket: 0,
+            rev_start: 0,
+            bucket_width: bucket_width_us.max(1),
             len: 0,
-            front: None,
         }
     }
 
@@ -123,107 +126,72 @@ impl<K: Ord + Copy, V> CalendarQueue<K, V> {
 
     /// `(time, key)` of the next event to pop, without popping it.
     pub fn peek(&self) -> Option<(SimTime, K)> {
-        self.front
+        self.current.peek().map(|e| (e.at, e.key))
     }
 
-    /// Bucket number of a timestamp (saturating, so `SimTime(u64::MAX)`
-    /// alarms are representable).
+    /// Bucket number of a timestamp (`SimTime(u64::MAX)` alarms included:
+    /// dividing only shrinks).
     fn bucket_of(&self, at: SimTime) -> u64 {
         at.micros() / self.bucket_width
-    }
-
-    /// End of the wheel window as a bucket number (saturating).
-    fn horizon(&self) -> u64 {
-        self.base_bucket.saturating_add(self.slots.len() as u64)
     }
 
     /// Inserts an event.  `key` must be unique among live entries; events
     /// earlier than an already-popped timestamp are accepted (they pop next).
     pub fn push(&mut self, at: SimTime, key: K, value: V) {
-        if self.front.is_none_or(|(ft, fk)| (at, key) < (ft, fk)) {
-            self.front = Some((at, key));
-        }
-        let entry = Reverse(Entry { at, key, value });
-        // Late events (bucket before the base) go into the base slot: the
-        // scan starts there and bucket heaps are (time, key)-ordered, so
-        // they still pop first.
-        let bucket = self.bucket_of(at).max(self.base_bucket);
-        if bucket < self.horizon() {
-            let slot = (bucket % self.slots.len() as u64) as usize;
-            self.slots[slot].push(entry);
+        let entry = Entry { at, key, value };
+        let bucket = self.bucket_of(at);
+        let n = self.slots.len() as u64;
+        if self.len == 0 {
+            // Nothing is queued: turn the wheel straight to this event.
+            self.cur_bucket = bucket;
+            self.rev_start = bucket - bucket % n;
+            self.current.push(entry);
+        } else if bucket <= self.cur_bucket {
+            self.current.push(entry);
+        } else if bucket - self.rev_start < n {
+            self.slots[(bucket - self.rev_start) as usize].push(entry);
         } else {
-            self.overflow.push(entry);
+            self.overflow.entry(bucket / n).or_default().push(entry);
         }
         self.len += 1;
     }
 
     /// Removes and returns the minimum event as `(time, key, value)`.
     pub fn pop(&mut self) -> Option<(SimTime, K, V)> {
-        if self.len == 0 {
-            return None;
-        }
-        let bucket = self.settle();
-        let slot = (bucket % self.slots.len() as u64) as usize;
-        let Reverse(entry) = self.slots[slot].pop().expect("settle found this slot");
+        let entry = self.current.pop()?;
         self.len -= 1;
-        self.front = self.compute_front();
+        if self.current.is_empty() && self.len > 0 {
+            self.advance();
+        }
         Some((entry.at, entry.key, entry.value))
     }
 
-    /// Advances the wheel base to the first non-empty bucket, migrating
-    /// overflow events that the move brings into the window, and returns that
-    /// bucket number.  Requires `len > 0`.
-    fn settle(&mut self) -> u64 {
+    /// Makes the next non-empty bucket the current one, turning the wheel
+    /// over to the next revolution that holds anything when this one is
+    /// spent.  Requires a drained `current` and `len > 0`.
+    fn advance(&mut self) {
+        let mut from = (self.cur_bucket - self.rev_start) as usize + 1;
         loop {
-            let n = self.slots.len() as u64;
-            let mut first = None;
-            for i in 0..n {
-                let b = self.base_bucket.saturating_add(i);
-                if !self.slots[(b % n) as usize].is_empty() {
-                    first = Some(b);
-                    break;
-                }
+            if let Some(i) = (from..self.slots.len()).find(|&i| !self.slots[i].is_empty()) {
+                self.cur_bucket = self.rev_start + i as u64;
+                let bucket = std::mem::take(&mut self.slots[i]);
+                let drained = std::mem::replace(&mut self.current, BinaryHeap::from(bucket));
+                // The slot keeps a buffer for its next turn: no allocation
+                // per bucket once the wheel has been round.
+                self.slots[i] = drained.into_vec();
+                return;
             }
-            // Invariant: every overflow entry's bucket is ≥ the horizon at
-            // the time it was pushed or last migrated, hence strictly beyond
-            // any in-window bucket — so an in-window hit is the global front.
-            if let Some(b) = first {
-                self.advance_to(b);
-                return b;
+            let (rev, far) = self
+                .overflow
+                .pop_first()
+                .expect("len > 0 and the wheel is empty");
+            self.rev_start = rev * self.slots.len() as u64;
+            for entry in far {
+                let slot = (self.bucket_of(entry.at) - self.rev_start) as usize;
+                self.slots[slot].push(entry);
             }
-            // Wheel empty: jump the base to the overflow's first bucket and
-            // let migration refill the wheel.
-            let Reverse(next) = self.overflow.peek().expect("len > 0, wheel empty");
-            let b = self.bucket_of(next.at);
-            self.advance_to(b);
+            from = 0;
         }
-    }
-
-    /// Moves the base forward to `bucket` (never backward) and migrates every
-    /// overflow event that now falls inside the window onto the wheel.
-    fn advance_to(&mut self, bucket: u64) {
-        if bucket > self.base_bucket {
-            self.base_bucket = bucket;
-        }
-        let n = self.slots.len() as u64;
-        while let Some(Reverse(e)) = self.overflow.peek() {
-            let b = self.bucket_of(e.at);
-            if b >= self.horizon() {
-                break;
-            }
-            let Reverse(e) = self.overflow.pop().expect("just peeked");
-            self.slots[(b % n) as usize].push(Reverse(e));
-        }
-    }
-
-    /// Recomputes the cached front after a pop.
-    fn compute_front(&mut self) -> Option<(SimTime, K)> {
-        if self.len == 0 {
-            return None;
-        }
-        let bucket = self.settle();
-        let slot = (bucket % self.slots.len() as u64) as usize;
-        self.slots[slot].peek().map(|Reverse(e)| (e.at, e.key))
     }
 }
 

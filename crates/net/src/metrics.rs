@@ -1,4 +1,4 @@
-//! Network accounting: bytes and messages moved, per link and in total.
+//! Network accounting: bytes and messages moved, in total.
 //!
 //! These counters are the primary measured quantity of experiment E1
 //! (bandwidth conservation, §1 of the paper) and contribute the overhead
@@ -6,8 +6,7 @@
 //! (rear guards).
 
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
-use tacoma_util::{ByteCount, MetricValue, SiteId, Summary};
+use tacoma_util::{ByteCount, MetricValue, Summary};
 
 /// Byte and message counters for a whole simulation run.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
@@ -29,9 +28,6 @@ pub struct NetMetrics {
     janitor_shed: u64,
     admission_queue_peak: u64,
     admission_waits: Summary,
-    per_link_bytes: BTreeMap<(SiteId, SiteId), ByteCount>,
-    per_site_sent: BTreeMap<SiteId, u64>,
-    per_site_received: BTreeMap<SiteId, u64>,
 }
 
 impl NetMetrics {
@@ -41,23 +37,19 @@ impl NetMetrics {
     }
 
     /// Records one message traversing one hop of `bytes` bytes.
-    pub fn record_hop(&mut self, from: SiteId, to: SiteId, bytes: u64) {
+    pub fn record_hop(&mut self, bytes: u64) {
         self.total_bytes.add_bytes(bytes);
         self.total_hops += 1;
-        let key = if from <= to { (from, to) } else { (to, from) };
-        self.per_link_bytes.entry(key).or_default().add_bytes(bytes);
     }
 
-    /// Records a message accepted for sending at `from`.
-    pub fn record_send(&mut self, from: SiteId) {
+    /// Records a message accepted for sending.
+    pub fn record_send(&mut self) {
         self.total_messages += 1;
-        *self.per_site_sent.entry(from).or_default() += 1;
     }
 
-    /// Records a message delivered at `to`.
-    pub fn record_delivery(&mut self, to: SiteId) {
+    /// Records a message delivered at its destination.
+    pub fn record_delivery(&mut self) {
         self.delivered_messages += 1;
-        *self.per_site_received.entry(to).or_default() += 1;
     }
 
     /// Records a message dropped in flight (dead destination, partition, ...).
@@ -218,30 +210,6 @@ impl NetMetrics {
         self.custody_peak_bytes
     }
 
-    /// Bytes moved over a particular link (orientation-insensitive).
-    pub fn link_bytes(&self, a: SiteId, b: SiteId) -> ByteCount {
-        let key = if a <= b { (a, b) } else { (b, a) };
-        self.per_link_bytes.get(&key).copied().unwrap_or_default()
-    }
-
-    /// Messages sent from a site.
-    pub fn sent_by(&self, site: SiteId) -> u64 {
-        self.per_site_sent.get(&site).copied().unwrap_or(0)
-    }
-
-    /// Messages delivered at a site.
-    pub fn received_by(&self, site: SiteId) -> u64 {
-        self.per_site_received.get(&site).copied().unwrap_or(0)
-    }
-
-    /// The busiest link and its byte count, if any traffic has flowed.
-    pub fn busiest_link(&self) -> Option<((SiteId, SiteId), ByteCount)> {
-        self.per_link_bytes
-            .iter()
-            .max_by_key(|(_, bytes)| bytes.get())
-            .map(|(&link, &bytes)| (link, bytes))
-    }
-
     /// Resets all counters to zero (used between experiment phases).
     pub fn reset(&mut self) {
         *self = NetMetrics::default();
@@ -319,37 +287,31 @@ mod tests {
     #[test]
     fn counters_accumulate() {
         let mut m = NetMetrics::new();
-        m.record_send(SiteId(0));
-        m.record_hop(SiteId(0), SiteId(1), 100);
-        m.record_hop(SiteId(1), SiteId(2), 100);
-        m.record_delivery(SiteId(2));
+        m.record_send();
+        m.record_hop(100);
+        m.record_hop(100);
+        m.record_delivery();
         assert_eq!(m.total_messages(), 1);
         assert_eq!(m.total_hops(), 2);
         assert_eq!(m.total_bytes().get(), 200);
-        assert_eq!(m.sent_by(SiteId(0)), 1);
-        assert_eq!(m.received_by(SiteId(2)), 1);
-        assert_eq!(m.received_by(SiteId(1)), 0);
+        assert_eq!(m.delivered_messages(), 1);
     }
 
     #[test]
-    fn link_bytes_symmetric() {
+    fn hop_bytes_add_up() {
         let mut m = NetMetrics::new();
-        m.record_hop(SiteId(3), SiteId(1), 50);
-        m.record_hop(SiteId(1), SiteId(3), 25);
-        assert_eq!(m.link_bytes(SiteId(1), SiteId(3)).get(), 75);
-        assert_eq!(m.link_bytes(SiteId(3), SiteId(1)).get(), 75);
-        assert_eq!(m.link_bytes(SiteId(0), SiteId(1)).get(), 0);
+        m.record_hop(50);
+        m.record_hop(25);
+        assert_eq!(m.total_bytes().get(), 75);
+        assert_eq!(m.total_hops(), 2);
     }
 
     #[test]
-    fn busiest_link_and_reset() {
+    fn reset_zeroes_every_counter() {
         let mut m = NetMetrics::new();
-        assert!(m.busiest_link().is_none());
-        m.record_hop(SiteId(0), SiteId(1), 10);
-        m.record_hop(SiteId(1), SiteId(2), 99);
-        let (link, bytes) = m.busiest_link().unwrap();
-        assert_eq!(link, (SiteId(1), SiteId(2)));
-        assert_eq!(bytes.get(), 99);
+        m.record_hop(10);
+        m.record_hop(99);
+        assert_eq!(m.total_bytes().get(), 109);
         m.record_drop();
         assert_eq!(m.dropped_messages(), 1);
         m.reset();
@@ -360,8 +322,8 @@ mod tests {
     #[test]
     fn export_is_typed_and_stably_ordered() {
         let mut m = NetMetrics::new();
-        m.record_send(SiteId(0));
-        m.record_hop(SiteId(0), SiteId(1), 64);
+        m.record_send();
+        m.record_hop(64);
         m.record_drop();
         let exported = m.export();
         let keys: Vec<&str> = exported.iter().map(|(k, _)| k.as_str()).collect();

@@ -12,34 +12,47 @@
 //! Recomputing a BFS on every send caps topology size, exactly as
 //! per-destination flooding would cap a real WAN.  [`Router`] therefore keeps
 //! an **epoch-invalidated route cache**: [`Router::route`] answers a
-//! `(from, to)` query from the cache whenever the cached entry was computed
-//! at the caller's current *epoch*, and recomputes (and re-caches) it
-//! otherwise.  The epoch is owned by the caller — [`crate::sim::SimNet`]
-//! bumps it on every site crash, recovery, partition, heal and topology
-//! edit — so invalidation is a single integer compare per query and stale
-//! entries are never consulted.  Negative results (unreachable pairs) are
-//! cached too; they are exactly as expensive to recompute as positive ones.
+//! `(from, to)` query from the cache whenever the cache was filled at the
+//! caller's current *epoch*, and recomputes (and re-caches) it otherwise.
+//! The epoch is owned by the caller — [`crate::sim::SimNet`] bumps it on
+//! every site crash, recovery, partition, heal and topology edit — so
+//! invalidation is a single integer compare per query: the first query at a
+//! new epoch empties the cache, and stale entries are never consulted.
+//! Negative results (unreachable pairs) are cached too; they are exactly as
+//! expensive to recompute as positive ones.
 //!
-//! There is one traversal (`search`); [`Router::route`] runs it over
-//! reusable scratch buffers, so even a cache miss allocates nothing beyond
-//! the path it returns.  [`Router::route_queries`] and [`Router::bfs_runs`]
+//! Cached paths live in one flat arena, each site beside the [`LinkSpec`] of
+//! the link that reached it, so the send path charges a route's hops from
+//! the cached slice without asking the topology.  There is one traversal
+//! (`search`); [`Router::route`] runs it over reusable scratch buffers and
+//! writes the path into the arena, so a cache miss allocates nothing of its
+//! own.  [`Router::route_queries`] and [`Router::bfs_runs`]
 //! count the routing work performed; the scale experiments (E11/E12) report
 //! both — without the cache every query would be a BFS, so the saving is
 //! `route_queries / bfs_runs`.
 
-use crate::topology::Topology;
+use crate::topology::{LinkSpec, Topology};
+use std::collections::hash_map::Entry;
 use std::collections::{HashMap, VecDeque};
-use tacoma_util::SiteId;
+use tacoma_util::{IdBuildHasher, SiteId};
 
 /// Sentinel in the BFS predecessor array meaning "not visited yet".
 const UNVISITED: u32 = u32::MAX;
 
-/// One cached routing answer: the path (or proven unreachability) that was
-/// valid at `epoch`.
-#[derive(Debug, Clone)]
-struct CacheEntry {
-    epoch: u64,
-    path: Option<Vec<SiteId>>,
+/// One cached routing answer: where its path sits in the router's arena.
+/// A reachable path has at least one site, so `len == 0` is proven
+/// unreachability.
+#[derive(Debug, Clone, Copy)]
+struct Span {
+    start: u32,
+    len: u32,
+}
+
+impl Span {
+    fn sites(self) -> std::ops::Range<usize> {
+        let start = self.start as usize;
+        start..start + self.len as usize
+    }
 }
 
 /// A routing oracle that answers shortest-path queries over a topology,
@@ -50,8 +63,15 @@ pub struct Router {
     /// Precomputed adjacency (ascending neighbour order, matching
     /// `Topology::neighbors`), rebuilt on topology edits.
     adj: Vec<Vec<SiteId>>,
-    /// `(from, to)` → cached path, validated against the caller's epoch.
-    cache: HashMap<(SiteId, SiteId), CacheEntry>,
+    /// `(from, to)` → cached path, all of it computed at `cache_epoch`.
+    cache: HashMap<(SiteId, SiteId), Span, IdBuildHasher>,
+    cache_epoch: u64,
+    /// The arena the cache's spans index: every cached path's sites, end to
+    /// end, and beside each site the spec of the link that reached it (a
+    /// path's first site has none; its slot is filler).  Emptied with the
+    /// cache, so epoch churn cannot grow it.
+    path_sites: Vec<SiteId>,
+    path_links: Vec<LinkSpec>,
     route_queries: u64,
     bfs_runs: u64,
     /// Scratch: predecessor per site (`UNVISITED` when not reached).
@@ -67,7 +87,10 @@ impl Router {
         Router {
             topology,
             adj,
-            cache: HashMap::new(),
+            cache: HashMap::default(),
+            cache_epoch: 0,
+            path_sites: Vec::new(),
+            path_links: Vec::new(),
             route_queries: 0,
             bfs_runs: 0,
             prev: Vec::new(),
@@ -88,7 +111,13 @@ impl Router {
     pub fn edit_topology(&mut self, edit: impl FnOnce(&mut Topology)) {
         edit(&mut self.topology);
         self.adj = build_adjacency(&self.topology);
+        self.clear_cache();
+    }
+
+    fn clear_cache(&mut self) {
         self.cache.clear();
+        self.path_sites.clear();
+        self.path_links.clear();
     }
 
     /// Number of routing queries answered (cache hits and misses alike).
@@ -110,9 +139,9 @@ impl Router {
     }
 
     /// The shortest live path from `from` to `to` at `epoch`, avoiding dead
-    /// sites and blocked (partitioned) edges.  Answers from the cache when a
-    /// cached entry carries the same epoch; otherwise runs a BFS and caches
-    /// the result under `epoch`.  Returns `None` when unreachable.
+    /// sites and blocked (partitioned) edges.  Answers from the cache when
+    /// the cache was filled at the same epoch; otherwise runs a BFS and
+    /// caches the result under `epoch`.  Returns `None` when unreachable.
     ///
     /// Correctness contract: `alive` and `blocked` must be functions of the
     /// state identified by `epoch` — the caller bumps the epoch whenever
@@ -125,26 +154,69 @@ impl Router {
         alive: impl Fn(SiteId) -> bool,
         blocked: impl Fn(SiteId, SiteId) -> bool,
     ) -> Option<&[SiteId]> {
+        let span = self.lookup(from, to, epoch, alive, blocked);
+        (span.len > 0).then(|| &self.path_sites[span.sites()])
+    }
+
+    /// [`Router::route`], answered as the specs of the links the path
+    /// crosses, in order: one per hop, so a local route is `Some(&[])`.
+    pub(crate) fn route_links(
+        &mut self,
+        from: SiteId,
+        to: SiteId,
+        epoch: u64,
+        alive: impl Fn(SiteId) -> bool,
+        blocked: impl Fn(SiteId, SiteId) -> bool,
+    ) -> Option<&[LinkSpec]> {
+        let span = self.lookup(from, to, epoch, alive, blocked);
+        (span.len > 0).then(|| &self.path_links[span.sites()][1..])
+    }
+
+    /// The one cache probe behind both views of a route.
+    fn lookup(
+        &mut self,
+        from: SiteId,
+        to: SiteId,
+        epoch: u64,
+        alive: impl Fn(SiteId) -> bool,
+        blocked: impl Fn(SiteId, SiteId) -> bool,
+    ) -> Span {
         self.route_queries += 1;
-        let fresh = self
-            .cache
-            .get(&(from, to))
-            .is_some_and(|entry| entry.epoch == epoch);
-        if !fresh {
-            // Stale or absent: one BFS, cached under the caller's epoch.
-            self.bfs_runs += 1;
-            let path = path(
-                &self.adj,
-                &mut self.prev,
-                &mut self.frontier,
-                from,
-                to,
-                &alive,
-                &blocked,
-            );
-            self.cache.insert((from, to), CacheEntry { epoch, path });
+        if epoch != self.cache_epoch {
+            // Everything cached describes another epoch's liveness.
+            self.clear_cache();
+            self.cache_epoch = epoch;
         }
-        self.cache[&(from, to)].path.as_deref()
+        let slot = match self.cache.entry((from, to)) {
+            Entry::Occupied(hit) => return *hit.get(),
+            Entry::Vacant(slot) => slot,
+        };
+        self.bfs_runs += 1;
+        let start = self.path_sites.len();
+        let reached = path_into(
+            &self.adj,
+            &mut self.prev,
+            &mut self.frontier,
+            (from, to),
+            &alive,
+            &blocked,
+            &mut self.path_sites,
+        );
+        if reached {
+            let path = &self.path_sites[start..];
+            self.path_links.push(LinkSpec::default());
+            self.path_links.extend(path.windows(2).map(|hop| {
+                self.topology
+                    .link(hop[0], hop[1])
+                    .copied()
+                    .unwrap_or_default()
+            }));
+        }
+        let offset = |n: usize| u32::try_from(n).expect("route arena outgrew u32 offsets");
+        *slot.insert(Span {
+            start: offset(start),
+            len: offset(self.path_sites.len() - start),
+        })
     }
 
     /// The shortest path from `src` to `dst` visiting only sites for which
@@ -159,15 +231,17 @@ impl Router {
         dst: SiteId,
         alive: impl Fn(SiteId) -> bool,
     ) -> Option<Vec<SiteId>> {
-        path(
+        let mut path = Vec::new();
+        path_into(
             &self.adj,
             &mut Vec::new(),
             &mut VecDeque::new(),
-            src,
-            dst,
+            (src, dst),
             &alive,
             &|_, _| false,
+            &mut path,
         )
+        .then_some(path)
     }
 
     /// Reachability of every site from `src` over live sites and unblocked
@@ -233,28 +307,30 @@ fn search(
     false
 }
 
-/// The shortest live path `from → to` (both endpoints included), read back
-/// from the predecessors [`search`] left in `prev`.
-fn path(
+/// Appends the shortest live path `from → to` (both endpoints included) to
+/// `out`, read back from the predecessors [`search`] left in `prev`, and
+/// returns whether there is one; `out` is untouched when there is not.
+fn path_into(
     adj: &[Vec<SiteId>],
     prev: &mut Vec<u32>,
     frontier: &mut VecDeque<SiteId>,
-    from: SiteId,
-    to: SiteId,
+    (from, to): (SiteId, SiteId),
     alive: &impl Fn(SiteId) -> bool,
     blocked: &impl Fn(SiteId, SiteId) -> bool,
-) -> Option<Vec<SiteId>> {
+    out: &mut Vec<SiteId>,
+) -> bool {
     if !alive(to) || !search(adj, prev, frontier, from, Some(to), alive, blocked) {
-        return None;
+        return false;
     }
-    let mut path = vec![to];
+    let start = out.len();
     let mut at = to;
+    out.push(at);
     while at != from {
         at = SiteId(prev[at.index()]);
-        path.push(at);
+        out.push(at);
     }
-    path.reverse();
-    Some(path)
+    out[start..].reverse();
+    true
 }
 
 fn build_adjacency(topology: &Topology) -> Vec<Vec<SiteId>> {
@@ -444,6 +520,31 @@ mod tests {
         assert_eq!(r.bfs_runs(), 3);
         r.reset_route_stats();
         assert_eq!((r.route_queries(), r.bfs_runs()), (0, 0));
+    }
+
+    #[test]
+    fn epoch_churn_does_not_grow_the_arena() {
+        // E12-style churn: the same 50 pairs re-routed at 1 000 successive
+        // epochs must leave behind one epoch's worth of cached paths.
+        let mut r = Router::new(Topology::ring(50, LinkSpec::default()));
+        let route_all = |r: &mut Router, epoch| {
+            for from in 0..50 {
+                r.route(
+                    SiteId(from),
+                    SiteId((from + 7) % 50),
+                    epoch,
+                    all_alive,
+                    unblocked,
+                );
+            }
+            (r.cache.len(), r.path_sites.len(), r.path_links.len())
+        };
+        let one_epoch = route_all(&mut r, 0);
+        assert_eq!(one_epoch, (50, 50 * 8, 50 * 8));
+        for epoch in 1..=1_000 {
+            assert_eq!(route_all(&mut r, epoch), one_epoch);
+        }
+        assert_eq!(r.bfs_runs(), 50 * 1_001);
     }
 
     #[test]

@@ -19,7 +19,7 @@ use crate::failure::{FailureAction, FailurePlan};
 use crate::metrics::NetMetrics;
 use crate::routing::Router;
 use crate::time::{Duration, SimTime};
-use crate::topology::Topology;
+use crate::topology::{LinkSpec, Topology};
 use crate::transport::{Transport, TransportKind};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
@@ -192,13 +192,12 @@ struct CustodyTag {
     was_parked: bool,
 }
 
-/// Internal queued event payload.
-#[derive(Debug, Clone)]
+/// Internal queued event payload: 16 bytes, so a queue entry is 32 and a
+/// timer does not pay for a message's fields.
+#[derive(Debug, Clone, Copy)]
 enum Pending {
-    Deliver {
-        msg: DeliveredMessage,
-        custody: Option<CustodyTag>,
-    },
+    /// A delivery; the message waits in `SimNet::in_flight` at this index.
+    Deliver(u32),
     Timer {
         site: SiteId,
         key: u64,
@@ -226,6 +225,11 @@ pub struct SimNet {
     /// counter, so events with equal times pop in the order they were
     /// sent or scheduled.
     queue: CalendarQueue<u64, Pending>,
+    /// Messages in flight, each at the index its queued `Pending::Deliver`
+    /// holds, with the custody bookkeeping that rides along; `free` lists
+    /// the vacated slots, reused before the slab grows.
+    in_flight: Vec<Option<(DeliveredMessage, Option<CustodyTag>)>>,
+    free: Vec<u32>,
     seq: u64,
     next_msg_id: u64,
     transport: Transport,
@@ -236,10 +240,6 @@ pub struct SimNet {
     /// liveness changes invalidate routes with one integer increment instead
     /// of per-send state cloning.
     epoch: u64,
-    /// Scratch buffer the current send's path is copied into, so the hop
-    /// loop does not hold a borrow of the router (and allocates nothing
-    /// after warm-up).
-    route_buf: Vec<SiteId>,
     /// Store-and-forward custody queues, when enabled via
     /// [`SimNet::set_custody`].  Parked messages live on stable storage (a
     /// custodian crash preserves them) and are re-attempted on every routing
@@ -256,13 +256,14 @@ impl SimNet {
             up: vec![true; sites],
             clock: SimTime::ZERO,
             queue: CalendarQueue::new(),
+            in_flight: Vec::new(),
+            free: Vec::new(),
             seq: 0,
             next_msg_id: 1,
             transport: Transport::new(),
             metrics: NetMetrics::new(),
             partitions: Vec::new(),
             epoch: 0,
-            route_buf: Vec::new(),
             custody: None,
         }
     }
@@ -490,67 +491,50 @@ impl SimNet {
 
         if from == to && self.is_up(to) {
             // Local delivery: a small constant kernel cost, no network bytes.
-            self.metrics.record_send(from);
+            self.metrics.record_send();
             let at = self.clock + Duration::from_micros(10);
-            self.push(at, Pending::Deliver { msg, custody: None });
+            self.push_delivery(at, msg, None);
             return Ok(id);
         }
 
         // Route over live, unpartitioned sites.  Liveness and partition state
         // are *borrowed* (the clones the first implementation made per send
         // were the scale bottleneck); the router answers from its cache
-        // whenever the epoch has not moved since the pair was last routed.
+        // whenever the epoch has not moved since the pair was last routed,
+        // and the cached route carries its links' specs, so charging the
+        // hops asks the topology nothing.
         let up = &self.up;
         let partitions = &self.partitions;
         let alive = |s: SiteId| up.get(s.index()).copied().unwrap_or(false);
         let blocked = |a: SiteId, b: SiteId| partition_blocked(partitions, a, b);
-        let path = if self.is_up(to) {
-            self.router.route(from, to, self.epoch, alive, blocked)
+        let links = if self.is_up(to) {
+            self.router
+                .route_links(from, to, self.epoch, alive, blocked)
         } else {
             None
         };
-        let Some(path) = path else {
+        let Some(links) = links else {
             if let Some(ttl) = custody_ttl {
                 return self.park_new(msg, transport, ttl);
             }
             return Err(NetError::Unreachable { from, to });
         };
-        self.route_buf.clear();
-        self.route_buf.extend_from_slice(path);
 
         let payload_len = msg.payload.len() as u64;
         let overhead = self.transport.overhead(transport, from, to);
         let wire_bytes = payload_len + overhead.extra_bytes;
-        let delay = overhead.setup_latency + self.charge_route_hops(wire_bytes);
-        self.metrics.record_send(from);
+        let delay = overhead.setup_latency + charge_hops(&mut self.metrics, links, wire_bytes);
+        self.metrics.record_send();
 
-        msg.hops = (self.route_buf.len() - 1) as u32;
+        msg.hops = links.len() as u32;
         let tag = custody_ttl.map(|ttl| CustodyTag {
             expires_at: self.clock + ttl,
             transport,
             was_parked: false,
         });
         let at = self.clock + delay;
-        self.push(at, Pending::Deliver { msg, custody: tag });
+        self.push_delivery(at, msg, tag);
         Ok(id)
-    }
-
-    /// Charges byte counters for every hop of `route_buf` and returns the
-    /// accumulated transfer time.
-    fn charge_route_hops(&mut self, wire_bytes: u64) -> Duration {
-        let mut delay = Duration::ZERO;
-        for hop in self.route_buf.windows(2) {
-            let (a, b) = (hop[0], hop[1]);
-            let spec = self
-                .router
-                .topology()
-                .link(a, b)
-                .copied()
-                .unwrap_or_default();
-            delay += spec.transfer_time(wire_bytes);
-            self.metrics.record_hop(a, b, wire_bytes);
-        }
-        delay
     }
 
     /// Parks a freshly accepted message whose destination is currently
@@ -568,21 +552,21 @@ impl SimNet {
         let (id, from, to) = (msg.id, msg.from, msg.to);
         // Walk the static path while hops are live and unblocked.
         let mut custodian = from;
-        self.route_buf.clear();
-        self.route_buf.push(from);
+        let mut links = Vec::new();
         if let Some(static_path) = self.router.shortest_path(from, to, |_| true) {
             for hop in static_path.windows(2) {
                 let (a, b) = (hop[0], hop[1]);
                 if !self.is_up(b) || self.is_blocked(a, b) {
                     break;
                 }
-                self.route_buf.push(b);
+                let spec = self.router.topology().link(a, b);
+                links.push(spec.copied().unwrap_or_default());
                 custodian = b;
             }
         }
         let expires_at = self.clock + ttl;
-        msg.hops = (self.route_buf.len() - 1) as u32;
-        let (hops, payload_len) = (msg.hops, msg.payload.len() as u64);
+        msg.hops = links.len() as u32;
+        let payload_len = msg.payload.len() as u64;
         let parked = Parked {
             msg,
             transport,
@@ -597,11 +581,15 @@ impl SimNet {
             self.metrics.record_custody_rejection();
             return Err(NetError::CustodyFull { at: custodian });
         }
-        if hops > 0 {
+        if !links.is_empty() {
             let overhead = self.transport.overhead(transport, from, custodian);
-            self.charge_route_hops(payload_len + overhead.extra_bytes);
+            charge_hops(
+                &mut self.metrics,
+                &links,
+                payload_len + overhead.extra_bytes,
+            );
         }
-        self.metrics.record_send(from);
+        self.metrics.record_send();
         self.metrics.record_custody_park(payload_len);
         self.push(
             expires_at,
@@ -690,11 +678,12 @@ impl SimNet {
         let partitions = &self.partitions;
         let alive = |s: SiteId| up.get(s.index()).copied().unwrap_or(false);
         let blocked = |a: SiteId, b: SiteId| partition_blocked(partitions, a, b);
-        let Some(path) = self.router.route(custodian, to, self.epoch, alive, blocked) else {
+        let Some(links) = self
+            .router
+            .route_links(custodian, to, self.epoch, alive, blocked)
+        else {
             return Some(parked);
         };
-        self.route_buf.clear();
-        self.route_buf.extend_from_slice(path);
 
         let Parked {
             mut msg,
@@ -704,20 +693,15 @@ impl SimNet {
         self.metrics.record_custody_unpark(msg.payload.len() as u64);
         let overhead = self.transport.overhead(transport, custodian, to);
         let wire_bytes = msg.payload.len() as u64 + overhead.extra_bytes;
-        let delay = overhead.setup_latency + self.charge_route_hops(wire_bytes);
-        msg.hops += (self.route_buf.len() - 1) as u32;
+        let delay = overhead.setup_latency + charge_hops(&mut self.metrics, links, wire_bytes);
+        msg.hops += links.len() as u32;
         let at = self.clock + delay;
-        self.push(
-            at,
-            Pending::Deliver {
-                msg,
-                custody: Some(CustodyTag {
-                    expires_at,
-                    transport,
-                    was_parked: true,
-                }),
-            },
-        );
+        let tag = CustodyTag {
+            expires_at,
+            transport,
+            was_parked: true,
+        };
+        self.push_delivery(at, msg, Some(tag));
         None
     }
 
@@ -730,12 +714,16 @@ impl SimNet {
             debug_assert!(at >= self.clock, "time must not go backwards");
             self.clock = self.clock.max(at);
             match pending {
-                Pending::Deliver { msg, custody } => {
+                Pending::Deliver(slot) => {
+                    let (msg, custody) = self.in_flight[slot as usize]
+                        .take()
+                        .expect("a queued delivery owns its slot");
+                    self.free.push(slot);
                     if self.is_up(msg.to) {
                         if custody.is_some_and(|tag| tag.was_parked) {
                             self.metrics.record_custody_delivery();
                         }
-                        self.metrics.record_delivery(msg.to);
+                        self.metrics.record_delivery();
                         return Some(Event::Message(msg));
                     }
                     if let Some(tag) = custody {
@@ -841,6 +829,28 @@ impl SimNet {
         self.seq += 1;
         self.queue.push(at, seq, pending);
     }
+
+    /// Queues a delivery: the message goes into a vacant slab slot and the
+    /// queue carries the slot's index.
+    fn push_delivery(&mut self, at: SimTime, msg: DeliveredMessage, custody: Option<CustodyTag>) {
+        let slot = self.free.pop().unwrap_or_else(|| {
+            self.in_flight.push(None);
+            u32::try_from(self.in_flight.len() - 1).expect("over u32::MAX messages in flight")
+        });
+        self.in_flight[slot as usize] = Some((msg, custody));
+        self.push(at, Pending::Deliver(slot));
+    }
+}
+
+/// Charges `wire_bytes` to every link of a route and returns the accumulated
+/// transfer time.
+fn charge_hops(metrics: &mut NetMetrics, links: &[LinkSpec], wire_bytes: u64) -> Duration {
+    let mut delay = Duration::ZERO;
+    for link in links {
+        delay += link.transfer_time(wire_bytes);
+        metrics.record_hop(wire_bytes);
+    }
+    delay
 }
 
 #[cfg(test)]
@@ -862,6 +872,12 @@ mod tests {
             custody: false,
         })
         .expect("send should succeed")
+    }
+
+    #[test]
+    fn a_queued_event_is_sixteen_bytes() {
+        // Messages wait in the slab: a timer must not pay for their fields.
+        assert!(std::mem::size_of::<Pending>() <= 16);
     }
 
     #[test]

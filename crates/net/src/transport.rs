@@ -17,8 +17,8 @@
 
 use crate::time::Duration;
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeSet;
-use tacoma_util::SiteId;
+use std::collections::HashSet;
+use tacoma_util::{IdBuildHasher, SiteId};
 
 /// Which transport personality a message is sent over.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize, Default)]
@@ -48,10 +48,20 @@ impl TransportKind {
 }
 
 /// Per-transport connection state and overhead accounting.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Clone, Default, Serialize, Deserialize)]
 pub struct Transport {
-    /// Pairs of sites with an established TCP-like stream.
-    established: BTreeSet<(SiteId, SiteId)>,
+    /// Pairs of sites with an established TCP-like stream.  A hash set, one
+    /// probe per send: membership and size are all anything may observe, so
+    /// it is never iterated into output (`Debug` below prints the count).
+    established: HashSet<(SiteId, SiteId), IdBuildHasher>,
+}
+
+impl std::fmt::Debug for Transport {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Transport")
+            .field("established", &self.established.len())
+            .finish()
+    }
 }
 
 /// Overhead charged to one message by its transport.

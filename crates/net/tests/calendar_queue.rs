@@ -8,9 +8,14 @@
 //! and demand identical `(time, key, value)` streams, over random (often
 //! degenerate) wheel geometries so bucket wrap, overflow migration, and late
 //! pushes all get exercised.
+//!
+//! Beside them, [`work_is_bounded_on_hostile_shapes`] counts the comparisons
+//! the queue makes on four agendas built to make a bucketed structure do
+//! quadratic work, and holds each to `4 · n · log₂ n`.
 
 use proptest::prelude::*;
-use std::cmp::Reverse;
+use std::cell::Cell;
+use std::cmp::{Ordering, Reverse};
 use std::collections::BinaryHeap;
 use tacoma_net::calendar::CalendarQueue;
 use tacoma_net::time::SimTime;
@@ -43,7 +48,9 @@ proptest! {
     fn interleaved_trace_matches_binary_heap(
         bucket_width in 1u64..900,
         slots in 1usize..48,
-        ops in proptest::collection::vec((any::<bool>(), 0u64..6_000), 1..300),
+        // Up to 150 ms: over three revolutions of the widest wheel generated
+        // (900 µs × 48 slots), so traces cross turn-overs, not just buckets.
+        ops in proptest::collection::vec((any::<bool>(), 0u64..150_000), 1..300),
     ) {
         let mut queue = CalendarQueue::with_geometry(bucket_width, slots);
         let mut model = ModelHeap::default();
@@ -133,5 +140,121 @@ proptest! {
                 break;
             }
         }
+    }
+}
+
+thread_local! {
+    /// Key comparisons made on this thread.
+    static COMPARISONS: Cell<u64> = const { Cell::new(0) };
+}
+
+/// A key that counts every comparison made on it: an event's exact time and
+/// its push number.  The queue compares timestamps first and keys only on a
+/// tie, so the shapes below stamp events with their *bucket's* start time
+/// and leave the exact time to the key: every comparison of two events of
+/// one bucket — the ordering work a calendar queue is built to confine
+/// itself to — falls through to [`Ord::cmp`] here, while the pop order stays
+/// `(exact time, push number)`.  (A comparison of events of different
+/// buckets is settled by the timestamps and not seen.)
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct CountedKey(u64, u64);
+
+impl Ord for CountedKey {
+    fn cmp(&self, other: &Self) -> Ordering {
+        COMPARISONS.with(|c| c.set(c.get() + 1));
+        (self.0, self.1).cmp(&(other.0, other.1))
+    }
+}
+
+impl PartialOrd for CountedKey {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+/// The default geometry, spelled out so the shapes can aim at it.
+const WIDTH_US: u64 = 512;
+const SLOTS: u64 = 128;
+const REVOLUTION_US: u64 = WIDTH_US * SLOTS;
+
+/// Pushes `armed` (exact times, in the order given), then pops to empty,
+/// pushing `follow(popped time)` after each pop.  Checks the pop stream is
+/// the sorted stream of everything pushed and returns `(events, comparisons)`.
+fn drive(armed: &[u64], mut follow: impl FnMut(u64, &mut Vec<u64>)) -> (u64, u64) {
+    let mut queue = CalendarQueue::with_geometry(WIDTH_US, SLOTS as usize);
+    let mut pushed = Vec::new();
+    let mut push = |queue: &mut CalendarQueue<CountedKey, ()>, exact: u64| {
+        let key = CountedKey(exact, pushed.len() as u64);
+        pushed.push(key);
+        queue.push(SimTime(exact - exact % WIDTH_US), key, ());
+    };
+    COMPARISONS.with(|c| c.set(0));
+    for &exact in armed {
+        push(&mut queue, exact);
+    }
+    let mut popped = Vec::new();
+    let mut next = Vec::new();
+    while let Some((_, key, ())) = queue.pop() {
+        popped.push(key);
+        follow(key.0, &mut next);
+        for exact in next.drain(..) {
+            push(&mut queue, exact);
+        }
+    }
+    let comparisons = COMPARISONS.with(Cell::get);
+    pushed.sort_unstable_by_key(|key| (key.0, key.1));
+    assert!(popped == pushed, "pop order is not the sorted input");
+    (pushed.len() as u64, comparisons)
+}
+
+#[test]
+fn work_is_bounded_on_hostile_shapes() {
+    const N: u64 = 20_000;
+    let nothing = |_: u64, _: &mut Vec<u64>| {};
+    // 1. Strictly descending times into an empty queue, a bucket's worth
+    //    (512) per bucket: every push lands before everything queued.
+    let descending: Vec<u64> = (0..N).rev().collect();
+    // 2. Everything in one bucket, in a scrambled order.
+    let one_bucket: Vec<u64> = (0..N)
+        .map(|i| 7 * WIDTH_US + i * 7_919 % WIDTH_US)
+        .collect();
+    // 3. One event per revolution, the last at the end of time.
+    let step = (u64::MAX - REVOLUTION_US) / (N - 1);
+    let mut sparse: Vec<u64> = (0..N).map(|i| i * step).collect();
+    *sparse.last_mut().unwrap() = u64::MAX;
+    // 4. The gossip shape: a third of the events armed up front, site by
+    //    site (so out of time order) across three revolutions; each one
+    //    popped pushes two deliveries 0.5–1.5 ms ahead, which push nothing.
+    //    Timers sit on even microseconds and deliveries on odd ones.
+    let (timers, rounds) = (N / 3, 24);
+    let armed: Vec<u64> = (0..timers)
+        .map(|i| {
+            let (site, round) = (i / rounds, i % rounds);
+            (round * (3 * REVOLUTION_US / rounds) + site * 2_654_435_761 % 8_192) & !1
+        })
+        .collect();
+    let mut sent = 0;
+    let gossip = |at: u64, next: &mut Vec<u64>| {
+        if at & 1 == 0 {
+            for _ in 0..2 {
+                sent += 1;
+                next.push((at + 500 + sent * 7_919 % 1_000) | 1);
+            }
+        }
+    };
+
+    let shapes: [(&str, (u64, u64)); 4] = [
+        ("descending", drive(&descending, nothing)),
+        ("one bucket", drive(&one_bucket, nothing)),
+        ("one per revolution", drive(&sparse, nothing)),
+        ("gossip", drive(&armed, gossip)),
+    ];
+    for (shape, (events, comparisons)) in shapes {
+        assert!(events >= N - 2, "{shape}: {events} events");
+        let budget = 4.0 * events as f64 * (events as f64).log2();
+        assert!(
+            (comparisons as f64) <= budget,
+            "{shape}: {comparisons} comparisons for {events} events (budget {budget:.0})"
+        );
     }
 }

@@ -4,6 +4,11 @@
 //! the shipped router: [`reference_path`] is the oracle, and a second
 //! `Router` that is handed a fresh epoch per query (so it can never hit its
 //! cache) shows the cache changes the routing *work* and nothing else.
+//!
+//! A cached route also carries the [`LinkSpec`] of every link it crosses, so
+//! the oracle prices sends too ([`expected_charge`], hop by hop from
+//! `Topology::link`): a spec cached before a topology edit or a liveness
+//! change must never be charged after it.
 
 use std::collections::{BTreeMap, VecDeque};
 use tacoma_net::{
@@ -268,4 +273,112 @@ fn the_oracle_and_the_simulator_both_detour_after_failures() {
         other => panic!("unexpected {other:?}"),
     }
     assert!(net.now() > SimTime::ZERO);
+}
+
+/// Bytes and latency the Horus personality adds to every message; unlike
+/// TCP's it does not depend on what was sent before.
+const HORUS_EXTRA_BYTES: u64 = 200;
+const HORUS_SETUP_MS: u64 = 1;
+
+/// What the oracle says a Horus send of `payload` bytes issued right now is
+/// charged: `(hops, time in flight)`, every hop priced from
+/// `Topology::link`, or `None` when the send must be refused.
+fn expected_charge(net: &SimNet, from: u32, to: u32, payload: u64) -> Option<(u64, Duration)> {
+    let topology = net.router().topology();
+    let path = reference_path(
+        topology,
+        SiteId(from),
+        SiteId(to),
+        |s| net.is_up(s),
+        |a, b| net.is_blocked(a, b),
+    )?;
+    if from == to {
+        return Some((0, Duration::from_micros(10)));
+    }
+    let mut in_flight = Duration::from_millis(HORUS_SETUP_MS);
+    for hop in path.windows(2) {
+        let link = topology
+            .link(hop[0], hop[1])
+            .expect("the oracle walks real links");
+        in_flight += link.transfer_time(payload + HORUS_EXTRA_BYTES);
+    }
+    Some((path.len() as u64 - 1, in_flight))
+}
+
+/// Sends `payload` bytes over Horus, steps to the delivery and returns the
+/// charge the simulator made — after checking it is the oracle's.
+fn send_and_time(net: &mut SimNet, from: u32, to: u32, payload: usize) -> Duration {
+    let (hops, in_flight) = expected_charge(net, from, to, payload as u64).expect("reachable");
+    let before = (
+        net.metrics().total_hops(),
+        net.metrics().total_bytes().get(),
+    );
+    net.send(SendOptions {
+        from: SiteId(from),
+        to: SiteId(to),
+        payload: vec![0; payload],
+        kind: 1,
+        transport: TransportKind::Horus,
+        custody: false,
+    })
+    .expect("the oracle found a path");
+    let Some(Event::Message(m)) = net.step() else {
+        panic!("{from} -> {to}: no delivery");
+    };
+    assert_eq!(u64::from(m.hops), hops, "{from} -> {to}: hops");
+    assert_eq!(
+        net.now().since(m.sent_at),
+        in_flight,
+        "{from} -> {to}: time in flight"
+    );
+    let after = (
+        net.metrics().total_hops(),
+        net.metrics().total_bytes().get(),
+    );
+    assert_eq!(after.0 - before.0, hops);
+    assert_eq!(
+        after.1 - before.1,
+        hops * (payload as u64 + HORUS_EXTRA_BYTES)
+    );
+    in_flight
+}
+
+#[test]
+fn cached_link_specs_are_never_charged_stale() {
+    let mut net = SimNet::new(Topology::ring_of_cliques(
+        4,
+        4,
+        LinkSpec::lan(),
+        LinkSpec::wan(),
+    ));
+    // Mixed traffic, every pair twice so the second send is a cache hit:
+    // each delivery and the run's totals are priced by the oracle.
+    let mut rng = DetRng::new(0xBEEF);
+    for _ in 0..100 {
+        let (from, to) = (rng.next_below(16) as u32, rng.next_below(16) as u32);
+        let payload = rng.next_below(4_096) as usize;
+        let cold = send_and_time(&mut net, from, to, payload);
+        assert_eq!(send_and_time(&mut net, from, to, payload), cold);
+    }
+    let (queries, bfs) = net.routing_work();
+    assert!(bfs * 2 <= queries, "the second send of each pair must hit");
+
+    // 0 -> 8 rides the gateway ring through 4 (ascending tie-break).  Make
+    // the 0-4 link slower: same adjacency, new spec, and the very next send
+    // pays it.
+    let fast = send_and_time(&mut net, 0, 8, 512);
+    let slower = LinkSpec {
+        latency: Duration::from_millis(90),
+        bandwidth_bytes_per_sec: 19_000,
+    };
+    net.edit_topology(|t| t.add_link(SiteId(0), SiteId(4), slower));
+    let slow = send_and_time(&mut net, 0, 8, 512);
+    assert!(slow > fast, "{slow} after the edit, {fast} before");
+
+    // Gateway 4 dies: the route turns the other way round the ring, over
+    // links that were never slowed.  It recovers: back over the slow one.
+    net.crash_now(SiteId(4));
+    assert_eq!(send_and_time(&mut net, 0, 8, 512), fast);
+    net.recover_now(SiteId(4));
+    assert_eq!(send_and_time(&mut net, 0, 8, 512), slow);
 }

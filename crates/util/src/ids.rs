@@ -9,6 +9,7 @@
 
 use serde::{Deserialize, Serialize};
 use std::fmt;
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// Identifier of a site (a place where agents execute).
 ///
@@ -103,6 +104,37 @@ impl From<String> for AgentName {
     }
 }
 
+/// A multiply-xor hasher for maps and sets keyed by the program's own ids
+/// (site pairs on the simulator's send path), where SipHash costs more than
+/// the lookup it guards.  It has no defence against chosen keys: use it only
+/// for keys the program makes itself, never for input from outside.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct IdHasher(u64);
+
+impl Hasher for IdHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &byte in bytes {
+            self.write_u64(u64::from(byte));
+        }
+    }
+
+    fn write_u32(&mut self, n: u32) {
+        self.write_u64(u64::from(n));
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.0 = (self.0.rotate_left(5) ^ n).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    }
+
+    fn finish(&self) -> u64 {
+        // The product's high bits are its best mixed; tables index by the low.
+        self.0.rotate_left(26)
+    }
+}
+
+/// `BuildHasher` for [`IdHasher`]: the `S` of a `HashMap<K, V, S>`.
+pub type IdBuildHasher = BuildHasherDefault<IdHasher>;
+
 /// A monotonic generator of fresh [`AgentId`]s.
 ///
 /// Each [`crate::ids::AgentId`] is unique per generator; the TACOMA system
@@ -165,6 +197,24 @@ mod tests {
         assert_eq!(n.to_string(), "rexec");
         assert_eq!(AgentName::from("rexec"), n);
         assert_eq!(AgentName::from(String::from("rexec")), n);
+    }
+
+    #[test]
+    fn id_hasher_spreads_dense_site_pairs() {
+        use std::hash::BuildHasher;
+        // Every (from, to) pair of a 64-site clique: no two share a hash, and
+        // the low seven bits (a small table's index) use every value.
+        let mut hashes = Vec::new();
+        for a in 0..64u32 {
+            for b in 0..64u32 {
+                hashes.push(IdBuildHasher::default().hash_one((SiteId(a), SiteId(b))));
+            }
+        }
+        let low: std::collections::BTreeSet<u64> = hashes.iter().map(|h| h & 127).collect();
+        assert_eq!(low.len(), 128);
+        hashes.sort_unstable();
+        hashes.dedup();
+        assert_eq!(hashes.len(), 64 * 64);
     }
 
     #[test]

@@ -7,7 +7,8 @@
 //!   generator (SplitMix64 seeding an xoshiro256** core) so that every
 //!   simulation run and every experiment in the paper reproduction is exactly
 //!   repeatable from a seed.
-//! * [`ids`] — strongly typed identifiers for sites and agents.
+//! * [`ids`] — strongly typed identifiers for sites and agents, and the
+//!   cheap hasher for maps keyed by them.
 //! * [`stats`] — tiny online statistics and histogram helpers used by the
 //!   benchmark harness to print the experiment tables.
 //! * [`bytesize`] — human-readable byte-size formatting for reports.
@@ -31,7 +32,7 @@ pub mod rng;
 pub mod stats;
 
 pub use bytesize::{human_bytes, ByteCount};
-pub use ids::{AgentId, AgentIdGen, AgentName, SiteId};
+pub use ids::{AgentId, AgentIdGen, AgentName, IdBuildHasher, IdHasher, SiteId};
 pub use json::{Json, JsonError};
 pub use metric::{metric_key, MetricValue, Tolerance};
 pub use rng::DetRng;
