@@ -125,7 +125,7 @@ impl CtxHost<'_, '_> {
 
 impl ScriptHost for CtxHost<'_, '_> {
     fn bc_put(&mut self, folder: &str, value: &str) {
-        self.bc.put(folder, Folder::of_str(value));
+        self.bc.put(folder.to_string(), Folder::of_str(value));
     }
     fn bc_push(&mut self, folder: &str, value: &str) {
         self.bc.folder_mut(folder).push_str(value);
@@ -173,10 +173,10 @@ impl ScriptHost for CtxHost<'_, '_> {
 
     fn meet(&mut self, agent: &str) -> Result<(), String> {
         let request = self.bc.clone();
-        match self.ctx.meet_local(&AgentName::new(agent), request) {
+        match self.ctx.meet_local(&AgentName::from(agent), request) {
             Ok(reply) => {
                 for (name, folder) in reply.iter() {
-                    self.bc.put(name, folder.clone());
+                    self.bc.put(name.to_string(), folder.clone());
                 }
                 Ok(())
             }
@@ -195,7 +195,7 @@ impl ScriptHost for CtxHost<'_, '_> {
         let travelling = self.travelling_briefcase();
         self.ctx.remote_meet(
             target,
-            AgentName::new(contact),
+            AgentName::from(contact),
             travelling,
             TransportKind::Tcp,
         );
@@ -219,7 +219,7 @@ impl ScriptHost for CtxHost<'_, '_> {
             }
         }
         self.ctx
-            .remote_meet(target, AgentName::new(contact), out, TransportKind::Tcp);
+            .remote_meet(target, AgentName::from(contact), out, TransportKind::Tcp);
         Ok(())
     }
 

@@ -43,58 +43,61 @@ impl DiffusionAgent {
     }
 }
 
+/// The top element of a folder the protocol requires, as the bytes it is.
+fn required<'a>(bc: &'a Briefcase, name: &str) -> Result<&'a [u8], TacomaError> {
+    bc.peek(name).ok_or_else(|| TacomaError::missing(name))
+}
+
+/// Files `msg_id:payload` in the site's bulletin.
+fn deliver(ctx: &mut MeetCtx<'_>, msg_id: &[u8], payload: &[u8]) {
+    ctx.cabinet(DIFFUSION_CABINET)
+        .append(BULLETIN, [msg_id, b":", payload].concat());
+}
+
 impl Agent for DiffusionAgent {
     fn name(&self) -> AgentName {
         AgentName::new(wellknown::DIFFUSION)
     }
 
     fn meet(&mut self, ctx: &mut MeetCtx<'_>, bc: Briefcase) -> MeetOutcome {
-        let msg_id = bc
-            .peek_string(MSG_ID)
-            .ok_or_else(|| TacomaError::missing(MSG_ID))?;
-        let payload = bc
-            .peek_string(MESSAGE)
-            .ok_or_else(|| TacomaError::missing(MESSAGE))?;
+        let msg_id = required(&bc, MSG_ID)?;
+        let payload = required(&bc, MESSAGE)?;
 
         // Terminate instead of cloning when the site has already been visited.
         if ctx
             .cabinet(DIFFUSION_CABINET)
-            .folder_contains(VISITED, msg_id.as_bytes())
+            .folder_contains(VISITED, msg_id)
         {
             let mut out = Briefcase::new();
             out.put_string("STATUS", "duplicate");
             return Ok(out);
         }
-        ctx.cabinet(DIFFUSION_CABINET).append_str(VISITED, &msg_id);
-        ctx.cabinet(DIFFUSION_CABINET)
-            .append_str(BULLETIN, format!("{msg_id}:{payload}"));
+        ctx.cabinet(DIFFUSION_CABINET).append(VISITED, msg_id);
+        deliver(ctx, msg_id, payload);
 
-        // The set the agent has already covered travels in the SITES folder.
-        let here = ctx.site();
-        let mut covered: Vec<String> = bc
-            .folder(wellknown::SITES)
-            .map(|f| f.strings())
-            .unwrap_or_default();
-        if !covered.contains(&here.0.to_string()) {
-            covered.push(here.0.to_string());
+        // The set the agent has already covered travels in the SITES folder,
+        // one decimal site id per element.
+        let mut covered = bc.folder(wellknown::SITES).cloned().unwrap_or_default();
+        let here = ctx.site().0.to_string();
+        if !covered.contains_elem(here.as_bytes()) {
+            covered.push_str(&here);
         }
 
         // Clone to every neighbour not in the covered set (the paper's set
         // difference between site-local knowledge and the briefcase SITES).
-        let neighbors: Vec<SiteId> = ctx.neighbors().to_vec();
         let mut clones = 0u64;
-        for n in neighbors {
-            if covered.contains(&n.0.to_string()) || !ctx.site_is_up(n) {
+        for i in 0..ctx.neighbors().len() {
+            let n = ctx.neighbors()[i];
+            let id = n.0.to_string();
+            if covered.contains_elem(id.as_bytes()) || !ctx.site_is_up(n) {
                 continue;
             }
             let mut clone_bc = Briefcase::new();
-            clone_bc.put_string(MSG_ID, &msg_id);
-            clone_bc.put_string(MESSAGE, &payload);
-            let sites = clone_bc.folder_mut(wellknown::SITES);
-            for s in &covered {
-                sites.push_str(s);
-            }
-            sites.push_str(n.0.to_string());
+            clone_bc.put(MSG_ID, Folder::single(msg_id));
+            clone_bc.put(MESSAGE, Folder::single(payload));
+            let mut sites = covered.clone();
+            sites.push_str(&id);
+            clone_bc.put(wellknown::SITES, sites);
             ctx.remote_meet(
                 n,
                 AgentName::new(wellknown::DIFFUSION),
@@ -133,28 +136,23 @@ impl Agent for NaiveFloodAgent {
     }
 
     fn meet(&mut self, ctx: &mut MeetCtx<'_>, bc: Briefcase) -> MeetOutcome {
-        let msg_id = bc
-            .peek_string(MSG_ID)
-            .ok_or_else(|| TacomaError::missing(MSG_ID))?;
-        let payload = bc
-            .peek_string(MESSAGE)
-            .ok_or_else(|| TacomaError::missing(MESSAGE))?;
+        let msg_id = required(&bc, MSG_ID)?;
+        let payload = required(&bc, MESSAGE)?;
         let hops = bc.peek_u64(HOPS).unwrap_or(0);
 
         // Deliver unconditionally (possibly again and again).
-        ctx.cabinet(DIFFUSION_CABINET)
-            .append_str(BULLETIN, format!("{msg_id}:{payload}"));
+        deliver(ctx, msg_id, payload);
 
         let mut clones = 0u64;
         if hops > 0 {
-            let neighbors: Vec<SiteId> = ctx.neighbors().to_vec();
-            for n in neighbors {
+            for i in 0..ctx.neighbors().len() {
+                let n = ctx.neighbors()[i];
                 if !ctx.site_is_up(n) {
                     continue;
                 }
                 let mut clone_bc = Briefcase::new();
-                clone_bc.put_string(MSG_ID, &msg_id);
-                clone_bc.put_string(MESSAGE, &payload);
+                clone_bc.put(MSG_ID, Folder::single(msg_id));
+                clone_bc.put(MESSAGE, Folder::single(payload));
                 clone_bc.put_u64(HOPS, hops - 1);
                 ctx.remote_meet(n, AgentName::new(Self::NAME), clone_bc, TransportKind::Tcp);
                 clones += 1;

@@ -91,7 +91,7 @@ mod tests {
     #[test]
     fn standard_agents_cover_the_wellknown_names() {
         let agents = standard_agents(SiteId(0));
-        let names: Vec<String> = agents.iter().map(|a| a.name().0).collect();
+        let names: Vec<String> = agents.iter().map(|a| a.name().to_string()).collect();
         assert!(names.contains(&wellknown::AG_TAC.to_string()));
         assert!(names.contains(&wellknown::REXEC.to_string()));
         assert!(names.contains(&wellknown::COURIER.to_string()));

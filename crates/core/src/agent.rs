@@ -486,7 +486,7 @@ mod tests {
         let mut trace = Vec::new();
         let alive = [true, true];
         let neighbors = [SiteId(1)];
-        let name = AgentName::new(name);
+        let name = AgentName::from(name);
         let mut registered = registry.take(&name, SiteId(0)).expect("agent exists");
         let mut ctx = MeetCtx {
             site: SiteId(0),

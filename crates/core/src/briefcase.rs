@@ -7,21 +7,33 @@
 
 use crate::folder::Folder;
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
+use std::borrow::Cow;
 
 /// A collection of named folders.
 ///
-/// Folder names are ordinary strings; lookups are by exact name.  The map is
-/// ordered (`BTreeMap`) so serialization and wire sizes are deterministic.
+/// Folder names are ordinary strings; lookups are by exact name.  The folders
+/// sit in one vector sorted by name — a briefcase holds a handful, so a
+/// binary search beats a tree and the whole collection is one heap block —
+/// which keeps serialization and wire sizes deterministic.  A name is a
+/// `Cow<'static, str>`: the well-known names agents use are string literals
+/// and cost nothing to store.
 #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Briefcase {
-    folders: BTreeMap<String, Folder>,
+    /// Strictly ascending by name.
+    folders: Vec<(Cow<'static, str>, Folder)>,
 }
 
 impl Briefcase {
     /// Creates an empty briefcase.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// A briefcase of `folders`, which are strictly ascending by name (what
+    /// a decoder has once it has checked the order the wire promises).
+    pub(crate) fn from_sorted(folders: Vec<(Cow<'static, str>, Folder)>) -> Self {
+        debug_assert!(folders.windows(2).all(|pair| pair[0].0 < pair[1].0));
+        Briefcase { folders }
     }
 
     /// Number of folders in the briefcase.
@@ -34,35 +46,66 @@ impl Briefcase {
         self.folders.is_empty()
     }
 
+    /// Where the folder `name` is (`Ok`) or would be inserted (`Err`).
+    fn find(&self, name: &str) -> Result<usize, usize> {
+        self.folders.binary_search_by(|(n, _)| (**n).cmp(name))
+    }
+
     /// Whether a folder with the given name exists.
     pub fn contains(&self, name: &str) -> bool {
-        self.folders.contains_key(name)
+        self.find(name).is_ok()
     }
 
     /// Read access to a folder, if present.
     pub fn folder(&self, name: &str) -> Option<&Folder> {
-        self.folders.get(name)
+        self.find(name).ok().map(|at| &self.folders[at].1)
+    }
+
+    /// The folder `find` looked for, created empty under `name()` where it
+    /// belongs if it was absent.
+    fn entry(
+        &mut self,
+        found: Result<usize, usize>,
+        name: impl FnOnce() -> Cow<'static, str>,
+    ) -> &mut Folder {
+        let at = found.unwrap_or_else(|at| {
+            self.folders.insert(at, (name(), Folder::new()));
+            at
+        });
+        &mut self.folders[at].1
     }
 
     /// Mutable access to a folder, creating an empty one if absent.
     pub fn folder_mut(&mut self, name: &str) -> &mut Folder {
-        self.folders.entry(name.to_string()).or_default()
+        self.entry(self.find(name), || Cow::Owned(name.to_string()))
     }
 
     /// Inserts (or replaces) a folder under the given name.
-    pub fn put(&mut self, name: impl Into<String>, folder: Folder) -> Option<Folder> {
-        self.folders.insert(name.into(), folder)
+    pub fn put(&mut self, name: impl Into<Cow<'static, str>>, folder: Folder) -> Option<Folder> {
+        let name = name.into();
+        match self.find(&name) {
+            Ok(at) => Some(std::mem::replace(&mut self.folders[at].1, folder)),
+            Err(at) => {
+                self.folders.insert(at, (name, folder));
+                None
+            }
+        }
     }
 
     /// Removes and returns a folder.
     pub fn take(&mut self, name: &str) -> Option<Folder> {
-        self.folders.remove(name)
+        self.find(name).ok().map(|at| self.folders.remove(at).1)
     }
 
     /// Removes a folder, returning an error-friendly `Option` of its single
     /// string element (convenience for `HOST`/`CONTACT`-style folders).
     pub fn take_string(&mut self, name: &str) -> Option<String> {
         self.take(name).and_then(|mut f| f.pop_str())
+    }
+
+    /// Reads the top element of a folder without copying or consuming it.
+    pub fn peek(&self, name: &str) -> Option<&[u8]> {
+        self.folder(name).and_then(|f| f.peek_back())
     }
 
     /// Reads the top string element of a folder without consuming it.
@@ -76,55 +119,44 @@ impl Briefcase {
     }
 
     /// Convenience: creates/overwrites a folder holding a single string.
-    pub fn put_string(&mut self, name: impl Into<String>, value: impl AsRef<str>) {
+    pub fn put_string(&mut self, name: impl Into<Cow<'static, str>>, value: impl AsRef<str>) {
         self.put(name, Folder::of_str(value));
     }
 
     /// Convenience: creates/overwrites a folder holding a single `u64`.
-    pub fn put_u64(&mut self, name: impl Into<String>, value: u64) {
+    pub fn put_u64(&mut self, name: impl Into<Cow<'static, str>>, value: u64) {
         let mut f = Folder::new();
         f.push_u64(value);
         self.put(name, f);
     }
 
     /// Iterates over `(name, folder)` pairs in name order.
-    pub fn iter(&self) -> impl Iterator<Item = (&str, &Folder)> {
-        self.folders.iter().map(|(k, v)| (k.as_str(), v))
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = (&str, &Folder)> + Clone {
+        self.folders.iter().map(|(k, v)| (&**k, v))
     }
 
     /// The folder names, in order.
     pub fn names(&self) -> Vec<&str> {
-        self.folders.keys().map(|k| k.as_str()).collect()
+        self.iter().map(|(name, _)| name).collect()
     }
 
     /// Merges every folder of `other` into this briefcase.  Folders with the
     /// same name are concatenated (other's elements appended).
     pub fn merge(&mut self, other: Briefcase) {
         for (name, mut folder) in other.folders {
-            self.folders.entry(name).or_default().append(&mut folder);
+            self.entry(self.find(&name), || name).append(&mut folder);
         }
     }
 
     /// Total payload bytes across all folders (excluding framing).
     pub fn payload_bytes(&self) -> usize {
-        self.folders
-            .iter()
-            .map(|(k, v)| k.len() + v.payload_bytes())
-            .sum()
+        self.iter().map(|(k, v)| k.len() + v.payload_bytes()).sum()
     }
 
     /// The number of bytes this briefcase occupies on the wire when encoded
     /// with the TACOMA codec (see [`crate::codec`]).
     pub fn wire_size(&self) -> usize {
         crate::codec::briefcase_encoded_len(self)
-    }
-}
-
-impl FromIterator<(String, Folder)> for Briefcase {
-    fn from_iter<T: IntoIterator<Item = (String, Folder)>>(iter: T) -> Self {
-        Briefcase {
-            folders: iter.into_iter().collect(),
-        }
     }
 }
 
@@ -195,16 +227,5 @@ mod tests {
         bc.folder_mut("DATA").push(vec![0u8; 1000]);
         assert!(bc.payload_bytes() >= 1000);
         assert!(bc.wire_size() > empty_wire + 1000);
-    }
-
-    #[test]
-    fn from_iterator() {
-        let bc: Briefcase = vec![
-            ("A".to_string(), Folder::of_str("x")),
-            ("B".to_string(), Folder::of_str("y")),
-        ]
-        .into_iter()
-        .collect();
-        assert_eq!(bc.len(), 2);
     }
 }

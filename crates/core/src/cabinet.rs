@@ -173,12 +173,7 @@ impl FileCabinet {
     /// ("flushed to disk when permanence is required", §6).  The index is not
     /// stored; it is rebuilt on restore.
     pub fn snapshot(&self) -> Vec<u8> {
-        let bc: crate::briefcase::Briefcase = self
-            .folders
-            .iter()
-            .map(|(k, v)| (k.clone(), v.clone()))
-            .collect();
-        crate::codec::encode_briefcase(&bc)
+        crate::codec::encode_folders(self.folders.iter().map(|(k, v)| (k.as_str(), v)))
     }
 
     /// Rebuilds a cabinet from a snapshot produced by [`FileCabinet::snapshot`].

@@ -48,93 +48,85 @@ fn put_u32(out: &mut Vec<u8>, v: u32) {
     out.extend_from_slice(&v.to_le_bytes());
 }
 
-fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
 fn put_bytes(out: &mut Vec<u8>, b: &[u8]) {
     put_u32(out, b.len() as u32);
     out.extend_from_slice(b);
 }
 
 /// A cursor over an input buffer with strict bounds checking.
-#[derive(Clone, Copy)]
 struct Reader<'a> {
     buf: &'a [u8],
     pos: usize,
 }
 
 impl<'a> Reader<'a> {
-    fn new(buf: &'a [u8]) -> Self {
-        Reader { buf, pos: 0 }
+    /// Runs `decode` over `buf`, all of it: trailing bytes are an error.
+    fn whole<T>(
+        buf: &'a [u8],
+        decode: impl FnOnce(&mut Self) -> Result<T, TacomaError>,
+    ) -> Result<T, TacomaError> {
+        let mut r = Reader { buf, pos: 0 };
+        let value = decode(&mut r)?;
+        match r.rest().len() {
+            0 => Ok(value),
+            n => Err(TacomaError::Codec(format!(
+                "{n} trailing bytes after decode"
+            ))),
+        }
     }
 
-    fn remaining(&self) -> usize {
-        self.buf.len() - self.pos
+    /// The input not yet consumed.
+    fn rest(&self) -> &'a [u8] {
+        &self.buf[self.pos..]
+    }
+
+    /// The error for input that ends before `wanted`.  Every count is held
+    /// against the input left before anything is reserved for it.
+    fn truncated(&self, wanted: std::fmt::Arguments<'_>) -> TacomaError {
+        TacomaError::Codec(format!(
+            "truncated input: {wanted} at offset {}, have {} bytes",
+            self.pos,
+            self.rest().len()
+        ))
     }
 
     fn take(&mut self, n: usize) -> Result<&'a [u8], TacomaError> {
-        if n > self.remaining() {
-            return Err(TacomaError::Codec(format!(
-                "truncated input: wanted {n} bytes at offset {}, have {}",
-                self.pos,
-                self.remaining()
-            )));
-        }
-        let slice = &self.buf[self.pos..self.pos + n];
+        let slice =
+            (self.rest().get(..n)).ok_or_else(|| self.truncated(format_args!("{n} bytes")))?;
         self.pos += n;
         Ok(slice)
     }
 
-    fn u8(&mut self) -> Result<u8, TacomaError> {
-        Ok(self.take(1)?[0])
+    fn array<const N: usize>(&mut self) -> Result<[u8; N], TacomaError> {
+        Ok(self.take(N)?.try_into().expect("take returns N bytes"))
     }
 
     fn u32(&mut self) -> Result<u32, TacomaError> {
-        let b = self.take(4)?;
-        Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
-    }
-
-    fn u64(&mut self) -> Result<u64, TacomaError> {
-        let b = self.take(8)?;
-        Ok(u64::from_le_bytes([
-            b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7],
-        ]))
-    }
-
-    fn bytes(&mut self) -> Result<&'a [u8], TacomaError> {
-        let len = self.u32()? as usize;
-        self.take(len)
+        Ok(u32::from_le_bytes(self.array()?))
     }
 
     fn str(&mut self, what: &str) -> Result<&'a str, TacomaError> {
-        std::str::from_utf8(self.bytes()?)
+        let len = self.u32()? as usize;
+        std::str::from_utf8(self.take(len)?)
             .map_err(|_| TacomaError::Codec(format!("{what} name is not UTF-8")))
-    }
-
-    fn finish(&self) -> Result<(), TacomaError> {
-        if self.remaining() != 0 {
-            Err(TacomaError::Codec(format!(
-                "{} trailing bytes after decode",
-                self.remaining()
-            )))
-        } else {
-            Ok(())
-        }
     }
 }
 
 /// Exact length of [`encode_folder`]'s output.
 pub fn folder_encoded_len(folder: &Folder) -> usize {
-    4 + 4 * folder.len() + folder.payload_bytes()
+    4 + folder.wire_image().len()
+}
+
+/// Exact length of [`encode_folders`]' output.
+fn folders_encoded_len<'a>(folders: impl Iterator<Item = (&'a str, &'a Folder)>) -> usize {
+    4 + folders
+        .map(|(name, folder)| 4 + name.len() + folder_encoded_len(folder))
+        .sum::<usize>()
 }
 
 /// Exact length of [`encode_briefcase`]'s output.
 pub fn briefcase_encoded_len(bc: &Briefcase) -> usize {
-    4 + bc
-        .iter()
-        .map(|(name, folder)| 4 + name.len() + folder_encoded_len(folder))
-        .sum::<usize>()
+    folders_encoded_len(bc.iter())
 }
 
 /// Exact length of [`encode_meet_request`]'s output.
@@ -149,60 +141,46 @@ pub fn encode_folder(folder: &Folder) -> Vec<u8> {
     out
 }
 
+/// The count, then the folder's arena as it stands: it is the wire image.
 fn encode_folder_into(folder: &Folder, out: &mut Vec<u8>) {
     put_u32(out, folder.len() as u32);
-    for elem in folder.iter() {
-        put_bytes(out, elem);
-    }
+    out.extend_from_slice(folder.wire_image());
 }
 
 fn decode_folder_from(r: &mut Reader<'_>) -> Result<Folder, TacomaError> {
     let count = r.u32()? as usize;
-    // Every element costs at least its length prefix, so a count the input
-    // cannot hold is refused before anything is reserved for it.
-    if count > r.remaining() / 4 {
-        return Err(TacomaError::Codec(format!(
-            "truncated input: {count} elements claimed at offset {}, have {} bytes",
-            r.pos,
-            r.remaining()
-        )));
-    }
-    // First pass: check the framing and size the arena exactly.
-    let mut scan = *r;
-    let mut payload = 0usize;
-    for _ in 0..count {
-        payload += scan.bytes()?.len();
-    }
-    if u32::try_from(payload).is_err() {
-        return Err(TacomaError::Codec(format!(
-            "folder of {payload} bytes exceeds the u32 limit"
-        )));
-    }
-    let mut folder = Folder::with_capacity(count, payload);
-    for _ in 0..count {
-        folder.push_bytes(r.bytes()?);
-    }
+    let (folder, used) = Folder::from_wire(r.rest(), count)
+        .ok_or_else(|| r.truncated(format_args!("a folder of {count} elements")))?;
+    r.pos += used;
     Ok(folder)
 }
 
 /// Decodes a folder, rejecting trailing bytes.
 pub fn decode_folder(buf: &[u8]) -> Result<Folder, TacomaError> {
-    let mut r = Reader::new(buf);
-    let f = decode_folder_from(&mut r)?;
-    r.finish()?;
-    Ok(f)
+    Reader::whole(buf, decode_folder_from)
 }
 
 /// Encodes a briefcase.
 pub fn encode_briefcase(bc: &Briefcase) -> Vec<u8> {
-    let mut out = Vec::with_capacity(briefcase_encoded_len(bc));
-    encode_briefcase_into(bc, &mut out);
+    encode_folders(bc.iter())
+}
+
+/// Encodes `(name, folder)` pairs, given in strictly ascending name order, as
+/// a briefcase: what a [`Briefcase`] and a cabinet snapshot both are.
+pub(crate) fn encode_folders<'a>(
+    folders: impl ExactSizeIterator<Item = (&'a str, &'a Folder)> + Clone,
+) -> Vec<u8> {
+    let mut out = Vec::with_capacity(folders_encoded_len(folders.clone()));
+    encode_folders_into(folders, &mut out);
     out
 }
 
-fn encode_briefcase_into(bc: &Briefcase, out: &mut Vec<u8>) {
-    put_u32(out, bc.len() as u32);
-    for (name, folder) in bc.iter() {
+fn encode_folders_into<'a>(
+    folders: impl ExactSizeIterator<Item = (&'a str, &'a Folder)>,
+    out: &mut Vec<u8>,
+) {
+    put_u32(out, folders.len() as u32);
+    for (name, folder) in folders {
         put_bytes(out, name.as_bytes());
         encode_folder_into(folder, out);
     }
@@ -210,30 +188,31 @@ fn encode_briefcase_into(bc: &Briefcase, out: &mut Vec<u8>) {
 
 fn decode_briefcase_from(r: &mut Reader<'_>) -> Result<Briefcase, TacomaError> {
     let count = r.u32()? as usize;
-    let mut bc = Briefcase::new();
+    // Every folder costs at least a name length and an element count.
+    if count > r.rest().len() / 8 {
+        return Err(r.truncated(format_args!("{count} folders")));
+    }
+    let mut folders = Vec::with_capacity(count);
     let mut prev: Option<&str> = None;
     for _ in 0..count {
         let name = r.str("folder")?;
-        // The encoder walks a `BTreeMap`, so names arrive strictly ascending;
-        // anything else (a repeat would silently replace the earlier folder)
-        // is not something `encode_briefcase` can have produced.
+        // The encoder emits names strictly ascending; anything else (a
+        // repeat would silently replace the earlier folder) is not something
+        // `encode_briefcase` can have produced.
         if prev.is_some_and(|p| p >= name) {
             return Err(TacomaError::Codec(format!(
                 "folder name {name:?} repeats or is out of order"
             )));
         }
         prev = Some(name);
-        bc.put(name, decode_folder_from(r)?);
+        folders.push((name.to_string().into(), decode_folder_from(r)?));
     }
-    Ok(bc)
+    Ok(Briefcase::from_sorted(folders))
 }
 
 /// Decodes a briefcase, rejecting trailing bytes.
 pub fn decode_briefcase(buf: &[u8]) -> Result<Briefcase, TacomaError> {
-    let mut r = Reader::new(buf);
-    let bc = decode_briefcase_from(&mut r)?;
-    r.finish()?;
-    Ok(bc)
+    Reader::whole(buf, decode_briefcase_from)
 }
 
 /// Encodes a remote meet request.
@@ -241,31 +220,27 @@ pub fn encode_meet_request(req: &MeetRequest) -> Vec<u8> {
     let mut out = Vec::with_capacity(meet_request_encoded_len(req));
     out.push(MEET_VERSION);
     put_bytes(&mut out, req.contact.as_str().as_bytes());
-    put_u64(&mut out, req.sender.0);
+    out.extend_from_slice(&req.sender.0.to_le_bytes());
     put_u32(&mut out, req.origin.0);
-    encode_briefcase_into(&req.briefcase, &mut out);
+    encode_folders_into(req.briefcase.iter(), &mut out);
     out
 }
 
 /// Decodes a remote meet request.
 pub fn decode_meet_request(buf: &[u8]) -> Result<MeetRequest, TacomaError> {
-    let mut r = Reader::new(buf);
-    let version = r.u8()?;
-    if version != MEET_VERSION {
-        return Err(TacomaError::Codec(format!(
-            "unknown meet request version {version}"
-        )));
-    }
-    let contact = r.str("contact")?;
-    let sender = AgentId(r.u64()?);
-    let origin = SiteId(r.u32()?);
-    let briefcase = decode_briefcase_from(&mut r)?;
-    r.finish()?;
-    Ok(MeetRequest {
-        contact: AgentName::new(contact),
-        sender,
-        origin,
-        briefcase,
+    Reader::whole(buf, |r| {
+        let [version] = r.array()?;
+        if version != MEET_VERSION {
+            return Err(TacomaError::Codec(format!(
+                "unknown meet request version {version}"
+            )));
+        }
+        Ok(MeetRequest {
+            contact: AgentName::from(r.str("contact")?),
+            sender: AgentId(u64::from_le_bytes(r.array()?)),
+            origin: SiteId(r.u32()?),
+            briefcase: decode_briefcase_from(r)?,
+        })
     })
 }
 
@@ -273,61 +248,42 @@ pub fn decode_meet_request(buf: &[u8]) -> Result<MeetRequest, TacomaError> {
 mod tests {
     use super::*;
 
-    fn sample_briefcase() -> Briefcase {
+    fn sample_request() -> MeetRequest {
         let mut bc = Briefcase::new();
         bc.put_string("HOST", "site2");
         bc.folder_mut("DATA").push(vec![1, 2, 3, 255]);
         bc.folder_mut("DATA").push(vec![]);
         bc.put_u64("HOPS", 9);
-        bc
+        MeetRequest {
+            contact: AgentName::new("rexec"),
+            sender: AgentId(77),
+            origin: SiteId(3),
+            briefcase: bc,
+        }
     }
 
     #[test]
-    fn folder_round_trip() {
+    fn folders_briefcases_and_requests_round_trip() {
         let mut f = Folder::new();
         f.push_str("hello");
         f.push(vec![0, 1, 2]);
         f.push(vec![]);
-        let encoded = encode_folder(&f);
-        let decoded = decode_folder(&encoded).unwrap();
-        assert_eq!(f, decoded);
-    }
-
-    #[test]
-    fn empty_folder_and_briefcase_round_trip() {
+        for folder in [f, Folder::new()] {
+            assert_eq!(decode_folder(&encode_folder(&folder)).unwrap(), folder);
+        }
+        let req = sample_request();
+        for bc in [req.briefcase.clone(), Briefcase::new()] {
+            assert_eq!(decode_briefcase(&encode_briefcase(&bc)).unwrap(), bc);
+        }
         assert_eq!(
-            decode_folder(&encode_folder(&Folder::new())).unwrap(),
-            Folder::new()
+            decode_meet_request(&encode_meet_request(&req)).unwrap(),
+            req
         );
-        assert_eq!(
-            decode_briefcase(&encode_briefcase(&Briefcase::new())).unwrap(),
-            Briefcase::new()
-        );
-    }
-
-    #[test]
-    fn briefcase_round_trip() {
-        let bc = sample_briefcase();
-        let decoded = decode_briefcase(&encode_briefcase(&bc)).unwrap();
-        assert_eq!(bc, decoded);
-    }
-
-    #[test]
-    fn meet_request_round_trip() {
-        let req = MeetRequest {
-            contact: AgentName::new("rexec"),
-            sender: AgentId(77),
-            origin: SiteId(3),
-            briefcase: sample_briefcase(),
-        };
-        let decoded = decode_meet_request(&encode_meet_request(&req)).unwrap();
-        assert_eq!(req, decoded);
     }
 
     #[test]
     fn truncated_input_is_rejected() {
-        let bc = sample_briefcase();
-        let encoded = encode_briefcase(&bc);
+        let encoded = encode_briefcase(&sample_request().briefcase);
         for cut in [0, 1, encoded.len() / 2, encoded.len() - 1] {
             assert!(
                 decode_briefcase(&encoded[..cut]).is_err(),
@@ -345,13 +301,7 @@ mod tests {
 
     #[test]
     fn wrong_version_is_rejected() {
-        let req = MeetRequest {
-            contact: AgentName::new("a"),
-            sender: AgentId(1),
-            origin: SiteId(0),
-            briefcase: Briefcase::new(),
-        };
-        let mut encoded = encode_meet_request(&req);
+        let mut encoded = encode_meet_request(&sample_request());
         encoded[0] = 99;
         assert!(decode_meet_request(&encoded).is_err());
     }
@@ -366,40 +316,33 @@ mod tests {
         assert!(decode_briefcase(&out).is_err());
     }
 
-    /// Hand-builds a briefcase encoding from `(name, folder)` pairs in the
-    /// order given, which the encoder itself would sort.
-    fn raw_briefcase(folders: &[(&str, &Folder)]) -> Vec<u8> {
-        let mut out = Vec::new();
-        put_u32(&mut out, folders.len() as u32);
-        for (name, folder) in folders {
-            put_bytes(&mut out, name.as_bytes());
-            encode_folder_into(folder, &mut out);
-        }
-        out
-    }
-
     #[test]
     fn repeated_or_unordered_folder_names_are_rejected() {
+        // `encode_folders` writes pairs in the order given; a `Briefcase`
+        // would sort them.
         let (x, y) = (Folder::of_str("x"), Folder::of_str("y"));
-        let canonical = raw_briefcase(&[("A", &x), ("B", &y)]);
+        let raw = |pairs: [(&str, &Folder); 2]| encode_folders(pairs.into_iter());
+        let canonical = raw([("A", &x), ("B", &y)]);
         assert_eq!(
             encode_briefcase(&decode_briefcase(&canonical).unwrap()),
             canonical
         );
         // A repeat used to replace the earlier folder silently, so that
         // re-encoding the decoded value was shorter than the input.
-        let repeated = decode_briefcase(&raw_briefcase(&[("A", &x), ("A", &y)]));
+        let repeated = decode_briefcase(&raw([("A", &x), ("A", &y)]));
         assert!(matches!(repeated, Err(TacomaError::Codec(_))));
-        let unordered = decode_briefcase(&raw_briefcase(&[("B", &y), ("A", &x)]));
+        let unordered = decode_briefcase(&raw([("B", &y), ("A", &x)]));
         assert!(matches!(unordered, Err(TacomaError::Codec(_))));
     }
 
     #[test]
-    fn an_element_count_the_input_cannot_hold_is_rejected() {
+    fn a_count_the_input_cannot_hold_is_rejected() {
         let mut buf = u32::MAX.to_le_bytes().to_vec();
         buf.extend_from_slice(&[0; 8]);
         assert!(matches!(decode_folder(&buf), Err(TacomaError::Codec(_))));
-        // Same claim one level down, as the only folder of a briefcase.
+        // The same bytes claim `u32::MAX` folders.
+        assert!(matches!(decode_briefcase(&buf), Err(TacomaError::Codec(_))));
+        // The element claim one level down, as the only folder of a briefcase.
         let mut bc = Vec::new();
         put_u32(&mut bc, 1);
         put_bytes(&mut bc, b"F");
@@ -409,12 +352,7 @@ mod tests {
 
     #[test]
     fn encoded_len_is_exact() {
-        let req = MeetRequest {
-            contact: AgentName::new("rexec"),
-            sender: AgentId(77),
-            origin: SiteId(3),
-            briefcase: sample_briefcase(),
-        };
+        let req = sample_request();
         let bytes = encode_meet_request(&req);
         assert_eq!(meet_request_encoded_len(&req), bytes.len());
         assert_eq!(bytes.capacity(), bytes.len(), "allocated once, exactly");

@@ -12,7 +12,8 @@
 use serde::{Deserialize, Serialize};
 
 /// One element of a folder as an owned value: an uninterpreted sequence of
-/// bytes.  Borrowed accessors hand out `&[u8]` slices of the folder's arena.
+/// bytes.  Borrowed accessors hand out `&[u8]` slices of the folder's arena,
+/// and whatever is pushed is copied into it.
 pub type FolderElem = Vec<u8>;
 
 /// A list of uninterpreted byte sequences, usable as a stack or a queue.
@@ -22,22 +23,27 @@ pub type FolderElem = Vec<u8>;
 /// the back and remove from the front.  This matches the paper's description
 /// of a folder being usable either way.
 ///
-/// All elements live back to back in one byte arena, delimited by their end
-/// offsets — two heap blocks per folder however many elements it holds, so
-/// copying, shipping and dropping a folder costs O(bytes), not O(elements).
-/// Dequeued elements stay in the arena as a dead prefix until it makes up
-/// half of the folder's storage, then the live part is moved down once
-/// (amortised O(1) per dequeue).  Equality is over the logical contents; the
-/// dead prefix never shows.
+/// All elements live back to back in one byte arena, each exactly as the wire
+/// carries it (`u32 len ‖ bytes`), so encoding a folder is one copy of the
+/// arena and decoding one is a validating scan plus one copy.  An offset
+/// table holds the end of every element but the last, which ends where the
+/// arena does: a one-element folder is a single heap block.  Dequeued
+/// elements stay in the arena as a dead prefix until it makes up half of it,
+/// then the live part is moved down once (amortised O(1) per dequeue).
+/// Equality is over the logical contents; the dead prefix never shows.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct Folder {
-    /// Element bytes back to back, dead prefix included.
+    /// Elements in wire form back to back, dead prefix included.
     data: Vec<u8>,
-    /// End offset in `data` of every element, dead prefix included.
+    /// End offset in `data` of every element but the last, dead prefix
+    /// included.
     ends: Vec<u32>,
-    /// How many leading entries of `ends` have been dequeued.
+    /// How many leading elements have been dequeued.
     head: usize,
 }
+
+/// Bytes of length prefix in front of every element in the arena.
+const PREFIX: usize = 4;
 
 impl Folder {
     /// Creates an empty folder.
@@ -45,18 +51,8 @@ impl Folder {
         Self::default()
     }
 
-    /// Creates an empty folder with room for `elems` elements totalling
-    /// `bytes` bytes.
-    pub fn with_capacity(elems: usize, bytes: usize) -> Self {
-        Folder {
-            data: Vec::with_capacity(bytes),
-            ends: Vec::with_capacity(elems),
-            head: 0,
-        }
-    }
-
     /// Creates a folder holding a single byte-string element.
-    pub fn single(elem: impl Into<FolderElem>) -> Self {
+    pub fn single(elem: impl AsRef<[u8]>) -> Self {
         let mut f = Folder::new();
         f.push(elem);
         f
@@ -78,27 +74,62 @@ impl Folder {
         f
     }
 
+    /// Takes a folder of `count` elements off the front of `wire`, which
+    /// holds them in wire form, and returns it with the bytes it occupied.
+    /// `None` if `wire` ends early or the folder would pass `u32::MAX` bytes.
+    pub(crate) fn from_wire(wire: &[u8], count: usize) -> Option<(Folder, usize)> {
+        // Every element costs at least its prefix, so a count the input
+        // cannot hold is refused before anything is reserved for it.
+        if count > wire.len() / PREFIX {
+            return None;
+        }
+        let mut ends = Vec::with_capacity(count.saturating_sub(1));
+        let mut rest = wire;
+        for k in 0..count {
+            let (prefix, tail) = rest.split_first_chunk::<PREFIX>()?;
+            rest = tail.get(u32::from_le_bytes(*prefix) as usize..)?;
+            if k + 1 < count {
+                ends.push(u32::try_from(wire.len() - rest.len()).ok()?);
+            }
+        }
+        let used = wire.len() - rest.len();
+        u32::try_from(used).ok()?;
+        let data = wire[..used].to_vec();
+        let head = 0;
+        Some((Folder { data, ends, head }, used))
+    }
+
+    /// The live elements in wire form: what an encoder writes after the count.
+    pub(crate) fn wire_image(&self) -> &[u8] {
+        &self.data[self.start(self.head)..]
+    }
+
     /// Number of elements in the folder.
     pub fn len(&self) -> usize {
-        self.ends.len() - self.head
+        if self.data.is_empty() {
+            0
+        } else {
+            self.ends.len() + 1 - self.head
+        }
     }
 
     /// Whether the folder has no elements.
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.data.is_empty()
     }
 
-    /// Start offset in `data` of the element at physical position `k`.
+    /// Start offset in `data` of the element at physical position `k`; for
+    /// `k` one past the last element, where the arena ends.
     fn start(&self, k: usize) -> usize {
         match k {
             0 => 0,
-            _ => self.ends[k - 1] as usize,
+            _ => (self.ends.get(k - 1)).map_or(self.data.len(), |&end| end as usize),
         }
     }
 
     /// Pushes an element on the back (stack push).
-    pub fn push(&mut self, elem: impl Into<FolderElem>) {
-        self.push_bytes(&elem.into());
+    pub fn push(&mut self, elem: impl AsRef<[u8]>) {
+        self.push_bytes(elem.as_ref());
     }
 
     /// Pushes a copy of `elem` on the back.
@@ -108,10 +139,20 @@ impl Folder {
     /// Panics if the folder's storage would exceed `u32::MAX` bytes (the
     /// wire format's own length limit).
     pub fn push_bytes(&mut self, elem: &[u8]) {
-        let end = u32::try_from(self.data.len() + elem.len())
-            .expect("a folder holds at most u32::MAX bytes");
+        let start = self.data.len();
+        assert!(
+            u32::try_from(start + PREFIX + elem.len()).is_ok(),
+            "a folder holds at most u32::MAX bytes"
+        );
+        if start != 0 {
+            self.ends.push(start as u32);
+        }
+        // One growth for prefix and bytes together: a folder built by a
+        // single push is a single, exact block.
+        self.data.reserve(PREFIX + elem.len());
+        self.data
+            .extend_from_slice(&(elem.len() as u32).to_le_bytes());
         self.data.extend_from_slice(elem);
-        self.ends.push(end);
     }
 
     /// Pops the element from the back (stack pop).
@@ -123,13 +164,13 @@ impl Folder {
 
     /// Removes the back element, which must exist.
     fn drop_back(&mut self) {
-        self.ends.pop();
         self.data.truncate(self.start(self.ends.len()));
+        self.ends.pop();
         self.reclaim();
     }
 
     /// Adds an element at the back (queue enqueue, same end as `push`).
-    pub fn enqueue(&mut self, elem: impl Into<FolderElem>) {
+    pub fn enqueue(&mut self, elem: impl AsRef<[u8]>) {
         self.push(elem);
     }
 
@@ -141,18 +182,17 @@ impl Folder {
         Some(elem)
     }
 
-    /// Drops the dead prefix once it is at least half of the folder's
-    /// storage, counting four bytes per offset so that runs of empty
-    /// elements are reclaimed too.  The live part it moves is no larger
-    /// than the dead part it frees, which the dequeues that made the prefix
-    /// have already paid for.
+    /// Drops the dead prefix once it is at least half of the arena (the
+    /// prefixes count, so runs of empty elements are reclaimed too).  The
+    /// live part it moves is no larger than the dead part it frees, which
+    /// the dequeues that made the prefix have already paid for.
     fn reclaim(&mut self) {
         let dead = self.start(self.head);
-        if self.head == 0 || 2 * (dead + 4 * self.head) < self.data.len() + 4 * self.ends.len() {
+        if self.head == 0 || 2 * dead < self.data.len() {
             return;
         }
         self.data.drain(..dead);
-        self.ends.drain(..self.head);
+        self.ends.drain(..self.head.min(self.ends.len()));
         for end in &mut self.ends {
             *end -= dead as u32;
         }
@@ -171,17 +211,15 @@ impl Folder {
 
     /// The element at position `idx` from the front.
     pub fn get(&self, idx: usize) -> Option<&[u8]> {
-        let k = self.head.checked_add(idx)?;
-        let end = *self.ends.get(k)? as usize;
-        Some(&self.data[self.start(k)..end])
+        let k = self.head.checked_add(idx).filter(|_| idx < self.len())?;
+        Some(&self.data[self.start(k) + PREFIX..self.start(k + 1)])
     }
 
     /// Iterates over elements from front to back.
     pub fn iter(&self) -> Iter<'_> {
         Iter {
-            data: &self.data,
-            ends: &self.ends[self.head..],
-            start: self.start(self.head),
+            wire: self.wire_image(),
+            left: self.len(),
         }
     }
 
@@ -195,7 +233,7 @@ impl Folder {
     /// Appends all elements of `other`, leaving `other` empty.
     pub fn append(&mut self, other: &mut Folder) {
         self.ends.reserve(other.len());
-        self.data.reserve(other.payload_bytes());
+        self.data.reserve(other.wire_image().len());
         for elem in other.iter() {
             self.push_bytes(elem);
         }
@@ -204,7 +242,7 @@ impl Folder {
 
     /// Total payload bytes across all elements (excluding framing).
     pub fn payload_bytes(&self) -> usize {
-        self.data.len() - self.start(self.head)
+        self.wire_image().len() - PREFIX * self.len()
     }
 
     /// Whether any element equals the given bytes.
@@ -284,7 +322,8 @@ impl Folder {
 
 impl PartialEq for Folder {
     fn eq(&self, other: &Self) -> bool {
-        self.len() == other.len() && self.iter().eq(other.iter())
+        // An image parses one way only, so equal bytes are equal elements.
+        self.wire_image() == other.wire_image()
     }
 }
 
@@ -299,24 +338,24 @@ impl FromIterator<FolderElem> for Folder {
 /// Front-to-back iterator over a folder's elements (see [`Folder::iter`]).
 #[derive(Debug, Clone)]
 pub struct Iter<'a> {
-    data: &'a [u8],
-    ends: &'a [u32],
-    start: usize,
+    /// The elements not yet yielded, in wire form.
+    wire: &'a [u8],
+    left: usize,
 }
 
 impl<'a> Iterator for Iter<'a> {
     type Item = &'a [u8];
 
     fn next(&mut self) -> Option<&'a [u8]> {
-        let (&end, rest) = self.ends.split_first()?;
-        let elem = &self.data[self.start..end as usize];
-        self.start = end as usize;
-        self.ends = rest;
+        let (prefix, rest) = self.wire.split_first_chunk::<PREFIX>()?;
+        let (elem, rest) = rest.split_at(u32::from_le_bytes(*prefix) as usize);
+        self.wire = rest;
+        self.left -= 1;
         Some(elem)
     }
 
     fn size_hint(&self) -> (usize, Option<usize>) {
-        (self.ends.len(), Some(self.ends.len()))
+        (self.left, Some(self.left))
     }
 }
 
@@ -349,9 +388,9 @@ mod tests {
     #[test]
     fn queue_order_is_fifo() {
         let mut f = Folder::new();
-        f.enqueue(b"1".to_vec());
-        f.enqueue(b"2".to_vec());
-        f.enqueue(b"3".to_vec());
+        f.enqueue(b"1");
+        f.enqueue(b"2");
+        f.enqueue(b"3");
         assert_eq!(f.dequeue_str().as_deref(), Some("1"));
         assert_eq!(f.dequeue_str().as_deref(), Some("2"));
         assert_eq!(f.dequeue_str().as_deref(), Some("3"));
@@ -441,10 +480,9 @@ mod tests {
     }
 
     /// The invariant `reclaim` maintains: a dead prefix, if any, is less
-    /// than half of the storage.
+    /// than half of the arena.
     fn assert_mostly_live(f: &Folder) {
-        let dead = f.start(f.head) + 4 * f.head;
-        let total = f.data.len() + 4 * f.ends.len();
+        let (dead, total) = (f.start(f.head), f.data.len());
         assert!(f.head == 0 || 2 * dead < total, "{dead} dead of {total}");
     }
 
@@ -459,7 +497,7 @@ mod tests {
             assert_eq!(f.head as u64, i + 1, "no compaction yet");
         }
         f.dequeue();
-        assert_eq!((f.head, f.ends.len(), f.data.len()), (0, 50, 400));
+        assert_eq!((f.head, f.ends.len(), f.data.len()), (0, 49, 600));
         assert_eq!(f.peek_front(), Some(&50u64.to_le_bytes()[..]));
         assert_eq!(f.peek_u64(), Some(99));
         // A queue in steady state never holds more than twice its contents.
@@ -467,7 +505,7 @@ mod tests {
             f.push_u64(i);
             f.dequeue();
             assert_mostly_live(&f);
-            assert!(f.data.len() <= 2 * f.payload_bytes());
+            assert!(f.data.len() <= 2 * f.wire_image().len());
         }
         assert_eq!(f.len(), 50);
     }

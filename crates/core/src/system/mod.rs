@@ -430,7 +430,11 @@ impl TacomaSystem {
                 if let Some((contact, mut briefcase)) = self.pending_timers.remove(&key) {
                     self.engine.stats.timer_meets += 1;
                     self.engine.stats.meets_requested += 1;
-                    briefcase.folder_mut(wellknown::TIMER).push_u64(key);
+                    // `put`, not `folder_mut`: it keeps the literal name
+                    // as it is, where a `&str` would have to be copied.
+                    let mut timer = briefcase.take(wellknown::TIMER).unwrap_or_default();
+                    timer.push_u64(key);
+                    briefcase.put(wellknown::TIMER, timer);
                     let req = MeetRequest {
                         contact,
                         sender: AgentId::SYSTEM,
@@ -856,7 +860,7 @@ mod tests {
         sys.net_mut().crash_now(SiteId(2));
         let mut bc = Briefcase::new();
         let mut itinerary = Folder::new();
-        itinerary.enqueue(b"2".to_vec());
+        itinerary.enqueue(b"2");
         bc.put(wellknown::ITINERARY, itinerary);
         sys.inject_meet(SiteId(0), AgentName::new("tourist"), bc);
         sys.run_until_quiescent(100);
@@ -994,7 +998,7 @@ mod tests {
         let send_tourist_to_2 = |sys: &mut TacomaSystem| {
             let mut bc = Briefcase::new();
             let mut itinerary = Folder::new();
-            itinerary.enqueue(b"2".to_vec());
+            itinerary.enqueue(b"2");
             bc.put(wellknown::ITINERARY, itinerary);
             sys.inject_meet(SiteId(0), AgentName::new("tourist"), bc);
         };

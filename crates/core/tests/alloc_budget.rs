@@ -117,14 +117,15 @@ fn decode_allocations_do_not_grow_with_elements() {
     assert_eq!(req.unwrap(), mail(10));
     let (req, large_allocs, large_bytes) = counted(|| codec::decode_meet_request(&large));
     assert_eq!(req.unwrap(), mail(1_000));
-    // Contact, and per folder its name, arena and offsets, plus map nodes.
-    assert!(large_allocs <= 12, "{large_allocs} allocations");
+    // Contact, the folder vector, and per folder its name and arena, plus
+    // the offsets of the one folder that has more than one element.
+    assert!(large_allocs <= 8, "{large_allocs} allocations");
     assert_eq!(large_allocs, small_allocs);
-    // Exact reservations: payload plus four bytes of offset per line, and
-    // small change for the names and one map node — not the doubling growth
-    // of a thousand pushes.
+    // Exact reservations: per line its payload, its length prefix in the
+    // arena and four bytes of offset, and small change for the names and
+    // the vector — not the doubling growth of a thousand pushes.
     assert!(
-        large_bytes <= 1_000 * (64 + 4) + 2_048,
+        large_bytes <= 1_000 * (64 + 8) + 1_024,
         "{large_bytes} bytes for a 64 000-byte body"
     );
 }
@@ -136,6 +137,32 @@ fn hostile_element_count_reserves_nothing() {
     let (out, _, bytes) = counted(|| codec::decode_folder(&buf));
     assert!(out.is_err());
     assert!(bytes < 1_024, "{bytes} bytes for a 12-byte input");
+    // The same claim about folders: a briefcase, alone and in a request.
+    let (out, _, bytes) = counted(|| codec::decode_briefcase(&buf));
+    assert!(out.is_err());
+    assert!(bytes < 1_024, "{bytes} bytes for a 12-byte briefcase");
+    let mut req = codec::encode_meet_request(&mail(0));
+    let at = req.len() - codec::briefcase_encoded_len(&mail(0).briefcase);
+    req[at..at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+    let (out, _, bytes) = counted(|| codec::decode_meet_request(&req));
+    assert!(out.is_err());
+    assert!(
+        bytes < 1_024,
+        "{bytes} bytes for a {}-byte request",
+        req.len()
+    );
+}
+
+#[test]
+fn a_well_known_name_costs_nothing() {
+    let (_, allocs, _) = counted(|| AgentName::new("echo"));
+    assert_eq!(allocs, 0, "a literal agent name");
+    let (mut bc, allocs, _) = counted(Briefcase::new);
+    assert_eq!(allocs, 0, "an empty briefcase");
+    bc.put_u64("FIRST", 1);
+    // Room to spare: the folder's one arena block is all that is left.
+    let ((), allocs, bytes) = counted(|| bc.put_u64("HOPS", 12));
+    assert_eq!((allocs, bytes), (1, 4 + 8), "a literal folder name");
 }
 
 /// Completes every meet with the briefcase it was handed.
@@ -149,6 +176,33 @@ impl Agent for Echo {
     fn meet(&mut self, _ctx: &mut MeetCtx<'_>, bc: Briefcase) -> MeetOutcome {
         Ok(bc)
     }
+}
+
+#[test]
+fn a_remote_three_folder_meet_fits_its_budget() {
+    // `flood_mesh`'s request: three one-element folders under literal names.
+    // Building it, inject -> launch (encode) -> send -> step -> decode ->
+    // dispatch: the path every remote meet takes, warm.
+    let mut sys = TacomaSystem::new(Topology::ring(4, LinkSpec::default()), 7);
+    sys.register_agent(SiteId(0), Box::new(Echo));
+    let one_meet = |sys: &mut TacomaSystem| {
+        let mut bc = Briefcase::new();
+        bc.put_string("MSG_ID", "m-000001");
+        bc.put_string("MESSAGE", "sixteen byte msg");
+        bc.put_u64("HOPS", 12);
+        sys.inject_meet(SiteId(0), AgentName::new("echo"), bc);
+        sys.run_until_quiescent(100)
+    };
+    for _ in 0..3 {
+        assert_eq!(one_meet(&mut sys), 1);
+    }
+    let (events, allocs, _) = counted(|| one_meet(&mut sys));
+    assert_eq!(events, 1);
+    // 24 allocations with a `BTreeMap<String, Folder>` briefcase, two
+    // blocks per folder and `AgentName(String)`.  Now: the folder vector and
+    // three arenas to build it, one buffer to encode it, and to decode it the
+    // contact, the vector, and a name and an arena per folder.
+    assert_eq!(allocs, 13);
 }
 
 /// Bytes allocated by one local meet (inject, deliver, decode, dispatch) on

@@ -16,7 +16,7 @@
 //! * workers accept jobs only when a `TICKET` folder is present (issued by the
 //!   ticket agent at the broker's site).
 
-use crate::load::{LoadReport, ReportDb};
+use crate::load::{peek_parse, LoadReport, ReportDb};
 use crate::policy::PlacementPolicy;
 use std::collections::VecDeque;
 use tacoma_core::prelude::*;
@@ -110,15 +110,16 @@ impl Agent for BrokerAgent {
 
     fn meet(&mut self, ctx: &mut MeetCtx<'_>, bc: Briefcase) -> MeetOutcome {
         let request = bc
-            .peek_string(REQUEST)
+            .peek(REQUEST)
             .ok_or_else(|| TacomaError::missing(REQUEST))?;
-        match request.as_str() {
-            "report" => {
+        let submit = request == b"submit";
+        match request {
+            b"report" => {
                 let report = parse_report(&bc)?;
                 self.reports.ingest(report, ctx.now().micros());
                 Ok(Briefcase::new())
             }
-            "lookup" | "submit" => {
+            b"lookup" | b"submit" => {
                 let now = ctx.now().micros();
                 let reports = self.reports.fresh(now, |s| ctx.site_is_up(s));
                 let chosen = self
@@ -137,7 +138,7 @@ impl Agent for BrokerAgent {
                     })?;
                 let mut reply = Briefcase::new();
                 reply.put_string(PROVIDER, chosen.0.to_string());
-                if request == "submit" {
+                if submit {
                     dispatch_with_ticket(ctx, bc, chosen)?;
                     // Optimistically bump the chosen provider's queue so a burst
                     // of submissions spreads even before the next report.
@@ -147,7 +148,8 @@ impl Agent for BrokerAgent {
                 Ok(reply)
             }
             other => Err(TacomaError::Refused(format!(
-                "unknown broker request '{other}'"
+                "unknown broker request '{}'",
+                String::from_utf8_lossy(other)
             ))),
         }
     }
@@ -219,10 +221,7 @@ impl Agent for MonitorAgent {
     }
 
     fn meet(&mut self, ctx: &mut MeetCtx<'_>, bc: Briefcase) -> MeetOutcome {
-        if let Some(new_broker) = bc
-            .peek_string(wellknown::REHOME)
-            .and_then(|s| s.parse::<u32>().ok())
-        {
+        if let Some(new_broker) = peek_parse(&bc, wellknown::REHOME) {
             // Failover: report to the adopting broker from now on, and do so
             // immediately so the adopter learns this provider exists.
             self.broker_site = SiteId(new_broker);
@@ -328,7 +327,7 @@ impl Agent for WorkerAgent {
 
     fn meet(&mut self, ctx: &mut MeetCtx<'_>, bc: Briefcase) -> MeetOutcome {
         // Load query from the monitor.
-        if bc.peek_string("QUERY").as_deref() == Some("load") {
+        if bc.peek("QUERY") == Some(b"load") {
             let mut reply = Briefcase::new();
             reply.put_u64("QUEUE_LEN", self.queue.len() as u64);
             return Ok(reply);
@@ -342,7 +341,7 @@ impl Agent for WorkerAgent {
                     .saturating_sub(done.enqueued_at)
                     .saturating_sub(self.service_time(done.size_ms).micros());
                 ctx.cabinet(JOBS_CABINET)
-                    .append_str(DONE, format!("{}:{}:{}", done.id, wait, now));
+                    .append(DONE, format!("{}:{}:{}", done.id, wait, now));
                 self.start_head_job(ctx);
             }
             return Ok(Briefcase::new());
@@ -351,9 +350,7 @@ impl Agent for WorkerAgent {
         let job_id = bc
             .peek_string(JOB)
             .ok_or_else(|| TacomaError::missing(JOB))?;
-        let size_ms = bc
-            .peek_string(JOB_SIZE)
-            .and_then(|s| s.parse::<u64>().ok())
+        let size_ms = peek_parse(&bc, JOB_SIZE)
             .ok_or_else(|| TacomaError::bad_folder(JOB_SIZE, "missing or not a number"))?;
         if !bc.contains(TICKET_FOLDER) {
             return Err(TacomaError::Refused("no admission ticket".into()));

@@ -30,7 +30,7 @@
 
 use crate::agents::{dispatch_with_ticket, parse_report, MonitorAgent};
 use crate::agents::{TicketAgent, WorkerAgent, DONE, JOB, JOBS_CABINET, JOB_SIZE, REQUEST};
-use crate::load::ReportDb;
+use crate::load::{peek_parse, ReportDb};
 use crate::policy::PlacementPolicy;
 use std::collections::BTreeMap;
 use tacoma_core::prelude::*;
@@ -115,16 +115,13 @@ impl ShardDigest {
     /// Parses a digest back out of briefcase folders.
     pub fn from_briefcase(bc: &Briefcase) -> Option<ShardDigest> {
         Some(ShardDigest {
-            shard: bc.peek_string("DIG_SHARD")?.parse().ok()?,
-            broker_site: SiteId(bc.peek_string("DIG_SITE")?.parse().ok()?),
-            live_providers: bc.peek_string("DIG_LIVE")?.parse().ok()?,
-            total_queue: bc.peek_string("DIG_QUEUE")?.parse().ok()?,
-            total_cost: bc
-                .peek_string("DIG_COST")
-                .and_then(|s| s.parse().ok())
-                .unwrap_or(0.0),
-            total_capacity: bc.peek_string("DIG_CAPACITY")?.parse().ok()?,
-            at_micros: bc.peek_string("DIG_AT")?.parse().ok()?,
+            shard: peek_parse(bc, "DIG_SHARD")?,
+            broker_site: SiteId(peek_parse(bc, "DIG_SITE")?),
+            live_providers: peek_parse(bc, "DIG_LIVE")?,
+            total_queue: peek_parse(bc, "DIG_QUEUE")?,
+            total_cost: peek_parse(bc, "DIG_COST").unwrap_or(0.0),
+            total_capacity: peek_parse(bc, "DIG_CAPACITY")?,
+            at_micros: peek_parse(bc, "DIG_AT")?,
         })
     }
 }
@@ -266,17 +263,17 @@ impl FederatedBrokerAgent {
     fn broadcast_digest(&mut self, ctx: &mut MeetCtx<'_>) {
         let now = ctx.now().micros();
         let digest = self.digest(now, ctx);
-        for (_, site) in self.peers.clone() {
-            let mut bc = digest.to_briefcase();
-            bc.put_string(REQUEST, "digest");
+        let mut bc = digest.to_briefcase();
+        bc.put_string(REQUEST, "digest");
+        for &(_, site) in &self.peers {
             ctx.remote_meet(
                 site,
                 AgentName::new(wellknown::BROKER),
-                bc,
+                bc.clone(),
                 TransportKind::Tcp,
             );
             ctx.cabinet(BROKER_CABINET)
-                .append_str(DIG_TX, site.0.to_string());
+                .append(DIG_TX, site.0.to_string());
         }
     }
 }
@@ -322,25 +319,26 @@ impl Agent for FederatedBrokerAgent {
             return Ok(Briefcase::new());
         }
         let request = bc
-            .peek_string(REQUEST)
+            .peek(REQUEST)
             .ok_or_else(|| TacomaError::missing(REQUEST))?;
-        match request.as_str() {
-            "report" => {
+        let submit = request == b"submit";
+        match request {
+            b"report" => {
                 let report = parse_report(&bc)?;
                 self.reports.ingest(report, ctx.now().micros());
                 Ok(Briefcase::new())
             }
-            "digest" => {
+            b"digest" => {
                 let digest = ShardDigest::from_briefcase(&bc)
                     .ok_or_else(|| TacomaError::bad_folder("DIG_SHARD", "malformed digest"))?;
                 ctx.cabinet(BROKER_CABINET)
-                    .append_str(DIG_RX, digest.shard.to_string());
+                    .append(DIG_RX, digest.shard.to_string());
                 self.digests.insert(digest.shard, digest);
                 Ok(Briefcase::new())
             }
-            "lookup" | "submit" => {
+            b"lookup" | b"submit" => {
                 let now = ctx.now().micros();
-                if request == "submit" {
+                if submit {
                     if let Some(threshold) = self.shed_threshold {
                         let local_wait = self.digest(now, ctx).aggregate_wait();
                         if local_wait > threshold {
@@ -352,8 +350,8 @@ impl Agent for FederatedBrokerAgent {
                                 if let Some((peer, wait)) = self.best_peer_wait(now, ctx) {
                                     if wait <= threshold {
                                         self.jobs_forwarded += 1;
-                                        let job = bc.peek_string(JOB).unwrap_or_default();
-                                        ctx.cabinet(BROKER_CABINET).append_str(FWD, &job);
+                                        let job = bc.peek(JOB).unwrap_or_default();
+                                        ctx.cabinet(BROKER_CABINET).append(FWD, job);
                                         bc.put_string(FORWARDED, "1");
                                         let mut reply = Briefcase::new();
                                         reply.put_string(PROVIDER, format!("forwarded:{peer}"));
@@ -404,7 +402,7 @@ impl Agent for FederatedBrokerAgent {
                 let Some(chosen) = chosen else {
                     // Nothing placeable here.  Forward a submission (once)
                     // to the best peer the digests suggest.
-                    if request != "submit" || bc.contains(FORWARDED) {
+                    if !submit || bc.contains(FORWARDED) {
                         return Err(TacomaError::Refused(format!(
                             "shard {} has no eligible provider",
                             self.shard
@@ -417,8 +415,8 @@ impl Agent for FederatedBrokerAgent {
                         )));
                     };
                     self.jobs_forwarded += 1;
-                    let job = bc.peek_string(JOB).unwrap_or_default();
-                    ctx.cabinet(BROKER_CABINET).append_str(FWD, &job);
+                    let job = bc.peek(JOB).unwrap_or_default();
+                    ctx.cabinet(BROKER_CABINET).append(FWD, job);
                     bc.put_string(FORWARDED, "1");
                     let mut reply = Briefcase::new();
                     reply.put_string(PROVIDER, format!("forwarded:{peer}"));
@@ -432,20 +430,21 @@ impl Agent for FederatedBrokerAgent {
                 };
                 let mut reply = Briefcase::new();
                 reply.put_string(PROVIDER, chosen.0.to_string());
-                if request == "submit" {
-                    let job = bc.peek_string(JOB).unwrap_or_default();
+                if submit {
+                    let job = bc.peek(JOB).unwrap_or_default().to_vec();
                     bc.take(FORWARDED);
                     dispatch_with_ticket(ctx, bc, chosen)?;
                     // Optimistic bump, as in the single broker: spread a
                     // burst even before the next report lands.
                     self.reports.bump(chosen);
                     self.jobs_placed += 1;
-                    ctx.cabinet(BROKER_CABINET).append_str(PLACED, &job);
+                    ctx.cabinet(BROKER_CABINET).append(PLACED, job);
                 }
                 Ok(reply)
             }
             other => Err(TacomaError::Refused(format!(
-                "unknown federated broker request '{other}'"
+                "unknown federated broker request '{}'",
+                String::from_utf8_lossy(other)
             ))),
         }
     }

@@ -99,16 +99,18 @@ impl LoadReport {
     /// A missing `LOAD_COST` folder reads as 0 (cost-blind).
     pub fn from_briefcase(bc: &Briefcase) -> Option<LoadReport> {
         Some(LoadReport {
-            site: SiteId(bc.peek_string("LOAD_SITE")?.parse().ok()?),
-            queue_len: bc.peek_string("LOAD_QUEUE")?.parse().ok()?,
-            queue_cost: bc
-                .peek_string("LOAD_COST")
-                .and_then(|s| s.parse().ok())
-                .unwrap_or(0.0),
-            capacity: bc.peek_string("LOAD_CAPACITY")?.parse().ok()?,
-            at_micros: bc.peek_string("LOAD_AT")?.parse().ok()?,
+            site: SiteId(peek_parse(bc, "LOAD_SITE")?),
+            queue_len: peek_parse(bc, "LOAD_QUEUE")?,
+            queue_cost: peek_parse(bc, "LOAD_COST").unwrap_or(0.0),
+            capacity: peek_parse(bc, "LOAD_CAPACITY")?,
+            at_micros: peek_parse(bc, "LOAD_AT")?,
         })
     }
+}
+
+/// Parses the top element of folder `name` as text, where it lies.
+pub(crate) fn peek_parse<T: std::str::FromStr>(bc: &Briefcase, name: &str) -> Option<T> {
+    std::str::from_utf8(bc.peek(name)?).ok()?.parse().ok()
 }
 
 /// A broker's load-report database: the latest report per provider, with

@@ -8,6 +8,7 @@
 //! by name.
 
 use serde::{Deserialize, Serialize};
+use std::borrow::Cow;
 use std::fmt;
 use std::hash::{BuildHasherDefault, Hasher};
 
@@ -70,13 +71,15 @@ impl fmt::Display for AgentId {
 /// The paper addresses system agents by name (`rexec`, `ag_tcl`, brokers);
 /// this is a thin newtype over a string so briefcase folders can carry agent
 /// names as uninterpreted bytes and the runtime can still compare them
-/// cheaply.
+/// cheaply.  The well-known names are string literals, which the `Cow`
+/// borrows: naming an agent on every meet allocates nothing.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
-pub struct AgentName(pub String);
+pub struct AgentName(pub Cow<'static, str>);
 
 impl AgentName {
-    /// Creates an agent name from anything string-like.
-    pub fn new(name: impl Into<String>) -> Self {
+    /// Creates an agent name from a string literal or an owned string
+    /// (borrowed text that is not `'static` goes through `From<&str>`).
+    pub fn new(name: impl Into<Cow<'static, str>>) -> Self {
         AgentName(name.into())
     }
 
@@ -94,13 +97,13 @@ impl fmt::Display for AgentName {
 
 impl From<&str> for AgentName {
     fn from(s: &str) -> Self {
-        AgentName(s.to_string())
+        AgentName(Cow::Owned(s.to_string()))
     }
 }
 
 impl From<String> for AgentName {
     fn from(s: String) -> Self {
-        AgentName(s)
+        AgentName(Cow::Owned(s))
     }
 }
 

@@ -25,7 +25,7 @@ fn main() {
     let mut bc = script_briefcase(code, &[]);
     bc.put_string("ORIGCODE", code);
     for site in ["1", "2", "3", "4"] {
-        bc.folder_mut("ITINERARY").enqueue(site.as_bytes().to_vec());
+        bc.folder_mut("ITINERARY").enqueue(site);
     }
     sys.inject_meet(SiteId(0), AgentName::new("ag_tac"), bc);
 

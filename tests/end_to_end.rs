@@ -39,8 +39,8 @@ fn script_agent_chains_migration_cabinets_and_courier() {
     "#;
     let mut bc = script_briefcase(hop_code, &[]);
     bc.put_string("ORIGCODE", hop_code);
-    bc.folder_mut("ITINERARY").enqueue(b"1".to_vec());
-    bc.folder_mut("ITINERARY").enqueue(b"2".to_vec());
+    bc.folder_mut("ITINERARY").enqueue(b"1");
+    bc.folder_mut("ITINERARY").enqueue(b"2");
     sys.inject_meet(SiteId(0), AgentName::new("ag_tac"), bc);
     sys.run_until_quiescent(10_000);
 

@@ -38,6 +38,14 @@ fn assert_agrees(folder: &Folder, model: &Model) {
     if let Some(e) = model.front() {
         assert!(folder.contains_elem(e));
     }
+    // The arena is kept in wire form; what leaves it is the live elements
+    // and nothing else, whatever dead prefix and offsets stand behind them.
+    let mut wire = (model.len() as u32).to_le_bytes().to_vec();
+    for e in model {
+        wire.extend((e.len() as u32).to_le_bytes());
+        wire.extend(e);
+    }
+    assert_eq!(codec::encode_folder(folder), wire);
 }
 
 proptest! {
