@@ -315,7 +315,7 @@ mod tests {
         use tacoma_net::NetMetrics;
         let mut net = NetMetrics::new();
         net.record_send();
-        net.record_hop(512);
+        net.record_hops(1, 512);
         let mut set = sample_set();
         set.reports[0].append_metrics(net.export());
         let parsed = ReportSet::from_json_str(&set.to_json_string()).unwrap();

@@ -249,7 +249,14 @@ impl CabinetStore {
 
     /// Access to a cabinet, creating it empty if absent.
     pub fn cabinet(&mut self, name: &str) -> &mut FileCabinet {
-        self.cabinets.entry(name.to_string()).or_default()
+        // Looked up first: the name is copied only to create the cabinet.
+        if !self.cabinets.contains_key(name) {
+            self.cabinets
+                .insert(name.to_string(), FileCabinet::default());
+        }
+        self.cabinets
+            .get_mut(name)
+            .expect("present or just created")
     }
 
     /// Read-only access to a cabinet if it exists.

@@ -145,7 +145,6 @@ impl SystemBuilder {
         let sites = (0..site_count)
             .map(|s| Site {
                 place: Place::new(SiteId(s), master.derive(1000 + s as u64)),
-                neighbors: self.topology.neighbors(SiteId(s)),
                 stable: BTreeMap::new(),
                 reachable: None,
             })

@@ -217,7 +217,6 @@ impl Engine {
 /// Everything the system keeps per site.
 struct Site {
     place: Place,
-    neighbors: Vec<SiteId>,
     /// Stable store holding flushed cabinet snapshots.
     stable: BTreeMap<String, Vec<u8>>,
     /// Reachability mask from this site (liveness + partitions, so agents
@@ -559,7 +558,7 @@ impl TacomaSystem {
             now: net.now(),
             origin,
             sender,
-            neighbors: &here.neighbors,
+            neighbors: net.router().neighbors(site),
             alive: net.liveness(),
             reachable: here.reachable.as_ref().map_or(&[], |(_, mask)| mask),
             custody,

@@ -165,6 +165,15 @@ fn a_well_known_name_costs_nothing() {
     assert_eq!((allocs, bytes), (1, 4 + 8), "a literal folder name");
 }
 
+#[test]
+fn an_existing_cabinet_is_reached_without_allocating() {
+    let mut store = tacoma_core::CabinetStore::new();
+    let (_, allocs, _) = counted(|| store.cabinet("bulletins").is_empty());
+    assert!(allocs > 0, "creating a cabinet copies its name");
+    let (_, allocs, _) = counted(|| store.cabinet("bulletins").is_empty());
+    assert_eq!(allocs, 0, "an access to an existing cabinet");
+}
+
 /// Completes every meet with the briefcase it was handed.
 struct Echo;
 

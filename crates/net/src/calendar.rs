@@ -5,7 +5,7 @@
 //! 4096+ sites no longer fits in cache, and — worse for us — the heap's
 //! internal order is not stable, so FIFO tie-breaking at equal timestamps has
 //! to be bolted on with a sequence number anyway.  The calendar queue
-//! ([Brown 1988]'s structure, here as a wheel that appends and heapifies)
+//! ([Brown 1988]'s structure, here as a wheel that appends and sorts)
 //! gets amortised `O(1)` inserts by hashing events on their timestamp into
 //! an array of time buckets, and sorts only the bucket it is draining:
 //!
@@ -13,10 +13,13 @@
 //!   covering one *revolution* `[r × slots, (r + 1) × slots)` of bucket
 //!   numbers.  A bucket ahead of the clock is an unsorted `Vec`: a push is
 //!   an append, no comparison made;
-//! * the **current bucket**, the one being drained, is the queue's only
-//!   heap, built in `O(n)` from its `Vec` when the bucket's turn comes (the
-//!   drained heap's buffer goes back to the slot).  Pushes at or before it —
-//!   late events included — go into the heap, so its top is the front;
+//! * the **current bucket**, the one being drained, is a sorted run: its
+//!   `Vec` is sorted once when the bucket's turn comes, earliest last, and a
+//!   pop is a `Vec::pop`.  A simulator pushes a bucket mostly in pop order
+//!   already — a whole flood generation lands at one instant, keys ascending
+//!   — and the sort recognises such a run in `O(n)`;
+//! * one **late heap** for the pushes made at or before the current bucket
+//!   afterwards: the front is the earlier of the run's end and its top;
 //! * an **overflow** map, revolution → unsorted `Vec`, for events beyond the
 //!   wheel's revolution, dealt onto the wheel when it turns over to theirs
 //!   (each event is dealt at most once).
@@ -81,9 +84,13 @@ pub struct CalendarQueue<K, V> {
     /// whose bucket number `b = time / bucket_width` lies after `cur_bucket`
     /// and inside the revolution that starts at `rev_start`.
     slots: Vec<Vec<Entry<K, V>>>,
-    /// Every event in a bucket at or before `cur_bucket`.  Never empty while
-    /// the queue is not, so its top is the front of the whole queue.
-    current: BinaryHeap<Entry<K, V>>,
+    /// The bucket `cur_bucket` as it stood when its turn came, sorted with
+    /// the earliest entry last.
+    run: Vec<Entry<K, V>>,
+    /// Every event pushed at or before `cur_bucket` since.  `run` and `late`
+    /// are not both empty while the queue is not, so the earlier of the
+    /// run's end and the heap's top is the front of the whole queue.
+    late: BinaryHeap<Entry<K, V>>,
     /// Events in later revolutions, by revolution number (`bucket / slots`).
     overflow: BTreeMap<u64, Vec<Entry<K, V>>>,
     /// The bucket being drained.
@@ -105,7 +112,8 @@ impl<K: Ord + Copy, V> CalendarQueue<K, V> {
     pub fn with_geometry(bucket_width_us: u64, slots: usize) -> Self {
         CalendarQueue {
             slots: (0..slots.max(1)).map(|_| Vec::new()).collect(),
-            current: BinaryHeap::new(),
+            run: Vec::new(),
+            late: BinaryHeap::new(),
             overflow: BTreeMap::new(),
             cur_bucket: 0,
             rev_start: 0,
@@ -126,7 +134,10 @@ impl<K: Ord + Copy, V> CalendarQueue<K, V> {
 
     /// `(time, key)` of the next event to pop, without popping it.
     pub fn peek(&self) -> Option<(SimTime, K)> {
-        self.current.peek().map(|e| (e.at, e.key))
+        // `Entry`'s order is reversed: of the run's end and the heap's top
+        // the earlier is the greater, and an empty side (`None`) is least.
+        let front = self.late.peek().max(self.run.last());
+        front.map(|e| (e.at, e.key))
     }
 
     /// Bucket number of a timestamp (`SimTime(u64::MAX)` alarms included:
@@ -145,9 +156,9 @@ impl<K: Ord + Copy, V> CalendarQueue<K, V> {
             // Nothing is queued: turn the wheel straight to this event.
             self.cur_bucket = bucket;
             self.rev_start = bucket - bucket % n;
-            self.current.push(entry);
+            self.run.push(entry);
         } else if bucket <= self.cur_bucket {
-            self.current.push(entry);
+            self.late.push(entry);
         } else if bucket - self.rev_start < n {
             self.slots[(bucket - self.rev_start) as usize].push(entry);
         } else {
@@ -158,9 +169,13 @@ impl<K: Ord + Copy, V> CalendarQueue<K, V> {
 
     /// Removes and returns the minimum event as `(time, key, value)`.
     pub fn pop(&mut self) -> Option<(SimTime, K, V)> {
-        let entry = self.current.pop()?;
+        let entry = if self.late.peek() > self.run.last() {
+            self.late.pop()
+        } else {
+            self.run.pop()
+        }?;
         self.len -= 1;
-        if self.current.is_empty() && self.len > 0 {
+        if self.run.is_empty() && self.late.is_empty() && self.len > 0 {
             self.advance();
         }
         Some((entry.at, entry.key, entry.value))
@@ -168,17 +183,16 @@ impl<K: Ord + Copy, V> CalendarQueue<K, V> {
 
     /// Makes the next non-empty bucket the current one, turning the wheel
     /// over to the next revolution that holds anything when this one is
-    /// spent.  Requires a drained `current` and `len > 0`.
+    /// spent.  Requires a drained `run` and `late`, and `len > 0`.
     fn advance(&mut self) {
         let mut from = (self.cur_bucket - self.rev_start) as usize + 1;
         loop {
             if let Some(i) = (from..self.slots.len()).find(|&i| !self.slots[i].is_empty()) {
                 self.cur_bucket = self.rev_start + i as u64;
-                let bucket = std::mem::take(&mut self.slots[i]);
-                let drained = std::mem::replace(&mut self.current, BinaryHeap::from(bucket));
-                // The slot keeps a buffer for its next turn: no allocation
-                // per bucket once the wheel has been round.
-                self.slots[i] = drained.into_vec();
+                // The slot keeps the drained run's buffer for its next turn:
+                // no allocation per bucket once the wheel has been round.
+                std::mem::swap(&mut self.run, &mut self.slots[i]);
+                self.run.sort_unstable();
                 return;
             }
             let (rev, far) = self

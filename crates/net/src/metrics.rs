@@ -36,10 +36,11 @@ impl NetMetrics {
         Self::default()
     }
 
-    /// Records one message traversing one hop of `bytes` bytes.
-    pub fn record_hop(&mut self, bytes: u64) {
-        self.total_bytes.add_bytes(bytes);
-        self.total_hops += 1;
+    /// Records one message of `bytes` bytes traversing `hops` hops.
+    pub fn record_hops(&mut self, hops: u32, bytes: u64) {
+        self.total_bytes
+            .add_bytes(bytes.saturating_mul(u64::from(hops)));
+        self.total_hops += u64::from(hops);
     }
 
     /// Records a message accepted for sending.
@@ -288,8 +289,7 @@ mod tests {
     fn counters_accumulate() {
         let mut m = NetMetrics::new();
         m.record_send();
-        m.record_hop(100);
-        m.record_hop(100);
+        m.record_hops(2, 100);
         m.record_delivery();
         assert_eq!(m.total_messages(), 1);
         assert_eq!(m.total_hops(), 2);
@@ -300,17 +300,22 @@ mod tests {
     #[test]
     fn hop_bytes_add_up() {
         let mut m = NetMetrics::new();
-        m.record_hop(50);
-        m.record_hop(25);
-        assert_eq!(m.total_bytes().get(), 75);
-        assert_eq!(m.total_hops(), 2);
+        m.record_hops(1, 50);
+        m.record_hops(1, 25);
+        m.record_hops(3, 10);
+        m.record_hops(0, 1_000);
+        assert_eq!(m.total_bytes().get(), 105);
+        assert_eq!(m.total_hops(), 5);
+        // Saturating, like every other byte counter.
+        m.record_hops(2, u64::MAX);
+        assert_eq!(m.total_bytes().get(), u64::MAX);
     }
 
     #[test]
     fn reset_zeroes_every_counter() {
         let mut m = NetMetrics::new();
-        m.record_hop(10);
-        m.record_hop(99);
+        m.record_hops(1, 10);
+        m.record_hops(1, 99);
         assert_eq!(m.total_bytes().get(), 109);
         m.record_drop();
         assert_eq!(m.dropped_messages(), 1);
@@ -323,7 +328,7 @@ mod tests {
     fn export_is_typed_and_stably_ordered() {
         let mut m = NetMetrics::new();
         m.record_send();
-        m.record_hop(64);
+        m.record_hops(1, 64);
         m.record_drop();
         let exported = m.export();
         let keys: Vec<&str> = exported.iter().map(|(k, _)| k.as_str()).collect();

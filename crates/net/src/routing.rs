@@ -21,27 +21,27 @@
 //! Negative results (unreachable pairs) are cached too; they are exactly as
 //! expensive to recompute as positive ones.
 //!
-//! Cached paths live in one flat arena, each site beside the [`LinkSpec`] of
-//! the link that reached it, so the send path charges a route's hops from
-//! the cached slice without asking the topology.  There is one traversal
-//! (`search`); [`Router::route`] runs it over reusable scratch buffers and
-//! writes the path into the arena, so a cache miss allocates nothing of its
-//! own.  [`Router::route_queries`] and [`Router::bfs_runs`]
-//! count the routing work performed; the scale experiments (E11/E12) report
-//! both — without the cache every query would be a BFS, so the saving is
+//! A cached path is priced when it is found: its summed latency and its hops
+//! grouped by bandwidth sit beside it, so the send path charges a route in
+//! `O(distinct bandwidths)` — one group on a LAN, two across the WAN ring —
+//! without walking its hops or asking the topology.  On a miss, the
+//! adjacency is one compressed-sparse-row block with each link's
+//! [`LinkSpec`] beside the neighbour it leads to, so pricing a found path is
+//! a binary search of one row per hop; and the one traversal (`search`)
+//! marks visits with a generation stamp over scratch sized once per
+//! topology, so a miss clears nothing and allocates nothing of its own.
+//! [`Router::route_queries`] and [`Router::bfs_runs`] count the routing work
+//! performed; the scale experiments (E11/E12) report both — without the
+//! cache every query would be a BFS, so the saving is
 //! `route_queries / bfs_runs`.
 
-use crate::topology::{LinkSpec, Topology};
+use crate::time::Duration;
+use crate::topology::{serialization_time, LinkSpec, Topology};
 use std::collections::hash_map::Entry;
 use std::collections::{HashMap, VecDeque};
 use tacoma_util::{IdBuildHasher, SiteId};
 
-/// Sentinel in the BFS predecessor array meaning "not visited yet".
-const UNVISITED: u32 = u32::MAX;
-
-/// One cached routing answer: where its path sits in the router's arena.
-/// A reachable path has at least one site, so `len == 0` is proven
-/// unreachability.
+/// A range of one of the router's arenas.
 #[derive(Debug, Clone, Copy)]
 struct Span {
     start: u32,
@@ -49,10 +49,126 @@ struct Span {
 }
 
 impl Span {
-    fn sites(self) -> std::ops::Range<usize> {
+    /// The range `start..end` of an arena.
+    fn of(start: usize, end: usize) -> Span {
+        let offset = |n: usize| u32::try_from(n).expect("route arena outgrew u32 offsets");
+        Span {
+            start: offset(start),
+            len: offset(end - start),
+        }
+    }
+
+    fn range(self) -> std::ops::Range<usize> {
         let start = self.start as usize;
         start..start + self.len as usize
     }
+}
+
+/// One cached routing answer: where its path sits in the router's arena and
+/// what crossing it costs.  A reachable path has at least one site, so
+/// `path.len == 0` is proven unreachability.
+#[derive(Debug, Clone, Copy)]
+struct CachedRoute {
+    path: Span,
+    latency: Duration,
+    classes: Span,
+}
+
+/// What crossing a route costs: hop by hop [`LinkSpec::transfer_time`],
+/// regrouped.  Every operation involved saturates and every term is
+/// non-negative, so the regrouped sum is the hop-by-hop one bit for bit:
+/// either is the exact sum clamped to `u64::MAX`.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct RouteCost<'a> {
+    /// Number of links crossed.
+    pub hops: u32,
+    /// Sum of the links' latencies.
+    latency: Duration,
+    /// `(bandwidth, links at that bandwidth)`, every link in one group.
+    classes: &'a [(u64, u32)],
+}
+
+impl RouteCost<'_> {
+    /// Time for `bytes` to cross every link in turn.
+    pub fn transfer_time(&self, bytes: u64) -> Duration {
+        self.classes
+            .iter()
+            .fold(self.latency, |time, &(bandwidth, hops)| {
+                time + serialization_time(bytes, bandwidth).times(u64::from(hops))
+            })
+    }
+}
+
+/// Adjacency in compressed sparse rows: site `s`'s neighbours, ascending,
+/// are `sites[offsets[s]..offsets[s + 1]]`, and `specs` holds the link to
+/// each at the same index.
+#[derive(Debug, Clone)]
+struct Adjacency {
+    offsets: Vec<u32>,
+    sites: Vec<SiteId>,
+    specs: Vec<LinkSpec>,
+}
+
+impl Adjacency {
+    /// Three allocations and no sort: `Topology::links` yields `(a, b)` with
+    /// `a < b` in ascending order, which fills every row in ascending order.
+    fn new(topology: &Topology) -> Self {
+        let sites = topology.site_count() as usize;
+        let mut offsets = vec![0u32; sites + 1];
+        for (a, b, _) in topology.links() {
+            offsets[a.index() + 1] += 1;
+            offsets[b.index() + 1] += 1;
+        }
+        for s in 0..sites {
+            offsets[s + 1] += offsets[s];
+        }
+        let links = offsets[sites] as usize;
+        let mut adj = Adjacency {
+            offsets,
+            sites: vec![SiteId(0); links],
+            specs: vec![LinkSpec::default(); links],
+        };
+        // Fill with each row's start as its cursor, which leaves every
+        // offset one row ahead; the rotation puts them back.
+        for (a, b, spec) in topology.links() {
+            for (from, to) in [(a, b), (b, a)] {
+                let at = adj.offsets[from.index()] as usize;
+                adj.sites[at] = to;
+                adj.specs[at] = *spec;
+                adj.offsets[from.index()] += 1;
+            }
+        }
+        adj.offsets.rotate_right(1);
+        adj.offsets[0] = 0;
+        adj
+    }
+
+    fn row(&self, site: SiteId) -> std::ops::Range<usize> {
+        self.offsets[site.index()] as usize..self.offsets[site.index() + 1] as usize
+    }
+
+    fn neighbors(&self, site: SiteId) -> &[SiteId] {
+        &self.sites[self.row(site)]
+    }
+
+    /// The spec of the link `a`–`b`, which must exist.
+    fn spec(&self, a: SiteId, b: SiteId) -> LinkSpec {
+        let row = self.row(a);
+        let at = self.sites[row.clone()]
+            .binary_search(&b)
+            .expect("a routed hop crosses a link");
+        self.specs[row.start + at]
+    }
+}
+
+/// What one traversal leaves behind, reused by the next: per site the stamp
+/// of the search that last reached it and its predecessor in that search.
+#[derive(Debug, Clone, Default)]
+struct Scratch {
+    marks: Vec<(u32, u32)>,
+    /// The stamp of the latest search; a site is visited when it carries it.
+    generation: u32,
+    frontier: VecDeque<SiteId>,
 }
 
 /// A routing oracle that answers shortest-path queries over a topology,
@@ -60,41 +176,35 @@ impl Span {
 #[derive(Debug, Clone)]
 pub struct Router {
     topology: Topology,
-    /// Precomputed adjacency (ascending neighbour order, matching
-    /// `Topology::neighbors`), rebuilt on topology edits.
-    adj: Vec<Vec<SiteId>>,
-    /// `(from, to)` → cached path, all of it computed at `cache_epoch`.
-    cache: HashMap<(SiteId, SiteId), Span, IdBuildHasher>,
+    /// Rebuilt on topology edits.
+    adj: Adjacency,
+    /// `(from, to)` → cached route, all of it computed at `cache_epoch`.
+    cache: HashMap<(SiteId, SiteId), CachedRoute, IdBuildHasher>,
     cache_epoch: u64,
-    /// The arena the cache's spans index: every cached path's sites, end to
-    /// end, and beside each site the spec of the link that reached it (a
-    /// path's first site has none; its slot is filler).  Emptied with the
-    /// cache, so epoch churn cannot grow it.
+    /// The arenas the cache's spans index: every cached path's sites, end to
+    /// end, and every cached path's `(bandwidth, links)` groups.  Emptied
+    /// with the cache, so epoch churn cannot grow them.
     path_sites: Vec<SiteId>,
-    path_links: Vec<LinkSpec>,
+    path_classes: Vec<(u64, u32)>,
     route_queries: u64,
     bfs_runs: u64,
-    /// Scratch: predecessor per site (`UNVISITED` when not reached).
-    prev: Vec<u32>,
-    /// Scratch: BFS frontier.
-    frontier: VecDeque<SiteId>,
+    scratch: Scratch,
 }
 
 impl Router {
     /// Creates a router for the given topology.
     pub fn new(topology: Topology) -> Self {
-        let adj = build_adjacency(&topology);
+        let adj = Adjacency::new(&topology);
         Router {
             topology,
             adj,
             cache: HashMap::default(),
             cache_epoch: 0,
             path_sites: Vec::new(),
-            path_links: Vec::new(),
+            path_classes: Vec::new(),
             route_queries: 0,
             bfs_runs: 0,
-            prev: Vec::new(),
-            frontier: VecDeque::new(),
+            scratch: Scratch::default(),
         }
     }
 
@@ -103,21 +213,26 @@ impl Router {
         &self.topology
     }
 
+    /// [`Topology::neighbors`] of `site`, borrowed and without the scan.
+    pub fn neighbors(&self, site: SiteId) -> &[SiteId] {
+        self.adj.neighbors(site)
+    }
+
     /// Edits the topology in place (links die, partitions become permanent),
-    /// then rebuilds the adjacency list and drops every cached route.
+    /// then rebuilds the adjacency and drops every cached route.
     ///
     /// Callers that hold a routing epoch (the simulator) must bump it too;
     /// [`crate::sim::SimNet::edit_topology`] does both.
     pub fn edit_topology(&mut self, edit: impl FnOnce(&mut Topology)) {
         edit(&mut self.topology);
-        self.adj = build_adjacency(&self.topology);
+        self.adj = Adjacency::new(&self.topology);
         self.clear_cache();
     }
 
     fn clear_cache(&mut self) {
         self.cache.clear();
         self.path_sites.clear();
-        self.path_links.clear();
+        self.path_classes.clear();
     }
 
     /// Number of routing queries answered (cache hits and misses alike).
@@ -154,22 +269,26 @@ impl Router {
         alive: impl Fn(SiteId) -> bool,
         blocked: impl Fn(SiteId, SiteId) -> bool,
     ) -> Option<&[SiteId]> {
-        let span = self.lookup(from, to, epoch, alive, blocked);
-        (span.len > 0).then(|| &self.path_sites[span.sites()])
+        let route = self.lookup(from, to, epoch, alive, blocked);
+        (route.path.len > 0).then(|| &self.path_sites[route.path.range()])
     }
 
-    /// [`Router::route`], answered as the specs of the links the path
-    /// crosses, in order: one per hop, so a local route is `Some(&[])`.
-    pub(crate) fn route_links(
+    /// [`Router::route`], answered as what the path costs to cross; a local
+    /// route crosses nothing.
+    pub(crate) fn route_cost(
         &mut self,
         from: SiteId,
         to: SiteId,
         epoch: u64,
         alive: impl Fn(SiteId) -> bool,
         blocked: impl Fn(SiteId, SiteId) -> bool,
-    ) -> Option<&[LinkSpec]> {
-        let span = self.lookup(from, to, epoch, alive, blocked);
-        (span.len > 0).then(|| &self.path_links[span.sites()][1..])
+    ) -> Option<RouteCost<'_>> {
+        let route = self.lookup(from, to, epoch, alive, blocked);
+        (route.path.len > 0).then(|| RouteCost {
+            hops: route.path.len - 1,
+            latency: route.latency,
+            classes: &self.path_classes[route.classes.range()],
+        })
     }
 
     /// The one cache probe behind both views of a route.
@@ -180,7 +299,7 @@ impl Router {
         epoch: u64,
         alive: impl Fn(SiteId) -> bool,
         blocked: impl Fn(SiteId, SiteId) -> bool,
-    ) -> Span {
+    ) -> CachedRoute {
         self.route_queries += 1;
         if epoch != self.cache_epoch {
             // Everything cached describes another epoch's liveness.
@@ -192,30 +311,32 @@ impl Router {
             Entry::Vacant(slot) => slot,
         };
         self.bfs_runs += 1;
-        let start = self.path_sites.len();
-        let reached = path_into(
+        let (start, classes_start) = (self.path_sites.len(), self.path_classes.len());
+        path_into(
             &self.adj,
-            &mut self.prev,
-            &mut self.frontier,
+            &mut self.scratch,
             (from, to),
             &alive,
             &blocked,
             &mut self.path_sites,
         );
-        if reached {
-            let path = &self.path_sites[start..];
-            self.path_links.push(LinkSpec::default());
-            self.path_links.extend(path.windows(2).map(|hop| {
-                self.topology
-                    .link(hop[0], hop[1])
-                    .copied()
-                    .unwrap_or_default()
-            }));
+        // Price the path while it is at hand: one row search per hop, and a
+        // scan of the few groups it has opened so far.
+        let mut latency = Duration::ZERO;
+        for hop in self.path_sites[start..].windows(2) {
+            let spec = self.adj.spec(hop[0], hop[1]);
+            latency += spec.latency;
+            let bandwidth = spec.bandwidth_bytes_per_sec;
+            let opened = &mut self.path_classes[classes_start..];
+            match opened.iter_mut().find(|class| class.0 == bandwidth) {
+                Some(class) => class.1 += 1,
+                None => self.path_classes.push((bandwidth, 1)),
+            }
         }
-        let offset = |n: usize| u32::try_from(n).expect("route arena outgrew u32 offsets");
-        *slot.insert(Span {
-            start: offset(start),
-            len: offset(self.path_sites.len() - start),
+        *slot.insert(CachedRoute {
+            path: Span::of(start, self.path_sites.len()),
+            latency,
+            classes: Span::of(classes_start, self.path_classes.len()),
         })
     }
 
@@ -234,8 +355,7 @@ impl Router {
         let mut path = Vec::new();
         path_into(
             &self.adj,
-            &mut Vec::new(),
-            &mut VecDeque::new(),
+            &mut Scratch::default(),
             (src, dst),
             &alive,
             &|_, _| false,
@@ -254,50 +374,51 @@ impl Router {
         alive: impl Fn(SiteId) -> bool,
         blocked: impl Fn(SiteId, SiteId) -> bool,
     ) -> Vec<bool> {
-        let mut prev = Vec::new();
-        search(
-            &self.adj,
-            &mut prev,
-            &mut VecDeque::new(),
-            src,
-            None,
-            &alive,
-            &blocked,
-        );
-        prev.iter().map(|&p| p != UNVISITED).collect()
+        let mut scratch = Scratch::default();
+        search(&self.adj, &mut scratch, src, None, &alive, &blocked);
+        let visited = |&(stamp, _): &(u32, u32)| stamp == scratch.generation;
+        scratch.marks.iter().map(visited).collect()
     }
 }
 
 /// The one traversal: a BFS from `from` over live sites and unblocked edges
-/// that records each reached site's predecessor in `prev` (every other slot
-/// reads `UNVISITED`) and stops as soon as `target`, when given, is reached.
+/// that stamps each reached site with this search's generation and records
+/// its predecessor, and stops as soon as `target`, when given, is reached.
 /// Returns whether it was.
 fn search(
-    adj: &[Vec<SiteId>],
-    prev: &mut Vec<u32>,
-    frontier: &mut VecDeque<SiteId>,
+    adj: &Adjacency,
+    scratch: &mut Scratch,
     from: SiteId,
     target: Option<SiteId>,
     alive: &impl Fn(SiteId) -> bool,
     blocked: &impl Fn(SiteId, SiteId) -> bool,
 ) -> bool {
-    prev.clear();
-    prev.resize(adj.len(), UNVISITED);
+    let sites = adj.offsets.len() - 1;
+    if scratch.marks.len() != sites || scratch.generation == u32::MAX {
+        // First use over this topology, or the stamp is about to wrap: the
+        // only times anything proportional to the site count is written.
+        scratch.marks.clear();
+        scratch.marks.resize(sites, (0, 0));
+        scratch.generation = 0;
+    }
+    scratch.generation += 1;
+    let visited = scratch.generation;
+    let (marks, frontier) = (&mut scratch.marks, &mut scratch.frontier);
     frontier.clear();
-    if from.index() >= adj.len() || !alive(from) {
+    if from.index() >= marks.len() || !alive(from) {
         return false;
     }
-    prev[from.index()] = from.0;
+    marks[from.index()] = (visited, from.0);
     if target == Some(from) {
         return true;
     }
     frontier.push_back(from);
     while let Some(cur) = frontier.pop_front() {
-        for &n in &adj[cur.index()] {
-            if prev[n.index()] != UNVISITED || !alive(n) || blocked(cur, n) {
+        for &n in adj.neighbors(cur) {
+            if marks[n.index()].0 == visited || !alive(n) || blocked(cur, n) {
                 continue;
             }
-            prev[n.index()] = cur.0;
+            marks[n.index()] = (visited, cur.0);
             if target == Some(n) {
                 return true;
             }
@@ -308,47 +429,33 @@ fn search(
 }
 
 /// Appends the shortest live path `from → to` (both endpoints included) to
-/// `out`, read back from the predecessors [`search`] left in `prev`, and
+/// `out`, read back from the predecessors [`search`] left in `scratch`, and
 /// returns whether there is one; `out` is untouched when there is not.
 fn path_into(
-    adj: &[Vec<SiteId>],
-    prev: &mut Vec<u32>,
-    frontier: &mut VecDeque<SiteId>,
+    adj: &Adjacency,
+    scratch: &mut Scratch,
     (from, to): (SiteId, SiteId),
     alive: &impl Fn(SiteId) -> bool,
     blocked: &impl Fn(SiteId, SiteId) -> bool,
     out: &mut Vec<SiteId>,
 ) -> bool {
-    if !alive(to) || !search(adj, prev, frontier, from, Some(to), alive, blocked) {
+    if !alive(to) || !search(adj, scratch, from, Some(to), alive, blocked) {
         return false;
     }
     let start = out.len();
     let mut at = to;
     out.push(at);
     while at != from {
-        at = SiteId(prev[at.index()]);
+        at = SiteId(scratch.marks[at.index()].1);
         out.push(at);
     }
     out[start..].reverse();
     true
 }
 
-fn build_adjacency(topology: &Topology) -> Vec<Vec<SiteId>> {
-    let mut adj: Vec<Vec<SiteId>> = vec![Vec::new(); topology.site_count() as usize];
-    for (a, b, _) in topology.links() {
-        adj[a.index()].push(b);
-        adj[b.index()].push(a);
-    }
-    for neighbours in &mut adj {
-        neighbours.sort_unstable();
-    }
-    adj
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::topology::LinkSpec;
 
     fn all_alive(_: SiteId) -> bool {
         true
@@ -537,14 +644,89 @@ mod tests {
                     unblocked,
                 );
             }
-            (r.cache.len(), r.path_sites.len(), r.path_links.len())
+            (r.cache.len(), r.path_sites.len(), r.path_classes.len())
         };
         let one_epoch = route_all(&mut r, 0);
-        assert_eq!(one_epoch, (50, 50 * 8, 50 * 8));
+        // Seven hops over one kind of link: eight sites and one group each.
+        assert_eq!(one_epoch, (50, 50 * 8, 50));
         for epoch in 1..=1_000 {
             assert_eq!(route_all(&mut r, epoch), one_epoch);
         }
         assert_eq!(r.bfs_runs(), 50 * 1_001);
+    }
+
+    #[test]
+    fn the_adjacency_is_the_topologys_links_row_by_row() {
+        let mut rng = tacoma_util::DetRng::new(7);
+        let mut t = Topology::random_connected(40, 60, LinkSpec::default(), &mut rng);
+        t.add_link(SiteId(3), SiteId(17), LinkSpec::wan());
+        t.add_link(SiteId(17), SiteId(2), LinkSpec::lan());
+        // Site 40 has no link at all: its row is empty, not missing.
+        let mut lonely = Topology::empty(41);
+        for (a, b, spec) in t.links() {
+            lonely.add_link(a, b, *spec);
+        }
+        let r = Router::new(lonely);
+        for site in r.topology().sites() {
+            assert_eq!(r.neighbors(site), r.topology().neighbors(site));
+            for &n in r.neighbors(site) {
+                assert_eq!(Some(&r.adj.spec(site, n)), r.topology().link(site, n));
+            }
+        }
+        assert!(r.neighbors(SiteId(40)).is_empty());
+    }
+
+    #[test]
+    fn a_cached_route_is_priced_like_its_hops() {
+        // 0-1-2-3-4 with two bandwidths interleaved and a zero-bandwidth
+        // link: three groups, one charge.
+        let spec = |latency_us, bandwidth_bytes_per_sec| LinkSpec {
+            latency: Duration::from_micros(latency_us),
+            bandwidth_bytes_per_sec,
+        };
+        let links = [spec(5, 1_000), spec(7, 0), spec(11, 1_000), spec(13, 3)];
+        let mut t = Topology::empty(5);
+        for (i, link) in links.iter().enumerate() {
+            t.add_link(SiteId(i as u32), SiteId(i as u32 + 1), *link);
+        }
+        let mut r = Router::new(t);
+        for bytes in [0, 1, 999, 1 << 40, u64::MAX / 1_000_000 + 1, u64::MAX] {
+            let cost = r
+                .route_cost(SiteId(0), SiteId(4), 0, all_alive, unblocked)
+                .unwrap();
+            assert_eq!((cost.hops, cost.classes.len()), (4, 3));
+            let hop_by_hop = links
+                .iter()
+                .fold(Duration::ZERO, |t, link| t + link.transfer_time(bytes));
+            assert_eq!(cost.transfer_time(bytes), hop_by_hop, "{bytes} bytes");
+        }
+        let local = r
+            .route_cost(SiteId(2), SiteId(2), 0, all_alive, unblocked)
+            .unwrap();
+        assert_eq!((local.hops, local.transfer_time(9)), (0, Duration::ZERO));
+    }
+
+    #[test]
+    fn a_wrapping_visit_stamp_forgets_no_visit_and_invents_none() {
+        let mut r = Router::new(Topology::ring(9, LinkSpec::default()));
+        let mut reference = Router::new(Topology::ring(9, LinkSpec::default()));
+        // Leave marks behind at the last stamps before the wrap, then route
+        // across it: a stale mark read as a visit would cut a path short.
+        r.route(SiteId(0), SiteId(4), 0, all_alive, unblocked);
+        r.scratch.generation = u32::MAX - 2;
+        let alive = |s: SiteId| s != SiteId(1);
+        for epoch in 1..=6 {
+            for (from, to) in [(0, 4), (8, 2), (3, 3), (5, 1)] {
+                let got = r
+                    .route(SiteId(from), SiteId(to), epoch, alive, unblocked)
+                    .map(<[SiteId]>::to_vec);
+                let want = reference
+                    .route(SiteId(from), SiteId(to), epoch, alive, unblocked)
+                    .map(<[SiteId]>::to_vec);
+                assert_eq!(got, want, "{from} -> {to} at epoch {epoch}");
+            }
+        }
+        assert!(r.scratch.generation < 100, "the stamp wrapped");
     }
 
     #[test]

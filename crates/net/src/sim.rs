@@ -17,9 +17,9 @@ use crate::calendar::CalendarQueue;
 use crate::custody::{CustodyConfig, CustodyStore, Parked};
 use crate::failure::{FailureAction, FailurePlan};
 use crate::metrics::NetMetrics;
-use crate::routing::Router;
+use crate::routing::{RouteCost, Router};
 use crate::time::{Duration, SimTime};
-use crate::topology::{LinkSpec, Topology};
+use crate::topology::Topology;
 use crate::transport::{Transport, TransportKind};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
@@ -501,19 +501,18 @@ impl SimNet {
         // are *borrowed* (the clones the first implementation made per send
         // were the scale bottleneck); the router answers from its cache
         // whenever the epoch has not moved since the pair was last routed,
-        // and the cached route carries its links' specs, so charging the
-        // hops asks the topology nothing.
+        // and the cached route carries its price, so charging it walks no
+        // hops and asks the topology nothing.
         let up = &self.up;
         let partitions = &self.partitions;
         let alive = |s: SiteId| up.get(s.index()).copied().unwrap_or(false);
         let blocked = |a: SiteId, b: SiteId| partition_blocked(partitions, a, b);
-        let links = if self.is_up(to) {
-            self.router
-                .route_links(from, to, self.epoch, alive, blocked)
+        let route = if self.is_up(to) {
+            self.router.route_cost(from, to, self.epoch, alive, blocked)
         } else {
             None
         };
-        let Some(links) = links else {
+        let Some(route) = route else {
             if let Some(ttl) = custody_ttl {
                 return self.park_new(msg, transport, ttl);
             }
@@ -523,10 +522,10 @@ impl SimNet {
         let payload_len = msg.payload.len() as u64;
         let overhead = self.transport.overhead(transport, from, to);
         let wire_bytes = payload_len + overhead.extra_bytes;
-        let delay = overhead.setup_latency + charge_hops(&mut self.metrics, links, wire_bytes);
+        let delay = overhead.setup_latency + charge_route(&mut self.metrics, route, wire_bytes);
         self.metrics.record_send();
 
-        msg.hops = links.len() as u32;
+        msg.hops = route.hops;
         let tag = custody_ttl.map(|ttl| CustodyTag {
             expires_at: self.clock + ttl,
             transport,
@@ -552,20 +551,19 @@ impl SimNet {
         let (id, from, to) = (msg.id, msg.from, msg.to);
         // Walk the static path while hops are live and unblocked.
         let mut custodian = from;
-        let mut links = Vec::new();
+        let mut hops = 0;
         if let Some(static_path) = self.router.shortest_path(from, to, |_| true) {
             for hop in static_path.windows(2) {
                 let (a, b) = (hop[0], hop[1]);
                 if !self.is_up(b) || self.is_blocked(a, b) {
                     break;
                 }
-                let spec = self.router.topology().link(a, b);
-                links.push(spec.copied().unwrap_or_default());
+                hops += 1;
                 custodian = b;
             }
         }
         let expires_at = self.clock + ttl;
-        msg.hops = links.len() as u32;
+        msg.hops = hops;
         let payload_len = msg.payload.len() as u64;
         let parked = Parked {
             msg,
@@ -581,13 +579,10 @@ impl SimNet {
             self.metrics.record_custody_rejection();
             return Err(NetError::CustodyFull { at: custodian });
         }
-        if !links.is_empty() {
+        if hops > 0 {
             let overhead = self.transport.overhead(transport, from, custodian);
-            charge_hops(
-                &mut self.metrics,
-                &links,
-                payload_len + overhead.extra_bytes,
-            );
+            self.metrics
+                .record_hops(hops, payload_len + overhead.extra_bytes);
         }
         self.metrics.record_send();
         self.metrics.record_custody_park(payload_len);
@@ -678,9 +673,9 @@ impl SimNet {
         let partitions = &self.partitions;
         let alive = |s: SiteId| up.get(s.index()).copied().unwrap_or(false);
         let blocked = |a: SiteId, b: SiteId| partition_blocked(partitions, a, b);
-        let Some(links) = self
+        let Some(route) = self
             .router
-            .route_links(custodian, to, self.epoch, alive, blocked)
+            .route_cost(custodian, to, self.epoch, alive, blocked)
         else {
             return Some(parked);
         };
@@ -693,8 +688,8 @@ impl SimNet {
         self.metrics.record_custody_unpark(msg.payload.len() as u64);
         let overhead = self.transport.overhead(transport, custodian, to);
         let wire_bytes = msg.payload.len() as u64 + overhead.extra_bytes;
-        let delay = overhead.setup_latency + charge_hops(&mut self.metrics, links, wire_bytes);
-        msg.hops += links.len() as u32;
+        let delay = overhead.setup_latency + charge_route(&mut self.metrics, route, wire_bytes);
+        msg.hops += route.hops;
         let at = self.clock + delay;
         let tag = CustodyTag {
             expires_at,
@@ -842,15 +837,11 @@ impl SimNet {
     }
 }
 
-/// Charges `wire_bytes` to every link of a route and returns the accumulated
-/// transfer time.
-fn charge_hops(metrics: &mut NetMetrics, links: &[LinkSpec], wire_bytes: u64) -> Duration {
-    let mut delay = Duration::ZERO;
-    for link in links {
-        delay += link.transfer_time(wire_bytes);
-        metrics.record_hop(wire_bytes);
-    }
-    delay
+/// Charges `wire_bytes` to every link of a route and returns the time they
+/// take to cross it.
+fn charge_route(metrics: &mut NetMetrics, route: RouteCost<'_>, wire_bytes: u64) -> Duration {
+    metrics.record_hops(route.hops, wire_bytes);
+    route.transfer_time(wire_bytes)
 }
 
 #[cfg(test)]

@@ -49,10 +49,15 @@ impl LinkSpec {
 
     /// Time to push `bytes` over this link, including propagation latency.
     pub fn transfer_time(&self, bytes: u64) -> Duration {
-        let bw = self.bandwidth_bytes_per_sec.max(1);
-        let serialization_us = bytes.saturating_mul(1_000_000) / bw;
-        self.latency + Duration::from_micros(serialization_us)
+        self.latency + serialization_time(bytes, self.bandwidth_bytes_per_sec)
     }
+}
+
+/// Time to serialize `bytes` onto a link of `bandwidth` bytes per second:
+/// the one formula behind [`LinkSpec::transfer_time`] and a cached route's
+/// regrouped charge.
+pub(crate) fn serialization_time(bytes: u64, bandwidth: u64) -> Duration {
+    Duration::from_micros(bytes.saturating_mul(1_000_000) / bandwidth.max(1))
 }
 
 /// The shape of a generated topology, recorded for experiment reports.

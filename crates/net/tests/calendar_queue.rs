@@ -11,7 +11,9 @@
 //!
 //! Beside them, [`work_is_bounded_on_hostile_shapes`] counts the comparisons
 //! the queue makes on four agendas built to make a bucketed structure do
-//! quadratic work, and holds each to `4 · n · log₂ n`.
+//! quadratic work, and holds each to `4 · n · log₂ n`;
+//! [`a_generation_at_one_instant_drains_in_linear_work`] holds the shape a
+//! flood makes — a bucket pushed in pop order — to `4 · n`.
 
 use proptest::prelude::*;
 use std::cell::Cell;
@@ -143,6 +145,67 @@ proptest! {
     }
 }
 
+proptest! {
+    /// The bucket being drained is a sorted run and everything pushed at or
+    /// before it afterwards sits in the one heap, so the front is the
+    /// earlier of two candidates.  Half-drain a bucket, then interleave pops
+    /// with pushes before it (late), at the front's own instant (equal
+    /// time), inside it and beyond it: `peek` names what `pop` returns, and
+    /// both agree with the model, at every step.
+    #[test]
+    fn pushes_around_a_half_drained_bucket_agree_with_the_model(
+        bucket_width in 1u64..200,
+        slots in 1usize..8,
+        bucket in proptest::collection::vec(0u64..200, 2..80),
+        ops in proptest::collection::vec((0u8..5, 0u64..1_000), 1..200),
+    ) {
+        let mut queue = CalendarQueue::with_geometry(bucket_width, slots);
+        let mut model = ModelHeap::default();
+        let mut seq = 0u64;
+        let mut push = |queue: &mut CalendarQueue<u64, u32>, model: &mut ModelHeap, at: u64| {
+            queue.push(SimTime(at), seq, seq as u32);
+            model.push(SimTime(at), seq, seq as u32);
+            seq += 1;
+        };
+        // An anchor, so the bucket three widths on is filled while it is
+        // still ahead of the clock: unsorted until the anchor is popped.
+        let base = 3 * bucket_width;
+        push(&mut queue, &mut model, 0);
+        for &offset in &bucket {
+            push(&mut queue, &mut model, base + offset % bucket_width);
+        }
+        for _ in 0..1 + bucket.len() / 2 {
+            prop_assert_eq!(queue.peek(), model.peek());
+            prop_assert_eq!(queue.pop(), model.pop());
+        }
+        for &(op, x) in &ops {
+            let front = queue.peek();
+            prop_assert_eq!(front, model.peek());
+            match (op, front) {
+                (0 | 1, _) => {
+                    let popped = queue.pop();
+                    prop_assert_eq!(popped.map(|(at, key, _)| (at, key)), front);
+                    prop_assert_eq!(popped, model.pop());
+                }
+                (2, _) => push(&mut queue, &mut model, x % base),
+                (3, Some((at, _))) => push(&mut queue, &mut model, at.micros()),
+                (3, None) => push(&mut queue, &mut model, base),
+                _ => push(&mut queue, &mut model, base + x),
+            }
+            prop_assert_eq!(queue.len(), model.heap.len());
+        }
+        loop {
+            prop_assert_eq!(queue.peek(), model.peek());
+            let got = queue.pop();
+            let want = model.pop();
+            prop_assert_eq!(got, want);
+            if want.is_none() {
+                break;
+            }
+        }
+    }
+}
+
 thread_local! {
     /// Key comparisons made on this thread.
     static COMPARISONS: Cell<u64> = const { Cell::new(0) };
@@ -257,4 +320,27 @@ fn work_is_bounded_on_hostile_shapes() {
             "{shape}: {comparisons} comparisons for {events} events (budget {budget:.0})"
         );
     }
+}
+
+#[test]
+fn a_generation_at_one_instant_drains_in_linear_work() {
+    // What a flood does to the queue: while one generation is being
+    // handled (two events here, so the clock's bucket is still occupied), the
+    // next is pushed for one later instant, in key order — which is pop
+    // order.  The bucket arrives sorted, so taking it must cost a pass over
+    // it, not a heap's `log n` per pop.
+    const N: u64 = 65_536;
+    let instant = 7 * WIDTH_US + 3;
+    let mut pushed = false;
+    let generation = |_: u64, next: &mut Vec<u64>| {
+        if !std::mem::replace(&mut pushed, true) {
+            next.extend((0..N).map(|_| instant));
+        }
+    };
+    let (events, comparisons) = drive(&[0, 0], generation);
+    assert_eq!(events, N + 2);
+    assert!(
+        comparisons <= 4 * N,
+        "{comparisons} comparisons to drain {N} events pushed in pop order"
+    );
 }

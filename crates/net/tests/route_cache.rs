@@ -9,7 +9,14 @@
 //! the oracle prices sends too ([`expected_charge`], hop by hop from
 //! `Topology::link`): a spec cached before a topology edit or a liveness
 //! change must never be charged after it.
+//!
+//! The simulator charges a cached route regrouped — summed latency plus, per
+//! distinct bandwidth, hops × serialization time — never hop by hop, so
+//! [`every_send_is_charged_what_its_hops_cost_one_by_one`] rebuilds the
+//! hop-by-hop charge over random topologies whose every link has its own
+//! spec and demands the same microsecond, byte and hop counts.
 
+use proptest::prelude::*;
 use std::collections::{BTreeMap, VecDeque};
 use tacoma_net::{
     Duration, Event, LinkSpec, MessageId, Router, SendOptions, SimNet, SimTime, Topology,
@@ -381,4 +388,82 @@ fn cached_link_specs_are_never_charged_stale() {
     assert_eq!(send_and_time(&mut net, 0, 8, 512), fast);
     net.recover_now(SiteId(4));
     assert_eq!(send_and_time(&mut net, 0, 8, 512), slow);
+}
+
+/// Link parameters chosen to separate a regrouped charge from a hop-by-hop
+/// one if they could differ: bandwidths 0 and 1 (`transfer_time` clamps 0 to
+/// 1, and either turns a payload into hours), a bandwidth that divides
+/// nothing evenly, the stock LAN and WAN rates, one that serializes anything
+/// in no time; latencies from nothing to a third of the clock's range, so a
+/// path over three such links saturates it.
+const BANDWIDTHS: [u64; 7] = [0, 1, 3, 190_000, 1_250_000, 12_500_000, u64::MAX];
+const LATENCIES_US: [u64; 6] = [0, 1, 500, 2_000, 40_000, u64::MAX / 3];
+const PAYLOADS: [usize; 6] = [0, 1, 511, 4_096, 65_536, 1 << 20];
+
+proptest! {
+    /// Delivery time, `total_bytes` and `total_hops` of every send — cold,
+    /// then again from the cache — are what `Router::route`'s path costs
+    /// link by link through `Topology::link` and `LinkSpec::transfer_time`.
+    /// (A payload cannot be long enough to saturate `bytes × 10⁶`; the
+    /// router's own unit test prices that edge.)
+    #[test]
+    fn every_send_is_charged_what_its_hops_cost_one_by_one(
+        seed in any::<u64>(),
+        sites in 2u32..24,
+        extra_edges in 0u32..20,
+        sends in proptest::collection::vec((any::<u32>(), any::<u32>(), 0usize..6), 1..40),
+    ) {
+        let mut rng = DetRng::new(seed);
+        let shape = Topology::random_connected(sites, extra_edges, LinkSpec::default(), &mut rng);
+        let mut topology = Topology::empty(sites);
+        for (a, b, _) in shape.links() {
+            // One link in eight is slow enough to end the run's clock.
+            let latency = match rng.index(8) {
+                0 => LATENCIES_US[5],
+                _ => LATENCIES_US[rng.index(5)],
+            };
+            let spec = LinkSpec {
+                latency: Duration::from_micros(latency),
+                bandwidth_bytes_per_sec: BANDWIDTHS[rng.index(BANDWIDTHS.len())],
+            };
+            topology.add_link(a, b, spec);
+        }
+        let mut reference = Router::new(topology.clone());
+        let mut net = SimNet::new(topology.clone());
+        for &(from, to, size) in sends.iter().flat_map(|send| [send, send]) {
+            let (from, to) = (SiteId(from % sites), SiteId(to % sites));
+            let wire = PAYLOADS[size] as u64 + HORUS_EXTRA_BYTES;
+            let path = reference
+                .route(from, to, 0, |_| true, |_, _| false)
+                .expect("the topology is connected");
+            let hops = path.len() as u64 - 1;
+            let in_flight = if from == to {
+                Duration::from_micros(10)
+            } else {
+                path.windows(2)
+                    .fold(Duration::from_millis(HORUS_SETUP_MS), |time, hop| {
+                        let link = topology.link(hop[0], hop[1]).expect("a routed hop");
+                        time + link.transfer_time(wire)
+                    })
+            };
+            let sent_at = net.now();
+            let before = (net.metrics().total_hops(), net.metrics().total_bytes().get());
+            net.send(SendOptions {
+                from,
+                to,
+                payload: vec![0; PAYLOADS[size]],
+                kind: 1,
+                transport: TransportKind::Horus,
+                custody: false,
+            })
+            .expect("the topology is connected");
+            let Some(Event::Message(m)) = net.step() else {
+                panic!("{from} -> {to}: no delivery");
+            };
+            prop_assert_eq!(u64::from(m.hops), hops, "{} -> {}: hops", from, to);
+            prop_assert_eq!(net.now(), sent_at + in_flight, "{} -> {}: delivery time", from, to);
+            let after = (net.metrics().total_hops(), net.metrics().total_bytes().get());
+            prop_assert_eq!(after, (before.0 + hops, before.1 + hops * wire));
+        }
+    }
 }
