@@ -3,7 +3,7 @@
 //! A briefcase carrying a `CODE` folder is statically checked before its
 //! meet request is queued, so a defective script is refused up front instead
 //! of failing halfway through a migration.  Three stages, in order, each a
-//! function of the one `CODE` string [`Gates::gate`] reads:
+//! function of the one [`Script`] record [`Gates::gate`] parses from `CODE`:
 //!
 //! 1. **vet** — the script in isolation (always on);
 //! 2. **audit** — the script composed against the declared fleet
@@ -25,6 +25,7 @@ use crate::briefcase::Briefcase;
 use crate::error::TacomaError;
 use crate::place::Place;
 use crate::wellknown;
+use tacoma_script::Script;
 use tacoma_util::{AgentName, SiteId};
 
 /// One stage's counter and wording: who refused, as the trace and as an
@@ -102,12 +103,12 @@ impl Gates {
         briefcase: &mut Briefcase,
         stats: &mut SystemStats,
     ) -> Result<(), Rejection> {
-        let Some(code) = briefcase.peek_string(wellknown::CODE) else {
+        let Some(script) = Self::script(briefcase) else {
             return Ok(());
         };
-        Self::vet(place, &code)
-            .and_then(|()| self.audit(contact, &code, briefcase))
-            .and_then(|()| self.cost(&code, briefcase))
+        Self::vet(place, &script)
+            .and_then(|()| self.audit(contact, &script, briefcase))
+            .and_then(|()| self.cost(&script, briefcase))
             .inspect_err(|rejection| *(rejection.stage.counter)(stats) += 1)
     }
 
@@ -117,15 +118,25 @@ impl Gates {
         briefcase: &mut Briefcase,
         stats: &mut SystemStats,
     ) -> Result<(), Rejection> {
-        let Some(code) = briefcase.peek_string(wellknown::CODE) else {
+        if self.cost_gate.is_none() {
+            return Ok(());
+        }
+        let Some(script) = Self::script(briefcase) else {
             return Ok(());
         };
-        self.cost(&code, briefcase)
+        self.cost(&script, briefcase)
             .inspect_err(|rejection| *(rejection.stage.counter)(stats) += 1)
     }
 
-    /// Statically vets `code` against the agents it could meet at `place`.
-    fn vet(place: &Place, code: &str) -> Result<(), Rejection> {
+    /// The briefcase's `CODE` folder parsed into the one record every stage
+    /// reads, or `None` without one.
+    fn script(briefcase: &Briefcase) -> Option<Script> {
+        let code = briefcase.peek_string(wellknown::CODE)?;
+        Some(Script::parse(&code))
+    }
+
+    /// Statically vets `script` against the agents it could meet at `place`.
+    fn vet(place: &Place, script: &Script) -> Result<(), Rejection> {
         let mut known: Vec<String> = wellknown::AGENTS.iter().map(|a| a.to_string()).collect();
         known.extend(
             place
@@ -136,31 +147,28 @@ impl Gates {
         let config = tacoma_script::AnalysisConfig::new()
             .known_agents(known)
             .source_name("CODE");
-        tacoma_script::vet(code, &config).map_err(|report| Rejection {
+        script.vet(&config).map_err(|report| Rejection {
             stage: &VET,
             report,
         })
     }
 
-    /// Audits `code` against the configured fleet.  The script is declared
+    /// Audits `script` against the configured fleet.  The script is declared
     /// under the contact's name and every folder the briefcase actually
     /// carries is added to the injected set, so the audit sees exactly the
     /// environment the agent will run in.
     fn audit(
         &self,
         contact: &AgentName,
-        code: &str,
+        script: &Script,
         briefcase: &Briefcase,
     ) -> Result<(), Rejection> {
-        let Some(base) = &self.audit_fleet else {
+        let Some(fleet) = &self.audit_fleet else {
             return Ok(());
         };
-        let mut config = base.clone();
-        config.add_agent(contact.as_str(), "CODE", code);
-        for folder in briefcase.names() {
-            config.add_injected(folder);
-        }
-        let findings = tacoma_script::audit(&config);
+        let injected = briefcase.names();
+        let findings =
+            tacoma_script::audit_script(fleet, contact.as_str(), "CODE", script, injected);
         if tacoma_script::audit_has_errors(&findings) {
             return Err(Rejection {
                 stage: &AUDIT,
@@ -170,10 +178,10 @@ impl Gates {
         Ok(())
     }
 
-    /// Checks `code`'s static bound against the configured budget and stamps
-    /// the proven finite worst-case step count, if there is one, into the
-    /// briefcase's [`wellknown::COST`] folder.
-    fn cost(&self, code: &str, briefcase: &mut Briefcase) -> Result<(), Rejection> {
+    /// Checks `script`'s static bound against the configured budget and
+    /// stamps the proven finite worst-case step count, if there is one, into
+    /// the briefcase's [`wellknown::COST`] folder.
+    fn cost(&self, script: &Script, briefcase: &mut Briefcase) -> Result<(), Rejection> {
         let Some(gate) = self.cost_gate else {
             return Ok(());
         };
@@ -181,7 +189,7 @@ impl Gates {
             stage: &COST,
             report,
         };
-        let bound = tacoma_script::cost_bound(code).map_err(|e| {
+        let bound = script.cost().map_err(|e| {
             refuse(format!(
                 "cost: CODE folder does not parse: {}",
                 e.render("CODE")

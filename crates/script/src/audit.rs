@@ -43,15 +43,13 @@
 //! self-migration cycle re-armed through `ORIGCODE` is invisible to the meet
 //! graph.  See DESIGN.md §6 for the full argument.
 
+use crate::analysis::{loop_exit, LoopExit};
 use crate::diag::Diagnostic;
-use crate::expr::eval_expr;
-use crate::parser::{ParseError, Span};
-use crate::tree::{Body, Cond, Shape, State, Tree};
-use crate::value::{as_int, is_truthy};
-use std::collections::{BTreeMap, BTreeSet};
-
-use crate::analysis::{body_can_exit, cond_var_names};
 use crate::graph::Digraph;
+use crate::parser::{ParseError, Span};
+use crate::tree::{Body, Cond, Script, Shape, State, Tree};
+use crate::value::as_int;
+use std::collections::{BTreeMap, BTreeSet};
 
 /// Folders the TACOMA kernel itself writes into briefcases (timer meets,
 /// error reports, courier provenance): always considered produced.
@@ -154,16 +152,25 @@ pub struct EffectSummary {
 /// the script does not parse at all (nested bodies that fail to parse make
 /// the summary opaque instead).
 pub fn summarize(src: &str) -> Result<EffectSummary, ParseError> {
-    let tree = Tree::parse(src)?;
-    let mut out = EffectSummary::default();
-    let ctx = WalkCtx {
-        conditional: false,
-        in_catch: false,
-        in_proc: false,
-        in_unbounded_loop: false,
-    };
-    walk_tree(&tree, ctx, &mut out);
-    Ok(out)
+    Script::parse(src).summary()
+}
+
+impl Script {
+    /// taco-audit's effect summary of this script, or the error if it does
+    /// not parse at all (nested bodies that fail to parse make the summary
+    /// opaque instead).
+    pub fn summary(&self) -> Result<EffectSummary, ParseError> {
+        let tree = self.tree.as_ref().map_err(ParseError::clone)?;
+        let mut out = EffectSummary::default();
+        let ctx = WalkCtx {
+            conditional: false,
+            in_catch: false,
+            in_proc: false,
+            in_unbounded_loop: false,
+        };
+        walk_tree(tree, ctx, &mut out);
+        Ok(out)
+    }
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -270,7 +277,7 @@ fn walk_tree(tree: &Tree, ctx: WalkCtx, out: &mut EffectSummary) {
                 // A runtime-built condition or body hides the loop's effects.
                 if cond.braced && !matches!(body.braced(), State::Computed) {
                     walk_cond(cond, ctx, out);
-                    let unbounded = loop_exit_invisible(cond, body);
+                    let unbounded = loop_exit(cond, body) != LoopExit::Seen;
                     let mut bctx = ctx.nested();
                     bctx.in_unbounded_loop = ctx.in_unbounded_loop || unbounded;
                     walk(body, bctx, out);
@@ -306,55 +313,19 @@ fn walk_tree(tree: &Tree, ctx: WalkCtx, out: &mut EffectSummary) {
             // of arguments.
             Shape::Eval { .. } | Shape::Malformed => out.dynamic(ctx),
             Shape::Expr { cond } => walk_cond(cond, ctx, out),
-            Shape::Plain => match name {
-                "bc_put" | "bc_push" => {
-                    match cmd.arg_text(0) {
-                        Some(folder) => {
-                            out.write(folder, span, ctx);
-                            if name == "bc_push" && ctx.in_unbounded_loop && !ctx.in_catch {
-                                out.growth.push(GrowthSite {
-                                    target: folder.to_string(),
-                                    span,
-                                    command: "bc_push",
-                                });
-                            }
-                        }
-                        None => out.dynamic(ctx),
+            Shape::Plain => {
+                let target = cmd.arg_text(0);
+                match (name, target) {
+                    ("bc_put" | "bc_push", Some(folder)) => out.write(folder, span, ctx),
+                    (
+                        "bc_pop" | "bc_dequeue" | "bc_peek" | "bc_list" | "bc_size" | "bc_del",
+                        Some(folder),
+                    ) => out.read(folder, span, ctx),
+                    ("cab_append" | "cab_contains" | "cab_list" | "cab_pop", Some(cabinet)) => {
+                        out.cabinets.insert(cabinet.to_string());
                     }
-                    if all_static {
-                        continue;
-                    }
-                }
-                "bc_pop" | "bc_dequeue" | "bc_peek" | "bc_list" | "bc_size" | "bc_del" => {
-                    match cmd.arg_text(0) {
-                        Some(folder) => out.read(folder, span, ctx),
-                        None => out.dynamic(ctx),
-                    }
-                    if name == "bc_del" && all_static {
-                        continue;
-                    }
-                }
-                "cab_append" | "cab_contains" | "cab_list" | "cab_pop" => {
-                    match cmd.arg_text(0) {
-                        Some(cabinet) => {
-                            out.cabinets.insert(cabinet.to_string());
-                            if name == "cab_append" && ctx.in_unbounded_loop && !ctx.in_catch {
-                                out.growth.push(GrowthSite {
-                                    target: cabinet.to_string(),
-                                    span,
-                                    command: "cab_append",
-                                });
-                            }
-                        }
-                        None => out.dynamic(ctx),
-                    }
-                    if name == "cab_append" && all_static {
-                        continue;
-                    }
-                }
-                "meet" => match cmd.arg_text(0) {
                     // A refused meet raises, so later ones are conditional.
-                    Some(target) => {
+                    ("meet", Some(target)) => {
                         let unconditional =
                             !ctx.conditional && !ctx.in_catch && !ctx.in_proc && path_certain;
                         let edge = out.meets.entry(target.to_string()).or_insert(MeetEdge {
@@ -363,63 +334,52 @@ fn walk_tree(tree: &Tree, ctx: WalkCtx, out: &mut EffectSummary) {
                         });
                         edge.unconditional |= unconditional;
                     }
-                    None => out.dynamic(ctx),
-                },
-                "move_to" | "send_remote" => {
-                    let command = if name == "move_to" {
-                        "move_to"
-                    } else {
-                        "send_remote"
-                    };
-                    if let Some(site) = cmd.arg_text(0).and_then(as_int) {
-                        out.move_sites.push(SiteRef {
-                            site,
-                            span,
-                            command,
-                        });
-                    }
-                    // Shipped folders are read out of the briefcase.
-                    if name == "send_remote" {
-                        for i in 2..cmd.words.len() - 1 {
-                            match cmd.arg_text(i) {
-                                Some(folder) => out.read(folder, span, ctx),
-                                None => out.dynamic(ctx),
+                    (
+                        "bc_put" | "bc_push" | "bc_pop" | "bc_dequeue" | "bc_peek" | "bc_list"
+                        | "bc_size" | "bc_del" | "cab_append" | "cab_contains" | "cab_list"
+                        | "cab_pop" | "meet",
+                        None,
+                    ) => out.dynamic(ctx),
+                    ("move_to" | "send_remote", _) => {
+                        let command = if name == "move_to" {
+                            "move_to"
+                        } else {
+                            "send_remote"
+                        };
+                        if let Some(site) = target.and_then(as_int) {
+                            out.move_sites.push(SiteRef {
+                                site,
+                                span,
+                                command,
+                            });
+                        }
+                        // Shipped folders are read out of the briefcase.
+                        if name == "send_remote" {
+                            for i in 2..cmd.words.len() - 1 {
+                                match cmd.arg_text(i) {
+                                    Some(folder) => out.read(folder, span, ctx),
+                                    None => out.dynamic(ctx),
+                                }
                             }
                         }
                     }
+                    ("halt", _) => out.halts = true,
+                    _ => {}
                 }
-                "halt" => out.halts = true,
-                other => {
-                    if infallible(other) && all_static {
-                        continue;
-                    }
+                let grows = ctx.in_unbounded_loop && !ctx.in_catch;
+                if let (true, "bc_push" | "cab_append", Some(target)) = (grows, name, target) {
+                    out.growth.push(GrowthSite {
+                        target: target.to_string(),
+                        span,
+                        command: ["bc_push", "cab_append"][usize::from(name == "cab_append")],
+                    });
                 }
-            },
+                if infallible(name) && all_static {
+                    continue;
+                }
+            }
         }
         path_certain = false;
-    }
-}
-
-/// Whether a `while` loop's exit is invisible to the dataflow: the condition
-/// consults runtime state (`[...]`) with no visible escape in the body, or is
-/// static but never influenced by the body.
-fn loop_exit_invisible(cond: &Cond, body: &Body) -> bool {
-    let text = cond.text.as_deref().unwrap_or_default();
-    if text.contains('[') {
-        // Exit depends on state the analysis cannot track; only an explicit
-        // escape (halt/break/return/error) in the body bounds the loop.
-        return !body_can_exit(body, &BTreeSet::new(), true, true);
-    }
-    let vars = cond_var_names(text);
-    if vars.is_empty() {
-        // Constant condition: falsy or non-evaluating conditions terminate
-        // (loudly, in the latter case).
-        match eval_expr(text) {
-            Ok(v) if is_truthy(&v) => !body_can_exit(body, &vars, true, true),
-            _ => false,
-        }
-    } else {
-        !body_can_exit(body, &vars, true, true)
     }
 }
 
@@ -557,71 +517,94 @@ pub struct AuditFinding {
     pub diag: Diagnostic,
 }
 
-struct Node {
-    name: String,
-    source: String,
+struct Node<'a> {
+    name: &'a str,
+    /// The label a script's findings render against.
+    source: &'a str,
+    /// A script's summary; `None` for a native agent, which can always stop
+    /// meeting back.
     summary: Option<EffectSummary>,
     /// Universal reader/writer: opaque script, unknown native, or a
     /// wellknown service agent not modelled precisely.
     universal: bool,
     /// Folders a precisely modelled native reads.
     native_reads: &'static [&'static str],
-    /// Native agents always survive their meetings.
-    can_halt: bool,
 }
 
 /// Audits a declared fleet, returning findings sorted by source, position
 /// and severity.  An empty result means the fleet composes cleanly.
-#[allow(clippy::too_many_lines)]
 pub fn audit(config: &AuditConfig) -> Vec<AuditFinding> {
+    compose(config, None, [])
+}
+
+/// [`audit`] of the fleet with one more script agent declared — `name`,
+/// rendering against `source`, with its parsed `script` — in place of any
+/// declared agent of that name, and with the `injected` folders added: the
+/// install gate's question, answered without copying the fleet or parsing
+/// the script again.
+pub fn audit_script<'a>(
+    config: &'a AuditConfig,
+    name: &'a str,
+    source: &'a str,
+    script: &Script,
+    injected: impl IntoIterator<Item = &'a str>,
+) -> Vec<AuditFinding> {
+    compose(config, Some((name, source, script.summary())), injected)
+}
+
+#[allow(clippy::too_many_lines)]
+fn compose<'a>(
+    config: &'a AuditConfig,
+    extra: Option<(&'a str, &'a str, Result<EffectSummary, ParseError>)>,
+    injected: impl IntoIterator<Item = &'a str>,
+) -> Vec<AuditFinding> {
+    let replaced = extra.as_ref().map(|&(name, ..)| name);
+    // Each agent's name, source label, and summary (`None` for a native).
+    let declared = config
+        .agents
+        .iter()
+        .filter(|spec| Some(spec.name.as_str()) != replaced);
+    let declared = declared.map(|spec| {
+        let summary = spec.code.as_deref().map(summarize);
+        (spec.name.as_str(), spec.source.as_str(), summary)
+    });
+    let extra = extra.map(|(name, source, summary)| (name, source, Some(summary)));
     let mut findings: Vec<AuditFinding> = Vec::new();
     let mut nodes: Vec<Node> = Vec::new();
-    for spec in &config.agents {
-        match &spec.code {
-            Some(code) => match summarize(code) {
-                Ok(summary) => {
-                    let universal = summary.opaque;
-                    nodes.push(Node {
-                        name: spec.name.clone(),
-                        source: spec.source.clone(),
-                        summary: Some(summary),
-                        universal,
-                        native_reads: &[],
-                        can_halt: false,
-                    });
-                }
-                Err(e) => {
-                    findings.push(AuditFinding {
-                        agent: spec.name.clone(),
-                        source: spec.source.clone(),
-                        diag: Diagnostic::error("parse", e.span(), e.message.clone()),
-                    });
-                    // An unparsable script never runs: it contributes nothing.
-                }
-            },
-            None => nodes.push(native_node(&spec.name, &spec.source)),
+    for (name, source, summary) in declared.chain(extra) {
+        match summary {
+            Some(Ok(summary)) => nodes.push(Node {
+                name,
+                source,
+                universal: summary.opaque,
+                summary: Some(summary),
+                native_reads: &[],
+            }),
+            // An unparsable script never runs: it contributes nothing.
+            Some(Err(e)) => findings.push(AuditFinding {
+                agent: name.to_string(),
+                source: source.to_string(),
+                diag: Diagnostic::error("parse", e.span(), e.message),
+            }),
+            None => nodes.push(native_node(name)),
         }
     }
     // Wellknown agents pulled in implicitly by literal meet targets.
-    let declared: BTreeSet<String> = nodes.iter().map(|n| n.name.clone()).collect();
-    let mut implicit: BTreeSet<&str> = BTreeSet::new();
-    for node in &nodes {
-        if let Some(summary) = &node.summary {
-            for target in summary.meets.keys() {
-                if !declared.contains(target) {
-                    if let Some(&wk) = WELLKNOWN_AGENTS.iter().find(|&&a| a == target) {
-                        implicit.insert(wk);
-                    }
-                }
-            }
-        }
-    }
-    for name in implicit {
-        nodes.push(native_node(name, &format!("<wellknown {name}>")));
-    }
+    let targets = nodes
+        .iter()
+        .flat_map(|n| n.summary.iter().flat_map(|s| s.meets.keys()));
+    let implicit: BTreeSet<&str> = WELLKNOWN_AGENTS
+        .iter()
+        .copied()
+        .filter(|wk| targets.clone().any(|t| t == wk) && nodes.iter().all(|n| n.name != *wk))
+        .collect();
+    nodes.extend(implicit.into_iter().map(native_node));
 
     // Folder-flow composition.
     let mut writers: BTreeSet<&str> = config.injected.iter().map(String::as_str).collect();
+    for folder in injected {
+        writers.insert(folder);
+    }
     writers.extend(KERNEL_WRITTEN);
     let mut readers: BTreeSet<&str> = config.delivered.iter().map(String::as_str).collect();
     let mut universal_writer = false;
@@ -643,95 +626,69 @@ pub fn audit(config: &AuditConfig) -> Vec<AuditFinding> {
         let Some(summary) = &node.summary else {
             continue;
         };
-        let push = |findings: &mut Vec<AuditFinding>, diag: Diagnostic| {
-            findings.push(AuditFinding {
-                agent: node.name.clone(),
-                source: node.source.clone(),
-                diag,
-            });
-        };
+        let mut diags = Vec::new();
         if !summary.opaque {
             for (folder, span) in &summary.reads {
                 if !universal_writer && !writers.contains(folder.as_str()) {
-                    push(
-                        &mut findings,
-                        Diagnostic::error(
-                            "folder-never-produced",
-                            *span,
-                            format!(
-                                "folder '{folder}' is read but never produced: no fleet agent \
-                                 writes it and it is not in the injected briefcase"
-                            ),
-                        ),
+                    let message = format!(
+                        "folder '{folder}' is read but never produced: no fleet agent writes it \
+                         and it is not in the injected briefcase"
                     );
+                    diags.push(Diagnostic::error("folder-never-produced", *span, message));
                 }
             }
             for (folder, span) in &summary.writes {
                 if !universal_reader && !readers.contains(folder.as_str()) {
-                    push(
-                        &mut findings,
-                        Diagnostic::warning(
-                            "dead-folder-write",
-                            *span,
-                            format!(
-                                "folder '{folder}' is written but never read: no fleet agent, \
-                                 wellknown consumer, or declared deliverable consumes it"
-                            ),
-                        ),
+                    let message = format!(
+                        "folder '{folder}' is written but never read: no fleet agent, wellknown \
+                         consumer, or declared deliverable consumes it"
                     );
+                    diags.push(Diagnostic::warning("dead-folder-write", *span, message));
                 }
             }
         }
-        for site_ref in &summary.move_sites {
-            let out_of_range = match config.site_count {
-                Some(n) => site_ref.site < 0 || site_ref.site >= i64::from(n),
-                None => site_ref.site < 0,
+        for SiteRef {
+            site,
+            span,
+            command,
+        } in &summary.move_sites
+        {
+            let detail = match config.site_count {
+                Some(n) if (0..i64::from(n)).contains(site) => continue,
+                None if *site >= 0 => continue,
+                Some(0) => "the fleet declares no sites".to_string(),
+                Some(n) => format!("the fleet declares {n} site(s) (valid: 0..{})", n - 1),
+                None => "sites are non-negative".to_string(),
             };
-            if out_of_range {
-                let detail = match config.site_count {
-                    Some(n) => format!("the fleet declares {n} site(s) (valid: 0..{})", n - 1),
-                    None => "sites are non-negative".to_string(),
-                };
-                push(
-                    &mut findings,
-                    Diagnostic::error(
-                        "itinerary-out-of-range",
-                        site_ref.span,
-                        format!(
-                            "'{}' targets site {}, but {detail}",
-                            site_ref.command, site_ref.site
-                        ),
-                    ),
-                );
-            }
+            let message = format!("'{command}' targets site {site}, but {detail}");
+            diags.push(Diagnostic::error("itinerary-out-of-range", *span, message));
         }
-        for growth in &summary.growth {
-            let kind = if growth.command == "bc_push" {
+        for GrowthSite {
+            target,
+            span,
+            command,
+        } in &summary.growth
+        {
+            let kind = if *command == "bc_push" {
                 "folder"
             } else {
                 "cabinet"
             };
-            push(
-                &mut findings,
-                Diagnostic::warning(
-                    "unbounded-growth",
-                    growth.span,
-                    format!(
-                        "'{}' into {kind} '{}' repeats inside a loop whose exit the analysis \
-                         cannot see; it may grow without bound",
-                        growth.command, growth.target
-                    ),
-                ),
+            let message = format!(
+                "'{command}' into {kind} '{target}' repeats inside a loop whose exit the \
+                 analysis cannot see; it may grow without bound"
             );
+            diags.push(Diagnostic::warning("unbounded-growth", *span, message));
         }
+        findings.extend(diags.into_iter().map(|diag| AuditFinding {
+            agent: node.name.to_string(),
+            source: node.source.to_string(),
+            diag,
+        }));
     }
 
     // Meet-cycle analysis.
-    let index: BTreeMap<&str, usize> = nodes
-        .iter()
-        .enumerate()
-        .map(|(i, n)| (n.name.as_str(), i))
-        .collect();
+    let index: BTreeMap<&str, usize> = nodes.iter().enumerate().map(|(i, n)| (n.name, i)).collect();
     let mut graph = Digraph::new(nodes.len());
     for (i, node) in nodes.iter().enumerate() {
         if let Some(summary) = &node.summary {
@@ -747,7 +704,7 @@ pub fn audit(config: &AuditConfig) -> Vec<AuditFinding> {
         if !cyclic {
             continue;
         }
-        let members: BTreeSet<&str> = scc.iter().map(|&i| nodes[i].name.as_str()).collect();
+        let members: BTreeSet<&str> = scc.iter().map(|&i| nodes[i].name).collect();
         // Flag only when *every* member is a non-opaque script that cannot
         // halt and unconditionally meets back into the component.
         let doomed = scc.iter().all(|&i| {
@@ -757,7 +714,6 @@ pub fn audit(config: &AuditConfig) -> Vec<AuditFinding> {
             };
             !summary.opaque
                 && !summary.halts
-                && !node.can_halt
                 && summary
                     .meets
                     .iter()
@@ -769,7 +725,7 @@ pub fn audit(config: &AuditConfig) -> Vec<AuditFinding> {
         // Anchor at the first member (by name) and its in-component meet.
         let &anchor = scc
             .iter()
-            .min_by_key(|&&i| nodes[i].name.as_str())
+            .min_by_key(|&&i| nodes[i].name)
             .expect("nonempty scc");
         let node = &nodes[anchor];
         let summary = node.summary.as_ref().expect("scripts only");
@@ -780,8 +736,8 @@ pub fn audit(config: &AuditConfig) -> Vec<AuditFinding> {
             .expect("doomed member has an unconditional in-component meet");
         let cycle: Vec<&str> = members.iter().copied().collect();
         findings.push(AuditFinding {
-            agent: node.name.clone(),
-            source: node.source.clone(),
+            agent: node.name.to_string(),
+            source: node.source.to_string(),
             diag: Diagnostic::error(
                 "meet-cycle-no-exit",
                 edge.span,
@@ -804,15 +760,14 @@ pub fn audit(config: &AuditConfig) -> Vec<AuditFinding> {
     findings
 }
 
-fn native_node(name: &str, source: &str) -> Node {
+fn native_node(name: &str) -> Node<'_> {
     let native_reads = wellknown_reads(name);
     Node {
-        name: name.to_string(),
-        source: source.to_string(),
+        name,
+        source: "",
         summary: None,
         universal: native_reads.is_none(),
         native_reads: native_reads.unwrap_or(&[]),
-        can_halt: true,
     }
 }
 
@@ -994,6 +949,19 @@ mod tests {
             "send_remote 5 ag_tac DATA\nreturn ok",
         );
         assert_eq!(codes(&audit(&cfg)), vec!["itinerary-out-of-range"]);
+    }
+
+    #[test]
+    fn a_fleet_of_no_sites_has_no_valid_range() {
+        let cfg = AuditConfig::new()
+            .site_count(0)
+            .agent("a", "a.taco", "move_to 0");
+        let findings = audit(&cfg);
+        assert_eq!(codes(&findings), vec!["itinerary-out-of-range"]);
+        assert_eq!(
+            findings[0].diag.message,
+            "'move_to' targets site 0, but the fleet declares no sites"
+        );
     }
 
     #[test]

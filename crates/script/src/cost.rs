@@ -20,7 +20,9 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use crate::parser::{ParseError, Word, WordKind, WordPart};
-use crate::tree::{Arm, Body, Cmd, Cond, Shape, State, Tree, MAX_DEPTH};
+use crate::tree::{
+    any_in_scope, Arm, At, Body, Cmd, Cond, ProcDef, Script, Shape, State, Tree, View, MAX_DEPTH,
+};
 use crate::value::parse_list;
 
 /// A closed-below, optionally-open-above interval of `u64` cost.
@@ -58,10 +60,7 @@ impl CostInterval {
     pub fn add(self, other: Self) -> Self {
         CostInterval {
             lo: self.lo.saturating_add(other.lo),
-            hi: match (self.hi, other.hi) {
-                (Some(a), Some(b)) => Some(a.saturating_add(b)),
-                _ => None,
-            },
+            hi: self.hi.zip(other.hi).map(|(a, b)| a.saturating_add(b)),
         }
     }
 
@@ -69,10 +68,7 @@ impl CostInterval {
     pub fn join(self, other: Self) -> Self {
         CostInterval {
             lo: self.lo.min(other.lo),
-            hi: match (self.hi, other.hi) {
-                (Some(a), Some(b)) => Some(a.max(b)),
-                _ => None,
-            },
+            hi: self.hi.zip(other.hi).map(|(a, b)| a.max(b)),
         }
     }
 
@@ -81,11 +77,13 @@ impl CostInterval {
     pub fn max_(self, other: Self) -> Self {
         CostInterval {
             lo: self.lo.max(other.lo),
-            hi: match (self.hi, other.hi) {
-                (Some(a), Some(b)) => Some(a.max(b)),
-                _ => None,
-            },
+            hi: self.hi.zip(other.hi).map(|(a, b)| a.max(b)),
         }
+    }
+
+    /// The same upper bound with no lower one: the cost may not be paid.
+    fn maybe(self) -> Self {
+        CostInterval { lo: 0, ..self }
     }
 
     /// Multiply a per-iteration cost by an iteration-count interval.
@@ -192,45 +190,35 @@ impl CostGate {
     /// Check a bound against this gate. `Err` carries a human-readable
     /// rejection reason.
     pub fn check(&self, bound: &CostBound) -> Result<(), String> {
-        if bound.steps.lo > self.max_steps {
-            return Err(format!(
-                "cost: proven lower bound {} steps exceeds budget {}",
-                bound.steps.lo, self.max_steps
-            ));
-        }
-        if bound.depth.lo > self.max_depth {
-            return Err(format!(
-                "cost: proven lower bound depth {} exceeds budget {}",
-                bound.depth.lo, self.max_depth
-            ));
-        }
-        if self.strict {
-            match bound.steps.hi {
-                Some(hi) if hi <= self.max_steps => {}
-                Some(hi) => {
-                    return Err(format!(
-                        "cost: worst case {} steps exceeds budget {}",
-                        hi, self.max_steps
-                    ));
+        let (CostBound { steps, depth, .. }, max_steps, max_depth) =
+            (bound, self.max_steps, self.max_depth);
+        let verdict = bound.verdict();
+        let refusal = if steps.lo > max_steps {
+            format!(
+                "proven lower bound {} steps exceeds budget {max_steps}",
+                steps.lo
+            )
+        } else if depth.lo > max_depth {
+            format!(
+                "proven lower bound depth {} exceeds budget {max_depth}",
+                depth.lo
+            )
+        } else if !self.strict {
+            return Ok(());
+        } else {
+            match (steps.hi, depth.hi) {
+                (None, _) => format!("no finite step bound ({verdict})"),
+                (Some(hi), _) if hi > max_steps => {
+                    format!("worst case {hi} steps exceeds budget {max_steps}")
                 }
-                None => {
-                    return Err(format!("cost: no finite step bound ({})", bound.verdict()));
+                (_, None) => format!("no finite depth bound ({verdict})"),
+                (_, Some(hi)) if hi > max_depth => {
+                    format!("worst case depth {hi} exceeds budget {max_depth}")
                 }
+                _ => return Ok(()),
             }
-            match bound.depth.hi {
-                Some(hi) if hi <= self.max_depth => {}
-                Some(hi) => {
-                    return Err(format!(
-                        "cost: worst case depth {} exceeds budget {}",
-                        hi, self.max_depth
-                    ));
-                }
-                None => {
-                    return Err(format!("cost: no finite depth bound ({})", bound.verdict()));
-                }
-            }
-        }
-        Ok(())
+        };
+        Err(format!("cost: {refusal}"))
     }
 }
 
@@ -239,16 +227,23 @@ impl CostGate {
 /// Fails only on parse errors; semantically opaque constructs degrade to
 /// an unbounded interval instead of failing.
 pub fn cost_bound(src: &str) -> Result<CostBound, ParseError> {
-    let tree = Tree::parse(src)?;
-    let mut analyzer = Analyzer::new();
-    analyzer.collect_procs(&tree);
-    let cost = analyzer.script_cost(&tree, &mut Env::new(), 0);
-    Ok(CostBound {
-        steps: cost.steps,
-        depth: cost.depth,
-        growth_bytes: cost.growth,
-        divergent: cost.divergent,
-    })
+    Script::parse(src).cost()
+}
+
+impl Script {
+    /// taco-cost's static bound for this script, or the error if it does not
+    /// parse; semantically opaque constructs degrade to an unbounded interval
+    /// instead of failing.
+    pub fn cost(&self) -> Result<CostBound, ParseError> {
+        let tree = self.tree.as_ref().map_err(ParseError::clone)?;
+        let cost = Analyzer::new(&self.procs).script_cost(tree, &mut Env::new(), 0);
+        Ok(CostBound {
+            steps: cost.steps,
+            depth: cost.depth,
+            growth_bytes: cost.growth,
+            divergent: cost.divergent,
+        })
+    }
 }
 
 /// Internal running cost: like `CostBound` but with combinators.
@@ -312,20 +307,11 @@ impl Cost {
     /// May-not-execute: keep upper bounds, drop lower bounds.
     fn guard(self) -> Self {
         Cost {
-            steps: CostInterval {
-                lo: 0,
-                hi: self.steps.hi,
-            },
-            depth: CostInterval {
-                lo: 0,
-                hi: self.depth.hi,
-            },
-            growth: CostInterval {
-                lo: 0,
-                hi: self.growth.hi,
-            },
-            divergent: self.divergent,
+            steps: self.steps.maybe(),
+            depth: self.depth.maybe(),
+            growth: self.growth.maybe(),
             terminates: false,
+            ..self
         }
     }
 
@@ -336,20 +322,6 @@ impl Cost {
             ..self
         }
     }
-
-    fn add_steps(self, n: CostInterval) -> Self {
-        Cost {
-            steps: self.steps.add(n),
-            ..self
-        }
-    }
-
-    fn add_growth(self, n: CostInterval) -> Self {
-        Cost {
-            growth: self.growth.add(n),
-            ..self
-        }
-    }
 }
 
 /// Exact-integer variable environment for constant propagation. A variable
@@ -357,16 +329,10 @@ impl Cost {
 /// path reaching the current point.
 type Env = BTreeMap<String, i64>;
 
-#[derive(Debug, Clone)]
-enum ProcInfo<'t> {
-    /// All known bodies for this proc name (re-definition joins them).
-    Bodies(Vec<&'t Body>),
-    /// A definition with a computed body: calling it is unanalyzable.
-    Opaque,
-}
-
 struct Analyzer<'t> {
-    procs: BTreeMap<String, ProcInfo<'t>>,
+    /// Per proc name, all its bodies (re-definition joins them), or `None`
+    /// when a definition has a computed body: calling it is unanalyzable.
+    procs: BTreeMap<&'t str, Option<Vec<&'t Body>>>,
     /// Set when any `proc` definition has a computed *name*: then the set
     /// of callable procs is unknown and unknown commands must poison.
     opaque_procs: bool,
@@ -377,46 +343,30 @@ struct Analyzer<'t> {
 }
 
 impl<'t> Analyzer<'t> {
-    fn new() -> Self {
+    /// Indexes every `proc` definition in the literal view — including ones
+    /// nested in control-flow bodies and `[..]` parts — by name.
+    fn new(defs: &'t [ProcDef]) -> Self {
+        let mut procs = BTreeMap::new();
+        let mut opaque_procs = false;
+        let visible = defs.iter().filter(|def| !def.at.hidden);
+        for (def, body) in visible.filter_map(|def| Some((def, def.body.as_deref()?))) {
+            match (def.name.as_deref(), body.literal()) {
+                (None, _) => opaque_procs = true,
+                (Some(name), State::Computed) => {
+                    procs.insert(name, None);
+                }
+                (Some(name), _) => {
+                    if let Some(bodies) = procs.entry(name).or_insert_with(|| Some(Vec::new())) {
+                        bodies.push(body);
+                    }
+                }
+            }
+        }
         Analyzer {
-            procs: BTreeMap::new(),
-            opaque_procs: false,
+            procs,
+            opaque_procs,
             summaries: BTreeMap::new(),
             in_progress: Vec::new(),
-        }
-    }
-
-    /// Pre-pass: structurally collect every `proc` definition reachable in
-    /// the script, including ones nested in control-flow bodies and `[..]`
-    /// parts.
-    fn collect_procs(&mut self, tree: &'t Tree) {
-        for cmd in &tree.cmds {
-            let mut nested = cmd.shape.scripts();
-            if let Shape::Proc { body } = &cmd.shape {
-                match (cmd.arg_text(0), body.literal()) {
-                    (Some(pname), State::Computed) => {
-                        self.procs.insert(pname.to_string(), ProcInfo::Opaque);
-                    }
-                    (Some(pname), _) => {
-                        let entry = self
-                            .procs
-                            .entry(pname.to_string())
-                            .or_insert_with(|| ProcInfo::Bodies(Vec::new()));
-                        if let ProcInfo::Bodies(bodies) = entry {
-                            bodies.push(body);
-                        }
-                    }
-                    (None, _) => {
-                        self.opaque_procs = true;
-                        nested.clear(); // nothing can call it by name
-                    }
-                }
-            }
-            for script in cmd.scripts().chain(nested) {
-                if let State::Parsed(inner) = script.literal() {
-                    self.collect_procs(inner);
-                }
-            }
         }
     }
 
@@ -430,13 +380,12 @@ impl<'t> Analyzer<'t> {
             // Recursion: poison every member of the cycle.
             return Cost::poison();
         }
-        let info = match self.procs.get(name) {
-            Some(info) => info.clone(),
-            None => return Cost::poison(),
+        let Some(info) = self.procs.get(name).cloned() else {
+            return Cost::poison();
         };
         let cost = match info {
-            ProcInfo::Opaque => Cost::poison(),
-            ProcInfo::Bodies(bodies) => {
+            None => Cost::poison(),
+            Some(bodies) => {
                 self.in_progress.push(name.to_string());
                 // Proc bodies start with a fresh scope: no caller constants
                 // are visible.
@@ -496,22 +445,21 @@ impl<'t> Analyzer<'t> {
         let mut total = Cost::zero();
         for cmd in &tree.cmds {
             let c = self.command_cost(cmd, env, adepth);
-            if total.terminates {
-                // A flow-terminator already ran on every successful path:
-                // later commands contribute no lower bound (and their upper
-                // bound still matters only if the terminator was inside a
-                // branch — handled by `terminates` propagation in join).
-                total = total.seq(c.guard());
-            } else {
-                total = total.seq(c);
-            }
+            // After a flow-terminator ran on every successful path, later
+            // commands contribute no lower bound (and their upper bound
+            // still matters only if the terminator was inside a branch —
+            // handled by `terminates` propagation in join).
+            total = total.seq(if total.terminates { c.guard() } else { c });
         }
         total
     }
 
     /// Cost of one command: 1 step + word evaluation + dispatch.
     fn command_cost(&mut self, cmd: &Cmd, env: &mut Env, adepth: u32) -> Cost {
-        let mut cost = Cost::zero().add_steps(CostInterval::exact(1));
+        let mut cost = Cost {
+            steps: CostInterval::exact(1),
+            ..Cost::zero()
+        };
 
         // Word evaluation: every word is evaluated before dispatch.
         // `[..]` parts run the inner script one level deeper, and can write
@@ -553,12 +501,8 @@ impl<'t> Analyzer<'t> {
             "error" | "return" | "halt" | "break" | "continue" => {
                 cost.terminates = true;
             }
-            "bc_push" => {
-                cost = cost.add_growth(payload_size(cmd.words.get(2)));
-            }
-            "cab_append" => {
-                cost = cost.add_growth(payload_size(cmd.words.get(3)));
-            }
+            "bc_push" => cost.growth = cost.growth.add(payload_size(cmd.words.get(2))),
+            "cab_append" => cost.growth = cost.growth.add(payload_size(cmd.words.get(3))),
             _ => {
                 if crate::builtins::builtin(name).is_none() {
                     if self.procs.contains_key(name) {
@@ -660,10 +604,7 @@ impl<'t> Analyzer<'t> {
                 let body_depth = if m >= 1 {
                     body_cost.depth
                 } else {
-                    CostInterval {
-                        lo: 0,
-                        hi: body_cost.depth.hi,
-                    }
+                    body_cost.depth.maybe()
                 };
                 let depth = cond_cost.depth.max_(body_depth);
                 Cost {
@@ -674,23 +615,13 @@ impl<'t> Analyzer<'t> {
                     terminates: false,
                 }
             }
-            None => {
-                // Uninferable trip count: the condition still runs at least
-                // once on any successful path.
-                Cost {
-                    steps: CostInterval {
-                        lo: cond_cost.steps.lo,
-                        hi: None,
-                    },
-                    depth: CostInterval {
-                        lo: cond_cost.depth.lo,
-                        hi: None,
-                    },
-                    growth: CostInterval { lo: 0, hi: None },
-                    divergent: true,
-                    terminates: false,
-                }
-            }
+            // Uninferable trip count: the condition still runs at least once
+            // on any successful path.
+            None => Cost {
+                steps: CostInterval::at_least(cond_cost.steps.lo),
+                depth: CostInterval::at_least(cond_cost.depth.lo),
+                ..Cost::poison()
+            },
         }
     }
 
@@ -720,7 +651,9 @@ impl<'t> Analyzer<'t> {
         let iters = match cmd.arg_text(1) {
             Some(list_text) => {
                 let count = parse_list(list_text).len() as u64;
-                let lo = if body_may_exit_early(body) { 0 } else { count };
+                // Any flow control may end the loop or cut an iteration short.
+                let exits = ["break", "continue", "return", "halt", "error"];
+                let lo = if exits_early(body, &exits) { 0 } else { count };
                 CostInterval {
                     lo,
                     hi: Some(count),
@@ -728,23 +661,15 @@ impl<'t> Analyzer<'t> {
             }
             None => CostInterval { lo: 0, hi: None },
         };
-        let divergent = body_cost.divergent;
-        let steps = body_cost.steps.mul(iters);
-        let growth = body_cost.growth.mul(iters);
-        let depth = if iters.lo >= 1 {
-            body_cost.depth
-        } else {
-            CostInterval {
-                lo: 0,
-                hi: body_cost.depth.hi,
-            }
-        };
         Cost {
-            steps,
-            depth,
-            growth,
-            divergent,
-            terminates: false,
+            steps: body_cost.steps.mul(iters),
+            depth: if iters.lo >= 1 {
+                body_cost.depth
+            } else {
+                body_cost.depth.maybe()
+            },
+            growth: body_cost.growth.mul(iters),
+            ..body_cost
         }
     }
 
@@ -757,15 +682,12 @@ impl<'t> Analyzer<'t> {
         cost.terminates = false;
 
         // Invalidate: the result var and anything the body wrote.
-        let mut written = writes_of([body]);
-        if let Some(result_word) = cmd.words.get(2) {
-            written = written
-                .zip(result_word.static_text())
-                .map(|(mut written, var)| {
-                    written.insert(var.to_string());
-                    written
-                });
-        }
+        let written = writes_of([body]).and_then(|mut written| {
+            if let Some(result_word) = cmd.words.get(2) {
+                written.insert(result_word.static_text()?.to_string());
+            }
+            Some(written)
+        });
         forget(env, &written);
         cost
     }
@@ -828,13 +750,11 @@ fn f64_exact(v: i64) -> bool {
 
 /// The single `expr` command a `[..]` part consists of, if it is one.
 fn sole_expr(script: &Body) -> Option<&Cmd> {
-    match script.literal() {
-        State::Parsed(Tree { cmds }) => match cmds.as_slice() {
-            [cmd] if cmd.name() == Some("expr") => Some(cmd),
-            _ => None,
-        },
-        _ => None,
-    }
+    let State::Parsed(Tree { cmds }) = script.literal() else {
+        return None;
+    };
+    cmds.first()
+        .filter(|cmd| cmds.len() == 1 && cmd.name() == Some("expr"))
 }
 
 /// Constant-fold `[expr ...]` bodies of the simple forms the interpreter
@@ -863,41 +783,10 @@ fn eval_const_expr(script: &Body, env: &Env) -> Option<i64> {
 
 /// Upper/lower bound on the byte size a growth-op payload contributes.
 fn payload_size(word: Option<&Word>) -> CostInterval {
-    match word {
-        Some(w) => match w.static_text() {
-            Some(text) => CostInterval::exact(text.len() as u64),
-            None => CostInterval::at_least(0),
-        },
-        None => CostInterval::zero(),
-    }
-}
-
-/// Visits every command that runs in the scope of `script` — its own
-/// commands, their `[..]` parts, condition scripts and control-flow bodies,
-/// but not `proc` bodies, which run only when called — and reports whether
-/// `hit` fires for one of them or anything on the way is opaque: a computed
-/// command name, `eval`, a malformed control command, or a nested script that
-/// is computed, does not parse or nests too deep.  `hit` is told whether the
-/// command sits directly in `script`.
-fn any_cmd(script: &Body, hit: &mut dyn FnMut(&Cmd, bool) -> bool) -> bool {
-    fn visit(script: &Body, top: bool, hit: &mut dyn FnMut(&Cmd, bool) -> bool) -> bool {
-        let State::Parsed(tree) = script.literal() else {
-            return true;
-        };
-        tree.cmds.iter().any(|cmd| {
-            let nested = match &cmd.shape {
-                Shape::Eval { .. } | Shape::Malformed | Shape::If { fault: Some(_), .. } => {
-                    return true
-                }
-                Shape::Proc { .. } | Shape::Expr { .. } => Vec::new(),
-                shape => shape.scripts(),
-            };
-            cmd.name().is_none()
-                || cmd.scripts().chain(nested).any(|s| visit(s, false, hit))
-                || hit(cmd, top)
-        })
-    }
-    visit(script, true, hit)
+    let size = |w: &Word| w.static_text().map(|text| text.len() as u64);
+    word.map_or(CostInterval::zero(), |w| {
+        size(w).map_or(CostInterval::at_least(0), CostInterval::exact)
+    })
 }
 
 /// The variables `scripts` may write in the current scope, or `None` when
@@ -907,21 +796,21 @@ fn any_cmd(script: &Body, hit: &mut dyn FnMut(&Cmd, bool) -> bool) -> bool {
 /// they can't clobber ours.
 fn writes_of<'a>(scripts: impl IntoIterator<Item = &'a Body>) -> Option<BTreeSet<String>> {
     let mut written = BTreeSet::new();
-    let mut record = |cmd: &Cmd, _top: bool| {
-        let target = match cmd.name() {
-            Some("set" | "incr" | "append" | "lappend" | "unset" | "foreach") => cmd.arg_text(0),
-            Some("catch") if cmd.words.len() > 2 => cmd.arg_text(1),
+    let mut record = |name: &str, cmd: &Cmd, _: At| {
+        let target = match name {
+            "set" | "incr" | "append" | "lappend" | "unset" | "foreach" => cmd.arg_text(0),
+            "catch" if cmd.words.len() > 2 => cmd.arg_text(1),
             _ => return false,
         };
-        match target {
-            Some(var) => {
-                written.insert(var.to_string());
-                false
-            }
-            None => true, // computed target
-        }
+        let Some(var) = target else {
+            return true; // computed target
+        };
+        written.insert(var.to_string());
+        false
     };
-    let unknown = scripts.into_iter().any(|s| any_cmd(s, &mut record));
+    let unknown = scripts
+        .into_iter()
+        .any(|s| any_in_scope(s, View::Literal, &mut record));
     (!unknown).then_some(written)
 }
 
@@ -933,31 +822,12 @@ fn forget(env: &mut Env, written: &Option<BTreeSet<String>>) {
     }
 }
 
-/// True if the body contains any `break`/`continue`/`return`/`halt`/`error`
-/// that could cut iterations short (used to decide whether `foreach` over a
-/// literal list is guaranteed to run all elements).  An unknown command or
-/// proc call could error, or (if a proc) contain flow control that escapes
-/// as an error.
-fn body_may_exit_early(body: &Body) -> bool {
-    any_cmd(body, &mut |cmd, _| {
-        cmd.name().is_none_or(|name| {
-            matches!(name, "break" | "continue" | "return" | "halt" | "error")
-                || crate::builtins::builtin(name).is_none()
-        })
-    })
-}
-
-/// True if the body contains `break`/`return`/`halt` anywhere (could cut
-/// the successful-run iteration count short). `error` is excluded: an
-/// erroring run is not a successful run.  Flow control escaping a proc is a
-/// runtime error (not early exit), and an unknown command errors the run —
-/// which doesn't count against the successful minimum either — but a proc
-/// body could `halt`.
-fn body_has_early_exit(body: &Body) -> bool {
-    any_cmd(body, &mut |cmd, _| {
-        cmd.name().is_none_or(|name| {
-            matches!(name, "break" | "return" | "halt") || crate::builtins::builtin(name).is_none()
-        })
+/// True if the body contains one of `exits` anywhere, or a command that is
+/// not a builtin: a proc body could `halt`, and an unknown command errors
+/// the run.
+fn exits_early(body: &Body, exits: &[&str]) -> bool {
+    any_in_scope(body, View::Literal, |name, _, _| {
+        exits.contains(&name) || crate::builtins::builtin(name).is_none()
     })
 }
 
@@ -966,17 +836,17 @@ fn body_has_early_exit(body: &Body) -> bool {
 /// (which could skip the self-step on an iteration).  Builtins don't write
 /// the counter otherwise, and proc calls get a fresh scope.
 fn body_touches_counter_unsafely(body: &Body, var: &str) -> bool {
-    any_cmd(body, &mut |cmd, top| match cmd.name() {
-        Some("continue") => true,
+    any_in_scope(body, View::Literal, |name, cmd, at| match name {
+        "continue" => true,
         // The single allowed self-step is top-level and matched by
         // `self_step`; any *other* write — including nested ones —
         // disqualifies.
-        Some("set" | "incr" | "append" | "lappend" | "unset") => match cmd.arg_text(0) {
-            Some(target) => target == var && !(top && self_step(cmd, var).is_some()),
+        "set" | "incr" | "append" | "lappend" | "unset" => match cmd.arg_text(0) {
+            Some(target) => target == var && !(at.top && self_step(cmd, var).is_some()),
             None => true,
         },
-        Some("foreach") => cmd.arg_text(0).is_none_or(|v| v == var),
-        Some("catch") => cmd
+        "foreach" => cmd.arg_text(0).is_none_or(|v| v == var),
+        "catch" => cmd
             .words
             .get(2)
             .is_some_and(|w| w.static_text().is_none_or(|v| v == var)),
@@ -1016,86 +886,42 @@ fn counted_loop(
     };
     let start = *env.get(&var)?;
 
-    // Exactly one self-step of the counter at the top level.
-    let mut step: Option<i64> = None;
-    for cmd in &body_tree.cmds {
-        if let Some(k) = self_step(cmd, &var) {
-            if step.is_some() {
-                return None; // two steps ⇒ give up
-            }
-            step = Some(k);
-        }
-    }
-    let k = step?;
-    if k == 0 || ![start, bound, k].into_iter().all(f64_exact) {
+    // Exactly one self-step of the counter at the top level, and no other
+    // writes to it, no eval/opacity, no `continue`.
+    let mut steps = body_tree.cmds.iter().filter_map(|cmd| self_step(cmd, &var));
+    let k = steps.next()?;
+    if steps.next().is_some()
+        || k == 0
+        || ![start, bound, k].into_iter().all(f64_exact)
+        || body_touches_counter_unsafely(body, &var)
+        || writes_of(cond.scripts()).is_none_or(|written| written.contains(&var))
+    {
         return None;
     }
 
-    // No other writes to the counter, no eval/opacity, no `continue`.
-    if body_touches_counter_unsafely(body, &var) {
-        return None;
-    }
-    if writes_of(cond.scripts()).is_none_or(|written| written.contains(&var)) {
-        return None;
-    }
-
-    let a = start as i128;
-    let b = bound as i128;
-    let kk = k as i128;
-    let n: i128 = match op {
-        GuardOp::Lt => {
-            if kk <= 0 {
-                return None;
-            }
-            if a >= b {
-                0
-            } else {
-                (b - a + kk - 1) / kk
-            }
-        }
-        GuardOp::Le => {
-            if kk <= 0 {
-                return None;
-            }
-            if a > b {
-                0
-            } else {
-                (b - a) / kk + 1
-            }
-        }
-        GuardOp::Gt => {
-            if kk >= 0 {
-                return None;
-            }
-            let kk = -kk;
-            if a <= b {
-                0
-            } else {
-                (a - b + kk - 1) / kk
-            }
-        }
-        GuardOp::Ge => {
-            if kk >= 0 {
-                return None;
-            }
-            let kk = -kk;
-            if a < b {
-                0
-            } else {
-                (a - b) / kk + 1
-            }
-        }
+    // A counter that falls toward its bound is one that rises toward the
+    // negated bound.
+    let (a, b, k) = (i128::from(start), i128::from(bound), i128::from(k));
+    let (a, b, k) = match op {
+        GuardOp::Lt | GuardOp::Le => (a, b, k),
+        GuardOp::Gt | GuardOp::Ge => (-a, -b, -k),
     };
-    if n < 0 {
+    if k <= 0 {
         return None;
     }
+    let n = match op {
+        GuardOp::Lt | GuardOp::Gt if a < b => (b - a + k - 1) / k,
+        GuardOp::Le | GuardOp::Ge if a <= b => (b - a) / k + 1,
+        _ => 0,
+    };
     let n: u64 = n.try_into().ok()?;
 
     // Lower bound: the full n iterations run iff the guard conjunct is the
     // whole condition and nothing exits the body early. (`error` makes the
     // run unsuccessful, so it does not reduce the successful-run minimum —
     // but `break`/`return`/`halt` do.)
-    let m = if conjuncts.len() == 1 && !body_has_early_exit(body) {
+    // Flow control escaping a proc is a runtime error, not an early exit.
+    let m = if conjuncts.len() == 1 && !exits_early(body, &["break", "return", "halt"]) {
         n
     } else {
         0
@@ -1118,61 +944,48 @@ enum GuardOp {
 
 /// Split a condition on top-level (bracket-depth-0) `&&`. Returns `None`
 /// when a top-level `||` is present (either side may keep the loop alive).
-fn split_conjuncts(text: &str) -> Option<Vec<String>> {
-    let bytes = text.as_bytes();
+fn split_conjuncts(text: &str) -> Option<Vec<&str>> {
     let mut parts = Vec::new();
-    let mut depth = 0usize;
-    let mut start = 0usize;
-    let mut i = 0usize;
-    while i < bytes.len() {
-        match bytes[i] {
-            b'[' => depth += 1,
-            b']' => depth = depth.saturating_sub(1),
-            b'&' if depth == 0 && i + 1 < bytes.len() && bytes[i + 1] == b'&' => {
-                parts.push(text[start..i].to_string());
-                i += 2;
-                start = i;
-                continue;
+    let (mut depth, mut start) = (0usize, 0);
+    for (i, pair) in text.as_bytes().windows(2).enumerate() {
+        match pair {
+            [b'[', _] => depth += 1,
+            [b']', _] => depth = depth.saturating_sub(1),
+            // `start` skips the second `&` of a pair.
+            [b'&', b'&'] if depth == 0 && i >= start => {
+                parts.push(&text[start..i]);
+                start = i + 2;
             }
-            b'|' if depth == 0 && i + 1 < bytes.len() && bytes[i + 1] == b'|' => {
-                return None;
-            }
+            [b'|', b'|'] if depth == 0 => return None,
             _ => {}
         }
-        i += 1;
     }
-    parts.push(text[start..].to_string());
+    parts.push(&text[start..]);
     Some(parts)
 }
 
 /// Parse `$var op bound` where the whole conjunct is exactly that shape.
 fn parse_guard(conjunct: &str) -> Option<(String, GuardOp, BoundRef)> {
-    let tokens: Vec<&str> = conjunct.split_whitespace().collect();
-    if tokens.len() != 3 {
+    let var = |token: &str| {
+        let name = token.strip_prefix('$')?;
+        let plain = !name.is_empty() && name.chars().all(|c| c.is_alphanumeric() || c == '_');
+        plain.then(|| name.to_string())
+    };
+    let [counter, op, bound] = conjunct.split_whitespace().collect::<Vec<_>>()[..] else {
         return None;
-    }
-    let var = tokens[0].strip_prefix('$')?;
-    if var.is_empty() || !var.chars().all(|c| c.is_alphanumeric() || c == '_') {
-        return None;
-    }
-    let op = match tokens[1] {
+    };
+    let op = match op {
         "<" => GuardOp::Lt,
         "<=" => GuardOp::Le,
         ">" => GuardOp::Gt,
         ">=" => GuardOp::Ge,
         _ => return None,
     };
-    let bound = if let Ok(n) = tokens[2].parse::<i64>() {
-        BoundRef::Literal(n)
-    } else if let Some(name) = tokens[2].strip_prefix('$') {
-        if name.is_empty() || !name.chars().all(|c| c.is_alphanumeric() || c == '_') {
-            return None;
-        }
-        BoundRef::Var(name.to_string())
-    } else {
-        return None;
+    let bound = match bound.parse::<i64>() {
+        Ok(n) => BoundRef::Literal(n),
+        Err(_) => BoundRef::Var(var(bound)?),
     };
-    Some((var.to_string(), op, bound))
+    Some((var(counter)?, op, bound))
 }
 
 /// Match a top-level command that steps `var` by a constant:

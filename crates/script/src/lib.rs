@@ -42,8 +42,8 @@ pub mod value;
 
 pub use analysis::{analyze, analyze_with, vet, AnalysisConfig};
 pub use audit::{
-    audit, audit_has_errors, render_audit, summarize, AgentSpec, AuditConfig, AuditFinding,
-    EffectSummary,
+    audit, audit_has_errors, audit_script, render_audit, summarize, AgentSpec, AuditConfig,
+    AuditFinding, EffectSummary,
 };
 pub use builtins::{builtin, BuiltinSpec, BUILTINS};
 pub use cost::{cost_bound, CostBound, CostGate, CostInterval};
@@ -51,4 +51,5 @@ pub use diag::{has_errors, render_report, Diagnostic, Severity};
 pub use host::{HostCall, NullHost, RecordingHost, ScriptHost};
 pub use interp::{Interp, InterpConfig, ScriptError, ScriptOutcome};
 pub use parser::{parse_script, Command, ParseError, Span, Word, WordKind, WordPart};
+pub use tree::Script;
 pub use value::{format_list, parse_list};

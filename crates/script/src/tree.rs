@@ -1,4 +1,5 @@
-//! The parsed tree the three static analyses walk.
+//! The [`Script`] record the three static analyses read, and the parsed tree
+//! inside it.
 //!
 //! [`parse_script`] is one level deep: control-flow bodies, conditions and
 //! `[..]` substitutions come back as strings.  [`Tree::parse`] finishes the
@@ -6,6 +7,7 @@
 //! source text they have to parse: it calls `parse_script` exactly once per
 //! nested script text, rewrites every span to an absolute position in the
 //! original source as it builds, and decodes each command's [`Shape`] once.
+//! [`Script::parse`] runs it once per agent, for all three analyses.
 //!
 //! Parsed eagerly: brace-quoted (or otherwise literal) words at control
 //! positions — `if`/`elseif`/`else` bodies, `while`, `foreach`, `proc`,
@@ -15,9 +17,72 @@
 //! deeper than [`MAX_DEPTH`]: hostile nesting costs at most
 //! `MAX_DEPTH × source` parsing, however deep the source goes.
 //!
+//! [`Cmd::children`] is the one definition of what nests in what, and the
+//! analyses' flow-insensitive questions are answered by one [`walk`] over
+//! it; only their flow-sensitive passes recurse on their own.
+//!
 //! The interpreter is not a client yet; it still takes text (ROADMAP item 2).
 
 use crate::parser::{parse_script, Cursor, ParseError, Span, Word, WordKind, WordPart};
+use crate::value::parse_list;
+use std::iter;
+use std::sync::Arc;
+
+/// An agent's code, parsed once: the record taco-vet ([`Script::analyze`]),
+/// taco-audit ([`Script::summary`]) and taco-cost ([`Script::cost`]) read.
+/// A source that does not parse is still a record; each analysis reports
+/// the parse error its own way.
+#[derive(Debug)]
+pub struct Script {
+    /// The parsed tree, or why the source does not parse.
+    pub(crate) tree: Result<Tree, ParseError>,
+    /// Every `proc` command in the literal view, in evaluation order: a
+    /// later definition of a name replaces an earlier one.
+    pub(crate) procs: Vec<ProcDef>,
+}
+
+impl Script {
+    /// Parses `src` and everything nested in it, and collects its `proc`
+    /// table.
+    pub fn parse(src: &str) -> Script {
+        let tree = Tree::parse(src);
+        let mut procs = Vec::new();
+        if let Ok(tree) = &tree {
+            walk(tree, View::Literal, At::ROOT, &mut |step, at| {
+                match step {
+                    Step::Cmd(cmd) if cmd.name() == Some("proc") => procs.push(ProcDef {
+                        name: cmd.arg_text(0).map(str::to_string),
+                        params: cmd.arg_text(1).map(parse_list),
+                        body: match &cmd.shape {
+                            Shape::Proc { body } => Some(Arc::clone(body)),
+                            _ => None,
+                        },
+                        at,
+                    }),
+                    _ => {}
+                }
+                false
+            });
+        }
+        Script { tree, procs }
+    }
+}
+
+/// One `proc` command.  taco-vet reads the definitions reached through
+/// brace-quoted text whose name and parameters are static; taco-cost reads
+/// those with a body that are not hidden.
+#[derive(Debug)]
+pub(crate) struct ProcDef {
+    /// The proc's name, or `None` when it is computed at run time.
+    pub name: Option<String>,
+    /// The parameter names, or `None` when they are computed.
+    pub params: Option<Vec<String>>,
+    /// The body; `None` when the command has the wrong number of arguments
+    /// and defines nothing.
+    pub body: Option<Arc<Body>>,
+    /// Where the command sits.
+    pub at: At,
+}
 
 /// The nesting cap shared by every analysis (it mirrors the interpreter's
 /// default `max_depth`): a script nested deeper is a [`State::TooDeep`] leaf.
@@ -57,6 +122,49 @@ impl Cmd {
     pub fn scripts(&self) -> impl Iterator<Item = &Body> {
         self.subs.iter().flatten()
     }
+
+    /// Every script nested in this command, with its role: the `[..]` parts
+    /// of its words first, in evaluation order, then its shape's condition
+    /// scripts and bodies in source order.
+    pub fn children(&self) -> impl Iterator<Item = (Role, &Body)> {
+        let (arms, cond, body): (&[Arm], _, _) = match &self.shape {
+            Shape::If { arms, .. } => (arms, None, None),
+            Shape::While { cond, body } => (&[], Some(cond), Some((Role::Loop, body))),
+            Shape::Expr { cond } => (&[], Some(cond), None),
+            Shape::Foreach { body } => (&[], None, Some((Role::Foreach, body))),
+            Shape::Proc { body } => (&[], None, Some((Role::Proc, &**body))),
+            Shape::Catch { body } => (&[], None, Some((Role::Catch, body))),
+            Shape::Eval { body } => (&[], None, Some((Role::Eval, body))),
+            Shape::Plain | Shape::Malformed => (&[], None, None),
+        };
+        let arms = arms.iter().flat_map(|arm| {
+            let cond = arm.cond.iter().flat_map(Cond::scripts);
+            cond.map(|body| (Role::Cond, body))
+                .chain([(Role::Arm, &arm.body)])
+        });
+        let cond = cond.into_iter().flat_map(Cond::scripts);
+        self.scripts()
+            .map(|body| (Role::Subst, body))
+            .chain(arms)
+            .chain(cond.map(|body| (Role::Cond, body)))
+            .chain(body)
+    }
+}
+
+/// What a nested script is to the command it sits in: a `[..]` part of a
+/// word (`Subst`), a `[..]` script in an `if`, `while` or one-argument
+/// `expr` condition (`Cond`), an `if` arm, a `while` (`Loop`), `foreach`,
+/// `catch` or `proc` body, or an `eval` script.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Role {
+    Subst,
+    Cond,
+    Arm,
+    Loop,
+    Foreach,
+    Catch,
+    Proc,
+    Eval,
 }
 
 /// What a command is, decoded the way the interpreter's `cmd_*` functions
@@ -80,9 +188,10 @@ pub(crate) enum Shape {
     Foreach {
         body: Body,
     },
-    /// `proc name params body`; `name` and `params` stay words.
+    /// `proc name params body`; `name` and `params` stay words.  The body
+    /// is shared with the [`Script`]'s proc table.
     Proc {
-        body: Body,
+        body: Arc<Body>,
     },
     /// `catch body ?resultVar?`.
     Catch {
@@ -99,29 +208,6 @@ pub(crate) enum Shape {
     /// `while`/`foreach`/`catch` with the wrong number of arguments: a
     /// runtime arity error, no body runs and nothing in it is parsed.
     Malformed,
-}
-
-impl Shape {
-    /// Every script nested in this shape, in source order: the `[..]`
-    /// scripts of its conditions and its bodies.
-    pub fn scripts(&self) -> Vec<&Body> {
-        match self {
-            Shape::Plain | Shape::Malformed => Vec::new(),
-            Shape::If { arms, .. } => arms
-                .iter()
-                .flat_map(|arm| {
-                    let cond = arm.cond.iter().flat_map(Cond::scripts);
-                    cond.chain([&arm.body])
-                })
-                .collect(),
-            Shape::While { cond, body } => cond.scripts().chain([body]).collect(),
-            Shape::Expr { cond } => cond.scripts().collect(),
-            Shape::Foreach { body }
-            | Shape::Proc { body }
-            | Shape::Catch { body }
-            | Shape::Eval { body } => vec![body],
-        }
-    }
 }
 
 /// One `cond body` pair of an `if` chain; `cond` is `None` for `else`.
@@ -225,6 +311,131 @@ impl Tree {
     }
 }
 
+/// Which text of a nested script an analysis follows.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum View {
+    /// taco-vet's and taco-audit's: brace-quoted text and `[..]` parts only;
+    /// a bare literal body counts as computed.
+    Braced,
+    /// taco-cost's: any statically known text.
+    Literal,
+}
+
+/// Where a command sits relative to the script a [`walk`] starts from.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct At {
+    /// Directly in that script.
+    pub top: bool,
+    /// Reached through brace-quoted text only.
+    pub braced: bool,
+    /// Runs in that script's scope: not in a `proc` body, `eval` script or
+    /// one-argument `expr` condition.
+    pub in_scope: bool,
+    pub in_catch: bool,
+    /// In the body of a proc whose name is computed, which nothing calls.
+    pub hidden: bool,
+    /// No loop in between: a `break` here ends that script's loop.
+    pub breaks: bool,
+    /// No `catch` or `[..]` in between: a `return` or `error` here escapes.
+    pub raises: bool,
+}
+
+impl At {
+    /// The script the walk starts from.
+    pub const ROOT: At = At {
+        top: true,
+        braced: true,
+        in_scope: true,
+        in_catch: false,
+        hidden: false,
+        breaks: true,
+        raises: true,
+    };
+
+    /// Where `cmd`'s child `body`, in `role`, sits.
+    fn enter(self, cmd: &Cmd, role: Role, body: &Body) -> At {
+        let expr = role == Role::Cond && matches!(cmd.shape, Shape::Expr { .. });
+        At {
+            top: false,
+            braced: self.braced && body.braced,
+            in_scope: self.in_scope && !expr && !matches!(role, Role::Proc | Role::Eval),
+            in_catch: self.in_catch || role == Role::Catch,
+            hidden: self.hidden || (role == Role::Proc && cmd.arg_text(0).is_none()),
+            breaks: self.breaks && role == Role::Arm,
+            raises: self.raises && !matches!(role, Role::Subst | Role::Cond | Role::Catch),
+        }
+    }
+}
+
+/// What a [`walk`] shows its visitor: a command (after its `[..]` parts,
+/// before its other children), or a nested script with no tree in the
+/// walk's view (computed, unparsable or nested too deep).
+pub(crate) enum Step<'t> {
+    Cmd(&'t Cmd),
+    Opaque(&'t State),
+}
+
+/// The one walk over [`Cmd::children`] that the analyses' flow-insensitive
+/// questions share: shows `visit` every step under `tree` in `view`, depth
+/// first in evaluation order, and stops at the first step it answers
+/// `true`, returning whether there was one.
+pub(crate) fn walk<F>(tree: &Tree, view: View, at: At, visit: &mut F) -> bool
+where
+    F: FnMut(Step, At) -> bool,
+{
+    tree.cmds.iter().any(|cmd| {
+        let mut children = cmd.children().peekable();
+        let mut subs = iter::from_fn(|| children.next_if(|(role, _)| *role == Role::Subst));
+        let child = |(role, body): (Role, &Body), visit: &mut F| {
+            walk_body(body, view, at.enter(cmd, role, body), visit)
+        };
+        subs.any(|c| child(c, visit))
+            || visit(Step::Cmd(cmd), at)
+            || children.any(|c| child(c, visit))
+    })
+}
+
+/// [`walk`] from a nested script.
+pub(crate) fn walk_body<F>(body: &Body, view: View, at: At, visit: &mut F) -> bool
+where
+    F: FnMut(Step, At) -> bool,
+{
+    let state = match view {
+        View::Braced => body.braced(),
+        View::Literal => body.literal(),
+    };
+    match state {
+        State::Parsed(tree) => walk(tree, view, at, visit),
+        state => visit(Step::Opaque(state), at),
+    }
+}
+
+/// The early-exit query taco-vet, taco-audit and taco-cost share, and the
+/// question behind taco-cost's write sets: does a command that runs in
+/// `body`'s scope answer `hit`?  `hit` sees commands with a static name.
+/// What the walk cannot see into answers yes: a computed command name, an
+/// `eval`, text that does not parse or nests too deep, and in the literal
+/// view also a computed body, a control command with the wrong number of
+/// arguments and an `if` chain that went wrong.
+pub(crate) fn any_in_scope(
+    body: &Body,
+    view: View,
+    mut hit: impl FnMut(&str, &Cmd, At) -> bool,
+) -> bool {
+    let strict = view == View::Literal;
+    walk_body(body, view, At::ROOT, &mut |step, at| {
+        at.in_scope
+            && match step {
+                Step::Opaque(state) => strict || !matches!(state, State::Computed),
+                Step::Cmd(cmd) => match (cmd.name(), &cmd.shape) {
+                    (None, _) | (_, Shape::Eval { .. }) => true,
+                    (_, Shape::Malformed | Shape::If { fault: Some(_), .. }) if strict => true,
+                    (Some(name), _) => hit(name, cmd, at),
+                },
+            }
+    })
+}
+
 /// Maps a span relative to an embedded script (braced body, condition text,
 /// bracketed substitution) to an absolute span in the original source.
 fn map_span(base: Span, rel: Span) -> Span {
@@ -243,7 +454,15 @@ fn content_base(word: &Word) -> Span {
     }
 }
 
+#[cfg(test)]
+thread_local! {
+    /// `parse_script` calls made by this thread's tree builds.
+    static PARSES: std::cell::Cell<u32> = const { std::cell::Cell::new(0) };
+}
+
 fn build(src: &str, base: Span, depth: u32) -> Result<Tree, ParseError> {
+    #[cfg(test)]
+    PARSES.with(|n| n.set(n.get() + 1));
     let cmds = parse_script(src).map_err(|e| {
         let at = map_span(base, e.span());
         ParseError {
@@ -311,6 +530,24 @@ fn cond_of(word: &Word, depth: u32) -> Cond {
     }
 }
 
+/// Reads the name after a `$` the way the interpreter's `substitute` does:
+/// `{...}` up to the closing brace, or a run of alphanumerics and `_`.
+pub(crate) fn var_name(cur: &mut Cursor) -> String {
+    let mut name = String::new();
+    if cur.peek() == Some('{') {
+        cur.bump();
+        while let Some(c) = cur.bump().filter(|&c| c != '}') {
+            name.push(c);
+        }
+    } else {
+        while let Some(c) = cur.peek().filter(|&c| c.is_alphanumeric() || c == '_') {
+            name.push(c);
+            cur.bump();
+        }
+    }
+    name
+}
+
 /// Scans condition text exactly as the interpreter's `substitute` does:
 /// `$name`/`${name}` are reads, `[...]` (closed or not) is a script.
 fn scan_cond(text: &str, base: Span, depth: u32) -> Vec<CondPart> {
@@ -321,18 +558,7 @@ fn scan_cond(text: &str, base: Span, depth: u32) -> Vec<CondPart> {
         cur.bump();
         match c {
             '$' => {
-                let mut name = String::new();
-                if cur.peek() == Some('{') {
-                    cur.bump();
-                    while let Some(c) = cur.bump().filter(|&c| c != '}') {
-                        name.push(c);
-                    }
-                } else {
-                    while let Some(c) = cur.peek().filter(|&c| c.is_alphanumeric() || c == '_') {
-                        name.push(c);
-                        cur.bump();
-                    }
-                }
+                let name = var_name(&mut cur);
                 if !name.is_empty() {
                     parts.push(CondPart::Var(name, at));
                 }
@@ -371,7 +597,9 @@ fn decode(words: &[Word], depth: u32) -> Shape {
             body: body(1),
         },
         (Some("foreach"), 3) => Shape::Foreach { body: body(2) },
-        (Some("proc"), 3) => Shape::Proc { body: body(2) },
+        (Some("proc"), 3) => Shape::Proc {
+            body: Arc::new(body(2)),
+        },
         (Some("catch"), 1 | 2) => Shape::Catch { body: body(0) },
         (Some("while" | "foreach" | "catch"), _) => Shape::Malformed,
         (Some("eval"), 1) => Shape::Eval { body: body(0) },
@@ -440,12 +668,9 @@ mod tests {
 
     /// The deepest parsed script under `tree` (the root is at depth 0).
     fn depth(tree: &Tree) -> u32 {
-        let nested = tree
-            .cmds
-            .iter()
-            .flat_map(|cmd| cmd.scripts().chain(cmd.shape.scripts()));
+        let nested = tree.cmds.iter().flat_map(Cmd::children);
         nested
-            .filter_map(|body| match body.literal() {
+            .filter_map(|(_, body)| match body.literal() {
                 State::Parsed(inner) => Some(1 + depth(inner)),
                 _ => None,
             })
@@ -491,7 +716,11 @@ mod tests {
                     .collect(),
                 Shape::While { cond, body } if !cond.braced => vec![body],
                 Shape::Expr { cond } if !cond.braced => Vec::new(),
-                shape => shape.scripts(),
+                _ => cmd
+                    .children()
+                    .filter(|(role, _)| *role != Role::Subst)
+                    .map(|(_, body)| body)
+                    .collect(),
             };
             for body in bodies.into_iter().filter(exact) {
                 if let State::Parsed(inner) = body.literal() {
@@ -530,6 +759,72 @@ mod tests {
             panic!("the body parsed: {:?}", arms[0].body);
         };
         assert_eq!(e.span(), Span::new(4, 1));
+    }
+
+    /// The `parse_script` calls `f` makes on this thread.
+    fn parses(f: impl FnOnce()) -> u32 {
+        PARSES.with(|n| n.set(0));
+        f();
+        PARSES.with(std::cell::Cell::get)
+    }
+
+    #[test]
+    fn the_three_gates_share_one_parse() {
+        let src = include_str!("../../../examples/scripts/hop_counter.taco");
+        let alone = parses(|| {
+            Tree::parse(src).expect("parses");
+        });
+        assert_eq!(alone, 10);
+        let config = crate::AnalysisConfig::new();
+        let gates = parses(|| {
+            let script = Script::parse(src);
+            assert!(script.vet(&config).is_ok());
+            script.summary().expect("parses");
+            script.cost().expect("parses");
+        });
+        assert_eq!(gates, alone);
+        // Each text entry point is a record of its own.
+        let text = parses(|| {
+            assert!(crate::vet(src, &config).is_ok());
+            crate::summarize(src).expect("parses");
+            crate::cost_bound(src).expect("parses");
+        });
+        assert_eq!(text, 3 * alone);
+    }
+
+    #[test]
+    fn the_proc_table_serves_both_views() {
+        let script = Script::parse(
+            "proc a {x} {proc b {} {}}\nif 1 \"proc c {y z} {}\"\n\
+             proc [pick] {} {proc d {} {}}\nproc e {w}",
+        );
+        let row = |def: &ProcDef| {
+            let name = def.name.as_deref().unwrap_or("?");
+            let params = def.params.as_ref().map_or(0, Vec::len);
+            (
+                name.to_string(),
+                params,
+                def.body.is_some(),
+                def.at.braced,
+                def.at.hidden,
+            )
+        };
+        let rows: Vec<_> = script.procs.iter().map(row).collect();
+        let want = [
+            ("a", 1, true, true, false),
+            ("b", 0, true, true, false),
+            ("c", 2, true, false, false),
+            ("?", 0, true, true, false),
+            ("d", 0, true, true, true),
+            ("e", 1, false, true, false),
+        ];
+        let want: Vec<_> = want
+            .iter()
+            .map(|&(name, params, body, braced, hidden)| {
+                (name.to_string(), params, body, braced, hidden)
+            })
+            .collect();
+        assert_eq!(rows, want);
     }
 
     proptest! {
