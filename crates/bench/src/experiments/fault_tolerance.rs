@@ -1,16 +1,14 @@
-//! The fault-tolerance experiment driver (E9).
-//!
-//! Launches a fleet of itinerary-following travellers over a network with a
-//! randomized crash schedule and measures how many computations complete with
-//! and without rear guards, how much duplicate work relaunching causes, and
-//! what the guards cost in extra messages and bytes.
+//! Fault tolerance (§5): E9 rear guards, E14 custody under crash churn,
+//! ablation A3's guard-chain depth, and the itinerary runner all three share.
 
-use crate::rear_guard::{
-    traveller_briefcase, MissionControlAgent, TravellerAgent, COMPLETED, MISSION_CABINET,
-    TRAVELLER, VISITS_CABINET,
-};
+use crate::runner::RunOpts;
+use crate::table::Table;
 use tacoma_core::prelude::*;
 use tacoma_core::TacomaSystem;
+use tacoma_ft::rear_guard::{
+    traveller_briefcase, MissionControlAgent, TravellerAgent, COMPLETED, GUARD_DEPTH,
+    MISSION_CABINET, TRAVELLER, VISITS_CABINET,
+};
 use tacoma_net::{CustodyConfig, FailurePlan, LinkSpec, Topology};
 use tacoma_util::DetRng;
 
@@ -45,6 +43,10 @@ pub struct FtConfig {
     pub downtime_ms: (u64, u64),
     /// Whether rear guards are installed.
     pub guarded: bool,
+    /// How many trailing guards each traveller keeps alive (its
+    /// `GUARD_DEPTH` folder); `None` writes no folder, leaving the
+    /// traveller's default of 2.
+    pub guard_depth: Option<usize>,
     /// Whether store-and-forward custody is enabled: meets to crashed or
     /// unreachable sites park and deliver on recovery instead of failing
     /// fast, and rear guards wait out custody-pending hops.
@@ -64,6 +66,7 @@ impl Default for FtConfig {
             crash_window_ms: 20,
             downtime_ms: (200, 1_500),
             guarded: true,
+            guard_depth: None,
             custody: false,
             seed: 99,
         }
@@ -73,8 +76,6 @@ impl Default for FtConfig {
 /// What one fault-tolerance run measured.
 #[derive(Debug, Clone)]
 pub struct FtResult {
-    /// Whether rear guards were enabled.
-    pub guarded: bool,
     /// Travellers launched.
     pub launched: u32,
     /// Travellers whose completion reached mission control.
@@ -147,12 +148,12 @@ pub fn run_itinerary_experiment(config: &FtConfig) -> FtResult {
                 .collect();
             itinerary.extend(revisit);
         }
-        let job = format!("job-{t}");
-        sys.inject_meet(
-            SiteId(0),
-            AgentName::new(TRAVELLER),
-            traveller_briefcase(&job, SiteId(0), &itinerary, config.guarded),
-        );
+        let mut traveller =
+            traveller_briefcase(&format!("job-{t}"), SiteId(0), &itinerary, config.guarded);
+        if let Some(depth) = config.guard_depth {
+            traveller.put_string(GUARD_DEPTH, depth.to_string());
+        }
+        sys.inject_meet(SiteId(0), AgentName::new(TRAVELLER), traveller);
     }
 
     sys.run_for(Duration::from_secs(40));
@@ -180,7 +181,6 @@ pub fn run_itinerary_experiment(config: &FtConfig) -> FtResult {
 
     let stats = sys.stats();
     FtResult {
-        guarded: config.guarded,
         launched: config.travellers,
         completed,
         completion_rate: completed as f64 / config.travellers.max(1) as f64,
@@ -195,6 +195,143 @@ pub fn run_itinerary_experiment(config: &FtConfig) -> FtResult {
         dropped_messages: sys.net_metrics().dropped_messages(),
         custody_backlog: sys.net().custody_backlog() as u64,
     }
+}
+
+// ---------------------------------------------------------------------------
+// E9 — rear guards
+// ---------------------------------------------------------------------------
+
+/// E9: completion probability and overhead with and without rear guards.
+pub fn e9_rear_guard(opts: RunOpts) -> Table {
+    let quick = opts.quick;
+    let mut table = Table::new(
+        "E9 — rear guards let computations survive site failures",
+        "§5: a rear guard relaunches a vanished agent and terminates itself when no longer necessary",
+        &["crash prob", "variant", "completed", "rate", "duplicate visits", "meets", "bytes"],
+    );
+    let probs: &[f64] = if quick { &[0.3] } else { &[0.0, 0.2, 0.5] };
+    for &p in probs {
+        for guarded in [false, true] {
+            let result = run_itinerary_experiment(&FtConfig {
+                sites: 10,
+                itinerary_len: 6,
+                travellers: if quick { 10 } else { 30 },
+                crash_prob: p,
+                crash_window_ms: 15,
+                downtime_ms: (500, 3_000),
+                guarded,
+                seed: 909,
+                ..Default::default()
+            });
+            table.row(vec![
+                format!("{:.0}%", p * 100.0),
+                if guarded { "rear guards" } else { "unguarded" }.to_string(),
+                format!("{}/{}", result.completed, result.launched),
+                format!("{:.0}%", result.completion_rate * 100.0),
+                result.duplicate_visits.to_string(),
+                result.meets.to_string(),
+                result.network_bytes.to_string(),
+            ]);
+        }
+    }
+    table
+}
+
+// ---------------------------------------------------------------------------
+// E14 — custody conservation under crash churn
+// ---------------------------------------------------------------------------
+
+/// E14: the guarded itinerary workload under heavy crash churn, fail-fast vs
+/// custody.  The `conserved` flag asserts the meet-accounting invariant:
+/// every requested meet lands in exactly one terminal bucket (completed,
+/// failed, send-failed, expired, or — fail-fast only — dropped in flight).
+pub fn e14_custody_churn(opts: RunOpts) -> Table {
+    let quick = opts.quick;
+    let mut table = Table::new(
+        "E14 — custody conservation under crash churn",
+        "§5: sites crash and recover; with custody every meet is delayed-but-delivered or terminally expired — none silently vanish",
+        &[
+            "variant",
+            "travellers",
+            "completed",
+            "rate",
+            "meets",
+            "completed meets",
+            "failed",
+            "send failures",
+            "expired",
+            "dropped",
+            "conserved",
+        ],
+    );
+    let travellers = if quick { 15 } else { 40 };
+    for custody in [false, true] {
+        let result = run_itinerary_experiment(&FtConfig {
+            sites: 10,
+            itinerary_len: 6,
+            travellers,
+            crash_prob: 0.5,
+            crash_window_ms: 15,
+            downtime_ms: (500, 3_000),
+            guarded: true,
+            custody,
+            seed: 1414,
+            ..Default::default()
+        });
+        // Not `SystemStats::conserved`: a fail-fast run loses meets in flight.
+        let terminal = result.meets_completed
+            + result.meets_failed
+            + result.send_failures
+            + result.meets_expired
+            + result.dropped_messages;
+        let conserved = terminal == result.meets && result.custody_backlog == 0;
+        table.row(vec![
+            if custody { "custody" } else { "fail-fast" }.to_string(),
+            result.launched.to_string(),
+            result.completed.to_string(),
+            format!("{:.0}%", result.completion_rate * 100.0),
+            result.meets.to_string(),
+            result.meets_completed.to_string(),
+            result.meets_failed.to_string(),
+            result.send_failures.to_string(),
+            result.meets_expired.to_string(),
+            result.dropped_messages.to_string(),
+            conserved.to_string(),
+        ]);
+    }
+    table
+}
+
+/// A3: rear-guard chain depth vs completion and overhead.
+pub fn ablation_guard_depth(_opts: RunOpts) -> Table {
+    let mut table = Table::new(
+        "A3 — rear-guard chain depth",
+        "design choice: how many trailing guards to keep alive (DESIGN.md §3, ablations)",
+        &["guard depth", "completed", "rate", "meets", "bytes"],
+    );
+    // One failure schedule and one fleet; only the chain depth varies.
+    for depth in [1usize, 2, 3] {
+        let result = run_itinerary_experiment(&FtConfig {
+            sites: 10,
+            itinerary_len: 6,
+            travellers: 20,
+            crash_prob: 0.4,
+            crash_window_ms: 15,
+            downtime_ms: (500, 3_000),
+            guarded: true,
+            guard_depth: Some(depth),
+            seed: 31_001,
+            ..Default::default()
+        });
+        table.row(vec![
+            depth.to_string(),
+            format!("{}/{}", result.completed, result.launched),
+            format!("{:.0}%", result.completion_rate * 100.0),
+            result.meets.to_string(),
+            result.network_bytes.to_string(),
+        ]);
+    }
+    table
 }
 
 #[cfg(test)]
@@ -346,5 +483,28 @@ mod tests {
         assert_eq!(a.completed, b.completed);
         assert_eq!(a.meets, b.meets);
         assert_eq!(a.network_bytes, b.network_bytes);
+    }
+
+    #[test]
+    fn a3_deeper_guard_chains_cost_more_meets() {
+        let table = ablation_guard_depth(RunOpts::new(true));
+        let meets: Vec<u64> = table.rows.iter().map(|r| r[3].parse().unwrap()).collect();
+        assert_eq!(meets.len(), 3);
+        assert!(
+            meets[0] < meets[1] && meets[1] < meets[2],
+            "one schedule, deeper chains: meets must rise with depth, got {meets:?}"
+        );
+    }
+
+    #[test]
+    fn e14_accounting_is_conserved_in_both_modes() {
+        let table = e14_custody_churn(RunOpts::new(true));
+        assert_eq!(table.rows.len(), 2);
+        for row in &table.rows {
+            assert_eq!(row[10], "true", "conservation must hold: {row:?}");
+        }
+        let custody = &table.rows[1];
+        assert_eq!(custody[7], "0", "custody has no send failures");
+        assert_eq!(custody[9], "0", "custody drops nothing in flight");
     }
 }

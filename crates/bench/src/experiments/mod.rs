@@ -1,0 +1,51 @@
+//! The E1–E20 experiment drivers and the design-choice ablations, one
+//! module per family of claims.  Each `eN_*` / `ablation_*` function runs one
+//! experiment and returns a [`Table`]; the runners the scheduling and
+//! fault-tolerance experiments share are public so that the examples and
+//! the integration tests drive the same code.
+
+use crate::runner::RunOpts;
+use crate::table::Table;
+
+mod cash;
+mod fault_tolerance;
+mod federation;
+mod mobility;
+mod overload;
+mod scale;
+mod scheduling;
+
+pub use cash::*;
+pub use fault_tolerance::*;
+pub use federation::*;
+pub use mobility::*;
+pub use overload::*;
+pub use scale::*;
+pub use scheduling::*;
+
+/// Runs every experiment sequentially and returns the tables in order.
+///
+/// Thin wrapper over [`crate::runner::registry`] — the registry is the single
+/// source of truth for which jobs exist and how quick mode configures them;
+/// use [`crate::runner::run_jobs`] when you also want reports or parallelism.
+pub fn all_experiments(opts: RunOpts) -> Vec<Table> {
+    crate::runner::registry()
+        .into_iter()
+        .map(|spec| (spec.run)(opts))
+        .collect()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn tables_render() {
+        let quick = RunOpts::new(true);
+        for table in [e4_folders(quick), e6_exchange(quick), e10_apps(quick)] {
+            let rendered = table.render();
+            assert!(rendered.contains("claim:"));
+            assert!(!table.rows.is_empty());
+        }
+    }
+}

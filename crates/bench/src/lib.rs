@@ -11,6 +11,13 @@
 //! wall-clock in its run summary; the hot primitives underneath are timed by
 //! `benchmark/`'s per-layer metrics.
 //!
+//! Every experiment runner lives here, not in the library crates:
+//! [`run_scheduling_experiment`] (E7, A4) and [`run_itinerary_experiment`]
+//! (E9, E14, A3) are public so the examples and the integration tests drive
+//! the same code, and the federation runner behind E15 and E16 is private to
+//! its family module.  [`JobTally`] is the one place a run reads back the
+//! jobs its workers finished.
+//!
 //! Around the drivers sits the measurement backbone added for CI:
 //!
 //! * [`runner`] — a registry of experiment jobs plus a std-only

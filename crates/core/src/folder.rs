@@ -335,8 +335,9 @@ impl FromIterator<FolderElem> for Folder {
     }
 }
 
-/// Front-to-back iterator over a folder's elements (see [`Folder::iter`]).
-#[derive(Debug, Clone)]
+/// Front-to-back iterator over a folder's elements (see [`Folder::iter`]);
+/// the default one is empty.
+#[derive(Debug, Clone, Default)]
 pub struct Iter<'a> {
     /// The elements not yet yielded, in wire form.
     wire: &'a [u8],

@@ -35,7 +35,6 @@ pub struct BrokerGuardAgent {
     patience: u64,
     checks_down: u64,
     adopted: bool,
-    adoptions: u64,
     /// Providers that were down or unreachable when the takeover fired;
     /// their REHOME is retried on later checks so a provider that was
     /// briefly out at the takeover instant is not stranded on the dead
@@ -63,14 +62,8 @@ impl BrokerGuardAgent {
             patience: patience.max(1),
             checks_down: 0,
             adopted: false,
-            adoptions: 0,
             pending_rehomes: Vec::new(),
         }
-    }
-
-    /// How many takeovers this guard has performed.
-    pub fn adoptions(&self) -> u64 {
-        self.adoptions
     }
 
     fn schedule_check(&self, ctx: &mut MeetCtx<'_>) {
@@ -84,7 +77,6 @@ impl BrokerGuardAgent {
 
     fn take_over(&mut self, ctx: &mut MeetCtx<'_>) {
         self.adopted = true;
-        self.adoptions += 1;
         ctx.log(format!(
             "broker guard at {} adopting shard {} from dead {}",
             ctx.site(),

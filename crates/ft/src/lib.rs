@@ -32,8 +32,8 @@
 //! does not depend on that oracle being perfect: a lost retire message or a
 //! late traveller simply causes a (measured) duplicate relaunch.
 //!
-//! [`experiment::run_itinerary_experiment`] drives whole fleets of travellers
-//! over randomized failure schedules for experiment E9.
+//! The runner that drives whole fleets of travellers over randomized failure
+//! schedules (experiments E9, E14 and A3) lives in the bench crate.
 //!
 //! The same guard idea protects *resident* services too:
 //! [`broker_guard::BrokerGuardAgent`] watches a federated scheduling broker
@@ -43,9 +43,7 @@
 #![warn(missing_docs)]
 
 pub mod broker_guard;
-pub mod experiment;
 pub mod rear_guard;
 
 pub use broker_guard::{broker_guard_name, BrokerGuardAgent};
-pub use experiment::{run_itinerary_experiment, FtConfig, FtResult, ItineraryShape};
 pub use rear_guard::{guard_name, MissionControlAgent, RearGuardAgent, TravellerAgent};

@@ -1,11 +1,14 @@
-//! The scheduling service's agents: broker, monitor, ticket and worker.
+//! The scheduling service's agents: monitor, ticket and worker.
 //!
 //! The prototype's scheduling service (§6) "assigns to processors based on
 //! load" and "uses four different agents … the broker, another … monitoring
 //! the status of a site and reporting that to the brokers, one is a courier,
 //! and one issues tickets to allow access to the service."  The courier is the
-//! generic one from `tacoma-agents`; the other three are here, together with
-//! the worker (provider) agent that actually executes jobs.
+//! generic one from `tacoma-agents` and the broker is
+//! [`crate::FederatedBrokerAgent`] (a single broker is a federation of one
+//! shard); the monitor and the ticket agent are here, together with the
+//! worker (provider) agent that actually executes jobs and [`jobs_done`], the
+//! one reader of what it records.
 //!
 //! Briefcase conventions:
 //!
@@ -16,10 +19,10 @@
 //! * workers accept jobs only when a `TICKET` folder is present (issued by the
 //!   ticket agent at the broker's site).
 
-use crate::load::{peek_parse, LoadReport, ReportDb};
-use crate::policy::PlacementPolicy;
+use crate::load::{peek_parse, LoadReport};
 use std::collections::VecDeque;
 use tacoma_core::prelude::*;
+use tacoma_core::{Folder, TacomaSystem};
 
 /// Folder holding the request verb for broker meets.
 pub const REQUEST: &str = "REQUEST";
@@ -39,121 +42,6 @@ pub const DONE: &str = "DONE";
 /// How many monitor periods a load report stays trusted: the default
 /// report TTL handed to brokers is `report_period × STALE_REPORT_PERIODS`.
 pub const STALE_REPORT_PERIODS: u64 = 4;
-
-/// Parses an incoming load-report briefcase (shared by both brokers).
-pub(crate) fn parse_report(bc: &Briefcase) -> Result<LoadReport, TacomaError> {
-    LoadReport::from_briefcase(bc)
-        .ok_or_else(|| TacomaError::bad_folder("LOAD_SITE", "malformed load report"))
-}
-
-/// The shared submit tail: obtains an admission ticket from the co-located
-/// ticket agent, attaches it, strips the request verb, and dispatches the
-/// job briefcase to the chosen provider's worker.
-pub(crate) fn dispatch_with_ticket(
-    ctx: &mut MeetCtx<'_>,
-    mut bc: Briefcase,
-    chosen: SiteId,
-) -> Result<(), TacomaError> {
-    let ticket_reply = ctx.meet_local(&AgentName::new(wellknown::TICKET), Briefcase::new())?;
-    let ticket = ticket_reply
-        .folder(TICKET_FOLDER)
-        .cloned()
-        .ok_or_else(|| TacomaError::missing(TICKET_FOLDER))?;
-    bc.put(TICKET_FOLDER, ticket);
-    bc.take(REQUEST);
-    ctx.remote_meet(chosen, AgentName::new("worker"), bc, TransportKind::Tcp);
-    Ok(())
-}
-
-/// The matchmaking/scheduling broker (§4).
-pub struct BrokerAgent {
-    policy: PlacementPolicy,
-    reports: ReportDb,
-    rr_counter: u64,
-    jobs_placed: u64,
-    /// Half-life for the staleness decay the sampled policy applies.
-    decay_half_life: Duration,
-}
-
-impl BrokerAgent {
-    /// Creates a broker using the given placement policy, with a default
-    /// 2-second report TTL and 500 ms decay half-life; callers that know
-    /// their monitor period should use [`BrokerAgent::with_staleness`] to
-    /// derive both from it (see [`STALE_REPORT_PERIODS`]).
-    pub fn new(policy: PlacementPolicy) -> Self {
-        BrokerAgent {
-            policy,
-            reports: ReportDb::new(Duration::from_millis(2_000)),
-            rr_counter: 0,
-            jobs_placed: 0,
-            decay_half_life: Duration::from_millis(500),
-        }
-    }
-
-    /// Sets the report TTL and the decay half-life (builder style).
-    pub fn with_staleness(mut self, report_ttl: Duration, decay_half_life: Duration) -> Self {
-        self.reports.set_report_ttl(report_ttl);
-        self.decay_half_life = decay_half_life;
-        self
-    }
-
-    /// Number of jobs this broker has placed.
-    pub fn jobs_placed(&self) -> u64 {
-        self.jobs_placed
-    }
-}
-
-impl Agent for BrokerAgent {
-    fn name(&self) -> AgentName {
-        AgentName::new(wellknown::BROKER)
-    }
-
-    fn meet(&mut self, ctx: &mut MeetCtx<'_>, bc: Briefcase) -> MeetOutcome {
-        let request = bc
-            .peek(REQUEST)
-            .ok_or_else(|| TacomaError::missing(REQUEST))?;
-        let submit = request == b"submit";
-        match request {
-            b"report" => {
-                let report = parse_report(&bc)?;
-                self.reports.ingest(report, ctx.now().micros());
-                Ok(Briefcase::new())
-            }
-            b"lookup" | b"submit" => {
-                let now = ctx.now().micros();
-                let reports = self.reports.fresh(now, |s| ctx.site_is_up(s));
-                let chosen = self
-                    .policy
-                    .choose(
-                        &reports,
-                        now,
-                        self.decay_half_life.micros(),
-                        ctx.rng(),
-                        &mut self.rr_counter,
-                    )
-                    .ok_or_else(|| {
-                        TacomaError::Refused(
-                            "no eligible provider (none registered, alive and fresh)".into(),
-                        )
-                    })?;
-                let mut reply = Briefcase::new();
-                reply.put_string(PROVIDER, chosen.0.to_string());
-                if submit {
-                    dispatch_with_ticket(ctx, bc, chosen)?;
-                    // Optimistically bump the chosen provider's queue so a burst
-                    // of submissions spreads even before the next report.
-                    self.reports.bump(chosen);
-                    self.jobs_placed += 1;
-                }
-                Ok(reply)
-            }
-            other => Err(TacomaError::Refused(format!(
-                "unknown broker request '{}'",
-                String::from_utf8_lossy(other)
-            ))),
-        }
-    }
-}
 
 /// The load monitor installed at every provider site.
 ///
@@ -252,11 +140,6 @@ impl TicketAgent {
     pub fn new() -> Self {
         Self::default()
     }
-
-    /// Number of tickets issued so far.
-    pub fn issued(&self) -> u64 {
-        self.issued
-    }
 }
 
 impl Agent for TicketAgent {
@@ -280,7 +163,6 @@ pub struct WorkerAgent {
     capacity: f64,
     queue: VecDeque<QueuedJob>,
     next_timer_key: u64,
-    executed: u64,
 }
 
 #[derive(Debug, Clone)]
@@ -297,13 +179,7 @@ impl WorkerAgent {
             capacity: capacity.max(0.01),
             queue: VecDeque::new(),
             next_timer_key: 1,
-            executed: 0,
         }
-    }
-
-    /// Jobs completed so far.
-    pub fn executed(&self) -> u64 {
-        self.executed
     }
 
     fn service_time(&self, size_ms: u64) -> Duration {
@@ -335,7 +211,6 @@ impl Agent for WorkerAgent {
         // Timer: the job at the head of the queue finished.
         if bc.contains(wellknown::TIMER) {
             if let Some(done) = self.queue.pop_front() {
-                self.executed += 1;
                 let now = ctx.now().micros();
                 let wait = now
                     .saturating_sub(done.enqueued_at)
@@ -368,11 +243,39 @@ impl Agent for WorkerAgent {
     }
 }
 
+/// The jobs the worker at `site` has finished, oldest first, each as
+/// `(wait_us, finish_us)`: the one reader of the [`DONE`] records
+/// [`WorkerAgent`] writes.  Records are parsed as the iterator is advanced,
+/// so `.len()` counts them without parsing.
+pub fn jobs_done(
+    sys: &TacomaSystem,
+    site: SiteId,
+) -> impl ExactSizeIterator<Item = (u64, u64)> + '_ {
+    let cabinet = sys.place(site).cabinets().get(JOBS_CABINET);
+    let done = cabinet.and_then(|c| c.folder_ref(DONE));
+    done.map(Folder::iter).unwrap_or_default().map(|record| {
+        // `id:wait_us:finish_us`, read from the right so an id may hold `:`.
+        let text = String::from_utf8_lossy(record);
+        let mut fields = text.rsplit(':').map(|f| f.parse().unwrap_or(0));
+        let finish_us = fields.next().unwrap_or(0);
+        (fields.next().unwrap_or(0), finish_us)
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tacoma_core::TacomaSystem;
+    use crate::federation::{FederatedBrokerAgent, BROKER_CABINET, DIG_TX};
+    use crate::policy::PlacementPolicy;
     use tacoma_net::{LinkSpec, Topology};
+
+    /// A single broker: a federation of one shard, with no peer to gossip to.
+    fn broker(policy: PlacementPolicy, ttl_ms: u64, half_life_ms: u64) -> Box<dyn Agent> {
+        let ttl = Duration::from_millis(ttl_ms);
+        let half_life = Duration::from_millis(half_life_ms);
+        let agent = FederatedBrokerAgent::new(0, Vec::new(), policy, ttl, half_life, half_life);
+        Box::new(agent)
+    }
 
     fn worker_system(capacity: f64) -> TacomaSystem {
         let mut sys = TacomaSystem::new(Topology::full_mesh(1, LinkSpec::default()), 1);
@@ -407,6 +310,7 @@ mod tests {
     #[test]
     fn worker_executes_jobs_in_fifo_order_and_records_them() {
         let mut sys = worker_system(2.0);
+        assert_eq!(jobs_done(&sys, SiteId(0)).len(), 0, "no DONE folder yet");
         for i in 0..3 {
             sys.inject_meet(
                 SiteId(0),
@@ -417,13 +321,15 @@ mod tests {
         sys.run_until_quiescent(10_000);
         let cab = sys.place(SiteId(0)).cabinets().get(JOBS_CABINET).unwrap();
         let done = cab.folder_ref(DONE).unwrap().strings();
-        assert_eq!(done.len(), 3);
         assert!(done[0].starts_with("job0:"));
         assert!(done[2].starts_with("job2:"));
-        // Later jobs waited longer.
-        let wait = |s: &str| s.split(':').nth(1).unwrap().parse::<u64>().unwrap();
-        assert!(wait(&done[2]) >= wait(&done[1]));
-        assert!(wait(&done[1]) >= wait(&done[0]));
+        // Later jobs waited longer, and each finished 50 ms after the last.
+        let jobs: Vec<(u64, u64)> = jobs_done(&sys, SiteId(0)).collect();
+        assert_eq!(jobs.len(), 3);
+        assert_eq!(jobs[0].0, 0);
+        assert!(jobs[2].0 > jobs[1].0 && jobs[1].0 > jobs[0].0);
+        assert_eq!(jobs[2].1 - jobs[1].1, 50_000);
+        assert_eq!(jobs_done(&sys, SiteId(0)).len(), 3);
     }
 
     #[test]
@@ -476,10 +382,7 @@ mod tests {
     fn broker_places_jobs_on_registered_providers() {
         // Site 0: broker + ticket.  Sites 1, 2: workers + monitors.
         let mut sys = TacomaSystem::new(Topology::full_mesh(3, LinkSpec::default()), 2);
-        sys.register_agent(
-            SiteId(0),
-            Box::new(BrokerAgent::new(PlacementPolicy::LoadBased)),
-        );
+        sys.register_agent(SiteId(0), broker(PlacementPolicy::LoadBased, 2_000, 500));
         sys.register_agent(SiteId(0), Box::new(TicketAgent::new()));
         for s in [1u32, 2] {
             sys.register_agent(SiteId(s), Box::new(WorkerAgent::new(1.0)));
@@ -504,15 +407,9 @@ mod tests {
         }
         sys.run_for(Duration::from_secs(5));
 
-        let total_done: usize = [1u32, 2]
+        let total_done: usize = [1, 2]
+            .map(|s| jobs_done(&sys, SiteId(s)).len())
             .iter()
-            .map(|s| {
-                sys.place(SiteId(*s))
-                    .cabinets()
-                    .get(JOBS_CABINET)
-                    .and_then(|c| c.folder_ref(DONE).map(|f| f.len()))
-                    .unwrap_or(0)
-            })
             .sum();
         assert_eq!(total_done, 4, "all submitted jobs complete somewhere");
         assert_eq!(sys.stats().meets_failed, 0);
@@ -526,13 +423,7 @@ mod tests {
         // arriving — after the TTL the broker must stop placing onto it
         // rather than trusting the frozen report forever.
         let mut sys = TacomaSystem::new(Topology::full_mesh(3, LinkSpec::default()), 3);
-        sys.register_agent(
-            SiteId(0),
-            Box::new(
-                BrokerAgent::new(PlacementPolicy::LoadBased)
-                    .with_staleness(Duration::from_millis(80), Duration::from_millis(20)),
-            ),
-        );
+        sys.register_agent(SiteId(0), broker(PlacementPolicy::LoadBased, 80, 20));
         sys.register_agent(SiteId(0), Box::new(TicketAgent::new()));
         for s in [1u32, 2] {
             sys.register_agent(SiteId(s), Box::new(WorkerAgent::new(1.0)));
@@ -564,10 +455,7 @@ mod tests {
         // starts on broker 0 and is rehomed to broker 2 mid-run.
         let mut sys = TacomaSystem::new(Topology::full_mesh(3, LinkSpec::default()), 4);
         for b in [0u32, 2] {
-            sys.register_agent(
-                SiteId(b),
-                Box::new(BrokerAgent::new(PlacementPolicy::LoadBased)),
-            );
+            sys.register_agent(SiteId(b), broker(PlacementPolicy::LoadBased, 2_000, 500));
             sys.register_agent(SiteId(b), Box::new(TicketAgent::new()));
         }
         sys.register_agent(SiteId(1), Box::new(WorkerAgent::new(1.0)));
@@ -592,10 +480,7 @@ mod tests {
     #[test]
     fn broker_with_no_providers_refuses() {
         let mut sys = TacomaSystem::new(Topology::full_mesh(1, LinkSpec::default()), 2);
-        sys.register_agent(
-            SiteId(0),
-            Box::new(BrokerAgent::new(PlacementPolicy::Random)),
-        );
+        sys.register_agent(SiteId(0), broker(PlacementPolicy::Random, 2_000, 500));
         let mut bc = Briefcase::new();
         bc.put_string(REQUEST, "lookup");
         let err = sys
@@ -608,5 +493,38 @@ mod tests {
         assert!(sys
             .try_direct_meet(SiteId(0), &AgentName::new(wellknown::BROKER), bc)
             .is_err());
+    }
+
+    #[test]
+    fn a_single_broker_arms_no_digest_timer_and_sends_no_digest() {
+        // E7's numbers rest on this: the one-shard broker behaves as a broker
+        // with no federation at all.  Installing it arms nothing, so the run
+        // drains at once and no digest is ever recorded.
+        let digests = |sys: &TacomaSystem| {
+            let cabinet = sys.place(SiteId(0)).cabinets().get(BROKER_CABINET);
+            cabinet
+                .and_then(|c| c.folder_ref(DIG_TX))
+                .map_or(0, |f| f.len())
+        };
+        let mut sys = TacomaSystem::new(Topology::full_mesh(2, LinkSpec::default()), 5);
+        sys.register_agent(SiteId(0), broker(PlacementPolicy::LoadBased, 2_000, 500));
+        assert_eq!(sys.run_until_quiescent(1_000), 0, "nothing was scheduled");
+        assert_eq!(sys.stats().timer_meets, 0);
+        assert_eq!(digests(&sys), 0);
+
+        // The same broker with one peer gossips on its period.
+        let mut sys = TacomaSystem::new(Topology::full_mesh(2, LinkSpec::default()), 5);
+        let half_life = Duration::from_millis(500);
+        let peered = FederatedBrokerAgent::new(
+            0,
+            vec![(1, SiteId(1))],
+            PlacementPolicy::LoadBased,
+            Duration::from_millis(2_000),
+            half_life,
+            half_life,
+        );
+        sys.register_agent(SiteId(0), Box::new(peered));
+        sys.run_for(Duration::from_secs(2));
+        assert_eq!(digests(&sys), 4);
     }
 }

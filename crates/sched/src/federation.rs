@@ -2,10 +2,11 @@
 //!
 //! The paper's §4 expects brokers "to communicate among themselves and with
 //! the service providers, so that requests can be distributed amongst service
-//! providers based on load and capacity" — plural brokers.  The seed kept a
-//! single broker trusting every report forever; at 1024 sites that design
-//! drowns in cross-WAN report traffic and places jobs on seconds-stale
-//! information.  This module shards the provider fleet across `k` brokers:
+//! providers based on load and capacity" — plural brokers.  A single broker
+//! trusting every report forever drowns in cross-WAN report traffic at 1024
+//! sites and places jobs on seconds-stale information.  This module's one
+//! broker, [`FederatedBrokerAgent`], shards the provider fleet across `k`
+//! brokers (a single broker is the federation with `k == 1`):
 //!
 //! * every provider's monitor reports to its **shard broker** (a near-by
 //!   gateway, so report transit is LAN-scale and the information is fresh);
@@ -23,20 +24,18 @@
 //!   provider a [`wellknown::REHOME`] meet — the crashed broker's shard is
 //!   re-adopted instead of orphaned.
 //!
-//! [`run_federation_experiment`] drives the whole thing on a ring-of-cliques
-//! topology; experiment E15 sweeps shard count and digest period against the
-//! single-broker baseline (`shards == 1`), E16 crashes a broker under job
-//! churn.
+//! [`build_federation`] and [`install_sources`] lay a federation out on a
+//! ring-of-cliques topology; the E15, E16 and E19 runners that drive it live
+//! in the bench crate.
 
-use crate::agents::{dispatch_with_ticket, parse_report, MonitorAgent};
-use crate::agents::{TicketAgent, WorkerAgent, DONE, JOB, JOBS_CABINET, JOB_SIZE, REQUEST};
-use crate::load::{peek_parse, ReportDb};
+use crate::agents::{MonitorAgent, TicketAgent, WorkerAgent, TICKET_FOLDER};
+use crate::agents::{JOB, JOB_SIZE, REQUEST};
+use crate::load::{peek_parse, LoadReport, ReportDb};
 use crate::policy::PlacementPolicy;
 use std::collections::BTreeMap;
 use tacoma_core::prelude::*;
 use tacoma_core::TacomaSystem;
-use tacoma_net::{CustodyConfig, LinkSpec, SimTime, Topology};
-use tacoma_util::Summary;
+use tacoma_net::{CustodyConfig, LinkSpec, Topology};
 
 /// Folder marking a job that has already been forwarded once between
 /// brokers; a second forward is refused instead of looping.
@@ -126,12 +125,15 @@ impl ShardDigest {
     }
 }
 
-/// One shard's broker in a federation.
+/// The scheduling broker (§4): one shard's broker in a federation.
 ///
+/// A single broker is a federation of one shard: with no peers it arms no
+/// digest timer and never forwards, which is how E7 and A4 run it.
 /// Registers under the plain [`wellknown::BROKER`] name — names are per-site,
-/// so "the broker at site s" is unambiguous — and speaks the same `REQUEST`
-/// protocol as the single [`crate::BrokerAgent`], extended with `"digest"`
-/// meets from peers and [`wellknown::ADOPT`] meets from a failover guard.
+/// so "the broker at site s" is unambiguous.  Speaks the `REQUEST` protocol
+/// of [`crate::agents`] (`report`, `lookup`, `submit`), extended with
+/// `"digest"` meets from peers and [`wellknown::ADOPT`] meets from a
+/// failover guard.
 pub struct FederatedBrokerAgent {
     shard: u32,
     /// The other brokers as `(shard, site)`, in shard order.
@@ -142,12 +144,9 @@ pub struct FederatedBrokerAgent {
     reports: ReportDb,
     digests: BTreeMap<u32, ShardDigest>,
     rr_counter: u64,
-    jobs_placed: u64,
-    jobs_forwarded: u64,
     /// Aggregate-wait threshold for digest-driven load shedding; `None`
     /// disables broker admission control.
     shed_threshold: Option<f64>,
-    jobs_shed: u64,
 }
 
 impl FederatedBrokerAgent {
@@ -169,10 +168,7 @@ impl FederatedBrokerAgent {
             reports: ReportDb::new(report_ttl),
             digests: BTreeMap::new(),
             rr_counter: 0,
-            jobs_placed: 0,
-            jobs_forwarded: 0,
             shed_threshold: None,
-            jobs_shed: 0,
         }
     }
 
@@ -187,24 +183,9 @@ impl FederatedBrokerAgent {
         self
     }
 
-    /// Jobs this broker placed onto its own shard.
-    pub fn jobs_placed(&self) -> u64 {
-        self.jobs_placed
-    }
-
-    /// Jobs this broker forwarded to a peer.
-    pub fn jobs_forwarded(&self) -> u64 {
-        self.jobs_forwarded
-    }
-
-    /// Jobs this broker shed at admission.
-    pub fn jobs_shed(&self) -> u64 {
-        self.jobs_shed
-    }
-
-    /// The best (lowest) aggregate wait any usable peer digest reports, with
-    /// the site advertising it.  `None` when no digest is usable.
-    fn best_peer_wait(&self, now: u64, ctx: &MeetCtx<'_>) -> Option<(SiteId, f64)> {
+    /// The usable peer digest (live providers, fresh, broker up) with the
+    /// lowest aggregate wait, as the site advertising it and that wait.
+    fn best_peer(&self, now: u64, ctx: &MeetCtx<'_>) -> Option<(SiteId, f64)> {
         let ttl = self.reports.report_ttl().micros();
         self.digests
             .values()
@@ -234,32 +215,6 @@ impl FederatedBrokerAgent {
         }
     }
 
-    /// The peer a placement-less job should be forwarded to: the freshest
-    /// digests pick the shard with the lowest aggregate wait; with no usable
-    /// digest (e.g. right after a recovery) fall back to the first live peer.
-    fn forward_target(&self, now: u64, ctx: &MeetCtx<'_>) -> Option<SiteId> {
-        let ttl = self.reports.report_ttl().micros();
-        self.digests
-            .values()
-            .filter(|d| {
-                d.live_providers > 0
-                    && now.saturating_sub(d.at_micros) <= ttl
-                    && ctx.site_is_up(d.broker_site)
-            })
-            .min_by(|a, b| {
-                a.aggregate_wait()
-                    .total_cmp(&b.aggregate_wait())
-                    .then(a.shard.cmp(&b.shard))
-            })
-            .map(|d| d.broker_site)
-            .or_else(|| {
-                self.peers
-                    .iter()
-                    .find(|(_, site)| ctx.site_is_up(*site))
-                    .map(|(_, site)| *site)
-            })
-    }
-
     fn broadcast_digest(&mut self, ctx: &mut MeetCtx<'_>) {
         let now = ctx.now().micros();
         let digest = self.digest(now, ctx);
@@ -276,6 +231,42 @@ impl FederatedBrokerAgent {
                 .append(DIG_TX, site.0.to_string());
         }
     }
+}
+
+/// Forwards a job this broker cannot place to the broker at `peer`, once:
+/// the `FORWARDED` mark makes the peer refuse a second forward.
+fn forward(ctx: &mut MeetCtx<'_>, mut bc: Briefcase, peer: SiteId) -> MeetOutcome {
+    let job = bc.peek(JOB).unwrap_or_default();
+    ctx.cabinet(BROKER_CABINET).append(FWD, job);
+    bc.put_string(FORWARDED, "1");
+    let mut reply = Briefcase::new();
+    reply.put_string(PROVIDER, format!("forwarded:{peer}"));
+    ctx.remote_meet(
+        peer,
+        AgentName::new(wellknown::BROKER),
+        bc,
+        TransportKind::Tcp,
+    );
+    Ok(reply)
+}
+
+/// The submit tail: obtains an admission ticket from the co-located ticket
+/// agent, attaches it, strips the request verb, and dispatches the job
+/// briefcase to the chosen provider's worker.
+fn dispatch_with_ticket(
+    ctx: &mut MeetCtx<'_>,
+    mut bc: Briefcase,
+    chosen: SiteId,
+) -> Result<(), TacomaError> {
+    let ticket_reply = ctx.meet_local(&AgentName::new(wellknown::TICKET), Briefcase::new())?;
+    let ticket = ticket_reply
+        .folder(TICKET_FOLDER)
+        .cloned()
+        .ok_or_else(|| TacomaError::missing(TICKET_FOLDER))?;
+    bc.put(TICKET_FOLDER, ticket);
+    bc.take(REQUEST);
+    ctx.remote_meet(chosen, AgentName::new("worker"), bc, TransportKind::Tcp);
+    Ok(())
 }
 
 impl Agent for FederatedBrokerAgent {
@@ -324,7 +315,8 @@ impl Agent for FederatedBrokerAgent {
         let submit = request == b"submit";
         match request {
             b"report" => {
-                let report = parse_report(&bc)?;
+                let report = LoadReport::from_briefcase(&bc)
+                    .ok_or_else(|| TacomaError::bad_folder("LOAD_SITE", "malformed load report"))?;
                 self.reports.ingest(report, ctx.now().micros());
                 Ok(Briefcase::new())
             }
@@ -338,42 +330,27 @@ impl Agent for FederatedBrokerAgent {
             }
             b"lookup" | b"submit" => {
                 let now = ctx.now().micros();
-                if submit {
-                    if let Some(threshold) = self.shed_threshold {
-                        let local_wait = self.digest(now, ctx).aggregate_wait();
-                        if local_wait > threshold {
-                            // Saturated here.  A peer advertising headroom
-                            // absorbs the overflow (forward once); with none,
-                            // the job is shed at admission — a fast explicit
-                            // no instead of a queue that only grows.
-                            if !bc.contains(FORWARDED) {
-                                if let Some((peer, wait)) = self.best_peer_wait(now, ctx) {
-                                    if wait <= threshold {
-                                        self.jobs_forwarded += 1;
-                                        let job = bc.peek(JOB).unwrap_or_default();
-                                        ctx.cabinet(BROKER_CABINET).append(FWD, job);
-                                        bc.put_string(FORWARDED, "1");
-                                        let mut reply = Briefcase::new();
-                                        reply.put_string(PROVIDER, format!("forwarded:{peer}"));
-                                        ctx.remote_meet(
-                                            peer,
-                                            AgentName::new(wellknown::BROKER),
-                                            bc,
-                                            TransportKind::Tcp,
-                                        );
-                                        return Ok(reply);
-                                    }
+                if let Some(threshold) = self.shed_threshold.filter(|_| submit) {
+                    let local_wait = self.digest(now, ctx).aggregate_wait();
+                    if local_wait > threshold {
+                        // Saturated here.  A peer advertising headroom
+                        // absorbs the overflow (forward once); with none,
+                        // the job is shed at admission — a fast explicit no
+                        // instead of a queue that only grows.
+                        if !bc.contains(FORWARDED) {
+                            if let Some((peer, wait)) = self.best_peer(now, ctx) {
+                                if wait <= threshold {
+                                    return forward(ctx, bc, peer);
                                 }
                             }
-                            self.jobs_shed += 1;
-                            let job = bc.peek_string(JOB).unwrap_or_default();
-                            ctx.cabinet(BROKER_CABINET).append_str(SHED, &job);
-                            return Err(TacomaError::Refused(format!(
-                                "shard {} shed '{job}': aggregate wait {local_wait:.2} over \
-                                 threshold {threshold:.2} with no peer headroom",
-                                self.shard
-                            )));
                         }
+                        let job = bc.peek_string(JOB).unwrap_or_default();
+                        ctx.cabinet(BROKER_CABINET).append_str(SHED, &job);
+                        return Err(TacomaError::Refused(format!(
+                            "shard {} shed '{job}': aggregate wait {local_wait:.2} over \
+                             threshold {threshold:.2} with no peer headroom",
+                            self.shard
+                        )));
                     }
                 }
                 let reports = self.reports.fresh(now, |s| ctx.site_is_up(s));
@@ -401,32 +378,26 @@ impl Agent for FederatedBrokerAgent {
                 }
                 let Some(chosen) = chosen else {
                     // Nothing placeable here.  Forward a submission (once)
-                    // to the best peer the digests suggest.
+                    // to the best peer the digests suggest; with no usable
+                    // digest (e.g. right after a recovery) to the first live
+                    // peer.
                     if !submit || bc.contains(FORWARDED) {
                         return Err(TacomaError::Refused(format!(
                             "shard {} has no eligible provider",
                             self.shard
                         )));
                     }
-                    let Some(peer) = self.forward_target(now, ctx) else {
+                    let peer = self.best_peer(now, ctx).map(|(site, _)| site).or_else(|| {
+                        let mut live = self.peers.iter().map(|&(_, site)| site);
+                        live.find(|site| ctx.site_is_up(*site))
+                    });
+                    let Some(peer) = peer else {
                         return Err(TacomaError::Refused(format!(
                             "shard {} has no eligible provider and no live peer",
                             self.shard
                         )));
                     };
-                    self.jobs_forwarded += 1;
-                    let job = bc.peek(JOB).unwrap_or_default();
-                    ctx.cabinet(BROKER_CABINET).append(FWD, job);
-                    bc.put_string(FORWARDED, "1");
-                    let mut reply = Briefcase::new();
-                    reply.put_string(PROVIDER, format!("forwarded:{peer}"));
-                    ctx.remote_meet(
-                        peer,
-                        AgentName::new(wellknown::BROKER),
-                        bc,
-                        TransportKind::Tcp,
-                    );
-                    return Ok(reply);
+                    return forward(ctx, bc, peer);
                 };
                 let mut reply = Briefcase::new();
                 reply.put_string(PROVIDER, chosen.0.to_string());
@@ -434,16 +405,15 @@ impl Agent for FederatedBrokerAgent {
                     let job = bc.peek(JOB).unwrap_or_default().to_vec();
                     bc.take(FORWARDED);
                     dispatch_with_ticket(ctx, bc, chosen)?;
-                    // Optimistic bump, as in the single broker: spread a
-                    // burst even before the next report lands.
+                    // Optimistically bump the chosen provider's queue so a
+                    // burst of submissions spreads even before the next report.
                     self.reports.bump(chosen);
-                    self.jobs_placed += 1;
                     ctx.cabinet(BROKER_CABINET).append(PLACED, job);
                 }
                 Ok(reply)
             }
             other => Err(TacomaError::Refused(format!(
-                "unknown federated broker request '{}'",
+                "unknown broker request '{}'",
                 String::from_utf8_lossy(other)
             ))),
         }
@@ -744,168 +714,10 @@ pub fn install_sources(
     }
 }
 
-/// What one federation run measured.
-#[derive(Debug, Clone)]
-pub struct FederationResult {
-    /// Shard count the run used.
-    pub shards: u32,
-    /// Total sites.
-    pub sites: u32,
-    /// Jobs that completed.
-    pub completed: u64,
-    /// Jobs that never completed (submitted − completed).
-    pub orphaned: u64,
-    /// Time from start to last completion, in milliseconds.
-    pub makespan_ms: f64,
-    /// Mean queueing wait, in milliseconds.
-    pub mean_wait_ms: f64,
-    /// 95th-percentile queueing wait, in milliseconds.
-    pub p95_wait_ms: f64,
-    /// Load imbalance: max provider job count over the mean.
-    pub imbalance: f64,
-    /// Messages the whole run put on the network.
-    pub net_messages: u64,
-    /// Bytes the whole run put on the network (reports and digests dominate
-    /// at scale — the broker-layer message volume the federation shrinks).
-    pub net_bytes: u64,
-    /// Jobs forwarded between brokers.
-    pub forwarded: u64,
-    /// Digests sent between brokers.
-    pub digests_sent: u64,
-    /// Shard adoptions performed by failover guards.
-    pub adoptions: u64,
-    /// Submissions shed by broker admission control.
-    pub shed: u64,
-    /// Remote sends that failed fast.
-    pub send_failures: u64,
-    /// Custodied meets that expired undelivered.
-    pub meets_expired: u64,
-}
-
-/// Drives an already-built federation system until every job completes (or
-/// `horizon` elapses) and collects the measurements.  The event queue never
-/// drains on its own — monitors re-arm forever — so the run is deadline-
-/// driven, stepping in slices and stopping early once all jobs are done.
-pub fn drive_federation(
-    sys: &mut TacomaSystem,
-    config: &FederationConfig,
-    layout: &FederationLayout,
-    horizon: Duration,
-) -> FederationResult {
-    let deadline = SimTime::ZERO + horizon;
-    let mut completed;
-    let mut last_finish_us;
-    let mut waits;
-    let provider_sites: Vec<SiteId> = layout.providers().collect();
-    let mut per_provider = vec![0u64; provider_sites.len()];
-    loop {
-        sys.run_for(Duration::from_millis(200));
-        completed = 0u64;
-        last_finish_us = 0u64;
-        waits = Summary::new();
-        for slot in per_provider.iter_mut() {
-            *slot = 0;
-        }
-        for (i, site) in provider_sites.iter().enumerate() {
-            if let Some(done) = sys
-                .place(*site)
-                .cabinets()
-                .get(JOBS_CABINET)
-                .and_then(|c| c.folder_ref(DONE).cloned())
-            {
-                for record in done.strings() {
-                    let mut parts = record.split(':');
-                    let _id = parts.next();
-                    let wait: u64 = parts.next().and_then(|s| s.parse().ok()).unwrap_or(0);
-                    let finish: u64 = parts.next().and_then(|s| s.parse().ok()).unwrap_or(0);
-                    completed += 1;
-                    per_provider[i] += 1;
-                    waits.add(wait as f64 / 1000.0);
-                    last_finish_us = last_finish_us.max(finish);
-                }
-            }
-        }
-        if completed >= config.jobs as u64 || sys.now() >= deadline {
-            break;
-        }
-    }
-
-    let broker_folder_len = |sys: &TacomaSystem, folder: &str| -> u64 {
-        layout
-            .broker_sites
-            .iter()
-            .map(|b| {
-                sys.place(*b)
-                    .cabinets()
-                    .get(BROKER_CABINET)
-                    .and_then(|c| c.folder_ref(folder).map(|f| f.len() as u64))
-                    .unwrap_or(0)
-            })
-            .sum()
-    };
-    let mean_jobs = completed as f64 / provider_sites.len().max(1) as f64;
-    let max_jobs = per_provider.iter().copied().max().unwrap_or(0) as f64;
-    FederationResult {
-        shards: config.shards,
-        sites: layout.sites,
-        completed,
-        orphaned: (config.jobs as u64).saturating_sub(completed),
-        makespan_ms: last_finish_us as f64 / 1000.0,
-        mean_wait_ms: waits.mean(),
-        p95_wait_ms: waits.percentile(95.0),
-        imbalance: if mean_jobs > 0.0 {
-            max_jobs / mean_jobs
-        } else {
-            0.0
-        },
-        net_messages: sys.net_metrics().total_messages(),
-        net_bytes: sys.net_metrics().total_bytes().get(),
-        forwarded: broker_folder_len(sys, FWD),
-        digests_sent: broker_folder_len(sys, DIG_TX),
-        adoptions: broker_folder_len(sys, ADOPTED),
-        shed: broker_folder_len(sys, SHED),
-        send_failures: sys.stats().send_failures,
-        meets_expired: sys.stats().meets_expired,
-    }
-}
-
-/// Runs one complete federation experiment (build, sources, drive): the E15
-/// code path.  Sources fail over to their own primary (no crashes here);
-/// E16's failover composition lives in the bench crate, where the ft layer's
-/// guards are wired in.
-pub fn run_federation_experiment(config: &FederationConfig) -> FederationResult {
-    let (mut sys, layout) = build_federation(config);
-    // Let every monitor's install-hook report land before jobs arrive.
-    sys.run_for(Duration::from_millis(20));
-    sys.reset_net_metrics();
-    let backups = layout.broker_sites.clone();
-    install_sources(&mut sys, config, &layout, &backups);
-    // Horizon: the arrival window plus a generous drain allowance.  The
-    // drive loop exits as soon as every job completes, so the allowance only
-    // costs simulated (not wall-clock) time on a straggling run.
-    let horizon_ms = config.jobs as f64 * config.mean_interarrival_ms + 30_000.0;
-    drive_federation(
-        &mut sys,
-        config,
-        &layout,
-        Duration::from_secs_f64(horizon_ms / 1000.0),
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn small(shards: u32) -> FederationConfig {
-        FederationConfig {
-            cliques: 8,
-            clique_size: 4,
-            shards,
-            jobs: 48,
-            seed: 7,
-            ..Default::default()
-        }
-    }
+    use crate::agents::jobs_done;
 
     #[test]
     fn digest_round_trips_including_non_finite_aggregates() {
@@ -925,48 +737,17 @@ mod tests {
     }
 
     #[test]
-    fn all_jobs_complete_federated_and_single() {
-        for shards in [1u32, 4] {
-            let result = run_federation_experiment(&small(shards));
-            assert_eq!(result.completed, 48, "shards={shards} lost jobs");
-            assert_eq!(result.orphaned, 0);
-            assert!(result.makespan_ms > 0.0);
-            assert!(result.net_bytes > 0);
-        }
-    }
-
-    #[test]
-    fn federation_cuts_broker_message_volume() {
-        // Same fleet, same jobs: monitors reporting to a near-by shard
-        // broker instead of across the ring must move fewer bytes, even
-        // after paying for the digest gossip.
-        let single = run_federation_experiment(&small(1));
-        let federated = run_federation_experiment(&small(4));
-        assert!(federated.digests_sent > 0, "brokers must gossip");
-        assert!(
-            federated.net_bytes < single.net_bytes,
-            "federated {} bytes should undercut single-broker {}",
-            federated.net_bytes,
-            single.net_bytes
-        );
-    }
-
-    #[test]
-    fn results_are_deterministic_per_seed() {
-        let a = run_federation_experiment(&small(4));
-        let b = run_federation_experiment(&small(4));
-        assert_eq!(a.completed, b.completed);
-        assert_eq!(a.net_bytes, b.net_bytes);
-        assert_eq!(a.p95_wait_ms, b.p95_wait_ms);
-        assert_eq!(a.digests_sent, b.digests_sent);
-    }
-
-    #[test]
     fn broker_forwards_when_its_shard_is_empty() {
         // Shard 1's providers never report (we kill their monitors by
         // building a tiny layout and crashing the providers), so a submit to
         // shard 1 must be forwarded to a peer and still complete.
-        let config = small(2);
+        let config = FederationConfig {
+            cliques: 8,
+            clique_size: 4,
+            shards: 2,
+            seed: 7,
+            ..Default::default()
+        };
         let (mut sys, layout) = build_federation(&config);
         sys.run_for(Duration::from_millis(50));
         // Crash every provider of shard 1; their reports expire.
@@ -985,17 +766,12 @@ mod tests {
             job,
         );
         sys.run_for(Duration::from_secs(5));
-        let result_completed: u64 = layout.providers_by_shard[0]
-            .iter()
-            .map(|s| {
-                sys.place(*s)
-                    .cabinets()
-                    .get(JOBS_CABINET)
-                    .and_then(|c| c.folder_ref(DONE).map(|f| f.len() as u64))
-                    .unwrap_or(0)
-            })
-            .sum();
-        assert_eq!(result_completed, 1, "the forwarded job runs on shard 0");
+        let shard_done = |shard: usize| -> usize {
+            let providers = &layout.providers_by_shard[shard];
+            providers.iter().map(|&s| jobs_done(&sys, s).len()).sum()
+        };
+        assert_eq!(shard_done(0), 1, "the forwarded job runs on shard 0");
+        assert_eq!(shard_done(1), 0);
         let fwd = sys
             .place(layout.broker_sites[1])
             .cabinets()
@@ -1003,44 +779,5 @@ mod tests {
             .and_then(|c| c.folder_ref(FWD).map(|f| f.len()))
             .unwrap_or(0);
         assert_eq!(fwd, 1, "the forward was recorded");
-    }
-
-    #[test]
-    fn saturated_federation_sheds_at_admission() {
-        // An aggressive threshold with a heavy burst: every shard's digest
-        // reports saturation, so late submits are shed — recorded in the
-        // SHED folder instead of queueing without bound.
-        let mut config = small(2);
-        config.jobs = 96;
-        config.mean_job_ms = 400.0;
-        config.mean_interarrival_ms = 2.0;
-        config.admission_threshold = Some(0.5);
-        let result = run_federation_experiment(&config);
-        assert!(result.shed > 0, "overload must shed: {result:?}");
-        assert!(
-            result.completed >= 1,
-            "admitted jobs still complete: {result:?}"
-        );
-        assert!(
-            result.shed <= result.orphaned,
-            "every shed job must be accounted among the uncompleted: {result:?}"
-        );
-
-        // The identical run without admission control sheds nothing.
-        config.admission_threshold = None;
-        let open = run_federation_experiment(&config);
-        assert_eq!(open.shed, 0);
-    }
-
-    #[test]
-    fn threshold_high_enough_changes_nothing() {
-        let mut config = small(2);
-        config.admission_threshold = Some(f64::INFINITY);
-        let gated = run_federation_experiment(&config);
-        config.admission_threshold = None;
-        let plain = run_federation_experiment(&config);
-        assert_eq!(gated.completed, plain.completed);
-        assert_eq!(gated.shed, 0);
-        assert_eq!(gated.net_bytes, plain.net_bytes);
     }
 }

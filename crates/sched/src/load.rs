@@ -114,8 +114,7 @@ pub(crate) fn peek_parse<T: std::str::FromStr>(bc: &Briefcase, name: &str) -> Op
 }
 
 /// A broker's load-report database: the latest report per provider, with
-/// TTL-based staleness handling shared by the single [`crate::BrokerAgent`]
-/// and the federated broker.
+/// TTL-based staleness handling.
 ///
 /// Placement always reads through [`ReportDb::fresh`], so expired reports
 /// never attract jobs regardless of when they are physically purged; the
@@ -145,11 +144,6 @@ impl ReportDb {
     /// The TTL this database trusts reports for.
     pub fn report_ttl(&self) -> Duration {
         self.report_ttl
-    }
-
-    /// Replaces the TTL (builder wiring).
-    pub fn set_report_ttl(&mut self, report_ttl: Duration) {
-        self.report_ttl = report_ttl;
     }
 
     /// Number of reports currently held (fresh or not yet purged).

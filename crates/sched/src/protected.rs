@@ -47,8 +47,6 @@ pub struct ProtectedBrokerAgent {
     /// The protected agent's secret registered name.
     secret_name: AgentName,
     policy: AdmissionPolicy,
-    relayed: u64,
-    denied: u64,
 }
 
 impl ProtectedBrokerAgent {
@@ -62,19 +60,7 @@ impl ProtectedBrokerAgent {
             public_name: public_name.into(),
             secret_name,
             policy,
-            relayed: 0,
-            denied: 0,
         }
-    }
-
-    /// Requests relayed to the protected agent so far.
-    pub fn relayed(&self) -> u64 {
-        self.relayed
-    }
-
-    /// Requests denied by the admission policy so far.
-    pub fn denied(&self) -> u64 {
-        self.denied
     }
 }
 
@@ -96,12 +82,10 @@ impl Agent for ProtectedBrokerAgent {
             .append(format!("QUEUE_{requester}").as_str(), encoded);
 
         if !self.policy.admits(&requester) {
-            self.denied += 1;
             return Err(TacomaError::Refused(format!(
                 "'{requester}' is not admitted to the protected agent"
             )));
         }
-        self.relayed += 1;
         // Relay synchronously and hand the reply back, hiding the secret name.
         let mut request = bc;
         request.take(REQUESTER);

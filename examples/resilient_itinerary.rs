@@ -7,7 +7,7 @@
 //! the other does not.  The example prints completion rates and the guards'
 //! overhead.
 
-use tacoma::ft::{run_itinerary_experiment, FtConfig};
+use tacoma_bench::{run_itinerary_experiment, FtConfig};
 
 fn main() {
     let base = FtConfig {

@@ -1,14 +1,16 @@
 //! Cross-crate integration tests: whole-system scenarios spanning the runtime,
 //! the script interpreter, the system agents, cash, scheduling and fault
-//! tolerance.
+//! tolerance.  The scheduling and fault-tolerance runs go through the same
+//! runners the bench harness uses.
 
 use tacoma::agents::diffusion::{BULLETIN, DIFFUSION_CABINET};
 use tacoma::agents::{diffusion_briefcase, script_briefcase, standard_agents};
 use tacoma::cash::{cash_briefcase, wallet_from_briefcase, MintAgent};
-use tacoma::ft::{run_itinerary_experiment, FtConfig};
 use tacoma::prelude::*;
-use tacoma::sched::{run_scheduling_experiment, PlacementPolicy, SchedulingConfig};
+use tacoma::sched::PlacementPolicy;
 use tacoma::util::DetRng;
+use tacoma_bench::{run_itinerary_experiment, run_scheduling_experiment};
+use tacoma_bench::{FtConfig, SchedulingConfig};
 
 fn system(sites: u32, seed: u64) -> TacomaSystem {
     TacomaSystem::builder()
@@ -157,10 +159,10 @@ fn scheduling_experiment_places_work_on_faster_providers() {
         seed: 11,
         ..Default::default()
     };
-    let result = run_scheduling_experiment(&config);
-    assert_eq!(result.completed, 60);
-    let slow: u64 = result.per_provider[0] + result.per_provider[1];
-    let fast: u64 = result.per_provider[2] + result.per_provider[3];
+    let jobs = run_scheduling_experiment(&config).jobs;
+    assert_eq!(jobs.completed, 60);
+    let slow: u64 = jobs.per_provider[0] + jobs.per_provider[1];
+    let fast: u64 = jobs.per_provider[2] + jobs.per_provider[3];
     assert!(
         fast > slow,
         "the load-based broker should favour the 4x-faster providers (fast={fast}, slow={slow})"
