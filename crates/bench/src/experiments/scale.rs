@@ -553,11 +553,14 @@ pub fn e17_scale_sweep(opts: RunOpts) -> Table {
     } else {
         &[(64, 64), (512, 256), (2_048, 32)]
     };
+    let mut rates = Vec::new();
     for &(cliques, rounds) in points {
         let sites = cliques * 8;
         let start = std::time::Instant::now();
         let outcome = e17_gossip(cliques, rounds);
         let wall = start.elapsed().as_secs_f64();
+        let rate = outcome.events as f64 / wall.max(1e-9);
+        rates.push((sites, rate));
         table.row(vec![
             sites.to_string(),
             outcome.events.to_string(),
@@ -568,8 +571,14 @@ pub fn e17_scale_sweep(opts: RunOpts) -> Table {
             format!("{:.1}", outcome.end.as_millis_f64()),
         ]);
         table.note(format!(
-            "{sites} sites: {:.0} events/s ({wall:.2}s wall)",
-            outcome.events as f64 / wall.max(1e-9)
+            "{sites} sites: {rate:.0} events/s ({wall:.2}s wall)"
+        ));
+    }
+    // The engine should not slow per event as the WAN grows.
+    if let [.., (4_096, small), (16_384, large)] = rates[..] {
+        table.note(format!(
+            "16384-site rate / 4096-site rate: {:.2}x (target: at least 0.70x)",
+            large / small
         ));
     }
     table

@@ -27,18 +27,23 @@
 //! without walking its hops or asking the topology.  On a miss, the
 //! adjacency is one compressed-sparse-row block with each link's
 //! [`LinkSpec`] beside the neighbour it leads to, so pricing a found path is
-//! a binary search of one row per hop; and the one traversal (`search`)
-//! marks visits with a generation stamp over scratch sized once per
-//! topology, so a miss clears nothing and allocates nothing of its own.
-//! [`Router::route_queries`] and [`Router::bfs_runs`] count the routing work
-//! performed; the scale experiments (E11/E12) report both — without the
-//! cache every query would be a BFS, so the saving is
+//! a binary search of one row per hop.  The one traversal (`search`) marks
+//! visits with a generation stamp over scratch sized once per topology, so a
+//! miss clears nothing, and it runs only inside the biconnected blocks the
+//! route must cross: the first miss splits the links into blocks at their
+//! cut sites (Hopcroft–Tarjan), every path between two blocks passes the cut
+//! sites between them, and the path found is the one a search of the whole
+//! topology finds (`path_into`).  So a ring of cliques routes across its
+//! gateway ring and two cliques, not half the ring; a grid, a ring or a full
+//! mesh is one block.  [`Router::route_queries`] and [`Router::bfs_runs`]
+//! count the routing work; E11/E12 report both, and the cache's saving is
 //! `route_queries / bfs_runs`.
 
 use crate::time::Duration;
 use crate::topology::{serialization_time, LinkSpec, Topology};
 use std::collections::hash_map::Entry;
 use std::collections::{HashMap, VecDeque};
+use std::iter::successors;
 use tacoma_util::{IdBuildHasher, SiteId};
 
 /// A range of one of the router's arenas.
@@ -161,6 +166,110 @@ impl Adjacency {
     }
 }
 
+/// The block of a site with no link.
+const NONE: u32 = u32::MAX;
+
+/// The topology's biconnected blocks (Hopcroft–Tarjan 1973), from the links
+/// alone, in a tree: a block's parent entered its top site, so neighbours in
+/// the tree meet at the child's top, and a child is numbered first.
+#[derive(Debug, Clone)]
+struct Blocks {
+    /// Per site: the block it was entered by (a root's last block).
+    site: Vec<u32>,
+    /// Per block: its top site.
+    top: Vec<u32>,
+}
+
+impl Blocks {
+    /// One iterative depth-first search.  When a child's low point does not
+    /// climb above its parent, the sites entered since the child, the child
+    /// included, close a block on top of the parent.
+    fn new(adj: &Adjacency) -> Blocks {
+        let (sites, unseen) = (adj.offsets.len() - 1, usize::MAX);
+        let (mut disc, mut low) = (vec![unseen; sites], vec![0; sites]);
+        let (mut site, mut top, mut entered, mut stack) =
+            (vec![NONE; sites], vec![], vec![], vec![]);
+        let mut seen = 0;
+        for root in 0..sites {
+            if disc[root] != unseen {
+                continue;
+            }
+            (disc[root], seen) = (seen, seen + 1);
+            stack.push((root, unseen, adj.row(SiteId(root as u32))));
+            while let Some((v, p, row)) = stack.last_mut() {
+                let (v, p) = (*v, *p);
+                if let Some(w) = row.next().map(|at| adj.sites[at].index()) {
+                    if disc[w] == unseen {
+                        (disc[w], low[w], seen) = (seen, seen, seen + 1);
+                        entered.push(w);
+                        stack.push((w, v, adj.row(SiteId(w as u32))));
+                    } else if w != p {
+                        low[v] = low[v].min(disc[w]);
+                    }
+                    continue;
+                }
+                stack.pop();
+                if p == unseen {
+                    continue;
+                }
+                low[p] = low[p].min(low[v]);
+                if low[v] >= disc[p] {
+                    let block = top.len() as u32;
+                    top.push(p as u32);
+                    site[p] = block;
+                    let first = entered.iter().rposition(|&w| w == v);
+                    for w in entered.drain(first.expect("the child was entered")..) {
+                        site[w] = block;
+                    }
+                }
+            }
+        }
+        Blocks { site, top }
+    }
+
+    /// Whether `site` is in `block`: its top or a site it entered.  A link
+    /// is in the block that holds both its ends.
+    fn holds(&self, block: u32, site: SiteId) -> bool {
+        self.site[site.index()] == block || self.top[block as usize] == site.0
+    }
+
+    /// The block's parent, or itself at a root.
+    fn parent(&self, block: u32) -> u32 {
+        self.site[self.top[block as usize] as usize]
+    }
+
+    /// The blocks from `from`'s to `to`'s, both included, into `out`; false
+    /// when either site has no link or the two are in different trees.
+    fn path(&self, from: SiteId, to: SiteId, out: &mut Vec<u32>) -> bool {
+        out.clear();
+        let (a, b) = (self.site[from.index()], self.site[to.index()]);
+        if a == NONE || b == NONE {
+            return false;
+        }
+        let (mut meet, mut other) = (a, b);
+        while meet != other {
+            let lower = meet.min(other);
+            if self.parent(lower) == lower {
+                return false;
+            }
+            (meet, other) = (self.parent(lower), meet.max(other));
+        }
+        let climb = |n| successors(Some(n), |&n| Some(self.parent(n)));
+        out.extend(climb(a).take_while(|&n| n != meet));
+        out.push(meet);
+        let down = out.len();
+        out.extend(climb(b).take_while(|&n| n != meet));
+        out[down..].reverse();
+        true
+    }
+
+    /// The site where neighbouring blocks `a` and `b` meet: the child's top.
+    fn between(&self, a: u32, b: u32) -> SiteId {
+        let child = if self.parent(a) == b { a } else { b };
+        SiteId(self.top[child as usize])
+    }
+}
+
 /// What one traversal leaves behind, reused by the next: per site the stamp
 /// of the search that last reached it and its predecessor in that search.
 #[derive(Debug, Clone, Default)]
@@ -169,6 +278,8 @@ struct Scratch {
     /// The stamp of the latest search; a site is visited when it carries it.
     generation: u32,
     frontier: VecDeque<SiteId>,
+    /// The blocks the latest route crossed, in order.
+    hops: Vec<u32>,
 }
 
 /// A routing oracle that answers shortest-path queries over a topology,
@@ -178,6 +289,8 @@ pub struct Router {
     topology: Topology,
     /// Rebuilt on topology edits.
     adj: Adjacency,
+    /// Built by the first route computed over `adj`, dropped with it.
+    blocks: Option<Blocks>,
     /// `(from, to)` → cached route, all of it computed at `cache_epoch`.
     cache: HashMap<(SiteId, SiteId), CachedRoute, IdBuildHasher>,
     cache_epoch: u64,
@@ -198,6 +311,7 @@ impl Router {
         Router {
             topology,
             adj,
+            blocks: None,
             cache: HashMap::default(),
             cache_epoch: 0,
             path_sites: Vec::new(),
@@ -226,6 +340,7 @@ impl Router {
     pub fn edit_topology(&mut self, edit: impl FnOnce(&mut Topology)) {
         edit(&mut self.topology);
         self.adj = Adjacency::new(&self.topology);
+        self.blocks = None;
         self.clear_cache();
     }
 
@@ -240,9 +355,9 @@ impl Router {
         self.route_queries
     }
 
-    /// Number of BFS computations [`Router::route`] actually performed: the
-    /// routing *work*; `route_queries - bfs_runs` is the work the cache
-    /// saved.
+    /// Number of route computations, one per cache miss however many blocks
+    /// it searched: the routing *work* E11/E12's `bfs` column counts;
+    /// `route_queries - bfs_runs` is the work the cache saved.
     pub fn bfs_runs(&self) -> u64 {
         self.bfs_runs
     }
@@ -312,8 +427,10 @@ impl Router {
         };
         self.bfs_runs += 1;
         let (start, classes_start) = (self.path_sites.len(), self.path_classes.len());
+        let blocks = self.blocks.get_or_insert_with(|| Blocks::new(&self.adj));
         path_into(
             &self.adj,
+            blocks,
             &mut self.scratch,
             (from, to),
             &alive,
@@ -344,18 +461,20 @@ impl Router {
     /// `alive` returns true (the endpoints must also be alive).  Returns the
     /// full path including both endpoints, or `None` if unreachable.
     ///
-    /// Uncached and allocating per call; the simulator's hot path goes
-    /// through [`Router::route`] instead.
+    /// Uncached, and allocating the path it returns; the simulator's hot path
+    /// goes through [`Router::route`] instead.
     pub fn shortest_path(
-        &self,
+        &mut self,
         src: SiteId,
         dst: SiteId,
         alive: impl Fn(SiteId) -> bool,
     ) -> Option<Vec<SiteId>> {
         let mut path = Vec::new();
+        let blocks = self.blocks.get_or_insert_with(|| Blocks::new(&self.adj));
         path_into(
             &self.adj,
-            &mut Scratch::default(),
+            blocks,
+            &mut self.scratch,
             (src, dst),
             &alive,
             &|_, _| false,
@@ -375,16 +494,17 @@ impl Router {
         blocked: impl Fn(SiteId, SiteId) -> bool,
     ) -> Vec<bool> {
         let mut scratch = Scratch::default();
-        search(&self.adj, &mut scratch, src, None, &alive, &blocked);
+        let (adj, everywhere) = (&self.adj, |_| true);
+        search(adj, &mut scratch, src, None, &alive, &blocked, everywhere);
         let visited = |&(stamp, _): &(u32, u32)| stamp == scratch.generation;
         scratch.marks.iter().map(visited).collect()
     }
 }
 
-/// The one traversal: a BFS from `from` over live sites and unblocked edges
-/// that stamps each reached site with this search's generation and records
-/// its predecessor, and stops as soon as `target`, when given, is reached.
-/// Returns whether it was.
+/// The one traversal: a BFS from `from` over live sites `within` reach and
+/// unblocked edges, that stamps each reached site with this search's
+/// generation and records its predecessor, and stops as soon as `target`,
+/// when given, is reached.  Returns whether it was.
 fn search(
     adj: &Adjacency,
     scratch: &mut Scratch,
@@ -392,6 +512,7 @@ fn search(
     target: Option<SiteId>,
     alive: &impl Fn(SiteId) -> bool,
     blocked: &impl Fn(SiteId, SiteId) -> bool,
+    within: impl Fn(SiteId) -> bool,
 ) -> bool {
     let sites = adj.offsets.len() - 1;
     if scratch.marks.len() != sites || scratch.generation == u32::MAX {
@@ -415,7 +536,7 @@ fn search(
     frontier.push_back(from);
     while let Some(cur) = frontier.pop_front() {
         for &n in adj.neighbors(cur) {
-            if marks[n.index()].0 == visited || !alive(n) || blocked(cur, n) {
+            if !within(n) || marks[n.index()].0 == visited || !alive(n) || blocked(cur, n) {
                 continue;
             }
             marks[n.index()] = (visited, cur.0);
@@ -429,28 +550,57 @@ fn search(
 }
 
 /// Appends the shortest live path `from → to` (both endpoints included) to
-/// `out`, read back from the predecessors [`search`] left in `scratch`, and
-/// returns whether there is one; `out` is untouched when there is not.
+/// `out` and returns whether there is one; `out` is untouched when there is
+/// not.  It searches only the blocks on the block tree's path between the
+/// ends, each from the site it is entered by to the one it is left by, and
+/// finds the path a BFS of the whole topology reads back:
+/// - a path from `from` into a later block B enters it at its cut site x,
+///   and a shortest one never leaves B: coming back would cross x twice;
+/// - a BFS discovers B's sites in order of (predecessor's order, row index),
+///   and keeping only B's sites in each row keeps that order, so a search of
+///   B from x records the whole-topology search's predecessors;
+/// - liveness and partitions only remove sites and links: the cut sites
+///   still separate the ends, and a dead one leaves the pair unreachable.
 fn path_into(
     adj: &Adjacency,
+    blocks: &Blocks,
     scratch: &mut Scratch,
     (from, to): (SiteId, SiteId),
     alive: &impl Fn(SiteId) -> bool,
     blocked: &impl Fn(SiteId, SiteId) -> bool,
     out: &mut Vec<SiteId>,
 ) -> bool {
-    if !alive(to) || !search(adj, scratch, from, Some(to), alive, blocked) {
+    let sites = blocks.site.len();
+    if !alive(to) || from.index() >= sites || to.index() >= sites || !alive(from) {
         return false;
     }
-    let start = out.len();
-    let mut at = to;
-    out.push(at);
-    while at != from {
-        at = SiteId(scratch.marks[at.index()].1);
-        out.push(at);
+    let (start, mut entry) = (out.len(), from);
+    out.push(from);
+    let found = from == to
+        || blocks.path(from, to, &mut scratch.hops)
+            && (0..scratch.hops.len()).all(|i| {
+                let (block, hops) = (scratch.hops[i], &scratch.hops);
+                let exit = hops
+                    .get(i + 1)
+                    .map_or(to, |&next| blocks.between(block, next));
+                let within = |n: SiteId| blocks.holds(block, n);
+                if !search(adj, scratch, entry, Some(exit), alive, blocked, within) {
+                    return false;
+                }
+                let piece = out.len();
+                let mut at = exit;
+                while at != entry {
+                    out.push(at);
+                    at = SiteId(scratch.marks[at.index()].1);
+                }
+                out[piece..].reverse();
+                entry = exit;
+                true
+            });
+    if !found {
+        out.truncate(start);
     }
-    out[start..].reverse();
-    true
+    found
 }
 
 #[cfg(test)]
@@ -467,7 +617,7 @@ mod tests {
 
     #[test]
     fn path_on_ring() {
-        let r = Router::new(Topology::ring(6, LinkSpec::default()));
+        let mut r = Router::new(Topology::ring(6, LinkSpec::default()));
         let p = r.shortest_path(SiteId(0), SiteId(2), all_alive).unwrap();
         assert_eq!(p, vec![SiteId(0), SiteId(1), SiteId(2)]);
         let p = r.shortest_path(SiteId(0), SiteId(3), all_alive).unwrap();
@@ -478,7 +628,7 @@ mod tests {
 
     #[test]
     fn path_avoids_dead_sites() {
-        let r = Router::new(Topology::ring(6, LinkSpec::default()));
+        let mut r = Router::new(Topology::ring(6, LinkSpec::default()));
         // Kill site 1: 0 -> 2 must go the long way around.
         let alive = |s: SiteId| s != SiteId(1);
         let p = r.shortest_path(SiteId(0), SiteId(2), alive).unwrap();
@@ -493,7 +643,7 @@ mod tests {
         let mut t = Topology::empty(4);
         t.add_link(SiteId(0), SiteId(1), LinkSpec::default());
         t.add_link(SiteId(2), SiteId(3), LinkSpec::default());
-        let r = Router::new(t);
+        let mut r = Router::new(t);
         assert!(r.shortest_path(SiteId(0), SiteId(3), all_alive).is_none());
         assert_eq!(
             r.reachable_mask(SiteId(0), all_alive, unblocked),
@@ -503,7 +653,7 @@ mod tests {
 
     #[test]
     fn dead_endpoint_is_unreachable() {
-        let r = Router::new(Topology::full_mesh(3, LinkSpec::default()));
+        let mut r = Router::new(Topology::full_mesh(3, LinkSpec::default()));
         let alive = |s: SiteId| s != SiteId(2);
         assert!(r.shortest_path(SiteId(0), SiteId(2), alive).is_none());
         assert!(r.shortest_path(SiteId(2), SiteId(0), alive).is_none());
@@ -529,7 +679,7 @@ mod tests {
 
     #[test]
     fn full_mesh_is_single_hop() {
-        let r = Router::new(Topology::full_mesh(5, LinkSpec::default()));
+        let mut r = Router::new(Topology::full_mesh(5, LinkSpec::default()));
         for dst in 1..5 {
             let p = r.shortest_path(SiteId(0), SiteId(dst), all_alive).unwrap();
             assert_eq!(p, vec![SiteId(0), SiteId(dst)]);
@@ -745,5 +895,90 @@ mod tests {
             .unwrap()
             .to_vec();
         assert_eq!(p, vec![SiteId(0), SiteId(2)]);
+    }
+
+    /// The sites stamped by searches after the one stamped `before`.
+    fn stamped(scratch: &Scratch, before: u32) -> Vec<usize> {
+        let marks = scratch.marks.iter().enumerate();
+        marks
+            .filter(|(_, m)| m.0 > before)
+            .map(|(s, _)| s)
+            .collect()
+    }
+
+    /// The sites a forced miss from `from` to `to` stamps.
+    fn stamped_by_miss(r: &mut Router, from: u32, to: u32) -> Vec<usize> {
+        let (before, epoch) = (r.scratch.generation, r.cache_epoch + 1);
+        assert!(r
+            .route(SiteId(from), SiteId(to), epoch, all_alive, unblocked)
+            .is_some());
+        stamped(&r.scratch, before)
+    }
+
+    /// The sites a flat search from `from` to `to` stamps.
+    fn stamped_by_flat_search(r: &Router, from: u32, to: u32) -> Vec<usize> {
+        let mut flat = Scratch::default();
+        let (from, to) = (SiteId(from), Some(SiteId(to)));
+        assert!(search(
+            &r.adj,
+            &mut flat,
+            from,
+            to,
+            &all_alive,
+            &unblocked,
+            |_| true
+        ));
+        stamped(&flat, 0)
+    }
+
+    #[test]
+    fn a_cross_clique_miss_searches_two_cliques_and_the_gateway_ring() {
+        let lan_on_wan = Topology::ring_of_cliques(64, 8, LinkSpec::lan(), LinkSpec::wan());
+        let mut r = Router::new(lan_on_wan);
+        // Member 3 of clique 0 to member 5 of clique 31.
+        let (from, to) = (3, 31 * 8 + 5);
+        let stamped = stamped_by_miss(&mut r, from, to).len();
+        assert!(stamped <= 64 + 2 * 8, "{stamped} sites stamped");
+        let flat = stamped_by_flat_search(&r, from, to).len();
+        assert!(flat >= 200, "the flat search floods half the ring: {flat}");
+    }
+
+    #[test]
+    fn a_miss_on_a_grid_stamps_what_the_flat_search_stamps() {
+        let mut r = Router::new(Topology::grid(8, 8, LinkSpec::default()));
+        for (from, to) in [(0, 63), (9, 30), (36, 27)] {
+            assert_eq!(
+                stamped_by_miss(&mut r, from, to),
+                stamped_by_flat_search(&r, from, to),
+                "{from} -> {to}"
+            );
+        }
+    }
+
+    /// The block count and the cut sites of a topology's block-cut tree.
+    fn blocks_and_cuts(t: &Topology) -> (usize, Vec<u32>) {
+        let blocks = Blocks::new(&Adjacency::new(t));
+        let count = blocks.top.len();
+        let in_two = |s: &SiteId| (0..count as u32).filter(|&b| blocks.holds(b, *s)).count() > 1;
+        (count, t.sites().filter(in_two).map(|s| s.0).collect())
+    }
+
+    #[test]
+    fn the_block_cut_tree_of_four_small_graphs() {
+        let cliques = Topology::ring_of_cliques(4, 4, LinkSpec::lan(), LinkSpec::wan());
+        assert_eq!(blocks_and_cuts(&cliques), (5, vec![0, 4, 8, 12]));
+        let star = Topology::star(5, LinkSpec::default());
+        assert_eq!(blocks_and_cuts(&star), (4, vec![0]));
+        // Two triangles that share site 2, and a site 5 with no link.
+        let mut bowtie = Topology::empty(6);
+        for (a, b) in [(0, 1), (0, 2), (1, 2), (2, 3), (2, 4), (3, 4)] {
+            bowtie.add_link(SiteId(a), SiteId(b), LinkSpec::default());
+        }
+        assert_eq!(blocks_and_cuts(&bowtie), (2, vec![2]));
+        let blocks = Blocks::new(&Adjacency::new(&bowtie));
+        assert_eq!(blocks.site[5], NONE, "a site with no link is in no block");
+        let sides = [blocks.site[0], blocks.site[3]];
+        assert_ne!(sides[0], sides[1]);
+        assert_eq!([blocks.site[1], blocks.site[4]], sides);
     }
 }

@@ -15,6 +15,11 @@
 //! [`every_send_is_charged_what_its_hops_cost_one_by_one`] rebuilds the
 //! hop-by-hop charge over random topologies whose every link has its own
 //! spec and demands the same microsecond, byte and hop counts.
+//!
+//! A miss searches only the blocks of the block-cut tree its route crosses,
+//! so [`block_routed_paths_are_the_flat_searchs`] asks the oracle about
+//! topologies full of cut sites, where that search and a flat BFS part ways
+//! if they ever do.
 
 use proptest::prelude::*;
 use std::collections::{BTreeMap, VecDeque};
@@ -24,32 +29,49 @@ use tacoma_net::{
 };
 use tacoma_util::{DetRng, SiteId};
 
+/// Each site's neighbours, ascending, built once per topology so that the
+/// oracle's BFS costs what a BFS costs (`Topology::neighbors` scans every
+/// link).
+fn adjacency(topology: &Topology) -> Vec<Vec<SiteId>> {
+    let mut adj = vec![Vec::new(); topology.site_count() as usize];
+    for (a, b, _) in topology.links() {
+        adj[a.index()].push(b);
+        adj[b.index()].push(a);
+    }
+    for row in &mut adj {
+        row.sort_unstable();
+    }
+    adj
+}
+
 /// The oracle: a plain BFS over live sites and unblocked edges, neighbours
 /// in ascending order (the router's tie-break), nothing cached or reused.
+/// A site id past the end reaches nothing and is reached by nothing.
 fn reference_path(
-    topology: &Topology,
+    adj: &[Vec<SiteId>],
     from: SiteId,
     to: SiteId,
     alive: impl Fn(SiteId) -> bool,
     blocked: impl Fn(SiteId, SiteId) -> bool,
 ) -> Option<Vec<SiteId>> {
-    if !alive(from) || !alive(to) {
+    if from.index() >= adj.len() || to.index() >= adj.len() || !alive(from) || !alive(to) {
         return None;
     }
-    let mut prev: BTreeMap<SiteId, SiteId> = BTreeMap::from([(from, from)]);
+    let mut prev: Vec<Option<SiteId>> = vec![None; adj.len()];
+    prev[from.index()] = Some(from);
     let mut queue = VecDeque::from([from]);
     while let Some(cur) = queue.pop_front() {
         if cur == to {
             let mut path = vec![to];
             while *path.last().unwrap() != from {
-                path.push(prev[path.last().unwrap()]);
+                path.push(prev[path.last().unwrap().index()].unwrap());
             }
             path.reverse();
             return Some(path);
         }
-        for n in topology.neighbors(cur) {
-            if !prev.contains_key(&n) && alive(n) && !blocked(cur, n) {
-                prev.insert(n, cur);
+        for &n in &adj[cur.index()] {
+            if prev[n.index()].is_none() && alive(n) && !blocked(cur, n) {
+                prev[n.index()] = Some(cur);
                 queue.push_back(n);
             }
         }
@@ -61,7 +83,7 @@ fn reference_path(
 /// the shortest live path, or `None` when the send must be refused.
 fn expected_hops(net: &SimNet, from: u32, to: u32) -> Option<u32> {
     reference_path(
-        net.router().topology(),
+        &adjacency(net.router().topology()),
         SiteId(from),
         SiteId(to),
         |s| net.is_up(s),
@@ -200,8 +222,9 @@ fn cached_and_forced_miss_routers_return_identical_paths() {
         (3, &[9], &[]),
         (4, &[4, 9], &[]),
     ];
+    let adj = adjacency(&topology);
     let mut cached = Router::new(topology.clone());
-    let mut forced = Router::new(topology.clone());
+    let mut forced = Router::new(topology);
     let mut fresh_epoch = 0;
     let mut rng = DetRng::new(0xCAFE);
     for (epoch, dead, group) in states {
@@ -216,7 +239,7 @@ fn cached_and_forced_miss_routers_return_identical_paths() {
             })
             .collect();
         for &(from, to) in pairs.iter().chain(pairs.iter()) {
-            let oracle = reference_path(&topology, from, to, alive, blocked);
+            let oracle = reference_path(&adj, from, to, alive, blocked);
             let hit = cached
                 .route(from, to, epoch, alive, blocked)
                 .map(<[SiteId]>::to_vec);
@@ -293,7 +316,7 @@ const HORUS_SETUP_MS: u64 = 1;
 fn expected_charge(net: &SimNet, from: u32, to: u32, payload: u64) -> Option<(u64, Duration)> {
     let topology = net.router().topology();
     let path = reference_path(
-        topology,
+        &adjacency(topology),
         SiteId(from),
         SiteId(to),
         |s| net.is_up(s),
@@ -466,4 +489,134 @@ proptest! {
             prop_assert_eq!(after, (before.0 + hops, before.1 + hops * wire));
         }
     }
+}
+
+/// A topology of the given links, all alike, over `sites` sites.
+fn from_links(sites: u32, links: impl IntoIterator<Item = (u32, u32)>) -> Topology {
+    let mut t = Topology::empty(sites);
+    for (a, b) in links {
+        t.add_link(SiteId(a), SiteId(b), LinkSpec::lan());
+    }
+    t
+}
+
+fn link_pairs(t: &Topology, offset: u32) -> impl Iterator<Item = (u32, u32)> + '_ {
+    t.links().map(move |(a, b, _)| (a.0 + offset, b.0 + offset))
+}
+
+/// The shapes [`cut_rich_topology`] builds.
+const SHAPES: u64 = 9;
+
+/// A topology full of cut sites, of the given shape and sized from `rng`;
+/// one time in two it gains a last site with no link at all.
+fn cut_rich_topology(shape: u64, rng: &mut DetRng) -> Topology {
+    let (lan, wan) = (LinkSpec::lan(), LinkSpec::wan());
+    let mut small = |lo: u64, n: u64| (lo + rng.next_below(n)) as u32;
+    let clique =
+        |lo: u32, n: u32| (lo..lo + n).flat_map(move |a| (a + 1..lo + n).map(move |b| (a, b)));
+    let t = match shape {
+        // A random tree plus a few extra links.
+        0 => {
+            let (sites, extra) = (small(2, 30), small(0, 4));
+            Topology::random_connected(sites, extra, lan, rng)
+        }
+        1 => Topology::ring_of_cliques(small(2, 7), 1, lan, wan),
+        2 => Topology::ring_of_cliques(small(2, 7), 2, lan, wan),
+        3 => Topology::ring_of_cliques(small(2, 7), 8, lan, wan),
+        // Two cliques: the gateway ring is one link.
+        4 => Topology::ring_of_cliques(2, small(1, 8), lan, wan),
+        5 => Topology::star(small(2, 10), lan),
+        6 => {
+            let sites = small(2, 20);
+            from_links(sites, (1..sites).map(|s| (s - 1, s)))
+        }
+        // Two cliques joined by a path of `between` sites.
+        7 => {
+            let (a, between, b) = (small(2, 5), small(0, 4), small(2, 5));
+            let path = (a - 1..a + between).map(|s| (s, s + 1));
+            from_links(
+                a + between + b,
+                clique(0, a).chain(path).chain(clique(a + between, b)),
+            )
+        }
+        // A forest: two random trees with extra links, side by side.
+        _ => {
+            let (n1, e1, n2, e2) = (small(1, 12), small(0, 3), small(1, 12), small(0, 3));
+            let one = Topology::random_connected(n1, e1, lan, rng);
+            let two = Topology::random_connected(n2, e2, lan, rng);
+            from_links(n1 + n2, link_pairs(&one, 0).chain(link_pairs(&two, n1)))
+        }
+    };
+    if rng.next_below(2) == 0 {
+        return t;
+    }
+    from_links(t.site_count() + 1, link_pairs(&t, 0))
+}
+
+proptest! {
+    /// Over topologies rich in cut sites, under random dead sets and
+    /// partition groups, a cached route, a forced miss and
+    /// `Router::shortest_path` each return the oracle's path, for the two
+    /// site ids past the end too.
+    #[test]
+    fn block_routed_paths_are_the_flat_searchs(seed in any::<u64>()) {
+        let mut rng = DetRng::new(seed);
+        for shape in 0..SHAPES {
+            let topology = cut_rich_topology(shape, &mut rng);
+            let adj = adjacency(&topology);
+            let ids = u64::from(topology.site_count()) + 2;
+            let mut cached = Router::new(topology.clone());
+            let mut forced = Router::new(topology);
+            let mut fresh_epoch = 0;
+            // Epoch 0 has every site up and no partition.
+            for epoch in 0..4 {
+                let dead: Vec<bool> = (0..ids).map(|_| epoch > 0 && rng.next_below(6) == 0).collect();
+                let group: Vec<bool> = (0..ids).map(|_| epoch > 1 && rng.next_below(3) == 0).collect();
+                let alive = |s: SiteId| !dead[s.index()];
+                let blocked = |a: SiteId, b: SiteId| group[a.index()] != group[b.index()];
+                let pairs: Vec<(SiteId, SiteId)> = (0..24)
+                    .map(|_| (SiteId(rng.next_below(ids) as u32), SiteId(rng.next_below(ids) as u32)))
+                    .collect();
+                for &(from, to) in pairs.iter().chain(&pairs) {
+                    let oracle = reference_path(&adj, from, to, alive, blocked);
+                    let hit = cached.route(from, to, epoch, alive, blocked).map(<[SiteId]>::to_vec);
+                    prop_assert_eq!(&hit, &oracle, "shape {} cached {} -> {} at {}", shape, from, to, epoch);
+                    fresh_epoch += 1;
+                    let miss = forced.route(from, to, fresh_epoch, alive, blocked).map(<[SiteId]>::to_vec);
+                    prop_assert_eq!(&miss, &oracle, "shape {} miss {} -> {} at {}", shape, from, to, epoch);
+                    let fixed = reference_path(&adj, from, to, alive, |_, _| false);
+                    let static_path = forced.shortest_path(from, to, alive);
+                    prop_assert_eq!(static_path, fixed, "shape {} static {} -> {} at {}", shape, from, to, epoch);
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn cross_clique_routes_at_4096_sites_are_the_oracles() {
+    let topology = Topology::ring_of_cliques(512, 8, LinkSpec::lan(), LinkSpec::wan());
+    let adj = adjacency(&topology);
+    let mut router = Router::new(topology);
+    let mut rng = DetRng::new(4_096);
+    let (all, none) = (|_: SiteId| true, |_: SiteId, _: SiteId| false);
+    for epoch in 0..200 {
+        let from = rng.next_below(4_096) as u32;
+        let clique = (from / 8 + 1 + rng.next_below(511) as u32) % 512;
+        let (from, to) = (SiteId(from), SiteId(clique * 8 + rng.next_below(8) as u32));
+        let oracle = reference_path(&adj, from, to, all, none);
+        assert!(oracle.is_some());
+        for _ in 0..2 {
+            let route = router
+                .route(from, to, epoch, all, none)
+                .map(<[SiteId]>::to_vec);
+            assert_eq!(route, oracle, "{from} -> {to}");
+        }
+        assert_eq!(
+            router.shortest_path(from, to, all),
+            oracle,
+            "{from} -> {to}"
+        );
+    }
+    assert_eq!(router.bfs_runs(), 200, "one computation per miss");
 }

@@ -236,6 +236,16 @@ fn routes_are_priced_from_adjacency_rows() {
     assert_eq!(total("crates/net/src/routing.rs", ".link("), 0);
 }
 
+/// Routes come from the links, never from a shape tag: an edited topology
+/// keeps the tag it was built with, and `crates/net/tests/event_order.rs`
+/// cuts a link of a `ring_of_cliques` that still reports `RingOfCliques`.
+#[test]
+fn routes_come_from_links_not_a_shape_tag() {
+    for pattern in ["TopologyKind", ".kind()"] {
+        assert_eq!(total("crates/net/src/routing.rs", pattern), 0, "{pattern}");
+    }
+}
+
 /// A send charges its cached route whole: `SimNet` neither loops over the
 /// route's hops nor copies the route out.
 #[test]
