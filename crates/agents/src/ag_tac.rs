@@ -160,7 +160,7 @@ impl ScriptHost for CtxHost<'_, '_> {
     fn cab_list(&mut self, cabinet: &str, folder: &str) -> Vec<String> {
         self.ctx
             .cabinet(cabinet)
-            .folder(folder)
+            .folder_ref(folder)
             .map(|f| f.strings())
             .unwrap_or_default()
     }

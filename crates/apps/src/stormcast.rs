@@ -270,7 +270,7 @@ impl Agent for CollectorAgent {
         // reads, carrying with it only the relevant information", §1).
         let readings: Vec<String> = ctx
             .cabinet(SENSOR_CABINET)
-            .folder(READINGS)
+            .folder_ref(READINGS)
             .map(|f| f.strings())
             .unwrap_or_default();
         let here = ctx.site();
@@ -336,7 +336,7 @@ impl Agent for SensorServerAgent {
             .unwrap_or(0);
         let readings: Vec<String> = ctx
             .cabinet(SENSOR_CABINET)
-            .folder(READINGS)
+            .folder_ref(READINGS)
             .map(|f| f.strings())
             .unwrap_or_default();
         let mut shipment = Briefcase::new();

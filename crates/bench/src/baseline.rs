@@ -1,5 +1,5 @@
 //! The `--compare` regression gate: diff a fresh run against a committed
-//! baseline report, metric by metric, with per-metric tolerances.
+//! baseline report, metric by metric, within one tolerance.
 //!
 //! The simulator is deterministic, so on an unchanged tree every metric
 //! matches its baseline exactly; tolerances exist to absorb *intentional*
@@ -9,7 +9,7 @@
 //! because in a deterministic harness unexplained improvement is as
 //! suspicious as regression.  Text and flag metrics must match exactly.
 //!
-//! The default tolerance is [`DEFAULT_TOLERANCE`]; wall-clock time is never
+//! The tolerance is [`DEFAULT_TOLERANCE`]; wall-clock time is never
 //! compared because it is never serialized (see [`crate::report`]).
 
 use crate::report::ReportSet;
@@ -21,48 +21,6 @@ pub const DEFAULT_TOLERANCE: Tolerance = Tolerance {
     rel: 0.02,
     abs: 0.0,
 };
-
-/// Tolerance configuration: a default plus longest-prefix overrides.
-///
-/// Override keys are matched against `"{experiment}.{metric}"`, e.g.
-/// `"E7."` loosens everything in E7 while `"E7.r0.makespan_ms"` pins one
-/// cell.  The longest matching prefix wins.
-#[derive(Debug, Clone, Default)]
-pub struct CompareConfig {
-    overrides: Vec<(String, Tolerance)>,
-}
-
-impl CompareConfig {
-    /// The stock configuration: [`DEFAULT_TOLERANCE`] everywhere.
-    pub fn new() -> CompareConfig {
-        CompareConfig::default()
-    }
-
-    /// Adds a prefix override (builder style).
-    pub fn with_override(mut self, prefix: impl Into<String>, tol: Tolerance) -> CompareConfig {
-        self.overrides.push((prefix.into(), tol));
-        self
-    }
-
-    /// The tolerance in force for `experiment_id.metric_key`.
-    pub fn tolerance_for(&self, experiment_id: &str, metric_key: &str) -> Tolerance {
-        // Prefixes match on `.`-segment boundaries, so an "E1" override
-        // covers E1's metrics but never leaks onto E10's.
-        fn matches(prefix: &str, full: &str) -> bool {
-            match full.strip_prefix(prefix) {
-                Some(rest) => rest.is_empty() || rest.starts_with('.') || prefix.ends_with('.'),
-                None => false,
-            }
-        }
-        let full = format!("{experiment_id}.{metric_key}");
-        self.overrides
-            .iter()
-            .filter(|(prefix, _)| matches(prefix, &full))
-            .max_by_key(|(prefix, _)| prefix.len())
-            .map(|(_, tol)| *tol)
-            .unwrap_or(DEFAULT_TOLERANCE)
-    }
-}
 
 /// One comparison failure or notable difference.
 #[derive(Debug, Clone, PartialEq)]
@@ -147,12 +105,9 @@ impl fmt::Display for CompareOutcome {
     }
 }
 
-/// Compares `current` against `baseline` under `config`.
-pub fn compare(
-    baseline: &ReportSet,
-    current: &ReportSet,
-    config: &CompareConfig,
-) -> CompareOutcome {
+/// Compares `current` against `baseline`, every numeric metric under
+/// [`DEFAULT_TOLERANCE`].
+pub fn compare(baseline: &ReportSet, current: &ReportSet) -> CompareOutcome {
     let mut outcome = CompareOutcome::default();
     if baseline.mode != current.mode {
         outcome.findings.push(Finding::fatal(
@@ -195,12 +150,11 @@ pub fn compare(
                 continue;
             };
             outcome.metrics_checked += 1;
-            let tol = config.tolerance_for(id, key);
-            if !cur_value.within(base_value, tol) {
+            if !cur_value.within(base_value, DEFAULT_TOLERANCE) {
                 outcome.findings.push(Finding::fatal(
                     id,
                     key,
-                    describe_drift(base_value, cur_value, tol),
+                    describe_drift(base_value, cur_value),
                 ));
             }
         }
@@ -226,7 +180,8 @@ pub fn compare(
     outcome
 }
 
-fn describe_drift(base: &MetricValue, cur: &MetricValue, tol: Tolerance) -> String {
+fn describe_drift(base: &MetricValue, cur: &MetricValue) -> String {
+    let tol = DEFAULT_TOLERANCE;
     match (base.as_number(), cur.as_number()) {
         (Some(b), Some(c)) if b != 0.0 => {
             let pct = (c - b) / b * 100.0;
@@ -264,7 +219,7 @@ mod tests {
     #[test]
     fn identical_runs_pass() {
         let base = set_with("E1", vec![("r0.bytes", MetricValue::Count(1000))]);
-        let outcome = compare(&base, &base.clone(), &CompareConfig::new());
+        let outcome = compare(&base, &base.clone());
         assert!(outcome.passed(), "{outcome}");
         assert_eq!(outcome.metrics_checked, 1);
     }
@@ -274,9 +229,9 @@ mod tests {
         let base = set_with("E1", vec![("r0.bytes", MetricValue::Count(1000))]);
         // 2% default tolerance: 1020 is on the boundary, 1021 is past it.
         let at = set_with("E1", vec![("r0.bytes", MetricValue::Count(1020))]);
-        assert!(compare(&base, &at, &CompareConfig::new()).passed());
+        assert!(compare(&base, &at).passed());
         let past = set_with("E1", vec![("r0.bytes", MetricValue::Count(1021))]);
-        let outcome = compare(&base, &past, &CompareConfig::new());
+        let outcome = compare(&base, &past);
         assert!(!outcome.passed());
         assert_eq!(outcome.failures().count(), 1);
         assert!(outcome.to_string().contains("FAIL"), "{outcome}");
@@ -287,59 +242,17 @@ mod tests {
         // Deterministic harness: unexplained drift downward is a red flag too.
         let base = set_with("E1", vec![("r0.bytes", MetricValue::Count(1000))]);
         let better = set_with("E1", vec![("r0.bytes", MetricValue::Count(900))]);
-        assert!(!compare(&base, &better, &CompareConfig::new()).passed());
-    }
-
-    #[test]
-    fn longest_prefix_override_wins() {
-        let base = set_with(
-            "E7",
-            vec![
-                ("r0.makespan_ms", MetricValue::Float(100.0)),
-                ("r0.wait_ms", MetricValue::Float(100.0)),
-            ],
-        );
-        let cur = set_with(
-            "E7",
-            vec![
-                ("r0.makespan_ms", MetricValue::Float(109.0)),
-                ("r0.wait_ms", MetricValue::Float(109.0)),
-            ],
-        );
-        let config = CompareConfig::new()
-            .with_override("E7.", Tolerance::rel(0.20))
-            .with_override("E7.r0.wait_ms", Tolerance::rel(0.01));
-        let outcome = compare(&base, &cur, &config);
-        let failed: Vec<&str> = outcome.failures().map(|f| f.metric.as_str()).collect();
-        assert_eq!(failed, ["r0.wait_ms"], "{outcome}");
-    }
-
-    #[test]
-    fn experiment_override_does_not_leak_onto_longer_ids() {
-        let config = CompareConfig::new().with_override("E1", Tolerance::rel(0.50));
-        assert_eq!(config.tolerance_for("E1", "r0.bytes"), Tolerance::rel(0.50));
-        assert_eq!(
-            config.tolerance_for("E10", "r0.bytes"),
-            DEFAULT_TOLERANCE,
-            "an E1 override must not cover E10"
-        );
-        // Dotted spellings keep working, including exact full-key pins.
-        let dotted = CompareConfig::new().with_override("E1.r0.bytes", Tolerance::rel(0.10));
-        assert_eq!(dotted.tolerance_for("E1", "r0.bytes"), Tolerance::rel(0.10));
-        assert_eq!(
-            dotted.tolerance_for("E1", "r0.bytes_total"),
-            DEFAULT_TOLERANCE
-        );
+        assert!(!compare(&base, &better).passed());
     }
 
     #[test]
     fn missing_experiment_or_metric_fails_but_additions_inform() {
         let base = set_with("E1", vec![("r0.bytes", MetricValue::Count(1))]);
         let empty = ReportSet::new(true, Vec::new());
-        assert!(!compare(&base, &empty, &CompareConfig::new()).passed());
+        assert!(!compare(&base, &empty).passed());
 
         let fewer = set_with("E1", vec![]);
-        assert!(!compare(&base, &fewer, &CompareConfig::new()).passed());
+        assert!(!compare(&base, &fewer).passed());
 
         let more = set_with(
             "E1",
@@ -348,7 +261,7 @@ mod tests {
                 ("r0.extra", MetricValue::Count(9)),
             ],
         );
-        let outcome = compare(&base, &more, &CompareConfig::new());
+        let outcome = compare(&base, &more);
         assert!(outcome.passed(), "additions are informational: {outcome}");
         assert_eq!(outcome.findings.len(), 1);
         assert!(!outcome.findings[0].fatal);
@@ -359,7 +272,7 @@ mod tests {
         let base = set_with("E1", vec![("r0.bytes", MetricValue::Count(1))]);
         let mut full = base.clone();
         full.mode = "full".into();
-        let outcome = compare(&base, &full, &CompareConfig::new());
+        let outcome = compare(&base, &full);
         assert!(!outcome.passed());
         assert!(outcome.to_string().contains("mode mismatch"));
     }
@@ -368,6 +281,6 @@ mod tests {
     fn text_metric_change_is_a_regression() {
         let base = set_with("E1", vec![("r0.saving", MetricValue::Text("15.3×".into()))]);
         let cur = set_with("E1", vec![("r0.saving", MetricValue::Text("14.9×".into()))]);
-        assert!(!compare(&base, &cur, &CompareConfig::new()).passed());
+        assert!(!compare(&base, &cur).passed());
     }
 }

@@ -110,7 +110,7 @@ fn main() -> ExitCode {
             baseline_set = baseline_set.restrict_to(&ran);
             println!("(narrowed to filtered experiment(s): {})", ran.join(", "));
         }
-        let outcome = baseline::compare(&baseline_set, &set, &baseline::CompareConfig::new());
+        let outcome = baseline::compare(&baseline_set, &set);
         println!("{outcome}");
         if !outcome.passed() {
             return ExitCode::FAILURE;

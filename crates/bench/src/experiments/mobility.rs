@@ -30,7 +30,7 @@ impl Agent for RawServer {
             .unwrap_or(0);
         let records: Vec<String> = ctx
             .cabinet("dataset")
-            .folder("RECORDS")
+            .folder_ref("RECORDS")
             .map(|f| f.strings())
             .unwrap_or_default();
         let mut out = Briefcase::new();
@@ -58,7 +58,7 @@ impl Agent for FilterCollector {
     fn meet(&mut self, ctx: &mut MeetCtx<'_>, mut bc: Briefcase) -> MeetOutcome {
         let records: Vec<String> = ctx
             .cabinet("dataset")
-            .folder("RECORDS")
+            .folder_ref("RECORDS")
             .map(|f| f.strings())
             .unwrap_or_default();
         for r in records.into_iter().filter(|r| r.starts_with("match")) {

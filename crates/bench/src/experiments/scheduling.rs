@@ -160,7 +160,6 @@ impl Agent for JobSource {
     fn on_install(&mut self, ctx: &mut MeetCtx<'_>) {
         ctx.schedule(
             AgentName::new("job_source"),
-            0,
             Duration::from_millis(1),
             Briefcase::new(),
         );
@@ -182,7 +181,6 @@ impl Agent for JobSource {
             let gap = ctx.rng().exponential(self.mean_interarrival_ms).max(0.1);
             ctx.schedule(
                 AgentName::new("job_source"),
-                0,
                 Duration::from_secs_f64(gap / 1000.0),
                 Briefcase::new(),
             );

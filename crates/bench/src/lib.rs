@@ -38,7 +38,7 @@ pub mod runner;
 pub mod table;
 
 pub use args::HarnessArgs;
-pub use baseline::{compare, CompareConfig, CompareOutcome};
+pub use baseline::{compare, CompareOutcome};
 pub use experiments::*;
 pub use report::{Report, ReportSet};
 pub use runner::{registry, run_jobs, select, JobResult, JobSpec, RunOpts};

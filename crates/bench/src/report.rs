@@ -63,12 +63,6 @@ impl Report {
         self.metrics.iter().find(|(k, _)| k == key).map(|(_, v)| v)
     }
 
-    /// Appends extra typed metrics (e.g. `NetMetrics::export()` from a live
-    /// system) after the table-derived ones, keeping key order deterministic.
-    pub fn append_metrics(&mut self, extra: impl IntoIterator<Item = (String, MetricValue)>) {
-        self.metrics.extend(extra);
-    }
-
     fn to_json(&self) -> Json {
         let mut metrics = Json::object();
         for (key, value) in &self.metrics {
@@ -308,26 +302,6 @@ mod tests {
         assert_eq!(narrowed.reports.len(), 1);
         assert_eq!(narrowed.reports[0].id, "E4");
         assert!(set.restrict_to(&["nope"]).reports.is_empty());
-    }
-
-    #[test]
-    fn net_metrics_export_flows_into_a_report() {
-        use tacoma_net::NetMetrics;
-        let mut net = NetMetrics::new();
-        net.record_send();
-        net.record_hops(1, 512);
-        let mut set = sample_set();
-        set.reports[0].append_metrics(net.export());
-        let parsed = ReportSet::from_json_str(&set.to_json_string()).unwrap();
-        let report = parsed.report("E1").unwrap();
-        assert_eq!(
-            report.metric("net.total_bytes"),
-            Some(&MetricValue::Count(512))
-        );
-        assert_eq!(
-            report.metric("net.total_messages"),
-            Some(&MetricValue::Count(1))
-        );
     }
 
     #[test]

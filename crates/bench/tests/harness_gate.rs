@@ -21,7 +21,7 @@ fn quick_run_matches_the_committed_baseline() {
     let baseline_set = ReportSet::load(&baseline_path())
         .expect("BENCH_baseline.json is committed at the repo root");
     let current = quick_run();
-    let outcome = baseline::compare(&baseline_set, &current, &baseline::CompareConfig::new());
+    let outcome = baseline::compare(&baseline_set, &current);
     assert!(
         outcome.passed(),
         "quick run drifted from BENCH_baseline.json — if intentional, refresh the baseline with \
@@ -55,7 +55,7 @@ fn perturbed_metric_fails_the_gate() {
             entry.1 = bumped.clone();
         }
     }
-    let outcome = baseline::compare(&baseline_set, &drifted, &baseline::CompareConfig::new());
+    let outcome = baseline::compare(&baseline_set, &drifted);
     assert!(!outcome.passed(), "a 10% drift on {key} must fail the gate");
     assert!(outcome.failures().any(|f| f.metric == key));
 }

@@ -71,12 +71,10 @@ pub enum Action {
         briefcase: Briefcase,
     },
     /// Ask the kernel to meet `contact` with `briefcase` after `delay`,
-    /// adding a `TIMER` folder holding `key`.
+    /// adding a `TIMER` folder holding the kernel's key for the timer.
     Timer {
         /// Agent to meet when the timer fires.
         contact: AgentName,
-        /// Caller-chosen key, delivered in the `TIMER` folder.
-        key: u64,
         /// How long to wait.
         delay: Duration,
         /// Briefcase to deliver.
@@ -123,15 +121,9 @@ impl std::fmt::Debug for Action {
                 .field("contact", contact)
                 .field("folders", &briefcase.len())
                 .finish(),
-            Action::Timer {
-                contact,
-                key,
-                delay,
-                ..
-            } => f
+            Action::Timer { contact, delay, .. } => f
                 .debug_struct("Timer")
                 .field("contact", contact)
-                .field("key", key)
                 .field("delay", delay)
                 .finish(),
             Action::RegisterAgent { agent } => f
@@ -401,17 +393,10 @@ impl<'a> MeetCtx<'a> {
     }
 
     /// Schedules a meet with `contact` after `delay`; the delivered briefcase
-    /// gains a `TIMER` folder holding `key`.
-    pub fn schedule(
-        &mut self,
-        contact: AgentName,
-        key: u64,
-        delay: Duration,
-        briefcase: Briefcase,
-    ) {
+    /// gains a `TIMER` folder holding the kernel's key for the timer.
+    pub fn schedule(&mut self, contact: AgentName, delay: Duration, briefcase: Briefcase) {
         self.outbox.push(Action::Timer {
             contact,
-            key,
             delay,
             briefcase,
         });
@@ -580,7 +565,6 @@ mod tests {
                 );
                 ctx.schedule(
                     AgentName::new("queuer"),
-                    42,
                     Duration::from_millis(5),
                     Briefcase::new(),
                 );

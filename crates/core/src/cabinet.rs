@@ -26,8 +26,6 @@ pub struct FileCabinet {
     /// them, each with how many copies it holds (so removing one copy never
     /// has to rescan the folder to learn whether it was the last).
     index: BTreeMap<FolderElem, BTreeMap<String, usize>>,
-    /// Access statistics (reads + writes), used by the E4 experiment.
-    accesses: u64,
 }
 
 impl FileCabinet {
@@ -52,21 +50,12 @@ impl FileCabinet {
     }
 
     /// Read access to a folder.
-    pub fn folder(&mut self, name: &str) -> Option<&Folder> {
-        self.accesses += 1;
-        self.folders.get(name)
-    }
-
-    /// Read access to a folder without touching the access counter (used by
-    /// experiment drivers and assertions that inspect state from outside the
-    /// agent world).
     pub fn folder_ref(&self, name: &str) -> Option<&Folder> {
         self.folders.get(name)
     }
 
     /// Appends an element to a named folder, creating the folder if needed.
     pub fn append(&mut self, name: &str, elem: impl Into<FolderElem>) {
-        self.accesses += 1;
         let elem = elem.into();
         match self.folders.get_mut(name) {
             Some(folder) => folder.push_bytes(&elem),
@@ -85,7 +74,6 @@ impl FileCabinet {
 
     /// Replaces a folder wholesale (rebuilding index entries).
     pub fn put(&mut self, name: impl Into<String>, folder: Folder) {
-        self.accesses += 1;
         let name = name.into();
         self.remove_from_index(&name);
         for elem in folder.iter() {
@@ -96,14 +84,12 @@ impl FileCabinet {
 
     /// Removes and returns a folder.
     pub fn take(&mut self, name: &str) -> Option<Folder> {
-        self.accesses += 1;
         self.remove_from_index(name);
         self.folders.remove(name)
     }
 
     /// Pops the last element of a named folder (stack discipline).
     pub fn pop(&mut self, name: &str) -> Option<FolderElem> {
-        self.accesses += 1;
         let elem = self.folders.get_mut(name)?.pop()?;
         self.index_remove_copy(name, &elem);
         Some(elem)
@@ -111,7 +97,6 @@ impl FileCabinet {
 
     /// Dequeues the first element of a named folder (queue discipline).
     pub fn dequeue(&mut self, name: &str) -> Option<FolderElem> {
-        self.accesses += 1;
         let elem = self.folders.get_mut(name)?.dequeue()?;
         self.index_remove_copy(name, &elem);
         Some(elem)
@@ -138,14 +123,12 @@ impl FileCabinet {
     /// Whether any folder of the cabinet contains the given element — an
     /// indexed lookup, O(log n), the access-time optimisation cabinets are
     /// allowed to have.
-    pub fn contains_elem(&mut self, elem: &[u8]) -> bool {
-        self.accesses += 1;
+    pub fn contains_elem(&self, elem: &[u8]) -> bool {
         self.index.contains_key(elem)
     }
 
     /// Whether a *specific folder* contains the element (still indexed).
-    pub fn folder_contains(&mut self, name: &str, elem: &[u8]) -> bool {
-        self.accesses += 1;
+    pub fn folder_contains(&self, name: &str, elem: &[u8]) -> bool {
         self.index
             .get(elem)
             .is_some_and(|names| names.contains_key(name))
@@ -164,11 +147,6 @@ impl FileCabinet {
             .sum()
     }
 
-    /// Number of access operations performed since creation or restore.
-    pub fn access_count(&self) -> u64 {
-        self.accesses
-    }
-
     /// Serializes the cabinet's folders to a stable-storage snapshot
     /// ("flushed to disk when permanence is required", §6).  The index is not
     /// stored; it is rebuilt on restore.
@@ -183,7 +161,6 @@ impl FileCabinet {
         for (name, folder) in bc.iter() {
             cab.put(name.to_string(), folder.clone());
         }
-        cab.accesses = 0;
         Ok(cab)
     }
 
@@ -283,27 +260,6 @@ impl CabinetStore {
     pub fn clear(&mut self) {
         self.cabinets.clear();
     }
-
-    /// Snapshots every cabinet, keyed by name (flush-to-disk for the whole site).
-    pub fn snapshot_all(&self) -> BTreeMap<String, Vec<u8>> {
-        self.cabinets
-            .iter()
-            .map(|(name, cab)| (name.clone(), cab.snapshot()))
-            .collect()
-    }
-
-    /// Restores cabinets from snapshots, replacing current contents.
-    pub fn restore_all(
-        &mut self,
-        snapshots: &BTreeMap<String, Vec<u8>>,
-    ) -> Result<(), crate::error::TacomaError> {
-        self.cabinets.clear();
-        for (name, snap) in snapshots {
-            self.cabinets
-                .insert(name.clone(), FileCabinet::restore(snap)?);
-        }
-        Ok(())
-    }
 }
 
 #[cfg(test)]
@@ -319,8 +275,7 @@ mod tests {
         assert!(cab.folder_contains("VISITED", b"site2"));
         assert!(!cab.contains_elem(b"site9"));
         assert!(!cab.folder_contains("OTHER", b"site1"));
-        assert_eq!(cab.folder("VISITED").unwrap().len(), 2);
-        assert!(cab.access_count() > 0);
+        assert_eq!(cab.folder_ref("VISITED").unwrap().len(), 2);
     }
 
     #[test]
@@ -414,7 +369,7 @@ mod tests {
         cab.append_str("MAIL", "msg1");
         cab.append("BLOB", vec![0u8, 1, 2]);
         let snap = cab.snapshot();
-        let mut restored = FileCabinet::restore(&snap).unwrap();
+        let restored = FileCabinet::restore(&snap).unwrap();
         assert_eq!(restored.names(), vec!["BLOB", "MAIL"]);
         assert!(restored.contains_elem(b"msg1"), "index rebuilt on restore");
         assert_eq!(restored.payload_bytes(), cab.payload_bytes());
@@ -439,11 +394,8 @@ mod tests {
         assert_eq!(store.names(), vec!["mail", "scheduler"]);
         assert!(store.get("mail").is_some());
         assert!(store.get("nope").is_none());
-
-        let snaps = store.snapshot_all();
+        assert!(store.cabinet("mail").contains_elem(b"hello"));
         store.clear();
         assert!(store.names().is_empty());
-        store.restore_all(&snaps).unwrap();
-        assert!(store.cabinet("mail").contains_elem(b"hello"));
     }
 }

@@ -632,7 +632,6 @@ impl TacomaSystem {
                 }
                 Action::Timer {
                     contact,
-                    key: _user_key,
                     delay,
                     briefcase,
                 } => self.arm_timer(site, contact, briefcase, delay),
@@ -740,12 +739,7 @@ mod tests {
             if count > 0 {
                 let mut next = Briefcase::new();
                 next.put_u64("COUNT", count - 1);
-                ctx.schedule(
-                    AgentName::new("pinger"),
-                    count,
-                    Duration::from_millis(10),
-                    next,
-                );
+                ctx.schedule(AgentName::new("pinger"), Duration::from_millis(10), next);
             }
             Ok(bc)
         }

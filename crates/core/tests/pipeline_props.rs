@@ -46,7 +46,7 @@ impl Agent for Worker {
                 ctx.remote_meet(to, worker(), bc.clone(), TransportKind::Tcp);
             }
             2 => ctx.local_meet_async(worker(), bc.clone()),
-            3 => ctx.schedule(worker(), arg, Duration::from_millis(arg % 8), bc.clone()),
+            3 => ctx.schedule(worker(), Duration::from_millis(arg % 8), bc.clone()),
             4 => return ctx.meet_local(&AgentName::new("echo"), bc),
             _ => return Err(TacomaError::Refused("planned failure".into())),
         }

@@ -69,7 +69,6 @@ impl BrokerGuardAgent {
     fn schedule_check(&self, ctx: &mut MeetCtx<'_>) {
         ctx.schedule(
             broker_guard_name(self.watched),
-            0,
             self.period,
             Briefcase::new(),
         );

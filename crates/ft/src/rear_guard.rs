@@ -206,7 +206,7 @@ impl RearGuardAgent {
     }
 
     fn schedule_check(&self, ctx: &mut MeetCtx<'_>) {
-        ctx.schedule(guard_name(&self.job), 0, self.period, Briefcase::new());
+        ctx.schedule(guard_name(&self.job), self.period, Briefcase::new());
     }
 
     fn relaunch_target(&self, ctx: &MeetCtx<'_>) -> Option<(SiteId, Briefcase)> {

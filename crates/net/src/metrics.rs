@@ -6,7 +6,7 @@
 //! (rear guards).
 
 use serde::{Deserialize, Serialize};
-use tacoma_util::{ByteCount, MetricValue, Summary};
+use tacoma_util::{ByteCount, Summary};
 
 /// Byte and message counters for a whole simulation run.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
@@ -215,70 +215,6 @@ impl NetMetrics {
     pub fn reset(&mut self) {
         *self = NetMetrics::default();
     }
-
-    /// Exports the aggregate counters as typed metric key/value pairs, in a
-    /// stable order.
-    ///
-    /// This is the hook for attaching system-level counters to a custom
-    /// bench report: `tacoma_bench::Report::append_metrics` takes this
-    /// output directly.  The stock harness derives its reports from table
-    /// cells only, so `net.*` keys appear in a report only when a caller
-    /// wires them in explicitly.
-    pub fn export(&self) -> Vec<(String, MetricValue)> {
-        vec![
-            (
-                "net.total_bytes".into(),
-                MetricValue::Count(self.total_bytes.get()),
-            ),
-            (
-                "net.total_messages".into(),
-                MetricValue::Count(self.total_messages),
-            ),
-            ("net.total_hops".into(), MetricValue::Count(self.total_hops)),
-            (
-                "net.dropped_messages".into(),
-                MetricValue::Count(self.dropped_messages),
-            ),
-            (
-                "net.delivered_messages".into(),
-                MetricValue::Count(self.delivered_messages),
-            ),
-            (
-                "net.custody_parked".into(),
-                MetricValue::Count(self.custody_parked),
-            ),
-            (
-                "net.custody_delivered".into(),
-                MetricValue::Count(self.custody_delivered),
-            ),
-            (
-                "net.custody_expired".into(),
-                MetricValue::Count(self.custody_expired),
-            ),
-            (
-                "net.custody_rejected".into(),
-                MetricValue::Count(self.custody_rejected),
-            ),
-            (
-                "net.custody_peak_bytes".into(),
-                MetricValue::Count(self.custody_peak_bytes),
-            ),
-            (
-                "net.admitted_meets".into(),
-                MetricValue::Count(self.admitted_meets),
-            ),
-            ("net.shed_meets".into(), MetricValue::Count(self.shed_meets)),
-            ("net.shed_rate".into(), MetricValue::Float(self.shed_rate())),
-            (
-                "net.wait_p99_ms".into(),
-                MetricValue::Float(self.admission_waits.percentile(99.0)),
-            ),
-            (
-                "net.wait_p999_ms".into(),
-                MetricValue::Float(self.admission_waits.percentile(99.9)),
-            ),
-        ]
-    }
 }
 
 #[cfg(test)]
@@ -325,38 +261,6 @@ mod tests {
     }
 
     #[test]
-    fn export_is_typed_and_stably_ordered() {
-        let mut m = NetMetrics::new();
-        m.record_send();
-        m.record_hops(1, 64);
-        m.record_drop();
-        let exported = m.export();
-        let keys: Vec<&str> = exported.iter().map(|(k, _)| k.as_str()).collect();
-        assert_eq!(
-            keys,
-            [
-                "net.total_bytes",
-                "net.total_messages",
-                "net.total_hops",
-                "net.dropped_messages",
-                "net.delivered_messages",
-                "net.custody_parked",
-                "net.custody_delivered",
-                "net.custody_expired",
-                "net.custody_rejected",
-                "net.custody_peak_bytes",
-                "net.admitted_meets",
-                "net.shed_meets",
-                "net.shed_rate",
-                "net.wait_p99_ms",
-                "net.wait_p999_ms",
-            ]
-        );
-        assert_eq!(exported[0].1, MetricValue::Count(64));
-        assert_eq!(exported[3].1, MetricValue::Count(1));
-    }
-
-    #[test]
     fn admission_counters_track_sheds_waits_and_rate() {
         let mut m = NetMetrics::new();
         assert_eq!(m.shed_rate(), 0.0, "no traffic, no rate");
@@ -372,12 +276,6 @@ mod tests {
         assert_eq!(m.janitor_sweeps(), 1);
         assert_eq!(m.janitor_shed(), 4);
         assert_eq!(m.shed_meets(), 5, "janitor sheds count as sheds");
-        let exported = m.export();
-        let shed = exported
-            .iter()
-            .find(|(k, _)| k == "net.shed_meets")
-            .unwrap();
-        assert_eq!(shed.1, MetricValue::Count(5));
         m.reset();
         assert_eq!(m.admitted_meets(), 0);
         assert_eq!(m.admission_waits().count(), 0);

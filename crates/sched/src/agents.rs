@@ -102,7 +102,6 @@ impl Agent for MonitorAgent {
         self.sample_and_report(ctx);
         ctx.schedule(
             AgentName::new(wellknown::MONITOR),
-            1,
             self.period,
             Briefcase::new(),
         );
@@ -120,7 +119,6 @@ impl Agent for MonitorAgent {
             self.sample_and_report(ctx);
             ctx.schedule(
                 AgentName::new(wellknown::MONITOR),
-                1,
                 self.period,
                 Briefcase::new(),
             );
@@ -162,7 +160,6 @@ impl Agent for TicketAgent {
 pub struct WorkerAgent {
     capacity: f64,
     queue: VecDeque<QueuedJob>,
-    next_timer_key: u64,
 }
 
 #[derive(Debug, Clone)]
@@ -178,7 +175,6 @@ impl WorkerAgent {
         WorkerAgent {
             capacity: capacity.max(0.01),
             queue: VecDeque::new(),
-            next_timer_key: 1,
         }
     }
 
@@ -186,12 +182,10 @@ impl WorkerAgent {
         Duration::from_micros(((size_ms as f64 * 1000.0) / self.capacity) as u64)
     }
 
-    fn start_head_job(&mut self, ctx: &mut MeetCtx<'_>) {
+    fn start_head_job(&self, ctx: &mut MeetCtx<'_>) {
         if let Some(head) = self.queue.front() {
             let delay = self.service_time(head.size_ms);
-            let key = self.next_timer_key;
-            self.next_timer_key += 1;
-            ctx.schedule(AgentName::new("worker"), key, delay, Briefcase::new());
+            ctx.schedule(AgentName::new("worker"), delay, Briefcase::new());
         }
     }
 }

@@ -278,7 +278,6 @@ impl Agent for FederatedBrokerAgent {
         if !self.peers.is_empty() {
             ctx.schedule(
                 AgentName::new(wellknown::BROKER),
-                1,
                 self.digest_period,
                 Briefcase::new(),
             );
@@ -291,7 +290,6 @@ impl Agent for FederatedBrokerAgent {
             self.broadcast_digest(ctx);
             ctx.schedule(
                 AgentName::new(wellknown::BROKER),
-                1,
                 self.digest_period,
                 Briefcase::new(),
             );
@@ -462,7 +460,7 @@ impl FederatedJobSource {
     }
 
     fn tick(&self, ctx: &mut MeetCtx<'_>, delay: Duration) {
-        ctx.schedule(AgentName::new(FED_SOURCE), 0, delay, Briefcase::new());
+        ctx.schedule(AgentName::new(FED_SOURCE), delay, Briefcase::new());
     }
 }
 

@@ -35,10 +35,9 @@
 
 use crate::diag::Diagnostic;
 use crate::expr::eval_expr;
-use crate::parser::{Cursor, Span, Word, WordKind, WordPart};
+use crate::parser::{var_name, Cursor, IfFault, Span, Word, WordKind, WordPart};
 use crate::tree::{
-    any_in_scope, var_name, walk, Arm, At, Body, Cmd, Cond, CondPart, IfFault, Script, Shape,
-    State, Step, Tree, View,
+    any_in_scope, walk, Arm, At, Body, Cmd, Cond, CondPart, Script, Shape, State, Step, Tree, View,
 };
 use crate::value::{is_truthy, parse_list};
 use std::collections::{BTreeMap, BTreeSet};
@@ -452,9 +451,7 @@ impl Analyzer<'_> {
 
         match &cmd.shape {
             Shape::Expr { cond } => self.check_cond(cond, env, ctx),
-            Shape::If { arms, fault } => {
-                return self.check_if(arms, fault.as_ref(), span, env, ctx)
-            }
+            Shape::If { arms, fault } => return self.check_if(arms, *fault, cmd, env, ctx),
             Shape::While { cond, body } => self.check_while(cond, body, span, env, ctx),
             Shape::Foreach { body } => self.check_foreach(args[0].static_text(), body, env, ctx),
             Shape::Proc { body } => self.check_proc(args[1].static_text(), body, ctx),
@@ -586,9 +583,9 @@ impl Analyzer<'_> {
         );
     }
 
-    /// Checks brace-quoted condition text the way the interpreter's
-    /// `substitute` evaluates it: `$name` / `${name}` are variable reads,
-    /// `[...]` is an embedded script evaluated in the same scope.
+    /// Checks brace-quoted condition text: its `$name` / `${name}` pieces
+    /// are variable reads, its `[...]` pieces scripts evaluated in the same
+    /// scope.
     fn check_cond(&mut self, cond: &Cond, env: &mut Env, ctx: Ctx) {
         if !cond.braced {
             return;
@@ -606,8 +603,8 @@ impl Analyzer<'_> {
     fn check_if(
         &mut self,
         arms: &[Arm],
-        fault: Option<&IfFault>,
-        span: Span,
+        fault: Option<IfFault>,
+        cmd: &Cmd,
         env: &mut Env,
         ctx: Ctx,
     ) -> Effect {
@@ -636,13 +633,13 @@ impl Analyzer<'_> {
                     Some("'if' expects {cond} {body} with optional elseif/else clauses".into())
                 }
                 IfFault::ElseWithoutBody => Some("'if': 'else' needs a {body}".into()),
-                IfFault::Unexpected(word) => word
-                    .as_ref()
+                IfFault::Unexpected(i) => cmd
+                    .arg_text(i)
                     .map(|word| format!("'if': expected 'elseif' or 'else', got '{word}'")),
                 IfFault::Trailing => None,
             };
             if let Some(message) = message {
-                self.error(ctx, "wrong-arity", span, message);
+                self.error(ctx, "wrong-arity", cmd.span, message);
             }
         }
         // Join: assignments on terminated branches never reach the code after
@@ -772,7 +769,7 @@ fn cond_var_names(text: &str) -> BTreeSet<String> {
     let mut out = BTreeSet::new();
     while let Some(c) = cur.bump() {
         if c == '$' {
-            out.insert(var_name(&mut cur));
+            out.insert(var_name(&mut cur).to_string());
         }
     }
     out.remove("");
@@ -1003,6 +1000,8 @@ mod tests {
         // Updating the induction variable, breaking, or a dynamic condition
         // all count as exits.
         assert_eq!(vet("set i 0\nwhile {$i < 3} { incr i }"), vec![]);
+        // A brace-quoted `expr` runs its scripts in the loop's scope.
+        assert_eq!(vet("set i 0\nwhile {$i < 3} { expr {[incr i]} }"), vec![]);
         assert_eq!(vet("while {1} { if {[my_site]} { break } }"), vec![]);
         assert_eq!(vet("while {[bc_size Q] > 0} { bc_pop Q }"), vec![]);
         // halt escapes even from inside catch.

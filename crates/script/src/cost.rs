@@ -486,8 +486,13 @@ impl<'t> Analyzer<'t> {
                 env.clear();
                 return cost.seq(Cost::poison());
             }
+            // The condition's scripts run once, in this scope.
+            Shape::Expr { cond } => {
+                cost = cost.seq(self.scripts_cost(cond.scripts(), env, adepth));
+                forget(env, &writes_of(cond.scripts()));
+            }
             // Definition only: 1 step + word costs, no body execution.
-            Shape::Proc { .. } | Shape::Expr { .. } | Shape::Plain => {}
+            Shape::Proc { .. } | Shape::Plain => {}
         }
         match name {
             "set" => apply_set(cmd, env),
@@ -1131,6 +1136,20 @@ mod tests {
         let b = bound(src);
         assert_eq!(run_steps(src), 12);
         assert_eq!(b.steps.hi, Some(12));
+    }
+
+    /// A brace-quoted `expr` runs its `[..]` scripts, one level deeper, and
+    /// what they write is no longer a known constant.
+    #[test]
+    fn expr_condition_scripts_are_charged() {
+        let src = "set i 0; expr {[incr i] + [incr i]}";
+        let b = bound(src);
+        assert_eq!(b.steps, CostInterval::exact(4));
+        assert_eq!(b.depth, CostInterval::exact(1));
+        assert_eq!(run_steps(src), 4);
+        let src = "set i 0; expr {[set i 5]}; while {$i < 3} {incr i}";
+        assert_eq!(run_steps(src), 4);
+        assert_eq!(bound(src).verdict(), "unbounded");
     }
 
     #[test]

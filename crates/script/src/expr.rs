@@ -102,16 +102,20 @@ fn tokenize(src: &str) -> Result<Vec<Tok>, ExprError> {
                     .map_err(|_| ExprError(format!("bad number '{s}'")))?;
                 toks.push(Tok::Num(n));
             }
+            // Inside quotes, `\"` and `\\` stand for `"` and `\`; any other
+            // backslash is itself.
             '"' | '\'' => {
-                let quote = c;
-                i += 1;
                 let mut s = String::new();
-                while i < chars.len() && chars[i] != quote {
+                i += 1;
+                loop {
+                    match chars.get(i) {
+                        None => return Err(ExprError("unterminated string".into())),
+                        Some(&q) if q == c => break,
+                        Some('\\') if matches!(chars.get(i + 1), Some('"' | '\\')) => i += 1,
+                        Some(_) => {}
+                    }
                     s.push(chars[i]);
                     i += 1;
-                }
-                if i >= chars.len() {
-                    return Err(ExprError("unterminated string".into()));
                 }
                 i += 1;
                 toks.push(Tok::Str(s));
@@ -379,6 +383,14 @@ mod tests {
         assert_eq!(ev("\"abc\" ne \"abd\""), "1");
         assert_eq!(ev("'site1' eq 'site2'"), "0");
         assert_eq!(ev("hello eq hello"), "1");
+    }
+
+    #[test]
+    fn quoted_strings_honour_two_escapes() {
+        assert_eq!(ev(r#""a\"b" eq 'a"b'"#), "1");
+        assert_eq!(ev(r#""a\\" eq 'a\'"#), "1");
+        assert_eq!(ev(r#""a\nb" eq 'a\nb'"#), "1");
+        assert!(eval_expr(r#""a\""#).is_err());
     }
 
     #[test]

@@ -9,7 +9,10 @@
 
 use crate::expr::eval_expr;
 use crate::host::ScriptHost;
-use crate::parser::{parse_script, Command, Word, WordKind, WordPart};
+use crate::parser::{
+    control, if_chain, parse_script, pieces, Clause, Command, Control, IfFault, Piece, Word,
+    WordKind, WordPart,
+};
 use crate::value::{as_int, format_list, is_truthy, parse_list};
 use std::collections::HashMap;
 
@@ -176,12 +179,10 @@ impl<'h> Interp<'h> {
         for w in &cmd.words {
             words.push(self.eval_word(w, depth)?);
         }
-        if words.is_empty() {
-            return Ok(Flow::Normal(String::new()));
+        match words.split_first() {
+            Some((name, args)) => self.invoke(name, args, cmd.line(), depth),
+            None => Ok(Flow::Normal(String::new())),
         }
-        let name = words[0].clone();
-        let args = &words[1..];
-        self.invoke(&name, args, cmd.line(), depth)
     }
 
     fn eval_word(&mut self, word: &Word, depth: u32) -> Result<String, ScriptError> {
@@ -234,6 +235,28 @@ impl<'h> Interp<'h> {
             if spec.arity_violated(args.len()) {
                 return Err(Self::arity_err(name, spec.usage, line));
             }
+        }
+        match control(name, args.len()) {
+            Some(Control::If) => return self.cmd_if(args, line, depth),
+            Some(Control::While) => return self.cmd_while(&args[0], &args[1], line, depth),
+            Some(Control::Foreach) => return self.cmd_foreach(&args[0], &args[1], &args[2], depth),
+            Some(Control::Proc) => {
+                let def = ProcDef {
+                    params: parse_list(&args[1]),
+                    body: args[2].clone(),
+                };
+                self.procs.insert(args[0].clone(), def);
+                return Ok(Flow::Normal(String::new()));
+            }
+            Some(Control::Catch) => {
+                return self.cmd_catch(&args[0], args.get(1).map(String::as_str), depth)
+            }
+            Some(Control::Eval) => return self.eval_script(&args[0], depth + 1),
+            Some(Control::EvalJoined) => return self.eval_script(&args.join(" "), depth + 1),
+            Some(Control::Expr) => return self.expr(&args[0], line, depth).map(Flow::Normal),
+            // `Malformed` is refused by the arity table above, which gives
+            // `while`, `foreach` and `catch` the arities `control` does.
+            Some(Control::Malformed) | None => {}
         }
         match name {
             // --- variables & values ------------------------------------------
@@ -294,59 +317,16 @@ impl<'h> Interp<'h> {
                 }
                 _ => Err(Self::arity_err("append", "name ?value ...?", line)),
             },
-            "expr" => {
-                let joined = args.join(" ");
-                eval_expr(&joined)
-                    .map(Flow::Normal)
-                    .map_err(|e| ScriptError::Runtime(format!("line {line}: {e}")))
-            }
+            // Several arguments: joined, not substituted again.
+            "expr" => eval_expr(&args.join(" "))
+                .map(Flow::Normal)
+                .map_err(|e| ScriptError::Runtime(format!("line {line}: {e}"))),
             // --- control flow -------------------------------------------------
-            "if" => self.cmd_if(args, line, depth),
-            "while" => self.cmd_while(args, line, depth),
-            "foreach" => self.cmd_foreach(args, line, depth),
-            "proc" => match args {
-                [name, params, body] => {
-                    self.procs.insert(
-                        name.clone(),
-                        ProcDef {
-                            params: parse_list(params),
-                            body: body.clone(),
-                        },
-                    );
-                    Ok(Flow::Normal(String::new()))
-                }
-                _ => Err(Self::arity_err("proc", "name {params} {body}", line)),
-            },
             "return" => Ok(Flow::Return(args.first().cloned().unwrap_or_default())),
             "halt" => Ok(Flow::Halt(args.first().cloned().unwrap_or_default())),
             "break" => Ok(Flow::Break),
             "continue" => Ok(Flow::Continue),
-            "eval" => {
-                let joined = args.join(" ");
-                self.eval_script(&joined, depth + 1)
-            }
             "error" => Err(ScriptError::Runtime(args.join(" "))),
-            "catch" => match args {
-                [body] => match self.eval_script(body, depth + 1) {
-                    Ok(halt @ Flow::Halt(_)) => Ok(halt),
-                    Ok(_) => Ok(Flow::Normal("0".into())),
-                    Err(ScriptError::BudgetExceeded) => Err(ScriptError::BudgetExceeded),
-                    Err(_) => Ok(Flow::Normal("1".into())),
-                },
-                [body, var] => match self.eval_script(body, depth + 1) {
-                    Ok(halt @ Flow::Halt(_)) => Ok(halt),
-                    Ok(flow) => {
-                        self.set_in_scope(var, flow.value());
-                        Ok(Flow::Normal("0".into()))
-                    }
-                    Err(ScriptError::BudgetExceeded) => Err(ScriptError::BudgetExceeded),
-                    Err(e) => {
-                        self.set_in_scope(var, e.to_string());
-                        Ok(Flow::Normal("1".into()))
-                    }
-                },
-                _ => Err(Self::arity_err("catch", "{body} ?resultVar?", line)),
-            },
             // --- lists & strings ----------------------------------------------
             "list" => Ok(Flow::Normal(format_list(args.iter()))),
             "llength" => match args {
@@ -571,143 +551,85 @@ impl<'h> Interp<'h> {
     }
 
     fn cmd_if(&mut self, args: &[String], line: u32, depth: u32) -> Result<Flow, ScriptError> {
-        // if {cond} {body} ?elseif {cond} {body}?* ?else {body}?
-        let mut i = 0;
-        while i < args.len() {
-            if i == 0 || args[i] == "elseif" {
-                let offset = if i == 0 { 0 } else { 1 };
-                let cond = args
-                    .get(i + offset)
-                    .ok_or_else(|| Self::arity_err("if", "{cond} {body} ...", line))?;
-                let body = args
-                    .get(i + offset + 1)
-                    .ok_or_else(|| Self::arity_err("if", "{cond} {body} ...", line))?;
-                let cond_result = self.eval_condition(cond, line, depth)?;
-                if cond_result {
-                    return self.eval_script(body, depth + 1);
+        for clause in if_chain(args.len(), |i| args.get(i).map(String::as_str)) {
+            match clause {
+                Ok(Clause {
+                    cond: Some(cond),
+                    body,
+                }) => {
+                    if self.eval_condition(&args[cond], line, depth)? {
+                        return self.eval_script(&args[body], depth + 1);
+                    }
                 }
-                i += offset + 2;
-            } else if args[i] == "else" {
-                let body = args
-                    .get(i + 1)
-                    .ok_or_else(|| Self::arity_err("if", "... else {body}", line))?;
-                return self.eval_script(body, depth + 1);
-            } else {
-                return Err(ScriptError::Runtime(format!(
-                    "line {line}: expected 'elseif' or 'else', got '{}'",
-                    args[i]
-                )));
+                Ok(Clause { cond: None, body }) => return self.eval_script(&args[body], depth + 1),
+                Err(IfFault::Truncated) => {
+                    return Err(Self::arity_err("if", "{cond} {body} ...", line))
+                }
+                Err(IfFault::ElseWithoutBody) => {
+                    return Err(Self::arity_err("if", "... else {body}", line))
+                }
+                Err(IfFault::Unexpected(i)) => {
+                    return Err(ScriptError::Runtime(format!(
+                        "line {line}: expected 'elseif' or 'else', got '{}'",
+                        args[i]
+                    )))
+                }
+                // Only an `else` comes before it, and that returned.
+                Err(IfFault::Trailing) => break,
             }
         }
         Ok(Flow::Normal(String::new()))
     }
 
     fn eval_condition(&mut self, cond: &str, line: u32, depth: u32) -> Result<bool, ScriptError> {
-        // The condition text may contain $vars and [cmds]; run it through word
-        // evaluation first, then expr.
-        let substituted = self.substitute(cond, depth)?;
-        match eval_expr(&substituted) {
-            Ok(v) => Ok(is_truthy(&v)),
-            Err(e) => Err(ScriptError::Runtime(format!("line {line}: {e}"))),
-        }
+        self.expr(cond, line, depth).map(|v| is_truthy(&v))
     }
 
-    /// Substitutes `$var` and `[cmd]` occurrences in a condition string
-    /// (conditions arrive brace-quoted and therefore unsubstituted).
+    /// Evaluates a condition, or the argument of a one-argument `expr`: its
+    /// `$name`s and `[..]` scripts are substituted first, as Tcl's `expr`
+    /// does for a brace-quoted argument.
+    fn expr(&mut self, text: &str, line: u32, depth: u32) -> Result<String, ScriptError> {
+        let substituted = self.substitute(text, depth)?;
+        eval_expr(&substituted).map_err(|e| ScriptError::Runtime(format!("line {line}: {e}")))
+    }
+
+    /// Substitutes the `$name` and `[..]` pieces of `expr` text.
     ///
-    /// Substituted values are spliced back in *double-quoted* so that empty
-    /// strings and values containing spaces survive the trip into `expr`
-    /// (Tcl's expr performs its own substitution and has the same property).
-    /// Values already inside a quoted region are spliced verbatim.
+    /// Substituted values are spliced back in *double-quoted*, with `"` and
+    /// `\` escaped, so that empty strings and values containing spaces or
+    /// quotes survive the trip into `expr` as one string.  Values already
+    /// inside a quoted region are spliced verbatim.
     fn substitute(&mut self, src: &str, depth: u32) -> Result<String, ScriptError> {
-        let chars: Vec<char> = src.chars().collect();
-        let mut out = String::new();
-        let mut i = 0;
+        let mut out = String::with_capacity(src.len());
         let mut in_quotes = false;
-        while i < chars.len() {
-            match chars[i] {
-                '"' => {
-                    in_quotes = !in_quotes;
-                    out.push('"');
-                    i += 1;
+        for (_, piece) in pieces(src) {
+            match piece {
+                Piece::Text(text) => {
+                    in_quotes ^= text.matches('"').count() % 2 == 1;
+                    out.push_str(text);
                 }
-                '$' => {
-                    i += 1;
-                    let mut name = String::new();
-                    if i < chars.len() && chars[i] == '{' {
-                        i += 1;
-                        while i < chars.len() && chars[i] != '}' {
-                            name.push(chars[i]);
-                            i += 1;
-                        }
-                        i += 1; // closing brace
-                    } else {
-                        while i < chars.len() && (chars[i].is_alphanumeric() || chars[i] == '_') {
-                            name.push(chars[i]);
-                            i += 1;
-                        }
-                    }
-                    if name.is_empty() {
-                        out.push('$');
-                        continue;
-                    }
-                    let value = self
-                        .get_var(&name)
-                        .ok_or_else(|| {
-                            ScriptError::Runtime(format!("undefined variable '{name}'"))
-                        })?
-                        .to_string();
-                    if in_quotes {
-                        out.push_str(&value);
-                    } else {
-                        out.push('"');
-                        out.push_str(&value.replace('"', "\\\""));
-                        out.push('"');
-                    }
+                Piece::Var(name) => {
+                    let value = self.get_var(name).ok_or_else(|| {
+                        ScriptError::Runtime(format!("undefined variable '{name}'"))
+                    })?;
+                    splice(&mut out, value, in_quotes);
                 }
-                '[' => {
-                    // Find the matching bracket.
-                    let mut depth_brackets = 1;
-                    let mut inner = String::new();
-                    i += 1;
-                    while i < chars.len() && depth_brackets > 0 {
-                        match chars[i] {
-                            '[' => {
-                                depth_brackets += 1;
-                                inner.push('[');
-                            }
-                            ']' => {
-                                depth_brackets -= 1;
-                                if depth_brackets > 0 {
-                                    inner.push(']');
-                                }
-                            }
-                            c => inner.push(c),
-                        }
-                        i += 1;
-                    }
-                    let value = self.eval_script(&inner, depth + 1)?.value();
-                    if in_quotes {
-                        out.push_str(&value);
-                    } else {
-                        out.push('"');
-                        out.push_str(&value.replace('"', "\\\""));
-                        out.push('"');
-                    }
-                }
-                c => {
-                    out.push(c);
-                    i += 1;
+                Piece::Script(script) => {
+                    let value = self.eval_script(script, depth + 1)?.value();
+                    splice(&mut out, &value, in_quotes);
                 }
             }
         }
         Ok(out)
     }
 
-    fn cmd_while(&mut self, args: &[String], line: u32, depth: u32) -> Result<Flow, ScriptError> {
-        let [cond, body] = args else {
-            return Err(Self::arity_err("while", "{cond} {body}", line));
-        };
+    fn cmd_while(
+        &mut self,
+        cond: &str,
+        body: &str,
+        line: u32,
+        depth: u32,
+    ) -> Result<Flow, ScriptError> {
         loop {
             if !self.eval_condition(cond, line, depth)? {
                 break;
@@ -725,10 +647,13 @@ impl<'h> Interp<'h> {
         Ok(Flow::Normal(String::new()))
     }
 
-    fn cmd_foreach(&mut self, args: &[String], line: u32, depth: u32) -> Result<Flow, ScriptError> {
-        let [var, list, body] = args else {
-            return Err(Self::arity_err("foreach", "var {list} {body}", line));
-        };
+    fn cmd_foreach(
+        &mut self,
+        var: &str,
+        list: &str,
+        body: &str,
+        depth: u32,
+    ) -> Result<Flow, ScriptError> {
         for elem in parse_list(list) {
             self.set_in_scope(var, elem);
             match self.eval_script(body, depth + 1)? {
@@ -738,6 +663,28 @@ impl<'h> Interp<'h> {
             }
         }
         Ok(Flow::Normal(String::new()))
+    }
+
+    /// `catch body ?var?`: `1` when the body raised, `0` otherwise, with
+    /// the error or result in `var`.  Neither `halt` nor the step budget is
+    /// caught.
+    fn cmd_catch(
+        &mut self,
+        body: &str,
+        var: Option<&str>,
+        depth: u32,
+    ) -> Result<Flow, ScriptError> {
+        let caught = match self.eval_script(body, depth + 1) {
+            Ok(halt @ Flow::Halt(_)) => return Ok(halt),
+            Err(ScriptError::BudgetExceeded) => return Err(ScriptError::BudgetExceeded),
+            caught => caught,
+        };
+        let code = if caught.is_ok() { "0" } else { "1" };
+        if let Some(var) = var {
+            let value = caught.map_or_else(|e| e.to_string(), Flow::value);
+            self.set_in_scope(var, value);
+        }
+        Ok(Flow::Normal(code.into()))
     }
 
     fn cmd_string(&mut self, args: &[String], line: u32) -> Result<Flow, ScriptError> {
@@ -810,6 +757,21 @@ impl<'h> Interp<'h> {
     }
 }
 
+/// Appends a substituted value to `expr` text (see [`Interp::substitute`]).
+fn splice(out: &mut String, value: &str, in_quotes: bool) {
+    if in_quotes {
+        return out.push_str(value);
+    }
+    out.push('"');
+    for c in value.chars() {
+        if matches!(c, '"' | '\\') {
+            out.push('\\');
+        }
+        out.push(c);
+    }
+    out.push('"');
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -831,6 +793,29 @@ mod tests {
         assert_eq!(run("set x 5\nset y $x"), "5");
         assert_eq!(run("set x 5; expr $x + 1"), "6");
         assert_eq!(run("set x hello; set y \"$x world\""), "hello world");
+    }
+
+    /// A one-argument `expr` is substituted the way a condition is, so a
+    /// brace-quoted argument reads variables and runs scripts.
+    #[test]
+    fn one_argument_expr_substitutes_like_a_condition() {
+        assert_eq!(run("set x 4; expr {$x + 1}"), "5");
+        assert_eq!(run("set i 0; expr {[incr i] + [incr i]}; set i"), "2");
+        assert_eq!(run("set s {a b}; expr {$s eq \"a b\"}"), "1");
+        // Several arguments are joined, not substituted again.
+        assert_eq!(run("set x 4; catch {expr {$x} + 1}"), "1");
+        let mut host = NullHost;
+        let mut interp = Interp::new(&mut host);
+        let outcome = interp.run("set i 0; expr {[incr i]}").unwrap();
+        assert_eq!((outcome.result.as_str(), outcome.steps), ("1", 3));
+    }
+
+    /// A value holding `"` or `\` reaches `expr` as one string.
+    #[test]
+    fn values_with_quotes_and_backslashes_compare_as_strings() {
+        assert_eq!(run("set x {a\"b}; if {$x eq $x} {set r yes}"), "yes");
+        assert_eq!(run("set x a\\\\; expr {$x eq \"a\\\\\"}"), "1");
+        assert_eq!(run("set x {\\\"}; expr {$x eq \"\\\\\\\"\"}"), "1");
     }
 
     #[test]

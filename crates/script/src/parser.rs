@@ -147,34 +147,36 @@ impl fmt::Display for ParseError {
 
 impl std::error::Error for ParseError {}
 
-/// A character cursor that tracks the 1-based line and column it stands on;
-/// `tree.rs` scans brace-quoted condition text with it.
+/// A character cursor over source text that tracks the 1-based line and
+/// column it stands on.
 pub(crate) struct Cursor<'a> {
-    chars: Vec<char>,
+    src: &'a str,
     pos: usize,
     line: u32,
     col: u32,
-    _src: &'a str,
 }
 
 impl<'a> Cursor<'a> {
     pub(crate) fn new(src: &'a str) -> Self {
         Cursor {
-            chars: src.chars().collect(),
+            src,
             pos: 0,
             line: 1,
             col: 1,
-            _src: src,
         }
     }
 
+    fn rest(&self) -> &'a str {
+        &self.src[self.pos..]
+    }
+
     pub(crate) fn peek(&self) -> Option<char> {
-        self.chars.get(self.pos).copied()
+        self.rest().chars().next()
     }
 
     pub(crate) fn bump(&mut self) -> Option<char> {
         let c = self.peek()?;
-        self.pos += 1;
+        self.pos += c.len_utf8();
         if c == '\n' {
             self.line += 1;
             self.col = 1;
@@ -195,6 +197,177 @@ impl<'a> Cursor<'a> {
             col: self.col,
         }
     }
+}
+
+/// Reads the name after a `$`: `{...}` up to the closing brace (or the end
+/// of the text), or a run of alphanumerics and `_`.  An empty name leaves
+/// the `$` literal.
+pub(crate) fn var_name<'a>(cur: &mut Cursor<'a>) -> &'a str {
+    let start = cur.pos;
+    if cur.peek() == Some('{') {
+        cur.bump();
+        let rest = cur.rest();
+        while cur.bump().is_some_and(|c| c != '}') {}
+        return rest.split('}').next().unwrap_or_default();
+    }
+    while cur.peek().is_some_and(|c| c.is_alphanumeric() || c == '_') {
+        cur.bump();
+    }
+    &cur.src[start..cur.pos]
+}
+
+/// Reads the script of a `[..]` whose `[` was just read, through the
+/// matching `]`: its text, and whether the bracket closed.  An unclosed one
+/// runs to the end of the text.
+pub(crate) fn bracketed<'a>(cur: &mut Cursor<'a>) -> (&'a str, bool) {
+    let rest = cur.rest();
+    let mut depth = 1;
+    while let Some(c) = cur.bump() {
+        match c {
+            '[' => depth += 1,
+            ']' if depth == 1 => return (&rest[..rest.len() - cur.rest().len() - 1], true),
+            ']' => depth -= 1,
+            _ => {}
+        }
+    }
+    (rest, false)
+}
+
+/// One piece of text that is substituted before `expr` evaluates it: an
+/// `if` or `while` condition, or the argument of a one-argument `expr`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Piece<'a> {
+    /// Text that is copied as it is.
+    Text(&'a str),
+    /// A `$name` or `${name}` read.
+    Var(&'a str),
+    /// A `[..]` script, closed or not.
+    Script(&'a str),
+}
+
+/// Reads substituted text into [`Piece`]s, each with the position of its
+/// first character.  The interpreter substitutes what this yields, and the
+/// parsed tree is built from the same reading.
+pub(crate) fn pieces(text: &str) -> impl Iterator<Item = (Span, Piece<'_>)> {
+    let mut cur = Cursor::new(text);
+    std::iter::from_fn(move || {
+        let (at, start) = (cur.span(), cur.pos);
+        let piece = match cur.bump()? {
+            '$' => match var_name(&mut cur) {
+                "" => Piece::Text("$"),
+                name => Piece::Var(name),
+            },
+            '[' => Piece::Script(bracketed(&mut cur).0),
+            _ => {
+                while cur.peek().is_some_and(|c| c != '$' && c != '[') {
+                    cur.bump();
+                }
+                Piece::Text(&text[start..cur.pos])
+            }
+        };
+        Some((at, piece))
+    })
+}
+
+/// What a control command is, decoded from its name and argument count:
+/// the one reading of control syntax the interpreter and the parsed tree
+/// share.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Control {
+    /// `if`, whose clauses [`if_chain`] reads.
+    If,
+    /// `while cond body`.
+    While,
+    /// `foreach var list body`.
+    Foreach,
+    /// `proc name params body`.
+    Proc,
+    /// `catch body ?resultVar?`.
+    Catch,
+    /// One-argument `eval`: the argument is the script.
+    Eval,
+    /// `eval` with any other number of arguments: the script is assembled
+    /// at run time.
+    EvalJoined,
+    /// One-argument `expr`: the argument is substituted as a condition is,
+    /// then evaluated.
+    Expr,
+    /// `while`, `foreach` or `catch` with the wrong number of arguments:
+    /// an arity error, and nothing runs.
+    Malformed,
+}
+
+/// Decodes a control command; `None` for any other command.
+pub(crate) fn control(name: &str, argc: usize) -> Option<Control> {
+    Some(match (name, argc) {
+        ("if", _) => Control::If,
+        ("while", 2) => Control::While,
+        ("foreach", 3) => Control::Foreach,
+        ("proc", 3) => Control::Proc,
+        ("catch", 1 | 2) => Control::Catch,
+        ("while" | "foreach" | "catch", _) => Control::Malformed,
+        ("eval", 1) => Control::Eval,
+        ("eval", _) => Control::EvalJoined,
+        ("expr", 1) => Control::Expr,
+        _ => return None,
+    })
+}
+
+/// One clause of an `if` chain, by argument index (0-based, after the
+/// name): `cond body`, or `else body` with no condition.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Clause {
+    pub cond: Option<usize>,
+    pub body: usize,
+}
+
+/// Why an `if` chain stopped decoding.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum IfFault {
+    /// A condition or body is missing.
+    Truncated,
+    /// `else` is the last word.
+    ElseWithoutBody,
+    /// The argument at this index is neither `elseif` nor `else`, or is
+    /// computed at run time.
+    Unexpected(usize),
+    /// Words follow the `else` body.  The interpreter never reaches them.
+    Trailing,
+}
+
+/// Reads `cond body ?elseif cond body?* ?else body?` over `argc` arguments
+/// whose text `text` gives when it is known: the clauses in order, then the
+/// fault that ended the chain, if one did.
+pub(crate) fn if_chain<'a>(
+    argc: usize,
+    text: impl Fn(usize) -> Option<&'a str>,
+) -> impl Iterator<Item = Result<Clause, IfFault>> {
+    let (mut next, mut after_else) = (Some(0), false);
+    std::iter::from_fn(move || {
+        let i = next.take().filter(|&i| i == 0 || i < argc)?;
+        let cond = match (i, text(i)) {
+            _ if after_else => return Some(Err(IfFault::Trailing)),
+            (0, _) => 0,
+            (_, Some("elseif")) => i + 1,
+            (_, Some("else")) if i + 1 < argc => {
+                (next, after_else) = (Some(i + 2), true);
+                return Some(Ok(Clause {
+                    cond: None,
+                    body: i + 1,
+                }));
+            }
+            (_, Some("else")) => return Some(Err(IfFault::ElseWithoutBody)),
+            _ => return Some(Err(IfFault::Unexpected(i))),
+        };
+        if cond + 1 >= argc {
+            return Some(Err(IfFault::Truncated));
+        }
+        next = Some(cond + 2);
+        Some(Ok(Clause {
+            cond: Some(cond),
+            body: cond + 1,
+        }))
+    })
 }
 
 /// Parses a whole script into a list of commands.
@@ -261,7 +434,7 @@ fn parse_command(cursor: &mut Cursor<'_>) -> Result<Vec<Word>, ParseError> {
                 break;
             }
             // Line continuation: backslash-newline acts as a space.
-            Some('\\') if cursor.chars.get(cursor.pos + 1) == Some(&'\n') => {
+            Some('\\') if cursor.rest().starts_with("\\\n") => {
                 cursor.bump();
                 cursor.bump();
             }
@@ -323,30 +496,6 @@ fn parse_braced(cursor: &mut Cursor<'_>) -> Result<String, ParseError> {
     }
 }
 
-/// Parses a `[...]` substitution, returning the inner script text.
-fn parse_bracketed(cursor: &mut Cursor<'_>) -> Result<String, ParseError> {
-    cursor.bump(); // consume '['
-    let mut depth = 1;
-    let mut out = String::new();
-    loop {
-        match cursor.bump() {
-            None => return Err(cursor.err("unclosed bracket")),
-            Some('[') => {
-                depth += 1;
-                out.push('[');
-            }
-            Some(']') => {
-                depth -= 1;
-                if depth == 0 {
-                    return Ok(out);
-                }
-                out.push(']');
-            }
-            Some(c) => out.push(c),
-        }
-    }
-}
-
 /// Parses the parts of a bare or quoted word.
 fn parse_parts(cursor: &mut Cursor<'_>, quoted: bool) -> Result<Vec<WordPart>, ParseError> {
     let mut parts = Vec::new();
@@ -373,39 +522,22 @@ fn parse_parts(cursor: &mut Cursor<'_>, quoted: bool) -> Result<Vec<WordPart>, P
             ' ' | '\t' | '\n' | '\r' | ';' if !quoted => break,
             '$' => {
                 cursor.bump();
-                let mut name = String::new();
-                // ${name} form.
-                if cursor.peek() == Some('{') {
-                    cursor.bump();
-                    while let Some(c) = cursor.peek() {
-                        if c == '}' {
-                            cursor.bump();
-                            break;
-                        }
-                        name.push(c);
-                        cursor.bump();
+                match var_name(cursor) {
+                    "" => literal.push('$'),
+                    name => {
+                        flush!();
+                        parts.push(WordPart::Variable(name.to_string()));
                     }
-                } else {
-                    while let Some(c) = cursor.peek() {
-                        if c.is_alphanumeric() || c == '_' {
-                            name.push(c);
-                            cursor.bump();
-                        } else {
-                            break;
-                        }
-                    }
-                }
-                if name.is_empty() {
-                    literal.push('$');
-                } else {
-                    flush!();
-                    parts.push(WordPart::Variable(name));
                 }
             }
             '[' => {
-                let inner = parse_bracketed(cursor)?;
+                cursor.bump();
+                let (script, closed) = bracketed(cursor);
+                if !closed {
+                    return Err(cursor.err("unclosed bracket"));
+                }
                 flush!();
-                parts.push(WordPart::Command(inner));
+                parts.push(WordPart::Command(script.to_string()));
             }
             '\\' => {
                 cursor.bump();
@@ -573,6 +705,77 @@ mod tests {
             panic!("expected parts")
         };
         assert_eq!(parts, &vec![WordPart::Command("a [b c] d".into())]);
+    }
+
+    #[test]
+    fn pieces_read_vars_and_scripts() {
+        let read: Vec<_> = pieces("$a+${b c}<[f [g]] \"$\" [open").collect();
+        assert_eq!(
+            read,
+            [
+                (Span::new(1, 1), Piece::Var("a")),
+                (Span::new(1, 3), Piece::Text("+")),
+                (Span::new(1, 4), Piece::Var("b c")),
+                (Span::new(1, 10), Piece::Text("<")),
+                (Span::new(1, 11), Piece::Script("f [g]")),
+                (Span::new(1, 18), Piece::Text(" \"")),
+                (Span::new(1, 20), Piece::Text("$")),
+                (Span::new(1, 21), Piece::Text("\" ")),
+                (Span::new(1, 23), Piece::Script("open")),
+            ]
+        );
+        let unclosed: Vec<_> = pieces("${x").map(|(_, piece)| piece).collect();
+        assert_eq!(unclosed, [Piece::Var("x")]);
+    }
+
+    /// Reads the `if` chain over literal words.
+    fn chain(words: &str) -> Vec<Result<Clause, IfFault>> {
+        let words: Vec<&str> = words.split_whitespace().collect();
+        if_chain(words.len(), |i| words.get(i).copied()).collect()
+    }
+
+    #[test]
+    fn if_chains_end_in_their_fault() {
+        let arm = |cond, body| {
+            Ok(Clause {
+                cond: Some(cond),
+                body,
+            })
+        };
+        let other = |body| Ok(Clause { cond: None, body });
+        assert_eq!(chain("c b"), [arm(0, 1)]);
+        assert_eq!(
+            chain("c b elseif d e else f"),
+            [arm(0, 1), arm(3, 4), other(6)]
+        );
+        assert_eq!(
+            chain("c b else f g"),
+            [arm(0, 1), other(3), Err(IfFault::Trailing)]
+        );
+        assert_eq!(
+            chain("c b else"),
+            [arm(0, 1), Err(IfFault::ElseWithoutBody)]
+        );
+        assert_eq!(chain("c b elseif d"), [arm(0, 1), Err(IfFault::Truncated)]);
+        assert_eq!(
+            chain("c b then e"),
+            [arm(0, 1), Err(IfFault::Unexpected(2))]
+        );
+        assert_eq!(chain(""), [Err(IfFault::Truncated)]);
+        assert_eq!(chain("c"), [Err(IfFault::Truncated)]);
+    }
+
+    /// A control command is malformed exactly when the builtin table
+    /// refuses its arity, which is why the interpreter never meets one.
+    #[test]
+    fn malformed_is_the_tables_arity_error() {
+        for name in ["while", "foreach", "catch"] {
+            let spec = crate::builtins::builtin(name).expect("a builtin");
+            for argc in 0..6 {
+                let malformed = control(name, argc) == Some(Control::Malformed);
+                assert_eq!(malformed, spec.arity_violated(argc), "{name} with {argc}");
+            }
+        }
     }
 
     #[test]

@@ -21,9 +21,13 @@
 //! analyses' flow-insensitive questions are answered by one [`walk`] over
 //! it; only their flow-sensitive passes recurse on their own.
 //!
-//! The interpreter is not a client yet; it still takes text (ROADMAP item 2).
+//! The interpreter still takes text (ROADMAP item 2), but it reads that text
+//! with the same [`pieces`] and [`control`] decoding the tree is built from.
 
-use crate::parser::{parse_script, Cursor, ParseError, Span, Word, WordKind, WordPart};
+use crate::parser::{
+    control, if_chain, parse_script, pieces, Control, IfFault, ParseError, Piece, Span, Word,
+    WordKind, WordPart,
+};
 use crate::value::parse_list;
 use std::iter;
 use std::sync::Arc;
@@ -84,8 +88,8 @@ pub(crate) struct ProcDef {
     pub at: At,
 }
 
-/// The nesting cap shared by every analysis (it mirrors the interpreter's
-/// default `max_depth`): a script nested deeper is a [`State::TooDeep`] leaf.
+/// The nesting cap shared by every analysis, the interpreter's default
+/// `max_depth`: a script nested deeper is a [`State::TooDeep`] leaf.
 pub(crate) const MAX_DEPTH: u32 = 64;
 
 /// One parsed script: the whole source, a body, or a `[..]` substitution.
@@ -167,8 +171,8 @@ pub(crate) enum Role {
     Eval,
 }
 
-/// What a command is, decoded the way the interpreter's `cmd_*` functions
-/// walk their arguments.
+/// What a command is: its [`Control`] decoding, with the bodies and
+/// conditions parsed.
 #[derive(Debug)]
 pub(crate) enum Shape {
     /// Anything that is not one of the shapes below: a computed command
@@ -201,7 +205,7 @@ pub(crate) enum Shape {
     Eval {
         body: Body,
     },
-    /// One-argument `expr`, which vet and audit read as condition text.
+    /// One-argument `expr`, whose argument is a condition.
     Expr {
         cond: Cond,
     },
@@ -217,21 +221,8 @@ pub(crate) struct Arm {
     pub body: Body,
 }
 
-/// Why an `if` chain stopped decoding.
-#[derive(Debug)]
-pub(crate) enum IfFault {
-    /// A condition or body is missing.
-    Truncated,
-    /// `else` is the last word.
-    ElseWithoutBody,
-    /// Something other than `elseif`/`else` follows a body (`None` when it
-    /// is computed at run time).
-    Unexpected(Option<String>),
-    /// Words follow the `else` body.  The interpreter never looks at them.
-    Trailing,
-}
-
-/// A condition word: the text the interpreter's `substitute` will scan.
+/// A condition word: text whose [`pieces`] are substituted before `expr`
+/// evaluates it.
 #[derive(Debug)]
 pub(crate) struct Cond {
     /// The condition text, or `None` when it is computed at run time.
@@ -328,8 +319,7 @@ pub(crate) struct At {
     pub top: bool,
     /// Reached through brace-quoted text only.
     pub braced: bool,
-    /// Runs in that script's scope: not in a `proc` body, `eval` script or
-    /// one-argument `expr` condition.
+    /// Runs in that script's scope: not in a `proc` body or `eval` script.
     pub in_scope: bool,
     pub in_catch: bool,
     /// In the body of a proc whose name is computed, which nothing calls.
@@ -354,11 +344,10 @@ impl At {
 
     /// Where `cmd`'s child `body`, in `role`, sits.
     fn enter(self, cmd: &Cmd, role: Role, body: &Body) -> At {
-        let expr = role == Role::Cond && matches!(cmd.shape, Shape::Expr { .. });
         At {
             top: false,
             braced: self.braced && body.braced,
-            in_scope: self.in_scope && !expr && !matches!(role, Role::Proc | Role::Eval),
+            in_scope: self.in_scope && !matches!(role, Role::Proc | Role::Eval),
             in_catch: self.in_catch || role == Role::Catch,
             hidden: self.hidden || (role == Role::Proc && cmd.arg_text(0).is_none()),
             breaks: self.breaks && role == Role::Arm,
@@ -530,129 +519,67 @@ fn cond_of(word: &Word, depth: u32) -> Cond {
     }
 }
 
-/// Reads the name after a `$` the way the interpreter's `substitute` does:
-/// `{...}` up to the closing brace, or a run of alphanumerics and `_`.
-pub(crate) fn var_name(cur: &mut Cursor) -> String {
-    let mut name = String::new();
-    if cur.peek() == Some('{') {
-        cur.bump();
-        while let Some(c) = cur.bump().filter(|&c| c != '}') {
-            name.push(c);
-        }
-    } else {
-        while let Some(c) = cur.peek().filter(|&c| c.is_alphanumeric() || c == '_') {
-            name.push(c);
-            cur.bump();
-        }
-    }
-    name
-}
-
-/// Scans condition text exactly as the interpreter's `substitute` does:
-/// `$name`/`${name}` are reads, `[...]` (closed or not) is a script.
+/// The `$name` reads and `[..]` scripts of condition text, in order.
 fn scan_cond(text: &str, base: Span, depth: u32) -> Vec<CondPart> {
-    let mut parts = Vec::new();
-    let mut cur = Cursor::new(text);
-    while let Some(c) = cur.peek() {
-        let at = map_span(base, cur.span());
-        cur.bump();
-        match c {
-            '$' => {
-                let name = var_name(&mut cur);
-                if !name.is_empty() {
-                    parts.push(CondPart::Var(name, at));
-                }
-            }
-            '[' => {
-                let inner_base = map_span(base, cur.span());
-                let mut inner = String::new();
-                let mut nesting = 1;
-                while let Some(c) = cur.bump() {
-                    match c {
-                        '[' => nesting += 1,
-                        ']' => nesting -= 1,
-                        _ => {}
-                    }
-                    if nesting == 0 {
-                        break;
-                    }
-                    inner.push(c);
-                }
-                parts.push(CondPart::Script(nested(&inner, inner_base, depth, true)));
-            }
-            _ => {}
+    let parts = pieces(text).filter_map(|(at, piece)| match piece {
+        Piece::Var(name) => Some(CondPart::Var(name.to_string(), map_span(base, at))),
+        Piece::Script(script) => {
+            let inner = map_span(base, Span::new(at.line, at.col + 1));
+            Some(CondPart::Script(nested(script, inner, depth, true)))
         }
-    }
-    parts
+        Piece::Text(_) => None,
+    });
+    parts.collect()
 }
 
 fn decode(words: &[Word], depth: u32) -> Shape {
     let args = &words[1..];
     let body = |i: usize| body_of(&args[i], depth);
     let cond = |i: usize| cond_of(&args[i], depth);
-    match (words[0].static_text(), args.len()) {
-        (Some("if"), _) => decode_if(args, depth),
-        (Some("while"), 2) => Shape::While {
+    let Some(kind) = words[0]
+        .static_text()
+        .and_then(|name| control(name, args.len()))
+    else {
+        return Shape::Plain;
+    };
+    match kind {
+        Control::If => {
+            let (mut arms, mut fault) = (Vec::new(), None);
+            let text = |i: usize| args.get(i).and_then(Word::static_text);
+            for clause in if_chain(args.len(), text) {
+                match clause {
+                    Ok(clause) => arms.push(Arm {
+                        cond: clause.cond.map(cond),
+                        body: body(clause.body),
+                    }),
+                    Err(stop) => fault = Some(stop),
+                }
+            }
+            Shape::If { arms, fault }
+        }
+        Control::While => Shape::While {
             cond: cond(0),
             body: body(1),
         },
-        (Some("foreach"), 3) => Shape::Foreach { body: body(2) },
-        (Some("proc"), 3) => Shape::Proc {
+        Control::Foreach => Shape::Foreach { body: body(2) },
+        Control::Proc => Shape::Proc {
             body: Arc::new(body(2)),
         },
-        (Some("catch"), 1 | 2) => Shape::Catch { body: body(0) },
-        (Some("while" | "foreach" | "catch"), _) => Shape::Malformed,
-        (Some("eval"), 1) => Shape::Eval { body: body(0) },
-        (Some("eval"), _) => Shape::Eval {
+        Control::Catch => Shape::Catch { body: body(0) },
+        Control::Eval => Shape::Eval { body: body(0) },
+        Control::EvalJoined => Shape::Eval {
             body: Body::computed(),
         },
-        (Some("expr"), 1) => Shape::Expr { cond: cond(0) },
-        _ => Shape::Plain,
-    }
-}
-
-/// Decodes `cond body ?elseif cond body?* ?else body?`, mirroring the
-/// interpreter's `cmd_if` walk.
-fn decode_if(args: &[Word], depth: u32) -> Shape {
-    let mut arms = Vec::new();
-    let mut fault = None;
-    let mut i = 0;
-    while i < args.len() {
-        let keyword = args[i].static_text();
-        if i == 0 || keyword == Some("elseif") {
-            let at = i + usize::from(i != 0);
-            let (Some(cond), Some(body)) = (args.get(at), args.get(at + 1)) else {
-                fault = Some(IfFault::Truncated);
-                break;
-            };
-            arms.push(Arm {
-                cond: Some(cond_of(cond, depth)),
-                body: body_of(body, depth),
-            });
-            i = at + 2;
-        } else if keyword == Some("else") {
-            match args.get(i + 1) {
-                Some(body) => {
-                    arms.push(Arm {
-                        cond: None,
-                        body: body_of(body, depth),
-                    });
-                    if i + 2 != args.len() {
-                        fault = Some(IfFault::Trailing);
-                    }
-                }
-                None => fault = Some(IfFault::ElseWithoutBody),
+        Control::Expr => {
+            let mut cond = cond(0);
+            if cond.text.is_none() {
+                // Substituting a computed value runs scripts known only then.
+                cond.parts.push(CondPart::Script(Body::computed()));
             }
-            break;
-        } else {
-            fault = Some(IfFault::Unexpected(keyword.map(str::to_string)));
-            break;
+            Shape::Expr { cond }
         }
+        Control::Malformed => Shape::Malformed,
     }
-    if args.is_empty() {
-        fault = Some(IfFault::Truncated);
-    }
-    Shape::If { arms, fault }
 }
 
 /// The bounded-script grammar `tests/cost_props.rs` drives the interpreter

@@ -75,7 +75,9 @@ fn assert_lower_bound_is_a_true_minimum(src: &str, bound: &CostBound) {
 /// overflows `i64` (certain death claimed for a script that finishes in 4
 /// steps), a fold past 2^53 (8 steps proven, 10 taken), a counted loop whose
 /// guard compares past 2^53, and a `[` left open in a condition, which the
-/// interpreter still evaluates.
+/// interpreter still evaluates.  A one-argument `expr` runs its `[..]`
+/// scripts too, at the top, in a loop body or in a branch, and so does the
+/// computed value of one.
 #[test]
 fn pinned_scripts_stay_inside_their_bounds() {
     for src in [
@@ -83,6 +85,11 @@ fn pinned_scripts_stay_inside_their_bounds() {
         "set i [expr 9007199254740992 + 1]; while {$i < 9007199254740995} {incr i}; set done 1",
         "set i 9007199254740992; while {$i < 9007199254740993} {incr i}; set done 1",
         "set i 0; while {$i < 3 && [expr 1} {incr i}",
+        "set i 0; expr {[incr i] + [expr {[incr i] * 2}]}",
+        "set n 0; set i 0; while {$i < 3} {expr {[incr n]}; incr i}",
+        "if {1} {expr {[set a 1] + [string length abc]}} else {expr {[set a 2]}}",
+        "set c {[incr i] + [incr i]}; expr $c",
+        "set c {[set i 5]}; set i 0; while {$i < 3} {expr $c; incr i}",
     ] {
         let bound = cost_bound(src).expect("parses");
         assert_upper_bound_is_a_sound_budget(src, &bound);

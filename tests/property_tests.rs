@@ -181,7 +181,7 @@ proptest! {
         for (folder, elem) in &entries {
             cab.append(folder, elem.clone());
         }
-        let mut restored = FileCabinet::restore(&cab.snapshot()).expect("restore");
+        let restored = FileCabinet::restore(&cab.snapshot()).expect("restore");
         prop_assert_eq!(restored.payload_bytes(), cab.payload_bytes());
         for (folder, elem) in &entries {
             prop_assert!(restored.folder_contains(folder, elem));

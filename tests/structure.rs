@@ -204,6 +204,30 @@ fn the_tree_is_built_only_by_script_parse() {
     assert_eq!(enclosing, Some("pub fn parse(src: &str) -> Script {"));
 }
 
+/// TacoScript's `$name` and `[..]` syntax has one reader, in `parser.rs`:
+/// the interpreter substitutes a condition with the same reading the
+/// analyses scan it with, so the two cannot drift apart, and `tree.rs`
+/// keeps no copy of the interpreter's.
+#[test]
+fn one_reader_of_substitution_syntax() {
+    for pattern in ["'$' =>", "'[' =>"] {
+        let files: Vec<String> = uses(SCRIPT, pattern).into_keys().collect();
+        assert_eq!(files, ["crates/script/src/parser.rs"], "{pattern}");
+    }
+    let copies = ["the way the interpreter", "mirroring the interpreter"];
+    let tree = "crates/script/src/tree.rs";
+    assert_eq!(mentions(&[tree], &copies), Vec::<String>::new());
+}
+
+/// The control commands are decoded in one place, `parser.rs`'s `control`
+/// and `if_chain`, which the interpreter dispatches on and the parsed tree
+/// is built from.
+#[test]
+fn one_decoder_of_control_commands() {
+    let sites: Vec<(String, usize)> = uses(SCRIPT, "\"elseif\"").into_iter().collect();
+    assert_eq!(sites, [("crates/script/src/parser.rs".to_string(), 1)]);
+}
+
 /// A message crosses `SimNet` without walking an ordered map: the metrics
 /// and the transport it touches on every send hold none.
 #[test]
