@@ -8,6 +8,7 @@
 use crate::folder::Folder;
 use serde::{Deserialize, Serialize};
 use std::borrow::Cow;
+use tacoma_util::Name;
 
 /// A collection of named folders.
 ///
@@ -15,12 +16,12 @@ use std::borrow::Cow;
 /// sit in one vector sorted by name — a briefcase holds a handful, so a
 /// binary search beats a tree and the whole collection is one heap block —
 /// which keeps serialization and wire sizes deterministic.  A name is a
-/// `Cow<'static, str>`: the well-known names agents use are string literals
-/// and cost nothing to store.
+/// [`Name`]: the well-known names agents use are string literals and cost
+/// nothing to store, and a short name read off the wire is stored in place.
 #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Briefcase {
     /// Strictly ascending by name.
-    folders: Vec<(Cow<'static, str>, Folder)>,
+    folders: Vec<(Name, Folder)>,
 }
 
 impl Briefcase {
@@ -31,9 +32,15 @@ impl Briefcase {
 
     /// A briefcase of `folders`, which are strictly ascending by name (what
     /// a decoder has once it has checked the order the wire promises).
-    pub(crate) fn from_sorted(folders: Vec<(Cow<'static, str>, Folder)>) -> Self {
+    pub(crate) fn from_sorted(folders: Vec<(Name, Folder)>) -> Self {
         debug_assert!(folders.windows(2).all(|pair| pair[0].0 < pair[1].0));
         Briefcase { folders }
+    }
+
+    /// The folder at position `at` in name order, which must exist: where
+    /// the codec takes an arena out and puts an adopted one back.
+    pub(crate) fn nth_mut(&mut self, at: usize) -> &mut Folder {
+        &mut self.folders[at].1
     }
 
     /// Number of folders in the briefcase.
@@ -47,27 +54,26 @@ impl Briefcase {
     }
 
     /// Where the folder `name` is (`Ok`) or would be inserted (`Err`).
-    fn find(&self, name: &str) -> Result<usize, usize> {
-        self.folders.binary_search_by(|(n, _)| (**n).cmp(name))
+    fn find(&self, name: &[u8]) -> Result<usize, usize> {
+        self.folders
+            .binary_search_by(|(n, _)| n.as_bytes().cmp(name))
     }
 
     /// Whether a folder with the given name exists.
     pub fn contains(&self, name: &str) -> bool {
-        self.find(name).is_ok()
+        self.find(name.as_bytes()).is_ok()
     }
 
     /// Read access to a folder, if present.
     pub fn folder(&self, name: &str) -> Option<&Folder> {
-        self.find(name).ok().map(|at| &self.folders[at].1)
+        self.find(name.as_bytes())
+            .ok()
+            .map(|at| &self.folders[at].1)
     }
 
     /// The folder `find` looked for, created empty under `name()` where it
     /// belongs if it was absent.
-    fn entry(
-        &mut self,
-        found: Result<usize, usize>,
-        name: impl FnOnce() -> Cow<'static, str>,
-    ) -> &mut Folder {
+    fn entry(&mut self, found: Result<usize, usize>, name: impl FnOnce() -> Name) -> &mut Folder {
         let at = found.unwrap_or_else(|at| {
             self.folders.insert(at, (name(), Folder::new()));
             at
@@ -77,13 +83,13 @@ impl Briefcase {
 
     /// Mutable access to a folder, creating an empty one if absent.
     pub fn folder_mut(&mut self, name: &str) -> &mut Folder {
-        self.entry(self.find(name), || Cow::Owned(name.to_string()))
+        self.entry(self.find(name.as_bytes()), || Name::copied(name))
     }
 
     /// Inserts (or replaces) a folder under the given name.
     pub fn put(&mut self, name: impl Into<Cow<'static, str>>, folder: Folder) -> Option<Folder> {
-        let name = name.into();
-        match self.find(&name) {
+        let name = Name::from(name.into());
+        match self.find(name.as_bytes()) {
             Ok(at) => Some(std::mem::replace(&mut self.folders[at].1, folder)),
             Err(at) => {
                 self.folders.insert(at, (name, folder));
@@ -94,7 +100,9 @@ impl Briefcase {
 
     /// Removes and returns a folder.
     pub fn take(&mut self, name: &str) -> Option<Folder> {
-        self.find(name).ok().map(|at| self.folders.remove(at).1)
+        self.find(name.as_bytes())
+            .ok()
+            .map(|at| self.folders.remove(at).1)
     }
 
     /// Removes a folder, returning an error-friendly `Option` of its single
@@ -132,7 +140,13 @@ impl Briefcase {
 
     /// Iterates over `(name, folder)` pairs in name order.
     pub fn iter(&self) -> impl ExactSizeIterator<Item = (&str, &Folder)> + Clone {
-        self.folders.iter().map(|(k, v)| (&**k, v))
+        self.folders.iter().map(|(k, v)| (k.as_str(), v))
+    }
+
+    /// `(name, folder)` pairs in name order, each name as its UTF-8 bytes:
+    /// what the encoder writes, without checking again that it is UTF-8.
+    pub(crate) fn wire_folders(&self) -> impl ExactSizeIterator<Item = (&[u8], &Folder)> + Clone {
+        self.folders.iter().map(|(k, v)| (k.as_bytes(), v))
     }
 
     /// The folder names, in order.
@@ -144,7 +158,8 @@ impl Briefcase {
     /// same name are concatenated (other's elements appended).
     pub fn merge(&mut self, other: Briefcase) {
         for (name, mut folder) in other.folders {
-            self.entry(self.find(&name), || name).append(&mut folder);
+            self.entry(self.find(name.as_bytes()), || name)
+                .append(&mut folder);
         }
     }
 

@@ -151,7 +151,7 @@ impl FileCabinet {
     /// ("flushed to disk when permanence is required", §6).  The index is not
     /// stored; it is rebuilt on restore.
     pub fn snapshot(&self) -> Vec<u8> {
-        crate::codec::encode_folders(self.folders.iter().map(|(k, v)| (k.as_str(), v)))
+        crate::codec::encode_folders(self.folders.iter().map(|(k, v)| (k.as_bytes(), v)))
     }
 
     /// Rebuilds a cabinet from a snapshot produced by [`FileCabinet::snapshot`].

@@ -22,11 +22,18 @@
 //! over the framing without building the bytes, the encoders allocate exactly
 //! that much, and anything that only needs a size (admission service time,
 //! [`Briefcase::wire_size`]) asks them instead of encoding.
+//!
+//! The kernel hands a request over by value at both ends of a hop
+//! ([`encode_meet_request_owned`], [`decode_meet_request_owned`]), so a
+//! folder that is more than half of the buffer changes owners instead of
+//! being copied; the borrowed entry points write and read the same bytes
+//! with the same writer and parser.
 
 use crate::briefcase::Briefcase;
 use crate::error::TacomaError;
 use crate::folder::Folder;
-use tacoma_util::{AgentId, AgentName, SiteId};
+use std::ops::Range;
+use tacoma_util::{AgentId, AgentName, Name, SiteId};
 
 /// Protocol version byte for meet requests.
 const MEET_VERSION: u8 = 1;
@@ -118,7 +125,7 @@ pub fn folder_encoded_len(folder: &Folder) -> usize {
 }
 
 /// Exact length of [`encode_folders`]' output.
-fn folders_encoded_len<'a>(folders: impl Iterator<Item = (&'a str, &'a Folder)>) -> usize {
+fn folders_encoded_len<'a>(folders: impl Iterator<Item = (&'a [u8], &'a Folder)>) -> usize {
     4 + folders
         .map(|(name, folder)| 4 + name.len() + folder_encoded_len(folder))
         .sum::<usize>()
@@ -126,12 +133,21 @@ fn folders_encoded_len<'a>(folders: impl Iterator<Item = (&'a str, &'a Folder)>)
 
 /// Exact length of [`encode_briefcase`]'s output.
 pub fn briefcase_encoded_len(bc: &Briefcase) -> usize {
-    folders_encoded_len(bc.iter())
+    folders_encoded_len(bc.wire_folders())
 }
 
 /// Exact length of [`encode_meet_request`]'s output.
 pub fn meet_request_encoded_len(req: &MeetRequest) -> usize {
-    1 + 4 + req.contact.as_str().len() + 8 + 4 + briefcase_encoded_len(&req.briefcase)
+    1 + 4 + req.contact.0.as_bytes().len() + 8 + 4 + briefcase_encoded_len(&req.briefcase)
+}
+
+/// Whether a folder image of `image` bytes keeps a buffer of `buffer` bytes
+/// as its arena instead of being copied: only when it is more than half of
+/// it, the bound [`Folder`] already keeps between its arena and its live
+/// bytes (it reclaims a dequeued prefix at half).  At most one folder of a
+/// request can be.
+fn adopts(image: usize, buffer: usize) -> bool {
+    image > buffer / 2
 }
 
 /// Encodes a folder.
@@ -147,54 +163,97 @@ fn encode_folder_into(folder: &Folder, out: &mut Vec<u8>) {
     out.extend_from_slice(folder.wire_image());
 }
 
-fn decode_folder_from(r: &mut Reader<'_>) -> Result<Folder, TacomaError> {
+/// A folder off the reader, its count and then its image: the offset table
+/// and where the image lies in the input.
+fn scan_folder(r: &mut Reader<'_>) -> Result<(Vec<u32>, Range<usize>), TacomaError> {
     let count = r.u32()? as usize;
-    let (folder, used) = Folder::from_wire(r.rest(), count)
+    let (ends, used) = Folder::scan(r.rest(), count)
         .ok_or_else(|| r.truncated(format_args!("a folder of {count} elements")))?;
-    r.pos += used;
-    Ok(folder)
+    let image = r.pos..r.pos + used;
+    r.pos = image.end;
+    Ok((ends, image))
 }
 
 /// Decodes a folder, rejecting trailing bytes.
 pub fn decode_folder(buf: &[u8]) -> Result<Folder, TacomaError> {
-    Reader::whole(buf, decode_folder_from)
+    Reader::whole(buf, |r| {
+        let (ends, image) = scan_folder(r)?;
+        Ok(Folder::from_image(r.buf[image].to_vec(), ends))
+    })
 }
 
 /// Encodes a briefcase.
 pub fn encode_briefcase(bc: &Briefcase) -> Vec<u8> {
-    encode_folders(bc.iter())
+    encode_folders(bc.wire_folders())
 }
 
 /// Encodes `(name, folder)` pairs, given in strictly ascending name order, as
 /// a briefcase: what a [`Briefcase`] and a cabinet snapshot both are.
 pub(crate) fn encode_folders<'a>(
-    folders: impl ExactSizeIterator<Item = (&'a str, &'a Folder)> + Clone,
+    folders: impl ExactSizeIterator<Item = (&'a [u8], &'a Folder)> + Clone,
 ) -> Vec<u8> {
     let mut out = Vec::with_capacity(folders_encoded_len(folders.clone()));
-    encode_folders_into(folders, &mut out);
+    encode_folders_into(folders, &mut out, None);
     out
 }
 
+/// A folder whose image an encoder's output buffer starts with: the folder
+/// at `at` in name order, `count` elements in `image` bytes.
+#[derive(Clone, Copy)]
+struct InPlace {
+    at: usize,
+    count: usize,
+    image: usize,
+}
+
+/// The briefcase framing, written behind what `out` holds.  With
+/// `in_place`, the briefcase has an empty folder where that one was, and
+/// when its turn comes, everything written behind its image so far is
+/// rotated in front of it, once.
 fn encode_folders_into<'a>(
-    folders: impl ExactSizeIterator<Item = (&'a str, &'a Folder)>,
+    folders: impl ExactSizeIterator<Item = (&'a [u8], &'a Folder)>,
     out: &mut Vec<u8>,
+    in_place: Option<InPlace>,
 ) {
     put_u32(out, folders.len() as u32);
-    for (name, folder) in folders {
-        put_bytes(out, name.as_bytes());
-        encode_folder_into(folder, out);
+    for (k, (name, folder)) in folders.enumerate() {
+        put_bytes(out, name);
+        match in_place {
+            Some(InPlace { at, count, image }) if at == k => {
+                put_u32(out, count as u32);
+                let framing = out.len() - image;
+                out.rotate_right(framing);
+            }
+            _ => encode_folder_into(folder, out),
+        }
     }
 }
 
-fn decode_briefcase_from(r: &mut Reader<'_>) -> Result<Briefcase, TacomaError> {
+/// The folder a decoder found to keep its input buffer as the arena: the
+/// folder at `at` in name order, its offset table, and where its image lies.
+struct Kept {
+    at: usize,
+    ends: Vec<u32>,
+    image: Range<usize>,
+}
+
+/// The folders of a briefcase off the reader, each name in strictly
+/// ascending order.  Each image is copied, except the one that [`adopts`]
+/// an input buffer of `buffer` bytes: that folder is left empty, to be
+/// given the buffer once the whole input has parsed.
+fn decode_briefcase_from(
+    r: &mut Reader<'_>,
+    buffer: usize,
+) -> Result<(Briefcase, Option<Kept>), TacomaError> {
     let count = r.u32()? as usize;
     // Every folder costs at least a name length and an element count.
     if count > r.rest().len() / 8 {
         return Err(r.truncated(format_args!("{count} folders")));
     }
     let mut folders = Vec::with_capacity(count);
+    let mut kept = None;
     let mut prev: Option<&str> = None;
-    for _ in 0..count {
+    for at in 0..count {
         let name = r.str("folder")?;
         // The encoder emits names strictly ascending; anything else (a
         // repeat would silently replace the earlier folder) is not something
@@ -205,29 +264,68 @@ fn decode_briefcase_from(r: &mut Reader<'_>) -> Result<Briefcase, TacomaError> {
             )));
         }
         prev = Some(name);
-        folders.push((name.to_string().into(), decode_folder_from(r)?));
+        let (ends, image) = scan_folder(r)?;
+        let folder = if adopts(image.len(), buffer) {
+            kept = Some(Kept { at, ends, image });
+            Folder::new()
+        } else {
+            Folder::from_image(r.buf[image].to_vec(), ends)
+        };
+        folders.push((Name::copied(name), folder));
     }
-    Ok(Briefcase::from_sorted(folders))
+    Ok((Briefcase::from_sorted(folders), kept))
 }
 
 /// Decodes a briefcase, rejecting trailing bytes.
 pub fn decode_briefcase(buf: &[u8]) -> Result<Briefcase, TacomaError> {
-    Reader::whole(buf, decode_briefcase_from)
+    Reader::whole(buf, |r| Ok(decode_briefcase_from(r, usize::MAX)?.0))
 }
 
-/// Encodes a remote meet request.
+/// Writes `req` behind what `out` holds (see [`encode_folders_into`]).
+fn encode_request_into(req: &MeetRequest, out: &mut Vec<u8>, in_place: Option<InPlace>) {
+    out.push(MEET_VERSION);
+    put_bytes(out, req.contact.0.as_bytes());
+    out.extend_from_slice(&req.sender.0.to_le_bytes());
+    put_u32(out, req.origin.0);
+    encode_folders_into(req.briefcase.wire_folders(), out, in_place);
+}
+
+/// Encodes a remote meet request, leaving it as it was.
 pub fn encode_meet_request(req: &MeetRequest) -> Vec<u8> {
     let mut out = Vec::with_capacity(meet_request_encoded_len(req));
-    out.push(MEET_VERSION);
-    put_bytes(&mut out, req.contact.as_str().as_bytes());
-    out.extend_from_slice(&req.sender.0.to_le_bytes());
-    put_u32(&mut out, req.origin.0);
-    encode_folders_into(req.briefcase.iter(), &mut out);
+    encode_request_into(req, &mut out, None);
     out
 }
 
-/// Decodes a remote meet request.
-pub fn decode_meet_request(buf: &[u8]) -> Result<MeetRequest, TacomaError> {
+/// Encodes a remote meet request it is handed, bytes for bytes what
+/// [`encode_meet_request`] writes.  A folder that is more than half of the
+/// request and of its own arena (so that [`decode_meet_request_owned`] lets
+/// it keep the buffer) lends its arena: the request is written around its
+/// image, reserved once and shifted up once, instead of copying it into a
+/// fresh buffer.
+pub fn encode_meet_request_owned(mut req: MeetRequest) -> Vec<u8> {
+    let len = meet_request_encoded_len(&req);
+    let lender = req.briefcase.wire_folders().position(|(_, folder)| {
+        let buffer = len.max(folder.arena_capacity());
+        adopts(folder.wire_image().len(), buffer)
+    });
+    let Some(at) = lender else {
+        let mut out = Vec::with_capacity(len);
+        encode_request_into(&req, &mut out, None);
+        return out;
+    };
+    let folder = std::mem::take(req.briefcase.nth_mut(at));
+    let count = folder.len();
+    let mut out = folder.into_wire_image();
+    let image = out.len();
+    out.reserve_exact(len - image);
+    encode_request_into(&req, &mut out, Some(InPlace { at, count, image }));
+    out
+}
+
+/// The one meet request parser: the request, and the folder that adopts an
+/// input buffer of `buffer` bytes, if one does (see [`decode_briefcase_from`]).
+fn decode_request(buf: &[u8], buffer: usize) -> Result<(MeetRequest, Option<Kept>), TacomaError> {
     Reader::whole(buf, |r| {
         let [version] = r.array()?;
         if version != MEET_VERSION {
@@ -235,13 +333,35 @@ pub fn decode_meet_request(buf: &[u8]) -> Result<MeetRequest, TacomaError> {
                 "unknown meet request version {version}"
             )));
         }
-        Ok(MeetRequest {
-            contact: AgentName::from(r.str("contact")?),
-            sender: AgentId(u64::from_le_bytes(r.array()?)),
-            origin: SiteId(r.u32()?),
-            briefcase: decode_briefcase_from(r)?,
-        })
+        let contact = AgentName::from(r.str("contact")?);
+        let sender = AgentId(u64::from_le_bytes(r.array()?));
+        let origin = SiteId(r.u32()?);
+        let (briefcase, kept) = decode_briefcase_from(r, buffer)?;
+        let req = MeetRequest {
+            contact,
+            sender,
+            origin,
+            briefcase,
+        };
+        Ok((req, kept))
     })
+}
+
+/// Decodes a remote meet request, copying what it keeps out of `buf`.
+pub fn decode_meet_request(buf: &[u8]) -> Result<MeetRequest, TacomaError> {
+    Ok(decode_request(buf, usize::MAX)?.0)
+}
+
+/// Decodes a remote meet request it is handed, to what
+/// [`decode_meet_request`] returns.  A folder whose image is more than half
+/// of `buf`'s capacity keeps `buf` as its arena: its image is moved down
+/// once, and nothing of its size is allocated.
+pub fn decode_meet_request_owned(buf: Vec<u8>) -> Result<MeetRequest, TacomaError> {
+    let (mut req, kept) = decode_request(&buf, buf.capacity())?;
+    if let Some(Kept { at, ends, image }) = kept {
+        *req.briefcase.nth_mut(at) = Folder::adopt(buf, image, ends);
+    }
+    Ok(req)
 }
 
 #[cfg(test)]
@@ -279,6 +399,24 @@ mod tests {
             decode_meet_request(&encode_meet_request(&req)).unwrap(),
             req
         );
+    }
+
+    /// The owned entry points write and read the same bytes as the borrowed
+    /// ones, whichever folder (if any) lends or keeps the buffer.
+    #[test]
+    fn owned_entry_points_match_the_borrowed_ones() {
+        let mut big = sample_request();
+        big.briefcase.folder_mut("DATA").push(vec![7; 300]);
+        let mut last = sample_request();
+        last.briefcase.folder_mut("ZZ").push(vec![8; 300]);
+        last.briefcase.folder_mut("ZZ").dequeue();
+        last.briefcase.folder_mut("ZZ").push(vec![9; 400]);
+        for req in [sample_request(), big, last] {
+            let bytes = encode_meet_request(&req);
+            let owned = encode_meet_request_owned(req.clone());
+            assert_eq!(owned, bytes);
+            assert_eq!(decode_meet_request_owned(owned).unwrap(), req);
+        }
     }
 
     #[test]
@@ -321,7 +459,9 @@ mod tests {
         // `encode_folders` writes pairs in the order given; a `Briefcase`
         // would sort them.
         let (x, y) = (Folder::of_str("x"), Folder::of_str("y"));
-        let raw = |pairs: [(&str, &Folder); 2]| encode_folders(pairs.into_iter());
+        let raw = |pairs: [(&str, &Folder); 2]| {
+            encode_folders(pairs.into_iter().map(|(name, f)| (name.as_bytes(), f)))
+        };
         let canonical = raw([("A", &x), ("B", &y)]);
         assert_eq!(
             encode_briefcase(&decode_briefcase(&canonical).unwrap()),

@@ -10,6 +10,7 @@
 //! stored on the wire.
 
 use serde::{Deserialize, Serialize};
+use std::ops::Range;
 
 /// One element of a folder as an owned value: an uninterpreted sequence of
 /// bytes.  Borrowed accessors hand out `&[u8]` slices of the folder's arena,
@@ -25,7 +26,8 @@ pub type FolderElem = Vec<u8>;
 ///
 /// All elements live back to back in one byte arena, each exactly as the wire
 /// carries it (`u32 len ‖ bytes`), so encoding a folder is one copy of the
-/// arena and decoding one is a validating scan plus one copy.  An offset
+/// arena and decoding one is a validating scan plus one copy, or none when
+/// the folder keeps the buffer it arrived in (see [`crate::codec`]).  An offset
 /// table holds the end of every element but the last, which ends where the
 /// arena does: a one-element folder is a single heap block.  Dequeued
 /// elements stay in the arena as a dead prefix until it makes up half of it,
@@ -74,10 +76,10 @@ impl Folder {
         f
     }
 
-    /// Takes a folder of `count` elements off the front of `wire`, which
-    /// holds them in wire form, and returns it with the bytes it occupied.
+    /// Scans `count` elements in wire form off the front of `wire`: the
+    /// offset table of the folder they make, and the bytes they occupy.
     /// `None` if `wire` ends early or the folder would pass `u32::MAX` bytes.
-    pub(crate) fn from_wire(wire: &[u8], count: usize) -> Option<(Folder, usize)> {
+    pub(crate) fn scan(wire: &[u8], count: usize) -> Option<(Vec<u32>, usize)> {
         // Every element costs at least its prefix, so a count the input
         // cannot hold is refused before anything is reserved for it.
         if count > wire.len() / PREFIX {
@@ -94,14 +96,45 @@ impl Folder {
         }
         let used = wire.len() - rest.len();
         u32::try_from(used).ok()?;
-        let data = wire[..used].to_vec();
-        let head = 0;
-        Some((Folder { data, ends, head }, used))
+        Some((ends, used))
+    }
+
+    /// The folder whose wire image is `data`, with the offset table
+    /// [`Folder::scan`] made of it.
+    pub(crate) fn from_image(data: Vec<u8>, ends: Vec<u32>) -> Folder {
+        Folder {
+            data,
+            ends,
+            head: 0,
+        }
+    }
+
+    /// The folder whose wire image is `buf[image]`, `buf` its arena: the
+    /// image is moved to the front once and the rest cut off, so nothing of
+    /// the image's size is allocated.
+    pub(crate) fn adopt(mut buf: Vec<u8>, image: Range<usize>, ends: Vec<u32>) -> Folder {
+        let len = image.len();
+        buf.copy_within(image, 0);
+        buf.truncate(len);
+        Folder::from_image(buf, ends)
     }
 
     /// The live elements in wire form: what an encoder writes after the count.
     pub(crate) fn wire_image(&self) -> &[u8] {
         &self.data[self.start(self.head)..]
+    }
+
+    /// The arena, dead prefix dropped: the wire image, owned.
+    pub(crate) fn into_wire_image(mut self) -> Vec<u8> {
+        self.data.drain(..self.start(self.head));
+        self.data
+    }
+
+    /// Bytes of storage the arena holds, live or not (for tests of the
+    /// bound an adopted arena keeps).
+    #[doc(hidden)]
+    pub fn arena_capacity(&self) -> usize {
+        self.data.capacity()
     }
 
     /// Number of elements in the folder.

@@ -188,7 +188,7 @@ impl Engine {
         transport: TransportKind,
     ) {
         self.stats.meets_requested += 1;
-        let payload = codec::encode_meet_request(&MeetRequest {
+        let payload = codec::encode_meet_request_owned(MeetRequest {
             contact,
             sender: AgentId::SYSTEM,
             origin,
@@ -404,7 +404,7 @@ impl TacomaSystem {
                 "dropping unknown message kind {} at {}",
                 msg.kind, msg.to
             )),
-            Event::Message(msg) => match codec::decode_meet_request(&msg.payload) {
+            Event::Message(msg) => match codec::decode_meet_request_owned(msg.payload) {
                 Ok(req) => self.deliver_meet(msg.to, req),
                 Err(e) => {
                     let at = msg.to;

@@ -16,6 +16,7 @@ use std::cell::Cell;
 use tacoma_core::codec::{self, MeetRequest};
 use tacoma_core::prelude::*;
 use tacoma_net::{Event, LinkSpec, SendOptions, SimNet, Topology, TransportKind};
+use tacoma_util::Name;
 
 thread_local! {
     /// `(allocations, bytes)` requested by this thread.  Per thread, so the
@@ -117,9 +118,9 @@ fn decode_allocations_do_not_grow_with_elements() {
     assert_eq!(req.unwrap(), mail(10));
     let (req, large_allocs, large_bytes) = counted(|| codec::decode_meet_request(&large));
     assert_eq!(req.unwrap(), mail(1_000));
-    // Contact, the folder vector, and per folder its name and arena, plus
-    // the offsets of the one folder that has more than one element.
-    assert!(large_allocs <= 8, "{large_allocs} allocations");
+    // The folder vector and an arena per folder, plus the offsets of the one
+    // folder that has more than one element: short names are stored in place.
+    assert_eq!(large_allocs, 4);
     assert_eq!(large_allocs, small_allocs);
     // Exact reservations: per line its payload, its length prefix in the
     // arena and four bytes of offset, and small change for the names and
@@ -151,6 +152,11 @@ fn hostile_element_count_reserves_nothing() {
         "{bytes} bytes for a {}-byte request",
         req.len()
     );
+    // The owned path, which the kernel takes, runs the same parser.
+    let owned = req.clone();
+    let (out, _, bytes) = counted(|| codec::decode_meet_request_owned(owned));
+    assert!(out.is_err());
+    assert!(bytes < 1_024, "{bytes} bytes on the owned path");
 }
 
 #[test]
@@ -208,10 +214,63 @@ fn a_remote_three_folder_meet_fits_its_budget() {
     let (events, allocs, _) = counted(|| one_meet(&mut sys));
     assert_eq!(events, 1);
     // 24 allocations with a `BTreeMap<String, Folder>` briefcase, two
-    // blocks per folder and `AgentName(String)`.  Now: the folder vector and
-    // three arenas to build it, one buffer to encode it, and to decode it the
-    // contact, the vector, and a name and an arena per folder.
-    assert_eq!(allocs, 13);
+    // blocks per folder and `AgentName(String)`; 13 with a heap block per
+    // name read off the wire.  Now: the folder vector and three arenas to
+    // build it, one buffer to encode it, and to decode it the vector and an
+    // arena per folder.  No folder is half the request, so none lends or
+    // keeps the buffer.
+    assert_eq!(allocs, 9);
+}
+
+#[test]
+fn a_remote_hop_of_a_large_body_copies_it_at_most_once() {
+    // The same path with a 1 000-line mail: the body's arena is lent to the
+    // request buffer at the sender and kept as the arena at the receiver.
+    // Copied at both ends it would be about two bodies.
+    let mut sys = TacomaSystem::new(Topology::ring(4, LinkSpec::default()), 7);
+    sys.register_agent(SiteId(0), Box::new(Echo));
+    let body = codec::folder_encoded_len(mail(1_000).briefcase.folder("BODY").unwrap());
+    for exact in [false, true] {
+        let mut bc = mail(1_000).briefcase;
+        if exact {
+            // A body that arrived in an exact block grows once to take the
+            // framing; one built by pushes has room for it already.
+            bc = codec::decode_briefcase(&codec::encode_briefcase(&bc)).unwrap();
+        }
+        let (events, _, bytes) = counted(|| {
+            sys.inject_meet(SiteId(0), AgentName::new("echo"), bc);
+            sys.run_until_quiescent(100)
+        });
+        assert_eq!(events, 1);
+        assert!(
+            bytes * 10 <= body as u64 * 11,
+            "{bytes} bytes allocated for a {body}-byte body (exact block: {exact})"
+        );
+    }
+    assert_eq!(sys.stats().meets_completed, 2);
+}
+
+#[test]
+fn a_short_name_off_the_wire_allocates_nothing() {
+    let name = "n".repeat(Name::INLINE);
+    let mut bc = Briefcase::new();
+    bc.put(name.clone(), Folder::new());
+    let req = MeetRequest {
+        contact: AgentName::from(name.as_str()),
+        sender: AgentId(1),
+        origin: SiteId(0),
+        briefcase: bc,
+    };
+    let bytes = codec::encode_meet_request(&req);
+    let (decoded, allocs, _) = counted(|| codec::decode_meet_request(&bytes).unwrap());
+    assert_eq!(decoded, req);
+    // The folder vector is the one block: neither name takes one.
+    assert_eq!(allocs, 1);
+    let (_, allocs, _) = counted(|| AgentName::from(name.as_str()));
+    assert_eq!(allocs, 0, "a {}-byte contact", name.len());
+    let longer = format!("{name}!");
+    let (_, allocs, _) = counted(|| AgentName::from(longer.as_str()));
+    assert_eq!(allocs, 1, "a {}-byte contact is boxed", longer.len());
 }
 
 /// Bytes allocated by one local meet (inject, deliver, decode, dispatch) on

@@ -510,12 +510,20 @@ fn body_of(word: &Word, depth: u32) -> Body {
     }
 }
 
+/// The condition of an `if` or `elseif` arm, a `while` or a one-argument
+/// `expr`.  A computed condition (`if $c`) is substituted once more when it
+/// is evaluated, which runs whatever `[..]` scripts its value holds: known
+/// only then, so its one part is a computed script.
 fn cond_of(word: &Word, depth: u32) -> Cond {
     let text = word.static_text();
+    let parts = match text {
+        Some(t) => scan_cond(t, content_base(word), depth),
+        None => vec![CondPart::Script(Body::computed())],
+    };
     Cond {
         text: text.map(str::to_string),
         braced: matches!(word.kind, WordKind::Braced(_)),
-        parts: text.map_or_else(Vec::new, |t| scan_cond(t, content_base(word), depth)),
+        parts,
     }
 }
 
@@ -570,14 +578,7 @@ fn decode(words: &[Word], depth: u32) -> Shape {
         Control::EvalJoined => Shape::Eval {
             body: Body::computed(),
         },
-        Control::Expr => {
-            let mut cond = cond(0);
-            if cond.text.is_none() {
-                // Substituting a computed value runs scripts known only then.
-                cond.parts.push(CondPart::Script(Body::computed()));
-            }
-            Shape::Expr { cond }
-        }
+        Control::Expr => Shape::Expr { cond: cond(0) },
         Control::Malformed => Shape::Malformed,
     }
 }

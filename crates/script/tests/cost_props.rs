@@ -77,7 +77,7 @@ fn assert_lower_bound_is_a_true_minimum(src: &str, bound: &CostBound) {
 /// guard compares past 2^53, and a `[` left open in a condition, which the
 /// interpreter still evaluates.  A one-argument `expr` runs its `[..]`
 /// scripts too, at the top, in a loop body or in a branch, and so does the
-/// computed value of one.
+/// computed value of one, or of an `if` or `elseif` condition.
 #[test]
 fn pinned_scripts_stay_inside_their_bounds() {
     for src in [
@@ -90,6 +90,8 @@ fn pinned_scripts_stay_inside_their_bounds() {
         "if {1} {expr {[set a 1] + [string length abc]}} else {expr {[set a 2]}}",
         "set c {[incr i] + [incr i]}; expr $c",
         "set c {[set i 5]}; set i 0; while {$i < 3} {expr $c; incr i}",
+        "set c {[incr i]}; set i 0; if $c {set z 1}",
+        "set c {[set i 5]}; set i 0; if $c {set z 1} elseif $c {set y 2}",
     ] {
         let bound = cost_bound(src).expect("parses");
         assert_upper_bound_is_a_sound_budget(src, &bound);

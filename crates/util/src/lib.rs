@@ -7,8 +7,9 @@
 //!   generator (SplitMix64 seeding an xoshiro256** core) so that every
 //!   simulation run and every experiment in the paper reproduction is exactly
 //!   repeatable from a seed.
-//! * [`ids`] — strongly typed identifiers for sites and agents, and the
-//!   cheap hasher for maps keyed by them.
+//! * [`ids`] — strongly typed identifiers for sites and agents, the short
+//!   [`Name`] that agent and folder names are stored as, and the cheap
+//!   hasher for maps keyed by ids.
 //! * [`stats`] — tiny online statistics and histogram helpers used by the
 //!   benchmark harness to print the experiment tables.
 //! * [`bytesize`] — human-readable byte-size formatting for reports.
@@ -32,7 +33,7 @@ pub mod rng;
 pub mod stats;
 
 pub use bytesize::{human_bytes, ByteCount};
-pub use ids::{AgentId, AgentIdGen, AgentName, IdBuildHasher, IdHasher, SiteId};
+pub use ids::{AgentId, AgentIdGen, AgentName, IdBuildHasher, IdHasher, Name, SiteId};
 pub use json::{Json, JsonError};
 pub use metric::{metric_key, MetricValue, Tolerance};
 pub use rng::DetRng;

@@ -6,6 +6,58 @@ use tacoma::core::codec;
 use tacoma::core::{Briefcase, FileCabinet, Folder};
 use tacoma::script::{parse_script, Interp, NullHost, RecordingHost};
 
+/// What the meet request codec properties feed the decoders: byte `soup`,
+/// the same soup behind a valid version byte, a valid request of `folders`
+/// and a `bulk` folder with `hits` overwritten, and that request unmutated,
+/// with its folder count and with its first folder's element count set to
+/// `u32::MAX`.  The bulk folder is often more than half of the request.
+fn hostile_requests(
+    soup: &[u8],
+    folders: &std::collections::BTreeMap<String, Vec<Vec<u8>>>,
+    bulk: &[Vec<u8>],
+    hits: &[(u16, u8)],
+) -> Vec<Vec<u8>> {
+    let mut bc = Briefcase::new();
+    for (name, elems) in folders {
+        bc.put(name.clone(), Folder::from_elems(elems.clone()));
+    }
+    bc.put("BULK", Folder::from_elems(bulk.iter().cloned()));
+    let valid = codec::encode_meet_request(&codec::MeetRequest {
+        contact: tacoma::util::AgentName::new("ag"),
+        sender: tacoma::util::AgentId(7),
+        origin: tacoma::util::SiteId(1),
+        briefcase: bc,
+    });
+    let mut mutated = valid.clone();
+    for &(at, byte) in hits {
+        let at = at as usize % mutated.len();
+        mutated[at] = byte;
+    }
+    let mut versioned = soup.to_vec();
+    if let Some(first) = versioned.first_mut() {
+        *first = 1;
+    }
+    // Version, contact "ag", sender and origin come before the folder
+    // count; the first folder's name comes before its element count.
+    let folder_count = 1 + 4 + 2 + 8 + 4;
+    let first_name = u32::from_le_bytes(valid[folder_count + 4..][..4].try_into().unwrap());
+    let element_count = folder_count + 8 + first_name as usize;
+    let hostile = |at: usize| {
+        let mut bytes = valid.clone();
+        bytes[at..at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+        bytes
+    };
+    let (folders_claimed, elements_claimed) = (hostile(folder_count), hostile(element_count));
+    vec![
+        soup.to_vec(),
+        versioned,
+        mutated,
+        valid,
+        folders_claimed,
+        elements_claimed,
+    ]
+}
+
 proptest! {
     /// Folders behave as a stack: pushing then popping returns elements in
     /// reverse order and leaves the folder empty.
@@ -132,10 +184,11 @@ proptest! {
         prop_assert!(codec::decode_meet_request(&encoded[..cut]).is_err());
     }
 
-    /// `decode_meet_request` is total on hostile bytes — raw soup, and a
-    /// valid request with a few bytes overwritten (which lands in counts,
-    /// lengths, names and payload alike) — and whatever it accepts is
-    /// canonical: re-encoding gives the input back, at the predicted length.
+    /// `decode_meet_request` is total on hostile bytes — raw soup, a valid
+    /// request with a few bytes overwritten (which lands in counts, lengths,
+    /// names and payload alike) and hostile counts — and whatever it accepts
+    /// is canonical: re-encoding gives the input back, at the predicted
+    /// length.
     #[test]
     fn meet_request_decode_is_total_and_canonical(
         soup in proptest::collection::vec(any::<u8>(), 0..96),
@@ -144,31 +197,45 @@ proptest! {
             proptest::collection::vec(proptest::collection::vec(any::<u8>(), 0..6), 0..4),
             0..5,
         ),
+        bulk in proptest::collection::vec(proptest::collection::vec(any::<u8>(), 0..24), 0..6),
         hits in proptest::collection::vec((any::<u16>(), any::<u8>()), 0..4),
     ) {
-        let mut bc = Briefcase::new();
-        for (name, elems) in &folders {
-            bc.put(name.clone(), Folder::from_elems(elems.clone()));
-        }
-        let mut mutated = codec::encode_meet_request(&codec::MeetRequest {
-            contact: tacoma::util::AgentName::new("ag"),
-            sender: tacoma::util::AgentId(7),
-            origin: tacoma::util::SiteId(1),
-            briefcase: bc,
-        });
-        for (at, byte) in hits {
-            let at = at as usize % mutated.len();
-            mutated[at] = byte;
-        }
-        let mut versioned = soup.clone();
-        if let Some(first) = versioned.first_mut() {
-            *first = 1;
-        }
-        for input in [&soup, &versioned, &mutated] {
+        for input in &hostile_requests(&soup, &folders, &bulk, &hits) {
             if let Ok(req) = codec::decode_meet_request(input) {
                 prop_assert_eq!(&codec::encode_meet_request(&req), input);
                 prop_assert_eq!(codec::meet_request_encoded_len(&req), input.len());
             }
+        }
+    }
+
+    /// The owned entry points the kernel uses, where a folder that is more
+    /// than half of the buffer lends or keeps it, are the borrowed ones
+    /// byte for byte, `Ok` or `Err`; a kept buffer is under twice the live
+    /// bytes of the folder that keeps it.
+    #[test]
+    fn owned_and_borrowed_meet_request_codecs_agree(
+        soup in proptest::collection::vec(any::<u8>(), 0..96),
+        folders in proptest::collection::btree_map(
+            "[A-D]{1,2}",
+            proptest::collection::vec(proptest::collection::vec(any::<u8>(), 0..6), 0..4),
+            0..5,
+        ),
+        bulk in proptest::collection::vec(proptest::collection::vec(any::<u8>(), 0..24), 0..6),
+        hits in proptest::collection::vec((any::<u16>(), any::<u8>()), 0..4),
+    ) {
+        for input in hostile_requests(&soup, &folders, &bulk, &hits) {
+            let borrowed = codec::decode_meet_request(&input);
+            let owned = codec::decode_meet_request_owned(input.clone());
+            prop_assert_eq!(&owned, &borrowed);
+            let Ok(req) = owned else { continue };
+            for (_, folder) in req.briefcase.iter() {
+                let live = codec::folder_encoded_len(folder) - 4;
+                let capacity = folder.arena_capacity();
+                prop_assert!(capacity == 0 || capacity < 2 * live, "{capacity} bytes for {live}");
+            }
+            prop_assert_eq!(&codec::encode_meet_request_owned(req.clone()), &input);
+            // The decoded request, kept buffer and all, lends it again.
+            prop_assert_eq!(&codec::encode_meet_request_owned(req), &input);
         }
     }
 

@@ -116,10 +116,51 @@ const FT: &str = "crates/ft/src";
 
 /// Every phase of a meet exists once in the kernel (the table in
 /// `system/mod.rs`): a second call site is a second path through it.  A
-/// meet request is encoded in one place.
+/// meet request is encoded in one place and decoded in one place, and both
+/// hand the codec the buffer they own, so a large folder changes owners
+/// instead of being copied; the borrowed entry points, which copy, are for
+/// callers outside the kernel.
 #[test]
 fn one_meet_request_encoder_in_the_kernel() {
-    assert_eq!(total(KERNEL, "encode_meet_request("), 1);
+    let system = "crates/core/src/system/mod.rs".to_string();
+    for owned in ["encode_meet_request_owned(", "decode_meet_request_owned("] {
+        let calls: Vec<(String, usize)> = uses(KERNEL, owned).into_iter().collect();
+        assert_eq!(calls, [(system.clone(), 1)], "{owned}");
+    }
+    for borrowed in ["encode_meet_request(", "decode_meet_request("] {
+        assert_eq!(uses(KERNEL, borrowed), BTreeMap::new(), "{borrowed}");
+    }
+}
+
+/// The owned and borrowed entry points are thin wrappers over one codec:
+/// the request header (its `MEET_VERSION` byte) is written by one function
+/// and checked by one, and a folder's elements are scanned by one function
+/// that one reader calls.
+#[test]
+fn one_request_header_writer_and_one_element_scan() {
+    let codec = "crates/core/src/codec.rs";
+    let lines = &shipped(codec)[codec];
+    let version: Vec<(&str, &str)> = lines
+        .iter()
+        .enumerate()
+        .filter(|(_, line)| line.contains("MEET_VERSION"))
+        .map(|(at, line)| {
+            let enclosing = lines[..at].iter().rev().find_map(|l| l.split_once("fn "));
+            let name = enclosing.map_or("", |(_, sig)| sig.split('(').next().unwrap_or(sig));
+            (line.trim(), name)
+        })
+        .collect();
+    assert_eq!(
+        version,
+        [
+            ("const MEET_VERSION: u8 = 1;", ""),
+            ("out.push(MEET_VERSION);", "encode_request_into"),
+            ("if version != MEET_VERSION {", "decode_request"),
+        ]
+    );
+    assert_eq!(total(KERNEL, "fn scan("), 1);
+    let scans: Vec<(String, usize)> = uses(KERNEL, "Folder::scan(").into_iter().collect();
+    assert_eq!(scans, [(codec.to_string(), 1)]);
 }
 
 /// A meet request is handed to the network in one place.
