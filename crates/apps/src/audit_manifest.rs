@@ -21,18 +21,25 @@
 use std::path::Path;
 use tacoma_script::AuditConfig;
 
-/// Parses a manifest file and loads every referenced script, producing the
-/// audit configuration.  Errors (unknown directives, unreadable scripts,
-/// malformed site counts, duplicate agents) are rendered with the manifest
-/// path and line number.
+/// Reads a manifest file and parses it with [`parse_manifest`], resolving
+/// scripts against the manifest's directory and labelling errors with its
+/// path.
 pub fn load_manifest(path: &Path) -> Result<AuditConfig, String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("{}: {e}", path.display()))?;
     let dir = path.parent().unwrap_or_else(|| Path::new("."));
+    parse_manifest(&text, dir, &path.display().to_string())
+}
+
+/// Parses manifest `text` and loads every referenced script from `dir`,
+/// producing the audit configuration.  Errors (unknown directives,
+/// unreadable scripts, malformed site counts, duplicate agents) start with
+/// `label:<line>:`.
+pub fn parse_manifest(text: &str, dir: &Path, label: &str) -> Result<AuditConfig, String> {
     let mut config = AuditConfig::new();
     let mut seen: Vec<String> = Vec::new();
     for (idx, raw) in text.lines().enumerate() {
         let lineno = idx + 1;
-        let at = |msg: String| format!("{}:{lineno}: {msg}", path.display());
+        let at = |msg: String| format!("{label}:{lineno}: {msg}");
         let line = raw.split('#').next().unwrap_or("").trim();
         if line.is_empty() {
             continue;

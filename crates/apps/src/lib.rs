@@ -25,7 +25,7 @@ pub mod cli;
 pub mod stormcast;
 
 pub use agentmail::{mail_agent_code, run_mail_experiment, MailConfig, MailResult, UserDirectory};
-pub use audit_manifest::load_manifest;
+pub use audit_manifest::{load_manifest, parse_manifest};
 pub use cli::{
     collect_scripts, expand_inputs, render_json_report, CostRow, FileDiagnostic, OutputFormat,
     RunSummary,

@@ -1,11 +1,9 @@
 //! The E1–E20 experiment drivers and the design-choice ablations, one
 //! module per family of claims.  Each `eN_*` / `ablation_*` function runs one
-//! experiment and returns a [`Table`]; the runners the scheduling and
-//! fault-tolerance experiments share are public so that the examples and
-//! the integration tests drive the same code.
-
-use crate::runner::RunOpts;
-use crate::table::Table;
+//! experiment and returns a [`crate::table::Table`]; the runners the
+//! scheduling and fault-tolerance experiments share are public so that the
+//! examples and the integration tests drive the same code.  Which jobs exist
+//! and how quick mode configures them is [`crate::runner::registry`]'s to say.
 
 mod cash;
 mod fault_tolerance;
@@ -23,21 +21,10 @@ pub use overload::*;
 pub use scale::*;
 pub use scheduling::*;
 
-/// Runs every experiment sequentially and returns the tables in order.
-///
-/// Thin wrapper over [`crate::runner::registry`] — the registry is the single
-/// source of truth for which jobs exist and how quick mode configures them;
-/// use [`crate::runner::run_jobs`] when you also want reports or parallelism.
-pub fn all_experiments(opts: RunOpts) -> Vec<Table> {
-    crate::runner::registry()
-        .into_iter()
-        .map(|spec| (spec.run)(opts))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::runner::RunOpts;
 
     #[test]
     fn tables_render() {

@@ -15,9 +15,9 @@
 //! executing concurrently with A".
 
 use crate::briefcase::Briefcase;
-use crate::cabinet::{CabinetStore, FileCabinet};
+use crate::cabinet::FileCabinet;
 use crate::error::TacomaError;
-use crate::place::DispatchEnv;
+use crate::place::{DispatchEnv, Place};
 use std::collections::BTreeMap;
 use tacoma_net::{Duration, SimTime, TransportKind};
 use tacoma_util::{AgentId, AgentName, DetRng, SiteId};
@@ -99,6 +99,8 @@ pub enum Action {
         /// The agent to remove.
         name: AgentName,
     },
+    /// Append a line to the system trace, stamped with the time and site.
+    Log(String),
 }
 
 impl std::fmt::Debug for Action {
@@ -136,6 +138,7 @@ impl std::fmt::Debug for Action {
             Action::Unregister { name } => {
                 f.debug_struct("Unregister").field("name", name).finish()
             }
+            Action::Log(line) => f.debug_tuple("Log").field(line).finish(),
         }
     }
 }
@@ -226,8 +229,6 @@ impl AgentRegistry {
 
 /// Kernel services available to an agent during a meet.
 pub struct MeetCtx<'a> {
-    /// Site where the meet executes.
-    pub(crate) site: SiteId,
     /// Instance id of the executing agent.
     pub(crate) agent_id: AgentId,
     /// Nested meet depth.
@@ -235,17 +236,16 @@ pub struct MeetCtx<'a> {
     /// What the kernel knew about the world when it dispatched the meet:
     /// the clock, who asked, and the membership view.
     pub(crate) env: DispatchEnv<'a>,
-    pub(crate) cabinets: &'a mut CabinetStore,
-    pub(crate) registry: &'a mut AgentRegistry,
+    /// The place the meet executes at: its agents, cabinets and random
+    /// stream.
+    pub(crate) place: &'a mut Place,
     pub(crate) outbox: &'a mut Vec<Action>,
-    pub(crate) rng: &'a mut DetRng,
-    pub(crate) trace: &'a mut Vec<String>,
 }
 
 impl<'a> MeetCtx<'a> {
     /// The site this meet executes at.
     pub fn site(&self) -> SiteId {
-        self.site
+        self.place.site()
     }
 
     /// Current simulated time.
@@ -285,7 +285,7 @@ impl<'a> MeetCtx<'a> {
     /// This models the membership information a Horus-style group layer
     /// provides; the fault-tolerance crate documents the assumption.
     pub fn site_is_up(&self, site: SiteId) -> bool {
-        self.env.alive.get(site.index()).copied().unwrap_or(false)
+        self.env.is_up(site)
     }
 
     /// Whether a site is currently *reachable* from this one over live,
@@ -313,27 +313,17 @@ impl<'a> MeetCtx<'a> {
 
     /// Deterministic per-site random number generator.
     pub fn rng(&mut self) -> &mut DetRng {
-        self.rng
+        &mut self.place.rng
     }
 
     /// Access to a named file cabinet at this site (created if absent).
     pub fn cabinet(&mut self, name: &str) -> &mut FileCabinet {
-        self.cabinets.cabinet(name)
-    }
-
-    /// Whether a cabinet with the given name exists at this site.
-    pub fn has_cabinet(&self, name: &str) -> bool {
-        self.cabinets.contains(name)
-    }
-
-    /// Names of the agents registered at this site.
-    pub fn local_agents(&self) -> Vec<AgentName> {
-        self.registry.names()
+        self.place.cabinets_mut().cabinet(name)
     }
 
     /// Whether an agent with the given name is registered at this site.
     pub fn has_agent(&self, name: &AgentName) -> bool {
-        self.registry.contains(name)
+        self.place.has_agent(name)
     }
 
     /// Executes a nested, synchronous meet with another agent at this site.
@@ -342,31 +332,22 @@ impl<'a> MeetCtx<'a> {
     /// The callee's deferred actions join the same outbox and run after the
     /// outermost meet completes.
     pub fn meet_local(&mut self, contact: &AgentName, briefcase: Briefcase) -> MeetOutcome {
+        let site = self.site();
         if self.depth >= MAX_MEET_DEPTH {
             return Err(TacomaError::BudgetExceeded(format!(
-                "meet depth {} exceeded at {}",
-                MAX_MEET_DEPTH, self.site
+                "meet depth {MAX_MEET_DEPTH} exceeded at {site}"
             )));
         }
-        let mut registered = self.registry.take(contact, self.site)?;
-        let mut child = MeetCtx {
-            site: self.site,
-            agent_id: registered.id,
-            depth: self.depth + 1,
-            env: DispatchEnv {
-                origin: self.site,
-                sender: self.agent_id,
-                ..self.env
-            },
-            cabinets: &mut *self.cabinets,
-            registry: &mut *self.registry,
-            outbox: &mut *self.outbox,
-            rng: &mut *self.rng,
-            trace: &mut *self.trace,
+        let env = DispatchEnv {
+            origin: site,
+            sender: self.agent_id,
+            ..self.env
         };
-        let outcome = registered.agent.meet(&mut child, briefcase);
-        self.registry.put_back(registered);
-        outcome
+        self.place
+            .run(contact, self.depth + 1, env, self.outbox, |agent, ctx| {
+                agent.meet(ctx, briefcase)
+            })
+            .and_then(|outcome| outcome)
     }
 
     /// Queues a meet with an agent at another site; the briefcase travels over
@@ -417,10 +398,10 @@ impl<'a> MeetCtx<'a> {
         self.outbox.push(Action::FlushCabinet { name: name.into() });
     }
 
-    /// Appends a line to the system trace (visible via `TacomaSystem::trace`).
+    /// Appends a line to the system trace (visible via `TacomaSystem::trace`)
+    /// after the meet completes, stamped with the time and this site.
     pub fn log(&mut self, message: impl Into<String>) {
-        let line = format!("[{} {}] {}", self.env.now, self.site, message.into());
-        self.trace.push(line);
+        self.outbox.push(Action::Log(message.into()));
     }
 }
 
@@ -460,52 +441,33 @@ mod tests {
         }
     }
 
-    fn run_meet(
-        registry: &mut AgentRegistry,
-        cabinets: &mut CabinetStore,
-        name: &str,
-        bc: Briefcase,
-    ) -> (MeetOutcome, Vec<Action>) {
+    fn run_meet(place: &mut Place, name: &str, bc: Briefcase) -> (MeetOutcome, Vec<Action>) {
         let mut outbox = Vec::new();
-        let mut rng = DetRng::new(1);
-        let mut trace = Vec::new();
         let alive = [true, true];
         let neighbors = [SiteId(1)];
-        let name = AgentName::from(name);
-        let mut registered = registry.take(&name, SiteId(0)).expect("agent exists");
-        let mut ctx = MeetCtx {
-            site: SiteId(0),
-            agent_id: registered.id,
-            depth: 0,
-            env: DispatchEnv {
-                neighbors: &neighbors,
-                ..DispatchEnv::for_tests(&alive)
-            },
-            cabinets,
-            registry,
-            outbox: &mut outbox,
-            rng: &mut rng,
-            trace: &mut trace,
+        let env = DispatchEnv {
+            neighbors: &neighbors,
+            ..DispatchEnv::for_tests(&alive)
         };
-        let outcome = registered.agent.meet(&mut ctx, bc);
-        registry.put_back(registered);
+        let outcome = place.dispatch(&AgentName::from(name), bc, env, &mut outbox);
         (outcome, outbox)
     }
 
-    fn registry_with(agents: Vec<Box<dyn Agent>>) -> AgentRegistry {
-        let mut reg = AgentRegistry::new();
+    fn place_with(agents: Vec<Box<dyn Agent>>) -> Place {
+        let mut place = Place::new(SiteId(0), DetRng::new(1));
         for (i, agent) in agents.into_iter().enumerate() {
-            reg.install(RegisteredAgent {
-                id: AgentId(i as u64 + 1),
-                agent,
-            });
+            place.install_agent(AgentId(i as u64 + 1), agent);
         }
-        reg
+        place
     }
 
     #[test]
     fn registry_take_and_put_back() {
-        let mut reg = registry_with(vec![Box::new(Echo)]);
+        let mut reg = AgentRegistry::new();
+        reg.install(RegisteredAgent {
+            id: AgentId(1),
+            agent: Box::new(Echo),
+        });
         assert_eq!(reg.len(), 1);
         assert!(reg.contains(&AgentName::new("echo")));
         let taken = reg.take(&AgentName::new("echo"), SiteId(0)).unwrap();
@@ -531,21 +493,19 @@ mod tests {
 
     #[test]
     fn nested_local_meet_works() {
-        let mut reg = registry_with(vec![Box::new(Echo), Box::new(Caller)]);
-        let mut cabs = CabinetStore::new();
-        let (outcome, outbox) = run_meet(&mut reg, &mut cabs, "caller", Briefcase::new());
+        let mut place = place_with(vec![Box::new(Echo), Box::new(Caller)]);
+        let (outcome, outbox) = run_meet(&mut place, "caller", Briefcase::new());
         let bc = outcome.unwrap();
         assert_eq!(bc.peek_string("ECHOED").as_deref(), Some("yes"));
         assert!(outbox.is_empty());
         // Both agents are back in their slots afterwards.
-        assert!(reg.take(&AgentName::new("echo"), SiteId(0)).is_ok());
+        assert!(run_meet(&mut place, "caller", Briefcase::new()).0.is_ok());
     }
 
     #[test]
     fn self_meet_is_reported_busy() {
-        let mut reg = registry_with(vec![Box::new(SelfMeet)]);
-        let mut cabs = CabinetStore::new();
-        let (outcome, _) = run_meet(&mut reg, &mut cabs, "narcissist", Briefcase::new());
+        let mut place = place_with(vec![Box::new(SelfMeet)]);
+        let (outcome, _) = run_meet(&mut place, "narcissist", Briefcase::new());
         assert!(matches!(outcome, Err(TacomaError::AgentBusy(_))));
     }
 
@@ -576,15 +536,16 @@ mod tests {
                 Ok(bc)
             }
         }
-        let mut reg = registry_with(vec![Box::new(Queuer)]);
-        let mut cabs = CabinetStore::new();
-        let (outcome, outbox) = run_meet(&mut reg, &mut cabs, "queuer", Briefcase::new());
+        let mut place = place_with(vec![Box::new(Queuer)]);
+        let (outcome, outbox) = run_meet(&mut place, "queuer", Briefcase::new());
         assert!(outcome.is_ok());
-        assert_eq!(outbox.len(), 6);
+        // The log line is an action too: the kernel stamps and appends it.
+        assert_eq!(outbox.len(), 7);
         let debug = format!("{outbox:?}");
         assert!(debug.contains("RemoteMeet"));
         assert!(debug.contains("Timer"));
         assert!(debug.contains("RegisterAgent"));
+        assert!(debug.contains("Log(\"queued everything\")"));
     }
 
     #[test]
@@ -620,15 +581,14 @@ mod tests {
                 Ok(bc)
             }
         }
-        let mut reg = registry_with(vec![Box::new(Inspector)]);
-        let mut cabs = CabinetStore::new();
-        let (outcome, _) = run_meet(&mut reg, &mut cabs, "inspector", Briefcase::new());
+        let mut place = place_with(vec![Box::new(Inspector)]);
+        let (outcome, _) = run_meet(&mut place, "inspector", Briefcase::new());
         let bc = outcome.unwrap();
         assert_eq!(bc.peek_u64("SITES"), Some(2));
         assert_eq!(bc.peek_u64("NEIGHBORS"), Some(1));
         assert_eq!(bc.peek_string("UP1").as_deref(), Some("yes"));
         // The inspector's own slot is empty (taken) during its meet.
         assert_eq!(bc.peek_string("HAS_SELF").as_deref(), Some("yes"));
-        assert!(cabs.contains("notes"));
+        assert!(place.cabinets().contains("notes"));
     }
 }

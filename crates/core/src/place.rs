@@ -19,7 +19,7 @@ use tacoma_util::{AgentId, AgentName, DetRng, SiteId};
 /// The system driver fills this in from the network simulator; unit tests can
 /// fabricate it directly.
 #[derive(Debug, Clone, Copy)]
-pub struct DispatchEnv<'a> {
+pub(crate) struct DispatchEnv<'a> {
     /// Current simulated time.
     pub now: SimTime,
     /// Site the request originated from.
@@ -28,7 +28,8 @@ pub struct DispatchEnv<'a> {
     pub sender: AgentId,
     /// Neighbouring sites in the topology.
     pub neighbors: &'a [SiteId],
-    /// Liveness of every site (index = site id).
+    /// The simulator's liveness of every site (index = site id): the one
+    /// record of which sites are up.
     pub alive: &'a [bool],
     /// Reachability of every site from the executing site (index = site id).
     /// Empty when the system does not track reachability (custody disabled);
@@ -40,7 +41,13 @@ pub struct DispatchEnv<'a> {
 }
 
 impl<'a> DispatchEnv<'a> {
+    /// Whether `site` is up.
+    pub fn is_up(&self, site: SiteId) -> bool {
+        self.alive.get(site.index()).copied().unwrap_or(false)
+    }
+
     /// A minimal environment for tests: time zero, no neighbours, all alive.
+    #[cfg(test)]
     pub fn for_tests(alive: &'a [bool]) -> Self {
         DispatchEnv {
             now: SimTime::ZERO,
@@ -54,40 +61,34 @@ impl<'a> DispatchEnv<'a> {
     }
 }
 
-/// Counters a place keeps about its own activity.
+/// The meets a place has executed.  Whole-run counts, crashes and installs
+/// included, are the system's ([`crate::SystemStats`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PlaceStats {
     /// Meets executed successfully at this site.
     pub meets_ok: u64,
     /// Meets that returned an error.
     pub meets_failed: u64,
-    /// Agents installed over the lifetime of the place (including recoveries).
-    pub agents_installed: u64,
-    /// Times the place crashed.
-    pub crashes: u64,
 }
 
-/// The per-site kernel: agent registry, cabinets, and dispatch.
+/// The per-site kernel: agent registry, cabinets, and dispatch.  Whether the
+/// site is up is the simulator's to say, not the place's.
 pub struct Place {
     site: SiteId,
-    up: bool,
     registry: AgentRegistry,
     cabinets: CabinetStore,
-    rng: DetRng,
-    trace: Vec<String>,
+    pub(crate) rng: DetRng,
     stats: PlaceStats,
 }
 
 impl Place {
-    /// Creates an empty, running place for `site`.
+    /// Creates an empty place for `site`.
     pub fn new(site: SiteId, rng: DetRng) -> Self {
         Place {
             site,
-            up: true,
             registry: AgentRegistry::new(),
             cabinets: CabinetStore::new(),
             rng,
-            trace: Vec::new(),
             stats: PlaceStats::default(),
         }
     }
@@ -97,11 +98,6 @@ impl Place {
         self.site
     }
 
-    /// Whether the place is currently up.
-    pub fn is_up(&self) -> bool {
-        self.up
-    }
-
     /// Counters about this place's activity.
     pub fn stats(&self) -> PlaceStats {
         self.stats
@@ -109,7 +105,6 @@ impl Place {
 
     /// Installs a native agent under its well-known name.
     pub fn install_agent(&mut self, id: AgentId, agent: Box<dyn Agent>) {
-        self.stats.agents_installed += 1;
         self.registry.install(RegisteredAgent { id, agent });
     }
 
@@ -139,32 +134,25 @@ impl Place {
         &mut self.cabinets
     }
 
-    /// The kernel trace lines collected at this site.
-    pub fn trace(&self) -> &[String] {
-        &self.trace
-    }
-
-    /// Takes `name` out of the registry, runs `work` on it with the kernel
-    /// services of this place, and puts it back — the one way an agent gets
-    /// to execute here, for a meet and for an install hook alike.
-    fn run<R>(
+    /// Takes `name` out of the registry, runs `work` on it in a meet context
+    /// at nesting `depth`, and puts it back — the one way an agent gets to
+    /// execute here, for a meet, a nested local meet and an install hook
+    /// alike.
+    pub(crate) fn run<R>(
         &mut self,
         name: &AgentName,
+        depth: u32,
         env: DispatchEnv<'_>,
         outbox: &mut Vec<Action>,
         work: impl FnOnce(&mut dyn Agent, &mut MeetCtx<'_>) -> R,
     ) -> Result<R, TacomaError> {
         let mut registered = self.registry.take(name, self.site)?;
         let mut ctx = MeetCtx {
-            site: self.site,
             agent_id: registered.id,
-            depth: 0,
+            depth,
             env,
-            cabinets: &mut self.cabinets,
-            registry: &mut self.registry,
+            place: self,
             outbox,
-            rng: &mut self.rng,
-            trace: &mut self.trace,
         };
         let result = work(registered.agent.as_mut(), &mut ctx);
         self.registry.put_back(registered);
@@ -173,20 +161,20 @@ impl Place {
 
     /// Executes a meet with `contact`, collecting deferred actions in `outbox`.
     ///
-    /// Returns the callee's outcome.  If the place is down, returns
-    /// [`TacomaError::SiteDown`].
-    pub fn dispatch(
+    /// Returns the callee's outcome.  If `env` says the site is down,
+    /// returns [`TacomaError::SiteDown`].
+    pub(crate) fn dispatch(
         &mut self,
         contact: &AgentName,
         briefcase: Briefcase,
         env: DispatchEnv<'_>,
         outbox: &mut Vec<Action>,
     ) -> MeetOutcome {
-        if !self.up {
+        if !env.is_up(self.site) {
             return Err(TacomaError::SiteDown(self.site));
         }
         let outcome = self
-            .run(contact, env, outbox, |agent, ctx| {
+            .run(contact, 0, env, outbox, |agent, ctx| {
                 agent.meet(ctx, briefcase)
             })
             .and_then(|outcome| outcome);
@@ -200,28 +188,21 @@ impl Place {
     /// Runs an agent's `on_install` hook, collecting any actions it queues
     /// (scheduling timers, sending an initial report, ...) into `outbox`.
     /// A name nobody is registered under is a no-op.
-    pub fn run_install_hook(
+    pub(crate) fn run_install_hook(
         &mut self,
         name: &AgentName,
         env: DispatchEnv<'_>,
         outbox: &mut Vec<Action>,
     ) {
-        let _ = self.run(name, env, outbox, |agent, ctx| agent.on_install(ctx));
+        let _ = self.run(name, 0, env, outbox, |agent, ctx| agent.on_install(ctx));
     }
 
     /// Crashes the place: every resident agent and every (unflushed) cabinet
-    /// is lost, matching §5's failure model.
+    /// is lost, matching §5's failure model.  On recovery the system driver
+    /// re-installs the default agents and restores flushed cabinets.
     pub fn crash(&mut self) {
-        self.up = false;
-        self.stats.crashes += 1;
         self.registry.clear();
         self.cabinets.clear();
-    }
-
-    /// Marks the place as up again (the system driver re-installs the default
-    /// agents and restores flushed cabinets).
-    pub fn recover(&mut self) {
-        self.up = true;
     }
 }
 
@@ -327,19 +308,17 @@ mod tests {
         .unwrap();
         assert!(p.cabinets().contains("visits"));
         p.crash();
-        assert!(!p.is_up());
         assert!(p.agent_names().is_empty());
         assert!(!p.cabinets().contains("visits"));
+        // Liveness is the environment's: a down site refuses before the
+        // registry is consulted.
         let refused = p.dispatch(
             &AgentName::new("greeter"),
             Briefcase::new(),
-            DispatchEnv::for_tests(&alive),
+            DispatchEnv::for_tests(&[false]),
             &mut outbox,
         );
         assert!(matches!(refused, Err(TacomaError::SiteDown(_))));
-        p.recover();
-        assert!(p.is_up());
-        assert_eq!(p.stats().crashes, 1);
     }
 
     #[test]

@@ -177,7 +177,6 @@ impl SystemBuilder {
                 audit_fleet,
                 cost_gate: self.cost_gate,
             },
-            rng: master.derive(1),
         };
         for s in 0..site_count {
             sys.install_defaults(SiteId(s));

@@ -42,10 +42,18 @@ use std::fmt;
 use tacoma_net::{
     Duration, Event, FailurePlan, NetMetrics, SendOptions, SimNet, SimTime, Topology, TransportKind,
 };
-use tacoma_util::{AgentId, AgentIdGen, AgentName, DetRng, SiteId};
+use tacoma_util::{AgentId, AgentIdGen, AgentName, SiteId};
 
 /// Message kind used on the wire for meet requests.
 const KIND_MEET: u16 = 1;
+
+/// How many lines the trace keeps.  An open arrival stream can shed, and so
+/// note, without end; at the cap one marker line ends the trace, and later
+/// lines are neither formatted nor kept.
+const TRACE_CAP: usize = 16_384;
+
+/// What the marker line at the trace's cap says.
+const TRACE_FULL: &str = "trace full: later lines are dropped";
 
 /// Whole-run counters kept by the system driver.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -138,6 +146,8 @@ enum Terminal {
 struct Engine {
     net: SimNet,
     stats: SystemStats,
+    /// The system trace in time order: kernel notes and the lines agents
+    /// log, up to [`TRACE_CAP`] of them.
     trace: Vec<String>,
     next_timer_key: u64,
 }
@@ -145,7 +155,20 @@ struct Engine {
 impl Engine {
     /// Appends a kernel note to the trace, stamped with the current time.
     fn note(&mut self, what: impl fmt::Display) {
-        self.trace.push(format!("[{}] {what}", self.net.now()));
+        self.write(None, what);
+    }
+
+    /// The trace's one writer: appends `what` stamped with the current time
+    /// and, for a line an agent logged, the agent's site.
+    fn write(&mut self, site: Option<SiteId>, what: impl fmt::Display) {
+        let now = self.net.now();
+        let line = match (self.trace.len(), site) {
+            (TRACE_CAP, _) => format!("[{now}] {TRACE_FULL}"),
+            (n, _) if n > TRACE_CAP => return,
+            (_, Some(site)) => format!("[{now} {site}] {what}"),
+            (_, None) => format!("[{now}] {what}"),
+        };
+        self.trace.push(line);
     }
 
     /// The terminal recorder, the one home of the conservation invariant:
@@ -236,7 +259,6 @@ pub struct TacomaSystem {
     /// Backpressure; `None` means meets dispatch on arrival.
     admission: Option<Admission>,
     gates: Gates,
-    rng: DetRng,
 }
 
 impl TacomaSystem {
@@ -263,12 +285,6 @@ impl TacomaSystem {
     /// Whole-run counters.
     pub fn stats(&self) -> SystemStats {
         self.engine.stats
-    }
-
-    /// A deterministic random stream derived from the system seed, for
-    /// experiment drivers that need randomness outside any agent.
-    pub fn driver_rng(&mut self) -> &mut DetRng {
-        &mut self.rng
     }
 
     /// Network byte/message counters.
@@ -309,13 +325,11 @@ impl TacomaSystem {
         &mut self.sites[site.index()].place
     }
 
-    /// The system-wide trace (agent `ctx.log` lines plus kernel notes).
-    pub fn trace(&self) -> Vec<String> {
-        let mut all = self.engine.trace.clone();
-        for site in &self.sites {
-            all.extend_from_slice(site.place.trace());
-        }
-        all
+    /// The system-wide trace in time order: agent `ctx.log` lines and kernel
+    /// notes, at most 16 384 of them and then a line saying the trace is
+    /// full.
+    pub fn trace(&self) -> &[String] {
+        &self.engine.trace
     }
 
     /// Installs a native agent at one site with a fresh instance id, running
@@ -519,17 +533,9 @@ impl TacomaSystem {
         }
     }
 
-    /// Executes a delivered request; nobody waits for the outcome, so a
-    /// failure goes to the trace.
+    /// Executes a delivered request; nobody waits for the outcome.
     fn execute_meet(&mut self, site: SiteId, req: MeetRequest) {
-        let _ = self.dispatch_at(
-            site,
-            &req.contact,
-            req.briefcase,
-            req.origin,
-            req.sender,
-            true,
-        );
+        let _ = self.dispatch_at(site, &req.contact, req.briefcase, req.origin, req.sender);
     }
 
     /// Borrows the place at `site` beside the environment of one dispatch
@@ -568,9 +574,8 @@ impl TacomaSystem {
         (result, outbox)
     }
 
-    /// Executes a meet with `contact` at `site`, records how it ended — in
-    /// the trace too when `traced`, for callers that do not see the outcome
-    /// — and carries out the actions it queued.
+    /// Executes a meet with `contact` at `site`, records how it ended — a
+    /// failure in the trace too — and carries out the actions it queued.
     fn dispatch_at(
         &mut self,
         site: SiteId,
@@ -578,7 +583,6 @@ impl TacomaSystem {
         briefcase: Briefcase,
         origin: SiteId,
         sender: AgentId,
-        traced: bool,
     ) -> MeetOutcome {
         let (outcome, outbox) = self.enter(site, origin, sender, |place, env, outbox| {
             place.dispatch(contact, briefcase, env, outbox)
@@ -586,10 +590,8 @@ impl TacomaSystem {
         match &outcome {
             Ok(_) => self.engine.terminal(Terminal::Completed),
             Err(e) => {
-                if traced {
-                    self.engine
-                        .note(format_args!("meet '{contact}' at {site} failed: {e}"));
-                }
+                self.engine
+                    .note(format_args!("meet '{contact}' at {site} failed: {e}"));
                 self.engine.terminal(Terminal::Failed);
             }
         }
@@ -648,6 +650,7 @@ impl TacomaSystem {
                 Action::Unregister { name } => {
                     self.sites[site.index()].place.remove_agent(&name);
                 }
+                Action::Log(line) => self.engine.write(Some(site), line),
             }
         }
     }
@@ -664,7 +667,6 @@ impl TacomaSystem {
     }
 
     fn recover_site(&mut self, site: SiteId) {
-        self.sites[site.index()].place.recover();
         self.install_defaults(site);
         // Restore flushed cabinets from the stable store.
         let here = &mut self.sites[site.index()];
@@ -690,7 +692,7 @@ impl TacomaSystem {
             .gate(place, contact, &mut briefcase, stats)
             .map_err(Rejection::into_error)?;
         self.engine.stats.meets_requested += 1;
-        self.dispatch_at(site, contact, briefcase, site, AgentId::SYSTEM, false)
+        self.dispatch_at(site, contact, briefcase, site, AgentId::SYSTEM)
     }
 }
 
@@ -814,6 +816,52 @@ mod tests {
     }
 
     #[test]
+    fn agent_log_lines_are_stamped_with_time_and_site() {
+        struct Logger;
+        impl Agent for Logger {
+            fn name(&self) -> AgentName {
+                AgentName::new("logger")
+            }
+            fn meet(&mut self, ctx: &mut MeetCtx<'_>, _bc: Briefcase) -> MeetOutcome {
+                ctx.log("hello");
+                Err(TacomaError::Refused("after logging".into()))
+            }
+        }
+        let mut sys = TacomaSystem::new(Topology::full_mesh(2, LinkSpec::default()), 1);
+        sys.register_agent(SiteId(1), Box::new(Logger));
+        let refused = sys.try_direct_meet(SiteId(1), &AgentName::new("logger"), Briefcase::new());
+        assert!(refused.is_err());
+        // The kernel notes the failure as it happens; the agent's line is
+        // one of the actions carried out after the meet returns.
+        let now = sys.now();
+        assert_eq!(
+            sys.trace(),
+            [
+                format!("[{now}] meet 'logger' at site1 failed: meet refused: after logging"),
+                format!("[{now} site1] hello"),
+            ]
+        );
+    }
+
+    #[test]
+    fn the_trace_stops_at_its_cap() {
+        // Every meet with a contact nobody registered fails and is noted
+        // once, so twice the cap and eight times the cap leave one trace.
+        let lengths = [2, 8].map(|times| {
+            let mut sys = system(1);
+            for _ in 0..times * TRACE_CAP {
+                sys.inject_meet(SiteId(0), AgentName::new("nobody"), Briefcase::new());
+            }
+            sys.run_until_quiescent(u64::MAX);
+            assert_eq!(sys.stats().meets_failed, (times * TRACE_CAP) as u64);
+            let trace = sys.trace();
+            assert!(trace.last().is_some_and(|line| line.ends_with(TRACE_FULL)));
+            trace.len()
+        });
+        assert_eq!(lengths, [TRACE_CAP + 1; 2]);
+    }
+
+    #[test]
     fn crash_loses_volatile_but_flushed_cabinet_survives() {
         let mut sys = system(2);
         sys.inject_meet(SiteId(1), AgentName::new("writer"), Briefcase::new());
@@ -833,8 +881,8 @@ mod tests {
 
         assert_eq!(sys.stats().crashes, 1);
         assert_eq!(sys.stats().recoveries, 1);
+        assert!(sys.net().is_up(SiteId(1)));
         let place = sys.place(SiteId(1));
-        assert!(place.is_up());
         assert!(
             place.cabinets().contains("durable"),
             "flushed cabinet must be restored after recovery"

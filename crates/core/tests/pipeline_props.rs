@@ -235,7 +235,7 @@ impl Run {
         // Nothing is on its way any more: whatever is not terminal was lost
         // in flight, which only a network without custody does.
         assert!(s.conserved(net.metrics().dropped_messages()), "{s:?}");
-        (s, self.sys.trace())
+        (s, self.sys.trace().to_vec())
     }
 }
 

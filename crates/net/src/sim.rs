@@ -280,11 +280,6 @@ impl SimNet {
         self.custody.is_some()
     }
 
-    /// The active custody configuration, if a store is installed.
-    pub fn custody_config(&self) -> Option<CustodyConfig> {
-        self.custody.as_ref().map(CustodyStore::config)
-    }
-
     /// Messages currently parked across all custody queues.
     pub fn custody_backlog(&self) -> usize {
         self.custody.as_ref().map_or(0, CustodyStore::total_len)

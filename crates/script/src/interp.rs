@@ -210,6 +210,13 @@ impl<'h> Interp<'h> {
         }
     }
 
+    /// The arity error of the builtin `name`, worded by its usage in
+    /// [`crate::builtins::BUILTINS`].
+    fn usage_err(name: &str, line: u32) -> ScriptError {
+        let usage = crate::builtins::builtin(name).map_or("", |spec| spec.usage);
+        Self::arity_err(name, usage, line)
+    }
+
     fn arity_err(name: &str, usage: &str, line: u32) -> ScriptError {
         if usage.is_empty() {
             ScriptError::Runtime(format!("line {line}: usage: {name}"))
@@ -228,9 +235,10 @@ impl<'h> Interp<'h> {
     ) -> Result<Flow, ScriptError> {
         // Arity is enforced once, from the shared table, so the interpreter
         // and taco-vet can never disagree about a builtin's signature.  The
-        // per-command `match` arms below keep their structural patterns (and
-        // a few residual arity errors for shapes the table cannot express,
-        // like `split` with an empty separator).
+        // per-command `match` arms below keep their structural patterns, and
+        // their fallback arms word the error from the table too; only shapes
+        // the table cannot express reach one (`split` with an empty
+        // separator, an unknown `string` subcommand).
         if let Some(spec) = crate::builtins::builtin(name) {
             if spec.arity_violated(args.len()) {
                 return Err(Self::arity_err(name, spec.usage, line));
@@ -271,7 +279,7 @@ impl<'h> Interp<'h> {
                     self.set_in_scope(var, value.clone());
                     Ok(Flow::Normal(value.clone()))
                 }
-                _ => Err(Self::arity_err("set", "name ?value?", line)),
+                _ => Err(Self::usage_err("set", line)),
             },
             "unset" => {
                 for var in args {
@@ -294,7 +302,7 @@ impl<'h> Interp<'h> {
                             ))
                         })?,
                     ),
-                    _ => return Err(Self::arity_err("incr", "name ?amount?", line)),
+                    _ => return Err(Self::usage_err("incr", line)),
                 };
                 let current = self.get_var(var).and_then(as_int).unwrap_or(0);
                 let next = current
@@ -315,7 +323,7 @@ impl<'h> Interp<'h> {
                     self.set_in_scope(var, value.clone());
                     Ok(Flow::Normal(value))
                 }
-                _ => Err(Self::arity_err("append", "name ?value ...?", line)),
+                _ => Err(Self::usage_err("append", line)),
             },
             // Several arguments: joined, not substituted again.
             "expr" => eval_expr(&args.join(" "))
@@ -331,7 +339,7 @@ impl<'h> Interp<'h> {
             "list" => Ok(Flow::Normal(format_list(args.iter()))),
             "llength" => match args {
                 [l] => Ok(Flow::Normal(parse_list(l).len().to_string())),
-                _ => Err(Self::arity_err("llength", "list", line)),
+                _ => Err(Self::usage_err("llength", line)),
             },
             "lindex" => match args {
                 [l, idx] => {
@@ -341,7 +349,7 @@ impl<'h> Interp<'h> {
                     let elem = usize::try_from(i).ok().and_then(|i| elems.get(i));
                     Ok(Flow::Normal(elem.cloned().unwrap_or_default()))
                 }
-                _ => Err(Self::arity_err("lindex", "list index", line)),
+                _ => Err(Self::usage_err("lindex", line)),
             },
             "lappend" => match args {
                 [var, rest @ ..] => {
@@ -351,7 +359,7 @@ impl<'h> Interp<'h> {
                     self.set_in_scope(var, formatted.clone());
                     Ok(Flow::Normal(formatted))
                 }
-                _ => Err(Self::arity_err("lappend", "name ?value ...?", line)),
+                _ => Err(Self::usage_err("lappend", line)),
             },
             "lrange" => match args {
                 [l, from, to] => {
@@ -370,7 +378,7 @@ impl<'h> Interp<'h> {
                         &elems[from as usize..=to as usize],
                     )))
                 }
-                _ => Err(Self::arity_err("lrange", "list first last", line)),
+                _ => Err(Self::usage_err("lrange", line)),
             },
             "concat" => Ok(Flow::Normal(
                 args.iter()
@@ -384,12 +392,12 @@ impl<'h> Interp<'h> {
                 [s, sep] if !sep.is_empty() => Ok(Flow::Normal(format_list(
                     s.split(sep.as_str()).collect::<Vec<_>>(),
                 ))),
-                _ => Err(Self::arity_err("split", "string ?separator?", line)),
+                _ => Err(Self::usage_err("split", line)),
             },
             "join" => match args {
                 [l] => Ok(Flow::Normal(parse_list(l).join(" "))),
                 [l, sep] => Ok(Flow::Normal(parse_list(l).join(sep))),
-                _ => Err(Self::arity_err("join", "list ?separator?", line)),
+                _ => Err(Self::usage_err("join", line)),
             },
             "string" => self.cmd_string(args, line),
             // --- output -------------------------------------------------------
@@ -404,43 +412,43 @@ impl<'h> Interp<'h> {
                     self.host.bc_put(folder, value);
                     Ok(Flow::Normal(String::new()))
                 }
-                _ => Err(Self::arity_err("bc_put", "folder value", line)),
+                _ => Err(Self::usage_err("bc_put", line)),
             },
             "bc_push" => match args {
                 [folder, value] => {
                     self.host.bc_push(folder, value);
                     Ok(Flow::Normal(String::new()))
                 }
-                _ => Err(Self::arity_err("bc_push", "folder value", line)),
+                _ => Err(Self::usage_err("bc_push", line)),
             },
             "bc_pop" => match args {
                 [folder] => Ok(Flow::Normal(self.host.bc_pop(folder).unwrap_or_default())),
-                _ => Err(Self::arity_err("bc_pop", "folder", line)),
+                _ => Err(Self::usage_err("bc_pop", line)),
             },
             "bc_dequeue" => match args {
                 [folder] => Ok(Flow::Normal(
                     self.host.bc_dequeue(folder).unwrap_or_default(),
                 )),
-                _ => Err(Self::arity_err("bc_dequeue", "folder", line)),
+                _ => Err(Self::usage_err("bc_dequeue", line)),
             },
             "bc_peek" => match args {
                 [folder] => Ok(Flow::Normal(self.host.bc_peek(folder).unwrap_or_default())),
-                _ => Err(Self::arity_err("bc_peek", "folder", line)),
+                _ => Err(Self::usage_err("bc_peek", line)),
             },
             "bc_list" => match args {
                 [folder] => Ok(Flow::Normal(format_list(self.host.bc_list(folder)))),
-                _ => Err(Self::arity_err("bc_list", "folder", line)),
+                _ => Err(Self::usage_err("bc_list", line)),
             },
             "bc_size" => match args {
                 [folder] => Ok(Flow::Normal(self.host.bc_list(folder).len().to_string())),
-                _ => Err(Self::arity_err("bc_size", "folder", line)),
+                _ => Err(Self::usage_err("bc_size", line)),
             },
             "bc_del" => match args {
                 [folder] => {
                     self.host.bc_delete(folder);
                     Ok(Flow::Normal(String::new()))
                 }
-                _ => Err(Self::arity_err("bc_del", "folder", line)),
+                _ => Err(Self::usage_err("bc_del", line)),
             },
             // --- TACOMA cabinets ----------------------------------------------
             "cab_append" => match args {
@@ -448,7 +456,7 @@ impl<'h> Interp<'h> {
                     self.host.cab_append(cabinet, folder, value);
                     Ok(Flow::Normal(String::new()))
                 }
-                _ => Err(Self::arity_err("cab_append", "cabinet folder value", line)),
+                _ => Err(Self::usage_err("cab_append", line)),
             },
             "cab_contains" => match args {
                 [cabinet, folder, value] => Ok(Flow::Normal(
@@ -459,23 +467,19 @@ impl<'h> Interp<'h> {
                     }
                     .into(),
                 )),
-                _ => Err(Self::arity_err(
-                    "cab_contains",
-                    "cabinet folder value",
-                    line,
-                )),
+                _ => Err(Self::usage_err("cab_contains", line)),
             },
             "cab_list" => match args {
                 [cabinet, folder] => Ok(Flow::Normal(format_list(
                     self.host.cab_list(cabinet, folder),
                 ))),
-                _ => Err(Self::arity_err("cab_list", "cabinet folder", line)),
+                _ => Err(Self::usage_err("cab_list", line)),
             },
             "cab_pop" => match args {
                 [cabinet, folder] => Ok(Flow::Normal(
                     self.host.cab_pop(cabinet, folder).unwrap_or_default(),
                 )),
-                _ => Err(Self::arity_err("cab_pop", "cabinet folder", line)),
+                _ => Err(Self::usage_err("cab_pop", line)),
             },
             // --- TACOMA agents & migration -------------------------------------
             "meet" => match args {
@@ -484,7 +488,7 @@ impl<'h> Interp<'h> {
                     .meet(agent)
                     .map(|_| Flow::Normal(String::new()))
                     .map_err(|e| ScriptError::Runtime(format!("line {line}: meet failed: {e}"))),
-                _ => Err(Self::arity_err("meet", "agent", line)),
+                _ => Err(Self::usage_err("meet", line)),
             },
             "move_to" => match args {
                 [site] | [site, _] => {
@@ -499,7 +503,7 @@ impl<'h> Interp<'h> {
                             ScriptError::Runtime(format!("line {line}: move_to failed: {e}"))
                         })
                 }
-                _ => Err(Self::arity_err("move_to", "site ?contact?", line)),
+                _ => Err(Self::usage_err("move_to", line)),
             },
             "send_remote" => match args {
                 [site, contact, folders @ ..] => {
@@ -513,11 +517,7 @@ impl<'h> Interp<'h> {
                             ScriptError::Runtime(format!("line {line}: send_remote failed: {e}"))
                         })
                 }
-                _ => Err(Self::arity_err(
-                    "send_remote",
-                    "site contact ?folder ...?",
-                    line,
-                )),
+                _ => Err(Self::usage_err("send_remote", line)),
             },
             // --- TACOMA environment --------------------------------------------
             "my_site" => Ok(Flow::Normal(self.host.site().to_string())),
@@ -532,7 +532,7 @@ impl<'h> Interp<'h> {
                         .ok_or_else(|| ScriptError::Runtime(format!("bad bound '{bound}'")))?;
                     Ok(Flow::Normal(self.host.random(b as u64).to_string()))
                 }
-                _ => Err(Self::arity_err("random", "bound", line)),
+                _ => Err(Self::usage_err("random", line)),
             },
             "now" => Ok(Flow::Normal(self.host.now_micros().to_string())),
             // --- user procs -----------------------------------------------------
@@ -562,9 +562,7 @@ impl<'h> Interp<'h> {
                     }
                 }
                 Ok(Clause { cond: None, body }) => return self.eval_script(&args[body], depth + 1),
-                Err(IfFault::Truncated) => {
-                    return Err(Self::arity_err("if", "{cond} {body} ...", line))
-                }
+                Err(IfFault::Truncated) => return Err(Self::usage_err("if", line)),
                 Err(IfFault::ElseWithoutBody) => {
                     return Err(Self::arity_err("if", "... else {body}", line))
                 }
@@ -713,11 +711,7 @@ impl<'h> Interp<'h> {
                 let to = to.min(chars.len() - 1);
                 Ok(Flow::Normal(chars[from..=to].iter().collect()))
             }
-            _ => Err(Self::arity_err(
-                "string",
-                "length|toupper|tolower|trim|equal|first|range ...",
-                line,
-            )),
+            _ => Err(Self::usage_err("string", line)),
         }
     }
 
@@ -786,6 +780,20 @@ mod tests {
     fn run_with(host: &mut RecordingHost, src: &str) -> Result<ScriptOutcome, ScriptError> {
         let mut interp = Interp::new(host);
         interp.run(src)
+    }
+
+    #[test]
+    fn shapes_the_arity_table_cannot_express_keep_their_messages() {
+        let err = |src: &str| {
+            run_with(&mut RecordingHost::new(), src)
+                .unwrap_err()
+                .to_string()
+        };
+        assert!(err("split abc {}").ends_with("line 1: usage: split string ?separator?"));
+        assert!(err("string reverse abc")
+            .ends_with("line 1: usage: string length|toupper|tolower|trim|equal|first|range ..."));
+        assert!(err("if {0} {} elseif").ends_with("line 1: usage: if {cond} {body} ..."));
+        assert!(err("if {0} {} else").ends_with("line 1: usage: if ... else {body}"));
     }
 
     #[test]

@@ -82,11 +82,6 @@ impl DetRng {
         result
     }
 
-    /// Returns the next 32 random bits.
-    pub fn next_u32(&mut self) -> u32 {
-        (self.next_u64() >> 32) as u32
-    }
-
     /// Returns a uniformly distributed value in `[0, bound)`.
     ///
     /// Uses Lemire's multiply-shift rejection method to avoid modulo bias.

@@ -136,8 +136,8 @@ fn site_recovery_restores_system_agents_and_flushed_state() {
     sys.apply_failure_plan(&plan);
     sys.run_until_quiescent(1_000);
 
+    assert!(sys.net().is_up(SiteId(1)));
     let place = sys.place(SiteId(1));
-    assert!(place.is_up());
     // The standard agents are back after recovery and the flushed archive survived.
     assert!(place.has_agent(&AgentName::new("rexec")));
     assert!(place.has_agent(&AgentName::new("ag_tac")));

@@ -58,6 +58,52 @@ fn hostile_requests(
     ]
 }
 
+/// Whole lines of a hostile `.audit` manifest, most of them well formed so
+/// that a manifest reaches its later lines: every directive, a duplicate
+/// agent, site counts out of range, a missing script and one that is not
+/// a script, a wrong arity, a misspelt directive, comments.
+const MANIFEST_LINES: &[&str] = &[
+    "sites 4",
+    "agent hop hop_counter.taco",
+    "agent tour quickstart_tour.taco   # trailing comment",
+    "native storm_expert",
+    "inject HOPS ITINERARY A B C",
+    "deliver TALLY SUMMARY",
+    "# a comment",
+    "",
+    "\t ",
+    "sites -1",
+    "sites 99999999999",
+    "agent ghost missing.taco",
+    "agent fleet fleet.audit",
+    "native a b",
+    "inject",
+    "site 4",
+];
+
+/// Words for directive soup: every directive, a misspelt one, site counts,
+/// script paths, a folder name and comment marks.
+const MANIFEST_WORDS: &[&str] = &[
+    "sites",
+    "agent",
+    "native",
+    "inject",
+    "deliver",
+    "site",
+    "4",
+    "-1",
+    "hop_counter.taco",
+    "missing.taco",
+    "HOPS",
+    "#",
+];
+
+/// The line number an `.audit` manifest error names after `label:`.
+fn manifest_error_line(error: &str, label: &str) -> Option<usize> {
+    let rest = error.strip_prefix(label)?.strip_prefix(':')?;
+    rest.split_once(':')?.0.parse().ok()
+}
+
 proptest! {
     /// Folders behave as a stack: pushing then popping returns elements in
     /// reverse order and leaves the folder empty.
@@ -367,6 +413,42 @@ proptest! {
             // parsed capacity is bit-identical, signed zeros included.
             prop_assert_eq!(parsed.capacity.to_bits(), report.capacity.to_bits());
         }
+    }
+
+    /// A fleet manifest is untrusted input.  Directive soup never panics the
+    /// parser, every error names the label and a line the text has, and a
+    /// manifest of only comments and blank lines declares an empty fleet.
+    #[test]
+    fn audit_manifests_are_parsed_totally(
+        lines in proptest::collection::vec(0usize..MANIFEST_LINES.len(), 0..16),
+        words in proptest::collection::vec(
+            proptest::collection::vec(0usize..MANIFEST_WORDS.len(), 0..5),
+            0..12,
+        ),
+        soup in "[ -~\n]{0,200}",
+        comments in proptest::collection::vec(("[ \t]{0,3}", "[ -~]{0,16}", any::<bool>()), 0..8),
+    ) {
+        use tacoma::apps::parse_manifest;
+        let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("examples/scripts");
+        let lines: Vec<&str> = lines.iter().map(|&at| MANIFEST_LINES[at]).collect();
+        let words: Vec<String> = words
+            .iter()
+            .map(|line| line.iter().map(|&at| MANIFEST_WORDS[at]).collect::<Vec<_>>().join(" "))
+            .collect();
+        for text in [lines.join("\n"), words.join("\n"), soup] {
+            if let Err(error) = parse_manifest(&text, &dir, "hostile.audit") {
+                let line = manifest_error_line(&error, "hostile.audit");
+                let lines = 1..=text.lines().count();
+                prop_assert!(line.is_some_and(|n| lines.contains(&n)), "{error}");
+            }
+        }
+        let quiet: Vec<String> = comments
+            .iter()
+            .map(|(pad, body, marked)| if *marked { format!("{pad}#{body}") } else { pad.clone() })
+            .collect();
+        let fleet = parse_manifest(&quiet.join("\n"), &dir, "quiet.audit").expect("only comments");
+        prop_assert!(fleet.agents().is_empty());
+        prop_assert_eq!(fleet.declared_site_count(), None);
     }
 }
 

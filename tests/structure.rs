@@ -193,18 +193,78 @@ fn no_text_taking_gate_call_in_the_kernel() {
     }
 }
 
-/// The trace has two writers: the kernel's note and `MeetCtx::log`, the
-/// agents'.
+/// The trace has one writer, the engine's: an agent's `ctx.log` line is a
+/// queued action the kernel stamps and appends, and every failed dispatch
+/// is noted, so no caller passes a `traced` flag.  `trace()` lends the one
+/// log instead of gathering copies.
 #[test]
-fn two_trace_writers_in_the_kernel() {
-    assert_eq!(total(KERNEL, ".trace.push("), 2);
+fn one_trace_writer_in_the_kernel() {
+    assert_eq!(total(KERNEL, ".trace.push("), 1);
+    assert_eq!(total(KERNEL, "traced"), 0);
+    let system = "crates/core/src/system/mod.rs";
+    let lines = &shipped(system)[system];
+    assert!(lines
+        .iter()
+        .any(|l| l.trim() == "pub fn trace(&self) -> &[String] {"));
 }
 
-/// A meet context is built in two places: the dispatch constructor and
-/// `meet_local`'s child.
+/// A meet context is built in one place, `Place::run`, which a dispatch,
+/// a nested local meet and an install hook all go through.
 #[test]
-fn two_meet_contexts_in_the_kernel() {
-    assert_eq!(total(KERNEL, "MeetCtx {"), 2);
+fn one_meet_context_in_the_kernel() {
+    assert_eq!(total(KERNEL, "MeetCtx {"), 1);
+}
+
+/// Each fact has one home.  Whether a site is up is the simulator's
+/// (`DispatchEnv::alive` lends its slice), the trace is the engine's, and
+/// whole-run counts are `SystemStats`'; a place keeps its agents, its
+/// cabinets, its random stream and the meets it ran.
+#[test]
+fn a_place_keeps_no_liveness_and_no_log() {
+    let place = "crates/core/src/place.rs";
+    let lines = &shipped(place)[place];
+    let fields = |name: &str| -> Vec<String> {
+        let head = format!("pub struct {name} {{");
+        let start = lines.iter().position(|l| l.trim() == head).expect(name);
+        lines[start + 1..]
+            .iter()
+            .take_while(|l| l.trim() != "}")
+            .map(|l| l.trim().to_string())
+            .collect()
+    };
+    let place_fields = fields("Place");
+    for field in &place_fields {
+        assert!(
+            !field.ends_with(": bool,") && !field.contains("Vec<String>"),
+            "{field}"
+        );
+    }
+    assert_eq!(place_fields.len(), 5, "{place_fields:?}");
+    assert_eq!(
+        fields("PlaceStats"),
+        ["pub meets_ok: u64,", "pub meets_failed: u64,"]
+    );
+}
+
+/// A builtin's usage text is spelled once, in the `BUILTINS` table: the
+/// interpreter's arity errors read it from there.  (The usage `list` is
+/// also a command name, which a match arm spells.)
+#[test]
+fn builtin_usage_is_spelled_only_in_the_table() {
+    let interp = "crates/script/src/interp.rs";
+    let lines = &shipped(interp)[interp];
+    for spec in tacoma::script::BUILTINS {
+        if spec.usage.is_empty() {
+            continue;
+        }
+        let literal = format!("\"{}\"", spec.usage);
+        let arm = format!("{literal} =>");
+        let copies: Vec<&String> = lines
+            .iter()
+            .filter(|l| l.contains(&literal) && !l.contains(&arm))
+            .collect();
+        assert!(copies.is_empty(), "{}: {copies:?}", spec.name);
+    }
 }
 
 /// The analyses never see source text they have to parse: `tree.rs` calls
