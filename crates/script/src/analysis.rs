@@ -37,7 +37,8 @@ use crate::diag::Diagnostic;
 use crate::expr::eval_expr;
 use crate::parser::{var_name, Cursor, IfFault, Span, Word, WordKind, WordPart};
 use crate::tree::{
-    any_in_scope, walk, Arm, At, Body, Cmd, Cond, CondPart, Script, Shape, State, Step, Tree, View,
+    any_in_scope, walk, Arm, At, Binding, Body, Cmd, Cond, CondPart, Leave, Script, Shape, State,
+    Step, Tree, View,
 };
 use crate::value::{is_truthy, parse_list};
 use std::collections::{BTreeMap, BTreeSet};
@@ -239,41 +240,28 @@ impl Prepass {
             self.opaque = true;
             return;
         };
-        let argc = cmd.words.len() - 1;
-        let assigned = match name {
-            "set" if argc >= 2 => cmd.arg_text(0),
-            "incr" | "append" | "lappend" | "foreach" => cmd.arg_text(0),
-            "catch" => cmd.arg_text(1),
-            _ => None,
-        };
-        self.assigned.extend(assigned.map(str::to_string));
-        // The argument positions naming what a command consumes: read-modify-
-        // write targets, `unset` targets, and variables something other than
-        // `set` binds (an unused `foreach _ [...]` variable, `catch` result or
-        // `proc` parameter is idiomatic, so those are exempt).
-        let reads = match name {
-            "set" => match (cmd.arg_text(0), argc) {
-                (Some(v), 2) if !in_catch => {
-                    self.writes.entry(v.to_string()).or_insert(cmd.span);
-                    0..0
-                }
-                (Some(_), 1) | (None, _) => 0..1,
-                _ => 0..0,
-            },
-            "unset" => 0..argc,
-            "incr" | "append" | "lappend" | "foreach" => 0..1,
-            "catch" => {
-                self.reads.extend(cmd.arg_text(1).map(str::to_string));
-                0..0
+        let (set, argc) = (name == "set", cmd.words.len() - 1);
+        // `set x` reads x.
+        if set && argc == 1 {
+            self.opaque |= cmd.arg_text(0).is_none();
+            self.reads.extend(cmd.arg_text(0).map(str::to_string));
+        }
+        for binding in cmd.bindings() {
+            let Some(v) = binding.name else {
+                self.opaque = true;
+                continue;
+            };
+            if !binding.unset {
+                self.assigned.insert(v.to_string());
             }
-            _ => 0..0,
-        };
-        for i in reads {
-            match cmd.arg_text(i) {
-                Some(v) => {
-                    self.reads.insert(v.to_string());
-                }
-                None => self.opaque = true,
+            // A binding other than `set`'s consumes its variable: a read-
+            // modify-write or `unset` target, or a variable bound by
+            // something else (an unused `foreach _ [...]` variable, `catch`
+            // result or `proc` parameter is idiomatic, so those are exempt).
+            if !set {
+                self.reads.insert(v.to_string());
+            } else if argc == 2 && !in_catch {
+                self.writes.entry(v.to_string()).or_insert(cmd.span);
             }
         }
     }
@@ -296,9 +284,18 @@ impl Env {
         self.maybe.insert(name.to_string());
     }
 
-    fn unassign(&mut self, name: &str) {
-        self.definite.remove(name);
-        self.maybe.remove(name);
+    /// Applies one of a command's [`Cmd::bindings`]; a computed name is
+    /// not tracked.
+    fn bind(&mut self, binding: Binding) {
+        let Some(name) = binding.name else {
+            return;
+        };
+        if binding.unset {
+            self.definite.remove(name);
+            self.maybe.remove(name);
+        } else {
+            self.assign(name);
+        }
     }
 
     /// Folds another path's assignments in as merely *possible*.
@@ -318,17 +315,14 @@ struct Ctx {
 
 /// What one command does to control flow.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Effect {
+enum Effect<'t> {
     /// Control goes on to the next command.
     Next,
     /// The command unconditionally leaves the block; it names the cause.
-    Leaves(&'static str),
+    Leaves(&'t str),
     /// The command queues a migration (`move_to`).
     Migrates,
 }
-
-/// The commands that leave a block on every path.
-const LEAVES: [&str; 5] = ["return", "halt", "break", "continue", "error"];
 
 struct Analyzer<'c> {
     config: &'c AnalysisConfig,
@@ -366,9 +360,9 @@ impl Analyzer<'_> {
     }
 
     /// Checks one script (the whole source, or an embedded body) and reports
-    /// whether every path through it ends in one of [`LEAVES`].
+    /// whether every path through it leaves the block ([`Cmd::leaves`]).
     fn check_tree(&mut self, tree: &Tree, env: &mut Env, ctx: Ctx) -> bool {
-        let mut terminated: Option<&'static str> = None;
+        let mut terminated: Option<&str> = None;
         let mut warned_unreachable = false;
         let mut moved = false;
         let mut warned_after_move = false;
@@ -385,7 +379,8 @@ impl Analyzer<'_> {
                 }
                 continue;
             }
-            if moved && !warned_after_move && !matches!(cmd.name(), Some("return" | "halt")) {
+            let conventional = matches!(cmd.leaves(), Some(Leave::Return | Leave::Halt));
+            if moved && !warned_after_move && !conventional {
                 self.warn(
                     ctx,
                     "after-move-to",
@@ -404,7 +399,7 @@ impl Analyzer<'_> {
         terminated.is_some()
     }
 
-    fn check_command(&mut self, cmd: &Cmd, env: &mut Env, ctx: Ctx) -> Effect {
+    fn check_command<'t>(&mut self, cmd: &'t Cmd, env: &mut Env, ctx: Ctx) -> Effect<'t> {
         // Generic pass first: every substitution in every word is evaluated
         // left-to-right before the command runs, exactly like the interpreter.
         for (word, subs) in cmd.words.iter().zip(&cmd.subs) {
@@ -453,7 +448,15 @@ impl Analyzer<'_> {
             Shape::Expr { cond } => self.check_cond(cond, env, ctx),
             Shape::If { arms, fault } => return self.check_if(arms, *fault, cmd, env, ctx),
             Shape::While { cond, body } => self.check_while(cond, body, span, env, ctx),
-            Shape::Foreach { body } => self.check_foreach(args[0].static_text(), body, env, ctx),
+            Shape::Foreach { body } => {
+                // The variable is bound on every body iteration, and still
+                // may have been when the body is opaque.
+                let mut benv = env.clone();
+                cmd.bindings().for_each(|binding| benv.bind(binding));
+                self.check_body(body, &mut benv, ctx);
+                env.merge_maybe(&benv); // zero-trip possible: maybes only
+                return Effect::Next;
+            }
             Shape::Proc { body } => self.check_proc(args[1].static_text(), body, ctx),
             Shape::Catch { body } => {
                 let mut benv = env.clone();
@@ -463,9 +466,6 @@ impl Analyzer<'_> {
                 };
                 self.check_body(body, &mut benv, cctx);
                 env.merge_maybe(&benv); // the body may have failed part-way
-                if let Some(var) = cmd.arg_text(1) {
-                    env.assign(var); // the result variable is set on success and error
-                }
             }
             Shape::Eval { body } => {
                 if self.check_body(body, env, ctx) {
@@ -474,29 +474,15 @@ impl Analyzer<'_> {
             }
             Shape::Plain | Shape::Malformed => {}
         }
+        // `incr`/`append`/`lappend` default a missing variable to 0 / "", so
+        // they assign without requiring a prior set; a `catch` result
+        // variable is set on success and error.
+        cmd.bindings().for_each(|binding| env.bind(binding));
         match name {
-            "set" => {
+            "set" if argc == 1 => {
+                // `set x` with one argument *reads* x.
                 if let Some(var) = args[0].static_text() {
-                    if argc == 1 {
-                        // `set x` with one argument *reads* x.
-                        self.check_var(var, args[0].span, env, ctx);
-                    } else {
-                        env.assign(var);
-                    }
-                }
-            }
-            "unset" => {
-                for a in args {
-                    if let Some(var) = a.static_text() {
-                        env.unassign(var);
-                    }
-                }
-            }
-            // `incr`/`append`/`lappend` default a missing variable to 0 / "",
-            // so they assign without requiring a prior set.
-            "incr" | "append" | "lappend" => {
-                if let Some(var) = args[0].static_text() {
-                    env.assign(var);
+                    self.check_var(var, args[0].span, env, ctx);
                 }
             }
             "meet" => {
@@ -520,10 +506,7 @@ impl Analyzer<'_> {
             "string" => self.check_string(args, span, ctx),
             _ => {}
         }
-        LEAVES
-            .into_iter()
-            .find(|&cause| cause == name)
-            .map_or(Effect::Next, Effect::Leaves)
+        cmd.leaves().map_or(Effect::Next, |_| Effect::Leaves(name))
     }
 
     /// Generic word check: variables and command substitutions in non-braced
@@ -607,7 +590,7 @@ impl Analyzer<'_> {
         cmd: &Cmd,
         env: &mut Env,
         ctx: Ctx,
-    ) -> Effect {
+    ) -> Effect<'static> {
         let mut branches: Vec<(Env, bool)> = Vec::new();
         let mut has_else = false;
         let mut structure_ok = true;
@@ -690,17 +673,6 @@ impl Analyzer<'_> {
                 format!("loop has no reachable exit: {why}; it will exhaust the step budget"),
             );
         }
-    }
-
-    fn check_foreach(&mut self, var: Option<&str>, body: &Body, env: &mut Env, ctx: Ctx) {
-        let mut benv = env.clone();
-        if let Some(var) = var {
-            benv.assign(var); // bound on every body iteration
-        }
-        // An opaque body is skipped; the loop variable still may have been
-        // bound.
-        self.check_body(body, &mut benv, ctx);
-        env.merge_maybe(&benv); // zero-trip possible: maybes only
     }
 
     fn check_proc(&mut self, params: Option<&str>, body: &Body, ctx: Ctx) {
@@ -817,17 +789,14 @@ pub(crate) fn loop_exit(cond: &Cond, body: &Body) -> LoopExit {
 /// escaping — `halt` from anywhere, `break` from outside nested loops, and
 /// `return`/`error` from outside `catch` and `[..]`, which absorb them.
 fn escapes(body: &Body, vars: &BTreeSet<String>) -> bool {
-    let writes = |target: Option<&str>| target.is_some_and(|v| vars.contains(v));
-    any_in_scope(body, View::Braced, |name, cmd, at| match name {
-        "halt" => true,
-        "break" => at.breaks,
-        "return" | "error" => at.raises,
-        "set" | "incr" | "append" | "lappend" | "unset" => {
-            cmd.arg_text(0).is_none_or(|v| vars.contains(v))
-        }
-        "foreach" => writes(cmd.arg_text(0)),
-        "catch" => writes(cmd.arg_text(1)),
-        _ => false,
+    any_in_scope(body, View::Braced, |_, cmd, at| match cmd.leaves() {
+        Some(Leave::Halt) => true,
+        Some(Leave::Break) => at.breaks,
+        Some(Leave::Return | Leave::Error) => at.raises,
+        Some(Leave::Continue) => false,
+        None => cmd
+            .bindings()
+            .any(|binding| binding.name.is_none_or(|v| vars.contains(v))),
     })
 }
 

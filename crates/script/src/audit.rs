@@ -47,7 +47,7 @@ use crate::analysis::{loop_exit, LoopExit};
 use crate::diag::Diagnostic;
 use crate::graph::Digraph;
 use crate::parser::{ParseError, Span};
-use crate::tree::{Body, Cond, Script, Shape, State, Tree};
+use crate::tree::{Body, Cond, Leave, Script, Shape, State, Tree};
 use crate::value::as_int;
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -363,11 +363,11 @@ fn walk_tree(tree: &Tree, ctx: WalkCtx, out: &mut EffectSummary) {
                             }
                         }
                     }
-                    ("halt", _) => out.halts = true,
                     _ => {}
                 }
+                out.halts |= cmd.leaves() == Some(Leave::Halt);
                 let grows = ctx.in_unbounded_loop && !ctx.in_catch;
-                if let (true, "bc_push" | "cab_append", Some(target)) = (grows, name, target) {
+                if let (true, Some((Some(target), _))) = (grows, cmd.growth()) {
                     out.growth.push(GrowthSite {
                         target: target.to_string(),
                         span,
@@ -864,6 +864,12 @@ mod tests {
         assert!(s.growth.is_empty());
         // foreach is bounded by its list.
         let s = summarize("foreach x [bc_list IN] { cab_append shared OUT $x }").unwrap();
+        assert!(s.growth.is_empty());
+        // A computed foreach variable may be the loop's counter.
+        let s = summarize(
+            "set i 0; set v i; while {$i < 3} {foreach $v {1 2 3} {bc_push OUT x}}; return $i",
+        )
+        .unwrap();
         assert!(s.growth.is_empty());
         // cab_append in a constant-true loop without escape: flagged.
         let s = summarize("while {1} { cab_append shared LOG tick }").unwrap();

@@ -8,7 +8,8 @@
 //! runs (a vet false positive, which `tacoma-core` turns into an install
 //! failure) or let a real arity defect through.  This module is the one
 //! table; a test in this file drives the interpreter over every entry to
-//! prove the two can no longer drift.
+//! prove the two can no longer drift, and another checks each entry's run
+//! against what the parsed tree decodes it to bind and how to leave.
 
 /// The signature of one builtin command.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -118,6 +119,7 @@ mod tests {
     use super::*;
     use crate::host::RecordingHost;
     use crate::interp::{Interp, ScriptError};
+    use crate::tree::Tree;
     use std::collections::BTreeSet;
 
     #[test]
@@ -174,5 +176,130 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// One well-formed invocation of every builtin, and of the other forms
+    /// of those that bind variables.
+    const CALLS: &[&str] = &[
+        "set a 5",
+        "set a",
+        "set d 5",
+        "unset",
+        "unset a c",
+        "incr a",
+        "incr d 2",
+        "append a x y",
+        "expr 1 + 1",
+        "if {0} {set b 9} else {list}",
+        "while {0} {set b 9}",
+        "foreach c {7 8} {}",
+        "proc p {x} {set a 9}",
+        "return",
+        "halt",
+        "break",
+        "continue",
+        "eval {list a}",
+        "error boom",
+        "catch {error x}",
+        "catch {list} c",
+        "list a",
+        "llength {a b}",
+        "lindex {a b} 0",
+        "lappend b x",
+        "lrange {a b c} 0 1",
+        "concat a b",
+        "split a,b ,",
+        "join {a b} ,",
+        "string length abc",
+        "puts hi",
+        "log hi",
+        "bc_put F v",
+        "bc_push F v",
+        "bc_pop F",
+        "bc_dequeue F",
+        "bc_peek F",
+        "bc_list F",
+        "bc_size F",
+        "bc_del F",
+        "cab_append c F v",
+        "cab_contains c F v",
+        "cab_list c F",
+        "cab_pop c F",
+        "meet rexec",
+        "move_to 1",
+        "send_remote 1 ag_tac F",
+        "my_site",
+        "site_count",
+        "neighbors",
+        "random 5",
+        "now",
+    ];
+
+    /// Runs `src` with `a`, `b` and `c` set, against a host whose folder `F`
+    /// and cabinet folder `c F` hold an element each.  Returns whether the
+    /// run succeeded, and which of `a`, `b`, `c`, `d` and `after` it changed
+    /// or removed.
+    fn run_on(src: &str) -> (bool, BTreeSet<&'static str>) {
+        let mut host = RecordingHost::new();
+        host.briefcase.insert("F".into(), vec!["1".into()]);
+        host.cabinets
+            .insert(("c".into(), "F".into()), vec!["v".into()]);
+        let mut interp = Interp::new(&mut host);
+        let before = [
+            ("a", Some("1")),
+            ("b", Some("2")),
+            ("c", Some("3")),
+            ("d", None),
+            ("after", None),
+        ];
+        for (var, value) in before {
+            if let Some(value) = value {
+                interp.set_var(var, value);
+            }
+        }
+        let ok = interp.run(src).is_ok();
+        let changed = before
+            .into_iter()
+            .filter(|&(var, value)| interp.get_var(var) != value)
+            .map(|(var, _)| var);
+        (ok, changed.collect())
+    }
+
+    /// The anti-drift test for what a command does: every builtin changes or
+    /// removes exactly the variables `Cmd::bindings` names for it, and skips
+    /// the rest of its block exactly when `Cmd::leaves` answers.  A builtin
+    /// cannot land without a call here, so it cannot land without stating
+    /// what it binds.
+    #[test]
+    fn interpreter_agrees_with_the_decoded_meaning() {
+        for spec in BUILTINS {
+            let called = CALLS
+                .iter()
+                .any(|call| call.split(' ').next() == Some(spec.name));
+            assert!(called, "no call of '{}'", spec.name);
+        }
+        for call in CALLS {
+            let tree = Tree::parse(call).expect("parses");
+            let cmd = &tree.cmds[0];
+            let bound: BTreeSet<&str> = cmd.bindings().filter_map(|b| b.name).collect();
+            let leaves = cmd.leaves().is_some();
+            let (ok, changed) = run_on(call);
+            assert!(ok || leaves, "'{call}' failed");
+            assert_eq!(changed, bound, "'{call}' binds other variables");
+            // In a loop that runs once, the command then skips the rest of
+            // the body.
+            let (_, changed) = run_on(&format!("foreach once {{1}} {{{call}; set after 1}}"));
+            assert_eq!(changed.contains("after"), !leaves, "'{call}' leaves");
+        }
+        let leaving: Vec<&str> = BUILTINS
+            .iter()
+            .map(|spec| spec.name)
+            .filter(|name| {
+                Tree::parse(name).expect("parses").cmds[0]
+                    .leaves()
+                    .is_some()
+            })
+            .collect();
+        assert_eq!(leaving, ["return", "halt", "break", "continue", "error"]);
     }
 }

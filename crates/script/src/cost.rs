@@ -21,7 +21,8 @@ use std::collections::{BTreeMap, BTreeSet};
 
 use crate::parser::{ParseError, Word, WordKind, WordPart};
 use crate::tree::{
-    any_in_scope, Arm, At, Body, Cmd, Cond, ProcDef, Script, Shape, State, Tree, View, MAX_DEPTH,
+    any_in_scope, Arm, At, Body, Cmd, Cond, Leave, ProcDef, Script, Shape, State, Tree, View,
+    MAX_DEPTH,
 };
 use crate::value::parse_list;
 
@@ -494,35 +495,43 @@ impl<'t> Analyzer<'t> {
             // Definition only: 1 step + word costs, no body execution.
             Shape::Proc { .. } | Shape::Plain => {}
         }
-        match name {
-            "set" => apply_set(cmd, env),
-            "incr" => apply_incr(cmd, env),
-            "append" | "lappend" | "unset" => match cmd.arg_text(0) {
-                Some(target) => {
-                    env.remove(target);
+        // Whatever the command binds stops being a known constant, unless
+        // `set` or `incr` gives it a value computed here.
+        let value = match name {
+            "set" => cmd
+                .words
+                .get(2)
+                .and_then(|w| eval_const_word(w, &cmd.subs[2], env)),
+            "incr" => incr_value(cmd, env),
+            _ => None,
+        };
+        for binding in cmd.bindings() {
+            match binding.name {
+                Some(var) => {
+                    env.remove(var);
                 }
                 None => env.clear(),
-            },
-            "error" | "return" | "halt" | "break" | "continue" => {
-                cost.terminates = true;
             }
-            "bc_push" => cost.growth = cost.growth.add(payload_size(cmd.words.get(2))),
-            "cab_append" => cost.growth = cost.growth.add(payload_size(cmd.words.get(3))),
-            _ => {
-                if crate::builtins::builtin(name).is_none() {
-                    if self.procs.contains_key(name) {
-                        let summary = self.proc_summary(name, adepth).deepen();
-                        cost = cost.seq(summary);
-                    } else if self.opaque_procs {
-                        // A computed proc name exists somewhere: this could
-                        // be anything.
-                        env.clear();
-                        return cost.seq(Cost::poison());
-                    }
-                    // Else: unknown command ⇒ guaranteed runtime error.
-                    // Already fully charged (1 step + words).
-                }
+        }
+        if let (Some(var), Some(value)) = (cmd.arg_text(0), value) {
+            env.insert(var.to_string(), value);
+        }
+        cost.terminates = cmd.leaves().is_some();
+        if let Some((_, payload)) = cmd.growth() {
+            cost.growth = cost.growth.add(payload_size(payload));
+        }
+        if crate::builtins::builtin(name).is_none() {
+            if self.procs.contains_key(name) {
+                let summary = self.proc_summary(name, adepth).deepen();
+                cost = cost.seq(summary);
+            } else if self.opaque_procs {
+                // A computed proc name exists somewhere: this could be
+                // anything.
+                env.clear();
+                return cost.seq(Cost::poison());
             }
+            // Else: unknown command ⇒ guaranteed runtime error.  Already
+            // fully charged (1 step + words).
         }
         cost
     }
@@ -637,11 +646,8 @@ impl<'t> Analyzer<'t> {
         };
 
         // A computed loop variable could be any variable.
-        let written = cmd.arg_text(0).and_then(|var| {
-            let mut written = writes_of([body])?;
-            written.insert(var.to_string());
-            Some(written)
-        });
+        let mut written = writes_of([body]);
+        bind(&mut written, cmd);
         let mut loop_env = env.clone();
         forget(&mut loop_env, &written);
 
@@ -657,8 +663,8 @@ impl<'t> Analyzer<'t> {
             Some(list_text) => {
                 let count = parse_list(list_text).len() as u64;
                 // Any flow control may end the loop or cut an iteration short.
-                let exits = ["break", "continue", "return", "halt", "error"];
-                let lo = if exits_early(body, &exits) { 0 } else { count };
+                let exits = exits_early(body, |_| true);
+                let lo = if exits { 0 } else { count };
                 CostInterval {
                     lo,
                     hi: Some(count),
@@ -687,51 +693,25 @@ impl<'t> Analyzer<'t> {
         cost.terminates = false;
 
         // Invalidate: the result var and anything the body wrote.
-        let written = writes_of([body]).and_then(|mut written| {
-            if let Some(result_word) = cmd.words.get(2) {
-                written.insert(result_word.static_text()?.to_string());
-            }
-            Some(written)
-        });
+        let mut written = writes_of([body]);
+        bind(&mut written, cmd);
         forget(env, &written);
         cost
     }
 }
 
-fn apply_set(cmd: &Cmd, env: &mut Env) {
-    let Some(target) = cmd.arg_text(0) else {
-        env.clear();
-        return;
-    };
-    let value = cmd
-        .words
-        .get(2)
-        .and_then(|w| eval_const_word(w, &cmd.subs[2], env));
-    match value {
-        Some(v) => env.insert(target.to_string(), v),
-        None => env.remove(target),
-    };
-}
-
-fn apply_incr(cmd: &Cmd, env: &mut Env) {
-    let Some(target) = cmd.arg_text(0) else {
-        env.clear();
-        return;
-    };
+/// The value `incr` leaves in its variable, when that is a known constant.
+fn incr_value(cmd: &Cmd, env: &Env) -> Option<i64> {
     let amount = match cmd.words.get(2) {
         None => Some(1i64),
         Some(w) => eval_const_word(w, &cmd.subs[2], env),
     };
     // Unknown operands stay unknown, and so does an overflowing sum: the
     // interpreter raises an error there, so no constant survives it.
-    let sum = env
-        .get(target)
+    let current = env.get(cmd.arg_text(0)?);
+    current
         .zip(amount)
-        .and_then(|(cur, by)| cur.checked_add(by));
-    match sum {
-        Some(sum) => env.insert(target.to_string(), sum),
-        None => env.remove(target),
-    };
+        .and_then(|(cur, by)| cur.checked_add(by))
 }
 
 /// Statically evaluate a word (with its parsed `[..]` parts) to an exact
@@ -796,27 +776,32 @@ fn payload_size(word: Option<&Word>) -> CostInterval {
 
 /// The variables `scripts` may write in the current scope, or `None` when
 /// the writes cannot be enumerated (computed targets, anything opaque).
-/// Builtins other than the ones below don't write caller variables, and
-/// proc calls get a fresh scope (`set_in_scope` writes innermost only), so
-/// they can't clobber ours.
+/// A command writes what its [`Cmd::bindings`] name, and proc calls get a
+/// fresh scope (`set_in_scope` writes innermost only), so they can't
+/// clobber ours — except by `unset`, which removes the innermost variable
+/// of that name wherever it is (ROADMAP item 5(b)).
 fn writes_of<'a>(scripts: impl IntoIterator<Item = &'a Body>) -> Option<BTreeSet<String>> {
-    let mut written = BTreeSet::new();
-    let mut record = |name: &str, cmd: &Cmd, _: At| {
-        let target = match name {
-            "set" | "incr" | "append" | "lappend" | "unset" | "foreach" => cmd.arg_text(0),
-            "catch" if cmd.words.len() > 2 => cmd.arg_text(1),
-            _ => return false,
-        };
-        let Some(var) = target else {
-            return true; // computed target
-        };
-        written.insert(var.to_string());
-        false
-    };
-    let unknown = scripts
-        .into_iter()
-        .any(|s| any_in_scope(s, View::Literal, &mut record));
-    (!unknown).then_some(written)
+    let mut written = Some(BTreeSet::new());
+    let unknown = scripts.into_iter().any(|s| {
+        any_in_scope(s, View::Literal, |_, cmd, _| {
+            bind(&mut written, cmd);
+            written.is_none()
+        })
+    });
+    written.filter(|_| !unknown)
+}
+
+/// Adds what `cmd` binds to `written`, which becomes `None` when that could
+/// be any variable.
+fn bind(written: &mut Option<BTreeSet<String>>, cmd: &Cmd) {
+    for binding in cmd.bindings() {
+        match (binding.name, written.as_mut()) {
+            (Some(var), Some(set)) => {
+                set.insert(var.to_string());
+            }
+            _ => *written = None,
+        }
+    }
 }
 
 /// Drops what a nested script may have written from the env.
@@ -827,12 +812,12 @@ fn forget(env: &mut Env, written: &Option<BTreeSet<String>>) {
     }
 }
 
-/// True if the body contains one of `exits` anywhere, or a command that is
-/// not a builtin: a proc body could `halt`, and an unknown command errors
-/// the run.
-fn exits_early(body: &Body, exits: &[&str]) -> bool {
-    any_in_scope(body, View::Literal, |name, _, _| {
-        exits.contains(&name) || crate::builtins::builtin(name).is_none()
+/// True if the body leaves its block anywhere in a way `exits` accepts, or
+/// has a command that is not a builtin: a proc body could `halt`, and an
+/// unknown command errors the run.
+fn exits_early(body: &Body, exits: impl Fn(Leave) -> bool) -> bool {
+    any_in_scope(body, View::Literal, |name, cmd, _| {
+        cmd.leaves().is_some_and(&exits) || crate::builtins::builtin(name).is_none()
     })
 }
 
@@ -841,21 +826,16 @@ fn exits_early(body: &Body, exits: &[&str]) -> bool {
 /// (which could skip the self-step on an iteration).  Builtins don't write
 /// the counter otherwise, and proc calls get a fresh scope.
 fn body_touches_counter_unsafely(body: &Body, var: &str) -> bool {
-    any_in_scope(body, View::Literal, |name, cmd, at| match name {
-        "continue" => true,
-        // The single allowed self-step is top-level and matched by
-        // `self_step`; any *other* write — including nested ones —
-        // disqualifies.
-        "set" | "incr" | "append" | "lappend" | "unset" => match cmd.arg_text(0) {
-            Some(target) => target == var && !(at.top && self_step(cmd, var).is_some()),
-            None => true,
-        },
-        "foreach" => cmd.arg_text(0).is_none_or(|v| v == var),
-        "catch" => cmd
-            .words
-            .get(2)
-            .is_some_and(|w| w.static_text().is_none_or(|v| v == var)),
-        _ => false,
+    // The single allowed self-step is top-level and matched by `self_step`;
+    // any *other* write — including nested ones — disqualifies.
+    let step = |cmd: &Cmd, at: At| at.top && self_step(cmd, var).is_some();
+    any_in_scope(body, View::Literal, |_, cmd, at| {
+        cmd.leaves() == Some(Leave::Continue)
+            || cmd.bindings().any(|binding| {
+                binding
+                    .name
+                    .is_none_or(|target| target == var && !step(cmd, at))
+            })
     })
 }
 
@@ -926,7 +906,8 @@ fn counted_loop(
     // run unsuccessful, so it does not reduce the successful-run minimum —
     // but `break`/`return`/`halt` do.)
     // Flow control escaping a proc is a runtime error, not an early exit.
-    let m = if conjuncts.len() == 1 && !exits_early(body, &["break", "return", "halt"]) {
+    let early = |leave| matches!(leave, Leave::Break | Leave::Return | Leave::Halt);
+    let m = if conjuncts.len() == 1 && !exits_early(body, early) {
         n
     } else {
         0

@@ -19,7 +19,10 @@
 //!
 //! [`Cmd::children`] is the one definition of what nests in what, and the
 //! analyses' flow-insensitive questions are answered by one [`walk`] over
-//! it; only their flow-sensitive passes recurse on their own.
+//! it; only their flow-sensitive passes recurse on their own.  What a
+//! command does is decoded here once too, for all three: the variables it
+//! binds ([`Cmd::bindings`]), how it leaves its block ([`Cmd::leaves`]) and
+//! what it grows ([`Cmd::growth`]).
 //!
 //! The interpreter still takes text (ROADMAP item 2), but it reads that text
 //! with the same [`pieces`] and [`control`] decoding the tree is built from.
@@ -153,6 +156,71 @@ impl Cmd {
             .chain(cond.map(|body| (Role::Cond, body)))
             .chain(body)
     }
+
+    /// Each variable of its scope the command assigns or unsets, in argument
+    /// order: `set` with a value, `incr`, `append`, `lappend`, every `unset`
+    /// argument, `foreach`'s variable and `catch`'s result variable.  A name
+    /// that is computed, or missing from a command short of arguments, is
+    /// any variable.  A one-argument `set` reads its variable: it binds
+    /// nothing.
+    pub fn bindings(&self) -> impl Iterator<Item = Binding<'_>> {
+        let argc = self.words.len() - 1;
+        let (args, unset) = match self.name() {
+            Some("set") if argc == 1 => (0..0, false),
+            Some("set" | "incr" | "append" | "lappend" | "foreach") => (0..1, false),
+            Some("catch") if argc >= 2 => (1..2, false),
+            Some("unset") => (0..argc, true),
+            _ => (0..0, false),
+        };
+        args.map(move |i| Binding {
+            name: self.arg_text(i),
+            unset,
+        })
+    }
+
+    /// How the command leaves the block it runs in, whatever its arguments.
+    pub fn leaves(&self) -> Option<Leave> {
+        Some(match self.name()? {
+            "return" => Leave::Return,
+            "halt" => Leave::Halt,
+            "break" => Leave::Break,
+            "continue" => Leave::Continue,
+            "error" => Leave::Error,
+            _ => return None,
+        })
+    }
+
+    /// What a growth command appends to the briefcase or a cabinet: for
+    /// `bc_push folder value` and `cab_append cabinet folder value`, the
+    /// folder or cabinet when static, and the value's word unless missing.
+    pub fn growth(&self) -> Option<(Option<&str>, Option<&Word>)> {
+        let payload = match self.name()? {
+            "bc_push" => 2,
+            "cab_append" => 3,
+            _ => return None,
+        };
+        Some((self.arg_text(0), self.words.get(payload)))
+    }
+}
+
+/// One variable a command binds ([`Cmd::bindings`]).
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Binding<'c> {
+    /// The variable, or `None` for any variable.
+    pub name: Option<&'c str>,
+    /// Removed rather than assigned.
+    pub unset: bool,
+}
+
+/// How a command leaves its block ([`Cmd::leaves`]): `return`, `halt`,
+/// `break`, `continue`, or `error`, which cannot complete normally.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Leave {
+    Return,
+    Halt,
+    Break,
+    Continue,
+    Error,
 }
 
 /// What a nested script is to the command it sits in: a `[..]` part of a

@@ -22,7 +22,8 @@ impl Gen {
 
 /// Appends one random statement to `out`.  Every construct the builder can
 /// emit is statically bounded and runtime-clean: fresh counter variables per
-/// loop, only previously-`set` variables are read, and all commands exist.
+/// loop, only previously-`set` variables are read (an `unset` one only after
+/// `incr` re-creates it), and all commands exist.
 fn push_statement(
     g: &mut Gen,
     depth: u32,
@@ -30,7 +31,7 @@ fn push_statement(
     vars: &mut Vec<String>,
     out: &mut String,
 ) {
-    let choice = if depth >= 2 { g.below(4) } else { g.below(7) };
+    let choice = if depth >= 2 { g.below(6) } else { g.below(10) };
     match choice {
         // Plain assignment: introduces a readable variable.
         0 => {
@@ -64,8 +65,29 @@ fn push_statement(
                 vars.push(v);
             }
         },
-        // Counted while loop over a fresh counter.
+        // `unset` of a fresh variable and an existing one, which `incr`
+        // re-creates from 0.
         4 => {
+            let gone = format!("u{}", *fresh);
+            *fresh += 1;
+            out.push_str(&format!("set {gone} {}\n", g.below(100)));
+            match vars.last() {
+                Some(v) => out.push_str(&format!("unset {gone} {v}\nincr {v} {}\n", g.below(3))),
+                None => out.push_str(&format!("unset {gone}\n")),
+            }
+        }
+        // `append` and `lappend` on a fresh variable, never read as a number.
+        5 => {
+            let s = format!("s{}", *fresh);
+            *fresh += 1;
+            out.push_str(&format!(
+                "append {s} a{}\nlappend {s} b{} c\n",
+                g.below(10),
+                g.below(10)
+            ));
+        }
+        // Counted while loop over a fresh counter.
+        6 => {
             let i = format!("i{}", *fresh);
             *fresh += 1;
             let bound = g.below(6);
@@ -80,7 +102,7 @@ fn push_statement(
             ));
         }
         // foreach over a literal list.
-        5 => {
+        7 => {
             // Numeric items so body statements may `incr`/compare the
             // iteration variable without tripping a runtime type error.
             let n = 1 + g.below(4);
@@ -100,6 +122,14 @@ fn push_statement(
                 "foreach {x} {{{}}} {{\n{body}\n}}\n",
                 items.join(" ")
             ));
+        }
+        // `catch` of a statement, with a fresh result variable.
+        8 => {
+            let r = format!("r{}", *fresh);
+            *fresh += 1;
+            let mut body = String::new();
+            push_statement(g, depth + 1, fresh, &mut vars.clone(), &mut body);
+            out.push_str(&format!("catch {{\n{body}\n}} {r}\n"));
         }
         // Two-way branch on a literal or a known variable.
         _ => {

@@ -15,7 +15,7 @@
 //! soup but must never panic or hang on it.
 
 use proptest::prelude::*;
-use tacoma_script::{cost_bound, CostBound, Interp, InterpConfig, NullHost, ScriptError};
+use tacoma_script::{cost_bound, CostBound, CostGate, Interp, InterpConfig, NullHost, ScriptError};
 
 #[path = "common/grammar.rs"]
 mod grammar;
@@ -77,9 +77,17 @@ fn assert_lower_bound_is_a_true_minimum(src: &str, bound: &CostBound) {
 /// guard compares past 2^53, and a `[` left open in a condition, which the
 /// interpreter still evaluates.  A one-argument `expr` runs its `[..]`
 /// scripts too, at the top, in a loop body or in a branch, and so does the
-/// computed value of one, or of an `if` or `elseif` condition.
+/// computed value of one, or of an `if` or `elseif` condition.  `unset`
+/// forgets every variable it names, at the top and in a loop body, and
+/// `incr` re-creates one from 0: when only the first name was forgotten,
+/// the first of those scripts "proved" 120 026 steps for a 26-step run,
+/// certain death to the lenient gate, and the second 80 027 for 80 013.
 #[test]
 fn pinned_scripts_stay_inside_their_bounds() {
+    let unset = "set n 60000; unset i n; incr n 10; set i 0; while {$i < $n} {incr i}; return $i";
+    assert_eq!(run_with_budget(unset, 100), Ok(26));
+    let bound = cost_bound(unset).expect("parses");
+    assert_eq!(CostGate::lenient(50_000, 64).check(&bound), Ok(()));
     for src in [
         "set i [expr 9223372036854775807 + 1]; while {$i < 0} {incr i}; set done 1",
         "set i [expr 9007199254740992 + 1]; while {$i < 9007199254740995} {incr i}; set done 1",
@@ -92,6 +100,9 @@ fn pinned_scripts_stay_inside_their_bounds() {
         "set c {[set i 5]}; set i 0; while {$i < 3} {expr $c; incr i}",
         "set c {[incr i]}; set i 0; if $c {set z 1}",
         "set c {[set i 5]}; set i 0; if $c {set z 1} elseif $c {set y 2}",
+        unset,
+        "set n 7; set i 0; while {$i < 2} {unset j n; incr i}; incr n 40000; \
+         set k 0; while {$k < $n} {incr k}; return $k",
     ] {
         let bound = cost_bound(src).expect("parses");
         assert_upper_bound_is_a_sound_budget(src, &bound);

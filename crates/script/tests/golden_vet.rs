@@ -126,6 +126,19 @@ fn known_good_idioms_stay_clean() {
         "set base 10\nproc bump {d} { return [expr $base + $d] }\nbump 5",
         &[],
     );
+    // A computed `foreach` or `catch` variable may be the loop's counter
+    // (here it is: each loop ends after one pass), and `unset` removes every
+    // variable it names (the loop ends in a runtime error on its second
+    // condition check, not by exhausting the step budget).
+    expect(
+        "set i 0; set v i; while {$i < 3} {foreach $v {1 2 3} {}}; return $i",
+        &[],
+    );
+    expect(
+        "set i 0; set v i; while {$i < 3} {catch {expr 3} $v}; return $i",
+        &[],
+    );
+    expect("set i 0; while {$i < 3} {unset j i}", &[]);
 }
 
 #[test]

@@ -329,6 +329,22 @@ fn one_decoder_of_control_commands() {
     assert_eq!(sites, [("crates/script/src/parser.rs".to_string(), 1)]);
 }
 
+/// A command's meaning is decoded in `tree.rs` only: the variables it binds
+/// (`Cmd::bindings`), how it leaves its block (`Cmd::leaves`) and what it
+/// grows (`Cmd::growth`).  taco-vet, taco-audit and taco-cost read those
+/// answers instead of keeping lists of their own, which drifted apart: one
+/// forgot all but the first name of an `unset`, another counted a computed
+/// `set` as a write but not a computed `foreach` or `catch` variable.
+#[test]
+fn a_commands_meaning_is_decoded_in_the_tree_only() {
+    for pass in ["analysis.rs", "audit.rs", "cost.rs"] {
+        let file = format!("{SCRIPT}/{pass}");
+        for name in ["\"unset\"", "\"lappend\"", "\"continue\""] {
+            assert_eq!(total(&file, name), 0, "{name} in {file}");
+        }
+    }
+}
+
 /// A message crosses `SimNet` without walking an ordered map: the metrics
 /// and the transport it touches on every send hold none.
 #[test]
