@@ -294,38 +294,47 @@ fn a_meet_does_no_work_proportional_to_the_site_count() {
     assert_eq!(local_meet_bytes(16), local_meet_bytes(1_024));
 }
 
-#[test]
-fn a_warm_send_and_step_allocate_nothing() {
-    // 0 -> 3 on a six-ring is three hops.  Payloads are built before the
-    // count starts and dropped after it ends, so every allocation counted
-    // is the simulator's own: a route copied out of the cache per send or a
-    // box per message in flight would each show up here.
-    let mut net = SimNet::new(Topology::ring(6, LinkSpec::default()));
-    let mut messages = (0..1_100).map(|i| SendOptions {
-        from: SiteId(0),
-        to: SiteId(3),
-        payload: vec![i as u8; 256],
-        kind: 1,
-        transport: TransportKind::Tcp,
-        custody: false,
+/// Sends from `from` to each `(to, hops)` of `targets` in turn, 1 100 sends
+/// in all, each stepped to its delivery, and returns the allocations the
+/// last 1 000 send + step pairs made.  Payloads are built before the count
+/// starts and dropped after it ends, so every allocation counted is the
+/// simulator's own: a route copied out of the cache per send, a block tree
+/// grown again or a box per message in flight would each show up here.
+fn warm_send_and_step_allocations(topology: Topology, from: u32, targets: &[(u32, u32)]) -> u64 {
+    let mut net = SimNet::new(topology);
+    let mut messages = targets.iter().cycle().take(1_100).map(|&(to, hops)| {
+        let opts = SendOptions {
+            from: SiteId(from),
+            to: SiteId(to),
+            payload: vec![to as u8; 256],
+            kind: 1,
+            transport: TransportKind::Tcp,
+            custody: false,
+        };
+        (opts, hops)
     });
-    let mut send_and_step = |opts: SendOptions| {
-        net.send(opts).expect("the ring is up");
+    let mut send_and_step = |(opts, hops): (SendOptions, u32)| {
+        net.send(opts).expect("the topology is up");
         match net.step() {
-            Some(Event::Message(m)) => m,
+            Some(Event::Message(m)) => assert_eq!(m.hops, hops, "{from} -> {}", m.to),
             other => panic!("expected the delivery, got {other:?}"),
         }
     };
-    for opts in messages.by_ref().take(100) {
-        assert_eq!(send_and_step(opts).hops, 3);
-    }
-    let measured: Vec<SendOptions> = messages.collect();
-    let mut delivered = Vec::with_capacity(measured.len());
-    let ((), allocs, _) = counted(|| {
-        for opts in measured {
-            delivered.push(send_and_step(opts));
-        }
-    });
-    assert_eq!(delivered.len(), 1_000);
-    assert_eq!(allocs, 0, "allocations across 1 000 warm send + step pairs");
+    messages.by_ref().take(100).for_each(&mut send_and_step);
+    let measured: Vec<(SendOptions, u32)> = messages.collect();
+    let ((), allocs, _) = counted(|| measured.into_iter().for_each(send_and_step));
+    allocs
+}
+
+#[test]
+fn a_warm_send_and_step_allocate_nothing() {
+    // 0 -> 3 on a six-ring is three hops.
+    let ring = Topology::ring(6, LinkSpec::default());
+    assert_eq!(warm_send_and_step_allocations(ring, 0, &[(3, 3)]), 0);
+    // Member 3 of clique 0 to a clique neighbour, answered from the link
+    // itself, and to member 5 of clique 31, across 31 gateway links and two
+    // clique links, from the cache and the block trees behind it.
+    let cliques = Topology::ring_of_cliques(64, 8, LinkSpec::lan(), LinkSpec::wan());
+    let targets = [(5, 1), (31 * 8 + 5, 33)];
+    assert_eq!(warm_send_and_step_allocations(cliques, 3, &targets), 0);
 }

@@ -21,11 +21,18 @@
 //! Negative results (unreachable pairs) are cached too; they are exactly as
 //! expensive to recompute as positive ones.
 //!
+//! The cache holds only what it cannot recompute on the spot.  Two ends
+//! joined by a live, unblocked link are routed over it, since a search from
+//! one reaches the other first: the query is a binary search of one
+//! adjacency row, priced from that link's spec, and one bit per link slot,
+//! cleared with the cache, tells the first query of the epoch from the
+//! rest, so the counters read what they would if the pair were cached.
+//!
 //! A cached path is priced when it is found: its summed latency and its hops
 //! grouped by bandwidth sit beside it, so the send path charges a route in
 //! `O(distinct bandwidths)` — one group on a LAN, two across the WAN ring —
 //! without walking its hops or asking the topology.  On a miss, the
-//! adjacency is one compressed-sparse-row block with each link's
+//! adjacency is one compressed-sparse-row block with each link's kind of
 //! [`LinkSpec`] beside the neighbour it leads to, so pricing a found path is
 //! a binary search of one row per hop.  The one traversal (`search`) marks
 //! visits with a generation stamp over scratch sized once per topology, so a
@@ -35,14 +42,17 @@
 //! sites between them, and the path found is the one a search of the whole
 //! topology finds (`path_into`).  So a ring of cliques routes across its
 //! gateway ring and two cliques, not half the ring; a grid, a ring or a full
-//! mesh is one block.  [`Router::route_queries`] and [`Router::bfs_runs`]
-//! count the routing work; E11/E12 report both, and the cache's saving is
-//! `route_queries / bfs_runs`.
+//! mesh is one block.  The source's own block is searched up to its exit; a
+//! block entered through a cut site is searched once per epoch from that
+//! site, to exhaustion, and every later route that enters it there reads its
+//! piece off that BFS tree.  [`Router::route_queries`] and
+//! [`Router::bfs_runs`] count the routing work; E11/E12 report both, and the
+//! cache's saving is `route_queries / bfs_runs`.
 
 use crate::time::Duration;
 use crate::topology::{serialization_time, LinkSpec, Topology};
 use std::collections::hash_map::Entry;
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::iter::successors;
 use tacoma_util::{IdBuildHasher, SiteId};
 
@@ -105,18 +115,20 @@ impl RouteCost<'_> {
 }
 
 /// Adjacency in compressed sparse rows: site `s`'s neighbours, ascending,
-/// are `sites[offsets[s]..offsets[s + 1]]`, and `specs` holds the link to
-/// each at the same index.
+/// are `sites[offsets[s]..offsets[s + 1]]`, and `kinds` holds the link to
+/// each at the same index, as its place among the topology's distinct
+/// `specs`: a few kinds of link, a small hot table.
 #[derive(Debug, Clone)]
 struct Adjacency {
     offsets: Vec<u32>,
     sites: Vec<SiteId>,
+    kinds: Vec<u32>,
     specs: Vec<LinkSpec>,
 }
 
 impl Adjacency {
-    /// Three allocations and no sort: `Topology::links` yields `(a, b)` with
-    /// `a < b` in ascending order, which fills every row in ascending order.
+    /// No sort: `Topology::links` yields `(a, b)` with `a < b` in ascending
+    /// order, which fills every row in ascending order.
     fn new(topology: &Topology) -> Self {
         let sites = topology.site_count() as usize;
         let mut offsets = vec![0u32; sites + 1];
@@ -131,15 +143,30 @@ impl Adjacency {
         let mut adj = Adjacency {
             offsets,
             sites: vec![SiteId(0); links],
-            specs: vec![LinkSpec::default(); links],
+            kinds: vec![0; links],
+            specs: Vec::new(),
         };
+        let mut last = None;
         // Fill with each row's start as its cursor, which leaves every
         // offset one row ahead; the rotation puts them back.
         for (a, b, spec) in topology.links() {
+            // Links come in runs of one kind, and a topology has a few
+            // kinds: a new run scans the table.
+            let kind = match last {
+                Some((kind, last)) if last == spec => kind,
+                _ => match adj.specs.iter().position(|known| known == spec) {
+                    Some(kind) => kind,
+                    None => {
+                        adj.specs.push(*spec);
+                        adj.specs.len() - 1
+                    }
+                },
+            };
+            last = Some((kind, spec));
             for (from, to) in [(a, b), (b, a)] {
                 let at = adj.offsets[from.index()] as usize;
                 adj.sites[at] = to;
-                adj.specs[at] = *spec;
+                adj.kinds[at] = u32::try_from(kind).expect("under 2^32 kinds of link");
                 adj.offsets[from.index()] += 1;
             }
         }
@@ -156,17 +183,51 @@ impl Adjacency {
         &self.sites[self.row(site)]
     }
 
+    /// Where the link `a`–`b` sits in `a`'s row, if there is one.
+    fn slot(&self, a: SiteId, b: SiteId) -> Option<usize> {
+        if a.index() + 1 >= self.offsets.len() {
+            return None;
+        }
+        let row = self.row(a);
+        let at = self.sites[row.clone()].binary_search(&b).ok()?;
+        Some(row.start + at)
+    }
+
+    /// The spec of the link in `slot`.
+    fn spec_at(&self, slot: usize) -> LinkSpec {
+        self.specs[self.kinds[slot] as usize]
+    }
+
     /// The spec of the link `a`–`b`, which must exist.
     fn spec(&self, a: SiteId, b: SiteId) -> LinkSpec {
-        let row = self.row(a);
-        let at = self.sites[row.clone()]
-            .binary_search(&b)
-            .expect("a routed hop crosses a link");
-        self.specs[row.start + at]
+        self.spec_at(self.slot(a, b).expect("a routed hop crosses a link"))
     }
 }
 
-/// The block of a site with no link.
+/// Which adjacency slots were routed at the cache's epoch, one bit each.
+#[derive(Debug, Clone)]
+struct Routed(Vec<u64>);
+
+impl Routed {
+    fn new(adj: &Adjacency) -> Routed {
+        Routed(vec![0; adj.sites.len().div_ceil(64)])
+    }
+
+    /// Marks `slot` routed; true when it was not yet.
+    fn first(&mut self, slot: usize) -> bool {
+        let (bits, bit) = (&mut self.0[slot / 64], 1 << (slot % 64));
+        let first = *bits & bit == 0;
+        *bits |= bit;
+        first
+    }
+
+    fn clear(&mut self) {
+        self.0.fill(0);
+    }
+}
+
+/// The block of a site with no link, and the predecessor of a site a
+/// block tree's search did not reach.
 const NONE: u32 = u32::MAX;
 
 /// The topology's biconnected blocks (Hopcroft–Tarjan 1973), from the links
@@ -176,8 +237,12 @@ const NONE: u32 = u32::MAX;
 struct Blocks {
     /// Per site: the block it was entered by (a root's last block).
     site: Vec<u32>,
+    /// Per site: its place in the block it was entered by, from 1.
+    place: Vec<u32>,
     /// Per block: its top site.
     top: Vec<u32>,
+    /// Per block: how many sites it holds, its top included.
+    size: Vec<u32>,
 }
 
 impl Blocks {
@@ -187,8 +252,8 @@ impl Blocks {
     fn new(adj: &Adjacency) -> Blocks {
         let (sites, unseen) = (adj.offsets.len() - 1, usize::MAX);
         let (mut disc, mut low) = (vec![unseen; sites], vec![0; sites]);
-        let (mut site, mut top, mut entered, mut stack) =
-            (vec![NONE; sites], vec![], vec![], vec![]);
+        let (mut site, mut place) = (vec![NONE; sites], vec![0; sites]);
+        let (mut top, mut size, mut entered, mut stack) = (vec![], vec![], vec![], vec![]);
         let mut seen = 0;
         for root in 0..sites {
             if disc[root] != unseen {
@@ -218,13 +283,30 @@ impl Blocks {
                     top.push(p as u32);
                     site[p] = block;
                     let first = entered.iter().rposition(|&w| w == v);
-                    for w in entered.drain(first.expect("the child was entered")..) {
-                        site[w] = block;
+                    let drained = entered.drain(first.expect("the child was entered")..);
+                    let mut held = 1;
+                    for w in drained {
+                        (site[w], place[w], held) = (block, held, held + 1);
                     }
+                    size.push(held);
                 }
             }
         }
-        Blocks { site, top }
+        Blocks {
+            site,
+            place,
+            top,
+            size,
+        }
+    }
+
+    /// `site`'s place in `block`, which holds it: 0 for the top.
+    fn place(&self, block: u32, site: SiteId) -> usize {
+        if self.top[block as usize] == site.0 {
+            0
+        } else {
+            self.place[site.index()] as usize
+        }
     }
 
     /// Whether `site` is in `block`: its top or a site it entered.  A link
@@ -277,9 +359,56 @@ struct Scratch {
     marks: Vec<(u32, u32)>,
     /// The stamp of the latest search; a site is visited when it carries it.
     generation: u32,
-    frontier: VecDeque<SiteId>,
+    /// The latest search's queue, never popped: every site it reached, in
+    /// the order it reached them.
+    frontier: Vec<SiteId>,
     /// The blocks the latest route crossed, in order.
     hops: Vec<u32>,
+}
+
+/// The BFS trees of blocks entered through a cut site, grown at the cache's
+/// epoch and dropped with it: per `(block, entry)` where its predecessors
+/// start in `preds`, one per site of the block by [`Blocks::place`], `NONE`
+/// where the search did not reach.
+#[derive(Debug, Clone, Default)]
+struct Trees {
+    start: HashMap<(u32, SiteId), u32, IdBuildHasher>,
+    preds: Vec<u32>,
+}
+
+impl Trees {
+    /// The tree of `block` searched from `entry`, grown on first use.
+    fn grow(
+        &mut self,
+        (adj, blocks): (&Adjacency, &Blocks),
+        scratch: &mut Scratch,
+        (block, entry): (u32, SiteId),
+        alive: &impl Fn(SiteId) -> bool,
+        blocked: &impl Fn(SiteId, SiteId) -> bool,
+    ) -> &[u32] {
+        let len = blocks.size[block as usize] as usize;
+        let start = match self.start.entry((block, entry)) {
+            Entry::Occupied(tree) => *tree.get() as usize,
+            Entry::Vacant(tree) => {
+                let start = self.preds.len();
+                tree.insert(u32::try_from(start).expect("tree arena outgrew u32 offsets"));
+                self.preds.resize(start + len, NONE);
+                let within = |n: SiteId| blocks.holds(block, n);
+                search(adj, scratch, entry, None, alive, blocked, within);
+                for &site in &scratch.frontier {
+                    let pred = scratch.marks[site.index()].1;
+                    self.preds[start + blocks.place(block, site)] = pred;
+                }
+                start
+            }
+        };
+        &self.preds[start..start + len]
+    }
+
+    fn clear(&mut self) {
+        self.start.clear();
+        self.preds.clear();
+    }
 }
 
 /// A routing oracle that answers shortest-path queries over a topology,
@@ -291,7 +420,8 @@ pub struct Router {
     adj: Adjacency,
     /// Built by the first route computed over `adj`, dropped with it.
     blocks: Option<Blocks>,
-    /// `(from, to)` → cached route, all of it computed at `cache_epoch`.
+    /// `(from, to)` → cached route, all of it computed at `cache_epoch`;
+    /// never a pair that one live, unblocked link joins.
     cache: HashMap<(SiteId, SiteId), CachedRoute, IdBuildHasher>,
     cache_epoch: u64,
     /// The arenas the cache's spans index: every cached path's sites, end to
@@ -299,9 +429,25 @@ pub struct Router {
     /// with the cache, so epoch churn cannot grow them.
     path_sites: Vec<SiteId>,
     path_classes: Vec<(u64, u32)>,
+    /// The links routed at `cache_epoch`: what the routing-work counters
+    /// need of a pair the cache does not hold.
+    routed: Routed,
+    /// The block trees grown at `cache_epoch`.
+    trees: Trees,
+    /// The latest link's route, staged to be lent like a cached one.
+    link_path: [SiteId; 2],
+    link_class: [(u64, u32); 1],
     route_queries: u64,
     bfs_runs: u64,
     scratch: Scratch,
+}
+
+/// What [`Router::lookup`] found: the slot of a live, unblocked link between
+/// the ends, or a cached route.
+#[derive(Debug, Clone, Copy)]
+enum Found {
+    Link(usize),
+    Cached(CachedRoute),
 }
 
 impl Router {
@@ -310,12 +456,16 @@ impl Router {
         let adj = Adjacency::new(&topology);
         Router {
             topology,
+            routed: Routed::new(&adj),
             adj,
             blocks: None,
             cache: HashMap::default(),
             cache_epoch: 0,
             path_sites: Vec::new(),
             path_classes: Vec::new(),
+            trees: Trees::default(),
+            link_path: [SiteId(0); 2],
+            link_class: [(0, 1)],
             route_queries: 0,
             bfs_runs: 0,
             scratch: Scratch::default(),
@@ -339,15 +489,18 @@ impl Router {
     /// [`crate::sim::SimNet::edit_topology`] does both.
     pub fn edit_topology(&mut self, edit: impl FnOnce(&mut Topology)) {
         edit(&mut self.topology);
-        self.adj = Adjacency::new(&self.topology);
-        self.blocks = None;
         self.clear_cache();
+        self.adj = Adjacency::new(&self.topology);
+        self.routed = Routed::new(&self.adj);
+        self.blocks = None;
     }
 
     fn clear_cache(&mut self) {
         self.cache.clear();
         self.path_sites.clear();
         self.path_classes.clear();
+        self.routed.clear();
+        self.trees.clear();
     }
 
     /// Number of routing queries answered (cache hits and misses alike).
@@ -369,8 +522,9 @@ impl Router {
     }
 
     /// The shortest live path from `from` to `to` at `epoch`, avoiding dead
-    /// sites and blocked (partitioned) edges.  Answers from the cache when
-    /// the cache was filled at the same epoch; otherwise runs a BFS and
+    /// sites and blocked (partitioned) edges.  Answers a pair that one live,
+    /// unblocked link joins from the adjacency, anything else from the cache
+    /// when the cache was filled at the same epoch; otherwise runs a BFS and
     /// caches the result under `epoch`.  Returns `None` when unreachable.
     ///
     /// Correctness contract: `alive` and `blocked` must be functions of the
@@ -384,8 +538,15 @@ impl Router {
         alive: impl Fn(SiteId) -> bool,
         blocked: impl Fn(SiteId, SiteId) -> bool,
     ) -> Option<&[SiteId]> {
-        let route = self.lookup(from, to, epoch, alive, blocked);
-        (route.path.len > 0).then(|| &self.path_sites[route.path.range()])
+        match self.lookup(from, to, epoch, alive, blocked) {
+            Found::Link(slot) => {
+                self.link_path = [from, self.adj.sites[slot]];
+                Some(&self.link_path)
+            }
+            Found::Cached(route) => {
+                (route.path.len > 0).then(|| &self.path_sites[route.path.range()])
+            }
+        }
     }
 
     /// [`Router::route`], answered as what the path costs to cross; a local
@@ -398,15 +559,25 @@ impl Router {
         alive: impl Fn(SiteId) -> bool,
         blocked: impl Fn(SiteId, SiteId) -> bool,
     ) -> Option<RouteCost<'_>> {
-        let route = self.lookup(from, to, epoch, alive, blocked);
-        (route.path.len > 0).then(|| RouteCost {
-            hops: route.path.len - 1,
-            latency: route.latency,
-            classes: &self.path_classes[route.classes.range()],
-        })
+        match self.lookup(from, to, epoch, alive, blocked) {
+            Found::Link(slot) => {
+                let spec = self.adj.spec_at(slot);
+                self.link_class = [(spec.bandwidth_bytes_per_sec, 1)];
+                Some(RouteCost {
+                    hops: 1,
+                    latency: spec.latency,
+                    classes: &self.link_class,
+                })
+            }
+            Found::Cached(route) => (route.path.len > 0).then(|| RouteCost {
+                hops: route.path.len - 1,
+                latency: route.latency,
+                classes: &self.path_classes[route.classes.range()],
+            }),
+        }
     }
 
-    /// The one cache probe behind both views of a route.
+    /// The one lookup behind both views of a route.
     fn lookup(
         &mut self,
         from: SiteId,
@@ -414,24 +585,34 @@ impl Router {
         epoch: u64,
         alive: impl Fn(SiteId) -> bool,
         blocked: impl Fn(SiteId, SiteId) -> bool,
-    ) -> CachedRoute {
+    ) -> Found {
         self.route_queries += 1;
         if epoch != self.cache_epoch {
             // Everything cached describes another epoch's liveness.
             self.clear_cache();
             self.cache_epoch = epoch;
         }
+        if let Some(slot) = self.adj.slot(from, to) {
+            // A search from `from` reaches `to` first over the link, when
+            // the link is up: the route is the link, cached or not.
+            if alive(from) && alive(to) && !blocked(from, to) {
+                if self.routed.first(slot) {
+                    self.bfs_runs += 1;
+                }
+                return Found::Link(slot);
+            }
+        }
         let slot = match self.cache.entry((from, to)) {
-            Entry::Occupied(hit) => return *hit.get(),
+            Entry::Occupied(hit) => return Found::Cached(*hit.get()),
             Entry::Vacant(slot) => slot,
         };
         self.bfs_runs += 1;
         let (start, classes_start) = (self.path_sites.len(), self.path_classes.len());
         let blocks = self.blocks.get_or_insert_with(|| Blocks::new(&self.adj));
         path_into(
-            &self.adj,
-            blocks,
+            (&self.adj, blocks),
             &mut self.scratch,
+            Some(&mut self.trees),
             (from, to),
             &alive,
             &blocked,
@@ -450,11 +631,11 @@ impl Router {
                 None => self.path_classes.push((bandwidth, 1)),
             }
         }
-        *slot.insert(CachedRoute {
+        Found::Cached(*slot.insert(CachedRoute {
             path: Span::of(start, self.path_sites.len()),
             latency,
             classes: Span::of(classes_start, self.path_classes.len()),
-        })
+        }))
     }
 
     /// The shortest path from `src` to `dst` visiting only sites for which
@@ -472,9 +653,9 @@ impl Router {
         let mut path = Vec::new();
         let blocks = self.blocks.get_or_insert_with(|| Blocks::new(&self.adj));
         path_into(
-            &self.adj,
-            blocks,
+            (&self.adj, blocks),
             &mut self.scratch,
+            None,
             (src, dst),
             &alive,
             &|_, _| false,
@@ -533,8 +714,10 @@ fn search(
     if target == Some(from) {
         return true;
     }
-    frontier.push_back(from);
-    while let Some(cur) = frontier.pop_front() {
+    frontier.push(from);
+    let mut next = 0;
+    while let Some(&cur) = frontier.get(next) {
+        next += 1;
         for &n in adj.neighbors(cur) {
             if !within(n) || marks[n.index()].0 == visited || !alive(n) || blocked(cur, n) {
                 continue;
@@ -543,7 +726,7 @@ fn search(
             if target == Some(n) {
                 return true;
             }
-            frontier.push_back(n);
+            frontier.push(n);
         }
     }
     false
@@ -561,10 +744,15 @@ fn search(
 ///   B from x records the whole-topology search's predecessors;
 /// - liveness and partitions only remove sites and links: the cut sites
 ///   still separate the ends, and a dead one leaves the pair unreachable.
+///
+/// Given `trees`, a block entered through a cut site is read off its tree
+/// from that site instead: a search run past the exit has recorded the same
+/// predecessors by the time it reaches it.  `from`'s own block is searched
+/// as far as its exit, as the tree of one source is rarely asked again.
 fn path_into(
-    adj: &Adjacency,
-    blocks: &Blocks,
+    (adj, blocks): (&Adjacency, &Blocks),
     scratch: &mut Scratch,
+    mut trees: Option<&mut Trees>,
     (from, to): (SiteId, SiteId),
     alive: &impl Fn(SiteId) -> bool,
     blocked: &impl Fn(SiteId, SiteId) -> bool,
@@ -583,15 +771,29 @@ fn path_into(
                 let exit = hops
                     .get(i + 1)
                     .map_or(to, |&next| blocks.between(block, next));
-                let within = |n: SiteId| blocks.holds(block, n);
-                if !search(adj, scratch, entry, Some(exit), alive, blocked, within) {
-                    return false;
-                }
                 let piece = out.len();
                 let mut at = exit;
-                while at != entry {
-                    out.push(at);
-                    at = SiteId(scratch.marks[at.index()].1);
+                match trees.as_deref_mut().filter(|_| i > 0) {
+                    Some(trees) => {
+                        let tree =
+                            trees.grow((adj, blocks), scratch, (block, entry), alive, blocked);
+                        while at != entry {
+                            match tree[blocks.place(block, at)] {
+                                NONE => return false,
+                                pred => out.push(std::mem::replace(&mut at, SiteId(pred))),
+                            }
+                        }
+                    }
+                    None => {
+                        let within = |n: SiteId| blocks.holds(block, n);
+                        if !search(adj, scratch, entry, Some(exit), alive, blocked, within) {
+                            return false;
+                        }
+                        while at != entry {
+                            out.push(at);
+                            at = SiteId(scratch.marks[at.index()].1);
+                        }
+                    }
                 }
                 out[piece..].reverse();
                 entry = exit;
@@ -803,6 +1005,45 @@ mod tests {
             assert_eq!(route_all(&mut r, epoch), one_epoch);
         }
         assert_eq!(r.bfs_runs(), 50 * 1_001);
+    }
+
+    #[test]
+    fn the_cache_holds_only_routes_it_cannot_read_off_a_link() {
+        let mut mesh = Router::new(Topology::full_mesh(16, LinkSpec::default()));
+        for (from, to) in (0..16).flat_map(|a| (0..16).map(move |b| (a, b))) {
+            if from == to {
+                continue;
+            }
+            let (from, to) = (SiteId(from), SiteId(to));
+            let path = mesh.route(from, to, 0, all_alive, unblocked);
+            assert_eq!(path, Some(&[from, to][..]));
+            let cost = mesh.route_cost(from, to, 0, all_alive, unblocked);
+            assert_eq!(cost.map(|cost| cost.hops), Some(1));
+        }
+        assert_eq!((mesh.route_queries(), mesh.bfs_runs()), (480, 240));
+        assert!(mesh.cache.is_empty());
+        assert!(mesh.path_sites.is_empty() && mesh.path_classes.is_empty());
+
+        // Every ordered pair over cliques 0, 1 and 31: members, gateways one
+        // WAN link apart, and far ends.
+        let lan_on_wan = Topology::ring_of_cliques(64, 8, LinkSpec::lan(), LinkSpec::wan());
+        let mut r = Router::new(lan_on_wan.clone());
+        let sites: Vec<SiteId> = [0, 1, 31]
+            .iter()
+            .flat_map(|c| c * 8..c * 8 + 8)
+            .map(SiteId)
+            .collect();
+        for &from in &sites {
+            for &to in &sites {
+                assert!(r.route(from, to, 0, all_alive, unblocked).is_some());
+            }
+        }
+        for &from in &sites {
+            for &to in &sites {
+                let cached = r.cache.contains_key(&(from, to));
+                assert_eq!(cached, !lan_on_wan.has_link(from, to), "{from} -> {to}");
+            }
+        }
     }
 
     #[test]

@@ -20,9 +20,16 @@
 //! so [`block_routed_paths_are_the_flat_searchs`] asks the oracle about
 //! topologies full of cut sites, where that search and a flat BFS part ways
 //! if they ever do.
+//!
+//! A pair that one live, unblocked link joins is answered from the link and
+//! never cached, and a block entered through a cut site is read off a BFS
+//! tree shared by every route that enters it there: the last three tests
+//! check a link that is down detours as the oracle does, the routing-work
+//! counters still count what a cache of every pair would, and routes read
+//! off warm trees are the oracle's.
 
 use proptest::prelude::*;
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use tacoma_net::{
     Duration, Event, LinkSpec, MessageId, Router, SendOptions, SimNet, SimTime, Topology,
     TransportKind,
@@ -619,4 +626,123 @@ fn cross_clique_routes_at_4096_sites_are_the_oracles() {
         );
     }
     assert_eq!(router.bfs_runs(), 200, "one computation per miss");
+}
+
+#[test]
+fn a_neighbour_cut_off_by_a_partition_or_death_detours_or_fails_as_the_oracle_does() {
+    let topology = Topology::ring_of_cliques(3, 4, LinkSpec::lan(), LinkSpec::wan());
+    let adj = adjacency(&topology);
+    let linked: Vec<(SiteId, SiteId)> = topology
+        .links()
+        .flat_map(|(a, b, _)| [(a, b), (b, a)])
+        .collect();
+    let mut router = Router::new(topology);
+    let mut epoch = 0;
+    for &(from, to) in &linked {
+        // 0: the link alone is partitioned away, and every link of this
+        // topology lies on a cycle, so a detour exists; 1: the far end is
+        // dead; 2: the near end is; 3: a partition puts `from` alone.
+        for case in 0..4 {
+            let alive = |s: SiteId| !(case == 1 && s == to || case == 2 && s == from);
+            let blocked = |a: SiteId, b: SiteId| match case {
+                0 => (a, b) == (from, to) || (a, b) == (to, from),
+                3 => (a == from) != (b == from),
+                _ => false,
+            };
+            let oracle = reference_path(&adj, from, to, alive, blocked);
+            assert_eq!(oracle.is_some(), case == 0, "{from} -> {to}, case {case}");
+            epoch += 1;
+            for _ in 0..2 {
+                let route = router
+                    .route(from, to, epoch, alive, blocked)
+                    .map(<[SiteId]>::to_vec);
+                assert_eq!(route, oracle, "{from} -> {to}, case {case}");
+            }
+        }
+        // Back up, the link is the route again.
+        epoch += 1;
+        let up = router.route(from, to, epoch, |_| true, |_, _| false);
+        assert_eq!(up, Some(&[from, to][..]));
+    }
+    let asked = linked.len() as u64 * 5;
+    assert_eq!(router.route_queries(), asked + linked.len() as u64 * 4);
+    assert_eq!(
+        router.bfs_runs(),
+        asked,
+        "one computation per pair and epoch"
+    );
+}
+
+/// The shapes the routing-work property draws from: a ring of cliques, a
+/// grid or a full mesh, sized by `a` and `b`.
+fn counted_topology(shape: u32, a: u32, b: u32) -> Topology {
+    let (lan, wan) = (LinkSpec::lan(), LinkSpec::wan());
+    match shape {
+        0 => Topology::ring_of_cliques(a + 1, b, lan, wan),
+        1 => Topology::grid(a, b, lan),
+        _ => Topology::full_mesh(a * b, lan),
+    }
+}
+
+proptest! {
+    /// Whatever answers a query — a link, the cache or a search — every
+    /// query is counted, and a computation is counted for exactly the
+    /// pairs first asked at each epoch, as a cache of every pair would.
+    /// Epochs bump at random, and odd epochs kill a fifth of the sites.
+    #[test]
+    fn routing_work_counts_the_pairs_first_asked_per_epoch(
+        shape in 0u32..3,
+        a in 1u32..6,
+        b in 1u32..6,
+        queries in proptest::collection::vec((any::<u32>(), any::<u32>(), 0u32..6), 1..160),
+    ) {
+        let topology = counted_topology(shape, a, b);
+        let (sites, adj) = (topology.site_count(), adjacency(&topology));
+        let mut router = Router::new(topology);
+        let (mut epoch, mut asked, mut first) = (0u64, BTreeSet::new(), 0u64);
+        for &(x, y, bump) in &queries {
+            if bump == 0 {
+                epoch += 1;
+                asked.clear();
+            }
+            let alive = |s: SiteId| epoch % 2 == 0 || (u64::from(s.0) + epoch) % 5 != 0;
+            let (from, to) = (SiteId(x % sites), SiteId(y % sites));
+            first += u64::from(asked.insert((from, to)));
+            let route = router.route(from, to, epoch, alive, |_, _| false).map(<[SiteId]>::to_vec);
+            let oracle = reference_path(&adj, from, to, alive, |_, _| false);
+            prop_assert_eq!(route, oracle, "{} -> {} at {}", from, to, epoch);
+        }
+        prop_assert_eq!(router.route_queries(), queries.len() as u64);
+        prop_assert_eq!(router.bfs_runs(), first);
+    }
+}
+
+#[test]
+fn cross_clique_routes_read_off_warm_trees_are_the_oracles() {
+    let topology = Topology::ring_of_cliques(512, 8, LinkSpec::lan(), LinkSpec::wan());
+    let adj = adjacency(&topology);
+    let mut router = Router::new(topology);
+    let mut rng = DetRng::new(4_097);
+    let (all, none) = (|_: SiteId| true, |_: SiteId, _: SiteId| false);
+    let mut pairs: Vec<(u32, u32)> = (0..200)
+        .map(|_| {
+            let from = rng.next_below(4_096) as u32;
+            let clique = (from / 8 + 1 + rng.next_below(511) as u32) % 512;
+            (from, clique * 8 + rng.next_below(8) as u32)
+        })
+        .collect();
+    // A sibling pair leaves and enters the same cliques through the same
+    // gateways: routing it grows the trees the pair itself will read.
+    let sibling = |s: u32| s / 8 * 8 + (s % 8 + 1) % 8;
+    for &(from, to) in &pairs {
+        let warm = router.route(SiteId(sibling(from)), SiteId(sibling(to)), 0, all, none);
+        assert!(warm.is_some());
+    }
+    rng.shuffle(&mut pairs);
+    for &(from, to) in &pairs {
+        let (from, to) = (SiteId(from), SiteId(to));
+        let oracle = reference_path(&adj, from, to, all, none);
+        let route = router.route(from, to, 0, all, none).map(<[SiteId]>::to_vec);
+        assert_eq!(route, oracle, "{from} -> {to}");
+    }
 }

@@ -341,6 +341,8 @@ struct Analyzer<'t> {
     summaries: BTreeMap<String, Cost>,
     /// Names currently being summarized (cycle ⇒ recursion ⇒ poison).
     in_progress: Vec<String>,
+    /// Memoized [`Analyzer::call_unsets`] (by name).
+    unsets: BTreeMap<&'t str, Option<BTreeSet<String>>>,
 }
 
 impl<'t> Analyzer<'t> {
@@ -368,6 +370,7 @@ impl<'t> Analyzer<'t> {
             opaque_procs,
             summaries: BTreeMap::new(),
             in_progress: Vec::new(),
+            unsets: BTreeMap::new(),
         }
     }
 
@@ -467,7 +470,7 @@ impl<'t> Analyzer<'t> {
         // variables in the *current* scope.
         for script in cmd.scripts() {
             cost = cost.seq(self.scripts_cost([script].into_iter(), env, adepth));
-            forget(env, &writes_of([script]));
+            forget(env, &self.writes_of([script]));
         }
 
         let Some(name) = cmd.name() else {
@@ -490,7 +493,7 @@ impl<'t> Analyzer<'t> {
             // The condition's scripts run once, in this scope.
             Shape::Expr { cond } => {
                 cost = cost.seq(self.scripts_cost(cond.scripts(), env, adepth));
-                forget(env, &writes_of(cond.scripts()));
+                forget(env, &self.writes_of(cond.scripts()));
             }
             // Definition only: 1 step + word costs, no body execution.
             Shape::Proc { .. } | Shape::Plain => {}
@@ -524,6 +527,9 @@ impl<'t> Analyzer<'t> {
             if self.procs.contains_key(name) {
                 let summary = self.proc_summary(name, adepth).deepen();
                 cost = cost.seq(summary);
+                if let Some(unsets) = self.call_unsets(name) {
+                    forget(env, unsets);
+                }
             } else if self.opaque_procs {
                 // A computed proc name exists somewhere: this could be
                 // anything.
@@ -566,7 +572,7 @@ impl<'t> Analyzer<'t> {
         let nested = arms
             .iter()
             .flat_map(|arm| arm.cond.iter().flat_map(Cond::scripts).chain([&arm.body]));
-        forget(env, &writes_of(nested));
+        forget(env, &self.writes_of(nested));
         cond_cost.seq(joined)
     }
 
@@ -578,11 +584,11 @@ impl<'t> Analyzer<'t> {
 
         // Analyze cond/body against an env scrubbed of everything the loop
         // may write (values change across iterations).
-        let written = writes_of(cond.scripts().chain([body]));
+        let written = self.writes_of(cond.scripts().chain([body]));
         let mut loop_env = env.clone();
         forget(&mut loop_env, &written);
 
-        let inference = counted_loop(cond_text, cond, body, body_tree, env);
+        let inference = self.counted_loop(cond_text, cond, body, body_tree, env);
 
         let cond_cost = self.scripts_cost(cond.scripts(), &loop_env, adepth);
         let mut body_cost = self
@@ -646,7 +652,7 @@ impl<'t> Analyzer<'t> {
         };
 
         // A computed loop variable could be any variable.
-        let mut written = writes_of([body]);
+        let mut written = self.writes_of([body]);
         bind(&mut written, cmd);
         let mut loop_env = env.clone();
         forget(&mut loop_env, &written);
@@ -693,7 +699,7 @@ impl<'t> Analyzer<'t> {
         cost.terminates = false;
 
         // Invalidate: the result var and anything the body wrote.
-        let mut written = writes_of([body]);
+        let mut written = self.writes_of([body]);
         bind(&mut written, cmd);
         forget(env, &written);
         cost
@@ -774,23 +780,6 @@ fn payload_size(word: Option<&Word>) -> CostInterval {
     })
 }
 
-/// The variables `scripts` may write in the current scope, or `None` when
-/// the writes cannot be enumerated (computed targets, anything opaque).
-/// A command writes what its [`Cmd::bindings`] name, and proc calls get a
-/// fresh scope (`set_in_scope` writes innermost only), so they can't
-/// clobber ours — except by `unset`, which removes the innermost variable
-/// of that name wherever it is (ROADMAP item 5(b)).
-fn writes_of<'a>(scripts: impl IntoIterator<Item = &'a Body>) -> Option<BTreeSet<String>> {
-    let mut written = Some(BTreeSet::new());
-    let unknown = scripts.into_iter().any(|s| {
-        any_in_scope(s, View::Literal, |_, cmd, _| {
-            bind(&mut written, cmd);
-            written.is_none()
-        })
-    });
-    written.filter(|_| !unknown)
-}
-
 /// Adds what `cmd` binds to `written`, which becomes `None` when that could
 /// be any variable.
 fn bind(written: &mut Option<BTreeSet<String>>, cmd: &Cmd) {
@@ -821,98 +810,183 @@ fn exits_early(body: &Body, exits: impl Fn(Leave) -> bool) -> bool {
     })
 }
 
-/// True if anything in the body (recursively) writes `var` outside the one
-/// allowed self-step, uses `eval`, has computed names, or uses `continue`
-/// (which could skip the self-step on an iteration).  Builtins don't write
-/// the counter otherwise, and proc calls get a fresh scope.
-fn body_touches_counter_unsafely(body: &Body, var: &str) -> bool {
-    // The single allowed self-step is top-level and matched by `self_step`;
-    // any *other* write — including nested ones — disqualifies.
-    let step = |cmd: &Cmd, at: At| at.top && self_step(cmd, var).is_some();
-    any_in_scope(body, View::Literal, |_, cmd, at| {
-        cmd.leaves() == Some(Leave::Continue)
-            || cmd.bindings().any(|binding| {
-                binding
-                    .name
-                    .is_none_or(|target| target == var && !step(cmd, at))
+impl<'t> Analyzer<'t> {
+    /// The variables `scripts` may write in the current scope, or `None` when
+    /// the writes cannot be enumerated (computed targets, anything opaque).
+    /// A command writes what its [`Cmd::bindings`] name.  A proc call gets a
+    /// fresh scope (`set_in_scope` writes innermost only), so it can clobber
+    /// ours only by `unset`, which removes the innermost variable of that name
+    /// wherever it is: it writes what [`Analyzer::call_unsets`] names.
+    fn writes_of<'a>(
+        &mut self,
+        scripts: impl IntoIterator<Item = &'a Body>,
+    ) -> Option<BTreeSet<String>> {
+        let mut written = Some(BTreeSet::new());
+        let unknown = scripts.into_iter().any(|s| {
+            any_in_scope(s, View::Literal, |name, cmd, _| {
+                bind(&mut written, cmd);
+                match (self.call_unsets(name), written.as_mut()) {
+                    (None, _) => {}
+                    (Some(Some(unsets)), Some(set)) => set.extend(unsets.iter().cloned()),
+                    (Some(_), _) => written = None,
+                }
+                written.is_none()
             })
-    })
-}
-
-/// Try to infer the trip count of a counted `while` loop.
-///
-/// Returns `(n, m)`: `n` = maximum iterations, `m` = minimum iterations on
-/// a successful run. Requirements (all structural, zero false positives):
-///
-/// - the condition's first `&&`-conjunct is `$var op bound` with
-///   `op ∈ {<, <=, >, >=}` and `bound` a literal int or env-exact variable;
-/// - no top-level `||` in the condition;
-/// - `var` starts env-exact;
-/// - exactly one top-level body command steps `var` by a constant `k`
-///   (`incr var`, `incr var k`, `set var [expr $var ± k]`), no other writes
-///   to `var` anywhere in the body or condition scripts, no `eval` or
-///   computed names near `var`, and no `continue` (which could skip the
-///   step);
-/// - `k`'s sign moves `var` toward the bound;
-/// - start, bound and step are integers `f64` holds exactly, because the
-///   condition (and an `expr` step) is evaluated in `f64`.
-fn counted_loop(
-    cond_text: &str,
-    cond: &Cond,
-    body: &Body,
-    body_tree: &Tree,
-    env: &Env,
-) -> Option<(u64, u64)> {
-    let conjuncts = split_conjuncts(cond_text)?;
-    let (var, op, bound_ref) = parse_guard(conjuncts.first()?)?;
-    let bound = match bound_ref {
-        BoundRef::Literal(b) => b,
-        BoundRef::Var(name) => *env.get(&name)?,
-    };
-    let start = *env.get(&var)?;
-
-    // Exactly one self-step of the counter at the top level, and no other
-    // writes to it, no eval/opacity, no `continue`.
-    let mut steps = body_tree.cmds.iter().filter_map(|cmd| self_step(cmd, &var));
-    let k = steps.next()?;
-    if steps.next().is_some()
-        || k == 0
-        || ![start, bound, k].into_iter().all(f64_exact)
-        || body_touches_counter_unsafely(body, &var)
-        || writes_of(cond.scripts()).is_none_or(|written| written.contains(&var))
-    {
-        return None;
+        });
+        written.filter(|_| !unknown)
     }
 
-    // A counter that falls toward its bound is one that rises toward the
-    // negated bound.
-    let (a, b, k) = (i128::from(start), i128::from(bound), i128::from(k));
-    let (a, b, k) = match op {
-        GuardOp::Lt | GuardOp::Le => (a, b, k),
-        GuardOp::Gt | GuardOp::Ge => (-a, -b, -k),
-    };
-    if k <= 0 {
-        return None;
+    /// What a call of `name` may unset in its caller's scope, when `name` is a
+    /// proc: every variable that an `unset` in its bodies, or in the procs they
+    /// call, names; `None` inside when that could be any variable.
+    fn call_unsets(&mut self, name: &str) -> Option<&Option<BTreeSet<String>>> {
+        let (&name, _) = self.procs.get_key_value(name)?;
+        if !self.unsets.contains_key(name) {
+            let unsets = self.unsets_reached_from(name);
+            self.unsets.insert(name, unsets);
+        }
+        self.unsets.get(name)
     }
-    let n = match op {
-        GuardOp::Lt | GuardOp::Gt if a < b => (b - a + k - 1) / k,
-        GuardOp::Le | GuardOp::Ge if a <= b => (b - a) / k + 1,
-        _ => 0,
-    };
-    let n: u64 = n.try_into().ok()?;
 
-    // Lower bound: the full n iterations run iff the guard conjunct is the
-    // whole condition and nothing exits the body early. (`error` makes the
-    // run unsuccessful, so it does not reduce the successful-run minimum —
-    // but `break`/`return`/`halt` do.)
-    // Flow control escaping a proc is a runtime error, not an early exit.
-    let early = |leave| matches!(leave, Leave::Break | Leave::Return | Leave::Halt);
-    let m = if conjuncts.len() == 1 && !exits_early(body, early) {
-        n
-    } else {
-        0
-    };
-    Some((n, m))
+    /// [`Analyzer::call_unsets`] of proc `root`, over every proc it reaches.
+    fn unsets_reached_from(&self, root: &'t str) -> Option<BTreeSet<String>> {
+        let mut unset = Some(BTreeSet::new());
+        let (mut seen, mut todo) = (BTreeSet::from([root]), vec![root]);
+        while let Some(name) = todo.pop() {
+            for body in self.procs[name].as_ref()? {
+                let opaque = any_in_scope(body, View::Literal, |callee, cmd, _| {
+                    for binding in cmd.bindings().filter(|binding| binding.unset) {
+                        match (binding.name, unset.as_mut()) {
+                            (Some(var), Some(set)) => {
+                                set.insert(var.to_string());
+                            }
+                            _ => unset = None,
+                        }
+                    }
+                    match self.procs.get_key_value(callee) {
+                        Some((&callee, _)) => {
+                            if seen.insert(callee) {
+                                todo.push(callee);
+                            }
+                        }
+                        // Neither a proc nor a builtin: with a proc defined
+                        // under a computed name, it may be that one.
+                        None => {
+                            if self.opaque_procs && crate::builtins::builtin(callee).is_none() {
+                                return true;
+                            }
+                        }
+                    }
+                    unset.is_none()
+                });
+                if opaque {
+                    return None;
+                }
+            }
+        }
+        unset
+    }
+
+    /// True if anything in the body (recursively) writes `var` outside the one
+    /// allowed self-step, uses `eval`, has computed names, or uses `continue`
+    /// (which could skip the self-step on an iteration).  Builtins don't write
+    /// the counter otherwise, and proc calls get a fresh scope: they reach it
+    /// only when they may unset it.
+    fn body_touches_counter_unsafely(&mut self, body: &Body, var: &str) -> bool {
+        // The single allowed self-step is top-level and matched by `self_step`;
+        // any *other* write — including nested ones — disqualifies.
+        let step = |cmd: &Cmd, at: At| at.top && self_step(cmd, var).is_some();
+        any_in_scope(body, View::Literal, |name, cmd, at| {
+            cmd.leaves() == Some(Leave::Continue)
+                || cmd.bindings().any(|binding| {
+                    binding
+                        .name
+                        .is_none_or(|target| target == var && !step(cmd, at))
+                })
+                || self
+                    .call_unsets(name)
+                    .is_some_and(|unsets| unsets.as_ref().is_none_or(|set| set.contains(var)))
+        })
+    }
+
+    /// Try to infer the trip count of a counted `while` loop.
+    ///
+    /// Returns `(n, m)`: `n` = maximum iterations, `m` = minimum iterations on
+    /// a successful run. Requirements (all structural, zero false positives):
+    ///
+    /// - the condition's first `&&`-conjunct is `$var op bound` with
+    ///   `op ∈ {<, <=, >, >=}` and `bound` a literal int or env-exact variable;
+    /// - no top-level `||` in the condition;
+    /// - `var` starts env-exact;
+    /// - exactly one top-level body command steps `var` by a constant `k`
+    ///   (`incr var`, `incr var k`, `set var [expr $var ± k]`), no other writes
+    ///   to `var` anywhere in the body or condition scripts, no `eval` or
+    ///   computed names near `var`, and no `continue` (which could skip the
+    ///   step);
+    /// - `k`'s sign moves `var` toward the bound;
+    /// - start, bound and step are integers `f64` holds exactly, because the
+    ///   condition (and an `expr` step) is evaluated in `f64`.
+    fn counted_loop(
+        &mut self,
+        cond_text: &str,
+        cond: &Cond,
+        body: &Body,
+        body_tree: &Tree,
+        env: &Env,
+    ) -> Option<(u64, u64)> {
+        let conjuncts = split_conjuncts(cond_text)?;
+        let (var, op, bound_ref) = parse_guard(conjuncts.first()?)?;
+        let bound = match bound_ref {
+            BoundRef::Literal(b) => b,
+            BoundRef::Var(name) => *env.get(&name)?,
+        };
+        let start = *env.get(&var)?;
+
+        // Exactly one self-step of the counter at the top level, and no other
+        // writes to it, no eval/opacity, no `continue`.
+        let mut steps = body_tree.cmds.iter().filter_map(|cmd| self_step(cmd, &var));
+        let k = steps.next()?;
+        if steps.next().is_some()
+            || k == 0
+            || ![start, bound, k].into_iter().all(f64_exact)
+            || self.body_touches_counter_unsafely(body, &var)
+            || self
+                .writes_of(cond.scripts())
+                .is_none_or(|written| written.contains(&var))
+        {
+            return None;
+        }
+
+        // A counter that falls toward its bound is one that rises toward the
+        // negated bound.
+        let (a, b, k) = (i128::from(start), i128::from(bound), i128::from(k));
+        let (a, b, k) = match op {
+            GuardOp::Lt | GuardOp::Le => (a, b, k),
+            GuardOp::Gt | GuardOp::Ge => (-a, -b, -k),
+        };
+        if k <= 0 {
+            return None;
+        }
+        let n = match op {
+            GuardOp::Lt | GuardOp::Gt if a < b => (b - a + k - 1) / k,
+            GuardOp::Le | GuardOp::Ge if a <= b => (b - a) / k + 1,
+            _ => 0,
+        };
+        let n: u64 = n.try_into().ok()?;
+
+        // Lower bound: the full n iterations run iff the guard conjunct is the
+        // whole condition and nothing exits the body early. (`error` makes the
+        // run unsuccessful, so it does not reduce the successful-run minimum —
+        // but `break`/`return`/`halt` do.)
+        // Flow control escaping a proc is a runtime error, not an early exit.
+        let early = |leave| matches!(leave, Leave::Break | Leave::Return | Leave::Halt);
+        let m = if conjuncts.len() == 1 && !exits_early(body, early) {
+            n
+        } else {
+            0
+        };
+        Some((n, m))
+    }
 }
 
 enum BoundRef {

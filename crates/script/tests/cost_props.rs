@@ -82,12 +82,22 @@ fn assert_lower_bound_is_a_true_minimum(src: &str, bound: &CostBound) {
 /// `incr` re-creates one from 0: when only the first name was forgotten,
 /// the first of those scripts "proved" 120 026 steps for a 26-step run,
 /// certain death to the lenient gate, and the second 80 027 for 80 013.
+/// A proc's `unset` removes the caller's variable when the proc has none
+/// of that name: when a call forgot nothing, the third "proved" 120 028
+/// steps for a 28-step run, and the fourth a three-trip loop that never
+/// ends.
 #[test]
 fn pinned_scripts_stay_inside_their_bounds() {
     let unset = "set n 60000; unset i n; incr n 10; set i 0; while {$i < $n} {incr i}; return $i";
     assert_eq!(run_with_budget(unset, 100), Ok(26));
     let bound = cost_bound(unset).expect("parses");
     assert_eq!(CostGate::lenient(50_000, 64).check(&bound), Ok(()));
+    let proc_unset = "set n 60000; proc f {} {unset n}; f; incr n 10; \
+                      set i 0; while {$i < $n} {incr i}; return $i";
+    assert_eq!(run_with_budget(proc_unset, 100), Ok(28));
+    let bound = cost_bound(proc_unset).expect("parses");
+    assert_eq!(CostGate::lenient(50_000, 64).check(&bound), Ok(()));
+    assert_eq!((bound.steps.lo, bound.steps.hi), (8, None));
     for src in [
         "set i [expr 9223372036854775807 + 1]; while {$i < 0} {incr i}; set done 1",
         "set i [expr 9007199254740992 + 1]; while {$i < 9007199254740995} {incr i}; set done 1",
@@ -103,6 +113,10 @@ fn pinned_scripts_stay_inside_their_bounds() {
         unset,
         "set n 7; set i 0; while {$i < 2} {unset j n; incr i}; incr n 40000; \
          set k 0; while {$k < $n} {incr k}; return $k",
+        proc_unset,
+        "proc g {} {unset i}; proc f {} {g}; set i 0; while {$i < 3} {f; incr i}",
+        "set n 5; proc f {} {unset n}; set i 0; while {$i < 2} {set x [f]; incr i}; \
+         incr n 30000; set k 0; while {$k < $n} {incr k}; return $k",
     ] {
         let bound = cost_bound(src).expect("parses");
         assert_upper_bound_is_a_sound_budget(src, &bound);
