@@ -14,8 +14,10 @@
 //! * **use-before-set** (error) / **possibly-unset** (warning): definite-
 //!   assignment dataflow with proper joins across `if`/`while`/`foreach` —
 //!   a variable assigned on *no* path is an error, on *some* paths a warning;
-//! * **unreachable** (warning): code after an unconditional `return`, `halt`,
-//!   `break`, `continue` or `error`;
+//! * **unreachable** (warning): code after a command that never finishes
+//!   normally (`tree::Exits`): an unconditional `return`, `halt`, `break`,
+//!   `continue` or `error`, an `if` whose every arm leaves, or an `eval` of
+//!   such a script;
 //! * **after-move-to** (warning): code after `move_to` other than `return` or
 //!   `halt` — it runs at the *departing* site, which is rarely intended;
 //! * **unknown-agent** (error): a literal `meet` target that is neither a
@@ -37,7 +39,7 @@ use crate::diag::Diagnostic;
 use crate::expr::eval_expr;
 use crate::parser::{var_name, Cursor, IfFault, Span, Word, WordKind, WordPart};
 use crate::tree::{
-    any_in_scope, walk, Arm, At, Binding, Body, Cmd, Cond, CondPart, Leave, Script, Shape, State,
+    walk, Arm, At, Binding, Body, Calls, Cmd, Cond, CondPart, Exits, Leave, Script, Shape, State,
     Step, Tree, View,
 };
 use crate::value::{is_truthy, parse_list};
@@ -155,6 +157,7 @@ impl Script {
         }
         let mut analyzer = Analyzer {
             config,
+            calls: &self.calls,
             info,
             diags: Vec::new(),
         };
@@ -313,19 +316,9 @@ struct Ctx {
     in_catch: bool,
 }
 
-/// What one command does to control flow.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Effect<'t> {
-    /// Control goes on to the next command.
-    Next,
-    /// The command unconditionally leaves the block; it names the cause.
-    Leaves(&'t str),
-    /// The command queues a migration (`move_to`).
-    Migrates,
-}
-
 struct Analyzer<'c> {
     config: &'c AnalysisConfig,
+    calls: &'c Calls,
     info: Prepass,
     diags: Vec<Diagnostic>,
 }
@@ -345,68 +338,49 @@ impl Analyzer<'_> {
         }
     }
 
-    /// Checks a nested script and reports whether every path through it
-    /// leaves early.  Only brace-quoted text is followed; anything else is
-    /// assumed to be fine.
-    fn check_body(&mut self, body: &Body, env: &mut Env, ctx: Ctx) -> bool {
-        match body.braced() {
+    /// Checks a nested script.  Only brace-quoted text is followed; anything
+    /// else is assumed to be fine.
+    fn check_body(&mut self, body: &Body, env: &mut Env, ctx: Ctx) {
+        match body.view(View::Braced) {
             State::Parsed(tree) => self.check_tree(tree, env, ctx),
-            State::Bad(e) => {
-                self.error(ctx, "parse", e.span(), e.message.clone());
-                false
-            }
-            State::Computed | State::TooDeep => false,
+            State::Bad(e) => self.error(ctx, "parse", e.span(), e.message.clone()),
+            State::Computed | State::TooDeep => {}
         }
     }
 
-    /// Checks one script (the whole source, or an embedded body) and reports
-    /// whether every path through it leaves the block ([`Cmd::leaves`]).
-    fn check_tree(&mut self, tree: &Tree, env: &mut Env, ctx: Ctx) -> bool {
-        let mut terminated: Option<&str> = None;
-        let mut warned_unreachable = false;
-        let mut moved = false;
-        let mut warned_after_move = false;
+    /// Checks one script (the whole source, or an embedded body).
+    fn check_tree(&mut self, tree: &Tree, env: &mut Env, ctx: Ctx) {
+        let (mut terminated, mut moved, mut warned_after_move) = (None, false, false);
         for cmd in &tree.cmds {
             if let Some(cause) = terminated {
-                if !warned_unreachable {
-                    self.warn(
-                        ctx,
-                        "unreachable",
-                        cmd.span,
-                        format!("unreachable code after '{cause}'"),
-                    );
-                    warned_unreachable = true;
-                }
-                continue;
+                let message = format!("unreachable code after '{cause}'");
+                self.warn(ctx, "unreachable", cmd.span, message);
+                break;
             }
             let conventional = matches!(cmd.leaves(), Some(Leave::Return | Leave::Halt));
             if moved && !warned_after_move && !conventional {
-                self.warn(
-                    ctx,
-                    "after-move-to",
-                    cmd.span,
-                    "code after 'move_to' still runs at the departing site before \
-                     migration; conventionally only 'return' or 'halt' follow it",
-                );
+                let message = "code after 'move_to' still runs at the departing site before \
+                               migration; conventionally only 'return' or 'halt' follow it";
+                self.warn(ctx, "after-move-to", cmd.span, message);
                 warned_after_move = true;
             }
-            match self.check_command(cmd, env, ctx) {
-                Effect::Leaves(cause) => terminated = Some(cause),
-                Effect::Migrates => moved = true,
-                Effect::Next => {}
+            moved |= self.check_command(cmd, env, ctx);
+            if cmd.exits(View::Braced, self.calls).must {
+                terminated = cmd.name();
             }
         }
-        terminated.is_some()
     }
 
-    fn check_command<'t>(&mut self, cmd: &'t Cmd, env: &mut Env, ctx: Ctx) -> Effect<'t> {
+    /// Checks one command, and reports whether it queues a migration
+    /// (`move_to`).
+    fn check_command(&mut self, cmd: &Cmd, env: &mut Env, ctx: Ctx) -> bool {
         // Generic pass first: every substitution in every word is evaluated
         // left-to-right before the command runs, exactly like the interpreter.
         for (word, subs) in cmd.words.iter().zip(&cmd.subs) {
             self.check_word(word, subs, env, ctx);
         }
         let Some(name) = cmd.name() else {
-            return Effect::Next; // computed command name: opaque
+            return false; // computed command name: opaque
         };
         let span = cmd.span;
         let args = &cmd.words[1..];
@@ -418,35 +392,24 @@ impl Analyzer<'_> {
             let (min, max) = (spec.min_args, spec.max_args);
             if argc < min || max.is_some_and(|m| argc > m) {
                 self.error(ctx, "wrong-arity", span, arity_msg(name, min, max, argc));
-                return Effect::Next;
+                return false;
             }
         } else if let Some(&params) = self.info.procs.get(name) {
             if argc != params {
-                self.error(
-                    ctx,
-                    "wrong-arity",
-                    span,
-                    format!("proc '{name}' expects {params} argument(s), got {argc}"),
-                );
+                let message = format!("proc '{name}' expects {params} argument(s), got {argc}");
+                self.error(ctx, "wrong-arity", span, message);
             }
-            return Effect::Next;
+            return false;
         } else {
-            let hint = self
-                .suggest(name)
-                .map(|s| format!("; did you mean '{s}'?"))
-                .unwrap_or_default();
-            self.error(
-                ctx,
-                "unknown-command",
-                span,
-                format!("unknown command '{name}'{hint}"),
-            );
-            return Effect::Next;
+            let hint = self.suggest(name).map(|s| format!("; did you mean '{s}'?"));
+            let message = format!("unknown command '{name}'{}", hint.unwrap_or_default());
+            self.error(ctx, "unknown-command", span, message);
+            return false;
         }
 
         match &cmd.shape {
             Shape::Expr { cond } => self.check_cond(cond, env, ctx),
-            Shape::If { arms, fault } => return self.check_if(arms, *fault, cmd, env, ctx),
+            Shape::If { arms, fault } => self.check_if(arms, *fault, cmd, env, ctx),
             Shape::While { cond, body } => self.check_while(cond, body, span, env, ctx),
             Shape::Foreach { body } => {
                 // The variable is bound on every body iteration, and still
@@ -455,7 +418,7 @@ impl Analyzer<'_> {
                 cmd.bindings().for_each(|binding| benv.bind(binding));
                 self.check_body(body, &mut benv, ctx);
                 env.merge_maybe(&benv); // zero-trip possible: maybes only
-                return Effect::Next;
+                return false;
             }
             Shape::Proc { body } => self.check_proc(args[1].static_text(), body, ctx),
             Shape::Catch { body } => {
@@ -467,11 +430,7 @@ impl Analyzer<'_> {
                 self.check_body(body, &mut benv, cctx);
                 env.merge_maybe(&benv); // the body may have failed part-way
             }
-            Shape::Eval { body } => {
-                if self.check_body(body, env, ctx) {
-                    return Effect::Leaves("eval");
-                }
-            }
+            Shape::Eval { body } => self.check_body(body, env, ctx),
             Shape::Plain | Shape::Malformed => {}
         }
         // `incr`/`append`/`lappend` default a missing variable to 0 / "", so
@@ -490,23 +449,19 @@ impl Analyzer<'_> {
                     (&self.config.known_agents, args[0].static_text())
                 {
                     if !agents.contains(target) {
-                        self.error(
-                            ctx,
-                            "unknown-agent",
-                            span,
-                            format!(
-                                "meet target '{target}' is neither a wellknown agent nor \
-                                     installed locally"
-                            ),
+                        let message = format!(
+                            "meet target '{target}' is neither a wellknown agent nor \
+                             installed locally"
                         );
+                        self.error(ctx, "unknown-agent", span, message);
                     }
                 }
             }
-            "move_to" => return Effect::Migrates,
+            "move_to" => return true,
             "string" => self.check_string(args, span, ctx),
             _ => {}
         }
-        cmd.leaves().map_or(Effect::Next, |_| Effect::Leaves(name))
+        false
     }
 
     /// Generic word check: variables and command substitutions in non-braced
@@ -537,14 +492,10 @@ impl Analyzer<'_> {
         }
         if env.maybe.contains(name) {
             if !ctx.in_proc {
-                self.warn(
-                    ctx,
-                    "possibly-unset",
-                    span,
-                    format!(
-                        "variable '{name}' may be unset here: it is assigned on only some paths"
-                    ),
+                let message = format!(
+                    "variable '{name}' may be unset here: it is assigned on only some paths"
                 );
+                self.warn(ctx, "possibly-unset", span, message);
             }
             return;
         }
@@ -558,12 +509,8 @@ impl Analyzer<'_> {
         } else {
             ""
         };
-        self.error(
-            ctx,
-            "use-before-set",
-            span,
-            format!("variable '{name}' is used before it is set{hint}"),
-        );
+        let message = format!("variable '{name}' is used before it is set{hint}");
+        self.error(ctx, "use-before-set", span, message);
     }
 
     /// Checks brace-quoted condition text: its `$name` / `${name}` pieces
@@ -590,8 +537,10 @@ impl Analyzer<'_> {
         cmd: &Cmd,
         env: &mut Env,
         ctx: Ctx,
-    ) -> Effect<'static> {
-        let mut branches: Vec<(Env, bool)> = Vec::new();
+    ) {
+        // Assignments on branches that must leave never reach the code
+        // after the `if`: only falling branches join.
+        let mut falling: Vec<Env> = Vec::new();
         let mut has_else = false;
         let mut structure_ok = true;
         for arm in arms {
@@ -599,12 +548,14 @@ impl Analyzer<'_> {
                 Some(cond) => self.check_cond(cond, env, ctx),
                 None => has_else = true,
             }
-            if let State::Computed = arm.body.braced() {
+            if let State::Computed = arm.body.view(View::Braced) {
                 structure_ok = false;
             } else {
                 let mut benv = env.clone();
-                let exit = self.check_body(&arm.body, &mut benv, ctx);
-                branches.push((benv, exit));
+                self.check_body(&arm.body, &mut benv, ctx);
+                if !arm.body.exits(View::Braced, self.calls).must {
+                    falling.push(benv);
+                }
             }
         }
         // The interpreter never looks past an `else` body, so trailing words
@@ -625,39 +576,28 @@ impl Analyzer<'_> {
                 self.error(ctx, "wrong-arity", cmd.span, message);
             }
         }
-        // Join: assignments on terminated branches never reach the code after
-        // the `if`, so only falling branches contribute.
-        let falling: Vec<&Env> = branches
-            .iter()
-            .filter(|(_, leaves)| !leaves)
-            .map(|(benv, _)| benv)
-            .collect();
         for benv in &falling {
             env.merge_maybe(benv);
         }
-        if structure_ok && has_else && !branches.is_empty() {
-            if falling.is_empty() {
-                return Effect::Leaves("if");
-            }
+        if structure_ok && has_else && !falling.is_empty() {
             let mut definite = falling[0].definite.clone();
             for benv in &falling[1..] {
                 definite = definite.intersection(&benv.definite).cloned().collect();
             }
             env.definite = definite;
         }
-        Effect::Next
     }
 
     fn check_while(&mut self, cond: &Cond, body: &Body, span: Span, env: &mut Env, ctx: Ctx) {
         self.check_cond(cond, env, ctx);
-        if let State::Computed = body.braced() {
+        if let State::Computed = body.view(View::Braced) {
             return;
         }
         // The body may run zero times: its assignments are only maybes.
         let mut benv = env.clone();
         self.check_body(body, &mut benv, ctx);
         env.merge_maybe(&benv);
-        if let LoopExit::Never(vars) = loop_exit(cond, body) {
+        if let LoopExit::Never(vars) = loop_exit(cond, body, self.calls) {
             let why = if vars.is_empty() {
                 "the condition is constant-true and the body cannot break out".to_string()
             } else {
@@ -666,12 +606,9 @@ impl Analyzer<'_> {
                     vars.iter().cloned().collect::<Vec<_>>().join(", ")
                 )
             };
-            self.warn(
-                ctx,
-                "no-loop-exit",
-                span,
-                format!("loop has no reachable exit: {why}; it will exhaust the step budget"),
-            );
+            let message =
+                format!("loop has no reachable exit: {why}; it will exhaust the step budget");
+            self.warn(ctx, "no-loop-exit", span, message);
         }
     }
 
@@ -764,8 +701,19 @@ pub(crate) enum LoopExit {
     Never(BTreeSet<String>),
 }
 
-/// The loop-exit verdict for `while cond body`.
-pub(crate) fn loop_exit(cond: &Cond, body: &Body) -> LoopExit {
+/// The loop-exit verdict for `while cond body`.  The body can end its
+/// loop when control may leave it by anything but `continue`
+/// ([`crate::tree::Exits`]), or when it may update one of the condition's
+/// variables (a computed variable name could be one).
+pub(crate) fn loop_exit(cond: &Cond, body: &Body, calls: &Calls) -> LoopExit {
+    let leaves = body.exits(View::Braced, calls).may(Exits::END);
+    let writes = calls.writes([body], View::Braced, false);
+    let ends = |vars: &BTreeSet<String>| {
+        leaves
+            || writes
+                .as_ref()
+                .is_none_or(|writes| !writes.is_disjoint(vars))
+    };
     let vars = match &cond.text {
         Some(text) if !text.contains('[') => {
             let vars = cond_var_names(text);
@@ -774,30 +722,14 @@ pub(crate) fn loop_exit(cond: &Cond, body: &Body) -> LoopExit {
             }
             vars
         }
-        _ if escapes(body, &BTreeSet::new()) => return LoopExit::Seen,
+        _ if ends(&BTreeSet::new()) => return LoopExit::Seen,
         _ => return LoopExit::Runtime,
     };
-    if escapes(body, &vars) {
+    if ends(&vars) {
         LoopExit::Seen
     } else {
         LoopExit::Never(vars)
     }
-}
-
-/// Whether a loop body can end its loop: by updating one of the
-/// condition's `vars` (a computed variable name could be one), or by
-/// escaping — `halt` from anywhere, `break` from outside nested loops, and
-/// `return`/`error` from outside `catch` and `[..]`, which absorb them.
-fn escapes(body: &Body, vars: &BTreeSet<String>) -> bool {
-    any_in_scope(body, View::Braced, |_, cmd, at| match cmd.leaves() {
-        Some(Leave::Halt) => true,
-        Some(Leave::Break) => at.breaks,
-        Some(Leave::Return | Leave::Error) => at.raises,
-        Some(Leave::Continue) => false,
-        None => cmd
-            .bindings()
-            .any(|binding| binding.name.is_none_or(|v| vars.contains(v))),
-    })
 }
 
 fn levenshtein(a: &str, b: &str) -> usize {

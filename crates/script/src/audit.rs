@@ -9,8 +9,8 @@
 //! 1. **Effect summaries** ([`summarize`]): a per-script abstraction of what
 //!    the agent does to the shared world — folders read and written, cabinets
 //!    touched, literal `meet` targets, literal `move_to`/`send_remote` sites,
-//!    briefcase-growth operations inside loops, and whether any `halt` is
-//!    present.  Extraction follows the taco-vet discipline: computed folder,
+//!    briefcase-growth operations inside loops, and whether the script may
+//!    `halt`.  Extraction follows the taco-vet discipline: computed folder,
 //!    cabinet or meet names and any `eval` make the summary *opaque*
 //!    (the agent is then assumed to read and write everything), and `catch`
 //!    bodies are exempt from opacity and flagging (failing inside `catch` is
@@ -47,7 +47,7 @@ use crate::analysis::{loop_exit, LoopExit};
 use crate::diag::Diagnostic;
 use crate::graph::Digraph;
 use crate::parser::{ParseError, Span};
-use crate::tree::{Body, Cond, Leave, Script, Shape, State, Tree};
+use crate::tree::{Body, Calls, Cond, Exits, Script, Shape, State, Tree, View};
 use crate::value::as_int;
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -140,7 +140,8 @@ pub struct EffectSummary {
     pub move_sites: Vec<SiteRef>,
     /// Growth operations inside loops with no visible exit.
     pub growth: Vec<GrowthSite>,
-    /// Whether a `halt` appears anywhere (halt escapes every construct).
+    /// Whether the script may `halt`: `halt` passes loops, `catch` and proc
+    /// calls, but a `[..]` substitution or a condition swallows it.
     pub halts: bool,
     /// A computed folder/cabinet/meet name, non-braced body, or `eval` was
     /// seen outside `catch`: the summary under-approximates and the agent
@@ -167,14 +168,16 @@ impl Script {
             in_catch: false,
             in_proc: false,
             in_unbounded_loop: false,
+            calls: &self.calls,
         };
         walk_tree(tree, ctx, &mut out);
+        out.halts = tree.exits(View::Braced, &self.calls).may(Exits::HALT);
         Ok(out)
     }
 }
 
 #[derive(Debug, Clone, Copy)]
-struct WalkCtx {
+struct WalkCtx<'c> {
     /// Inside any branch, loop body, catch or proc: effects still count, but
     /// meets are conditional.
     conditional: bool,
@@ -186,9 +189,10 @@ struct WalkCtx {
     in_proc: bool,
     /// Inside a `while` whose exit the dataflow cannot see.
     in_unbounded_loop: bool,
+    calls: &'c Calls,
 }
 
-impl WalkCtx {
+impl WalkCtx<'_> {
     fn nested(self) -> Self {
         WalkCtx {
             conditional: true,
@@ -233,7 +237,7 @@ fn infallible(name: &str) -> bool {
 /// Walks a nested script.  One that is built at runtime, does not parse or
 /// nests past the depth cap hides arbitrary effects.
 fn walk(body: &Body, ctx: WalkCtx, out: &mut EffectSummary) {
-    match body.braced() {
+    match body.view(View::Braced) {
         State::Parsed(tree) => walk_tree(tree, ctx, out),
         State::Computed | State::Bad(_) | State::TooDeep => out.dynamic(ctx),
     }
@@ -275,9 +279,9 @@ fn walk_tree(tree: &Tree, ctx: WalkCtx, out: &mut EffectSummary) {
         match &cmd.shape {
             Shape::While { cond, body } => {
                 // A runtime-built condition or body hides the loop's effects.
-                if cond.braced && !matches!(body.braced(), State::Computed) {
+                if cond.braced && !matches!(body.view(View::Braced), State::Computed) {
                     walk_cond(cond, ctx, out);
-                    let unbounded = loop_exit(cond, body) != LoopExit::Seen;
+                    let unbounded = loop_exit(cond, body, ctx.calls) != LoopExit::Seen;
                     let mut bctx = ctx.nested();
                     bctx.in_unbounded_loop = ctx.in_unbounded_loop || unbounded;
                     walk(body, bctx, out);
@@ -341,11 +345,7 @@ fn walk_tree(tree: &Tree, ctx: WalkCtx, out: &mut EffectSummary) {
                         None,
                     ) => out.dynamic(ctx),
                     ("move_to" | "send_remote", _) => {
-                        let command = if name == "move_to" {
-                            "move_to"
-                        } else {
-                            "send_remote"
-                        };
+                        let command = ["send_remote", "move_to"][usize::from(name == "move_to")];
                         if let Some(site) = target.and_then(as_int) {
                             out.move_sites.push(SiteRef {
                                 site,
@@ -365,7 +365,6 @@ fn walk_tree(tree: &Tree, ctx: WalkCtx, out: &mut EffectSummary) {
                     }
                     _ => {}
                 }
-                out.halts |= cmd.leaves() == Some(Leave::Halt);
                 let grows = ctx.in_unbounded_loop && !ctx.in_catch;
                 if let (true, Some((Some(target), _))) = (grows, cmd.growth()) {
                     out.growth.push(GrowthSite {
@@ -669,11 +668,7 @@ fn compose<'a>(
             command,
         } in &summary.growth
         {
-            let kind = if *command == "bc_push" {
-                "folder"
-            } else {
-                "cabinet"
-            };
+            let kind = ["cabinet", "folder"][usize::from(*command == "bc_push")];
             let message = format!(
                 "'{command}' into {kind} '{target}' repeats inside a loop whose exit the \
                  analysis cannot see; it may grow without bound"
@@ -705,6 +700,9 @@ fn compose<'a>(
             continue;
         }
         let members: BTreeSet<&str> = scc.iter().map(|&i| nodes[i].name).collect();
+        let back = |(target, edge): (&String, &MeetEdge)| {
+            edge.unconditional && members.contains(target.as_str())
+        };
         // Flag only when *every* member is a non-opaque script that cannot
         // halt and unconditionally meets back into the component.
         let doomed = scc.iter().all(|&i| {
@@ -712,12 +710,7 @@ fn compose<'a>(
             let Some(summary) = &node.summary else {
                 return false; // native members can always exit
             };
-            !summary.opaque
-                && !summary.halts
-                && summary
-                    .meets
-                    .iter()
-                    .any(|(target, edge)| edge.unconditional && members.contains(target.as_str()))
+            !summary.opaque && !summary.halts && summary.meets.iter().any(back)
         });
         if !doomed {
             continue;
@@ -729,11 +722,8 @@ fn compose<'a>(
             .expect("nonempty scc");
         let node = &nodes[anchor];
         let summary = node.summary.as_ref().expect("scripts only");
-        let (_, edge) = summary
-            .meets
-            .iter()
-            .find(|(target, edge)| edge.unconditional && members.contains(target.as_str()))
-            .expect("doomed member has an unconditional in-component meet");
+        let edge = summary.meets.iter().find(|&meet| back(meet));
+        let (_, edge) = edge.expect("doomed member has an unconditional in-component meet");
         let cycle: Vec<&str> = members.iter().copied().collect();
         findings.push(AuditFinding {
             agent: node.name.to_string(),
@@ -806,6 +796,9 @@ mod tests {
         assert!(s.halts);
         assert!(!s.opaque);
         assert!(s.growth.is_empty());
+        // A `[..]` swallows `halt`; a proc call passes it on.
+        assert!(!summarize("set y [halt]").unwrap().halts);
+        assert!(summarize("proc f {} {halt}; f").unwrap().halts);
     }
 
     #[test]

@@ -17,11 +17,12 @@
 //! bound, which [`CostBound::verdict`] reports as `input-bound` rather than
 //! `unbounded`.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
+use std::iter;
 
 use crate::parser::{ParseError, Word, WordKind, WordPart};
 use crate::tree::{
-    any_in_scope, Arm, At, Body, Cmd, Cond, Leave, ProcDef, Script, Shape, State, Tree, View,
+    add, any_in_scope, Arm, At, Body, Cmd, Cond, Exits, Script, Shape, State, Tree, Vars, View,
     MAX_DEPTH,
 };
 use crate::value::parse_list;
@@ -237,7 +238,11 @@ impl Script {
     /// instead of failing.
     pub fn cost(&self) -> Result<CostBound, ParseError> {
         let tree = self.tree.as_ref().map_err(ParseError::clone)?;
-        let cost = Analyzer::new(&self.procs).script_cost(tree, &mut Env::new(), 0);
+        let mut analyzer = Analyzer {
+            script: self,
+            summaries: BTreeMap::new(),
+        };
+        let cost = analyzer.script_cost(tree, &mut Env::new(), 0);
         Ok(CostBound {
             steps: cost.steps,
             depth: cost.depth,
@@ -254,11 +259,6 @@ struct Cost {
     depth: CostInterval,
     growth: CostInterval,
     divergent: bool,
-    /// True when this command definitely terminates the enclosing script
-    /// on every successful path (`return`, `halt`, `break`, `continue`)
-    /// or cannot complete normally (`error`). Sequencing stops adding
-    /// lower bounds after such a command.
-    terminates: bool,
 }
 
 impl Cost {
@@ -268,7 +268,6 @@ impl Cost {
             depth: CostInterval::zero(),
             growth: CostInterval::zero(),
             divergent: false,
-            terminates: false,
         }
     }
 
@@ -279,7 +278,6 @@ impl Cost {
             depth: CostInterval::at_least(0),
             growth: CostInterval::at_least(0),
             divergent: true,
-            terminates: false,
         }
     }
 
@@ -290,7 +288,6 @@ impl Cost {
             depth: self.depth.max_(other.depth),
             growth: self.growth.add(other.growth),
             divergent: self.divergent || other.divergent,
-            terminates: self.terminates || other.terminates,
         }
     }
 
@@ -301,7 +298,6 @@ impl Cost {
             depth: self.depth.join(other.depth),
             growth: self.growth.join(other.growth),
             divergent: self.divergent || other.divergent,
-            terminates: self.terminates && other.terminates,
         }
     }
 
@@ -311,7 +307,6 @@ impl Cost {
             steps: self.steps.maybe(),
             depth: self.depth.maybe(),
             growth: self.growth.maybe(),
-            terminates: false,
             ..self
         }
     }
@@ -331,96 +326,52 @@ impl Cost {
 type Env = BTreeMap<String, i64>;
 
 struct Analyzer<'t> {
-    /// Per proc name, all its bodies (re-definition joins them), or `None`
-    /// when a definition has a computed body: calling it is unanalyzable.
-    procs: BTreeMap<&'t str, Option<Vec<&'t Body>>>,
-    /// Set when any `proc` definition has a computed *name*: then the set
-    /// of callable procs is unknown and unknown commands must poison.
-    opaque_procs: bool,
-    /// Memoized summaries of proc bodies (by name).
-    summaries: BTreeMap<String, Cost>,
-    /// Names currently being summarized (cycle ⇒ recursion ⇒ poison).
-    in_progress: Vec<String>,
-    /// Memoized [`Analyzer::call_unsets`] (by name).
-    unsets: BTreeMap<&'t str, Option<BTreeSet<String>>>,
+    script: &'t Script,
+    /// Memoized summaries of proc bodies, by name; `None` while one is
+    /// being summarized (a call back into it is recursion, which poisons).
+    summaries: BTreeMap<String, Option<Cost>>,
 }
 
-impl<'t> Analyzer<'t> {
-    /// Indexes every `proc` definition in the literal view — including ones
-    /// nested in control-flow bodies and `[..]` parts — by name.
-    fn new(defs: &'t [ProcDef]) -> Self {
-        let mut procs = BTreeMap::new();
-        let mut opaque_procs = false;
-        let visible = defs.iter().filter(|def| !def.at.hidden);
-        for (def, body) in visible.filter_map(|def| Some((def, def.body.as_deref()?))) {
-            match (def.name.as_deref(), body.literal()) {
-                (None, _) => opaque_procs = true,
-                (Some(name), State::Computed) => {
-                    procs.insert(name, None);
-                }
-                (Some(name), _) => {
-                    if let Some(bodies) = procs.entry(name).or_insert_with(|| Some(Vec::new())) {
-                        bodies.push(body);
-                    }
-                }
-            }
-        }
-        Analyzer {
-            procs,
-            opaque_procs,
-            summaries: BTreeMap::new(),
-            in_progress: Vec::new(),
-            unsets: BTreeMap::new(),
-        }
-    }
-
+impl Analyzer<'_> {
     /// Summary cost of calling `name` (body cost only; the call's own step
-    /// and word costs are charged at the call site).
+    /// and word costs are charged at the call site): every definition's
+    /// body in the literal view, re-definitions joined, except those nested
+    /// in a proc with a computed name.
     fn proc_summary(&mut self, name: &str, adepth: u32) -> Cost {
-        if let Some(cost) = self.summaries.get(name) {
-            return *cost;
+        if let Some(summary) = self.summaries.get(name) {
+            return summary.unwrap_or_else(Cost::poison);
         }
-        if self.in_progress.iter().any(|n| n == name) {
-            // Recursion: poison every member of the cycle.
-            return Cost::poison();
-        }
-        let Some(info) = self.procs.get(name).cloned() else {
-            return Cost::poison();
-        };
-        let cost = match info {
-            None => Cost::poison(),
-            Some(bodies) => {
-                self.in_progress.push(name.to_string());
-                // Proc bodies start with a fresh scope: no caller constants
-                // are visible.
-                let mut cost = bodies
-                    .iter()
-                    .map(|body| self.body_cost(body, &mut Env::new(), adepth + 1))
-                    .reduce(Cost::join)
-                    .unwrap_or_else(Cost::poison);
-                // `return`/flow control inside the body does not terminate
-                // the *caller's* script.
-                cost.terminates = false;
-                self.in_progress.pop();
-                cost
-            }
-        };
-        self.summaries.insert(name.to_string(), cost);
+        self.summaries.insert(name.to_string(), None);
+        let script = self.script;
+        let defs = script
+            .calls
+            .procs
+            .get(name)
+            .map_or(&[][..], |call| &call.defs);
+        let bodies = (defs.iter().map(|&i| &script.procs[i]))
+            .filter(|def| !def.at.hidden)
+            .filter_map(|def| def.body.as_deref());
+        // Proc bodies start with a fresh scope: no caller constants are
+        // visible.
+        let cost = bodies
+            .map(|body| self.body_cost(body, &mut Env::new(), adepth + 1))
+            .reduce(Cost::join)
+            .unwrap_or_else(Cost::poison);
+        self.summaries.insert(name.to_string(), Some(cost));
         cost
     }
 
     /// Cost of a nested script run at nesting level `adepth`; anything but
     /// statically known, parsing text could cost anything.
     fn body_cost(&mut self, body: &Body, env: &mut Env, adepth: u32) -> Cost {
-        match body.literal() {
+        match body.view(View::Literal) {
             State::Parsed(tree) => self.script_cost(tree, env, adepth),
             State::Computed | State::Bad(_) | State::TooDeep => Cost::poison(),
         }
     }
 
     /// Cost of the `[..]` scripts evaluated as part of a word or a condition:
-    /// each runs one level deeper, in (a copy of) the current scope, and its
-    /// flow control does not propagate.
+    /// each runs one level deeper, in (a copy of) the current scope.
     fn scripts_cost<'a>(
         &mut self,
         scripts: impl Iterator<Item = &'a Body>,
@@ -429,11 +380,8 @@ impl<'t> Analyzer<'t> {
     ) -> Cost {
         let mut cost = Cost::zero();
         for script in scripts {
-            let mut deep = self
-                .body_cost(script, &mut env.clone(), adepth + 1)
-                .deepen();
-            deep.terminates = false;
-            cost = cost.seq(deep);
+            let deep = self.body_cost(script, &mut env.clone(), adepth + 1);
+            cost = cost.seq(deep.deepen());
         }
         cost
     }
@@ -446,14 +394,14 @@ impl<'t> Analyzer<'t> {
         if adepth > MAX_DEPTH {
             return Cost::poison();
         }
-        let mut total = Cost::zero();
+        let (mut total, mut cut) = (Cost::zero(), false);
         for cmd in &tree.cmds {
             let c = self.command_cost(cmd, env, adepth);
-            // After a flow-terminator ran on every successful path, later
-            // commands contribute no lower bound (and their upper bound
-            // still matters only if the terminator was inside a branch —
-            // handled by `terminates` propagation in join).
-            total = total.seq(if total.terminates { c.guard() } else { c });
+            // After a command that may skip the rest of the body on a run
+            // that succeeds, later commands may not run: they keep their
+            // upper bounds and lose their lower ones.
+            total = total.seq(if cut { c.guard() } else { c });
+            cut |= cmd.exits(View::Literal, &self.script.calls).may(Exits::CUT);
         }
         total
     }
@@ -519,20 +467,17 @@ impl<'t> Analyzer<'t> {
         if let (Some(var), Some(value)) = (cmd.arg_text(0), value) {
             env.insert(var.to_string(), value);
         }
-        cost.terminates = cmd.leaves().is_some();
         if let Some((_, payload)) = cmd.growth() {
             cost.growth = cost.growth.add(payload_size(payload));
         }
         if crate::builtins::builtin(name).is_none() {
-            if self.procs.contains_key(name) {
+            if let Some(call) = self.script.calls.procs.get(name) {
                 let summary = self.proc_summary(name, adepth).deepen();
                 cost = cost.seq(summary);
-                if let Some(unsets) = self.call_unsets(name) {
-                    forget(env, unsets);
-                }
-            } else if self.opaque_procs {
-                // A computed proc name exists somewhere: this could be
-                // anything.
+                forget(env, &call.unsets);
+            } else if self.script.calls.open {
+                // A proc may be defined that the table does not hold: this
+                // could be anything.
                 env.clear();
                 return cost.seq(Cost::poison());
             }
@@ -553,10 +498,8 @@ impl<'t> Analyzer<'t> {
                 let c = self.scripts_cost(cond.scripts(), env, adepth);
                 cond_cost = cond_cost.seq(if i == 0 { c } else { c.guard() });
             }
-            // `return`/`break` inside a chosen branch does terminate the
-            // enclosing script.
             let body_cost = self.body_cost(&arm.body, &mut env.clone(), adepth + 1);
-            branches.push(match arm.body.literal() {
+            branches.push(match arm.body.view(View::Literal) {
                 State::Parsed(_) => body_cost.deepen(),
                 _ => body_cost,
             });
@@ -577,7 +520,8 @@ impl<'t> Analyzer<'t> {
     }
 
     fn while_cost(&mut self, cond: &Cond, body: &Body, env: &mut Env, adepth: u32) -> Cost {
-        let (Some(cond_text), State::Parsed(body_tree)) = (&cond.text, body.literal()) else {
+        let (Some(cond_text), State::Parsed(body_tree)) = (&cond.text, body.view(View::Literal))
+        else {
             env.clear();
             return Cost::poison();
         };
@@ -591,10 +535,9 @@ impl<'t> Analyzer<'t> {
         let inference = self.counted_loop(cond_text, cond, body, body_tree, env);
 
         let cond_cost = self.scripts_cost(cond.scripts(), &loop_env, adepth);
-        let mut body_cost = self
+        let body_cost = self
             .script_cost(body_tree, &mut loop_env, adepth + 1)
             .deepen();
-        body_cost.terminates = false;
 
         // Invalidate loop writes in the outer env.  The counter itself has a
         // known final value only in simple cases; stay conservative and leave
@@ -602,38 +545,19 @@ impl<'t> Analyzer<'t> {
         forget(env, &written);
 
         match inference {
+            // steps = 1 (charged by caller) + cond·(iters+1)
+            //       + (body + 1 extra per-iteration step)·iters
             Some((n, m)) => {
-                let iters = CostInterval { lo: m, hi: Some(n) };
                 let cond_evals = CostInterval {
                     lo: m.saturating_add(1),
                     hi: Some(n.saturating_add(1)),
                 };
-                // steps = 1 (charged by caller) + cond·(iters+1)
-                //       + (body + 1 extra per-iteration step)·iters
-                let steps = cond_cost
-                    .steps
-                    .mul(cond_evals)
-                    .add(body_cost.steps.add(CostInterval::exact(1)).mul(iters));
-                let growth = cond_cost
-                    .growth
-                    .mul(cond_evals)
-                    .add(body_cost.growth.mul(iters));
-                // The condition is evaluated at least once; the body's
-                // depth counts toward lo only if at least one iteration is
-                // guaranteed.
-                let body_depth = if m >= 1 {
-                    body_cost.depth
-                } else {
-                    body_cost.depth.maybe()
+                let body_cost = Cost {
+                    steps: body_cost.steps.add(CostInterval::exact(1)),
+                    ..body_cost
                 };
-                let depth = cond_cost.depth.max_(body_depth);
-                Cost {
-                    steps,
-                    depth,
-                    growth,
-                    divergent: cond_cost.divergent || body_cost.divergent,
-                    terminates: false,
-                }
+                let iters = CostInterval { lo: m, hi: Some(n) };
+                repeat(cond_cost, cond_evals).seq(repeat(body_cost, iters))
             }
             // Uninferable trip count: the condition still runs at least once
             // on any successful path.
@@ -646,7 +570,7 @@ impl<'t> Analyzer<'t> {
     }
 
     fn foreach_cost(&mut self, cmd: &Cmd, body: &Body, env: &mut Env, adepth: u32) -> Cost {
-        let State::Parsed(body_tree) = body.literal() else {
+        let State::Parsed(body_tree) = body.view(View::Literal) else {
             env.clear();
             return Cost::poison();
         };
@@ -657,52 +581,52 @@ impl<'t> Analyzer<'t> {
         let mut loop_env = env.clone();
         forget(&mut loop_env, &written);
 
-        let mut body_cost = self
+        let body_cost = self
             .script_cost(body_tree, &mut loop_env, adepth + 1)
             .deepen();
-        body_cost.terminates = false;
 
         forget(env, &written);
 
         // Literal list ⇒ exact element count; runtime list ⇒ input-bounded.
         let iters = match cmd.arg_text(1) {
+            // A `continue` cuts only its own iteration short, which the
+            // body's lower bound already allows for.
             Some(list_text) => {
-                let count = parse_list(list_text).len() as u64;
-                // Any flow control may end the loop or cut an iteration short.
-                let exits = exits_early(body, |_| true);
-                let lo = if exits { 0 } else { count };
-                CostInterval {
-                    lo,
-                    hi: Some(count),
-                }
+                let count = CostInterval::exact(parse_list(list_text).len() as u64);
+                let lo = if self.stops_early(body) { 0 } else { count.lo };
+                CostInterval { lo, ..count }
             }
             None => CostInterval { lo: 0, hi: None },
         };
-        Cost {
-            steps: body_cost.steps.mul(iters),
-            depth: if iters.lo >= 1 {
-                body_cost.depth
-            } else {
-                body_cost.depth.maybe()
-            },
-            growth: body_cost.growth.mul(iters),
-            ..body_cost
-        }
+        repeat(body_cost, iters)
     }
 
     fn catch_cost(&mut self, cmd: &Cmd, body: &Body, env: &mut Env, adepth: u32) -> Cost {
         let body_cost = self.body_cost(body, &mut env.clone(), adepth + 1);
         // The body may abort at any point (catch absorbs the error), so
-        // only upper bounds survive. Flow control caught by `catch` does
-        // not terminate the enclosing script.
-        let mut cost = body_cost.guard().deepen();
-        cost.terminates = false;
+        // only upper bounds survive.
+        let cost = body_cost.guard().deepen();
 
         // Invalidate: the result var and anything the body wrote.
         let mut written = self.writes_of([body]);
         bind(&mut written, cmd);
         forget(env, &written);
         cost
+    }
+}
+
+/// `cost` run `iters` times: its depth counts toward the lower bound only
+/// when at least one run is certain.
+fn repeat(cost: Cost, iters: CostInterval) -> Cost {
+    Cost {
+        steps: cost.steps.mul(iters),
+        depth: if iters.lo >= 1 {
+            cost.depth
+        } else {
+            cost.depth.maybe()
+        },
+        growth: cost.growth.mul(iters),
+        ..cost
     }
 }
 
@@ -741,7 +665,7 @@ fn f64_exact(v: i64) -> bool {
 
 /// The single `expr` command a `[..]` part consists of, if it is one.
 fn sole_expr(script: &Body) -> Option<&Cmd> {
-    let State::Parsed(Tree { cmds }) = script.literal() else {
+    let State::Parsed(Tree { cmds, .. }) = script.view(View::Literal) else {
         return None;
     };
     cmds.first()
@@ -782,109 +706,25 @@ fn payload_size(word: Option<&Word>) -> CostInterval {
 
 /// Adds what `cmd` binds to `written`, which becomes `None` when that could
 /// be any variable.
-fn bind(written: &mut Option<BTreeSet<String>>, cmd: &Cmd) {
+fn bind(written: &mut Vars, cmd: &Cmd) {
     for binding in cmd.bindings() {
-        match (binding.name, written.as_mut()) {
-            (Some(var), Some(set)) => {
-                set.insert(var.to_string());
-            }
-            _ => *written = None,
-        }
+        add(written, binding.name.map(iter::once));
     }
 }
 
 /// Drops what a nested script may have written from the env.
-fn forget(env: &mut Env, written: &Option<BTreeSet<String>>) {
+fn forget(env: &mut Env, written: &Vars) {
     match written {
         Some(written) => env.retain(|var, _| !written.contains(var)),
         None => env.clear(),
     }
 }
 
-/// True if the body leaves its block anywhere in a way `exits` accepts, or
-/// has a command that is not a builtin: a proc body could `halt`, and an
-/// unknown command errors the run.
-fn exits_early(body: &Body, exits: impl Fn(Leave) -> bool) -> bool {
-    any_in_scope(body, View::Literal, |name, cmd, _| {
-        cmd.leaves().is_some_and(&exits) || crate::builtins::builtin(name).is_none()
-    })
-}
-
 impl<'t> Analyzer<'t> {
     /// The variables `scripts` may write in the current scope, or `None` when
     /// the writes cannot be enumerated (computed targets, anything opaque).
-    /// A command writes what its [`Cmd::bindings`] name.  A proc call gets a
-    /// fresh scope (`set_in_scope` writes innermost only), so it can clobber
-    /// ours only by `unset`, which removes the innermost variable of that name
-    /// wherever it is: it writes what [`Analyzer::call_unsets`] names.
-    fn writes_of<'a>(
-        &mut self,
-        scripts: impl IntoIterator<Item = &'a Body>,
-    ) -> Option<BTreeSet<String>> {
-        let mut written = Some(BTreeSet::new());
-        let unknown = scripts.into_iter().any(|s| {
-            any_in_scope(s, View::Literal, |name, cmd, _| {
-                bind(&mut written, cmd);
-                match (self.call_unsets(name), written.as_mut()) {
-                    (None, _) => {}
-                    (Some(Some(unsets)), Some(set)) => set.extend(unsets.iter().cloned()),
-                    (Some(_), _) => written = None,
-                }
-                written.is_none()
-            })
-        });
-        written.filter(|_| !unknown)
-    }
-
-    /// What a call of `name` may unset in its caller's scope, when `name` is a
-    /// proc: every variable that an `unset` in its bodies, or in the procs they
-    /// call, names; `None` inside when that could be any variable.
-    fn call_unsets(&mut self, name: &str) -> Option<&Option<BTreeSet<String>>> {
-        let (&name, _) = self.procs.get_key_value(name)?;
-        if !self.unsets.contains_key(name) {
-            let unsets = self.unsets_reached_from(name);
-            self.unsets.insert(name, unsets);
-        }
-        self.unsets.get(name)
-    }
-
-    /// [`Analyzer::call_unsets`] of proc `root`, over every proc it reaches.
-    fn unsets_reached_from(&self, root: &'t str) -> Option<BTreeSet<String>> {
-        let mut unset = Some(BTreeSet::new());
-        let (mut seen, mut todo) = (BTreeSet::from([root]), vec![root]);
-        while let Some(name) = todo.pop() {
-            for body in self.procs[name].as_ref()? {
-                let opaque = any_in_scope(body, View::Literal, |callee, cmd, _| {
-                    for binding in cmd.bindings().filter(|binding| binding.unset) {
-                        match (binding.name, unset.as_mut()) {
-                            (Some(var), Some(set)) => {
-                                set.insert(var.to_string());
-                            }
-                            _ => unset = None,
-                        }
-                    }
-                    match self.procs.get_key_value(callee) {
-                        Some((&callee, _)) => {
-                            if seen.insert(callee) {
-                                todo.push(callee);
-                            }
-                        }
-                        // Neither a proc nor a builtin: with a proc defined
-                        // under a computed name, it may be that one.
-                        None => {
-                            if self.opaque_procs && crate::builtins::builtin(callee).is_none() {
-                                return true;
-                            }
-                        }
-                    }
-                    unset.is_none()
-                });
-                if opaque {
-                    return None;
-                }
-            }
-        }
-        unset
+    fn writes_of<'a>(&self, scripts: impl IntoIterator<Item = &'a Body>) -> Vars {
+        self.script.calls.writes(scripts, View::Literal, false)
     }
 
     /// True if anything in the body (recursively) writes `var` outside the one
@@ -892,21 +732,22 @@ impl<'t> Analyzer<'t> {
     /// (which could skip the self-step on an iteration).  Builtins don't write
     /// the counter otherwise, and proc calls get a fresh scope: they reach it
     /// only when they may unset it.
-    fn body_touches_counter_unsafely(&mut self, body: &Body, var: &str) -> bool {
+    fn body_touches_counter_unsafely(&self, body: &Body, var: &str) -> bool {
         // The single allowed self-step is top-level and matched by `self_step`;
         // any *other* write — including nested ones — disqualifies.
         let step = |cmd: &Cmd, at: At| at.top && self_step(cmd, var).is_some();
-        any_in_scope(body, View::Literal, |name, cmd, at| {
-            cmd.leaves() == Some(Leave::Continue)
-                || cmd.bindings().any(|binding| {
+        let calls = &self.script.calls;
+        body.exits(View::Literal, calls).may(Exits::CONTINUE)
+            || any_in_scope(body, View::Literal, |name, cmd, at| {
+                cmd.bindings().any(|binding| {
                     binding
                         .name
                         .is_none_or(|target| target == var && !step(cmd, at))
-                })
-                || self
-                    .call_unsets(name)
-                    .is_some_and(|unsets| unsets.as_ref().is_none_or(|set| set.contains(var)))
-        })
+                }) || calls
+                    .procs
+                    .get(name)
+                    .is_some_and(|call| call.unsets.as_ref().is_none_or(|set| set.contains(var)))
+            })
     }
 
     /// Try to infer the trip count of a counted `while` loop.
@@ -975,17 +816,16 @@ impl<'t> Analyzer<'t> {
         let n: u64 = n.try_into().ok()?;
 
         // Lower bound: the full n iterations run iff the guard conjunct is the
-        // whole condition and nothing exits the body early. (`error` makes the
-        // run unsuccessful, so it does not reduce the successful-run minimum —
-        // but `break`/`return`/`halt` do.)
-        // Flow control escaping a proc is a runtime error, not an early exit.
-        let early = |leave| matches!(leave, Leave::Break | Leave::Return | Leave::Halt);
-        let m = if conjuncts.len() == 1 && !exits_early(body, early) {
-            n
-        } else {
-            0
-        };
-        Some((n, m))
+        // whole condition and nothing may stop the loop early.
+        let full = conjuncts.len() == 1 && !self.stops_early(body);
+        Some((n, if full { n } else { 0 }))
+    }
+
+    /// Whether `body`, a loop's, may end the loop early on a run that
+    /// succeeds: by `return`, `halt` or `break`.
+    fn stops_early(&self, body: &Body) -> bool {
+        body.exits(View::Literal, &self.script.calls)
+            .may(Exits::STOP)
     }
 }
 

@@ -58,6 +58,14 @@ impl Digraph {
     /// singleton components are included (check [`Digraph::has_edge`] for a
     /// self-loop to distinguish a trivial singleton from a 1-cycle).
     pub fn sccs(&self) -> Vec<Vec<usize>> {
+        let mut components = self.sccs_callees_first();
+        components.sort_by_key(|c| c[0]);
+        components
+    }
+
+    /// The same components, each before every component with an edge into
+    /// it: a component comes after all it reaches.
+    pub fn sccs_callees_first(&self) -> Vec<Vec<usize>> {
         let n = self.adj.len();
         // Pass 1: iterative DFS post-order on the forward graph.
         let mut order = Vec::with_capacity(n);
@@ -112,7 +120,8 @@ impl Digraph {
             members.sort_unstable();
             components.push(members);
         }
-        components.sort_by_key(|c| c[0]);
+        // Pass 2 finds them in topological order, sources first.
+        components.reverse();
         components
     }
 }
@@ -171,6 +180,30 @@ mod tests {
         let sccs = g.sccs();
         assert_eq!(sccs.len(), 4);
         assert!(sccs.iter().all(|c| c.len() == 1));
+    }
+
+    #[test]
+    fn callees_first_puts_each_component_after_all_it_reaches() {
+        let mut g = Digraph::new(6);
+        for (from, to) in [(3, 0), (0, 1), (1, 2), (2, 1), (2, 4), (5, 3), (5, 4)] {
+            g.add_edge(from, to);
+        }
+        let order = g.sccs_callees_first();
+        assert_eq!(order.len(), 5);
+        let at = |node| order.iter().position(|c| c.contains(&node)).unwrap();
+        for (from, outs) in g.adj.iter().enumerate() {
+            for &to in outs {
+                assert!(at(to) <= at(from), "{from} -> {to} in {order:?}");
+            }
+        }
+        let chain = (0..1000).fold(Digraph::new(1000), |mut g, i| {
+            if i > 0 {
+                g.add_edge(i, i - 1);
+            }
+            g
+        });
+        let order: Vec<usize> = chain.sccs_callees_first().concat();
+        assert_eq!(order, (0..1000).collect::<Vec<_>>());
     }
 
     #[test]

@@ -22,16 +22,21 @@
 //! it; only their flow-sensitive passes recurse on their own.  What a
 //! command does is decoded here once too, for all three: the variables it
 //! binds ([`Cmd::bindings`]), how it leaves its block ([`Cmd::leaves`]) and
-//! what it grows ([`Cmd::growth`]).
+//! what it grows ([`Cmd::growth`]).  So is how control leaves a command or
+//! body ([`Exits`]), with proc calls resolved through the script's
+//! [`Calls`] table.
 //!
 //! The interpreter still takes text (ROADMAP item 2), but it reads that text
 //! with the same [`pieces`] and [`control`] decoding the tree is built from.
 
+use crate::builtins::builtin;
+use crate::graph::Digraph;
 use crate::parser::{
     control, if_chain, parse_script, pieces, Control, IfFault, ParseError, Piece, Span, Word,
     WordKind, WordPart,
 };
 use crate::value::parse_list;
+use std::collections::{BTreeMap, BTreeSet};
 use std::iter;
 use std::sync::Arc;
 
@@ -46,32 +51,186 @@ pub struct Script {
     /// Every `proc` command in the literal view, in evaluation order: a
     /// later definition of a name replaces an earlier one.
     pub(crate) procs: Vec<ProcDef>,
+    pub(crate) calls: Calls,
 }
 
 impl Script {
     /// Parses `src` and everything nested in it, and collects its `proc`
-    /// table.
+    /// table and the call table built from it.
     pub fn parse(src: &str) -> Script {
         let tree = Tree::parse(src);
-        let mut procs = Vec::new();
+        let (mut procs, mut open) = (Vec::new(), false);
         if let Ok(tree) = &tree {
             walk(tree, View::Literal, At::ROOT, &mut |step, at| {
-                match step {
-                    Step::Cmd(cmd) if cmd.name() == Some("proc") => procs.push(ProcDef {
-                        name: cmd.arg_text(0).map(str::to_string),
-                        params: cmd.arg_text(1).map(parse_list),
-                        body: match &cmd.shape {
-                            Shape::Proc { body } => Some(Arc::clone(body)),
-                            _ => None,
-                        },
+                let Step::Cmd(cmd) = step else {
+                    open = true;
+                    return false;
+                };
+                open |= cmd.name().is_none();
+                if cmd.name() == Some("proc") {
+                    let body = match &cmd.shape {
+                        Shape::Proc { body } => Some(Arc::clone(body)),
+                        _ => None,
+                    };
+                    let name = cmd.arg_text(0).map(str::to_string);
+                    open |= name.is_none() && body.is_some();
+                    let params = cmd.arg_text(1).map(parse_list);
+                    procs.push(ProcDef {
+                        name,
+                        params,
+                        body,
                         at,
-                    }),
-                    _ => {}
+                    });
                 }
                 false
             });
         }
-        Script { tree, procs }
+        let calls = Calls::new(&procs, open);
+        Script { tree, procs, calls }
+    }
+}
+
+/// The call table: what calling each proc does, joined over every
+/// definition of its name, hidden ones too.  A proc named like a builtin is
+/// left out: the name always runs the builtin.
+#[derive(Debug)]
+pub(crate) struct Calls {
+    pub procs: BTreeMap<String, Call>,
+    /// A proc may be defined that the table does not hold: the literal view
+    /// has a proc with a computed name, a computed command name, or a
+    /// script it cannot see into.
+    pub open: bool,
+}
+
+/// What calling a proc does.
+#[derive(Debug)]
+pub(crate) struct Call {
+    /// How control leaves the call.
+    pub exits: Exits,
+    /// The caller's variables the call may unset, or `None` when that could
+    /// be any variable.  A proc runs in a fresh scope, so it reaches its
+    /// caller's variables only by `unset`, which removes the innermost
+    /// variable of that name wherever it is.
+    pub unsets: Vars,
+    /// Its definitions, as indices into [`Script::procs`].
+    pub defs: Vec<usize>,
+}
+
+impl Calls {
+    /// The table of `defs`, built one strongly connected component of the
+    /// call graph at a time, callees first.  The members of a component
+    /// share the join of what their bodies do, reading calls inside the
+    /// component as doing nothing: the join holds each member's own
+    /// answer, and is exactly it for a proc alone in its component.  Each
+    /// body is read once, so a long chain of procs costs its length.
+    fn new(defs: &[ProcDef], open: bool) -> Calls {
+        let mut procs = BTreeMap::new();
+        for (i, def) in defs.iter().enumerate() {
+            if let (Some(name), Some(_)) = (&def.name, &def.body) {
+                let call = procs.entry(name.clone()).or_insert_with(|| Call {
+                    exits: Exits::NONE,
+                    unsets: Some(BTreeSet::new()),
+                    defs: Vec::new(),
+                });
+                call.defs.push(i);
+            }
+        }
+        procs.retain(|name, _| builtin(name).is_none());
+        let mut calls = Calls { procs, open };
+        let nodes: Vec<(String, Vec<&Body>)> = (calls.procs.iter())
+            .map(|(name, call)| {
+                let bodies = call.defs.iter().filter_map(|&i| defs[i].body.as_deref());
+                (name.clone(), bodies.collect())
+            })
+            .collect();
+        let node = |name: &str| nodes.binary_search_by(|(n, _)| n.as_str().cmp(name)).ok();
+        let mut graph = Digraph::new(nodes.len());
+        for (from, (_, bodies)) in nodes.iter().enumerate() {
+            for body in bodies {
+                walk_body(body, View::Literal, At::ROOT, &mut |step, _| {
+                    let callee = match step {
+                        Step::Cmd(cmd) => cmd.name().and_then(node),
+                        Step::Opaque(_) => None,
+                    };
+                    if let Some(to) = callee {
+                        graph.add_edge(from, to);
+                    }
+                    false
+                });
+            }
+        }
+        for members in graph.sccs_callees_first() {
+            let bodies = || {
+                members
+                    .iter()
+                    .flat_map(|&node| nodes[node].1.iter().copied())
+            };
+            let exits = bodies().map(|body| body.exits(View::Literal, &calls).call());
+            let exits = exits.fold(Exits::NONE, Exits::or);
+            let unsets = calls.writes(bodies(), View::Literal, true);
+            for &node in &members {
+                let call = calls.procs.get_mut(&nodes[node].0).expect("a proc");
+                (call.exits, call.unsets) = (exits, unsets.clone());
+            }
+        }
+        calls
+    }
+
+    /// A command with no body of its own: a leave with well-formed
+    /// arguments, a proc call, or a command with a computed name.
+    fn plain(&self, cmd: &Cmd) -> Exits {
+        let Some(name) = cmd.name() else {
+            return Exits::ANY;
+        };
+        let argc = cmd.words.len() - 1;
+        let malformed = builtin(name).is_some_and(|spec| spec.arity_violated(argc));
+        match (cmd.leaves(), self.procs.get(name)) {
+            (Some(_), _) if malformed => Exits::NONE,
+            (Some(way), _) => Exits::new(1 << way as u8, true),
+            (None, Some(call)) => call.exits,
+            (None, None) if self.open && builtin(name).is_none() => Exits::ANY,
+            (None, None) => Exits::NONE,
+        }
+    }
+
+    /// The variables of their scope that running `bodies` may bind in
+    /// `view` (with `unset_only`, may unset): what their commands bind
+    /// ([`Cmd::bindings`]) and what the procs they call may unset.
+    pub fn writes<'b>(
+        &self,
+        bodies: impl IntoIterator<Item = &'b Body>,
+        view: View,
+        unset_only: bool,
+    ) -> Vars {
+        let mut written = Some(BTreeSet::new());
+        let opaque = bodies.into_iter().any(|body| {
+            any_in_scope(body, view, |name, cmd, _| {
+                let bound = cmd
+                    .bindings()
+                    .filter(|binding| binding.unset || !unset_only);
+                for binding in bound {
+                    add(&mut written, binding.name.map(iter::once));
+                }
+                match self.procs.get(name) {
+                    Some(call) => add(&mut written, call.unsets.as_ref()),
+                    None if self.open && builtin(name).is_none() => return true,
+                    None => {}
+                }
+                written.is_none()
+            })
+        });
+        written.filter(|_| !opaque)
+    }
+}
+
+/// Some variables, or `None` for any variable.
+pub(crate) type Vars = Option<BTreeSet<String>>;
+
+/// Adds `more` to the variables in `set`.
+pub(crate) fn add<T: ToString>(set: &mut Vars, more: Option<impl IntoIterator<Item = T>>) {
+    match (set.as_mut(), more) {
+        (Some(set), Some(more)) => set.extend(more.into_iter().map(|var| var.to_string())),
+        _ => *set = None,
     }
 }
 
@@ -178,6 +337,28 @@ impl Cmd {
         })
     }
 
+    /// How control leaves the command in `view`, with proc calls resolved
+    /// through `calls`.
+    pub fn exits(&self, view: View, calls: &Calls) -> Exits {
+        let body = |body: &Body| body.exits(view, calls);
+        let cond = |cond: &Cond| scripts(cond.scripts(), view, calls);
+        scripts(self.scripts(), view, calls).then(match &self.shape {
+            // The chain from its last arm back: a false condition goes on
+            // down the chain, and past the last arm when it is not `else`.
+            Shape::If { arms, .. } => arms.iter().rev().fold(Exits::NONE, |rest, arm| {
+                let (taken, c) = (body(&arm.body), arm.cond.as_ref());
+                c.map_or(taken, |c| cond(c).then(taken.or(rest)))
+            }),
+            Shape::While { cond: c, body: b } => cond(c).then(body(b).absorb(BREAK | CONTINUE)),
+            Shape::Foreach { body: b } => body(b).absorb(BREAK | CONTINUE),
+            Shape::Catch { body: b } => body(b).absorb(!HALT),
+            Shape::Eval { body: b } => body(b),
+            Shape::Expr { cond: c } => cond(c),
+            Shape::Proc { .. } => Exits::NONE,
+            Shape::Plain | Shape::Malformed => calls.plain(self),
+        })
+    }
+
     /// How the command leaves the block it runs in, whatever its arguments.
     pub fn leaves(&self) -> Option<Leave> {
         Some(match self.name()? {
@@ -221,6 +402,83 @@ pub(crate) enum Leave {
     Break,
     Continue,
     Error,
+}
+
+const RETURN: u8 = 1 << Leave::Return as u8;
+const HALT: u8 = 1 << Leave::Halt as u8;
+const BREAK: u8 = 1 << Leave::Break as u8;
+const CONTINUE: u8 = 1 << Leave::Continue as u8;
+const ERROR: u8 = 1 << Leave::Error as u8;
+
+/// How control may leave a command or a body, and whether it must: the
+/// interpreter's rules, in one place ([`Cmd::exits`]); a body's are its
+/// commands' in sequence.
+///
+/// `Error` is an error the script raises itself: `error`, or `break` or
+/// `continue` out of a proc.  Any command may also fail (bad arguments, an
+/// unknown name, an undefined variable), which no set holds: a failure
+/// ends the run unsuccessfully, unless a `catch` absorbs it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Exits {
+    /// One bit per [`Leave`].
+    may: u8,
+    /// Control never reaches the end normally: it leaves, or fails.
+    pub must: bool,
+}
+
+impl Exits {
+    /// Runs to its end.
+    const NONE: Exits = Exits::new(0, false);
+    /// A script the view cannot see into: it may leave any way.
+    const ANY: Exits = Exits::new(RETURN | HALT | BREAK | CONTINUE | ERROR, false);
+
+    const fn new(may: u8, must: bool) -> Exits {
+        Exits { may, must }
+    }
+
+    /// `self`, then `next` when control gets there.
+    fn then(self, next: Exits) -> Exits {
+        Exits::new(self.may | next.may, self.must || next.must)
+    }
+
+    /// One of two paths.
+    fn or(self, other: Exits) -> Exits {
+        Exits::new(self.may | other.may, self.must && other.must)
+    }
+
+    /// Run by a construct that finishes normally when control leaves one of
+    /// the `absorbed` ways.  None of them is certain to leave: a loop body
+    /// may not run at all, a `catch` absorbs failures too, and a `[..]` or
+    /// condition is taken to finish, so that code counts as unreachable
+    /// only after a command that leaves by itself.
+    fn absorb(self, absorbed: u8) -> Exits {
+        Exits::new(self.may & !absorbed, false)
+    }
+
+    /// A proc body, as its call leaves: `return` finishes the call, `break`
+    /// and `continue` raise an error, `halt` passes.  No call is certain to
+    /// leave.
+    fn call(self) -> Exits {
+        let raises = if self.may(BREAK | CONTINUE) { ERROR } else { 0 };
+        Exits::new(self.may & (HALT | ERROR) | raises, false)
+    }
+
+    /// Whether control may leave one of the `ways`: one of the questions
+    /// below.
+    pub fn may(self, ways: u8) -> bool {
+        self.may & ways != 0
+    }
+
+    /// `halt` the whole script.
+    pub const HALT: u8 = HALT;
+    /// Skip the rest of a body on a run that succeeds: any way but `Error`.
+    pub const CUT: u8 = !ERROR;
+    /// End the loop whose body it is on a run that succeeds.
+    pub const STOP: u8 = RETURN | HALT | BREAK;
+    /// End the loop whose body it is, successfully or by raising an error.
+    pub const END: u8 = !CONTINUE;
+    /// Skip to the next iteration of the loop.
+    pub const CONTINUE: u8 = CONTINUE;
 }
 
 /// What a nested script is to the command it sits in: a `[..]` part of a
@@ -345,19 +603,20 @@ impl Body {
         }
     }
 
-    /// The body as taco-cost sees it: any statically known text, brace-quoted
-    /// or a bare literal (`if {$x} break`).
-    pub fn literal(&self) -> &State {
-        &self.state
+    /// The body as `view` sees it: in the braced view, a bare literal
+    /// (`if {$x} break`) counts as computed.
+    pub fn view(&self, view: View) -> &State {
+        match view {
+            View::Braced if !self.braced => &State::Computed,
+            _ => &self.state,
+        }
     }
 
-    /// The body as taco-vet and taco-audit see it: only brace-quoted text
-    /// (and `[..]` parts) is followed, a bare literal counts as computed.
-    pub fn braced(&self) -> &State {
-        if self.braced {
-            &self.state
-        } else {
-            &State::Computed
+    /// How control leaves the body in `view` ([`Cmd::exits`]).
+    pub fn exits(&self, view: View, calls: &Calls) -> Exits {
+        match self.view(view) {
+            State::Parsed(tree) => tree.exits(view, calls),
+            _ => Exits::ANY,
         }
     }
 }
@@ -368,6 +627,19 @@ impl Tree {
     pub fn parse(src: &str) -> Result<Tree, ParseError> {
         build(src, Span::START, 0)
     }
+
+    /// How control leaves the tree in `view` ([`Cmd::exits`]).
+    pub fn exits(&self, view: View, calls: &Calls) -> Exits {
+        let cmds = self.cmds.iter().map(|cmd| cmd.exits(view, calls));
+        cmds.fold(Exits::NONE, Exits::then)
+    }
+}
+
+/// `[..]` parts and condition scripts, in order: each finishes normally
+/// unless its script raises an error.
+fn scripts<'b>(scripts: impl Iterator<Item = &'b Body>, view: View, calls: &Calls) -> Exits {
+    let scripts = scripts.map(|body| body.exits(view, calls).absorb(!ERROR));
+    scripts.fold(Exits::NONE, Exits::then)
 }
 
 /// Which text of a nested script an analysis follows.
@@ -392,10 +664,6 @@ pub(crate) struct At {
     pub in_catch: bool,
     /// In the body of a proc whose name is computed, which nothing calls.
     pub hidden: bool,
-    /// No loop in between: a `break` here ends that script's loop.
-    pub breaks: bool,
-    /// No `catch` or `[..]` in between: a `return` or `error` here escapes.
-    pub raises: bool,
 }
 
 impl At {
@@ -406,8 +674,6 @@ impl At {
         in_scope: true,
         in_catch: false,
         hidden: false,
-        breaks: true,
-        raises: true,
     };
 
     /// Where `cmd`'s child `body`, in `role`, sits.
@@ -418,8 +684,6 @@ impl At {
             in_scope: self.in_scope && !matches!(role, Role::Proc | Role::Eval),
             in_catch: self.in_catch || role == Role::Catch,
             hidden: self.hidden || (role == Role::Proc && cmd.arg_text(0).is_none()),
-            breaks: self.breaks && role == Role::Arm,
-            raises: self.raises && !matches!(role, Role::Subst | Role::Cond | Role::Catch),
         }
     }
 }
@@ -457,18 +721,14 @@ pub(crate) fn walk_body<F>(body: &Body, view: View, at: At, visit: &mut F) -> bo
 where
     F: FnMut(Step, At) -> bool,
 {
-    let state = match view {
-        View::Braced => body.braced(),
-        View::Literal => body.literal(),
-    };
-    match state {
+    match body.view(view) {
         State::Parsed(tree) => walk(tree, view, at, visit),
         state => visit(Step::Opaque(state), at),
     }
 }
 
-/// The early-exit query taco-vet, taco-audit and taco-cost share, and the
-/// question behind taco-cost's write sets: does a command that runs in
+/// The question behind taco-cost's write sets, a call's unsets and the
+/// loop-exit verdict's condition writes: does a command that runs in
 /// `body`'s scope answer `hit`?  `hit` sees commands with a static name.
 /// What the walk cannot see into answers yes: a computed command name, an
 /// `eval`, text that does not parse or nests too deep, and in the literal
@@ -666,7 +926,7 @@ mod tests {
     fn depth(tree: &Tree) -> u32 {
         let nested = tree.cmds.iter().flat_map(Cmd::children);
         nested
-            .filter_map(|(_, body)| match body.literal() {
+            .filter_map(|(_, body)| match body.view(View::Literal) {
                 State::Parsed(inner) => Some(1 + depth(inner)),
                 _ => None,
             })
@@ -719,7 +979,7 @@ mod tests {
                     .collect(),
             };
             for body in bodies.into_iter().filter(exact) {
-                if let State::Parsed(inner) = body.literal() {
+                if let State::Parsed(inner) = body.view(View::Literal) {
                     assert_spans_are_absolute(inner, src);
                 }
             }
@@ -751,7 +1011,7 @@ mod tests {
         let Shape::If { arms, .. } = &tree.cmds[1].shape else {
             panic!("not an if: {:?}", tree.cmds[1]);
         };
-        let State::Bad(e) = arms[0].body.literal() else {
+        let State::Bad(e) = arms[0].body.view(View::Literal) else {
             panic!("the body parsed: {:?}", arms[0].body);
         };
         assert_eq!(e.span(), Span::new(4, 1));

@@ -117,6 +117,14 @@ fn pinned_scripts_stay_inside_their_bounds() {
         "proc g {} {unset i}; proc f {} {g}; set i 0; while {$i < 3} {f; incr i}",
         "set n 5; proc f {} {unset n}; set i 0; while {$i < 2} {set x [f]; incr i}; \
          incr n 30000; set k 0; while {$k < $n} {incr k}; return $k",
+        "if {1} {return}; set a 1; set b 2",
+        "if {1} {halt}; set a 1; set b 2",
+        "if {1} {break}; set a 1; set b 2",
+        "foreach v {1 2} {return}; set a 1; set b 2",
+        "if {0} {set x 1} elseif {1} {continue}; set a 1; set b 2",
+        "catch {halt}; set a 1; set b 2",
+        "eval {return}; set a 1; set b 2",
+        "proc f {} {halt}; f; set a 1; set b 2",
     ] {
         let bound = cost_bound(src).expect("parses");
         assert_upper_bound_is_a_sound_budget(src, &bound);

@@ -107,6 +107,15 @@ fn loops_without_exits() {
     expect("set i 0\nwhile {$i < 3} { incr i }", &[]);
     expect("while {1} { break }", &[]);
     expect("while {1} { halt done }", &[]);
+    // A call of a proc that halts ends the loop; a `[..]` swallows `halt`.
+    expect("proc f {} {halt}; set x 1; while {$x} {f}", &[]);
+    expect(
+        "set x 1; while {$x} {set y [halt]}",
+        &[
+            "t.taco:1:10: warning[no-loop-exit]: loop has no reachable exit: the body never updates any condition variable (x) and cannot break out; it will exhaust the step budget",
+            "t.taco:1:22: warning[unused-variable]: variable 'y' is assigned but never read",
+        ],
+    );
 }
 
 #[test]

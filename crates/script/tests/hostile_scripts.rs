@@ -38,3 +38,25 @@ fn gates_stay_fast_and_conservative_on_deep_nesting() {
     let spent = start.elapsed();
     assert!(spent < Duration::from_secs(10), "gates took {spent:?}");
 }
+
+/// The call table is built once over the call graph, so a long chain of
+/// procs, each calling the one before, costs the gates time in proportion
+/// to its length, and a `halt` at the far end still reaches the top.
+#[test]
+fn gates_stay_fast_on_long_proc_chains() {
+    let mut chain = String::from("proc p0 {} {halt}\n");
+    for i in 1..DEPTH {
+        chain.push_str(&format!("proc p{i} {{}} {{p{}}}\n", i - 1));
+    }
+    // The same procs closed into one cycle: p0 also calls the last.
+    let ring = chain.replacen("{halt}", &format!("{{p{}; halt}}", DEPTH - 1), 1);
+    let start = Instant::now();
+    for src in [&chain, &ring] {
+        let src = format!("{src}p{}\n", DEPTH - 1);
+        let _ = vet(&src, &AnalysisConfig::new());
+        assert!(summarize(&src).expect("parses").halts, "{}", &src[..40]);
+        cost_bound(&src).expect("parses");
+    }
+    let spent = start.elapsed();
+    assert!(spent < Duration::from_secs(10), "gates took {spent:?}");
+}

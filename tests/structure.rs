@@ -345,6 +345,52 @@ fn a_commands_meaning_is_decoded_in_the_tree_only() {
     }
 }
 
+/// How control leaves a body is decided in `tree.rs` only: `tree::Exits`,
+/// read off a command or body by `Cmd::exits` with proc calls resolved
+/// through the script's call table, holds the interpreter's rules for what
+/// loops, `catch`, `[..]`, `eval` and proc calls absorb.  taco-vet,
+/// taco-audit and taco-cost read it instead of deciding for themselves,
+/// which they did four ways: cost's lower bound counted commands after a
+/// branch that may `return`, and vet's loop-exit check missed that a `[..]`
+/// swallows `halt` and that a proc call passes it on.  The one `Leave::`
+/// outside `tree.rs` is vet's after-move-to convention, which names the
+/// commands that may follow `move_to`, not a way out of a body.
+#[test]
+fn how_control_leaves_a_body_is_decided_in_the_tree_only() {
+    let files = shipped(SCRIPT);
+    let outside: Vec<String> = files
+        .iter()
+        .filter(|(file, _)| !file.ends_with("/tree.rs"))
+        .flat_map(|(file, lines)| {
+            let spelled = lines.iter().filter(|line| line.contains("Leave::"));
+            spelled.map(move |line| format!("{file}: {}", line.trim()))
+        })
+        .collect();
+    let convention =
+        "let conventional = matches!(cmd.leaves(), Some(Leave::Return | Leave::Halt));";
+    assert_eq!(
+        outside,
+        [format!("{SCRIPT}/analysis.rs: {convention}")],
+        "Leave:: spelled outside tree.rs"
+    );
+    let gone = [
+        ("cost.rs", "terminates"),
+        ("cost.rs", "exits_early"),
+        ("analysis.rs", "escapes"),
+    ];
+    for (file, name) in gone {
+        assert_eq!(
+            total(&format!("{SCRIPT}/{file}"), name),
+            0,
+            "{name} in {file}"
+        );
+    }
+    // `At` has no `breaks` or `raises`.
+    for field in ["breaks:", "raises:", ".breaks", ".raises"] {
+        assert_eq!(total(SCRIPT, field), 0, "{field}");
+    }
+}
+
 /// A message crosses `SimNet` without walking an ordered map: the metrics
 /// and the transport it touches on every send hold none.
 #[test]
