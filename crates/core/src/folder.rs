@@ -316,33 +316,18 @@ impl Folder {
 
     /// Pops an element and decodes it as a little-endian `u64`.
     ///
-    /// Returns `None` if the folder is empty or the element is not 8 bytes.
+    /// Returns `None` if the folder is empty or the element is not 8 bytes
+    /// (a wrong-width element is still consumed).
     pub fn pop_u64(&mut self) -> Option<u64> {
-        self.pop_8().map(u64::from_le_bytes)
+        let arr: Option<[u8; 8]> = self.peek_back()?.try_into().ok();
+        self.drop_back();
+        arr.map(u64::from_le_bytes)
     }
 
     /// Reads the back element as a `u64` without removing it.
     pub fn peek_u64(&self) -> Option<u64> {
         let arr: [u8; 8] = self.peek_back()?.try_into().ok()?;
         Some(u64::from_le_bytes(arr))
-    }
-
-    /// Pushes an `f64` in little-endian encoding.
-    pub fn push_f64(&mut self, v: f64) {
-        self.push_bytes(&v.to_le_bytes());
-    }
-
-    /// Pops an element and decodes it as a little-endian `f64`.
-    pub fn pop_f64(&mut self) -> Option<f64> {
-        self.pop_8().map(f64::from_le_bytes)
-    }
-
-    /// Pops an element, returning it if it is exactly 8 bytes (a
-    /// wrong-width element is still consumed).
-    fn pop_8(&mut self) -> Option<[u8; 8]> {
-        let arr = self.peek_back()?.try_into().ok();
-        self.drop_back();
-        arr
     }
 
     /// Collects every element decoded as UTF-8, front to back.
@@ -457,8 +442,6 @@ mod tests {
         f.push_u64(123_456_789);
         assert_eq!(f.peek_u64(), Some(123_456_789));
         assert_eq!(f.pop_u64(), Some(123_456_789));
-        f.push_f64(2.5);
-        assert_eq!(f.pop_f64(), Some(2.5));
         // Wrong-width element decodes to None but is still consumed.
         f.push_str("not a number");
         assert_eq!(f.pop_u64(), None);

@@ -774,11 +774,6 @@ impl SimNet {
         self.queue.peek().map(|(at, _)| at)
     }
 
-    /// Whether any events are pending.
-    pub fn has_pending(&self) -> bool {
-        !self.queue.is_empty()
-    }
-
     /// Number of pending events (messages in flight, timers, failures).
     pub fn pending_count(&self) -> usize {
         self.queue.len()
@@ -1187,7 +1182,7 @@ mod tests {
     #[test]
     fn peek_and_pending_counts() {
         let mut net = mesh(2);
-        assert!(!net.has_pending());
+        assert_eq!(net.pending_count(), 0);
         assert!(net.peek_time().is_none());
         send_simple(&mut net, 0, 1, 1);
         net.schedule_timer(SiteId(0), Duration::from_secs(1), 1);

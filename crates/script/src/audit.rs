@@ -10,11 +10,13 @@
 //!    the agent does to the shared world — folders read and written, cabinets
 //!    touched, literal `meet` targets, literal `move_to`/`send_remote` sites,
 //!    briefcase-growth operations inside loops, and whether the script may
-//!    `halt`.  Extraction follows the taco-vet discipline: computed folder,
-//!    cabinet or meet names and any `eval` make the summary *opaque*
-//!    (the agent is then assumed to read and write everything), and `catch`
-//!    bodies are exempt from opacity and flagging (failing inside `catch` is
-//!    a supported idiom).
+//!    `halt`.  One `tree::walk` over the brace-quoted tree reads it, so the
+//!    summary follows exactly the nested text `tree.rs` says runs.  Text
+//!    the walk cannot see into, and outside `catch` computed folder,
+//!    cabinet or meet names and any `eval`, make the summary *opaque* (the
+//!    agent is then assumed to read and write everything); effects inside
+//!    `catch` are never flagged (failing inside `catch` is a supported
+//!    idiom).
 //! 2. **Fleet composition** ([`audit`]): summaries plus declared native
 //!    agents, injected briefcase folders and declared deliverables are
 //!    composed into writer/reader sets and a meet graph, yielding five coded
@@ -47,9 +49,10 @@ use crate::analysis::{loop_exit, LoopExit};
 use crate::diag::Diagnostic;
 use crate::graph::Digraph;
 use crate::parser::{ParseError, Span};
-use crate::tree::{Body, Calls, Cond, Exits, Script, Shape, State, Tree, View};
+use crate::tree::{walk, walk_body, At, Body, Cmd, Exits, Script, Shape, Step, View};
 use crate::value::as_int;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, BTreeSet, HashSet};
+use std::ptr;
 
 /// Folders the TACOMA kernel itself writes into briefcases (timer meets,
 /// error reports, courier provenance): always considered produced.
@@ -94,7 +97,8 @@ pub struct MeetEdge {
     /// Where the first such `meet` appears.
     pub span: Span,
     /// True when at least one occurrence is reached unconditionally: at the
-    /// top level, before any branching construct or fallible command.
+    /// top level (not in a `[..]`), before any branching construct or
+    /// fallible command.
     pub unconditional: bool,
 }
 
@@ -123,12 +127,13 @@ pub struct GrowthSite {
 /// What one script does to the shared world, abstracted for fleet analysis.
 #[derive(Debug, Clone, Default)]
 pub struct EffectSummary {
-    /// Folders read on the normal path (outside `catch` and `proc` bodies),
-    /// with the first read site — these are *flaggable*.
+    /// Folders read on the normal path (outside `catch`, `proc` bodies and
+    /// `eval` scripts), with the first read site — these are *flaggable*.
     pub reads: BTreeMap<String, Span>,
     /// Folders written on the normal path, with the first write site.
     pub writes: BTreeMap<String, Span>,
-    /// Every folder possibly read anywhere, including `catch`/`proc` bodies.
+    /// Every folder possibly read anywhere, including `catch`/`proc` bodies
+    /// and `eval` scripts.
     pub reads_all: BTreeSet<String>,
     /// Every folder possibly written anywhere.
     pub writes_all: BTreeSet<String>,
@@ -143,9 +148,10 @@ pub struct EffectSummary {
     /// Whether the script may `halt`: `halt` passes loops, `catch` and proc
     /// calls, but a `[..]` substitution or a condition swallows it.
     pub halts: bool,
-    /// A computed folder/cabinet/meet name, non-braced body, or `eval` was
-    /// seen outside `catch`: the summary under-approximates and the agent
-    /// must be treated as a universal reader/writer.
+    /// Text the walk cannot see into was seen, or outside `catch` a
+    /// computed folder/cabinet/meet name or an `eval`: the summary
+    /// under-approximates and the agent must be treated as a universal
+    /// reader/writer.
     pub opaque: bool,
 }
 
@@ -159,69 +165,149 @@ pub fn summarize(src: &str) -> Result<EffectSummary, ParseError> {
 impl Script {
     /// taco-audit's effect summary of this script, or the error if it does
     /// not parse at all (nested bodies that fail to parse make the summary
-    /// opaque instead).
+    /// opaque instead).  One `tree::walk` over the brace-quoted tree reads
+    /// every effect, so the audit follows exactly the nested text `tree.rs`
+    /// says runs, and gives up where it says the text is not known.
     pub fn summary(&self) -> Result<EffectSummary, ParseError> {
         let tree = self.tree.as_ref().map_err(ParseError::clone)?;
         let mut out = EffectSummary::default();
-        let ctx = WalkCtx {
-            conditional: false,
-            in_catch: false,
-            in_proc: false,
-            in_unbounded_loop: false,
-            calls: &self.calls,
-        };
-        walk_tree(tree, ctx, &mut out);
+        // True until a top-level command that can branch, raise or stop is
+        // passed: a meet reached while this holds runs on every execution.
+        let mut certain = true;
+        let mut grown = HashSet::new();
+        walk(tree, View::Braced, At::ROOT, &mut |step, at| {
+            // A script the walk cannot see into may touch anything, in
+            // `catch` too.
+            let Step::Cmd(cmd) = step else {
+                out.opaque = true;
+                return false;
+            };
+            out.record(cmd, at, certain);
+            if at.top {
+                let keeps = cmd.name().is_some_and(infallible)
+                    && cmd.words.iter().all(|w| w.static_text().is_some());
+                certain &= keeps || matches!(cmd.shape, Shape::Proc { .. });
+            }
+            if let (Shape::While { cond, body }, false) = (&cmd.shape, at.in_catch) {
+                if cond.braced && loop_exit(cond, body, &self.calls) != LoopExit::Seen {
+                    out.grow(body, &mut grown);
+                }
+            }
+            false
+        });
         out.halts = tree.exits(View::Braced, &self.calls).may(Exits::HALT);
         Ok(out)
     }
 }
 
-#[derive(Debug, Clone, Copy)]
-struct WalkCtx<'c> {
-    /// Inside any branch, loop body, catch or proc: effects still count, but
-    /// meets are conditional.
-    conditional: bool,
-    /// Inside a `catch` body: dynamic constructs are exempt from opacity and
-    /// effects are recorded only in the `_all` tiers.
-    in_catch: bool,
-    /// Inside a `proc` body: the proc may never be called, so effects are
-    /// recorded only in the `_all` tiers.
-    in_proc: bool,
-    /// Inside a `while` whose exit the dataflow cannot see.
-    in_unbounded_loop: bool,
-    calls: &'c Calls,
-}
-
-impl WalkCtx<'_> {
-    fn nested(self) -> Self {
-        WalkCtx {
-            conditional: true,
-            ..self
+impl EffectSummary {
+    /// Records what one command does where it sits; `certain` holds while
+    /// no earlier top-level command could branch, raise or stop.
+    fn record(&mut self, cmd: &Cmd, at: At, certain: bool) {
+        // On the normal path: not in `catch`, a proc body or an `eval`.
+        let flag = at.in_scope && !at.in_catch;
+        let Some(name) = cmd.name() else {
+            return self.dynamic(at);
+        };
+        let span = cmd.span;
+        match &cmd.shape {
+            // A runtime-built condition hides the loop's effects; so does
+            // a control command with the wrong number of arguments, and
+            // even a braced eval is a script chosen at run time to be code.
+            Shape::While { cond, .. } if !cond.braced => return self.dynamic(at),
+            Shape::Eval { .. } | Shape::Malformed => return self.dynamic(at),
+            Shape::Plain => {}
+            _ => return,
+        }
+        let target = cmd.arg_text(0);
+        match (name, target) {
+            ("bc_put" | "bc_push", Some(folder)) => self.write(folder, span, flag),
+            (
+                "bc_pop" | "bc_dequeue" | "bc_peek" | "bc_list" | "bc_size" | "bc_del",
+                Some(folder),
+            ) => {
+                self.read(folder, span, flag);
+            }
+            ("cab_append" | "cab_contains" | "cab_list" | "cab_pop", Some(cabinet)) => {
+                self.cabinets.insert(cabinet.to_string());
+            }
+            // A meet inside a `[..]` counts as conditional: `At` does not
+            // say which command the substitution belongs to.
+            ("meet", Some(target)) => {
+                let edge = self.meets.entry(target.to_string()).or_insert(MeetEdge {
+                    span,
+                    unconditional: false,
+                });
+                edge.unconditional |= at.top && certain;
+            }
+            (
+                "bc_put" | "bc_push" | "bc_pop" | "bc_dequeue" | "bc_peek" | "bc_list" | "bc_size"
+                | "bc_del" | "cab_append" | "cab_contains" | "cab_list" | "cab_pop" | "meet",
+                None,
+            ) => self.dynamic(at),
+            ("move_to" | "send_remote", _) => {
+                let command = ["send_remote", "move_to"][usize::from(name == "move_to")];
+                if let Some(site) = target.and_then(as_int) {
+                    self.move_sites.push(SiteRef {
+                        site,
+                        span,
+                        command,
+                    });
+                }
+                // Shipped folders are read out of the briefcase.
+                if name == "send_remote" {
+                    for i in 2..cmd.words.len() - 1 {
+                        match cmd.arg_text(i) {
+                            Some(folder) => self.read(folder, span, flag),
+                            None => self.dynamic(at),
+                        }
+                    }
+                }
+            }
+            _ => {}
         }
     }
-}
 
-impl EffectSummary {
-    fn read(&mut self, folder: &str, span: Span, ctx: WalkCtx) {
+    fn read(&mut self, folder: &str, span: Span, flag: bool) {
         self.reads_all.insert(folder.to_string());
-        if !ctx.in_catch && !ctx.in_proc {
+        if flag {
             self.reads.entry(folder.to_string()).or_insert(span);
         }
     }
 
-    fn write(&mut self, folder: &str, span: Span, ctx: WalkCtx) {
+    fn write(&mut self, folder: &str, span: Span, flag: bool) {
         self.writes_all.insert(folder.to_string());
-        if !ctx.in_catch && !ctx.in_proc {
+        if flag {
             self.writes.entry(folder.to_string()).or_insert(span);
         }
     }
 
     /// Marks the summary opaque — unless the dynamic construct sits inside
     /// `catch`, which is exempt by convention.
-    fn dynamic(&mut self, ctx: WalkCtx) {
-        if !ctx.in_catch {
-            self.opaque = true;
-        }
+    fn dynamic(&mut self, at: At) {
+        self.opaque |= !at.in_catch;
+    }
+
+    /// Records each growth command outside `catch` in the body of a `while`
+    /// whose exit the dataflow cannot see, once however many such loops
+    /// hold it: commands inside one `[..]` share a span, so `grown` holds
+    /// the commands already recorded.
+    fn grow(&mut self, body: &Body, grown: &mut HashSet<*const Cmd>) {
+        walk_body(body, View::Braced, At::ROOT, &mut |step, at| {
+            if let (Step::Cmd(cmd), false) = (step, at.in_catch) {
+                if let Some((Some(target), _)) = cmd.growth() {
+                    if grown.insert(ptr::from_ref(cmd)) {
+                        self.growth.push(GrowthSite {
+                            target: target.to_string(),
+                            span: cmd.span,
+                            command: ["bc_push", "cab_append"]
+                                [usize::from(cmd.name() == Some("cab_append"))],
+                        });
+                    }
+                }
+            }
+            false
+        });
     }
 }
 
@@ -232,154 +318,6 @@ fn infallible(name: &str) -> bool {
         name,
         "bc_put" | "bc_push" | "bc_del" | "cab_append" | "puts" | "log" | "set" | "list"
     )
-}
-
-/// Walks a nested script.  One that is built at runtime, does not parse or
-/// nests past the depth cap hides arbitrary effects.
-fn walk(body: &Body, ctx: WalkCtx, out: &mut EffectSummary) {
-    match body.view(View::Braced) {
-        State::Parsed(tree) => walk_tree(tree, ctx, out),
-        State::Computed | State::Bad(_) | State::TooDeep => out.dynamic(ctx),
-    }
-}
-
-/// Walks the `[...]` scripts embedded in brace-quoted condition/expr text —
-/// `while {[bc_size Q] > 0}` reads folder `Q`.
-fn walk_cond(cond: &Cond, ctx: WalkCtx, out: &mut EffectSummary) {
-    if cond.braced {
-        for script in cond.scripts() {
-            walk(script, ctx, out);
-        }
-    }
-}
-
-#[allow(clippy::too_many_lines)]
-fn walk_tree(tree: &Tree, ctx: WalkCtx, out: &mut EffectSummary) {
-    // True until a command that can branch, raise, or terminate is passed:
-    // a meet reached while this holds runs on every execution of the script.
-    let mut path_certain = !ctx.conditional;
-    for cmd in &tree.cmds {
-        let span = cmd.span;
-        // Substitutions run as part of word evaluation, in this context.
-        let wctx = WalkCtx {
-            conditional: ctx.conditional || !path_certain,
-            ..ctx
-        };
-        for script in cmd.scripts() {
-            walk(script, wctx, out);
-        }
-        let Some(name) = cmd.name() else {
-            out.dynamic(ctx);
-            path_certain = false;
-            continue;
-        };
-        let all_static = cmd.words.iter().all(|w| w.static_text().is_some());
-        // Everything but a straight-line infallible command (the arms that
-        // `continue`) ends path certainty.
-        match &cmd.shape {
-            Shape::While { cond, body } => {
-                // A runtime-built condition or body hides the loop's effects.
-                if cond.braced && !matches!(body.view(View::Braced), State::Computed) {
-                    walk_cond(cond, ctx, out);
-                    let unbounded = loop_exit(cond, body, ctx.calls) != LoopExit::Seen;
-                    let mut bctx = ctx.nested();
-                    bctx.in_unbounded_loop = ctx.in_unbounded_loop || unbounded;
-                    walk(body, bctx, out);
-                } else {
-                    out.dynamic(ctx);
-                }
-            }
-            // Bounded by its list: never an unbounded-growth site.
-            Shape::Foreach { body } => walk(body, ctx.nested(), out),
-            Shape::If { arms, .. } => {
-                // A malformed tail is taco-vet's to report (wrong-arity).
-                for arm in arms {
-                    if let Some(cond) = &arm.cond {
-                        walk_cond(cond, ctx, out);
-                    }
-                    walk(&arm.body, ctx.nested(), out);
-                }
-            }
-            Shape::Catch { body } => {
-                let mut cctx = ctx.nested();
-                cctx.in_catch = true;
-                walk(body, cctx, out); // the body may have halted
-            }
-            Shape::Proc { body } => {
-                let mut pctx = ctx.nested();
-                pctx.in_proc = true;
-                walk(body, pctx, out);
-                continue; // defining a proc is pure
-            }
-            // Even a braced eval is a script chosen at runtime to be code;
-            // the summary abstraction deliberately refuses to follow it.
-            // Nor does it look into a control command with the wrong number
-            // of arguments.
-            Shape::Eval { .. } | Shape::Malformed => out.dynamic(ctx),
-            Shape::Expr { cond } => walk_cond(cond, ctx, out),
-            Shape::Plain => {
-                let target = cmd.arg_text(0);
-                match (name, target) {
-                    ("bc_put" | "bc_push", Some(folder)) => out.write(folder, span, ctx),
-                    (
-                        "bc_pop" | "bc_dequeue" | "bc_peek" | "bc_list" | "bc_size" | "bc_del",
-                        Some(folder),
-                    ) => out.read(folder, span, ctx),
-                    ("cab_append" | "cab_contains" | "cab_list" | "cab_pop", Some(cabinet)) => {
-                        out.cabinets.insert(cabinet.to_string());
-                    }
-                    // A refused meet raises, so later ones are conditional.
-                    ("meet", Some(target)) => {
-                        let unconditional =
-                            !ctx.conditional && !ctx.in_catch && !ctx.in_proc && path_certain;
-                        let edge = out.meets.entry(target.to_string()).or_insert(MeetEdge {
-                            span,
-                            unconditional: false,
-                        });
-                        edge.unconditional |= unconditional;
-                    }
-                    (
-                        "bc_put" | "bc_push" | "bc_pop" | "bc_dequeue" | "bc_peek" | "bc_list"
-                        | "bc_size" | "bc_del" | "cab_append" | "cab_contains" | "cab_list"
-                        | "cab_pop" | "meet",
-                        None,
-                    ) => out.dynamic(ctx),
-                    ("move_to" | "send_remote", _) => {
-                        let command = ["send_remote", "move_to"][usize::from(name == "move_to")];
-                        if let Some(site) = target.and_then(as_int) {
-                            out.move_sites.push(SiteRef {
-                                site,
-                                span,
-                                command,
-                            });
-                        }
-                        // Shipped folders are read out of the briefcase.
-                        if name == "send_remote" {
-                            for i in 2..cmd.words.len() - 1 {
-                                match cmd.arg_text(i) {
-                                    Some(folder) => out.read(folder, span, ctx),
-                                    None => out.dynamic(ctx),
-                                }
-                            }
-                        }
-                    }
-                    _ => {}
-                }
-                let grows = ctx.in_unbounded_loop && !ctx.in_catch;
-                if let (true, Some((Some(target), _))) = (grows, cmd.growth()) {
-                    out.growth.push(GrowthSite {
-                        target: target.to_string(),
-                        span,
-                        command: ["bc_push", "cab_append"][usize::from(name == "cab_append")],
-                    });
-                }
-                if infallible(name) && all_static {
-                    continue;
-                }
-            }
-        }
-        path_certain = false;
-    }
 }
 
 // --- fleet composition -------------------------------------------------------
@@ -821,6 +759,15 @@ mod tests {
         assert!(s.writes_all.contains("SAFE"));
         // eval is opaque even when braced.
         assert!(summarize("eval {bc_put X 1}").unwrap().opaque);
+        // Inside catch a braced eval is walked: its effects reach the `_all`
+        // tiers, and it does not make the summary opaque.
+        let s = summarize("catch { eval {bc_put X 1} }").unwrap();
+        assert!(s.writes_all.contains("X"));
+        assert!(!s.writes.contains_key("X"));
+        assert!(!s.opaque);
+        // A computed condition is substituted again when it is evaluated,
+        // which may run any `[..]` its value holds.
+        assert!(summarize("set c 1\nif $c {set y 1}").unwrap().opaque);
     }
 
     #[test]
@@ -836,6 +783,9 @@ mod tests {
         assert!(!s.meets["pong"].unconditional);
         // A meet inside catch is not (failure is absorbed).
         let s = summarize("catch { meet pong }").unwrap();
+        assert!(!s.meets["pong"].unconditional);
+        // Nor is one inside a `[..]`, which the summary cannot place.
+        let s = summarize("set r [meet pong]").unwrap();
         assert!(!s.meets["pong"].unconditional);
     }
 
@@ -887,6 +837,19 @@ mod tests {
             .agent("w", "w.taco", "bc_put PLAN route\nreturn ok")
             .deliver("ACK");
         assert!(audit(&cfg).is_empty());
+        // So does a write the interpreter runs from a braced eval inside
+        // catch, or from a condition it substitutes a second time.
+        for writer in [
+            "catch { eval { bc_put PLAN route } }\nreturn ok",
+            "set c {[bc_put PLAN route]}\nset y [expr $c]\nreturn ok",
+            "set c {[string length [bc_put PLAN route]] == 0}\nif $c {set y 1}\nreturn ok",
+        ] {
+            let cfg = AuditConfig::new()
+                .agent("r", "r.taco", reader)
+                .agent("w", "w.taco", writer)
+                .deliver("ACK");
+            assert!(audit(&cfg).is_empty(), "{writer}");
+        }
         // An opaque agent could write anything: suppressed.
         let cfg = AuditConfig::new()
             .agent("r", "r.taco", reader)

@@ -85,11 +85,6 @@ pub fn as_int(s: &str) -> Option<i64> {
     s.trim().parse::<i64>().ok()
 }
 
-/// Parses a string as a float if possible.
-pub fn as_float(s: &str) -> Option<f64> {
-    s.trim().parse::<f64>().ok()
-}
-
 /// Converts a float result back to a canonical string (integers print without
 /// a decimal point, as Tcl's `expr` does for integral results).
 pub fn num_to_string(v: f64) -> String {
@@ -139,7 +134,6 @@ mod tests {
         assert_eq!(as_int("42"), Some(42));
         assert_eq!(as_int(" -7 "), Some(-7));
         assert_eq!(as_int("4.5"), None);
-        assert_eq!(as_float("4.5"), Some(4.5));
         assert_eq!(num_to_string(3.0), "3");
         assert_eq!(num_to_string(3.25), "3.25");
         assert_eq!(num_to_string(-0.0), "0");

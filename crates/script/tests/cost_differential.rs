@@ -6,7 +6,8 @@
 //! soup over a few shared variable and proc names — `unset`, counted and
 //! uncounted loops, procs that call each other, `[..]`, `catch`, `eval`,
 //! and `return`, `halt`, `break` and `continue` anywhere, nested — and
-//! mutates the shipped `examples/scripts/*.taco`.  Each script runs once
+//! mutates the shipped `examples/scripts/*.taco` (`common/soup.rs`, shared
+//! with `audit_differential.rs`).  Each script runs once
 //! under a fixed step budget.  A run that completes must land inside the
 //! proven interval, and a finite upper bound within the budget must never
 //! let the budget run out.  A run that fails says nothing about `lo`, which
@@ -16,107 +17,26 @@
 //! scripts (`cargo test --release -p tacoma_script -- --ignored`).
 
 use proptest::TestRng;
+use soup::Soup;
 use tacoma_script::{cost_bound, Interp, InterpConfig, NullHost, ScriptError};
 
 #[path = "common/grammar.rs"]
 mod grammar;
+#[path = "common/soup.rs"]
+mod soup;
 
 /// The step budget every script runs under.
 const BUDGET: u64 = 2_000;
 
-const EXAMPLES: &[&str] = &[
-    include_str!("../../../examples/scripts/courier_summary.taco"),
-    include_str!("../../../examples/scripts/guestbook_reader.taco"),
-    include_str!("../../../examples/scripts/hop_counter.taco"),
-    include_str!("../../../examples/scripts/quickstart_tour.taco"),
-    include_str!("../../../examples/scripts/retry_meet.taco"),
-];
-
-const VARS: &[&str] = &["a", "b", "i", "n"];
-const PROCS: &[&str] = &["f", "g"];
-
-fn pick<'a>(rng: &mut TestRng, from: &[&'a str]) -> &'a str {
-    from[rng.below(from.len() as u64) as usize]
-}
-
-/// One to three soup commands, nested `depth` levels deep.
-fn soup_body(rng: &mut TestRng, depth: u32) -> String {
-    let count = 1 + rng.below(3);
-    let cmds: Vec<String> = (0..count).map(|_| soup_cmd(rng, depth)).collect();
-    cmds.join("\n")
-}
-
-fn soup_cmd(rng: &mut TestRng, depth: u32) -> String {
-    let (v, w, f) = (pick(rng, VARS), pick(rng, VARS), pick(rng, PROCS));
-    let k = rng.below(4);
-    let choices = if depth < 3 { 22 } else { 12 };
-    let nested = |rng: &mut TestRng| soup_body(rng, depth + 1);
-    match rng.below(choices) {
-        0 => format!("set {v} {k}"),
-        1 => format!("incr {v}"),
-        2 => format!("unset {v}"),
-        3 => format!("unset {v} {w}"),
-        4 => format!("set {v} [expr ${w} + {k}]"),
-        5 => pick(rng, &["return", "return $a", "halt", "halt done"]).to_string(),
-        6 => "break".to_string(),
-        7 => "continue".to_string(),
-        8 => format!("bc_push OUT {k}"),
-        9 => f.to_string(),
-        10 => format!("set {v} [{f}]"),
-        11 => format!("error {v}"),
-        12 => {
-            let (then, other) = (nested(rng), nested(rng));
-            format!("if {{${v} < {k}}} {{\n{then}\n}} else {{\n{other}\n}}")
-        }
-        13 => format!("if {{{}}} {{\n{}\n}}", rng.below(2), nested(rng)),
-        14 => format!(
-            "set {v} 0\nwhile {{${v} < {k}}} {{\n{}\nincr {v}\n}}",
-            nested(rng)
-        ),
-        15 => format!("while {{${v} < {k}}} {{\n{}\n}}", nested(rng)),
-        16 => format!("foreach {v} {{1 2 3}} {{\n{}\n}}", nested(rng)),
-        17 => format!("catch {{\n{}\n}} {w}", nested(rng)),
-        18 => format!("proc {f} {{}} {{\n{}\n}}", nested(rng)),
-        19 => format!("set {v} [{}]", soup_cmd(rng, depth + 1).replace('\n', ";")),
-        20 => format!("eval {{\n{}\n}}", nested(rng)),
-        _ => format!(
-            "if {{0}} {{set {v} 1}} elseif {{1}} {{\n{}\n}}",
-            nested(rng)
-        ),
-    }
-}
-
-/// A shipped script with one to three lines deleted, duplicated, swapped
-/// or replaced by soup.
-fn mutated(rng: &mut TestRng) -> String {
-    let example = EXAMPLES[rng.below(EXAMPLES.len() as u64) as usize];
-    let mut lines: Vec<String> = example.lines().map(str::to_string).collect();
-    for _ in 0..1 + rng.below(3) {
-        let at = rng.below(lines.len() as u64) as usize;
-        match rng.below(4) {
-            0 => {
-                lines.remove(at);
-            }
-            1 => lines.insert(at, lines[at].clone()),
-            2 => {
-                let other = rng.below(lines.len() as u64) as usize;
-                lines.swap(at, other);
-            }
-            _ => lines.insert(at, soup_cmd(rng, 1)),
-        }
-        if lines.is_empty() {
-            break;
-        }
-    }
-    lines.join("\n")
-}
+/// The soup, with no commands of this test's own.
+const SOUP: Soup = Soup { extra: &[] };
 
 /// Script `seed`: soup, a mutated example or a grammar script.
 fn script(seed: u64) -> String {
     let mut rng = TestRng::deterministic(seed);
     match rng.below(10) {
-        0..=5 => soup_body(&mut rng, 0),
-        6..=8 => mutated(&mut rng),
+        0..=5 => SOUP.body(&mut rng, 0),
+        6..=8 => SOUP.mutated(&mut rng),
         _ => grammar::build_script(rng.next_u64()),
     }
 }

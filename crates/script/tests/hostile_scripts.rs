@@ -39,6 +39,30 @@ fn gates_stay_fast_and_conservative_on_deep_nesting() {
     assert!(spent < Duration::from_secs(10), "gates took {spent:?}");
 }
 
+/// The growth pass walks the body of each loop whose exit it cannot see,
+/// so nested loops have it walk their bodies again, level by level; it
+/// must stay bounded by the depth cap and list each growth site once.
+/// A `TooDeep` leaf may leave any way, so every loop around one has a
+/// visible exit; a `proc` definition leaves nothing, so loops nested
+/// through proc bodies have none at any of their 32 parsed levels (the
+/// cap's 64 levels, two per loop).
+#[test]
+fn the_growth_pass_stays_fast_on_deep_loops() {
+    let open = "while {[bc_size Q]} {bc_push Q x; ";
+    let bare = nest(open, "}");
+    let hidden = nest(&format!("{open}proc p {{}} {{"), "}}");
+    let start = Instant::now();
+    let bare = summarize(&bare).expect("the source itself parses");
+    let hidden = summarize(&hidden).expect("the source itself parses");
+    let spent = start.elapsed();
+    assert!(spent < Duration::from_secs(10), "summaries took {spent:?}");
+    assert!(bare.opaque && hidden.opaque);
+    assert!(bare.growth.is_empty(), "{:?}", bare.growth);
+    let spans: Vec<_> = hidden.growth.iter().map(|site| site.span).collect();
+    assert_eq!(spans.len(), 32, "{spans:?}");
+    assert!(spans.windows(2).all(|pair| pair[0] < pair[1]), "{spans:?}");
+}
+
 /// The call table is built once over the call graph, so a long chain of
 /// procs, each calling the one before, costs the gates time in proportion
 /// to its length, and a `halt` at the far end still reaches the top.

@@ -205,19 +205,6 @@ impl DetRng {
             Some(&items[self.index(items.len())])
         }
     }
-
-    /// Fills a byte buffer with random data.
-    pub fn fill_bytes(&mut self, buf: &mut [u8]) {
-        let mut chunks = buf.chunks_exact_mut(8);
-        for chunk in &mut chunks {
-            chunk.copy_from_slice(&self.next_u64().to_le_bytes());
-        }
-        let rem = chunks.into_remainder();
-        if !rem.is_empty() {
-            let bytes = self.next_u64().to_le_bytes();
-            rem.copy_from_slice(&bytes[..rem.len()]);
-        }
-    }
 }
 
 #[cfg(test)]
@@ -350,18 +337,6 @@ mod tests {
         let mut sorted = v.clone();
         sorted.sort_unstable();
         assert_eq!(sorted, (0..50).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn fill_bytes_fills_odd_lengths() {
-        let mut rng = DetRng::new(31);
-        for len in [0usize, 1, 7, 8, 9, 17, 64] {
-            let mut buf = vec![0u8; len];
-            rng.fill_bytes(&mut buf);
-            if len >= 16 {
-                assert!(buf.iter().any(|&b| b != 0), "very unlikely all-zero fill");
-            }
-        }
     }
 
     #[test]

@@ -391,6 +391,27 @@ fn how_control_leaves_a_body_is_decided_in_the_tree_only() {
     }
 }
 
+/// taco-audit reads the parsed tree through `tree::walk` and `walk_body`
+/// only, so which nested text the effect summary follows, and where it must
+/// give up, is decided in `tree.rs` alone.  The walker `audit.rs` kept of
+/// its own had its own nesting rules: it skipped a braced `eval` inside
+/// `catch` and the second substitution of an unbraced condition, so it
+/// missed writes those runs make and refused correct fleets at install.
+#[test]
+fn the_audit_summary_reads_the_tree_through_the_one_walk() {
+    let audit = format!("{SCRIPT}/audit.rs");
+    for name in ["WalkCtx", "fn walk", "fn walk_cond", "fn walk_tree"] {
+        assert_eq!(total(&audit, name), 0, "{name} in {audit}");
+    }
+    // Nested scripts are not opened by hand.
+    for reach in [".cmds", ".children()", ".scripts()", ".view(", "State::"] {
+        assert_eq!(total(&audit, reach), 0, "{reach} in {audit}");
+    }
+    for walk in ["walk(tree, View::Braced", "walk_body(body, View::Braced"] {
+        assert_eq!(total(&audit, walk), 1, "{walk} in {audit}");
+    }
+}
+
 /// A message crosses `SimNet` without walking an ordered map: the metrics
 /// and the transport it touches on every send hold none.
 #[test]
