@@ -36,8 +36,7 @@
 //! folder produces errors at install time.
 
 use crate::diag::Diagnostic;
-use crate::expr::eval_expr;
-use crate::parser::{var_name, Cursor, IfFault, Span, Word, WordKind, WordPart};
+use crate::parser::{var_names, IfFault, Span, Word, WordKind, WordPart};
 use crate::tree::{
     walk, Arm, At, Binding, Body, Calls, Cmd, Cond, CondPart, Exits, Leave, Script, Shape, State,
     Step, Tree, View,
@@ -236,7 +235,7 @@ impl Prepass {
                 }
                 // Braced text may later be evaluated as a condition or expr:
                 // harvest its `$name`s.
-                WordKind::Braced(text) => self.reads.extend(cond_var_names(text)),
+                WordKind::Braced(text) => self.reads.extend(var_names(text).map(str::to_string)),
             }
         }
         let Some(name) = cmd.name() else {
@@ -672,19 +671,6 @@ fn arity_msg(name: &str, min: usize, max: Option<usize>, got: usize) -> String {
     format!("wrong number of arguments to '{name}': expected {expected}, got {got}")
 }
 
-/// All `$name` / `${name}` variable names mentioned in condition text.
-fn cond_var_names(text: &str) -> BTreeSet<String> {
-    let mut cur = Cursor::new(text);
-    let mut out = BTreeSet::new();
-    while let Some(c) = cur.bump() {
-        if c == '$' {
-            out.insert(var_name(&mut cur).to_string());
-        }
-    }
-    out.remove("");
-    out
-}
-
 /// How a `while` loop can end: the one verdict taco-vet's no-loop-exit
 /// warning and taco-audit's unbounded-growth check share.
 #[derive(Debug, PartialEq, Eq)]
@@ -714,10 +700,14 @@ pub(crate) fn loop_exit(cond: &Cond, body: &Body, calls: &Calls) -> LoopExit {
                 .as_ref()
                 .is_none_or(|writes| !writes.is_disjoint(vars))
     };
-    let vars = match &cond.text {
-        Some(text) if !text.contains('[') => {
-            let vars = cond_var_names(text);
-            if vars.is_empty() && !eval_expr(text).is_ok_and(|v| is_truthy(&v)) {
+    let vars = match &cond.expr {
+        // A condition that does not parse raises at its first test.
+        Some(Err(_)) => return LoopExit::Seen,
+        Some(Ok(expr)) if cond.scripts().next().is_none() => {
+            let vars: BTreeSet<String> = (0..cond.parts.len())
+                .filter_map(|i| cond.var(i).map(str::to_string))
+                .collect();
+            if vars.is_empty() && !expr.eval(&[]).is_ok_and(|v| is_truthy(&v)) {
                 return LoopExit::Seen;
             }
             vars
@@ -912,8 +902,10 @@ mod tests {
             codes("while {1} { foreach x {1 2} { break } }"),
             vec!["no-loop-exit"]
         );
-        // Constant-false conditions are zero-trip, not infinite.
+        // Constant-false conditions are zero-trip, not infinite, and a
+        // condition that does not parse raises at its first test.
         assert_eq!(vet("while {0} { puts idle }"), vec![]);
+        assert_eq!(vet("set i 0\nwhile {$i <} { puts idle }"), vec![]);
     }
 
     #[test]

@@ -16,7 +16,8 @@
 //!    cabinet or meet names and any `eval`, make the summary *opaque* (the
 //!    agent is then assumed to read and write everything); effects inside
 //!    `catch` are never flagged (failing inside `catch` is a supported
-//!    idiom).
+//!    idiom), and a computed folder, cabinet or command name there makes
+//!    the agent a universal reader and writer without making it opaque.
 //! 2. **Fleet composition** ([`audit`]): summaries plus declared native
 //!    agents, injected briefcase folders and declared deliverables are
 //!    composed into writer/reader sets and a meet graph, yielding five coded
@@ -153,6 +154,11 @@ pub struct EffectSummary {
     /// under-approximates and the agent must be treated as a universal
     /// reader/writer.
     pub opaque: bool,
+    /// Inside `catch`, a folder or cabinet name, or a command name, is
+    /// computed at run time: `reads_all`, `writes_all` and `cabinets` may
+    /// miss what it touches, so the fleet treats the agent as a universal
+    /// reader and writer of folders.  The flaggable tiers stay exempt.
+    pub(crate) reaches_any: bool,
 }
 
 /// Extracts the effect summary of one script.  Returns the parse error if
@@ -207,7 +213,7 @@ impl EffectSummary {
         // On the normal path: not in `catch`, a proc body or an `eval`.
         let flag = at.in_scope && !at.in_catch;
         let Some(name) = cmd.name() else {
-            return self.dynamic(at);
+            return self.any_name(at);
         };
         let span = cmd.span;
         match &cmd.shape {
@@ -240,11 +246,12 @@ impl EffectSummary {
                 });
                 edge.unconditional |= at.top && certain;
             }
+            ("meet", None) => self.dynamic(at),
             (
                 "bc_put" | "bc_push" | "bc_pop" | "bc_dequeue" | "bc_peek" | "bc_list" | "bc_size"
-                | "bc_del" | "cab_append" | "cab_contains" | "cab_list" | "cab_pop" | "meet",
+                | "bc_del" | "cab_append" | "cab_contains" | "cab_list" | "cab_pop",
                 None,
-            ) => self.dynamic(at),
+            ) => self.any_name(at),
             ("move_to" | "send_remote", _) => {
                 let command = ["send_remote", "move_to"][usize::from(name == "move_to")];
                 if let Some(site) = target.and_then(as_int) {
@@ -259,7 +266,7 @@ impl EffectSummary {
                     for i in 2..cmd.words.len() - 1 {
                         match cmd.arg_text(i) {
                             Some(folder) => self.read(folder, span, flag),
-                            None => self.dynamic(at),
+                            None => self.any_name(at),
                         }
                     }
                 }
@@ -286,6 +293,13 @@ impl EffectSummary {
     /// `catch`, which is exempt by convention.
     fn dynamic(&mut self, at: At) {
         self.opaque |= !at.in_catch;
+    }
+
+    /// A name computed at run time that may be any folder or cabinet:
+    /// inside `catch`, the `_all` tiers and `cabinets` may hold any name.
+    fn any_name(&mut self, at: At) {
+        self.dynamic(at);
+        self.reaches_any |= at.in_catch;
     }
 
     /// Records each growth command outside `catch` in the body of a `while`
@@ -461,8 +475,9 @@ struct Node<'a> {
     /// A script's summary; `None` for a native agent, which can always stop
     /// meeting back.
     summary: Option<EffectSummary>,
-    /// Universal reader/writer: opaque script, unknown native, or a
-    /// wellknown service agent not modelled precisely.
+    /// Universal reader/writer: opaque script, one that reaches any folder
+    /// from `catch`, unknown native, or a wellknown service agent not
+    /// modelled precisely.
     universal: bool,
     /// Folders a precisely modelled native reads.
     native_reads: &'static [&'static str],
@@ -513,7 +528,7 @@ fn compose<'a>(
             Some(Ok(summary)) => nodes.push(Node {
                 name,
                 source,
-                universal: summary.opaque,
+                universal: summary.opaque || summary.reaches_any,
                 summary: Some(summary),
                 native_reads: &[],
             }),
@@ -850,6 +865,17 @@ mod tests {
                 .deliver("ACK");
             assert!(audit(&cfg).is_empty(), "{writer}");
         }
+        // A name computed inside `catch` could be any folder: the writer is
+        // not opaque, yet it may write PLAN.
+        let writer = "set f PLAN\ncatch { bc_put $f route }\nreturn ok";
+        let cfg = AuditConfig::new()
+            .agent("r", "r.taco", reader)
+            .agent("w", "w.taco", writer)
+            .site_count(2)
+            .deliver("ACK");
+        assert!(audit(&cfg).is_empty(), "{:?}", audit(&cfg));
+        let s = summarize(writer).unwrap();
+        assert!(s.reaches_any && !s.opaque && s.writes_all.is_empty());
         // An opaque agent could write anything: suppressed.
         let cfg = AuditConfig::new()
             .agent("r", "r.taco", reader)

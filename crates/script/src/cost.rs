@@ -20,6 +20,7 @@
 use std::collections::BTreeMap;
 use std::iter;
 
+use crate::expr::{Expr, Op};
 use crate::parser::{ParseError, Word, WordKind, WordPart};
 use crate::tree::{
     add, any_in_scope, Arm, At, Body, Cmd, Cond, Exits, Script, Shape, State, Tree, Vars, View,
@@ -520,8 +521,7 @@ impl Analyzer<'_> {
     }
 
     fn while_cost(&mut self, cond: &Cond, body: &Body, env: &mut Env, adepth: u32) -> Cost {
-        let (Some(cond_text), State::Parsed(body_tree)) = (&cond.text, body.view(View::Literal))
-        else {
+        let (Some(_), State::Parsed(body_tree)) = (&cond.expr, body.view(View::Literal)) else {
             env.clear();
             return Cost::poison();
         };
@@ -532,7 +532,7 @@ impl Analyzer<'_> {
         let mut loop_env = env.clone();
         forget(&mut loop_env, &written);
 
-        let inference = self.counted_loop(cond_text, cond, body, body_tree, env);
+        let inference = self.counted_loop(cond, body, body_tree, env);
 
         let cond_cost = self.scripts_cost(cond.scripts(), &loop_env, adepth);
         let body_cost = self
@@ -755,9 +755,10 @@ impl<'t> Analyzer<'t> {
     /// Returns `(n, m)`: `n` = maximum iterations, `m` = minimum iterations on
     /// a successful run. Requirements (all structural, zero false positives):
     ///
-    /// - the condition's first `&&`-conjunct is `$var op bound` with
-    ///   `op ∈ {<, <=, >, >=}` and `bound` a literal int or env-exact variable;
-    /// - no top-level `||` in the condition;
+    /// - the first conjunct of the condition's top-level `&&` chain is
+    ///   `$var op bound` with `op ∈ {<, <=, >, >=}` and `bound` a literal
+    ///   integer or an env-exact variable;
+    /// - the condition is not a top-level `||`;
     /// - `var` starts env-exact;
     /// - exactly one top-level body command steps `var` by a constant `k`
     ///   (`incr var`, `incr var k`, `set var [expr $var ± k]`), no other writes
@@ -769,31 +770,41 @@ impl<'t> Analyzer<'t> {
     ///   condition (and an `expr` step) is evaluated in `f64`.
     fn counted_loop(
         &mut self,
-        cond_text: &str,
         cond: &Cond,
         body: &Body,
         body_tree: &Tree,
         env: &Env,
     ) -> Option<(u64, u64)> {
-        let conjuncts = split_conjuncts(cond_text)?;
-        let (var, op, bound_ref) = parse_guard(conjuncts.first()?)?;
-        let bound = match bound_ref {
-            BoundRef::Literal(b) => b,
-            BoundRef::Var(name) => *env.get(&name)?,
+        // A condition that does not parse raises at its first test.
+        let Ok(expr) = cond.expr.as_ref()? else {
+            return Some((0, 0));
         };
-        let start = *env.get(&var)?;
+        let (guard, rest) = expr.conjuncts()?;
+        let Expr::Chain(counter, compared) = guard else {
+            return None;
+        };
+        let (Expr::Leaf(counter), [(op, bound)]) = (&**counter, compared.as_slice()) else {
+            return None;
+        };
+        let var = cond.var(*counter)?;
+        let bound = match bound {
+            Expr::Num(n) if n.fract() == 0.0 => *n as i64,
+            Expr::Leaf(i) => *env.get(cond.var(*i)?)?,
+            _ => return None,
+        };
+        let start = *env.get(var)?;
 
         // Exactly one self-step of the counter at the top level, and no other
         // writes to it, no eval/opacity, no `continue`.
-        let mut steps = body_tree.cmds.iter().filter_map(|cmd| self_step(cmd, &var));
+        let mut steps = body_tree.cmds.iter().filter_map(|cmd| self_step(cmd, var));
         let k = steps.next()?;
         if steps.next().is_some()
             || k == 0
             || ![start, bound, k].into_iter().all(f64_exact)
-            || self.body_touches_counter_unsafely(body, &var)
+            || self.body_touches_counter_unsafely(body, var)
             || self
                 .writes_of(cond.scripts())
-                .is_none_or(|written| written.contains(&var))
+                .is_none_or(|written| written.contains(var))
         {
             return None;
         }
@@ -802,22 +813,23 @@ impl<'t> Analyzer<'t> {
         // negated bound.
         let (a, b, k) = (i128::from(start), i128::from(bound), i128::from(k));
         let (a, b, k) = match op {
-            GuardOp::Lt | GuardOp::Le => (a, b, k),
-            GuardOp::Gt | GuardOp::Ge => (-a, -b, -k),
+            Op::Lt | Op::Le => (a, b, k),
+            Op::Gt | Op::Ge => (-a, -b, -k),
+            _ => return None,
         };
         if k <= 0 {
             return None;
         }
         let n = match op {
-            GuardOp::Lt | GuardOp::Gt if a < b => (b - a + k - 1) / k,
-            GuardOp::Le | GuardOp::Ge if a <= b => (b - a) / k + 1,
+            Op::Lt | Op::Gt if a < b => (b - a + k - 1) / k,
+            Op::Le | Op::Ge if a <= b => (b - a) / k + 1,
             _ => 0,
         };
         let n: u64 = n.try_into().ok()?;
 
-        // Lower bound: the full n iterations run iff the guard conjunct is the
-        // whole condition and nothing may stop the loop early.
-        let full = conjuncts.len() == 1 && !self.stops_early(body);
+        // Lower bound: the full n iterations run iff every other conjunct is
+        // true whatever the leaves hold and nothing may stop the loop early.
+        let full = rest.iter().all(|(_, e)| e.holds()) && !self.stops_early(body);
         Some((n, if full { n } else { 0 }))
     }
 
@@ -827,65 +839,6 @@ impl<'t> Analyzer<'t> {
         body.exits(View::Literal, &self.script.calls)
             .may(Exits::STOP)
     }
-}
-
-enum BoundRef {
-    Literal(i64),
-    Var(String),
-}
-
-#[derive(Clone, Copy)]
-enum GuardOp {
-    Lt,
-    Le,
-    Gt,
-    Ge,
-}
-
-/// Split a condition on top-level (bracket-depth-0) `&&`. Returns `None`
-/// when a top-level `||` is present (either side may keep the loop alive).
-fn split_conjuncts(text: &str) -> Option<Vec<&str>> {
-    let mut parts = Vec::new();
-    let (mut depth, mut start) = (0usize, 0);
-    for (i, pair) in text.as_bytes().windows(2).enumerate() {
-        match pair {
-            [b'[', _] => depth += 1,
-            [b']', _] => depth = depth.saturating_sub(1),
-            // `start` skips the second `&` of a pair.
-            [b'&', b'&'] if depth == 0 && i >= start => {
-                parts.push(&text[start..i]);
-                start = i + 2;
-            }
-            [b'|', b'|'] if depth == 0 => return None,
-            _ => {}
-        }
-    }
-    parts.push(&text[start..]);
-    Some(parts)
-}
-
-/// Parse `$var op bound` where the whole conjunct is exactly that shape.
-fn parse_guard(conjunct: &str) -> Option<(String, GuardOp, BoundRef)> {
-    let var = |token: &str| {
-        let name = token.strip_prefix('$')?;
-        let plain = !name.is_empty() && name.chars().all(|c| c.is_alphanumeric() || c == '_');
-        plain.then(|| name.to_string())
-    };
-    let [counter, op, bound] = conjunct.split_whitespace().collect::<Vec<_>>()[..] else {
-        return None;
-    };
-    let op = match op {
-        "<" => GuardOp::Lt,
-        "<=" => GuardOp::Le,
-        ">" => GuardOp::Gt,
-        ">=" => GuardOp::Ge,
-        _ => return None,
-    };
-    let bound = match bound.parse::<i64>() {
-        Ok(n) => BoundRef::Literal(n),
-        Err(_) => BoundRef::Var(var(bound)?),
-    };
-    Some((var(counter)?, op, bound))
 }
 
 /// Match a top-level command that steps `var` by a constant:
@@ -1069,6 +1022,46 @@ mod tests {
         assert_eq!(b.steps.lo, 2 + 1); // two sets + the while command
         assert_eq!(b.verdict(), "bounded");
         assert_eq!(run_steps(src), 13);
+    }
+
+    /// The guard is read off the condition's `Expr`, so its spelling does
+    /// not matter: no spaces, parentheses, or a constant-true conjunct whose
+    /// string holds `||`.
+    #[test]
+    fn counted_while_guard_spellings() {
+        for cond in ["$i<10", "($i < 10)", "$i < 10 && \"x||y\" ne \"\""] {
+            let src = format!("set i 0; while {{{cond}}} {{incr i}}; return $i");
+            assert_eq!(bound(&src).steps, CostInterval::exact(23), "{cond}");
+            assert_eq!(run_steps(&src), 23, "{cond}");
+        }
+    }
+
+    /// `&&` asks its operands for a number, so a quoted zero is false there
+    /// though `if "0.0"` takes the branch: such a conjunct is not
+    /// constant-true, and lo counts no iteration.
+    #[test]
+    fn counted_while_quoted_zero_conjunct() {
+        for zero in ["\"00\"", "\"0.0\"", "\"0e0\""] {
+            let src = format!("set i 0; while {{$i < 10 && {zero}}} {{incr i}}; return $i");
+            let b = bound(&src);
+            assert_eq!((b.steps.lo, b.steps.hi), (3, Some(23)), "{zero}");
+            assert_eq!(run_steps(&src), 3, "{zero}");
+        }
+    }
+
+    /// A condition that does not parse raises at its first test, after its
+    /// `[..]` scripts ran: the body never runs.
+    #[test]
+    fn while_with_a_condition_that_does_not_parse() {
+        for cond in ["$i < +3", "$i < 3 &&", "[incr i] <"] {
+            let src = format!("set i 0; while {{{cond}}} {{incr i}}");
+            let hi = 2 + u64::from(cond.starts_with('['));
+            assert_eq!(bound(&src).steps.hi, Some(hi), "{cond}");
+            let mut host = NullHost;
+            let mut interp = Interp::new(&mut host);
+            assert!(interp.run(&src).is_err(), "{cond}");
+            assert_eq!(interp.steps(), hi, "{cond}");
+        }
     }
 
     #[test]

@@ -7,11 +7,11 @@
 //! §3 motivates exactly this kind of resource control ("charging for services
 //! would limit possible damage by a run-away agent").
 
-use crate::expr::eval_expr;
+use crate::expr::{eval_expr, read, Reading};
 use crate::host::ScriptHost;
 use crate::parser::{
-    control, if_chain, parse_script, pieces, Clause, Command, Control, IfFault, Piece, Word,
-    WordKind, WordPart,
+    control, if_chain, parse_script, Clause, Command, Control, IfFault, Leaf, Word, WordKind,
+    WordPart,
 };
 use crate::value::{as_int, format_list, is_truthy, parse_list};
 use std::collections::HashMap;
@@ -583,42 +583,24 @@ impl<'h> Interp<'h> {
         self.expr(cond, line, depth).map(|v| is_truthy(&v))
     }
 
-    /// Evaluates a condition, or the argument of a one-argument `expr`: its
-    /// `$name`s and `[..]` scripts are substituted first, as Tcl's `expr`
-    /// does for a brace-quoted argument.
+    /// Evaluates a condition, or the argument of a one-argument `expr`, as
+    /// Tcl's `expr` does a brace-quoted argument: its leaves, the `$name`s
+    /// and `[..]` scripts, are resolved in order first, then the expression
+    /// is evaluated over their values (or its syntax error raised).
     fn expr(&mut self, text: &str, line: u32, depth: u32) -> Result<String, ScriptError> {
-        let substituted = self.substitute(text, depth)?;
-        eval_expr(&substituted).map_err(|e| ScriptError::Runtime(format!("line {line}: {e}")))
-    }
-
-    /// Substitutes the `$name` and `[..]` pieces of `expr` text.
-    ///
-    /// Substituted values are spliced back in *double-quoted*, with `"` and
-    /// `\` escaped, so that empty strings and values containing spaces or
-    /// quotes survive the trip into `expr` as one string.  Values already
-    /// inside a quoted region are spliced verbatim.
-    fn substitute(&mut self, src: &str, depth: u32) -> Result<String, ScriptError> {
-        let mut out = String::with_capacity(src.len());
-        let mut in_quotes = false;
-        for (_, piece) in pieces(src) {
-            match piece {
-                Piece::Text(text) => {
-                    in_quotes ^= text.matches('"').count() % 2 == 1;
-                    out.push_str(text);
-                }
-                Piece::Var(name) => {
-                    let value = self.get_var(name).ok_or_else(|| {
-                        ScriptError::Runtime(format!("undefined variable '{name}'"))
-                    })?;
-                    splice(&mut out, value, in_quotes);
-                }
-                Piece::Script(script) => {
-                    let value = self.eval_script(script, depth + 1)?.value();
-                    splice(&mut out, &value, in_quotes);
-                }
-            }
+        let Reading { leaves, expr } = read(text);
+        let mut values = Vec::with_capacity(leaves.len());
+        for (_, leaf) in leaves {
+            values.push(match leaf {
+                Leaf::Var(name) => self
+                    .get_var(name)
+                    .map(str::to_string)
+                    .ok_or_else(|| ScriptError::Runtime(format!("undefined variable '{name}'")))?,
+                Leaf::Script(script) => self.eval_script(script, depth + 1)?.value(),
+            });
         }
-        Ok(out)
+        let value = expr.and_then(|expr| expr.eval(&values));
+        value.map_err(|e| ScriptError::Runtime(format!("line {line}: {e}")))
     }
 
     fn cmd_while(
@@ -751,21 +733,6 @@ impl<'h> Interp<'h> {
     }
 }
 
-/// Appends a substituted value to `expr` text (see [`Interp::substitute`]).
-fn splice(out: &mut String, value: &str, in_quotes: bool) {
-    if in_quotes {
-        return out.push_str(value);
-    }
-    out.push('"');
-    for c in value.chars() {
-        if matches!(c, '"' | '\\') {
-            out.push('\\');
-        }
-        out.push(c);
-    }
-    out.push('"');
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -824,6 +791,27 @@ mod tests {
         assert_eq!(run("set x {a\"b}; if {$x eq $x} {set r yes}"), "yes");
         assert_eq!(run("set x a\\\\; expr {$x eq \"a\\\\\"}"), "1");
         assert_eq!(run("set x {\\\"}; expr {$x eq \"\\\\\\\"\"}"), "1");
+    }
+
+    /// A value substituted inside quotes is string content: it is not
+    /// tokenized again, so its `"` and `\` stay in the string, in `'..'`
+    /// as in `".."`.
+    #[test]
+    fn values_inside_quotes_are_string_content() {
+        assert_eq!(
+            run("set x {a\"b}; set y \"a\\\"b\"; expr {\"$x\" eq $y}"),
+            "1"
+        );
+        assert_eq!(run(r#"set x a\\; expr {'<$x>' eq "<a\\>"}"#), "1");
+    }
+
+    /// Every leaf is resolved before the expression is evaluated or its
+    /// syntax error raised.
+    #[test]
+    fn leaves_resolve_before_the_expression_is_read() {
+        assert_eq!(run("set i 0\ncatch {expr {[incr i] +}}\nset i"), "1");
+        let err = run_with(&mut RecordingHost::new(), "expr {$undefined > @}").unwrap_err();
+        assert!(err.to_string().contains("undefined variable"), "{err}");
     }
 
     #[test]

@@ -233,21 +233,42 @@ pub(crate) fn bracketed<'a>(cur: &mut Cursor<'a>) -> (&'a str, bool) {
     (rest, false)
 }
 
-/// One piece of text that is substituted before `expr` evaluates it: an
-/// `if` or `while` condition, or the argument of a one-argument `expr`.
+/// Every `$name` in `text`, wherever it stands (inside `[..]`, quotes or
+/// braces too): taco-vet's deliberate over-collection of what a brace-quoted
+/// word may read once it is evaluated as a condition or a script.
+pub(crate) fn var_names(text: &str) -> impl Iterator<Item = &str> {
+    let mut cur = Cursor::new(text);
+    std::iter::from_fn(move || loop {
+        if cur.bump()? == '$' {
+            match var_name(&mut cur) {
+                "" => {}
+                name => return Some(name),
+            }
+        }
+    })
+}
+
+/// One piece of condition text, read before substitution: an `if` or
+/// `while` condition, or the argument of a one-argument `expr`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Piece<'a> {
-    /// Text that is copied as it is.
+    /// Text that `expr` tokenizes.
     Text(&'a str),
+    Leaf(Leaf<'a>),
+}
+
+/// What is substituted in condition text.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Leaf<'a> {
     /// A `$name` or `${name}` read.
     Var(&'a str),
     /// A `[..]` script, closed or not.
     Script(&'a str),
 }
 
-/// Reads substituted text into [`Piece`]s, each with the position of its
-/// first character.  The interpreter substitutes what this yields, and the
-/// parsed tree is built from the same reading.
+/// Reads condition text into [`Piece`]s, each with the position of its
+/// first character: what `expr.rs`'s one reading of a condition is built
+/// from.
 pub(crate) fn pieces(text: &str) -> impl Iterator<Item = (Span, Piece<'_>)> {
     let mut cur = Cursor::new(text);
     std::iter::from_fn(move || {
@@ -255,9 +276,9 @@ pub(crate) fn pieces(text: &str) -> impl Iterator<Item = (Span, Piece<'_>)> {
         let piece = match cur.bump()? {
             '$' => match var_name(&mut cur) {
                 "" => Piece::Text("$"),
-                name => Piece::Var(name),
+                name => Piece::Leaf(Leaf::Var(name)),
             },
-            '[' => Piece::Script(bracketed(&mut cur).0),
+            '[' => Piece::Leaf(Leaf::Script(bracketed(&mut cur).0)),
             _ => {
                 while cur.peek().is_some_and(|c| c != '$' && c != '[') {
                     cur.bump();
@@ -710,22 +731,28 @@ mod tests {
     #[test]
     fn pieces_read_vars_and_scripts() {
         let read: Vec<_> = pieces("$a+${b c}<[f [g]] \"$\" [open").collect();
+        let (var, script) = (
+            |v| Piece::Leaf(Leaf::Var(v)),
+            |s| Piece::Leaf(Leaf::Script(s)),
+        );
         assert_eq!(
             read,
             [
-                (Span::new(1, 1), Piece::Var("a")),
+                (Span::new(1, 1), var("a")),
                 (Span::new(1, 3), Piece::Text("+")),
-                (Span::new(1, 4), Piece::Var("b c")),
+                (Span::new(1, 4), var("b c")),
                 (Span::new(1, 10), Piece::Text("<")),
-                (Span::new(1, 11), Piece::Script("f [g]")),
+                (Span::new(1, 11), script("f [g]")),
                 (Span::new(1, 18), Piece::Text(" \"")),
                 (Span::new(1, 20), Piece::Text("$")),
                 (Span::new(1, 21), Piece::Text("\" ")),
-                (Span::new(1, 23), Piece::Script("open")),
+                (Span::new(1, 23), script("open")),
             ]
         );
         let unclosed: Vec<_> = pieces("${x").map(|(_, piece)| piece).collect();
-        assert_eq!(unclosed, [Piece::Var("x")]);
+        assert_eq!(unclosed, [var("x")]);
+        let names: Vec<_> = var_names("{$a [$b] \"$\" ${c d}$}").collect();
+        assert_eq!(names, ["a", "b", "c d"]);
     }
 
     /// Reads the `if` chain over literal words.

@@ -26,14 +26,19 @@
 //! body ([`Exits`]), with proc calls resolved through the script's
 //! [`Calls`] table.
 //!
+//! A condition is read once, by `expr.rs`: its `$name` and `[..]` leaves
+//! become a [`Cond`]'s parts and its grammar an [`Expr`] over them, which
+//! taco-vet's loop-exit verdict and taco-cost's counted-loop guard read.
 //! The interpreter still takes text (ROADMAP item 2), but it reads that text
-//! with the same [`pieces`] and [`control`] decoding the tree is built from.
+//! with the same `expr::read` and [`control`] decoding the tree is built
+//! from.
 
 use crate::builtins::builtin;
+use crate::expr::{read, Expr, ExprError, Reading};
 use crate::graph::Digraph;
 use crate::parser::{
-    control, if_chain, parse_script, pieces, Control, IfFault, ParseError, Piece, Span, Word,
-    WordKind, WordPart,
+    control, if_chain, parse_script, Control, IfFault, Leaf, ParseError, Span, Word, WordKind,
+    WordPart,
 };
 use crate::value::parse_list;
 use std::collections::{BTreeMap, BTreeSet};
@@ -547,16 +552,18 @@ pub(crate) struct Arm {
     pub body: Body,
 }
 
-/// A condition word: text whose [`pieces`] are substituted before `expr`
-/// evaluates it.
+/// A condition word, as `expr.rs` reads it once for the interpreter and
+/// every analysis.
 #[derive(Debug)]
 pub(crate) struct Cond {
-    /// The condition text, or `None` when it is computed at run time.
-    pub text: Option<String>,
     /// Brace-quoted, so spans inside it are exact (see [`Body::braced`]).
     pub braced: bool,
-    /// The `$name` reads and `[..]` scripts of `text`, in evaluation order.
+    /// Its leaves, the `$name` reads and `[..]` scripts, in evaluation
+    /// order: leaf `i` of `expr` is `parts[i]`.
     pub parts: Vec<CondPart>,
+    /// The expression over `parts`, or its syntax error; `None` when the
+    /// text is computed at run time.
+    pub expr: Option<Result<Expr, ExprError>>,
 }
 
 impl Cond {
@@ -566,6 +573,14 @@ impl Cond {
             CondPart::Script(body) => Some(body),
             CondPart::Var(..) => None,
         })
+    }
+
+    /// The variable leaf `i` reads, when it is a `$name`.
+    pub fn var(&self, i: usize) -> Option<&str> {
+        match self.parts.get(i)? {
+            CondPart::Var(name, _) => Some(name),
+            CondPart::Script(_) => None,
+        }
     }
 }
 
@@ -843,29 +858,25 @@ fn body_of(word: &Word, depth: u32) -> Body {
 /// is evaluated, which runs whatever `[..]` scripts its value holds: known
 /// only then, so its one part is a computed script.
 fn cond_of(word: &Word, depth: u32) -> Cond {
-    let text = word.static_text();
-    let parts = match text {
-        Some(t) => scan_cond(t, content_base(word), depth),
-        None => vec![CondPart::Script(Body::computed())],
+    let base = content_base(word);
+    let (parts, expr) = match word.static_text().map(read) {
+        Some(Reading { leaves, expr }) => {
+            let parts = leaves.into_iter().map(|(at, leaf)| match leaf {
+                Leaf::Var(name) => CondPart::Var(name.to_string(), map_span(base, at)),
+                Leaf::Script(script) => {
+                    let inner = map_span(base, Span::new(at.line, at.col + 1));
+                    CondPart::Script(nested(script, inner, depth, true))
+                }
+            });
+            (parts.collect(), Some(expr))
+        }
+        None => (vec![CondPart::Script(Body::computed())], None),
     };
     Cond {
-        text: text.map(str::to_string),
         braced: matches!(word.kind, WordKind::Braced(_)),
         parts,
+        expr,
     }
-}
-
-/// The `$name` reads and `[..]` scripts of condition text, in order.
-fn scan_cond(text: &str, base: Span, depth: u32) -> Vec<CondPart> {
-    let parts = pieces(text).filter_map(|(at, piece)| match piece {
-        Piece::Var(name) => Some(CondPart::Var(name.to_string(), map_span(base, at))),
-        Piece::Script(script) => {
-            let inner = map_span(base, Span::new(at.line, at.col + 1));
-            Some(CondPart::Script(nested(script, inner, depth, true)))
-        }
-        Piece::Text(_) => None,
-    });
-    parts.collect()
 }
 
 fn decode(words: &[Word], depth: u32) -> Shape {

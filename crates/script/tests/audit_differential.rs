@@ -7,11 +7,14 @@
 //! the cost differential's statement soup, with literal briefcase, cabinet,
 //! `meet` and `send_remote` commands over a few names added, and the shape
 //! Tcl substitutes twice (`set v {[bc_put F k]}` then `expr $v` or
-//! `if $v {..}`), plus mutated `examples/scripts/*.taco`.  Each script runs
-//! once under a fixed step budget on a host that records every folder read
-//! or written and every cabinet touched, whether or not the run completes.
+//! `if $v {..}`), and folder or cabinet names computed inside `catch`; plus
+//! mutated `examples/scripts/*.taco`.  Each script runs once under a fixed
+//! step budget on a host that records every folder read or written and
+//! every cabinet touched, whether or not the run completes.
 //! For every summary that is not opaque, each of those must lie within
-//! `reads_all`, `writes_all` and `cabinets`.
+//! `reads_all`, `writes_all` and `cabinets`, unless the fleet treats the
+//! agent as a universal reader and writer (a name computed inside `catch`
+//! may be any name).
 //!
 //! The default test runs a CI-sized batch; the ignored soak runs 200 000
 //! scripts (`cargo test --release -p tacoma_script -- --ignored`).
@@ -19,7 +22,9 @@
 use proptest::TestRng;
 use soup::{pick, Soup, VARS};
 use std::collections::BTreeSet;
-use tacoma_script::{summarize, Interp, InterpConfig, RecordingHost, ScriptHost};
+use tacoma_script::{
+    audit, summarize, AuditConfig, Interp, InterpConfig, RecordingHost, ScriptHost,
+};
 
 #[path = "common/soup.rs"]
 mod soup;
@@ -29,7 +34,13 @@ const CABINETS: &[&str] = &["c1", "c2"];
 
 /// The soup, with this test's commands added.
 const SOUP: Soup = Soup {
-    extra: &[folder_op, cabinet_op, remote_op, substituted_twice],
+    extra: &[
+        folder_op,
+        cabinet_op,
+        remote_op,
+        substituted_twice,
+        computed_in_catch,
+    ],
 };
 
 fn folder_op(rng: &mut TestRng) -> String {
@@ -69,6 +80,23 @@ fn substituted_twice(rng: &mut TestRng) -> String {
         0 => format!("set {v} {{[{script}]}}\nset {w} [expr ${v}]"),
         _ => format!("set {v} {{[{script}]}}\nif ${v} {{set {w} 1}}"),
     }
+}
+
+/// A folder or cabinet named by a variable inside `catch`, which the audit
+/// exempts from opacity.
+fn computed_in_catch(rng: &mut TestRng) -> String {
+    let (f, c, v, w) = (
+        pick(rng, FOLDERS),
+        pick(rng, CABINETS),
+        pick(rng, VARS),
+        pick(rng, VARS),
+    );
+    let (name, command) = match rng.below(3) {
+        0 => (f, format!("bc_put ${v} {}", rng.below(4))),
+        1 => (f, format!("set {w} [bc_pop ${v}]")),
+        _ => (c, format!("cab_append ${v} {f} 1")),
+    };
+    format!("set {v} {name}\ncatch {{ {command} }}")
 }
 
 /// Script `seed`: soup or a mutated example.
@@ -170,11 +198,25 @@ impl ScriptHost for Witness {
     }
 }
 
+/// Whether the fleet audit treats the agent running `src` as a universal
+/// reader and writer: beside it, a reader of a folder nobody names is not
+/// refused.
+fn is_universal(src: &str) -> bool {
+    let probe = "set v [bc_pop UNNAMED]\nreturn ok";
+    let fleet =
+        AuditConfig::new()
+            .agent("agent", "agent.taco", src)
+            .agent("probe", "probe.taco", probe);
+    !audit(&fleet)
+        .iter()
+        .any(|f| f.agent == "probe" && f.diag.code == "folder-never-produced")
+}
+
 fn differential(scripts: u64) {
     // Per category (read, write, cabinet): the scripts whose summary misses
     // an effect of their run.
     let mut missed: [Vec<u64>; 3] = Default::default();
-    let mut summaries = 0;
+    let (mut summaries, mut universal) = (0, 0);
     for seed in 0..scripts {
         let src = script(seed);
         let Ok(summary) = summarize(&src) else {
@@ -184,6 +226,11 @@ fn differential(scripts: u64) {
             continue;
         }
         summaries += 1;
+        // Every name is in the `_all` tiers and `cabinets`.
+        if is_universal(&src) {
+            universal += 1;
+            continue;
+        }
         let mut witness = Witness {
             host: RecordingHost::new(),
             ..Witness::default()
@@ -207,8 +254,8 @@ fn differential(scripts: u64) {
     }
     let [reads, writes, cabinets] = missed.each_ref().map(Vec::len);
     println!(
-        "{scripts} scripts, {summaries} non-opaque summaries: {reads} miss a read, \
-         {writes} a write, {cabinets} a cabinet"
+        "{scripts} scripts, {summaries} non-opaque summaries ({universal} reach any \
+         name): {reads} miss a read, {writes} a write, {cabinets} a cabinet"
     );
     if let Some(&seed) = missed.iter().find_map(|seeds| seeds.first()) {
         panic!(

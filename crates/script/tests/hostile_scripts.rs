@@ -8,7 +8,7 @@
 //! needed 7–13 s per `cost_bound` call (release) on these inputs.
 
 use std::time::{Duration, Instant};
-use tacoma_script::{cost_bound, summarize, vet, AnalysisConfig};
+use tacoma_script::{cost_bound, summarize, vet, AnalysisConfig, Interp, NullHost, Script};
 
 const DEPTH: usize = 3000;
 
@@ -83,4 +83,33 @@ fn gates_stay_fast_on_long_proc_chains() {
     }
     let spent = start.elapsed();
     assert!(spent < Duration::from_secs(10), "gates took {spent:?}");
+}
+
+/// A condition is read once, by `expr.rs`, for the interpreter and all
+/// three gates: a run of one operator is one node however long it is, and
+/// parentheses and `!` stop at `expr`'s nesting cap, so neither a long nor
+/// a deep condition overflows the stack.
+#[test]
+fn long_and_deep_conditions_stay_fast() {
+    let deep = format!("{}1{}", "!(".repeat(33_333), ")".repeat(33_333));
+    let long = format!("{}$a", "$a && ".repeat(50_000));
+    assert_eq!((deep.len(), long.len()), (100_000, 300_002));
+    let start = Instant::now();
+    for (cond, want) in [(&deep, None), (&long, Some("1"))] {
+        let src = format!("set a 1\nset r [expr {{{cond}}}]\nwhile {{{cond}}} {{set a 0}}\nset r");
+        let script = Script::parse(&src);
+        let _ = script.vet(&AnalysisConfig::new());
+        script.summary().expect("the source parses");
+        script.cost().expect("the source parses");
+        let run = Interp::new(&mut NullHost).run(&src);
+        match want {
+            Some(value) => assert_eq!(run.expect("runs").result, value),
+            None => assert!(run.unwrap_err().to_string().contains("nested too deeply")),
+        }
+    }
+    let spent = start.elapsed();
+    assert!(
+        spent < Duration::from_secs(10),
+        "gates and runs took {spent:?}"
+    );
 }

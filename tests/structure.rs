@@ -308,16 +308,42 @@ fn the_tree_is_built_only_by_script_parse() {
 /// TacoScript's `$name` and `[..]` syntax has one reader, in `parser.rs`:
 /// the interpreter substitutes a condition with the same reading the
 /// analyses scan it with, so the two cannot drift apart, and `tree.rs`
-/// keeps no copy of the interpreter's.
+/// keeps no copy of the interpreter's.  Vet's scan for condition variables
+/// and cost's bracket-depth split of a condition were such copies.
 #[test]
 fn one_reader_of_substitution_syntax() {
-    for pattern in ["'$' =>", "'[' =>"] {
+    for pattern in ["'$' =>", "'[' =>", "== '$'", "b'$'", "b'['"] {
         let files: Vec<String> = uses(SCRIPT, pattern).into_keys().collect();
-        assert_eq!(files, ["crates/script/src/parser.rs"], "{pattern}");
+        let exact = pattern.ends_with("=>");
+        let parser = files
+            .iter()
+            .all(|file| file == "crates/script/src/parser.rs");
+        assert!(
+            parser && (!exact || files.len() == 1),
+            "{pattern}: {files:?}"
+        );
     }
     let copies = ["the way the interpreter", "mirroring the interpreter"];
     let tree = "crates/script/src/tree.rs";
     assert_eq!(mentions(&[tree], &copies), Vec::<String>::new());
+}
+
+/// Expression text has one reader, `expr.rs`: the interpreter, vet's
+/// loop-exit verdict and cost's counted-loop guard all read the `Expr` it
+/// builds, whose operators are typed (`expr::Op`), so no pass splits a
+/// condition on `&&` or `||` or matches a comparison's spelling by itself
+/// (cost once did, by bytes, and missed every spelling but `$i < 10`).
+#[test]
+fn one_reader_of_expression_operators() {
+    let comparisons = ["\"<\"", "\">\"", "\"<=\"", "\">=\""];
+    for pattern in ["\"&&\"", "\"||\"", "b'&'", "b'|'"]
+        .iter()
+        .chain(&comparisons)
+    {
+        let files: Vec<String> = uses(SCRIPT, pattern).into_keys().collect();
+        let expr = files.iter().all(|file| file == "crates/script/src/expr.rs");
+        assert!(expr, "{pattern}: {files:?}");
+    }
 }
 
 /// The control commands are decoded in one place, `parser.rs`'s `control`
