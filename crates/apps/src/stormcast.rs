@@ -1,7 +1,7 @@
 //! StormCast: distributed storm prediction from Arctic weather sensors.
 //!
 //! The real StormCast consumed live sensor feeds from northern Norway; we
-//! substitute a seeded synthetic trace generator (see DESIGN.md) that injects
+//! substitute a seeded synthetic trace generator (`seed_sensor_data`) that injects
 //! a storm front into a configurable subset of sensor sites.  What matters for
 //! the paper's claims is the *architecture* comparison:
 //!

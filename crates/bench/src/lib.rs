@@ -1,7 +1,7 @@
 //! Experiment drivers for the TACOMA reproduction.
 //!
 //! The paper (a HotOS position paper) contains no numbered tables or figures;
-//! DESIGN.md defines experiments E1–E20, one per measurable claim in the
+//! EXPERIMENTS.md defines experiments E1–E20, one per measurable claim in the
 //! text (plus the E11/E12 scale experiments the ROADMAP's north star asks
 //! for, the E13/E14 custody experiments, the E15/E16 broker-federation
 //! experiments, the E17 event-engine scale sweep, and the E20 cost-aware

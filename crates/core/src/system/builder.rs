@@ -70,7 +70,7 @@ impl SystemBuilder {
     }
 
     /// Accepted and ignored: the simulator has one event queue.  Kept only
-    /// because `benchmark/` still calls it; goes with ROADMAP item 1(f).
+    /// because `benchmark/` still calls it; goes with ROADMAP item 1(a)(iii).
     pub fn shards(self, _shards: u32) -> Self {
         self
     }

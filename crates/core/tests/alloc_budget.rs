@@ -6,7 +6,9 @@
 //! properties the arena-backed [`Folder`] and the borrowed dispatch
 //! environment exist for — one allocation per encode, O(folders) rather than
 //! O(elements) per decode, no per-meet work proportional to the number of
-//! sites, and none at all inside a warm `SimNet::send` + `step`.  This file
+//! sites, and none at all inside a warm `SimNet::send` + `step`; and a
+//! ceiling on what the TacoScript interpreter allocates per loop iteration.
+//! This file
 //! is the workspace's one use of `unsafe` outside the benchmark, which the
 //! allocator trait requires.
 #![allow(unsafe_code)]
@@ -16,6 +18,7 @@ use std::cell::Cell;
 use tacoma_core::codec::{self, MeetRequest};
 use tacoma_core::prelude::*;
 use tacoma_net::{Event, LinkSpec, SendOptions, SimNet, Topology, TransportKind};
+use tacoma_script::{Interp, NullHost};
 use tacoma_util::Name;
 
 thread_local! {
@@ -337,4 +340,34 @@ fn a_warm_send_and_step_allocate_nothing() {
     let cliques = Topology::ring_of_cliques(64, 8, LinkSpec::lan(), LinkSpec::wan());
     let targets = [(5, 1), (31 * 8 + 5, 33)];
     assert_eq!(warm_send_and_step_allocations(cliques, 3, &targets), 0);
+}
+
+/// The `(allocations, bytes)` of one `Interp::run` of a loop of `n`
+/// iterations on a host that does nothing.
+fn counted_loop(n: u32) -> (u64, u64) {
+    let src = format!("set i 0; while {{$i < {n}}} {{incr i}}");
+    let mut host = NullHost;
+    let (outcome, allocs, bytes) = counted(|| Interp::new(&mut host).run(&src));
+    assert_eq!(outcome.expect("the loop runs").result, "");
+    (allocs, bytes)
+}
+
+/// What one loop iteration costs the interpreter, read as the difference of
+/// two runs that differ only in their iteration count, in tenths of an
+/// allocation (the counter's growth to four digits costs one allocation
+/// once).  The interpreter parses the body and reads the condition text
+/// again on every iteration (ROADMAP item 2): 19.0 allocations and 1 130
+/// bytes an iteration when this ceiling was set.  Walking the parsed tree
+/// states its gain against this number, which no benchmark repetition
+/// count can move.
+#[test]
+fn a_loop_iteration_fits_the_interpreters_budget() {
+    let (allocs_100, bytes_100) = counted_loop(100);
+    let (allocs_1100, bytes_1100) = counted_loop(1_100);
+    let (allocs, bytes) = (allocs_1100 - allocs_100, bytes_1100 - bytes_100);
+    let tenths = (allocs + 50) / 100;
+    assert!(
+        tenths <= 190,
+        "{allocs} allocations and {bytes} bytes in 1 000 iterations"
+    );
 }

@@ -544,7 +544,7 @@ pub struct FederationConfig {
     /// runs park in-flight submissions across the broker outage).
     pub custody: Option<CustodyConfig>,
     /// Unread: the simulator has one event queue.  Kept only because
-    /// `benchmark/` still sets it; goes with ROADMAP item 1(f).
+    /// `benchmark/` still sets it; goes with ROADMAP item 1(a)(iii).
     pub sim_shards: u32,
     /// Random seed.
     pub seed: u64,

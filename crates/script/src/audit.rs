@@ -1,6 +1,6 @@
 //! taco-audit: whole-fleet static analysis over TacoScript agents.
 //!
-//! taco-vet (PR 6) checks one script in isolation; the defects that actually
+//! taco-vet checks one script in isolation; the defects that actually
 //! bite a TACOMA deployment are *inter-agent protocol* bugs — a folder read
 //! that no counterpart ever writes, a meet cycle that never halts, an
 //! itinerary into a site that does not exist.  This module lifts the analysis

@@ -1,15 +1,13 @@
 //! The single source of truth for TacoScript's builtin command surface.
 //!
 //! Both the interpreter ([`crate::interp::Interp`]) and the static analyzer
-//! ([`crate::analysis`]) need to know which commands exist and how many
-//! arguments each accepts.  PR 6 kept two hand-maintained copies of that
-//! table and flagged the duplication as a latent bug — an entry changed in
-//! one place but not the other would either reject scripts the interpreter
-//! runs (a vet false positive, which `tacoma-core` turns into an install
-//! failure) or let a real arity defect through.  This module is the one
-//! table; a test in this file drives the interpreter over every entry to
-//! prove the two can no longer drift, and another checks each entry's run
-//! against what the parsed tree decodes it to bind and how to leave.
+//! ([`crate::analysis`]) read which commands exist and how many arguments
+//! each accepts from this one table.  Two copies could drift apart: an entry
+//! changed in one but not the other would either reject scripts the
+//! interpreter runs (a vet false positive, which `tacoma-core` turns into an
+//! install failure) or let a real arity defect through.  A test in this file
+//! drives the interpreter over every entry, and another checks each entry's
+//! run against what the parsed tree decodes it to bind and how to leave.
 
 /// The signature of one builtin command.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -6,7 +6,7 @@
 //! The rules about names that must stay gone read every file, comments and
 //! tests included.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::fs;
 use std::path::{Path, PathBuf};
 
@@ -15,7 +15,8 @@ fn root() -> &'static Path {
 }
 
 /// Every file at or under `path` (relative to the repository root), build
-/// output excepted, keyed by its path relative to the root.
+/// output and dot-directories below it excepted, keyed by its path relative
+/// to the root.
 fn files(path: &str) -> BTreeMap<String, PathBuf> {
     let mut out = BTreeMap::new();
     let mut todo = vec![root().join(path)];
@@ -25,7 +26,13 @@ fn files(path: &str) -> BTreeMap<String, PathBuf> {
                 continue;
             }
             for entry in fs::read_dir(&path).expect("readable source directory") {
-                todo.push(entry.expect("directory entry").path());
+                let entry = entry.expect("directory entry").path();
+                let hidden = entry
+                    .file_name()
+                    .is_some_and(|n| n.to_string_lossy().starts_with('.'));
+                if !(hidden && entry.is_dir()) {
+                    todo.push(entry);
+                }
             }
         } else {
             let name = path.strip_prefix(root()).expect("under the root");
@@ -589,4 +596,367 @@ fn one_broker_handles_the_report_protocol() {
 fn done_records_are_read_beside_the_worker() {
     let readers: Vec<(String, usize)> = uses("crates", "folder_ref(DONE)").into_iter().collect();
     assert_eq!(readers, [("crates/sched/src/agents.rs".to_string(), 1)]);
+}
+
+/// DESIGN.md's size: what each structure is, the invariant it keeps and the
+/// measurement that justified it, one sentence pointing at CHANGES.md.  The
+/// tables and profiles behind each measurement live in CHANGES.md.
+const DESIGN_BUDGET: usize = 45_000;
+
+/// A backticked word ending in one of these is read as a file name.
+const DOC_EXTENSIONS: [&str; 8] = ["rs", "md", "toml", "json", "taco", "audit", "txt", "yml"];
+
+/// What DESIGN.md may name: every file and directory of the source tree (as
+/// `files` walks it), the types and items of the shipped code of the crates'
+/// `src/` and the facade's, and each crate's `tacoma_*` dependencies.
+struct SourceTree {
+    entries: BTreeSet<String>,
+    /// Every struct, enum, trait and type alias.
+    types: BTreeSet<String>,
+    /// Per file: the types it defines or implements, and the functions,
+    /// constants, fields and variants it declares.
+    homes: Vec<(BTreeSet<String>, BTreeSet<String>)>,
+    deps: BTreeMap<String, Vec<String>>,
+}
+
+/// The identifier `text` starts with.
+fn ident(text: &str) -> &str {
+    let end = text.find(|c: char| !(c.is_alphanumeric() || c == '_'));
+    &text[..end.unwrap_or(text.len())]
+}
+
+/// The function, constant, field or variant a shipped line declares.
+fn declared(line: &str) -> Option<&str> {
+    let mut decl = line.trim_start();
+    for vis in ["pub(crate) ", "pub(super) ", "pub "] {
+        decl = decl.strip_prefix(vis).unwrap_or(decl);
+    }
+    if let Some(rest) = decl.strip_prefix("fn ").or(decl.strip_prefix("const ")) {
+        return Some(ident(rest)).filter(|name| !name.is_empty());
+    }
+    let name = ident(decl);
+    let rest = &decl[name.len()..];
+    let field = rest.starts_with(':') && !rest.starts_with("::");
+    let variant = name.starts_with(|c: char| c.is_ascii_uppercase())
+        && (rest.is_empty() || rest.starts_with([',', '(', ' ']));
+    (!name.is_empty() && (field || variant)).then_some(name)
+}
+
+impl SourceTree {
+    fn load() -> SourceTree {
+        let mut entries = BTreeSet::new();
+        for file in files("").into_keys() {
+            let mut dir = file.as_str();
+            while let Some((parent, _)) = dir.rsplit_once('/') {
+                entries.insert(parent.to_string());
+                dir = parent;
+            }
+            entries.insert(file);
+        }
+        let mut code = shipped("src");
+        code.extend(
+            shipped("crates")
+                .into_iter()
+                .filter(|(f, _)| f.contains("/src/")),
+        );
+        let mut types = BTreeSet::new();
+        let mut homes = Vec::new();
+        for lines in code.values() {
+            let (mut owned, mut items) = (BTreeSet::new(), BTreeSet::new());
+            for line in lines {
+                for kw in ["struct ", "enum ", "trait ", "type "] {
+                    for (at, _) in line.match_indices(kw) {
+                        let name = ident(&line[at + kw.len()..]).to_string();
+                        types.insert(name.clone());
+                        owned.insert(name);
+                    }
+                }
+                if line.trim_start().starts_with("impl") {
+                    let words = line.split(|c: char| !(c.is_alphanumeric() || c == '_'));
+                    owned.extend(words.map(str::to_string));
+                }
+                items.extend(declared(line).map(str::to_string));
+            }
+            homes.push((owned, items));
+        }
+        let mut deps = BTreeMap::new();
+        for (file, path) in files("crates") {
+            let Some(krate) = file.strip_suffix("/Cargo.toml") else {
+                continue;
+            };
+            let manifest = fs::read_to_string(path).expect("readable manifest");
+            let section = manifest
+                .split("\n[")
+                .find(|s| s.starts_with("dependencies]"))
+                .unwrap_or("");
+            let mut names: Vec<String> = section
+                .lines()
+                .filter_map(|l| l.strip_prefix("tacoma_"))
+                .map(|l| ident(l).to_string())
+                .collect();
+            names.sort();
+            deps.insert(krate.trim_start_matches("crates/").to_string(), names);
+        }
+        SourceTree {
+            entries,
+            types,
+            homes,
+            deps,
+        }
+    }
+
+    /// A path from the root names itself; any other names the one entry it
+    /// is the tail of, and a bare file name must be unique.
+    fn resolves(&self, path: &str) -> bool {
+        let path = path.trim_end_matches('/');
+        if path.contains('/') && self.entries.contains(path) {
+            return true;
+        }
+        let tail = format!("/{path}");
+        let hits = self
+            .entries
+            .iter()
+            .filter(|e| *e == path || e.ends_with(&tail));
+        hits.count() == 1
+    }
+
+    /// `ty` is a struct, enum, trait or type alias of shipped code, and `item`
+    /// is a function, constant, field or variant in a file that defines or
+    /// implements it.
+    fn has_item(&self, ty: &str, item: &str) -> bool {
+        self.types.contains(ty)
+            && self
+                .homes
+                .iter()
+                .any(|(owned, items)| owned.contains(ty) && items.contains(item))
+    }
+}
+
+/// What checking DESIGN.md found: each name that does not resolve, and how
+/// many paths, symbols and section citations were checked.
+#[derive(Debug, Default)]
+struct DesignCheck {
+    faults: Vec<String>,
+    paths: usize,
+    symbols: usize,
+    citations: usize,
+}
+
+/// A backticked `Type::item` or `Type::{a, b}`, module path and call
+/// arguments dropped.
+fn type_items(word: &str) -> Option<(&str, Vec<&str>)> {
+    let is_ident = |s: &str| !s.is_empty() && ident(s) == s;
+    let head = word.split('(').next().unwrap_or(word);
+    let (path, last) = head.rsplit_once("::")?;
+    let ty = path.rsplit("::").next().unwrap_or(path);
+    let items: Vec<&str> = match last.strip_prefix('{').and_then(|l| l.strip_suffix('}')) {
+        Some(list) => list.split(',').map(str::trim).collect(),
+        None => vec![last],
+    };
+    let typed = is_ident(ty) && ty.starts_with(|c: char| c.is_ascii_uppercase());
+    (typed && items.iter().all(|i| is_ident(i))).then_some((ty, items))
+}
+
+/// The `§N` sections a text cites after each `DESIGN.md`, each with the
+/// heading it quotes, if any: `DESIGN.md §1 "Heading" and §2`, `§3–§4`.
+fn design_citations(text: &str) -> Vec<(u32, Option<String>)> {
+    let mut out = Vec::new();
+    for (at, _) in text.match_indices("DESIGN.md") {
+        let mut rest = &text[at + "DESIGN.md".len()..];
+        loop {
+            rest = rest.trim_start_matches([' ', ',', '–', '-']);
+            rest = rest.strip_prefix("and ").unwrap_or(rest);
+            let Some(cited) = rest.strip_prefix('§') else {
+                break;
+            };
+            let digits = cited.len() - cited.trim_start_matches(|c: char| c.is_ascii_digit()).len();
+            let Ok(section) = cited[..digits].parse() else {
+                break;
+            };
+            rest = &cited[digits..];
+            let quoted = rest.strip_prefix(" \"").and_then(|q| q.split_once('"'));
+            let heading = quoted.map(|(heading, after)| {
+                rest = after;
+                heading.to_string()
+            });
+            out.push((section, heading));
+        }
+    }
+    out
+}
+
+/// Checks `design` against the source tree: its size, `file:line`
+/// references, backticked paths and `Type::item`s, the `§N` citations made
+/// from `citing` (file, text) and the workspace layout's edges.
+fn check_design(design: &str, citing: &[(String, String)], tree: &SourceTree) -> DesignCheck {
+    let mut check = DesignCheck::default();
+    let mut fault = |f: String| check.faults.push(f);
+    if design.len() > DESIGN_BUDGET {
+        fault(format!("{} bytes, over {DESIGN_BUDGET}", design.len()));
+    }
+    for ext in DOC_EXTENSIONS {
+        let lead = format!(".{ext}:");
+        for (at, _) in design.match_indices(&lead) {
+            if design[at + lead.len()..].starts_with(|c: char| c.is_ascii_digit()) {
+                fault(format!("a file:line reference at byte {at}"));
+            }
+        }
+    }
+    let mut fenced = false;
+    let mut prose = String::new();
+    for line in design.lines() {
+        if line.starts_with("```") {
+            fenced = !fenced;
+        } else if !fenced {
+            prose.push_str(line);
+            prose.push(' ');
+        }
+    }
+    if prose.matches('`').count() % 2 == 1 {
+        fault("an unclosed backtick".to_string());
+    }
+    for word in prose.split('`').skip(1).step_by(2) {
+        let plain = word
+            .chars()
+            .all(|c| c.is_ascii_alphanumeric() || "_./-".contains(c));
+        let ext = word
+            .rsplit_once('.')
+            .is_some_and(|(_, e)| DOC_EXTENSIONS.contains(&e));
+        if plain && !word.starts_with(['-', '.']) && (word.contains('/') || ext) {
+            check.paths += 1;
+            if !tree.resolves(word) {
+                fault(format!("no such file: `{word}`"));
+            }
+        } else if let Some((ty, items)) = type_items(word) {
+            check.symbols += 1;
+            for item in items.iter().filter(|item| !tree.has_item(ty, item)) {
+                fault(format!("no such item: `{ty}::{item}`"));
+            }
+        }
+    }
+    let mut sections: BTreeMap<u32, String> = BTreeMap::new();
+    let mut current = None;
+    for line in design.lines() {
+        if let Some(head) = line.strip_prefix("## ") {
+            let number = head.strip_prefix('§').and_then(|h| h.split(' ').next());
+            current = number.and_then(|n| n.parse().ok());
+        }
+        if let Some(n) = current {
+            let body = sections.entry(n).or_default();
+            body.push_str(line.trim());
+            body.push(' ');
+        }
+    }
+    for (file, text) in citing {
+        for (section, heading) in design_citations(text) {
+            check.citations += 1;
+            match (sections.get(&section), heading) {
+                (None, _) => fault(format!(
+                    "{file} cites DESIGN.md §{section}, which is missing"
+                )),
+                (Some(body), Some(h))
+                    if !["### ", "**"]
+                        .iter()
+                        .any(|lead| body.contains(&format!("{lead}{h}"))) =>
+                {
+                    fault(format!(
+                        "{file} cites §{section} \"{h}\", not a heading there"
+                    ))
+                }
+                _ => {}
+            }
+        }
+    }
+    let layout = design.split("## Workspace layout").nth(1).unwrap_or("");
+    let block = layout.split("```").nth(1).unwrap_or("");
+    let mut edges = BTreeMap::new();
+    for line in block.lines().filter_map(|l| l.split_once('→')) {
+        let mut deps: Vec<String> = line.1.split(',').map(|d| d.trim().to_string()).collect();
+        deps.retain(|d| !d.is_empty());
+        deps.sort();
+        edges.insert(line.0.trim().to_string(), deps);
+    }
+    if edges != tree.deps {
+        fault(format!(
+            "workspace layout {edges:?}, manifests {:?}",
+            tree.deps
+        ));
+    }
+    check
+}
+
+/// The texts that cite DESIGN.md by section: README.md, EXPERIMENTS.md and
+/// the comments of `src/` and `crates/*/src`, comment markers dropped and
+/// lines joined, so a citation may wrap.
+fn design_citers() -> Vec<(String, String)> {
+    let mut out = Vec::new();
+    let mut sources = files("src");
+    sources.extend(
+        files("crates")
+            .into_iter()
+            .filter(|(f, _)| f.contains("/src/")),
+    );
+    for doc in ["README.md", "EXPERIMENTS.md"] {
+        sources.insert(doc.to_string(), root().join(doc));
+    }
+    for (file, path) in sources {
+        let text = fs::read_to_string(&path).expect("readable file");
+        let lines = text
+            .lines()
+            .map(|l| l.trim().trim_start_matches('/').trim_start_matches('!'));
+        out.push((file, lines.map(str::trim).collect::<Vec<_>>().join(" ")));
+    }
+    out
+}
+
+/// DESIGN.md describes the design that exists.  It stays within its byte
+/// budget, holds no `file:line` reference (line numbers move with every
+/// change), and every path, `Type::item` and `§N` it names, or is cited by,
+/// resolves: a stale name is a stale description.  Its workspace layout is
+/// the crates' manifests.
+#[test]
+fn design_md_names_what_exists() {
+    let design = fs::read_to_string(root().join("DESIGN.md")).expect("DESIGN.md");
+    let check = check_design(&design, &design_citers(), &SourceTree::load());
+    assert_eq!(check.faults, Vec::<String>::new());
+    assert!(check.paths >= 60, "{check:?}");
+    assert!(check.symbols >= 60, "{check:?}");
+    assert!(check.citations >= 8, "{check:?}");
+}
+
+/// The DESIGN.md rule cannot pass by finding nothing: a stale path, item,
+/// section citation, quoted heading or `file:line` planted in it, a dropped
+/// layout edge and an oversize document are each one fault.
+#[test]
+fn design_md_rule_catches_a_planted_stale_name() {
+    let design = fs::read_to_string(root().join("DESIGN.md")).expect("DESIGN.md");
+    let tree = SourceTree::load();
+    let citers = design_citers();
+    assert_eq!(check_design(&design, &citers, &tree).faults.len(), 0);
+    for planted in [
+        "`crates/core/src/cabinet_index.rs`",
+        "`cabinet_index.rs`",
+        "`Engine::dispatch_all`",
+        "`Folder::{push, shove}`",
+        "`NoSuchType::new`",
+        "see `folder.rs:40`",
+    ] {
+        let stale = format!("{design}\n{planted}\n");
+        let faults = check_design(&stale, &citers, &tree).faults;
+        assert_eq!(faults.len(), 1, "{planted}: {faults:?}");
+    }
+    for cite in [
+        "DESIGN.md §9",
+        "DESIGN.md §2 \"The miss path\" and §8",
+        "DESIGN.md §2 \"The shard plan\"",
+    ] {
+        let mut stale = citers.clone();
+        stale.push(("planted".to_string(), cite.to_string()));
+        let faults = check_design(&design, &stale, &tree).faults;
+        assert_eq!(faults.len(), 1, "{cite}: {faults:?}");
+    }
+    let mut wrong = design.replacen("core   → net, script, util", "core   → net, util", 1);
+    assert_eq!(check_design(&wrong, &citers, &tree).faults.len(), 1);
+    wrong = format!("{design}{}", "x".repeat(DESIGN_BUDGET));
+    assert_eq!(check_design(&wrong, &citers, &tree).faults.len(), 1);
 }
