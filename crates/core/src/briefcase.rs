@@ -55,8 +55,7 @@ impl Briefcase {
 
     /// Where the folder `name` is (`Ok`) or would be inserted (`Err`).
     fn find(&self, name: &[u8]) -> Result<usize, usize> {
-        self.folders
-            .binary_search_by(|(n, _)| n.as_bytes().cmp(name))
+        find(&self.folders, name)
     }
 
     /// Whether a folder with the given name exists.
@@ -157,9 +156,18 @@ impl Briefcase {
     /// Merges every folder of `other` into this briefcase.  Folders with the
     /// same name are concatenated (other's elements appended).
     pub fn merge(&mut self, other: Briefcase) {
+        let mine = self.folders.len();
         for (name, mut folder) in other.folders {
-            self.entry(self.find(name.as_bytes()), || name)
-                .append(&mut folder);
+            match find(&self.folders[..mine], name.as_bytes()) {
+                Ok(at) => self.folders[at].1.append(&mut folder),
+                Err(_) => self.folders.push((name, folder)),
+            }
+        }
+        // The new folders are a second ascending run behind the first, so
+        // the stable sort merges the two in one pass rather than each
+        // insertion shifting the tail.
+        if self.folders.len() > mine {
+            self.folders.sort_by(|a, b| a.0.cmp(&b.0));
         }
     }
 
@@ -173,6 +181,12 @@ impl Briefcase {
     pub fn wire_size(&self) -> usize {
         crate::codec::briefcase_encoded_len(self)
     }
+}
+
+/// Where the folder `name` is (`Ok`) or would be inserted (`Err`) among
+/// `folders`, strictly ascending by name.
+fn find(folders: &[(Name, Folder)], name: &[u8]) -> Result<usize, usize> {
+    folders.binary_search_by(|(n, _)| n.as_bytes().cmp(name))
 }
 
 #[cfg(test)]
@@ -222,6 +236,7 @@ mod tests {
         a.merge(b);
         assert_eq!(a.folder("SITES").unwrap().strings(), vec!["site0", "site1"]);
         assert!(a.contains("EXTRA"));
+        assert_eq!(a.names(), vec!["EXTRA", "SITES"]);
     }
 
     #[test]

@@ -25,13 +25,13 @@
 //!
 //! The kernel hands a request over by value at both ends of a hop
 //! ([`encode_meet_request_owned`], [`decode_meet_request_owned`]), so a
-//! folder that is more than half of the buffer changes owners instead of
-//! being copied; the borrowed entry points write and read the same bytes
-//! with the same writer and parser.
+//! folder that is more than half of the buffer, and too large to be held in
+//! place, changes owners instead of being copied; the borrowed entry points
+//! write and read the same bytes with the same writer and parser.
 
 use crate::briefcase::Briefcase;
 use crate::error::TacomaError;
-use crate::folder::Folder;
+use crate::folder::{Folder, SMALL};
 use std::ops::Range;
 use tacoma_util::{AgentId, AgentName, Name, SiteId};
 
@@ -144,10 +144,10 @@ pub fn meet_request_encoded_len(req: &MeetRequest) -> usize {
 /// Whether a folder image of `image` bytes keeps a buffer of `buffer` bytes
 /// as its arena instead of being copied: only when it is more than half of
 /// it, the bound [`Folder`] already keeps between its arena and its live
-/// bytes (it reclaims a dequeued prefix at half).  At most one folder of a
-/// request can be.
+/// bytes (it reclaims a dequeued prefix at half), and too large to be held
+/// in place.  At most one folder of a request can be.
 fn adopts(image: usize, buffer: usize) -> bool {
-    image > buffer / 2
+    image > SMALL && image > buffer / 2
 }
 
 /// Encodes a folder.
@@ -157,28 +157,28 @@ pub fn encode_folder(folder: &Folder) -> Vec<u8> {
     out
 }
 
-/// The count, then the folder's arena as it stands: it is the wire image.
+/// The count, then the folder's live wire image as it is stored.
 fn encode_folder_into(folder: &Folder, out: &mut Vec<u8>) {
     put_u32(out, folder.len() as u32);
     out.extend_from_slice(folder.wire_image());
 }
 
-/// A folder off the reader, its count and then its image: the offset table
-/// and where the image lies in the input.
-fn scan_folder(r: &mut Reader<'_>) -> Result<(Vec<u32>, Range<usize>), TacomaError> {
+/// A folder off the reader, its count and then its image: the element
+/// count and where the image lies in the input.
+fn scan_folder(r: &mut Reader<'_>) -> Result<(usize, Range<usize>), TacomaError> {
     let count = r.u32()? as usize;
-    let (ends, used) = Folder::scan(r.rest(), count)
+    let used = Folder::scan(r.rest(), count)
         .ok_or_else(|| r.truncated(format_args!("a folder of {count} elements")))?;
     let image = r.pos..r.pos + used;
     r.pos = image.end;
-    Ok((ends, image))
+    Ok((count, image))
 }
 
 /// Decodes a folder, rejecting trailing bytes.
 pub fn decode_folder(buf: &[u8]) -> Result<Folder, TacomaError> {
     Reader::whole(buf, |r| {
-        let (ends, image) = scan_folder(r)?;
-        Ok(Folder::from_image(r.buf[image].to_vec(), ends))
+        let (count, image) = scan_folder(r)?;
+        Ok(Folder::from_image(&r.buf[image], count))
     })
 }
 
@@ -230,10 +230,11 @@ fn encode_folders_into<'a>(
 }
 
 /// The folder a decoder found to keep its input buffer as the arena: the
-/// folder at `at` in name order, its offset table, and where its image lies.
+/// folder at `at` in name order, its element count, and where its image
+/// lies.
 struct Kept {
     at: usize,
-    ends: Vec<u32>,
+    count: usize,
     image: Range<usize>,
 }
 
@@ -264,12 +265,12 @@ fn decode_briefcase_from(
             )));
         }
         prev = Some(name);
-        let (ends, image) = scan_folder(r)?;
+        let (count, image) = scan_folder(r)?;
         let folder = if adopts(image.len(), buffer) {
-            kept = Some(Kept { at, ends, image });
+            kept = Some(Kept { at, count, image });
             Folder::new()
         } else {
-            Folder::from_image(r.buf[image].to_vec(), ends)
+            Folder::from_image(&r.buf[image], count)
         };
         folders.push((Name::copied(name), folder));
     }
@@ -354,12 +355,13 @@ pub fn decode_meet_request(buf: &[u8]) -> Result<MeetRequest, TacomaError> {
 
 /// Decodes a remote meet request it is handed, to what
 /// [`decode_meet_request`] returns.  A folder whose image is more than half
-/// of `buf`'s capacity keeps `buf` as its arena: its image is moved down
-/// once, and nothing of its size is allocated.
+/// of `buf`'s capacity, and too large to be held in place, keeps `buf` as
+/// its arena: its image is moved down once, and nothing of its size is
+/// allocated.
 pub fn decode_meet_request_owned(buf: Vec<u8>) -> Result<MeetRequest, TacomaError> {
     let (mut req, kept) = decode_request(&buf, buf.capacity())?;
-    if let Some(Kept { at, ends, image }) = kept {
-        *req.briefcase.nth_mut(at) = Folder::adopt(buf, image, ends);
+    if let Some(Kept { at, count, image }) = kept {
+        *req.briefcase.nth_mut(at) = Folder::adopt(buf, image, count);
     }
     Ok(req)
 }

@@ -10,6 +10,7 @@
 //! stored on the wire.
 
 use serde::{Deserialize, Serialize};
+use std::fmt;
 use std::ops::Range;
 
 /// One element of a folder as an owned value: an uninterpreted sequence of
@@ -24,17 +25,34 @@ pub type FolderElem = Vec<u8>;
 /// the back and remove from the front.  This matches the paper's description
 /// of a folder being usable either way.
 ///
-/// All elements live back to back in one byte arena, each exactly as the wire
-/// carries it (`u32 len ‖ bytes`), so encoding a folder is one copy of the
-/// arena and decoding one is a validating scan plus one copy, or none when
-/// the folder keeps the buffer it arrived in (see [`crate::codec`]).  An offset
-/// table holds the end of every element but the last, which ends where the
-/// arena does: a one-element folder is a single heap block.  Dequeued
-/// elements stay in the arena as a dead prefix until it makes up half of it,
-/// then the live part is moved down once (amortised O(1) per dequeue).
-/// Equality is over the logical contents; the dead prefix never shows.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
-pub struct Folder {
+/// All elements live back to back, each exactly as the wire carries it
+/// (`u32 len ‖ bytes`), so encoding a folder is one copy of its image and
+/// decoding one is a validating scan plus at most one copy.  An image of up
+/// to 47 bytes is kept inside the `Folder` itself and costs no heap block;
+/// the push that outgrows it moves the image to a heap arena, where it stays.
+/// The arena has an offset table with the end of every element but the
+/// last, which ends where the arena does, so a one-element folder is a
+/// single heap block; an arena can be a request buffer the folder kept (see
+/// [`crate::codec`]).  Dequeued elements stay in the arena as a dead prefix
+/// until it makes up half of it, then the live part is moved down once
+/// (amortised O(1) per dequeue).  Equality is over the logical contents:
+/// neither the form nor a dead prefix shows.
+#[derive(Clone, Serialize, Deserialize)]
+pub struct Folder(Repr);
+
+/// Where a folder keeps its wire image.
+#[derive(Clone)]
+enum Repr {
+    /// An image of at most [`SMALL`] bytes, in place: its length, then
+    /// the bytes.
+    Small(u8, [u8; SMALL]),
+    /// An image on the heap.
+    Large(Arena),
+}
+
+/// A heap-backed wire image.
+#[derive(Clone)]
+struct Arena {
     /// Elements in wire form back to back, dead prefix included.
     data: Vec<u8>,
     /// End offset in `data` of every element but the last, dead prefix
@@ -44,8 +62,103 @@ pub struct Folder {
     head: usize,
 }
 
-/// Bytes of length prefix in front of every element in the arena.
+/// Bytes of length prefix in front of every element of an image.
 const PREFIX: usize = 4;
+
+/// The largest wire image a folder holds in place: what fits beside the
+/// length byte in the 56 bytes the heap form takes anyway.
+pub(crate) const SMALL: usize = 47;
+
+/// The end offset of each element of the wire image `image`, front to back.
+/// The image must be well formed: built here or checked by [`Folder::scan`].
+fn ends(image: &[u8]) -> impl Iterator<Item = usize> + '_ {
+    let mut at = 0;
+    std::iter::from_fn(move || {
+        let (prefix, _) = image.get(at..)?.split_first_chunk::<PREFIX>()?;
+        at += PREFIX + u32::from_le_bytes(*prefix) as usize;
+        Some(at)
+    })
+}
+
+impl Arena {
+    /// The arena of `data`, the well-formed wire image of `count` elements.
+    fn new(data: Vec<u8>, count: usize) -> Arena {
+        let mut table = Vec::with_capacity(count.saturating_sub(1));
+        table.extend(
+            ends(&data)
+                .take(count.saturating_sub(1))
+                .map(|end| end as u32),
+        );
+        Arena {
+            data,
+            ends: table,
+            head: 0,
+        }
+    }
+
+    /// Start offset in `data` of the element at physical position `k`; for
+    /// `k` one past the last element, where the arena ends.
+    fn start(&self, k: usize) -> usize {
+        match k {
+            0 => 0,
+            _ => (self.ends.get(k - 1)).map_or(self.data.len(), |&end| end as usize),
+        }
+    }
+
+    /// Number of live elements.
+    fn len(&self) -> usize {
+        if self.data.is_empty() {
+            0
+        } else {
+            self.ends.len() + 1 - self.head
+        }
+    }
+
+    /// Appends the well-formed wire image of `count` elements.
+    fn extend(&mut self, image: &[u8], count: usize) {
+        if count == 0 {
+            return;
+        }
+        let start = self.data.len();
+        self.ends.reserve(count - usize::from(start == 0));
+        if start != 0 {
+            self.ends.push(start as u32);
+        }
+        let inner = ends(image).take(count - 1);
+        self.ends.extend(inner.map(|end| (start + end) as u32));
+        self.data.extend_from_slice(image);
+    }
+
+    /// Removes the back element, which must exist.
+    fn drop_back(&mut self) {
+        self.data.truncate(self.start(self.ends.len()));
+        self.ends.pop();
+        self.reclaim();
+    }
+
+    /// Drops the dead prefix once it is at least half of the arena (the
+    /// prefixes count, so runs of empty elements are reclaimed too).  The
+    /// live part it moves is no larger than the dead part it frees, which
+    /// the dequeues that made the prefix have already paid for.
+    fn reclaim(&mut self) {
+        let dead = self.start(self.head);
+        if self.head == 0 || 2 * dead < self.data.len() {
+            return;
+        }
+        self.data.drain(..dead);
+        self.ends.drain(..self.head.min(self.ends.len()));
+        for end in &mut self.ends {
+            *end -= dead as u32;
+        }
+        self.head = 0;
+    }
+}
+
+impl Default for Folder {
+    fn default() -> Self {
+        Folder(Repr::Small(0, [0; SMALL]))
+    }
+}
 
 impl Folder {
     /// Creates an empty folder.
@@ -76,88 +189,125 @@ impl Folder {
         f
     }
 
-    /// Scans `count` elements in wire form off the front of `wire`: the
-    /// offset table of the folder they make, and the bytes they occupy.
-    /// `None` if `wire` ends early or the folder would pass `u32::MAX` bytes.
-    pub(crate) fn scan(wire: &[u8], count: usize) -> Option<(Vec<u32>, usize)> {
+    /// Checks that `count` elements in wire form lie at the front of `wire`
+    /// and returns the bytes they occupy.  `None` if `wire` ends early or the
+    /// folder would pass `u32::MAX` bytes.
+    pub(crate) fn scan(wire: &[u8], count: usize) -> Option<usize> {
         // Every element costs at least its prefix, so a count the input
         // cannot hold is refused before anything is reserved for it.
         if count > wire.len() / PREFIX {
             return None;
         }
-        let mut ends = Vec::with_capacity(count.saturating_sub(1));
         let mut rest = wire;
-        for k in 0..count {
+        for _ in 0..count {
             let (prefix, tail) = rest.split_first_chunk::<PREFIX>()?;
             rest = tail.get(u32::from_le_bytes(*prefix) as usize..)?;
-            if k + 1 < count {
-                ends.push(u32::try_from(wire.len() - rest.len()).ok()?);
-            }
         }
         let used = wire.len() - rest.len();
         u32::try_from(used).ok()?;
-        Some((ends, used))
+        Some(used)
     }
 
-    /// The folder whose wire image is `data`, with the offset table
-    /// [`Folder::scan`] made of it.
-    pub(crate) fn from_image(data: Vec<u8>, ends: Vec<u32>) -> Folder {
-        Folder {
-            data,
-            ends,
-            head: 0,
+    /// The folder whose wire image is `image`, `count` elements that
+    /// [`Folder::scan`] has checked: copied in place when it fits, into one
+    /// exact heap block otherwise.
+    pub(crate) fn from_image(image: &[u8], count: usize) -> Folder {
+        if image.len() > SMALL {
+            return Folder(Repr::Large(Arena::new(image.to_vec(), count)));
         }
+        let mut bytes = [0; SMALL];
+        bytes[..image.len()].copy_from_slice(image);
+        Folder(Repr::Small(image.len() as u8, bytes))
     }
 
-    /// The folder whose wire image is `buf[image]`, `buf` its arena: the
-    /// image is moved to the front once and the rest cut off, so nothing of
-    /// the image's size is allocated.
-    pub(crate) fn adopt(mut buf: Vec<u8>, image: Range<usize>, ends: Vec<u32>) -> Folder {
+    /// The folder whose wire image is `buf[image]`, `count` elements that
+    /// [`Folder::scan`] has checked, `buf` its arena: the image is moved to
+    /// the front once and the rest cut off, so nothing of the image's size
+    /// is allocated.
+    pub(crate) fn adopt(mut buf: Vec<u8>, image: Range<usize>, count: usize) -> Folder {
         let len = image.len();
         buf.copy_within(image, 0);
         buf.truncate(len);
-        Folder::from_image(buf, ends)
+        Folder(Repr::Large(Arena::new(buf, count)))
     }
 
     /// The live elements in wire form: what an encoder writes after the count.
     pub(crate) fn wire_image(&self) -> &[u8] {
-        &self.data[self.start(self.head)..]
+        match &self.0 {
+            Repr::Small(len, bytes) => &bytes[..usize::from(*len)],
+            Repr::Large(arena) => &arena.data[arena.start(arena.head)..],
+        }
     }
 
-    /// The arena, dead prefix dropped: the wire image, owned.
-    pub(crate) fn into_wire_image(mut self) -> Vec<u8> {
-        self.data.drain(..self.start(self.head));
-        self.data
+    /// The wire image, owned: the arena with its dead prefix dropped.
+    pub(crate) fn into_wire_image(self) -> Vec<u8> {
+        match self.0 {
+            Repr::Small(..) => self.wire_image().to_vec(),
+            Repr::Large(mut arena) => {
+                arena.data.drain(..arena.start(arena.head));
+                arena.data
+            }
+        }
     }
 
-    /// Bytes of storage the arena holds, live or not (for tests of the
-    /// bound an adopted arena keeps).
+    /// Bytes of heap storage the arena holds, live or not; 0 for an image
+    /// held in place (for tests of the bound an adopted arena keeps).
     #[doc(hidden)]
     pub fn arena_capacity(&self) -> usize {
-        self.data.capacity()
+        match &self.0 {
+            Repr::Small(..) => 0,
+            Repr::Large(arena) => arena.data.capacity(),
+        }
+    }
+
+    /// The heap arena with room for `bytes` more bytes.  An image held in
+    /// place is moved to the heap first, into blocks sized for it and for
+    /// `elems` more elements in those bytes.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the folder's storage would exceed `u32::MAX` bytes (the
+    /// wire format's own length limit).
+    fn arena(&mut self, bytes: usize, elems: usize) -> &mut Arena {
+        let stored = match &self.0 {
+            Repr::Small(len, _) => usize::from(*len),
+            Repr::Large(arena) => arena.data.len(),
+        };
+        assert!(
+            u32::try_from(stored + bytes).is_ok(),
+            "a folder holds at most u32::MAX bytes"
+        );
+        if let Repr::Small(..) = self.0 {
+            let image = self.wire_image();
+            let count = ends(image).count();
+            let mut arena = Arena {
+                data: Vec::with_capacity(image.len() + bytes),
+                ends: Vec::with_capacity((count + elems).saturating_sub(1)),
+                head: 0,
+            };
+            arena.extend(image, count);
+            self.0 = Repr::Large(arena);
+        }
+        match &mut self.0 {
+            Repr::Large(arena) => {
+                arena.data.reserve(bytes);
+                arena
+            }
+            Repr::Small(..) => unreachable!("moved to the heap above"),
+        }
     }
 
     /// Number of elements in the folder.
     pub fn len(&self) -> usize {
-        if self.data.is_empty() {
-            0
-        } else {
-            self.ends.len() + 1 - self.head
+        match &self.0 {
+            Repr::Small(..) => ends(self.wire_image()).count(),
+            Repr::Large(arena) => arena.len(),
         }
     }
 
     /// Whether the folder has no elements.
     pub fn is_empty(&self) -> bool {
-        self.data.is_empty()
-    }
-
-    /// Start offset in `data` of the element at physical position `k`; for
-    /// `k` one past the last element, where the arena ends.
-    fn start(&self, k: usize) -> usize {
-        match k {
-            0 => 0,
-            _ => (self.ends.get(k - 1)).map_or(self.data.len(), |&end| end as usize),
-        }
+        self.wire_image().is_empty()
     }
 
     /// Pushes an element on the back (stack push).
@@ -172,20 +322,25 @@ impl Folder {
     /// Panics if the folder's storage would exceed `u32::MAX` bytes (the
     /// wire format's own length limit).
     pub fn push_bytes(&mut self, elem: &[u8]) {
-        let start = self.data.len();
-        assert!(
-            u32::try_from(start + PREFIX + elem.len()).is_ok(),
-            "a folder holds at most u32::MAX bytes"
-        );
-        if start != 0 {
-            self.ends.push(start as u32);
+        let prefix = (elem.len() as u32).to_le_bytes();
+        if let Repr::Small(len, bytes) = &mut self.0 {
+            let start = usize::from(*len);
+            if PREFIX + elem.len() <= SMALL - start {
+                let end = start + PREFIX + elem.len();
+                bytes[start..start + PREFIX].copy_from_slice(&prefix);
+                bytes[start + PREFIX..end].copy_from_slice(elem);
+                *len = end as u8;
+                return;
+            }
         }
         // One growth for prefix and bytes together: a folder built by a
         // single push is a single, exact block.
-        self.data.reserve(PREFIX + elem.len());
-        self.data
-            .extend_from_slice(&(elem.len() as u32).to_le_bytes());
-        self.data.extend_from_slice(elem);
+        let arena = self.arena(PREFIX + elem.len(), 1);
+        if !arena.data.is_empty() {
+            arena.ends.push(arena.data.len() as u32);
+        }
+        arena.data.extend_from_slice(&prefix);
+        arena.data.extend_from_slice(elem);
     }
 
     /// Pops the element from the back (stack pop).
@@ -197,9 +352,11 @@ impl Folder {
 
     /// Removes the back element, which must exist.
     fn drop_back(&mut self) {
-        self.data.truncate(self.start(self.ends.len()));
-        self.ends.pop();
-        self.reclaim();
+        let last = self.peek_back().map_or(0, <[u8]>::len);
+        match &mut self.0 {
+            Repr::Small(len, _) => *len -= (PREFIX + last) as u8,
+            Repr::Large(arena) => arena.drop_back(),
+        }
     }
 
     /// Adds an element at the back (queue enqueue, same end as `push`).
@@ -210,26 +367,18 @@ impl Folder {
     /// Removes the element at the front (queue dequeue).
     pub fn dequeue(&mut self) -> Option<FolderElem> {
         let elem = self.peek_front()?.to_vec();
-        self.head += 1;
-        self.reclaim();
+        match &mut self.0 {
+            Repr::Small(len, bytes) => {
+                let first = PREFIX + elem.len();
+                bytes.copy_within(first..usize::from(*len), 0);
+                *len -= first as u8;
+            }
+            Repr::Large(arena) => {
+                arena.head += 1;
+                arena.reclaim();
+            }
+        }
         Some(elem)
-    }
-
-    /// Drops the dead prefix once it is at least half of the arena (the
-    /// prefixes count, so runs of empty elements are reclaimed too).  The
-    /// live part it moves is no larger than the dead part it frees, which
-    /// the dequeues that made the prefix have already paid for.
-    fn reclaim(&mut self) {
-        let dead = self.start(self.head);
-        if self.head == 0 || 2 * dead < self.data.len() {
-            return;
-        }
-        self.data.drain(..dead);
-        self.ends.drain(..self.head.min(self.ends.len()));
-        for end in &mut self.ends {
-            *end -= dead as u32;
-        }
-        self.head = 0;
     }
 
     /// The element at the back (what `pop` would return), without removing it.
@@ -239,13 +388,18 @@ impl Folder {
 
     /// The element at the front (what `dequeue` would return), without removing it.
     pub fn peek_front(&self) -> Option<&[u8]> {
-        self.get(0)
+        self.iter().next()
     }
 
     /// The element at position `idx` from the front.
     pub fn get(&self, idx: usize) -> Option<&[u8]> {
-        let k = self.head.checked_add(idx).filter(|_| idx < self.len())?;
-        Some(&self.data[self.start(k) + PREFIX..self.start(k + 1)])
+        match &self.0 {
+            Repr::Small(..) => self.iter().nth(idx),
+            Repr::Large(arena) => {
+                let k = arena.head.checked_add(idx).filter(|_| idx < arena.len())?;
+                Some(&arena.data[arena.start(k) + PREFIX..arena.start(k + 1)])
+            }
+        }
     }
 
     /// Iterates over elements from front to back.
@@ -258,17 +412,29 @@ impl Folder {
 
     /// Removes every element.
     pub fn clear(&mut self) {
-        self.data.clear();
-        self.ends.clear();
-        self.head = 0;
+        match &mut self.0 {
+            Repr::Small(len, _) => *len = 0,
+            Repr::Large(arena) => {
+                arena.data.clear();
+                arena.ends.clear();
+                arena.head = 0;
+            }
+        }
     }
 
     /// Appends all elements of `other`, leaving `other` empty.
     pub fn append(&mut self, other: &mut Folder) {
-        self.ends.reserve(other.len());
-        self.data.reserve(other.wire_image().len());
-        for elem in other.iter() {
-            self.push_bytes(elem);
+        let image = other.wire_image();
+        match &mut self.0 {
+            Repr::Small(len, bytes) if image.len() <= SMALL - usize::from(*len) => {
+                let start = usize::from(*len);
+                bytes[start..start + image.len()].copy_from_slice(image);
+                *len += image.len() as u8;
+            }
+            _ => {
+                let count = other.len();
+                self.arena(image.len(), count).extend(image, count);
+            }
         }
         other.clear();
     }
@@ -335,6 +501,12 @@ impl Folder {
         self.iter()
             .map(|b| String::from_utf8_lossy(b).into_owned())
             .collect()
+    }
+}
+
+impl fmt::Debug for Folder {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
     }
 }
 
@@ -496,9 +668,18 @@ mod tests {
         assert_eq!(f.strings(), vec!["x", "y"]);
     }
 
+    /// The heap arena of a folder whose image has outgrown its place.
+    fn heap(f: &Folder) -> &Arena {
+        match &f.0 {
+            Repr::Large(arena) => arena,
+            Repr::Small(..) => panic!("the image is held in place"),
+        }
+    }
+
     /// The invariant `reclaim` maintains: a dead prefix, if any, is less
     /// than half of the arena.
     fn assert_mostly_live(f: &Folder) {
+        let f = heap(f);
         let (dead, total) = (f.start(f.head), f.data.len());
         assert!(f.head == 0 || 2 * dead < total, "{dead} dead of {total}");
     }
@@ -511,10 +692,14 @@ mod tests {
         }
         for i in 0..49u64 {
             assert_eq!(f.dequeue(), Some(i.to_le_bytes().to_vec()));
-            assert_eq!(f.head as u64, i + 1, "no compaction yet");
+            assert_eq!(heap(&f).head as u64, i + 1, "no compaction yet");
         }
         f.dequeue();
-        assert_eq!((f.head, f.ends.len(), f.data.len()), (0, 49, 600));
+        let arena = heap(&f);
+        assert_eq!(
+            (arena.head, arena.ends.len(), arena.data.len()),
+            (0, 49, 600)
+        );
         assert_eq!(f.peek_front(), Some(&50u64.to_le_bytes()[..]));
         assert_eq!(f.peek_u64(), Some(99));
         // A queue in steady state never holds more than twice its contents.
@@ -522,7 +707,7 @@ mod tests {
             f.push_u64(i);
             f.dequeue();
             assert_mostly_live(&f);
-            assert!(f.data.len() <= 2 * f.wire_image().len());
+            assert!(heap(&f).data.len() <= 2 * f.wire_image().len());
         }
         assert_eq!(f.len(), 50);
     }
@@ -540,24 +725,72 @@ mod tests {
         }
         assert_eq!(f.strings(), vec!["tail"]);
         // Popping the live tail off a dead prefix empties the storage.
-        let mut g = Folder::from_elems([b"a".to_vec(), b"bbbb".to_vec(), b"cc".to_vec()]);
+        let (a, b, c) = (vec![b'a'; 10], vec![b'b'; 40], vec![b'c'; 30]);
+        let mut g = Folder::from_elems([a, b.clone(), c]);
         g.dequeue();
         g.pop();
-        assert_eq!((g.strings(), g.head), (vec!["bbbb".to_string()], 1));
+        assert_eq!((g.get(0), g.len(), heap(&g).head), (Some(&b[..]), 1, 1));
         g.pop();
-        assert_eq!((g.head, g.ends.len(), g.data.len()), (0, 0, 0));
+        let arena = heap(&g);
+        assert_eq!((arena.head, arena.ends.len(), arena.data.len()), (0, 0, 0));
     }
 
     #[test]
     fn equality_ignores_the_arena_layout() {
-        let mut a = Folder::from_elems([b"gone".to_vec(), b"x".to_vec(), b"yz".to_vec()]);
+        let (x, y) = (vec![b'x'; 30], vec![b'y'; 30]);
+        let mut a = Folder::from_elems([b"gone".to_vec(), x.clone(), y.clone()]);
         a.dequeue();
-        let b = Folder::from_elems([b"x".to_vec(), b"yz".to_vec()]);
-        assert_ne!(a.head, b.head);
+        let b = Folder::from_elems([x.clone(), y.clone()]);
+        assert_ne!(heap(&a).head, heap(&b).head);
         assert_eq!(a, b);
         assert_eq!(a.clone(), b);
         // Same bytes, different element boundaries.
-        assert_ne!(b, Folder::from_elems([b"xy".to_vec(), b"z".to_vec()]));
-        assert_ne!(b, Folder::from_elems([b"x".to_vec()]));
+        let (xy, z) = ([&x[..], b"y"].concat(), vec![b'y'; 29]);
+        assert_ne!(b, Folder::from_elems([xy, z]));
+        assert_ne!(b, Folder::from_elems([x.clone()]));
+        // Popped back within the limit, a heap arena equals an image held
+        // in place; so does a small image copied out of a larger one.
+        a.pop();
+        let small = Folder::single(&x[..20]);
+        assert_eq!(small.arena_capacity(), 0);
+        let mut shrunk = Folder::single(&x[..20]);
+        shrunk.push_bytes(&y);
+        shrunk.pop();
+        assert!(shrunk.arena_capacity() > 0);
+        assert_eq!(shrunk, small);
+        assert_ne!(a, small);
+        a.pop();
+        a.push_bytes(&x[..20]);
+        assert_eq!(a, small);
+    }
+
+    #[test]
+    fn a_small_image_is_held_in_place_until_a_push_outgrows_it() {
+        // Prefixes count: 3 + 4 + 3 + 4 + ... up to 47 bytes of image.
+        let mut f = Folder::new();
+        for _ in 0..6 {
+            f.push_bytes(b"abc");
+        }
+        f.push_bytes(b"");
+        assert_eq!((f.wire_image().len(), f.arena_capacity()), (46, 0));
+        f.dequeue();
+        f.push_bytes(b"defg");
+        assert_eq!((f.wire_image().len(), f.arena_capacity()), (47, 0));
+        assert_eq!(f.len(), 7);
+        f.push_bytes(b"");
+        assert_eq!(f.wire_image().len(), 51);
+        assert!(f.arena_capacity() >= 51);
+        assert_eq!(f.get(6), Some(&b"defg"[..]));
+        assert_eq!(f.pop(), Some(Vec::new()));
+        assert_eq!(f.pop(), Some(b"defg".to_vec()));
+        assert_eq!(f.dequeue(), Some(b"abc".to_vec()));
+        assert_eq!(f.len(), 5);
+        // Appending spills the same way, in one block.
+        let mut g = Folder::of_str("0123456789");
+        let mut h = Folder::from_elems([vec![7; 20], vec![8; 9]]);
+        g.append(&mut h);
+        assert!(h.is_empty() && g.arena_capacity() == 14 + 24 + 13);
+        assert_eq!(g.len(), 3);
+        assert_eq!(g.get(2), Some(&[8; 9][..]));
     }
 }

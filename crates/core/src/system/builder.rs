@@ -177,6 +177,7 @@ impl SystemBuilder {
                 audit_fleet,
                 cost_gate: self.cost_gate,
             },
+            outbox: Vec::new(),
         };
         for s in 0..site_count {
             sys.install_defaults(SiteId(s));

@@ -259,6 +259,11 @@ pub struct TacomaSystem {
     /// Backpressure; `None` means meets dispatch on arrival.
     admission: Option<Admission>,
     gates: Gates,
+    /// The empty outbox the next dispatch queues its actions in, so a warm
+    /// one allocates none: `enter` takes it and `process_actions` gives it
+    /// back drained.  An install hook run from inside `process_actions`
+    /// finds it taken and starts a fresh one; the larger of the two is kept.
+    outbox: Vec<Action>,
 }
 
 impl TacomaSystem {
@@ -541,7 +546,8 @@ impl TacomaSystem {
     /// Borrows the place at `site` beside the environment of one dispatch
     /// there — the simulator's liveness slice and the site's reachability
     /// mask, so a meet does no work proportional to the number of sites —
-    /// and runs `work` on them.  Returns its result and the actions queued.
+    /// and runs `work` on them.  Returns its result and the actions queued,
+    /// in the kernel's spare outbox.
     ///
     /// The mask is brought up to the current routing epoch first: custody
     /// runs pay one BFS per site per liveness change, not per meet; without
@@ -569,7 +575,7 @@ impl TacomaSystem {
             reachable: here.reachable.as_ref().map_or(&[], |(_, mask)| mask),
             custody,
         };
-        let mut outbox = Vec::new();
+        let mut outbox = std::mem::take(&mut self.outbox);
         let result = work(&mut here.place, env, &mut outbox);
         (result, outbox)
     }
@@ -614,8 +620,8 @@ impl TacomaSystem {
         }
     }
 
-    fn process_actions(&mut self, site: SiteId, actions: Vec<Action>) {
-        for action in actions {
+    fn process_actions(&mut self, site: SiteId, mut actions: Vec<Action>) {
+        for action in actions.drain(..) {
             match action {
                 Action::RemoteMeet {
                     to,
@@ -652,6 +658,9 @@ impl TacomaSystem {
                 }
                 Action::Log(line) => self.engine.write(Some(site), line),
             }
+        }
+        if actions.capacity() > self.outbox.capacity() {
+            self.outbox = actions;
         }
     }
 
@@ -841,6 +850,53 @@ mod tests {
                 format!("[{now} site1] hello"),
             ]
         );
+    }
+
+    #[test]
+    fn actions_queued_around_a_registration_all_run_in_order() {
+        // The spawner's outbox is being drained when its `RegisterAgent`
+        // runs the newcomer's install hook, which queues actions of its
+        // own; the spawner's later actions must still run after them.
+        struct Newcomer;
+        impl Agent for Newcomer {
+            fn name(&self) -> AgentName {
+                AgentName::new("newcomer")
+            }
+            fn meet(&mut self, _ctx: &mut MeetCtx<'_>, bc: Briefcase) -> MeetOutcome {
+                Ok(bc)
+            }
+            fn on_install(&mut self, ctx: &mut MeetCtx<'_>) {
+                ctx.log("installed 1");
+                ctx.log("installed 2");
+            }
+        }
+        struct Spawner;
+        impl Agent for Spawner {
+            fn name(&self) -> AgentName {
+                AgentName::new("spawner")
+            }
+            fn meet(&mut self, ctx: &mut MeetCtx<'_>, bc: Briefcase) -> MeetOutcome {
+                ctx.log("before");
+                ctx.spawn_agent(Box::new(Newcomer));
+                ctx.log("after");
+                Ok(bc)
+            }
+        }
+        let mut sys = TacomaSystem::new(Topology::full_mesh(1, LinkSpec::default()), 1);
+        sys.register_agent(SiteId(0), Box::new(Spawner));
+        for round in 0..2 {
+            let spawner = AgentName::new("spawner");
+            sys.try_direct_meet(SiteId(0), &spawner, Briefcase::new())
+                .expect("the spawner completes");
+            let lines: Vec<&str> = sys
+                .trace()
+                .iter()
+                .map(|l| l.rsplit("] ").next().unwrap())
+                .collect();
+            let once = ["before", "installed 1", "installed 2", "after"];
+            assert_eq!(lines, once.repeat(round + 1), "round {round}");
+        }
+        assert!(sys.place(SiteId(0)).has_agent(&AgentName::new("newcomer")));
     }
 
     #[test]

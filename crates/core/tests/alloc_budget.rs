@@ -5,9 +5,11 @@
 //! the calling thread through a counting global allocator and pin the
 //! properties the arena-backed [`Folder`] and the borrowed dispatch
 //! environment exist for — one allocation per encode, O(folders) rather than
-//! O(elements) per decode, no per-meet work proportional to the number of
-//! sites, and none at all inside a warm `SimNet::send` + `step`; and a
-//! ceiling on what the TacoScript interpreter allocates per loop iteration.
+//! O(elements) per decode, none for a folder whose wire image fits in place
+//! or for a warm dispatch's outbox, no per-meet work proportional to the
+//! number of sites, and none at all inside a warm `SimNet::send` + `step`;
+//! and a ceiling on what the TacoScript interpreter allocates per loop
+//! iteration.
 //! This file
 //! is the workspace's one use of `unsafe` outside the benchmark, which the
 //! allocator trait requires.
@@ -121,9 +123,9 @@ fn decode_allocations_do_not_grow_with_elements() {
     assert_eq!(req.unwrap(), mail(10));
     let (req, large_allocs, large_bytes) = counted(|| codec::decode_meet_request(&large));
     assert_eq!(req.unwrap(), mail(1_000));
-    // The folder vector and an arena per folder, plus the offsets of the one
-    // folder that has more than one element: short names are stored in place.
-    assert_eq!(large_allocs, 4);
+    // The folder vector, and the arena and offsets of the body: the short
+    // `TO` folder and both names are stored in place.
+    assert_eq!(large_allocs, 3);
     assert_eq!(large_allocs, small_allocs);
     // Exact reservations: per line its payload, its length prefix in the
     // arena and four bytes of offset, and small change for the names and
@@ -169,9 +171,31 @@ fn a_well_known_name_costs_nothing() {
     let (mut bc, allocs, _) = counted(Briefcase::new);
     assert_eq!(allocs, 0, "an empty briefcase");
     bc.put_u64("FIRST", 1);
-    // Room to spare: the folder's one arena block is all that is left.
+    // The vector has room to spare and a `u64` folder is held in place.
     let ((), allocs, bytes) = counted(|| bc.put_u64("HOPS", 12));
-    assert_eq!((allocs, bytes), (1, 4 + 8), "a literal folder name");
+    assert_eq!((allocs, bytes), (0, 0), "a literal folder name");
+}
+
+#[test]
+fn a_folder_image_of_up_to_47_bytes_is_held_in_place() {
+    // The image counts each element's 4-byte prefix: one element of 43
+    // bytes is 47, the most a folder holds without a heap block.
+    for (payload, want) in [(43, 0), (44, 1)] {
+        let elem = vec![7; payload];
+        let (folder, allocs, _) = counted(|| Folder::single(&elem));
+        assert_eq!(allocs, want, "a pushed {}-byte image", payload + 4);
+        let wire = codec::encode_folder(&folder);
+        let (decoded, allocs, bytes) = counted(|| codec::decode_folder(&wire).unwrap());
+        assert_eq!(decoded, folder);
+        assert_eq!((allocs, bytes), (want, want * (payload as u64 + 4)));
+    }
+    // Eleven empty elements are 44 bytes of prefixes; the twelfth moves
+    // them to the heap, in one block.
+    let mut folder = Folder::new();
+    let ((), allocs, _) = counted(|| (0..11).for_each(|_| folder.push_bytes(b"")));
+    assert_eq!(allocs, 0);
+    let ((), allocs, _) = counted(|| folder.push_bytes(b""));
+    assert_eq!((allocs, folder.len()), (2, 12), "the arena and its offsets");
 }
 
 #[test]
@@ -216,13 +240,42 @@ fn a_remote_three_folder_meet_fits_its_budget() {
     }
     let (events, allocs, _) = counted(|| one_meet(&mut sys));
     assert_eq!(events, 1);
-    // 24 allocations with a `BTreeMap<String, Folder>` briefcase, two
-    // blocks per folder and `AgentName(String)`; 13 with a heap block per
-    // name read off the wire.  Now: the folder vector and three arenas to
-    // build it, one buffer to encode it, and to decode it the vector and an
-    // arena per folder.  No folder is half the request, so none lends or
-    // keeps the buffer.
-    assert_eq!(allocs, 9);
+    // The folder vector to build it, one buffer to encode it and the
+    // vector to decode it: names and folders this small are held in place,
+    // and the kernel's outbox is reused.  No folder is half the request, so
+    // none lends or keeps the buffer.
+    assert_eq!(allocs, 3);
+}
+
+/// Queues one action, whose carrying out allocates nothing, per meet.
+struct Quitter;
+
+impl Agent for Quitter {
+    fn name(&self) -> AgentName {
+        AgentName::new("quitter")
+    }
+
+    fn meet(&mut self, ctx: &mut MeetCtx<'_>, bc: Briefcase) -> MeetOutcome {
+        ctx.unregister_agent(AgentName::new("nobody"));
+        Ok(bc)
+    }
+}
+
+#[test]
+fn a_warm_dispatch_allocates_nothing_for_its_outbox() {
+    // The outbox a dispatch queues its action in is the one the previous
+    // dispatch drained, so with a briefcase that needs no block either the
+    // whole meet allocates nothing.
+    let mut sys = TacomaSystem::new(Topology::ring(2, LinkSpec::default()), 7);
+    sys.register_agent(SiteId(0), Box::new(Quitter));
+    let contact = AgentName::new("quitter");
+    let mut one_meet = || {
+        sys.try_direct_meet(SiteId(0), &contact, Briefcase::new())
+            .expect("the meet completes")
+    };
+    one_meet();
+    let (_, allocs, _) = counted(one_meet);
+    assert_eq!(allocs, 0);
 }
 
 #[test]

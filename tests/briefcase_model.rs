@@ -155,3 +155,45 @@ fn the_wire_format_is_frozen() {
     assert_eq!(hex, golden);
     assert_eq!(codec::decode_meet_request(&bytes).expect("decode"), req);
 }
+
+/// A briefcase off the wire can hold any number of folders.  Decoded with
+/// 100 000 of them, it answers a lookup of each name and of a missing name
+/// beside it, and takes a merge of 100 000 more, half of them new, in well
+/// under a second in release (the profile CI also runs this in; 10 s in
+/// debug).  Only the lookups and the merge are timed: a lookup that scanned,
+/// or a merge that shifted the tail once per new name, would take minutes.
+#[test]
+fn a_briefcase_of_100_000_folders_is_searched_and_merged_fast() {
+    const N: usize = 100_000;
+    let name = |k: usize| format!("F{k:07}");
+    let mut wire = (N as u32).to_le_bytes().to_vec();
+    for k in 0..N {
+        let name = name(2 * k);
+        wire.extend((name.len() as u32).to_le_bytes());
+        wire.extend(name.as_bytes());
+        wire.extend(codec::encode_folder(&Folder::single(
+            (k as u64).to_le_bytes(),
+        )));
+    }
+    let mut other = Briefcase::new();
+    for k in N / 2..N + N / 2 {
+        other.put(name(k), Folder::of_str("merged"));
+    }
+    let present: Vec<String> = (0..N).map(|k| name(2 * k)).collect();
+    let absent: Vec<String> = present.iter().map(|n| format!("{n}!")).collect();
+    let mut bc = codec::decode_briefcase(&wire).expect("decode");
+    let bound = if cfg!(debug_assertions) { 10.0 } else { 1.0 };
+    let start = std::time::Instant::now();
+    for (k, (name, missing)) in present.iter().zip(&absent).enumerate() {
+        assert_eq!(bc.peek_u64(name), Some(k as u64), "{name}");
+        assert!(!bc.contains(missing), "{missing}");
+    }
+    bc.merge(other);
+    let spent = start.elapsed().as_secs_f64();
+    assert!(spent < bound, "{spent:.3} s against {bound} s");
+    assert_eq!(bc.len(), N + N / 2);
+    let names = bc.names();
+    assert!(names.windows(2).all(|pair| pair[0] < pair[1]));
+    assert_eq!(bc.folder(&name(N)).map(Folder::len), Some(2));
+    assert_eq!(bc.peek_string(&name(N + 1)).as_deref(), Some("merged"));
+}

@@ -4,7 +4,9 @@
 //! `VecDeque<Vec<u8>>`, one heap block per element — and lives only here.
 //! Random interleavings of every mutating operation run against both; after
 //! each step every observer must agree.  Sequences are long and dequeue-heavy
-//! enough to cross the compaction threshold many times.
+//! enough to cross the compaction threshold many times, and elements of 0 to
+//! 63 bytes put single-element folders on both sides of the 47-byte image a
+//! folder holds in place.
 
 use proptest::prelude::*;
 use std::collections::VecDeque;
@@ -48,11 +50,18 @@ fn assert_agrees(folder: &Folder, model: &Model) {
     assert_eq!(codec::encode_folder(folder), wire);
 }
 
+#[test]
+fn a_folder_is_as_large_as_its_heap_form() {
+    // The in-place image fits beside its length byte in what the arena,
+    // its offset table and the dequeue count take anyway.
+    assert_eq!(std::mem::size_of::<Folder>(), 56);
+}
+
 proptest! {
     #[test]
     fn folder_matches_the_vecdeque_model(
         ops in proptest::collection::vec(
-            (0u8..16, proptest::collection::vec(any::<u8>(), 0..24)),
+            (0u8..17, proptest::collection::vec(any::<u8>(), 0..64)),
             0..400,
         )
     ) {
@@ -84,10 +93,20 @@ proptest! {
                     prop_assert!(other.is_empty());
                 }
                 14 => {
-                    if bytes.len() < 2 {
+                    if bytes.len() < 4 {
                         folder.clear();
                         model.clear();
                     }
+                }
+                15 => {
+                    // Read back off its own encoding: a small image comes
+                    // back in place, a larger one in an exact arena, and
+                    // either equals the folder it came from, whatever
+                    // form that one is in.
+                    let decoded = codec::decode_folder(&codec::encode_folder(&folder))
+                        .expect("decode");
+                    prop_assert_eq!(&decoded, &folder);
+                    folder = decoded;
                 }
                 _ => {
                     let copy = folder.clone();
@@ -97,11 +116,21 @@ proptest! {
             }
             assert_agrees(&folder, &model);
         }
-        // Same contents built the plain way: whatever `head` and arena
-        // layout the history left behind, the two are equal and encode to
-        // the same bytes, of exactly the predicted length.
+        // Same contents built the plain way: whatever form, `head` and
+        // arena layout the history left behind, the two are equal and
+        // encode to the same bytes, of exactly the predicted length.
         let fresh = Folder::from_elems(model.iter().cloned());
         prop_assert_eq!(&folder, &fresh);
+        // Built on the heap from the start, by one element larger than any
+        // in-place image, then popped back to the same contents.
+        let mut spilled = Folder::single([0; 48]);
+        for e in &model {
+            spilled.push_bytes(e);
+        }
+        spilled.dequeue();
+        prop_assert!(spilled.arena_capacity() > 0);
+        prop_assert_eq!(&spilled, &fresh);
+        prop_assert_eq!(&fresh, &spilled);
         let wire = codec::encode_folder(&folder);
         prop_assert_eq!(&wire, &codec::encode_folder(&fresh));
         prop_assert_eq!(codec::folder_encoded_len(&folder), wire.len());
