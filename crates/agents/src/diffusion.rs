@@ -48,10 +48,11 @@ fn required<'a>(bc: &'a Briefcase, name: &str) -> Result<&'a [u8], TacomaError> 
     bc.peek(name).ok_or_else(|| TacomaError::missing(name))
 }
 
-/// Files `msg_id:payload` in the site's bulletin.
+/// Files `msg_id:payload` in the site's bulletin, joined in the folder
+/// itself: a repeated delivery allocates only for the folder's growth.
 fn deliver(ctx: &mut MeetCtx<'_>, msg_id: &[u8], payload: &[u8]) {
     ctx.cabinet(DIFFUSION_CABINET)
-        .append(BULLETIN, [msg_id, b":", payload].concat());
+        .append_parts(BULLETIN, &[msg_id, b":", payload]);
 }
 
 impl Agent for DiffusionAgent {

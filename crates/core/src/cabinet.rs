@@ -16,6 +16,7 @@
 
 use crate::folder::{Folder, FolderElem};
 use serde::{Deserialize, Serialize};
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 
 /// A site-local grouping of named folders with an access index.
@@ -55,21 +56,36 @@ impl FileCabinet {
     }
 
     /// Appends an element to a named folder, creating the folder if needed.
+    /// The index keeps `elem` itself when it is new.
     pub fn append(&mut self, name: &str, elem: impl Into<FolderElem>) {
         let elem = elem.into();
-        match self.folders.get_mut(name) {
-            Some(folder) => folder.push_bytes(&elem),
-            None => {
-                self.folders
-                    .insert(name.to_string(), Folder::single(elem.as_slice()));
-            }
-        }
-        index_add(&mut self.index, name, elem);
+        // The name is copied only to create the folder.
+        let folder = match self.folders.get_mut(name) {
+            Some(folder) => folder,
+            None => self.folders.entry(name.to_string()).or_default(),
+        };
+        folder.push_bytes(&elem);
+        index_add(&mut self.index, name, Cow::Owned(elem));
+    }
+
+    /// Appends to a named folder one element made of `parts` back to back,
+    /// creating the folder if needed.  The folder's copy is what the index
+    /// is searched with, so only a new folder, element or name allocates,
+    /// beyond the folder's own growth.
+    pub fn append_parts(&mut self, name: &str, parts: &[&[u8]]) {
+        // The name is copied only to create the folder.
+        let folder = match self.folders.get_mut(name) {
+            Some(folder) => folder,
+            None => self.folders.entry(name.to_string()).or_default(),
+        };
+        folder.push_parts(parts);
+        let elem = folder.peek_back().expect("an element was just pushed");
+        index_add(&mut self.index, name, Cow::Borrowed(elem));
     }
 
     /// Appends a string element to a named folder.
     pub fn append_str(&mut self, name: &str, s: impl AsRef<str>) {
-        self.append(name, s.as_ref().as_bytes().to_vec());
+        self.append_parts(name, &[s.as_ref().as_bytes()]);
     }
 
     /// Replaces a folder wholesale (rebuilding index entries).
@@ -77,7 +93,7 @@ impl FileCabinet {
         let name = name.into();
         self.remove_from_index(&name);
         for elem in folder.iter() {
-            index_add(&mut self.index, &name, elem.to_vec());
+            index_add(&mut self.index, &name, Cow::Borrowed(elem));
         }
         self.folders.insert(name, folder);
     }
@@ -190,16 +206,16 @@ impl FileCabinet {
     }
 }
 
-/// Records one more copy of `elem` in folder `name`, allocating only for an
-/// element or a name the index has not seen.
+/// Records one more copy of `elem` in folder `name`, allocating only for a
+/// name the index has not seen, or for a new element it does not own yet.
 fn index_add(
     index: &mut BTreeMap<FolderElem, BTreeMap<String, usize>>,
     name: &str,
-    elem: FolderElem,
+    elem: Cow<'_, [u8]>,
 ) {
-    let names = match index.get_mut(elem.as_slice()) {
+    let names = match index.get_mut(&*elem) {
         Some(names) => names,
-        None => index.entry(elem).or_default(),
+        None => index.entry(elem.into_owned()).or_default(),
     };
     match names.get_mut(name) {
         Some(copies) => *copies += 1,
@@ -213,9 +229,11 @@ fn index_add(
 ///
 /// The paper groups site-local folders into cabinets; a site may have several
 /// (the scheduling service and the mail application each keep their own).
+/// They are few, so they sit in a vector sorted by name, where one binary
+/// search finds a cabinet or the place to create it.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct CabinetStore {
-    cabinets: BTreeMap<String, FileCabinet>,
+    cabinets: Vec<(String, FileCabinet)>,
 }
 
 impl CabinetStore {
@@ -224,36 +242,46 @@ impl CabinetStore {
         Self::default()
     }
 
-    /// Access to a cabinet, creating it empty if absent.
-    pub fn cabinet(&mut self, name: &str) -> &mut FileCabinet {
-        // Looked up first: the name is copied only to create the cabinet.
-        if !self.cabinets.contains_key(name) {
-            self.cabinets
-                .insert(name.to_string(), FileCabinet::default());
-        }
+    /// Where the cabinet called `name` is, or where it would go.
+    fn search(&self, name: &str) -> Result<usize, usize> {
         self.cabinets
-            .get_mut(name)
-            .expect("present or just created")
+            .binary_search_by(|(key, _)| key.as_str().cmp(name))
+    }
+
+    /// Access to a cabinet, creating it empty if absent.  The name is
+    /// copied only to create the cabinet.
+    pub fn cabinet(&mut self, name: &str) -> &mut FileCabinet {
+        let at = self.search(name).unwrap_or_else(|at| {
+            let fresh = (name.to_string(), FileCabinet::default());
+            self.cabinets.insert(at, fresh);
+            at
+        });
+        &mut self.cabinets[at].1
     }
 
     /// Read-only access to a cabinet if it exists.
     pub fn get(&self, name: &str) -> Option<&FileCabinet> {
-        self.cabinets.get(name)
+        let at = self.search(name).ok()?;
+        Some(&self.cabinets[at].1)
     }
 
     /// Whether a cabinet with the given name exists.
     pub fn contains(&self, name: &str) -> bool {
-        self.cabinets.contains_key(name)
+        self.search(name).is_ok()
     }
 
     /// Inserts (or replaces) a whole cabinet under the given name.
     pub fn put_cabinet(&mut self, name: impl Into<String>, cabinet: FileCabinet) {
-        self.cabinets.insert(name.into(), cabinet);
+        let name = name.into();
+        match self.search(&name) {
+            Ok(at) => self.cabinets[at].1 = cabinet,
+            Err(at) => self.cabinets.insert(at, (name, cabinet)),
+        }
     }
 
-    /// Names of all cabinets.
+    /// Names of all cabinets, in order.
     pub fn names(&self) -> Vec<&str> {
-        self.cabinets.keys().map(|k| k.as_str()).collect()
+        self.cabinets.iter().map(|(k, _)| k.as_str()).collect()
     }
 
     /// Removes every cabinet (volatile state lost in a crash).

@@ -322,25 +322,42 @@ impl Folder {
     /// Panics if the folder's storage would exceed `u32::MAX` bytes (the
     /// wire format's own length limit).
     pub fn push_bytes(&mut self, elem: &[u8]) {
-        let prefix = (elem.len() as u32).to_le_bytes();
+        self.push_parts(&[elem]);
+    }
+
+    /// Pushes on the back one element made of `parts` back to back, with
+    /// no buffer to join them first.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the folder's storage would exceed `u32::MAX` bytes (the
+    /// wire format's own length limit).
+    pub fn push_parts(&mut self, parts: &[&[u8]]) {
+        let elem_len: usize = parts.iter().map(|part| part.len()).sum();
+        let prefix = (elem_len as u32).to_le_bytes();
         if let Repr::Small(len, bytes) = &mut self.0 {
             let start = usize::from(*len);
-            if PREFIX + elem.len() <= SMALL - start {
-                let end = start + PREFIX + elem.len();
+            if PREFIX + elem_len <= SMALL - start {
                 bytes[start..start + PREFIX].copy_from_slice(&prefix);
-                bytes[start + PREFIX..end].copy_from_slice(elem);
+                let mut end = start + PREFIX;
+                for part in parts {
+                    bytes[end..end + part.len()].copy_from_slice(part);
+                    end += part.len();
+                }
                 *len = end as u8;
                 return;
             }
         }
         // One growth for prefix and bytes together: a folder built by a
         // single push is a single, exact block.
-        let arena = self.arena(PREFIX + elem.len(), 1);
+        let arena = self.arena(PREFIX + elem_len, 1);
         if !arena.data.is_empty() {
             arena.ends.push(arena.data.len() as u32);
         }
         arena.data.extend_from_slice(&prefix);
-        arena.data.extend_from_slice(elem);
+        for part in parts {
+            arena.data.extend_from_slice(part);
+        }
     }
 
     /// Pops the element from the back (stack pop).

@@ -423,15 +423,24 @@ impl TacomaSystem {
                 "dropping unknown message kind {} at {}",
                 msg.kind, msg.to
             )),
-            Event::Message(msg) => match codec::decode_meet_request_owned(msg.payload) {
-                Ok(req) => self.deliver_meet(msg.to, req),
-                Err(e) => {
-                    let at = msg.to;
-                    self.engine
-                        .note(format_args!("undecodable meet request at {at}: {e}"));
-                    self.engine.terminal(Terminal::Failed);
+            Event::Message(msg) => {
+                // The last holder of the bytes decodes them by value; a
+                // payload another message in flight still shares is read
+                // where it lies.
+                let decoded = match msg.payload.try_into_unique() {
+                    Ok(bytes) => codec::decode_meet_request_owned(bytes),
+                    Err(shared) => codec::decode_meet_request(&shared),
+                };
+                match decoded {
+                    Ok(req) => self.deliver_meet(msg.to, req),
+                    Err(e) => {
+                        let at = msg.to;
+                        self.engine
+                            .note(format_args!("undecodable meet request at {at}: {e}"));
+                        self.engine.terminal(Terminal::Failed);
+                    }
                 }
-            },
+            }
             Event::Timer { site, key } if admission::owns_key(key) => {
                 // Only admission control arms such keys.
                 let Some(admission) = self.admission.as_mut() else {

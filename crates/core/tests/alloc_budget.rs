@@ -8,8 +8,9 @@
 //! O(elements) per decode, none for a folder whose wire image fits in place
 //! or for a warm dispatch's outbox, no per-meet work proportional to the
 //! number of sites, and none at all inside a warm `SimNet::send` + `step`;
-//! and a ceiling on what the TacoScript interpreter allocates per loop
-//! iteration.
+//! one buffer and one box for identical sends in flight, and nothing but
+//! the folder's growth for a repeated flood delivery; and a ceiling on what
+//! the TacoScript interpreter allocates per loop iteration.
 //! This file
 //! is the workspace's one use of `unsafe` outside the benchmark, which the
 //! allocator trait requires.
@@ -27,6 +28,8 @@ thread_local! {
     /// `(allocations, bytes)` requested by this thread.  Per thread, so the
     /// test harness's other threads cannot disturb a count.
     static COUNTS: Cell<(u64, u64)> = const { Cell::new((0, 0)) };
+    /// Bytes this thread has allocated and not freed.
+    static LIVE: Cell<i64> = const { Cell::new(0) };
 }
 
 struct Counting;
@@ -39,6 +42,10 @@ impl Counting {
             c.set((n + 1, b + bytes as u64));
         });
     }
+
+    fn live(grown: usize, freed: usize) {
+        let _ = LIVE.try_with(|live| live.set(live.get() + grown as i64 - freed as i64));
+    }
 }
 
 // SAFETY: every method forwards its arguments unchanged to `System`, which
@@ -47,23 +54,27 @@ impl Counting {
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         Self::record(layout.size());
+        Self::live(layout.size(), 0);
         // SAFETY: the caller's obligations are passed through as they are.
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
         Self::record(layout.size());
+        Self::live(layout.size(), 0);
         // SAFETY: as above.
         unsafe { System.alloc_zeroed(layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         Self::record(new_size);
+        Self::live(new_size, layout.size());
         // SAFETY: as above.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        Self::live(0, layout.size());
         // SAFETY: as above.
         unsafe { System.dealloc(ptr, layout) }
     }
@@ -78,6 +89,13 @@ fn counted<T>(f: impl FnOnce() -> T) -> (T, u64, u64) {
     let out = f();
     let (n1, b1) = COUNTS.with(Cell::get);
     (out, n1 - n0, b1 - b0)
+}
+
+/// Runs `f` and returns its result with the bytes it left allocated.
+fn held<T>(f: impl FnOnce() -> T) -> (T, i64) {
+    let before = LIVE.with(Cell::get);
+    let out = f();
+    (out, LIVE.with(Cell::get) - before)
 }
 
 /// A mail-shaped request: one addressing folder and a BODY of 64-byte lines.
@@ -393,6 +411,65 @@ fn a_warm_send_and_step_allocate_nothing() {
     let cliques = Topology::ring_of_cliques(64, 8, LinkSpec::lan(), LinkSpec::wan());
     let targets = [(5, 1), (31 * 8 + 5, 33)];
     assert_eq!(warm_send_and_step_allocations(cliques, 3, &targets), 0);
+}
+
+/// Sends a 1 000-byte payload from site 0 to each of sites 1 to 4 of a
+/// mesh, after the same sends were delivered once, and returns the bytes
+/// the four messages in flight hold, payloads included, with the
+/// allocations made for them.
+fn four_sends_in_flight(payload: impl Fn(u32) -> Vec<u8>) -> (i64, u64) {
+    let mut net = SimNet::new(Topology::full_mesh(5, LinkSpec::default()));
+    let four = |net: &mut SimNet| {
+        for to in 1..=4 {
+            let opts = SendOptions {
+                from: SiteId(0),
+                to: SiteId(to),
+                payload: payload(to),
+                kind: 1,
+                transport: TransportKind::Tcp,
+                custody: false,
+            };
+            net.send(opts).expect("the mesh is up");
+        }
+    };
+    four(&mut net);
+    while net.step().is_some() {}
+    let (((), allocs, _), live) = held(|| counted(|| four(&mut net)));
+    (live, allocs)
+}
+
+#[test]
+fn identical_sends_in_flight_hold_one_payload_buffer() {
+    // A flood's clones: four buffers built, three freed at their send, one
+    // small box shared by the four messages.
+    let (live, allocs) = four_sends_in_flight(|_| vec![7; 1_000]);
+    assert_eq!(allocs, 5);
+    assert!((1_000..=1_064).contains(&live), "{live} bytes held");
+    // Distinct payloads are the senders' buffers, with nothing added.
+    let (live, allocs) = four_sends_in_flight(|to| vec![to as u8; 1_000]);
+    assert_eq!((live, allocs), (4_000, 4));
+}
+
+#[test]
+fn a_repeated_flood_delivery_allocates_only_for_its_folders_growth() {
+    // The flood agent files `msg_id:payload` in its bulletin on every
+    // delivery.  Once the element, the folder and the name are known, a
+    // repeat costs what pushing the same element onto a bare folder costs.
+    let parts: [&[u8]; 3] = [b"m", b":", b"sixteen byte msg"];
+    let mut cabinet = tacoma_core::FileCabinet::new();
+    let (_, allocs, _) = counted(|| cabinet.append_parts("BULLETIN", &parts));
+    assert!(allocs > 0, "a new name and element are copied");
+    let mut folder = cabinet.folder_ref("BULLETIN").expect("filed").clone();
+    let repeats = |append: &mut dyn FnMut()| counted(|| (0..1_000).for_each(|_| append()));
+    let ((), cabinet_allocs, cabinet_bytes) =
+        repeats(&mut || cabinet.append_parts("BULLETIN", &parts));
+    let ((), folder_allocs, folder_bytes) = repeats(&mut || folder.push_parts(&parts));
+    assert_eq!(
+        (cabinet_allocs, cabinet_bytes),
+        (folder_allocs, folder_bytes)
+    );
+    assert!(cabinet_allocs < 40, "{cabinet_allocs} allocations");
+    assert_eq!(cabinet.folder_ref("BULLETIN"), Some(&folder));
 }
 
 /// The `(allocations, bytes)` of one `Interp::run` of a loop of `n`

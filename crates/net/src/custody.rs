@@ -143,7 +143,7 @@ mod tests {
                 id: MessageId(id),
                 from: SiteId(0),
                 to: SiteId(1),
-                payload: vec![0; 10],
+                payload: vec![0; 10].into(),
                 kind: 1,
                 sent_at: SimTime::ZERO,
                 hops: 0,

@@ -53,7 +53,9 @@ pub use custody::CustodyConfig;
 pub use failure::FailurePlan;
 pub use metrics::NetMetrics;
 pub use routing::Router;
-pub use sim::{DeliveredMessage, Event, ExpiredMessage, MessageId, NetError, SendOptions, SimNet};
+pub use sim::{
+    DeliveredMessage, Event, ExpiredMessage, MessageId, NetError, Payload, SendOptions, SimNet,
+};
 pub use time::{Duration, SimTime};
 pub use topology::{LinkSpec, Topology, TopologyKind};
 pub use transport::{Transport, TransportKind};

@@ -22,8 +22,10 @@ use crate::time::{Duration, SimTime};
 use crate::topology::Topology;
 use crate::transport::{Transport, TransportKind};
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeSet;
-use tacoma_util::SiteId;
+use std::collections::{BTreeSet, HashMap};
+use std::ops::Deref;
+use std::rc::Rc;
+use tacoma_util::{IdBuildHasher, SiteId};
 
 /// A partition installed by [`SimNet::partition`]: one membership mask per
 /// call, `O(V)` to store instead of the `O(V²)` blocked-pair set it replaces.
@@ -124,7 +126,87 @@ pub struct SendOptions {
     pub custody: bool,
 }
 
-/// A message delivered to its destination site.
+/// The bytes a message carries: a [`SendOptions::payload`] as the
+/// simulator holds and delivers it.
+///
+/// A send whose bytes equal those of the message sent just before it, while
+/// that one is still in flight, shares its buffer (a flood's clones carry
+/// one briefcase to every neighbour); every other payload is the sender's
+/// `Vec` itself.  Which of the two a payload is cannot be seen: it reads as
+/// its bytes, compares by them, and [`Payload::into_unique`] returns them
+/// as a `Vec` either way.
+#[derive(Clone, Serialize, Deserialize)]
+pub struct Payload(Bytes);
+
+/// Where a payload's bytes live.
+#[derive(Clone)]
+enum Bytes {
+    /// A buffer no other message holds: the sender's own.
+    Unique(Vec<u8>),
+    /// One buffer for a run of identical sends, freed with its last holder.
+    Shared(Rc<Vec<u8>>),
+}
+
+impl Payload {
+    /// The bytes as a `Vec`: the buffer itself when no other message holds
+    /// it, a copy otherwise.
+    pub fn into_unique(self) -> Vec<u8> {
+        self.try_into_unique()
+            .unwrap_or_else(|shared| shared.to_vec())
+    }
+
+    /// The bytes as a `Vec` without copying them: the buffer when no other
+    /// message holds it, the payload back otherwise (read it by reference).
+    pub fn try_into_unique(self) -> Result<Vec<u8>, Payload> {
+        match self.0 {
+            Bytes::Unique(bytes) => Ok(bytes),
+            Bytes::Shared(rc) => Rc::try_unwrap(rc).map_err(|rc| Payload(Bytes::Shared(rc))),
+        }
+    }
+
+    /// A second holder of these bytes: the buffer moves behind a shared
+    /// box the first time, so nothing of its size is copied.
+    fn share(&mut self) -> Payload {
+        if let Bytes::Unique(bytes) = &mut self.0 {
+            self.0 = Bytes::Shared(Rc::new(std::mem::take(bytes)));
+        }
+        self.clone()
+    }
+}
+
+impl From<Vec<u8>> for Payload {
+    fn from(bytes: Vec<u8>) -> Self {
+        Payload(Bytes::Unique(bytes))
+    }
+}
+
+impl Deref for Payload {
+    type Target = [u8];
+
+    fn deref(&self) -> &[u8] {
+        match &self.0 {
+            Bytes::Unique(bytes) => bytes,
+            Bytes::Shared(rc) => rc,
+        }
+    }
+}
+
+impl PartialEq for Payload {
+    fn eq(&self, other: &Payload) -> bool {
+        **self == **other
+    }
+}
+
+impl Eq for Payload {}
+
+impl std::fmt::Debug for Payload {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        <[u8] as std::fmt::Debug>::fmt(self, f)
+    }
+}
+
+/// A message delivered to its destination site.  It is also the record a
+/// message in flight occupies in the simulator's slab: 56 bytes.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct DeliveredMessage {
     /// The id assigned at send time.
@@ -134,7 +216,7 @@ pub struct DeliveredMessage {
     /// Destination (the site the event is delivered at).
     pub to: SiteId,
     /// Application payload.
-    pub payload: Vec<u8>,
+    pub payload: Payload,
     /// Application-defined message kind.
     pub kind: u16,
     /// When the message was sent.
@@ -181,8 +263,9 @@ pub enum Event {
     SiteRecovered(SiteId),
 }
 
-/// Custody bookkeeping carried alongside an in-flight delivery so the message
-/// can be re-parked (instead of dropped) if its destination dies mid-flight.
+/// Custody bookkeeping kept beside an in-flight delivery (in
+/// `SimNet::custody_tags`) so the message can be re-parked, instead of
+/// dropped, if its destination dies mid-flight.
 #[derive(Debug, Clone, Copy)]
 struct CustodyTag {
     expires_at: SimTime,
@@ -226,10 +309,15 @@ pub struct SimNet {
     /// sent or scheduled.
     queue: CalendarQueue<u64, Pending>,
     /// Messages in flight, each at the index its queued `Pending::Deliver`
-    /// holds, with the custody bookkeeping that rides along; `free` lists
-    /// the vacated slots, reused before the slab grows.
-    in_flight: Vec<Option<(DeliveredMessage, Option<CustodyTag>)>>,
+    /// holds; `free` lists the vacated slots, reused before the slab grows.
+    in_flight: Vec<Option<DeliveredMessage>>,
     free: Vec<u32>,
+    /// The custody bookkeeping of the custodied messages in flight, by
+    /// slot: empty unless custody is in use, so no other message pays for it.
+    custody_tags: HashMap<u32, CustodyTag, IdBuildHasher>,
+    /// The slot and id of the message `send` last put in flight: the one
+    /// message the next send's bytes are compared with.
+    last_sent: Option<(u32, MessageId)>,
     seq: u64,
     next_msg_id: u64,
     transport: Transport,
@@ -258,6 +346,8 @@ impl SimNet {
             queue: CalendarQueue::new(),
             in_flight: Vec::new(),
             free: Vec::new(),
+            custody_tags: HashMap::default(),
+            last_sent: None,
             seq: 0,
             next_msg_id: 1,
             transport: Transport::new(),
@@ -478,7 +568,7 @@ impl SimNet {
             id,
             from,
             to,
-            payload,
+            payload: Payload::from(payload),
             kind,
             sent_at: self.clock,
             hops: 0,
@@ -488,7 +578,7 @@ impl SimNet {
             // Local delivery: a small constant kernel cost, no network bytes.
             self.metrics.record_send();
             let at = self.clock + Duration::from_micros(10);
-            self.push_delivery(at, msg, None);
+            self.push_sent(at, msg, None);
             return Ok(id);
         }
 
@@ -527,8 +617,27 @@ impl SimNet {
             was_parked: false,
         });
         let at = self.clock + delay;
-        self.push_delivery(at, msg, tag);
+        self.push_sent(at, msg, tag);
         Ok(id)
+    }
+
+    /// Puts a freshly sent message in flight.  When its bytes equal those
+    /// of the message `send` last put in flight, and that one has not been
+    /// delivered, the two share one buffer; nothing is kept for a message
+    /// once it leaves the slab, so a repeat of a delivered one is its own.
+    fn push_sent(&mut self, at: SimTime, mut msg: DeliveredMessage, tag: Option<CustodyTag>) {
+        let last = self.last_sent.and_then(|(slot, id)| {
+            let prev = self.in_flight[slot as usize].as_mut()?;
+            (prev.id == id).then_some(prev)
+        });
+        if let Some(prev) =
+            last.filter(|prev| !msg.payload.is_empty() && prev.payload == msg.payload)
+        {
+            msg.payload = prev.payload.share();
+        }
+        let id = msg.id;
+        let slot = self.push_delivery(at, msg, tag);
+        self.last_sent = Some((slot, id));
     }
 
     /// Parks a freshly accepted message whose destination is currently
@@ -705,9 +814,10 @@ impl SimNet {
             self.clock = self.clock.max(at);
             match pending {
                 Pending::Deliver(slot) => {
-                    let (msg, custody) = self.in_flight[slot as usize]
+                    let msg = self.in_flight[slot as usize]
                         .take()
                         .expect("a queued delivery owns its slot");
+                    let custody = self.custody_tags.remove(&slot);
                     self.free.push(slot);
                     if self.is_up(msg.to) {
                         if custody.is_some_and(|tag| tag.was_parked) {
@@ -815,15 +925,25 @@ impl SimNet {
         self.queue.push(at, seq, pending);
     }
 
-    /// Queues a delivery: the message goes into a vacant slab slot and the
-    /// queue carries the slot's index.
-    fn push_delivery(&mut self, at: SimTime, msg: DeliveredMessage, custody: Option<CustodyTag>) {
+    /// Queues a delivery: the message goes into a vacant slab slot, its
+    /// custody tag (if any) into the side table, and the queue carries the
+    /// slot's index, which is returned.
+    fn push_delivery(
+        &mut self,
+        at: SimTime,
+        msg: DeliveredMessage,
+        custody: Option<CustodyTag>,
+    ) -> u32 {
         let slot = self.free.pop().unwrap_or_else(|| {
             self.in_flight.push(None);
             u32::try_from(self.in_flight.len() - 1).expect("over u32::MAX messages in flight")
         });
-        self.in_flight[slot as usize] = Some((msg, custody));
+        self.in_flight[slot as usize] = Some(msg);
+        if let Some(tag) = custody {
+            self.custody_tags.insert(slot, tag);
+        }
         self.push(at, Pending::Deliver(slot));
+        slot
     }
 }
 
@@ -859,6 +979,25 @@ mod tests {
     fn a_queued_event_is_sixteen_bytes() {
         // Messages wait in the slab: a timer must not pay for their fields.
         assert!(std::mem::size_of::<Pending>() <= 16);
+    }
+
+    #[test]
+    fn a_message_in_flight_is_fifty_six_bytes() {
+        // Custody tags live beside the slab, so a record pays for none.
+        assert_eq!(std::mem::size_of::<Payload>(), 24);
+        assert!(std::mem::size_of::<Option<DeliveredMessage>>() <= 56);
+    }
+
+    #[test]
+    fn a_shared_payload_is_unique_again_once_alone() {
+        let mut first = Payload::from(vec![7u8; 40]);
+        let second = first.share();
+        assert_eq!(first, second);
+        let Err(second) = second.try_into_unique() else {
+            panic!("two holders: the buffer is shared");
+        };
+        drop(first);
+        assert_eq!(second.try_into_unique(), Ok(vec![7u8; 40]));
     }
 
     #[test]
