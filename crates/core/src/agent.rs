@@ -18,7 +18,6 @@ use crate::briefcase::Briefcase;
 use crate::cabinet::FileCabinet;
 use crate::error::TacomaError;
 use crate::place::{DispatchEnv, Place};
-use std::collections::BTreeMap;
 use tacoma_net::{Duration, SimTime, TransportKind};
 use tacoma_util::{AgentId, AgentName, DetRng, SiteId};
 
@@ -156,10 +155,13 @@ pub struct RegisteredAgent {
 /// The registry supports *taking* an agent out while it executes a meet so
 /// that nested local meets (A meets B, B meets C) work without aliasing; a
 /// nested meet of an agent that is already executing fails with
-/// [`TacomaError::AgentBusy`].
+/// [`TacomaError::AgentBusy`].  Slots are sorted by name, so a dispatch
+/// searches once: [`AgentRegistry::take`] hands back the slot's index and
+/// [`AgentRegistry::put_back`] returns the agent there while the name there
+/// is still its own.
 #[derive(Default)]
 pub struct AgentRegistry {
-    slots: BTreeMap<AgentName, Option<RegisteredAgent>>,
+    slots: Vec<(AgentName, Option<RegisteredAgent>)>,
 }
 
 impl AgentRegistry {
@@ -168,24 +170,34 @@ impl AgentRegistry {
         Self::default()
     }
 
+    /// Where the agent called `name` is, or where it would go.
+    fn search(&self, name: &AgentName) -> Result<usize, usize> {
+        self.slots.binary_search_by(|(key, _)| key.cmp(name))
+    }
+
     /// Installs an agent, replacing any previous agent of the same name.
     pub fn install(&mut self, registered: RegisteredAgent) {
-        self.slots.insert(registered.agent.name(), Some(registered));
+        let name = registered.agent.name();
+        match self.search(&name) {
+            Ok(at) => self.slots[at].1 = Some(registered),
+            Err(at) => self.slots.insert(at, (name, Some(registered))),
+        }
     }
 
     /// Removes an agent by name.
     pub fn remove(&mut self, name: &AgentName) -> Option<RegisteredAgent> {
-        self.slots.remove(name).flatten()
+        let at = self.search(name).ok()?;
+        self.slots.remove(at).1
     }
 
     /// Whether an agent with the given name is registered (busy or not).
     pub fn contains(&self, name: &AgentName) -> bool {
-        self.slots.contains_key(name)
+        self.search(name).is_ok()
     }
 
     /// Names of all registered agents.
     pub fn names(&self) -> Vec<AgentName> {
-        self.slots.keys().cloned().collect()
+        self.slots.iter().map(|(name, _)| name.clone()).collect()
     }
 
     /// Number of registered agents.
@@ -198,26 +210,39 @@ impl AgentRegistry {
         self.slots.is_empty()
     }
 
-    /// Takes an agent out for execution.
-    pub fn take(&mut self, name: &AgentName, site: SiteId) -> Result<RegisteredAgent, TacomaError> {
-        match self.slots.get_mut(name) {
-            None => Err(TacomaError::NoSuchAgent {
+    /// Takes an agent out for execution, with the index of its slot for
+    /// [`AgentRegistry::put_back`].
+    pub fn take(
+        &mut self,
+        name: &AgentName,
+        site: SiteId,
+    ) -> Result<(usize, RegisteredAgent), TacomaError> {
+        let Ok(at) = self.search(name) else {
+            return Err(TacomaError::NoSuchAgent {
                 name: name.clone(),
                 site,
-            }),
-            Some(slot) => slot
-                .take()
-                .ok_or_else(|| TacomaError::AgentBusy(name.clone())),
-        }
+            });
+        };
+        let registered = self.slots[at].1.take();
+        registered
+            .map(|registered| (at, registered))
+            .ok_or_else(|| TacomaError::AgentBusy(name.clone()))
     }
 
-    /// Puts an agent back after execution.
-    pub fn put_back(&mut self, registered: RegisteredAgent) {
-        let name = registered.agent.name();
-        // If the agent unregistered itself during the meet the slot is gone;
-        // respect that and drop the instance.
-        if let Some(slot) = self.slots.get_mut(&name) {
-            *slot = Some(registered);
+    /// Puts an agent taken from slot `at` under `name` back after
+    /// execution.  Slots may have moved meanwhile (an install or removal
+    /// during the meet), so the name at `at` is checked and the slot
+    /// searched again only if it differs.  If the agent unregistered itself
+    /// during the meet its slot is gone, and if a same-name agent was
+    /// installed meanwhile the slot is that one's: either way the instance
+    /// is dropped.
+    pub fn put_back(&mut self, at: usize, name: &AgentName, registered: RegisteredAgent) {
+        let at = match self.slots.get(at) {
+            Some((key, _)) if key == name => Ok(at),
+            _ => self.search(name),
+        };
+        if let Ok(at) = at {
+            self.slots[at].1.get_or_insert(registered);
         }
     }
 
@@ -470,13 +495,13 @@ mod tests {
         });
         assert_eq!(reg.len(), 1);
         assert!(reg.contains(&AgentName::new("echo")));
-        let taken = reg.take(&AgentName::new("echo"), SiteId(0)).unwrap();
+        let (at, taken) = reg.take(&AgentName::new("echo"), SiteId(0)).unwrap();
         // While taken, the agent is busy.
         assert!(matches!(
             reg.take(&AgentName::new("echo"), SiteId(0)),
             Err(TacomaError::AgentBusy(_))
         ));
-        reg.put_back(taken);
+        reg.put_back(at, &AgentName::new("echo"), taken);
         assert!(reg.take(&AgentName::new("echo"), SiteId(0)).is_ok());
     }
 
@@ -590,5 +615,48 @@ mod tests {
         // The inspector's own slot is empty (taken) during its meet.
         assert_eq!(bc.peek_string("HAS_SELF").as_deref(), Some("yes"));
         assert!(place.cabinets().contains("notes"));
+    }
+
+    fn registered(id: u64, agent: impl Agent + 'static) -> RegisteredAgent {
+        RegisteredAgent {
+            id: AgentId(id),
+            agent: Box::new(agent),
+        }
+    }
+
+    #[test]
+    fn an_agent_unregistered_during_its_meet_is_dropped() {
+        let mut registry = AgentRegistry::new();
+        registry.install(registered(1, Echo));
+        registry.install(registered(2, Caller));
+        let echo = AgentName::new("echo");
+        let (at, taken) = registry.take(&echo, SiteId(0)).expect("installed");
+        assert!(matches!(
+            registry.take(&echo, SiteId(0)),
+            Err(TacomaError::AgentBusy(_))
+        ));
+        assert!(registry.remove(&echo).is_none(), "its slot is empty");
+        registry.put_back(at, &echo, taken);
+        assert!(!registry.contains(&echo));
+        assert_eq!(registry.names(), [AgentName::new("caller")]);
+    }
+
+    #[test]
+    fn an_agent_goes_back_to_its_slot_after_the_slots_moved() {
+        let mut registry = AgentRegistry::new();
+        registry.install(registered(1, Echo));
+        let echo = AgentName::new("echo");
+        let (at, taken) = registry.take(&echo, SiteId(0)).expect("installed");
+        // "caller" sorts first: the slot taken from is now one further on.
+        registry.install(registered(2, Caller));
+        registry.put_back(at, &echo, taken);
+        let (at, back) = registry.take(&echo, SiteId(0)).expect("put back");
+        assert_eq!(back.id, AgentId(1));
+        assert!(registry.take(&AgentName::new("caller"), SiteId(0)).is_ok());
+        // A same-name agent installed during the meet keeps the slot.
+        registry.install(registered(3, Echo));
+        registry.put_back(at, &echo, back);
+        let (_, kept) = registry.take(&echo, SiteId(0)).expect("installed");
+        assert_eq!(kept.id, AgentId(3));
     }
 }

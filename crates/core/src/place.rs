@@ -146,7 +146,7 @@ impl Place {
         outbox: &mut Vec<Action>,
         work: impl FnOnce(&mut dyn Agent, &mut MeetCtx<'_>) -> R,
     ) -> Result<R, TacomaError> {
-        let mut registered = self.registry.take(name, self.site)?;
+        let (at, mut registered) = self.registry.take(name, self.site)?;
         let mut ctx = MeetCtx {
             agent_id: registered.id,
             depth,
@@ -155,7 +155,7 @@ impl Place {
             outbox,
         };
         let result = work(registered.agent.as_mut(), &mut ctx);
-        self.registry.put_back(registered);
+        self.registry.put_back(at, name, registered);
         Ok(result)
     }
 

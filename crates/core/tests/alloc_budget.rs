@@ -8,7 +8,9 @@
 //! O(elements) per decode, none for a folder whose wire image fits in place
 //! or for a warm dispatch's outbox, no per-meet work proportional to the
 //! number of sites, and none at all inside a warm `SimNet::send` + `step`;
-//! one buffer and one box for identical sends in flight, and nothing but
+//! one buffer and one box for identical sends in flight, one per sender
+//! when two senders interleave their repeats, a burst's calendar buffers
+//! given back once drained, and nothing but
 //! the folder's growth for a repeated flood delivery; and a ceiling on what
 //! the TacoScript interpreter allocates per loop iteration.
 //! This file
@@ -20,7 +22,9 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use tacoma_core::codec::{self, MeetRequest};
 use tacoma_core::prelude::*;
-use tacoma_net::{Event, LinkSpec, SendOptions, SimNet, Topology, TransportKind};
+use tacoma_net::{
+    CalendarQueue, Event, LinkSpec, SendOptions, SimNet, SimTime, Topology, TransportKind,
+};
 use tacoma_script::{Interp, NullHost};
 use tacoma_util::Name;
 
@@ -448,6 +452,78 @@ fn identical_sends_in_flight_hold_one_payload_buffer() {
     // Distinct payloads are the senders' buffers, with nothing added.
     let (live, allocs) = four_sends_in_flight(|to| vec![to as u8; 1_000]);
     assert_eq!((live, allocs), (4_000, 4));
+}
+
+#[test]
+fn two_senders_interleaving_their_repeats_hold_two_payload_buffers() {
+    // Sites 0 and 1 each send their own payload four times, alternating:
+    // no send repeats the one just before it, but each repeats its sender's
+    // last, so the eight messages hold two buffers and two boxes.
+    let mut net = SimNet::new(Topology::full_mesh(5, LinkSpec::default()));
+    let eight = |net: &mut SimNet| {
+        for to in 2..=5 {
+            for from in [0, 1] {
+                let opts = SendOptions {
+                    from: SiteId(from),
+                    to: SiteId((from + to) % 5),
+                    payload: vec![from as u8; 1_000],
+                    kind: 1,
+                    transport: TransportKind::Tcp,
+                    custody: false,
+                };
+                net.send(opts).expect("the mesh is up");
+            }
+        }
+    };
+    eight(&mut net);
+    while net.step().is_some() {}
+    let (((), allocs, _), live) = held(|| counted(|| eight(&mut net)));
+    assert_eq!(allocs, 10);
+    assert!((2_000..=2_128).contains(&live), "{live} bytes held");
+}
+
+#[test]
+fn a_drained_burst_gives_its_calendar_buffers_back() {
+    // Four flood generations of 100 000 events, each at one instant in a
+    // bucket of its own, over 1 000 events standing further out.  Once the
+    // generations have drained, what the queue still holds is bounded by
+    // its depth: the buffers the bursts grew are freed, not kept idle.
+    const DEPTH: u64 = 1_000;
+    const BURST: u64 = 100_000;
+    let entry = std::mem::size_of::<(SimTime, u64, u64)>() as i64;
+    let (q, live) = held(|| {
+        // Values are generations: the seed queues the first burst, each
+        // event of generations 1 to 3 one of the next, 1 000 µs on.  A
+        // second event beside the seed keeps the wheel from turning before
+        // the burst is queued, which would put it in the late heap.
+        let mut q: CalendarQueue<u64, u64> = CalendarQueue::new();
+        q.push(SimTime(0), 0, 0);
+        q.push(SimTime(0), 1, u64::MAX);
+        for key in 2..DEPTH + 2 {
+            q.push(SimTime(50_000), key, u64::MAX);
+        }
+        let mut key = DEPTH + 2;
+        while q.len() as u64 > DEPTH || key == DEPTH + 2 {
+            let (at, _, gen) = q.pop().expect("the bursts are queued");
+            let next = SimTime(at.micros() + 1_000);
+            let copies = match gen {
+                0 => BURST,
+                1..=3 => 1,
+                _ => 0,
+            };
+            for _ in 0..copies {
+                q.push(next, key, gen + 1);
+                key += 1;
+            }
+        }
+        q
+    });
+    assert_eq!(q.len() as u64, DEPTH);
+    let wheel = 128 * std::mem::size_of::<Vec<u8>>() as i64;
+    assert!(
+        live <= 2 * DEPTH as i64 * entry + wheel,
+        "{live} bytes held for a depth of {DEPTH}"
+    );
 }
 
 #[test]

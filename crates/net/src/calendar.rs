@@ -17,7 +17,10 @@
 //!   `Vec` is sorted once when the bucket's turn comes, earliest last, and a
 //!   pop is a `Vec::pop`.  A simulator pushes a bucket mostly in pop order
 //!   already — a whole flood generation lands at one instant, keys ascending
-//!   — and the sort recognises such a run in `O(n)`;
+//!   — and the sort recognises such a run in `O(n)`.  The drained buffer
+//!   goes back to the slot for its next revolution unless it could hold
+//!   the events queued outside the new current bucket many times over: a
+//!   burst's buffer is freed, not kept idle;
 //! * one **late heap** for the pushes made at or before the current bucket
 //!   afterwards: the front is the earlier of the run's end and its top;
 //! * an **overflow** map, revolution → unsorted `Vec`, for events beyond the
@@ -44,6 +47,14 @@ const DEFAULT_BUCKET_WIDTH_US: u64 = 512;
 /// enough that a WAN-latency delivery (40 ms) is at most one turn away;
 /// only long timers and failure-plan events wait many turns in overflow.
 const DEFAULT_SLOTS: usize = 128;
+
+/// A drained run's buffer is a burst's, and is freed, when it could hold
+/// this many times every event queued outside the new current bucket.  A
+/// ratio, not a size, so what the wheel keeps follows the queue's depth.
+/// A flood generation lands at one instant with little else queued, so
+/// its buffer is freed; a steady wheel, whose buckets are each a small
+/// share of the queue, keeps its buffers and seldom grows them again.
+const BURST_RATIO: usize = 4;
 
 /// One queued event.  Ordering ignores the value entirely: the total order is
 /// `(time, key)`, and keys are unique by contract.  It is *reversed* — the
@@ -189,9 +200,15 @@ impl<K: Ord + Copy, V> CalendarQueue<K, V> {
         loop {
             if let Some(i) = (from..self.slots.len()).find(|&i| !self.slots[i].is_empty()) {
                 self.cur_bucket = self.rev_start + i as u64;
-                // The slot keeps the drained run's buffer for its next turn:
-                // no allocation per bucket once the wheel has been round.
+                // The slot keeps the drained run's buffer for its next turn,
+                // so a steady wheel allocates nothing per bucket, unless the
+                // buffer is a burst's (a flood generation's): then it is
+                // freed, not kept idle for a revolution.
                 std::mem::swap(&mut self.run, &mut self.slots[i]);
+                let rest = self.len - self.run.len();
+                if self.slots[i].capacity() > rest.saturating_mul(BURST_RATIO) {
+                    self.slots[i] = Vec::new();
+                }
                 self.run.sort_unstable();
                 return;
             }

@@ -129,12 +129,12 @@ pub struct SendOptions {
 /// The bytes a message carries: a [`SendOptions::payload`] as the
 /// simulator holds and delivers it.
 ///
-/// A send whose bytes equal those of the message sent just before it, while
-/// that one is still in flight, shares its buffer (a flood's clones carry
-/// one briefcase to every neighbour); every other payload is the sender's
-/// `Vec` itself.  Which of the two a payload is cannot be seen: it reads as
-/// its bytes, compares by them, and [`Payload::into_unique`] returns them
-/// as a `Vec` either way.
+/// A send whose bytes equal those of the message sent just before it, or
+/// of its sender's last message, while that one is still in flight, shares
+/// its buffer (a flood's clones carry one briefcase to every neighbour);
+/// every other payload is the sender's `Vec` itself.  Which of the two a
+/// payload is cannot be seen: it reads as its bytes, compares by them, and
+/// [`Payload::into_unique`] returns them as a `Vec` either way.
 #[derive(Clone, Serialize, Deserialize)]
 pub struct Payload(Bytes);
 
@@ -143,7 +143,7 @@ pub struct Payload(Bytes);
 enum Bytes {
     /// A buffer no other message holds: the sender's own.
     Unique(Vec<u8>),
-    /// One buffer for a run of identical sends, freed with its last holder.
+    /// One buffer for identical sends in flight, freed with its last holder.
     Shared(Rc<Vec<u8>>),
 }
 
@@ -315,9 +315,11 @@ pub struct SimNet {
     /// The custody bookkeeping of the custodied messages in flight, by
     /// slot: empty unless custody is in use, so no other message pays for it.
     custody_tags: HashMap<u32, CustodyTag, IdBuildHasher>,
-    /// The slot and id of the message `send` last put in flight: the one
-    /// message the next send's bytes are compared with.
+    /// The slot and id of the message `send` last put in flight, and of
+    /// each site's last message put in flight (by sender, `MessageId(0)`
+    /// for none yet): the two messages a send's bytes are compared with.
     last_sent: Option<(u32, MessageId)>,
+    last_from: Vec<(u32, MessageId)>,
     seq: u64,
     next_msg_id: u64,
     transport: Transport,
@@ -348,6 +350,7 @@ impl SimNet {
             free: Vec::new(),
             custody_tags: HashMap::default(),
             last_sent: None,
+            last_from: vec![(0, MessageId(0)); sites],
             seq: 0,
             next_msg_id: 1,
             transport: Transport::new(),
@@ -621,23 +624,33 @@ impl SimNet {
         Ok(id)
     }
 
-    /// Puts a freshly sent message in flight.  When its bytes equal those
-    /// of the message `send` last put in flight, and that one has not been
-    /// delivered, the two share one buffer; nothing is kept for a message
-    /// once it leaves the slab, so a repeat of a delivered one is its own.
+    /// Puts a freshly sent message in flight.  Its bytes are compared with
+    /// those of the message `send` last put in flight and then, if that is
+    /// another, with the sender's last one; the first still in flight with
+    /// equal bytes shares its buffer.  Nothing is kept for a message once
+    /// it leaves the slab, so a repeat of a delivered one is its own.
     fn push_sent(&mut self, at: SimTime, mut msg: DeliveredMessage, tag: Option<CustodyTag>) {
-        let last = self.last_sent.and_then(|(slot, id)| {
-            let prev = self.in_flight[slot as usize].as_mut()?;
-            (prev.id == id).then_some(prev)
-        });
-        if let Some(prev) =
-            last.filter(|prev| !msg.payload.is_empty() && prev.payload == msg.payload)
-        {
-            msg.payload = prev.payload.share();
+        let from = msg.from.index();
+        if !msg.payload.is_empty() {
+            let own =
+                (self.last_from.get(from).copied()).filter(|&own| Some(own) != self.last_sent);
+            for (slot, id) in self.last_sent.into_iter().chain(own) {
+                let prev = self
+                    .in_flight
+                    .get_mut(slot as usize)
+                    .and_then(Option::as_mut);
+                if let Some(prev) = prev.filter(|p| p.id == id && p.payload == msg.payload) {
+                    msg.payload = prev.payload.share();
+                    break;
+                }
+            }
         }
         let id = msg.id;
         let slot = self.push_delivery(at, msg, tag);
         self.last_sent = Some((slot, id));
+        if let Some(last) = self.last_from.get_mut(from) {
+            *last = (slot, id);
+        }
     }
 
     /// Parks a freshly accepted message whose destination is currently

@@ -1,8 +1,9 @@
-//! A payload that consecutive sends repeat is stored once while both are in
-//! flight, and nothing else about a message may show it.  A seeded property
-//! drives interleavings of repeated and fresh payloads, local sends, crashes
-//! mid-flight, and custody parks and re-parks, and checks every run against
-//! the same run with every payload made distinct.
+//! A payload that a send repeats, from the send just before it or from its
+//! sender's last one, is stored once while both are in flight, and nothing
+//! else about a message may show it.  A seeded property drives
+//! interleavings of several senders' repeated and fresh payloads, local
+//! sends, crashes mid-flight, and custody parks and re-parks, and checks
+//! every run against the same run with every payload made distinct.
 
 use std::collections::BTreeMap;
 use tacoma_net::{
@@ -13,14 +14,26 @@ use tacoma_util::DetRng;
 
 const SITES: u32 = 6;
 
+/// Which earlier bytes a send repeats.
+#[derive(Clone, Copy, PartialEq)]
+enum Repeat {
+    Fresh,
+    /// The bytes of the send just before, whoever sent it.
+    Previous,
+    /// The bytes of this sender's last send, with other senders' sends
+    /// and deliveries possibly in between.
+    Own,
+}
+
 /// One step of a generated interleaving.
 enum Op {
-    /// A send; `repeat` re-sends the previous send's bytes, otherwise the
-    /// payload is `len` fresh bytes (possibly none).
+    /// A send; `repeat` re-sends the previous send's bytes or the
+    /// sender's own last ones, otherwise the payload is `len` fresh bytes
+    /// (possibly none).
     Send {
         from: u32,
         to: u32,
-        repeat: bool,
+        repeat: Repeat,
         len: usize,
         custody: bool,
     },
@@ -48,7 +61,7 @@ fn ops(seed: u64) -> Vec<Op> {
                 Op::Send {
                     from,
                     to,
-                    repeat: rng.chance(0.6),
+                    repeat: [Repeat::Fresh, Repeat::Previous, Repeat::Own][rng.index(3)],
                     len: [0, 1, 16, 110, 300][rng.index(5)],
                     custody: rng.chance(0.5),
                 }
@@ -110,6 +123,7 @@ fn run(ops: &[Op], distinct: bool, seen: &mut Seen) -> Trace {
     });
     let mut sent: BTreeMap<MessageId, Vec<u8>> = BTreeMap::new();
     let mut previous: Vec<u8> = Vec::new();
+    let mut own: Vec<Vec<u8>> = vec![Vec::new(); SITES as usize];
     let mut events = Vec::new();
     for (at, op) in ops.iter().enumerate() {
         match *op {
@@ -120,9 +134,14 @@ fn run(ops: &[Op], distinct: bool, seen: &mut Seen) -> Trace {
                 len,
                 custody,
             } => {
-                let mut payload = match repeat && !previous.is_empty() {
-                    true => previous.clone(),
-                    false => vec![at as u8; len],
+                let earlier = match repeat {
+                    Repeat::Fresh => &[][..],
+                    Repeat::Previous => &previous,
+                    Repeat::Own => &own[from as usize],
+                };
+                let mut payload = match earlier.is_empty() {
+                    false => earlier.to_vec(),
+                    true => vec![at as u8; len],
                 };
                 if distinct {
                     let stamp = (at as u64).to_le_bytes();
@@ -130,6 +149,7 @@ fn run(ops: &[Op], distinct: bool, seen: &mut Seen) -> Trace {
                     payload[..n].copy_from_slice(&stamp[..n]);
                 }
                 previous = payload.clone();
+                own[from as usize] = payload.clone();
                 let opts = SendOptions {
                     from: SiteId(from),
                     to: SiteId(to),
@@ -192,6 +212,10 @@ fn sharing_a_payload_changes_nothing_a_run_shows() {
     assert_eq!(seen.deliveries, distinct_seen.deliveries);
     // The cases must reach what they claim to cover.
     assert!(seen.shared * 10 > seen.deliveries, "{seen:?}");
+    eprintln!(
+        "{} of {} deliveries shared a buffer",
+        seen.shared, seen.deliveries
+    );
     assert!(
         parked > 10 && dropped > 10 && expired > 10,
         "{parked} {dropped} {expired}"
@@ -248,10 +272,35 @@ fn a_run_of_repeats_shares_until_its_last_delivery() {
     // Three clones share one buffer until the last of them; "other" and
     // the repeat after it are each alone.
     assert_eq!(held, [true, true, false, false, false]);
-    // Compared only with the previous send: an equal payload further back
-    // is not looked for.
+    // Compared only with the previous send and the sender's last: an
+    // equal payload further back is not looked for.
     send(&mut net, 0, 1, b"a");
     send(&mut net, 0, 1, b"b");
     send(&mut net, 0, 1, b"a");
     assert!((0..3).all(|_| deliver(&mut net).try_into_unique().is_ok()));
+}
+
+#[test]
+fn a_senders_repeat_after_another_senders_send_shares_its_buffer() {
+    let mut net = SimNet::new(Topology::full_mesh(4, LinkSpec::default()));
+    for (from, to) in [(0, 1), (2, 3), (0, 3), (2, 1)] {
+        send(&mut net, from, to, b"open");
+        deliver(&mut net);
+    }
+    // Site 0 repeats its clone after site 2 sent something else, and site
+    // 2 repeats its own after that.
+    send(&mut net, 0, 1, b"clone");
+    send(&mut net, 2, 3, b"other");
+    send(&mut net, 0, 3, b"clone");
+    send(&mut net, 2, 1, b"other");
+    let held: Vec<bool> = (0..4)
+        .map(|_| deliver(&mut net).try_into_unique().is_err())
+        .collect();
+    assert_eq!(held, [true, true, false, false]);
+    // Once the sender's last message is delivered, its repeat is its own.
+    send(&mut net, 0, 1, b"clone");
+    deliver(&mut net);
+    send(&mut net, 2, 3, b"other");
+    send(&mut net, 0, 1, b"clone");
+    assert!((0..2).all(|_| deliver(&mut net).try_into_unique().is_ok()));
 }
